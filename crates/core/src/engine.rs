@@ -3,6 +3,11 @@
 //! [`MosaicDb`], the single-owner compatibility wrapper over one
 //! engine + one session.
 //!
+//! Every SELECT reaches the engine as a [`Prepared`] binding
+//! (`session.rs`): [`MosaicEngine::select`] dispatches on the source the
+//! binder recorded and runs the stored plan — the engine never
+//! classifies a FROM clause or plans a statement itself.
+//!
 //! The engine is `Arc`-shareable: its catalog sits behind a
 //! `parking_lot::RwLock`, so any number of sessions run SELECTs
 //! concurrently under read locks while DDL/DML statements take the
@@ -28,7 +33,9 @@ use crate::eval::eval_scalar;
 use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
 use crate::plan::PhysicalPlan;
-use crate::session::{Session, SessionOptions};
+use crate::session::{
+    population_deps, BoundRel, Prepared, RelKind, Resolved, Session, SessionOptions, Source,
+};
 use crate::{MosaicError, Result};
 
 /// Which generative model answers OPEN queries.
@@ -264,25 +271,11 @@ impl QueryResult {
 }
 
 /// Fitted generative models keyed by `population|backend|config-hash`,
-/// tagged with the catalog epoch they were trained at. Models are stored
-/// as `Arc` so the cache lock is released before generation starts:
-/// concurrent OPEN queries share one fitted model.
-type ModelCache = Mutex<HashMap<String, (u64, Arc<dyn GenerativeModel>)>>;
-
-/// Prepared-statement hooks threaded through the SELECT dispatch: the
-/// cached physical plan(s) and the positional-parameter values of one
-/// `execute_prepared` call. [`QueryPlans::default`] (no plans, no
-/// params) is the unprepared path.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct QueryPlans<'a> {
-    /// The lowered plan of the full statement.
-    pub plan: Option<&'a PhysicalPlan>,
-    /// For aggregate OPEN queries: the lowered plan of the inner body
-    /// (ORDER BY / LIMIT stripped) each replicate runs.
-    pub inner_plan: Option<&'a PhysicalPlan>,
-    /// Positional-parameter values.
-    pub params: &'a [Value],
-}
+/// tagged with the dependency-epoch snapshot of the population they were
+/// trained for. Models are stored as `Arc` so the cache lock is released
+/// before generation starts: concurrent OPEN queries share one fitted
+/// model.
+type ModelCache = Mutex<HashMap<String, (Vec<(String, u64)>, Arc<dyn GenerativeModel>)>>;
 
 /// The shared Mosaic engine.
 ///
@@ -444,13 +437,14 @@ impl MosaicEngine {
         }
         let opts = self.effective_options(session);
         let mut stmts = parse(sql)?;
-        // Single-SELECT scripts bind through the plan cache so the next
-        // identical script takes the hot path above.
+        // Single-SELECT scripts publish their bound plan under the
+        // script text so the next identical script takes the hot path
+        // above.
         if stmts.len() == 1 && matches!(stmts[0], Statement::Select(_)) {
             let Some(Statement::Select(stmt)) = stmts.pop() else {
                 unreachable!("matched above");
             };
-            return self.execute_select_sql(sql, stmt, &opts);
+            return self.execute_select(Some(sql), stmt, &opts);
         }
         let mut last = QueryResult::empty();
         for stmt in stmts {
@@ -480,34 +474,35 @@ impl MosaicEngine {
         Some(self.select_prepared(&cat, &opts, &p, &[]))
     }
 
-    /// Execute one single-SELECT script: bind it as a prepared plan,
-    /// publish the plan under the script text for cross-session reuse,
-    /// and run it through the result cache. Statements the binder does
-    /// not support (and parameterized statements, which cannot execute
-    /// ad hoc anyway) fall back to the ordinary uncached path so its
-    /// errors and semantics surface verbatim.
-    fn execute_select_sql(
+    /// Execute one ad-hoc SELECT — the single entry every unprepared
+    /// SELECT (scripts, parsed statements, `INSERT … SELECT` sources)
+    /// goes through: bind it, publish the binding under the script text
+    /// (when there is one) for cross-session reuse, and run it through
+    /// the result cache. A bind failure is the statement's error.
+    fn execute_select(
         &self,
-        sql: &str,
+        sql: Option<&str>,
         stmt: SelectStmt,
         opts: &EngineOptions,
     ) -> Result<QueryResult> {
-        let cat = self.catalog.read();
-        match crate::session::Prepared::bind(&cat, opts, stmt.clone(), sql) {
-            Ok(p) if p.param_count() == 0 => {
-                let epochs = epoch_snapshot(&cat, &p.relations());
-                let p = Arc::new(p);
-                self.plan_cache.insert(
-                    sql,
-                    opts.default_visibility,
-                    opts.optimizer,
-                    Arc::clone(&p),
-                    epochs,
-                );
-                self.select_prepared(&cat, opts, &p, &[])
-            }
-            _ => self.select(&cat, opts, &stmt, QueryPlans::default()),
+        let n = stmt.param_count();
+        if n > 0 {
+            return Err(MosaicError::Param(format!(
+                "statement expects {n} parameter(s); use Session::prepare / execute_prepared"
+            )));
         }
+        let cat = self.catalog.read();
+        let p = Arc::new(Prepared::bind(&cat, opts, stmt, sql.unwrap_or_default())?);
+        if let Some(sql) = sql {
+            self.plan_cache.insert(
+                sql,
+                opts.default_visibility,
+                opts.optimizer,
+                Arc::clone(&p),
+                epoch_snapshot(&cat, p.dependencies()),
+            );
+        }
+        self.select_prepared(&cat, opts, &p, &[])
     }
 
     /// Execute a bound statement through the result cache: look the
@@ -519,13 +514,13 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
-        prepared: &crate::session::Prepared,
+        prepared: &Prepared,
         params: &[Value],
     ) -> Result<QueryResult> {
         let vis = prepared.visibility().unwrap_or(Visibility::Closed);
         let enabled = opts.result_cache && opts.result_cache_mb > 0;
         if !enabled || result_cache_ineligibility(opts, vis).is_some() {
-            return self.select(cat, opts, prepared.stmt(), prepared.query_plans(params));
+            return self.select(cat, opts, prepared, params);
         }
         let fp = fingerprint_of(prepared, params, opts, vis);
         if let Some(mut hit) = self.result_cache.get(fp, |n| cat.relation_epoch(n)) {
@@ -535,8 +530,8 @@ impl MosaicEngine {
             ));
             return Ok(hit);
         }
-        let result = self.select(cat, opts, prepared.stmt(), prepared.query_plans(params))?;
-        let epochs = epoch_snapshot(cat, &prepared.relations());
+        let result = self.select(cat, opts, prepared, params)?;
+        let epochs = epoch_snapshot(cat, prepared.dependencies());
         self.result_cache
             .insert(fp, &result, epochs, opts.result_cache_mb << 20);
         Ok(result)
@@ -702,24 +697,11 @@ impl MosaicEngine {
                 self.insert(&table, columns.as_deref(), source, opts)?;
                 Ok(None)
             }
-            Statement::Select(stmt) => {
-                // Route through the result cache when the statement
-                // binds as a parameterless prepared plan (planning work
-                // is the same either way); statements the binder does
-                // not cover keep the plain path and its exact errors.
-                let cat = self.catalog.read();
-                match crate::session::Prepared::bind(&cat, opts, stmt.clone(), "") {
-                    Ok(p) if p.param_count() == 0 => {
-                        self.select_prepared(&cat, opts, &p, &[]).map(Some)
-                    }
-                    _ => self
-                        .select(&cat, opts, &stmt, QueryPlans::default())
-                        .map(Some),
-                }
-            }
+            Statement::Select(stmt) => self.execute_select(None, stmt, opts).map(Some),
             Statement::Explain(stmt) => {
                 let cat = self.catalog.read();
-                let lines = crate::explain::render(self, &cat, opts, &stmt)?;
+                let bound = Prepared::bind(&cat, opts, stmt, "")?;
+                let lines = crate::explain::render(self, &cat, opts, &bound)?;
                 let table = Table::new(
                     Schema::new(vec![Field::new("plan", DataType::Str)]),
                     vec![Column::from_str(lines)],
@@ -744,15 +726,15 @@ impl MosaicEngine {
         source: InsertSource,
         opts: &EngineOptions,
     ) -> Result<()> {
-        // For a SELECT source, run the query under a read lock first —
-        // taking the write lock around a SELECT that re-enters the
-        // engine would self-deadlock.
-        let selected = match &source {
+        // For a SELECT source, run the query (under its own read lock)
+        // first — taking the write lock around a SELECT that re-enters
+        // the engine would self-deadlock.
+        let (values, selected) = match source {
+            InsertSource::Values(rows) => (rows, None),
             InsertSource::Select(stmt) => {
-                let cat = self.catalog.read();
-                Some(self.select(&cat, opts, stmt, QueryPlans::default())?.table)
+                let result = self.execute_select(None, *stmt, opts)?;
+                (Vec::new(), Some(result.table))
             }
-            InsertSource::Values(_) => None,
         };
         let mut cat = self.catalog.write();
         // Resolve the target schema (aux table or sample).
@@ -768,16 +750,16 @@ impl MosaicEngine {
         } else {
             return Err(MosaicError::Catalog(format!("unknown relation {target}")));
         };
-        let rows = match (source, selected) {
-            (InsertSource::Values(rows), _) => {
-                let mut b = TableBuilder::with_capacity(Arc::clone(&target_schema), rows.len());
-                for row in rows {
+        let rows = match selected {
+            None => {
+                let mut b = TableBuilder::with_capacity(Arc::clone(&target_schema), values.len());
+                for row in values {
                     let values: Vec<Value> = row.iter().map(eval_scalar).collect::<Result<_>>()?;
                     b.push_row(arrange_row(&target_schema, columns, values)?)?;
                 }
                 b.finish()
             }
-            (InsertSource::Select(_), Some(result)) => {
+            Some(result) => {
                 // Re-type row by row so compatible columns coerce.
                 let mut b =
                     TableBuilder::with_capacity(Arc::clone(&target_schema), result.num_rows());
@@ -786,7 +768,6 @@ impl MosaicEngine {
                 }
                 b.finish()
             }
-            (InsertSource::Select(_), None) => unreachable!("selected above"),
         };
         // Dictionary-encode the ingested string columns: dict is the
         // first-class string representation for every ingest path (CSV,
@@ -807,390 +788,176 @@ impl MosaicEngine {
 
     // ---- SELECT dispatch ----
 
-    /// Run one SELECT through the morsel-driven executor: the prepared
-    /// plan when `plans` carries one, a freshly planned (and, per
-    /// `opts.optimizer`, optimized) plan otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn run_select(
-        &self,
-        opts: &EngineOptions,
-        stmt: &SelectStmt,
-        table: &Table,
-        weights: Option<&[f64]>,
-        threads: usize,
-        plan: Option<&PhysicalPlan>,
-        params: &[Value],
-    ) -> Result<Table> {
-        match plan {
-            Some(p) => {
-                if let Some(w) = weights {
-                    if w.len() != table.num_rows() {
-                        return Err(MosaicError::Execution(format!(
-                            "weight vector length {} != table rows {}",
-                            w.len(),
-                            table.num_rows()
-                        )));
-                    }
-                }
-                p.execute_capped(table, weights, params, threads, opts.agg_partitions)
-            }
-            None => crate::exec::run_select_partitioned(
-                stmt,
-                table,
-                weights,
-                threads,
-                opts.optimizer,
-                opts.agg_partitions,
-            ),
-        }
-    }
-
+    /// Execute a bound statement: dispatch on the source the binder
+    /// recorded and run its stored plan. Each recorded relation is looked
+    /// up by name *and kind*; one that is gone or changed kind since the
+    /// bind is the stale-statement error.
     pub(crate) fn select(
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
-        stmt: &SelectStmt,
-        plans: QueryPlans<'_>,
+        bound: &Prepared,
+        params: &[Value],
     ) -> Result<QueryResult> {
-        if plans.plan.is_none() && plans.inner_plan.is_none() {
-            let n = stmt.param_count();
-            if n > 0 {
-                return Err(MosaicError::Param(format!(
-                    "statement expects {n} parameter(s); use Session::prepare / execute_prepared"
-                )));
-            }
-        }
+        let plan = &bound.planned().physical;
         let threads = opts.parallelism;
-        let Some(from_clause) = stmt.from.clone() else {
-            // SELECT of scalars (no FROM).
-            let one_row = Table::new(
-                Schema::new(vec![Field::new("dummy", DataType::Int)]),
-                vec![Column::from_i64(vec![0])],
-            )?;
-            let items: Vec<SelectItem> = stmt
-                .items
-                .iter()
-                .filter(|i| !matches!(i, SelectItem::Wildcard))
-                .cloned()
-                .collect();
-            let stmt2 = SelectStmt {
-                items,
-                ..stmt.clone()
-            };
-            let table = self.run_select(
-                opts,
-                &stmt2,
-                &one_row,
-                None,
-                threads,
-                plans.plan,
-                plans.params,
-            )?;
-            return Ok(QueryResult {
-                table,
-                visibility: None,
-                notes: Vec::new(),
-            });
+        let mut notes = Vec::new();
+        let table = match bound.source() {
+            Source::Scalar => {
+                let one_row = Table::new(
+                    Schema::new(vec![Field::new("dummy", DataType::Int)]),
+                    vec![Column::from_i64(vec![0])],
+                )?;
+                run_plan(plan, &one_row, None, params, threads, opts)?
+            }
+            Source::Single(rel) => match rel.resolve(cat)? {
+                Resolved::Population(pop) => {
+                    return self.query_population(cat, opts, bound, params, pop)
+                }
+                side => {
+                    let table = side_table(cat, opts, &side, None, &mut notes)?;
+                    run_plan(plan, &table, None, params, threads, opts)?
+                }
+            },
+            Source::Join(rels) => return self.select_join(cat, opts, bound, params, rels),
         };
-        if crate::plan::join::needs_scope(stmt, &from_clause) {
-            return self.select_scope(cat, opts, stmt, &from_clause, plans);
-        }
-        let from = from_clause.base.name;
-        if cat.population(&from).is_some() {
-            return self.query_population(cat, opts, plans, &from, stmt);
-        }
-        if stmt.visibility.is_some() {
-            return Err(MosaicError::Unsupported(
-                "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only".into(),
-            ));
-        }
-        if let Some(t) = cat.aux(&from) {
-            let table = self.run_select(
-                opts,
-                stmt,
-                &t.clone(),
-                None,
-                threads,
-                plans.plan,
-                plans.params,
-            )?;
-            return Ok(QueryResult {
-                table,
-                visibility: None,
-                notes: Vec::new(),
-            });
-        }
-        if let Some(s) = cat.sample(&from) {
-            // Expose the engine-managed weights as a `weight` column.
-            let table = table_with_weight_column(&s.data, &s.weights)?;
-            let table =
-                self.run_select(opts, stmt, &table, None, threads, plans.plan, plans.params)?;
-            return Ok(QueryResult {
-                table,
-                visibility: None,
-                notes: vec![format!("raw sample scan of {}", s.name)],
-            });
-        }
-        Err(unknown_relation(cat, &from))
+        Ok(QueryResult {
+            table,
+            visibility: None,
+            notes,
+        })
     }
 
-    /// Multi-relation (or aliased) FROM: resolve every relation —
-    /// population sides through their visibility pipeline — bind the
-    /// scope, and execute. Joins run the hash-join path; a population
-    /// side under OPEN runs the generate+query replicate loop over the
-    /// whole joined plan; a lone aliased relation runs the ordinary
-    /// single-table pipeline.
-    fn select_scope(
+    /// A two-relation join: materialize every side — population sides
+    /// through their visibility pipeline — and run the hash-join plan. A
+    /// population side under OPEN is generated per replicate instead,
+    /// and the replicate driver runs the whole joined plan.
+    fn select_join(
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
-        stmt: &SelectStmt,
-        from: &mosaic_sql::FromClause,
-        plans: QueryPlans<'_>,
+        bound: &Prepared,
+        params: &[Value],
+        rels: &[BoundRel],
     ) -> Result<QueryResult> {
-        let (infos, vis) = resolve_scope(cat, opts.default_visibility, from, stmt.visibility)?;
-        let threads = opts.parallelism;
+        let vis = bound.visibility();
         let mut notes = Vec::new();
-        if !from.has_joins() {
-            // A lone aliased relation: rewrite qualified references and
-            // run the ordinary single-table pipeline (populations were
-            // rejected by resolve_scope).
-            let info = infos.into_iter().next().expect("one relation");
-            let table = scope_table(cat, opts, &info, vis, &mut notes)?;
-            let rewritten = crate::plan::join::bind_single(stmt, info.rel)?;
-            let table = self.run_select(
-                opts,
-                &rewritten,
-                &table,
-                None,
-                threads,
-                plans.plan,
-                plans.params,
-            )?;
-            return Ok(QueryResult {
-                table,
-                visibility: None,
-                notes,
+        let sides: Vec<Resolved<'_>> =
+            rels.iter().map(|r| r.resolve(cat)).collect::<Result<_>>()?;
+        // An OPEN population side is generated per replicate, not
+        // materialized once (the binder guarantees at most one).
+        let open_idx = (vis == Some(Visibility::Open))
+            .then(|| rels.iter().position(|r| r.kind == RelKind::Population))
+            .flatten();
+        let mut tables: Vec<Option<Table>> = Vec::with_capacity(sides.len());
+        for (i, side) in sides.iter().enumerate() {
+            tables.push(if Some(i) == open_idx {
+                None
+            } else {
+                Some(side_table(cat, opts, side, vis, &mut notes)?)
             });
         }
-        let rels: Vec<crate::plan::join::ScopeRel> = infos.iter().map(|i| i.rel.clone()).collect();
-        // Aggregates over a population-containing join get the §5.3
-        // weighted rewrite (the joined `weight` column feeds SUM(w·x));
-        // CLOSED scopes and plain sample joins keep raw aggregates with
-        // `weight` as an ordinary data column.
-        let weighted_agg = vis.is_some_and(|v| v != Visibility::Closed);
-        // An OPEN population side is generated per replicate, not
-        // materialized once (resolve_scope guarantees at most one).
-        let open_idx = if vis == Some(Visibility::Open) {
-            infos
-                .iter()
-                .position(|i| matches!(i.source, ScopeSource::Population { .. }))
-        } else {
-            None
-        };
-        let mut tables: Vec<Option<Table>> = Vec::with_capacity(infos.len());
-        for (i, info) in infos.iter().enumerate() {
-            if Some(i) == open_idx {
-                tables.push(None);
-            } else {
-                tables.push(Some(scope_table(cat, opts, info, vis, &mut notes)?));
-            }
-        }
+        let from = bound
+            .stmt()
+            .from
+            .as_ref()
+            .expect("join statements have FROM");
         let join_sym = match from.joins[0].kind {
             mosaic_sql::JoinKind::Inner => "⋈",
             mosaic_sql::JoinKind::LeftOuter => "⟕",
         };
         notes.push(format!(
             "hash equi-join of {} {} {}",
-            rels[0].name,
-            join_sym,
-            rels.get(1).map(|r| r.name.as_str()).unwrap_or("?")
+            rels[0].name, join_sym, rels[1].name
         ));
         // When both sides of a reweighted (SEMI-OPEN/OPEN) join carry
         // correction weights, the combined weight is their product —
         // an independence assumption — raked by IPF against every
         // declared marginal that projects onto the joined schema.
-        let recal_marginals: Vec<Marginal> =
-            if weighted_agg && infos.iter().filter(|i| i.rel.weighted).count() > 1 {
-                let mut cands = Vec::new();
-                let mut srcs: Vec<String> = Vec::new();
-                for info in &infos {
-                    if !info.rel.weighted {
-                        continue;
-                    }
-                    let pop_name = match &info.source {
-                        ScopeSource::Sample { population } => population.clone(),
-                        ScopeSource::Population { pop, .. } => pop.name.clone(),
-                        ScopeSource::Aux => continue,
-                    };
-                    let metas = cat.metadata_for(&pop_name);
-                    if !metas.is_empty() && !srcs.contains(&pop_name) {
-                        srcs.push(pop_name.clone());
-                    }
-                    for m in &metas {
-                        if !cands.contains(&m.marginal) {
-                            cands.push(m.marginal.clone());
-                        }
+        let reweighted = vis.is_some_and(|v| v != Visibility::Closed);
+        let mut recal_marginals: Vec<Marginal> = Vec::new();
+        if reweighted && rels.iter().all(|r| r.weighted(vis)) {
+            let mut srcs: Vec<&str> = Vec::new();
+            for side in &sides {
+                let pop_name = match side {
+                    Resolved::Sample(s) => s.population.as_str(),
+                    Resolved::Population(pop) => pop.name.as_str(),
+                    Resolved::Aux(_) => continue,
+                };
+                let metas = cat.metadata_for(pop_name);
+                if !metas.is_empty() && !srcs.contains(&pop_name) {
+                    srcs.push(pop_name);
+                }
+                for m in metas {
+                    if !recal_marginals.contains(&m.marginal) {
+                        recal_marginals.push(m.marginal.clone());
                     }
                 }
-                if cands.is_empty() {
-                    notes.push(
-                        "combined weight = product of per-side weights (independence \
-                         assumption; no declared marginals to re-calibrate against)"
-                            .into(),
-                    );
-                } else {
-                    notes.push(format!(
-                        "combined weight = product of per-side weights, IPF re-calibrated \
-                         against {} declared marginal(s) of {}",
-                        cands.len(),
-                        srcs.join(", ")
-                    ));
-                }
-                cands
+            }
+            notes.push(if recal_marginals.is_empty() {
+                "combined weight = product of per-side weights (independence \
+                 assumption; no declared marginals to re-calibrate against)"
+                    .into()
             } else {
-                Vec::new()
-            };
-        let post_join_fn: Option<Box<dyn Fn(Table) -> Result<Table> + Sync>> =
+                format!(
+                    "combined weight = product of per-side weights, IPF re-calibrated \
+                     against {} declared marginal(s) of {}",
+                    recal_marginals.len(),
+                    srcs.join(", ")
+                )
+            });
+        }
+        let recalibrate = |joined: Table| {
+            recalibrate_joined_weights(joined, &recal_marginals, &opts.binners, &opts.ipf)
+        };
+        let post_join: Option<&(dyn Fn(Table) -> Result<Table> + Sync)> =
             if recal_marginals.is_empty() {
                 None
             } else {
-                let binners = opts.binners.clone();
-                let ipf_cfg = opts.ipf.clone();
-                Some(Box::new(move |joined: Table| {
-                    recalibrate_joined_weights(joined, &recal_marginals, &binners, &ipf_cfg)
-                }))
+                Some(&recalibrate)
             };
-        let post_join = post_join_fn.as_deref();
-        let Some(pi) = open_idx else {
-            let t0 = tables[0].take().expect("fixed side");
-            let t1 = tables[1].take().expect("fixed side");
-            let table = match plans.plan {
-                Some(plan) => plan.execute_join_capped_with(
-                    &t0,
-                    &t1,
-                    plans.params,
-                    threads,
-                    opts.agg_partitions,
-                    post_join,
-                )?,
-                None => {
-                    let bound = crate::plan::join::bind_join(stmt, rels, weighted_agg)?;
-                    let planned = crate::plan::plan_logical(bound.logical, opts.optimizer, None);
-                    planned.physical.execute_join_capped_with(
-                        &t0,
-                        &t1,
-                        plans.params,
-                        threads,
-                        opts.agg_partitions,
-                        post_join,
-                    )?
-                }
-            };
-            return Ok(QueryResult {
-                table,
-                visibility: vis,
-                notes,
-            });
+        let run_join = |plan: &PhysicalPlan, left: &Table, right: &Table, threads: usize| {
+            plan.execute_join_capped_with(
+                left,
+                right,
+                params,
+                threads,
+                opts.agg_partitions,
+                post_join,
+            )
         };
-        // ---- OPEN join: replicate loop over the joined plan ----
-        let ScopeSource::Population { pop, sample, view } = &infos[pi].source else {
-            unreachable!("open_idx points at a population side");
-        };
-        let om = self.open_model(cat, opts, pop, sample, view.as_ref(), &mut notes)?;
-        let fixed = tables[1 - pi].take().expect("other side fixed");
-        let has_agg = crate::plan::has_aggregate_shape(stmt);
-        let parallelism = opts.parallelism.max(1);
-        // A prepared statement arrives already scope-rewritten (the
-        // session stores `bound.stmt`), so use it as-is; an ad-hoc
-        // statement binds here.
-        let full_plan_owned;
-        let (full_stmt, full_plan): (SelectStmt, &PhysicalPlan) = match plans.plan {
-            Some(p) => (stmt.clone(), p),
+        let table = match open_idx {
             None => {
-                let bound = crate::plan::join::bind_join(stmt, rels.clone(), weighted_agg)?;
-                full_plan_owned =
-                    crate::plan::plan_logical(bound.logical, opts.optimizer, None).physical;
-                (bound.stmt, &full_plan_owned)
+                let (left, right) = (&tables[0], &tables[1]);
+                run_join(
+                    &bound.planned().physical,
+                    left.as_ref().expect("fixed side"),
+                    right.as_ref().expect("fixed side"),
+                    opts.parallelism,
+                )?
+            }
+            Some(pi) => {
+                let Resolved::Population(pop) = &sides[pi] else {
+                    unreachable!("open_idx points at a population side");
+                };
+                let (sample, view) = choose_sample(cat, pop)?;
+                let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
+                let fixed = tables[1 - pi].as_ref().expect("other side fixed");
+                // One replicate: expose the generated side's uniform
+                // weight as its `weight` column and run the joined plan.
+                let answer = |plan: &PhysicalPlan, generated: &Table, weight: f64, threads| {
+                    let weights = vec![weight; generated.num_rows()];
+                    let gen = table_with_weight_column(generated, &weights)?;
+                    let (left, right) = if pi == 0 {
+                        (&gen, fixed)
+                    } else {
+                        (fixed, &gen)
+                    };
+                    run_join(plan, left, right, threads)
+                };
+                open_answer(opts, bound, params, &om, "join", &mut notes, answer)?
             }
         };
-        // One replicate: generate the population side, expose its
-        // uniform weight as the `weight` column, and run the joined
-        // plan. Returns the answer plus the generated row count.
-        let replicate =
-            |plan: &PhysicalPlan, run: usize, threads: usize| -> Result<(Table, usize)> {
-                let (generated, weight) = om.generate(open_run_seed(opts.open.seed, run))?;
-                let rows = generated.num_rows();
-                let gen = table_with_weight_column(&generated, &vec![weight; rows])?;
-                let (lt, rt) = if pi == 0 {
-                    (&gen, &fixed)
-                } else {
-                    (&fixed, &gen)
-                };
-                plan.execute_join_capped_with(
-                    lt,
-                    rt,
-                    plans.params,
-                    threads,
-                    opts.agg_partitions,
-                    post_join,
-                )
-                .map(|t| (t, rows))
-            };
-        if !has_agg {
-            // Non-aggregate OPEN join: one generated sample IS the
-            // population side (a representative population).
-            let (table, rows) = replicate(full_plan, 0, parallelism)?;
-            notes.push(format!(
-                "non-aggregate OPEN join answered from one generated sample of {rows} rows"
-            ));
-            return Ok(QueryResult {
-                table,
-                visibility: vis,
-                notes,
-            });
-        }
-        // Aggregate: answer the ORDER BY/LIMIT-stripped statement per
-        // replicate, combine, then order/limit the combined answer —
-        // same protocol as the single-population OPEN loop.
-        let inner_plan_owned;
-        let (inner_stmt, inner_plan): (SelectStmt, &PhysicalPlan) = match plans.inner_plan {
-            Some(p) => (
-                SelectStmt {
-                    order_by: Vec::new(),
-                    limit: None,
-                    ..full_stmt.clone()
-                },
-                p,
-            ),
-            None => {
-                let inner_src = SelectStmt {
-                    order_by: Vec::new(),
-                    limit: None,
-                    ..stmt.clone()
-                };
-                let inner_bound = crate::plan::join::bind_join(&inner_src, rels, weighted_agg)?;
-                inner_plan_owned =
-                    crate::plan::plan_logical(inner_bound.logical, opts.optimizer, None).physical;
-                (inner_bound.stmt, &inner_plan_owned)
-            }
-        };
-        let runs = opts.open.num_generated.max(1);
-        let workers = runs.min(parallelism);
-        let inner_threads = if workers > 1 { 1 } else { parallelism };
-        let per_run: Vec<(Table, usize)> =
-            crate::plan::parallel::run_ordered(runs, workers, |run| {
-                replicate(inner_plan, run, inner_threads)
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-        notes.push(format!(
-            "combined {} generated samples of {} rows across {} worker thread(s) (population size {:.0})",
-            runs, om.per_sample, workers, om.pop_size
-        ));
-        let combined =
-            combine_open_runs(&inner_stmt, per_run.into_iter().map(|(t, _)| t).collect())?;
-        let table = apply_order_limit(&full_stmt, combined, plans.params)?;
         Ok(QueryResult {
             table,
             visibility: vis,
@@ -1204,13 +971,14 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
-        plans: QueryPlans<'_>,
-        pop_name: &str,
-        stmt: &SelectStmt,
+        bound: &Prepared,
+        params: &[Value],
+        pop: &Population,
     ) -> Result<QueryResult> {
-        let visibility = stmt.visibility.unwrap_or(opts.default_visibility);
-        let pop = cat.population(pop_name).expect("caller checked").clone();
-        let (sample, view_predicate) = choose_sample(cat, &pop)?;
+        let visibility = bound
+            .visibility()
+            .expect("the binder bakes a population statement's visibility in");
+        let (sample, view) = choose_sample(cat, pop)?;
         let mut notes = vec![format!(
             "population {} via sample {} ({} rows), visibility {}",
             pop.name,
@@ -1218,39 +986,27 @@ impl MosaicEngine {
             sample.len(),
             visibility
         )];
+        let plan = &bound.planned().physical;
         let threads = opts.parallelism;
         let table = match visibility {
             Visibility::Closed => {
                 // LAV-style: samples used as-is, no debiasing.
-                let data = apply_view(&sample.data, view_predicate.as_ref())?;
-                self.run_select(opts, stmt, &data, None, threads, plans.plan, plans.params)?
+                let data = apply_view(&sample.data, view)?;
+                run_plan(plan, &data, None, params, threads, opts)?
             }
             Visibility::SemiOpen => {
-                let (data, weights, mut w_notes) =
-                    semi_open_weights(cat, opts, &pop, &sample, view_predicate.as_ref())?;
-                notes.append(&mut w_notes);
-                self.run_select(
-                    opts,
-                    stmt,
-                    &data,
-                    Some(&weights),
-                    threads,
-                    plans.plan,
-                    plans.params,
-                )?
+                let (data, weights) = semi_open_weights(cat, opts, pop, sample, view, &mut notes)?;
+                run_plan(plan, &data, Some(&weights), params, threads, opts)?
             }
             Visibility::Open => {
-                let (table, mut o_notes) = self.open_answer(
-                    cat,
-                    opts,
-                    plans,
-                    &pop,
-                    &sample,
-                    view_predicate.as_ref(),
-                    stmt,
-                )?;
-                notes.append(&mut o_notes);
-                table
+                let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
+                // One replicate: answer the query over the generated
+                // sample, uniformly reweighted to the population size.
+                let answer = |plan: &PhysicalPlan, generated: &Table, weight: f64, threads| {
+                    let weights = vec![weight; generated.num_rows()];
+                    run_plan(plan, generated, Some(&weights), params, threads, opts)
+                };
+                open_answer(opts, bound, params, &om, "query", &mut notes, answer)?
             }
         };
         Ok(QueryResult {
@@ -1261,9 +1017,11 @@ impl MosaicEngine {
     }
 
     /// Resolve metadata, choose training data, and fit (or fetch from
-    /// the epoch-keyed cache) the generative model for one OPEN
-    /// population side — shared by single-population OPEN answers and
-    /// the OPEN side of an open-world join.
+    /// the cache) the generative model for one OPEN population — shared
+    /// by single-population OPEN answers and the OPEN side of an
+    /// open-world join. A cached model is valid while the population's
+    /// dependency epochs are unchanged — the rule plans and results are
+    /// validated by — so writes to unrelated relations never refit.
     fn open_model(
         &self,
         cat: &Catalog,
@@ -1274,26 +1032,19 @@ impl MosaicEngine {
         notes: &mut Vec<String>,
     ) -> Result<OpenModel> {
         // Metadata: prefer the query population's, else the GP's.
-        let (marginals, meta_is_gp): (Vec<Marginal>, bool) = {
-            let own = cat.metadata_for(&pop.name);
-            if !own.is_empty() {
-                (own.iter().map(|m| m.marginal.clone()).collect(), false)
-            } else if let Some((gp, _)) = &pop.source {
-                let m = cat.metadata_for(gp);
-                if m.is_empty() {
-                    return Err(MosaicError::Execution(format!(
-                        "OPEN query over {} requires population metadata",
-                        pop.name
-                    )));
-                }
-                (m.iter().map(|x| x.marginal.clone()).collect(), true)
-            } else {
-                return Err(MosaicError::Execution(format!(
-                    "OPEN query over {} requires population metadata",
-                    pop.name
-                )));
-            }
+        let own = cat.metadata_for(&pop.name);
+        let (metas, meta_is_gp) = match &pop.source {
+            _ if !own.is_empty() => (own, false),
+            Some((gp, _)) => (cat.metadata_for(gp), true),
+            None => (own, false),
         };
+        if metas.is_empty() {
+            return Err(MosaicError::Execution(format!(
+                "OPEN query over {} requires population metadata",
+                pop.name
+            )));
+        }
+        let marginals: Vec<Marginal> = metas.iter().map(|m| m.marginal.clone()).collect();
         // Training data: if the metadata describes the query population,
         // train on the view-filtered sample; if it describes the GP, train
         // on the full sample and filter generated tuples afterwards.
@@ -1317,11 +1068,12 @@ impl MosaicEngine {
             opts.open.backend.id(),
             backend_fingerprint(opts)
         );
-        let epoch = cat.epoch;
+        let current =
+            |snapshot: &[(String, u64)]| snapshot.iter().all(|(r, e)| cat.relation_epoch(r) == *e);
         let model: Arc<dyn GenerativeModel> = {
             let mut cache = self.model_cache.lock();
             match cache.get(&cache_key) {
-                Some((e, m)) if *e == epoch => {
+                Some((snapshot, m)) if current(snapshot) => {
                     notes.push("generative model cache hit".into());
                     Arc::clone(m)
                 }
@@ -1343,12 +1095,13 @@ impl MosaicEngine {
                         marginals.len()
                     ));
                     let model: Arc<dyn GenerativeModel> = Arc::from(model);
-                    // Evict models fitted at older catalog epochs: the
-                    // epoch only grows, so they can never be served
-                    // again — without this, every DDL statement strands
-                    // its era's fitted models in the map forever.
-                    cache.retain(|_, (e, _)| *e == epoch);
-                    cache.insert(cache_key, (epoch, Arc::clone(&model)));
+                    // Evict models whose dependencies moved: epochs only
+                    // grow, so they can never be served again — without
+                    // this, every write strands its era's fitted models
+                    // in the map forever.
+                    cache.retain(|_, (snapshot, _)| current(snapshot));
+                    let epochs = epoch_snapshot(cat, &population_deps(pop));
+                    cache.insert(cache_key, (epochs, Arc::clone(&model)));
                     model
                 }
             }
@@ -1365,93 +1118,84 @@ impl MosaicEngine {
             per_sample,
         })
     }
+}
 
-    /// OPEN answering (paper §4.2, §5.3 protocol): train a generative
-    /// model, draw `num_generated` samples, answer the query on each,
-    /// keep groups present in every answer, average the aggregates, and
-    /// uniformly reweight to the population size implied by the metadata.
-    #[allow(clippy::too_many_arguments)]
-    fn open_answer(
-        &self,
-        cat: &Catalog,
-        opts: &EngineOptions,
-        plans: QueryPlans<'_>,
-        pop: &Population,
-        sample: &Sample,
-        view: Option<&Expr>,
-        stmt: &SelectStmt,
-    ) -> Result<(Table, Vec<String>)> {
-        let mut notes = Vec::new();
-        let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
-        let per_sample = om.per_sample;
-        let pop_size = om.pop_size;
-        let runs = opts.open.num_generated.max(1);
-        let has_agg = crate::plan::has_aggregate_shape(stmt);
-        // The engine owns one thread budget: when several replicates run
-        // concurrently, each runs its inner query single-threaded; a lone
-        // replicate hands the whole budget to the morsel executor. Either
-        // way at most `parallelism` threads are busy — the replicate pool
-        // and the executor pool never multiply.
-        let parallelism = opts.parallelism.max(1);
-        // One replicate: generate, view-filter, uniformly reweight to the
-        // population size, answer the (inner) query. Returns the answer
-        // plus the post-view generated row count (for diagnostics).
-        let replicate = |stmt: &SelectStmt,
-                         plan: Option<&PhysicalPlan>,
-                         run: usize,
-                         threads: usize|
-         -> Result<(Table, usize)> {
-            let (generated, weight) = om.generate(open_run_seed(opts.open.seed, run))?;
-            let weights = vec![weight; generated.num_rows()];
-            let rows = generated.num_rows();
-            self.run_select(
-                opts,
-                stmt,
-                &generated,
-                Some(&weights),
-                threads,
-                plan,
-                plans.params,
-            )
-            .map(|t| (t, rows))
-        };
-        if !has_agg {
-            // Non-aggregate OPEN query: a single generated sample IS the
-            // answer (a representative population).
-            let (out, rows) = replicate(stmt, plans.plan, 0, parallelism)?;
-            notes.push(format!(
-                "non-aggregate OPEN query answered from one generated sample of {rows} rows"
-            ));
-            return Ok((out, notes));
+/// Run a bound plan over one materialized source table.
+fn run_plan(
+    plan: &PhysicalPlan,
+    table: &Table,
+    weights: Option<&[f64]>,
+    params: &[Value],
+    threads: usize,
+    opts: &EngineOptions,
+) -> Result<Table> {
+    if let Some(w) = weights {
+        if w.len() != table.num_rows() {
+            return Err(MosaicError::Execution(format!(
+                "weight vector length {} != table rows {}",
+                w.len(),
+                table.num_rows()
+            )));
         }
-        // Inner statement: same body, no ORDER BY / LIMIT (applied after
-        // combining).
-        let inner = SelectStmt {
-            order_by: Vec::new(),
-            limit: None,
-            ..stmt.clone()
-        };
-        // The replicates are independent and the fitted model is shared
-        // immutably, so run the paper's `num_generated = 10` loop on a
-        // bounded worker pool: idle workers pull the next run index off a
-        // shared counter. Seeding per run index and collecting by run
-        // index keep the combined answer identical to serial execution.
-        let workers = runs.min(parallelism);
-        let inner_threads = if workers > 1 { 1 } else { parallelism };
-        let per_run: Vec<(Table, usize)> =
-            crate::plan::parallel::run_ordered(runs, workers, |run| {
-                replicate(&inner, plans.inner_plan, run, inner_threads)
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-        notes.push(format!(
-            "combined {} generated samples of {} rows across {} worker thread(s) (population size {:.0})",
-            runs, per_sample, workers, pop_size
-        ));
-        let combined = combine_open_runs(&inner, per_run.into_iter().map(|(t, _)| t).collect())?;
-        let combined = apply_order_limit(stmt, combined, plans.params)?;
-        Ok((combined, notes))
     }
+    plan.execute_capped(table, weights, params, threads, opts.agg_partitions)
+}
+
+/// OPEN answering (paper §4.2, §5.3 protocol) over a fitted model — the
+/// one replicate driver, shared by single-population OPEN queries and
+/// OPEN joins, which differ only in `answer`: "run `plan` over this
+/// generated sample, whose rows each carry this uniform weight, on this
+/// many threads".
+///
+/// A non-aggregate statement is answered from one generated sample (a
+/// representative population). An aggregate statement answers its
+/// ORDER BY / LIMIT-stripped body on `num_generated` samples, keeps the
+/// groups present in every answer, averages the aggregates, and orders
+/// and limits the combined answer.
+fn open_answer(
+    opts: &EngineOptions,
+    bound: &Prepared,
+    params: &[Value],
+    om: &OpenModel,
+    what: &str,
+    notes: &mut Vec<String>,
+    answer: impl Fn(&PhysicalPlan, &Table, f64, usize) -> Result<Table> + Sync,
+) -> Result<Table> {
+    let generate = |run: usize| om.generate(open_run_seed(opts.open.seed, run));
+    // The engine owns one thread budget: when several replicates run
+    // concurrently, each runs its inner query single-threaded; a lone
+    // replicate hands the whole budget to the morsel executor. Either
+    // way at most `parallelism` threads are busy — the replicate pool
+    // and the executor pool never multiply.
+    let parallelism = opts.parallelism.max(1);
+    let Some(inner_plan) = bound.inner_plan() else {
+        let (generated, weight) = generate(0)?;
+        notes.push(format!(
+            "non-aggregate OPEN {what} answered from one generated sample of {} rows",
+            generated.num_rows()
+        ));
+        return answer(&bound.planned().physical, &generated, weight, parallelism);
+    };
+    // The replicates are independent and the fitted model is shared
+    // immutably, so run the paper's `num_generated = 10` loop on a
+    // bounded worker pool: idle workers pull the next run index off a
+    // shared counter. Seeding per run index and collecting by run
+    // index keep the combined answer identical to serial execution.
+    let runs = opts.open.num_generated.max(1);
+    let workers = runs.min(parallelism);
+    let inner_threads = if workers > 1 { 1 } else { parallelism };
+    let per_run: Vec<Table> = crate::plan::parallel::run_ordered(runs, workers, |run| {
+        let (generated, weight) = generate(run)?;
+        answer(inner_plan, &generated, weight, inner_threads)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
+    notes.push(format!(
+        "combined {} generated samples of {} rows across {} worker thread(s) (population size {:.0})",
+        runs, om.per_sample, workers, om.pop_size
+    ));
+    let combined = combine_open_runs(bound.stmt(), per_run)?;
+    apply_order_limit(bound.stmt(), combined, params)
 }
 
 /// A fitted generative model plus the replicate parameters of the OPEN
@@ -1599,187 +1343,40 @@ pub(crate) fn unknown_relation(cat: &Catalog, name: &str) -> MosaicError {
     }
 }
 
-/// How a scope relation sources its rows at execution time.
-pub(crate) enum ScopeSource {
-    /// Auxiliary table: scans as-is.
-    Aux,
-    /// Sample: scans with the engine-managed `weight` column exposed.
-    Sample {
-        /// The population the sample was declared on (its metadata
-        /// feeds the combined-weight IPF re-calibration).
-        population: String,
-    },
-    /// Population side of an open-world join, answered through its
-    /// chosen sample under the statement's effective visibility.
-    /// (Boxed: a `Sample` owns its full data table, dwarfing the other
-    /// variants.)
-    Population {
-        /// The population.
-        pop: Box<Population>,
-        /// The chosen sample (paper §4 assumption 2).
-        sample: Box<Sample>,
-        /// The population's defining predicate when the sample belongs
-        /// to the GP.
-        view: Option<Expr>,
-    },
-}
-
-/// One resolved relation of a multi-relation FROM scope.
-pub(crate) struct ScopeRelInfo {
-    /// The bound scope relation (binding, schema, weightedness).
-    pub rel: crate::plan::join::ScopeRel,
-    /// Where its rows come from.
-    pub source: ScopeSource,
-    /// Current row count (samples: sample size) — display only.
-    pub rows: usize,
-}
-
-/// Resolve a multi-relation FROM clause against the catalog,
-/// **population-aware**: auxiliary tables scan as-is, samples scan with
-/// the engine-managed `weight` column exposed (and are marked
-/// weighted), and populations resolve through their chosen sample under
-/// the statement's visibility — CLOSED sides scan the raw sample
-/// unweighted, SEMI-OPEN and OPEN sides expose correction weights.
-///
-/// Returns the resolved relations plus the scope's effective visibility:
-/// `Some(vis)` when a population is in scope (the open-world join
-/// pipeline), `None` for a plain table/sample scope. Rejects a
-/// visibility clause on a population-free scope, a population outside a
-/// JOIN, and an OPEN scope with more than one population side — each
-/// with an error naming the offending relations.
-pub(crate) fn resolve_scope(
-    cat: &Catalog,
-    default_vis: Visibility,
-    from: &mosaic_sql::FromClause,
-    stmt_vis: Option<Visibility>,
-) -> Result<(Vec<ScopeRelInfo>, Option<Visibility>)> {
-    use crate::plan::join::ScopeRel;
-    let pops: Vec<String> = from
-        .relations()
-        .filter(|t| cat.population(&t.name).is_some())
-        .map(|t| t.name.clone())
-        .collect();
-    if pops.is_empty() {
-        if let Some(vis) = stmt_vis {
-            let rels: Vec<String> = from.relations().map(|t| t.name.clone()).collect();
-            return Err(MosaicError::Unsupported(format!(
-                "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only: \
-                 SELECT {vis} over ({}) references no population",
-                rels.join(", ")
-            )));
-        }
-    } else if !from.has_joins() {
-        return Err(MosaicError::Unsupported(format!(
-            "population {} can appear in a multi-relation FROM only as a JOIN side; \
-             query the population directly or join its sample",
-            pops[0]
-        )));
-    }
-    let vis = stmt_vis.unwrap_or(default_vis);
-    if !pops.is_empty() && vis == Visibility::Open && pops.len() > 1 {
-        return Err(MosaicError::Unsupported(format!(
-            "OPEN join of populations {} and {} is not supported: each OPEN replicate \
-             generates rows for exactly one population side; query one side CLOSED or \
-             SEMI-OPEN, or join a declared sample instead",
-            pops[0], pops[1]
-        )));
-    }
-    let mut infos = Vec::new();
-    for tref in from.relations() {
-        if let Some(pop) = cat.population(&tref.name) {
-            let pop = pop.clone();
-            let (sample, view) = choose_sample(cat, &pop)?;
-            let (schema, weighted) = match vis {
-                Visibility::Closed => (Arc::clone(sample.data.schema()), false),
-                Visibility::SemiOpen | Visibility::Open => (sample_scan_schema(&sample), true),
-            };
-            infos.push(ScopeRelInfo {
-                rel: ScopeRel {
-                    name: pop.name.clone(),
-                    binding: tref.binding().to_string(),
-                    schema,
-                    weighted,
-                },
-                rows: sample.len(),
-                source: ScopeSource::Population {
-                    pop: Box::new(pop),
-                    sample: Box::new(sample),
-                    view,
-                },
-            });
-        } else if let Some(t) = cat.aux(&tref.name) {
-            infos.push(ScopeRelInfo {
-                rel: ScopeRel {
-                    name: tref.name.clone(),
-                    binding: tref.binding().to_string(),
-                    schema: Arc::clone(t.schema()),
-                    weighted: false,
-                },
-                rows: t.num_rows(),
-                source: ScopeSource::Aux,
-            });
-        } else if let Some(s) = cat.sample(&tref.name) {
-            infos.push(ScopeRelInfo {
-                rel: ScopeRel {
-                    name: s.name.clone(),
-                    binding: tref.binding().to_string(),
-                    schema: sample_scan_schema(s),
-                    weighted: true,
-                },
-                rows: s.len(),
-                source: ScopeSource::Sample {
-                    population: s.population.clone(),
-                },
-            });
-        } else {
-            return Err(unknown_relation(cat, &tref.name));
-        }
-    }
-    Ok((infos, if pops.is_empty() { None } else { Some(vis) }))
-}
-
-/// Materialize one resolved scope relation's table (non-OPEN sides: the
-/// OPEN replicate loop generates its side per run instead). SEMI-OPEN
+/// Materialize one resolved relation's table (every side but the OPEN
+/// one, which the replicate driver generates per run). Samples expose
+/// the engine-managed weights as the `weight` column; SEMI-OPEN
 /// population sides run the full §4.1 reweighting pipeline and expose
-/// the weights as the `weight` column.
-fn scope_table(
+/// the correction weights the same way.
+fn side_table(
     cat: &Catalog,
     opts: &EngineOptions,
-    info: &ScopeRelInfo,
+    side: &Resolved<'_>,
     vis: Option<Visibility>,
     notes: &mut Vec<String>,
 ) -> Result<Table> {
-    match &info.source {
-        ScopeSource::Aux => Ok(cat.aux(&info.rel.name).expect("resolved above").clone()),
-        ScopeSource::Sample { .. } => {
-            let s = cat.sample(&info.rel.name).expect("resolved above");
+    match side {
+        Resolved::Aux(t) => Ok((*t).clone()),
+        Resolved::Sample(s) => {
             notes.push(format!(
                 "raw sample scan of {} (weights exposed as column `weight`)",
                 s.name
             ));
             table_with_weight_column(&s.data, &s.weights)
         }
-        ScopeSource::Population { pop, sample, view } => {
-            match vis.expect("population sides carry a visibility") {
-                Visibility::Closed => {
-                    notes.push(format!(
-                        "population {} via sample {} ({} rows), CLOSED side",
-                        pop.name,
-                        sample.name,
-                        sample.len()
-                    ));
-                    apply_view(&sample.data, view.as_ref())
-                }
+        Resolved::Population(pop) => {
+            let (sample, view) = choose_sample(cat, pop)?;
+            let vis = vis.expect("population sides carry a visibility");
+            notes.push(format!(
+                "population {} via sample {} ({} rows), {vis} side",
+                pop.name,
+                sample.name,
+                sample.len()
+            ));
+            match vis {
+                Visibility::Closed => apply_view(&sample.data, view),
                 Visibility::SemiOpen => {
-                    notes.push(format!(
-                        "population {} via sample {} ({} rows), SEMI-OPEN side",
-                        pop.name,
-                        sample.name,
-                        sample.len()
-                    ));
-                    let (data, weights, mut w_notes) =
-                        semi_open_weights(cat, opts, pop, sample, view.as_ref())?;
-                    notes.append(&mut w_notes);
+                    let (data, weights) = semi_open_weights(cat, opts, pop, sample, view, notes)?;
                     table_with_weight_column(&data, &weights)
                 }
                 Visibility::Open => unreachable!("OPEN sides generate per replicate"),
@@ -1792,19 +1389,22 @@ fn scope_table(
 /// samples declared on the query population, falling back to the GP's
 /// samples (with the population's defining predicate as a view);
 /// largest sample wins.
-pub(crate) fn choose_sample(cat: &Catalog, pop: &Population) -> Result<(Sample, Option<Expr>)> {
-    let own: Vec<&Sample> = cat.samples_for(&pop.name);
-    if let Some(best) = own.iter().max_by_key(|s| s.len()) {
-        if !best.is_empty() {
-            return Ok(((*best).clone(), None));
-        }
+pub(crate) fn choose_sample<'c>(
+    cat: &'c Catalog,
+    pop: &'c Population,
+) -> Result<(&'c Sample, Option<&'c Expr>)> {
+    let largest = |population: &str| {
+        cat.samples_for(population)
+            .into_iter()
+            .max_by_key(|s| s.len())
+            .filter(|s| !s.is_empty())
+    };
+    if let Some(best) = largest(&pop.name) {
+        return Ok((best, None));
     }
     if let Some((gp, pred)) = &pop.source {
-        let gp_samples = cat.samples_for(gp);
-        if let Some(best) = gp_samples.iter().max_by_key(|s| s.len()) {
-            if !best.is_empty() {
-                return Ok(((*best).clone(), pred.clone()));
-            }
+        if let Some(best) = largest(gp) {
+            return Ok((best, pred.as_ref()));
         }
     }
     Err(MosaicError::Execution(format!(
@@ -1822,13 +1422,12 @@ fn semi_open_weights(
     pop: &Population,
     sample: &Sample,
     view: Option<&Expr>,
-) -> Result<(Table, Vec<f64>, Vec<String>)> {
-    let mut notes = Vec::new();
+    notes: &mut Vec<String>,
+) -> Result<(Table, Vec<f64>)> {
     if let Some(mechanism) = &sample.mechanism {
         // Known mechanism: weight = 1 / Pr_S(t).
-        let weights = mechanism_weights(cat, sample, mechanism, &mut notes)?;
-        let (data, weights) = apply_view_weighted(&sample.data, &weights, view)?;
-        return Ok((data, weights, notes));
+        let weights = mechanism_weights(cat, sample, mechanism, notes)?;
+        return apply_view_weighted(&sample.data, &weights, view);
     }
     // Unknown mechanism: IPF. Prefer metadata on the query population
     // (reweight the view directly — the more accurate bottom path of
@@ -1852,7 +1451,7 @@ fn semi_open_weights(
                 " (not converged)"
             },
         ));
-        return Ok((data, weights, notes));
+        return Ok((data, weights));
     }
     if let Some((gp, _)) = &pop.source {
         let gp_meta = cat.metadata_for(gp);
@@ -1866,8 +1465,7 @@ fn semi_open_weights(
                 report.iterations,
                 report.max_rel_error
             ));
-            let (data, weights) = apply_view_weighted(&sample.data, &weights, view)?;
-            return Ok((data, weights, notes));
+            return apply_view_weighted(&sample.data, &weights, view);
         }
     }
     Err(MosaicError::Execution(format!(
@@ -2007,7 +1605,7 @@ pub(crate) fn model_config_string(opts: &EngineOptions, vis: Visibility) -> Opti
 
 /// The canonical result-cache fingerprint of a bound statement.
 pub(crate) fn fingerprint_of(
-    prepared: &crate::session::Prepared,
+    prepared: &Prepared,
     params: &[Value],
     opts: &EngineOptions,
     vis: Visibility,

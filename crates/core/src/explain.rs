@@ -4,51 +4,62 @@
 //! budget) — plus the visibility pipeline the engine would run, as lines
 //! of a one-column result table.
 //!
-//! EXPLAIN binds against the live catalog exactly like `prepare` does
-//! (it resolves the population's sample, the mechanism-vs-IPF decision,
-//! the OPEN replicate protocol, and the source schema the optimizer
-//! prunes against) but executes nothing.
+//! EXPLAIN renders the same [`Prepared`] binding execution runs: it
+//! prints the stored plan layers and resolves the recorded relations
+//! against the live catalog the way dispatch does (the population's
+//! sample, the mechanism-vs-IPF decision, row counts, encodings) — so
+//! it cannot describe a plan execution would not run — but executes
+//! nothing.
 
-use mosaic_sql::{SelectItem, SelectStmt, Visibility};
-use mosaic_storage::Schema;
+use mosaic_sql::{JoinKind, Visibility};
+use mosaic_storage::Table;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Population};
 use crate::engine::{
-    choose_sample, describe_semi_open, fingerprint_of, result_cache_ineligibility,
-    sample_scan_schema, EngineOptions, MosaicEngine,
+    choose_sample, describe_semi_open, fingerprint_of, result_cache_ineligibility, EngineOptions,
+    MosaicEngine,
 };
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::parallel::MORSEL_ROWS;
-use crate::plan::{has_aggregate_shape, plan_select, Planned};
-use crate::{MosaicError, Result};
+use crate::plan::{has_aggregate_shape, Planned};
+use crate::session::{BoundRel, Prepared, RelKind, Resolved, Source};
+use crate::Result;
 
-/// Render the EXPLAIN lines for one SELECT: the plan layers, then the
-/// result-cache verdict (fingerprint, eligibility, whether a valid
+/// Render the EXPLAIN lines for one bound SELECT: the plan layers, then
+/// the result-cache verdict (fingerprint, eligibility, whether a valid
 /// entry is cached right now).
 pub(crate) fn render(
     engine: &MosaicEngine,
     cat: &Catalog,
     opts: &EngineOptions,
-    stmt: &SelectStmt,
+    bound: &Prepared,
 ) -> Result<Vec<String>> {
-    let mut lines = render_plan(cat, opts, stmt)?;
-    push_cache_lines(&mut lines, engine, cat, opts, stmt);
+    let mut lines = Vec::new();
+    match bound.source() {
+        Source::Scalar => {
+            lines.push("SELECT (scalar, no FROM)".to_string());
+            push_plan(&mut lines, bound.planned(), opts, "<one row>", 1);
+        }
+        Source::Single(rel) => match rel.resolve(cat)? {
+            Resolved::Population(pop) => render_population(&mut lines, cat, opts, bound, pop)?,
+            Resolved::Aux(t) => render_scan(&mut lines, opts, bound, rel, t),
+            Resolved::Sample(s) => render_scan(&mut lines, opts, bound, rel, &s.data),
+        },
+        Source::Join(rels) => render_join(&mut lines, cat, opts, bound, rels)?,
+    }
+    push_footer(&mut lines, opts, bound);
+    push_cache_lines(&mut lines, engine, cat, opts, bound);
     Ok(lines)
 }
 
-/// Append the result-cache report. Statements the prepared-statement
-/// binder does not cover execute uncached, so no lines are emitted for
-/// them — the bind error (if any) surfaces at execution, not here.
+/// Append the result-cache report.
 fn push_cache_lines(
     lines: &mut Vec<String>,
     engine: &MosaicEngine,
     cat: &Catalog,
     opts: &EngineOptions,
-    stmt: &SelectStmt,
+    p: &Prepared,
 ) {
-    let Ok(p) = crate::session::Prepared::bind(cat, opts, stmt.clone(), "") else {
-        return;
-    };
     let vis = p.visibility().unwrap_or(Visibility::Closed);
     let verdict = if !opts.result_cache || opts.result_cache_mb == 0 {
         "off".to_string()
@@ -59,7 +70,7 @@ fn push_cache_lines(
         // parameter vector caches separately.
         "eligible (keyed per parameter values)".to_string()
     } else {
-        let fp = fingerprint_of(&p, &[], opts, vis);
+        let fp = fingerprint_of(p, &[], opts, vis);
         lines.push(format!("  fingerprint: {}", format_fingerprint(fp)));
         if engine.result_cached(fp, cat) {
             "eligible, cached".to_string()
@@ -70,133 +81,89 @@ fn push_cache_lines(
     lines.push(format!("  result cache: {verdict}"));
 }
 
-/// Render the plan lines for one SELECT.
-fn render_plan(cat: &Catalog, opts: &EngineOptions, stmt: &SelectStmt) -> Result<Vec<String>> {
-    let mut lines = Vec::new();
-    if let Some(fc) = &stmt.from {
-        if crate::plan::join::needs_scope(stmt, fc) {
-            return render_scope(cat, opts, stmt, fc);
-        }
+/// The combine-protocol line of an aggregate OPEN statement.
+fn push_open_combine(lines: &mut Vec<String>, bound: &Prepared) {
+    if bound.inner_plan().is_some() {
+        lines.push(
+            "  combine: keep groups present in every replicate, average \
+             aggregates; ORDER BY / LIMIT applied after combining"
+                .to_string(),
+        );
     }
-    match stmt.from.as_ref().map(|f| f.base.name.as_str()) {
-        None => {
-            let items: Vec<SelectItem> = stmt
-                .items
-                .iter()
-                .filter(|i| !matches!(i, SelectItem::Wildcard))
-                .cloned()
-                .collect();
-            let stmt2 = SelectStmt {
-                items,
-                ..stmt.clone()
-            };
-            lines.push("SELECT (scalar, no FROM)".to_string());
-            let planned = plan_select(&stmt2, false, opts.optimizer, None);
-            push_plan(
-                &mut lines,
-                &planned,
-                opts.optimizer,
-                "<one row>",
-                1,
-                opts.parallelism,
-            );
-        }
-        Some(from) => {
-            if let Some(pop) = cat.population(from) {
-                let vis = stmt.visibility.unwrap_or(opts.default_visibility);
-                let (sample, view) = choose_sample(cat, pop)?;
-                lines.push(format!("SELECT {vis} FROM population {}", pop.name));
-                lines.push(format!(
-                    "  source: sample {} ({} rows{})",
-                    sample.name,
-                    sample.len(),
-                    match &view {
-                        Some(pred) => format!(", view filter: {}", pred.default_name()),
-                        None => String::new(),
-                    }
-                ));
-                match vis {
-                    Visibility::Closed => lines
-                        .push("  visibility: CLOSED — raw sample scan, no reweighting".to_string()),
-                    Visibility::SemiOpen => lines.push(format!(
-                        "  visibility: SEMI-OPEN — {}",
-                        describe_semi_open(cat, pop, &sample)
-                    )),
-                    Visibility::Open => {
-                        lines.push(format!(
-                            "  visibility: OPEN — {} generative replicate(s), backend {}, seed {}",
-                            opts.open.num_generated.max(1),
-                            opts.open.backend.id(),
-                            opts.open.seed
-                        ));
-                        if has_aggregate_shape(stmt) {
-                            lines.push(
-                                "  combine: keep groups present in every replicate, average \
-                                 aggregates; ORDER BY / LIMIT applied after combining"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-                let weighted = vis != Visibility::Closed;
-                let planned =
-                    plan_select(stmt, weighted, opts.optimizer, Some(pop.schema.as_ref()));
-                push_plan(
-                    &mut lines,
-                    &planned,
-                    opts.optimizer,
-                    &sample.name,
-                    sample.len(),
-                    opts.parallelism,
-                );
-            } else if stmt.visibility.is_some() {
-                return Err(MosaicError::Unsupported(
-                    "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only"
-                        .into(),
-                ));
-            } else if let Some(t) = cat.aux(from) {
-                lines.push(format!("SELECT FROM table {from}"));
-                let planned = plan_select(stmt, false, opts.optimizer, Some(t.schema().as_ref()));
-                push_plan(
-                    &mut lines,
-                    &planned,
-                    opts.optimizer,
-                    from,
-                    t.num_rows(),
-                    opts.parallelism,
-                );
-                push_encodings(&mut lines, t);
-            } else if let Some(s) = cat.sample(from) {
-                lines.push(format!(
-                    "SELECT FROM sample {} (raw scan; engine weights exposed as column `weight`)",
-                    s.name
-                ));
-                let schema: std::sync::Arc<Schema> = sample_scan_schema(s);
-                let planned = plan_select(stmt, false, opts.optimizer, Some(schema.as_ref()));
-                push_plan(
-                    &mut lines,
-                    &planned,
-                    opts.optimizer,
-                    &s.name,
-                    s.len(),
-                    opts.parallelism,
-                );
-                push_encodings(&mut lines, &s.data);
-            } else {
-                return Err(crate::engine::unknown_relation(cat, from));
-            }
-        }
-    }
-    push_footer(&mut lines, opts, stmt);
-    Ok(lines)
 }
 
-fn push_footer(lines: &mut Vec<String>, opts: &EngineOptions, stmt: &SelectStmt) {
+/// Render a population statement: the chosen sample, the visibility
+/// pipeline, and the plan layers.
+fn render_population(
+    lines: &mut Vec<String>,
+    cat: &Catalog,
+    opts: &EngineOptions,
+    bound: &Prepared,
+    pop: &Population,
+) -> Result<()> {
+    let vis = bound
+        .visibility()
+        .expect("the binder bakes a population statement's visibility in");
+    let (sample, view) = choose_sample(cat, pop)?;
+    lines.push(format!("SELECT {vis} FROM population {}", pop.name));
+    lines.push(format!(
+        "  source: sample {} ({} rows{})",
+        sample.name,
+        sample.len(),
+        match view {
+            Some(pred) => format!(", view filter: {}", pred.default_name()),
+            None => String::new(),
+        }
+    ));
+    match vis {
+        Visibility::Closed => {
+            lines.push("  visibility: CLOSED — raw sample scan, no reweighting".to_string())
+        }
+        Visibility::SemiOpen => lines.push(format!(
+            "  visibility: SEMI-OPEN — {}",
+            describe_semi_open(cat, pop, sample)
+        )),
+        Visibility::Open => {
+            lines.push(format!(
+                "  visibility: OPEN — {} generative replicate(s), backend {}, seed {}",
+                opts.open.num_generated.max(1),
+                opts.open.backend.id(),
+                opts.open.seed
+            ));
+            push_open_combine(lines, bound);
+        }
+    }
+    push_plan(lines, bound.planned(), opts, &sample.name, sample.len());
+    Ok(())
+}
+
+/// Render a table or raw-sample scan: the relation headline, the plan
+/// layers, and the scanned table's string encodings.
+fn render_scan(
+    lines: &mut Vec<String>,
+    opts: &EngineOptions,
+    bound: &Prepared,
+    rel: &BoundRel,
+    data: &Table,
+) {
+    lines.push(match (&rel.binding, rel.kind) {
+        (Some(binding), kind) => format!("SELECT FROM {} {} AS {binding}", kind.word(), rel.name),
+        (None, RelKind::Sample) => format!(
+            "SELECT FROM sample {} (raw scan; engine weights exposed as column `weight`)",
+            rel.name
+        ),
+        (None, kind) => format!("SELECT FROM {} {}", kind.word(), rel.name),
+    });
+    push_plan(lines, bound.planned(), opts, &rel.name, data.num_rows());
+    push_encodings(lines, data);
+}
+
+fn push_footer(lines: &mut Vec<String>, opts: &EngineOptions, bound: &Prepared) {
     lines.push(format!(
         "  parallelism: {} worker thread(s)",
         opts.parallelism
     ));
-    if has_aggregate_shape(stmt) {
+    if has_aggregate_shape(bound.stmt()) {
         lines.push(format!(
             "  aggregate merge: {} radix partition(s){}",
             opts.agg_partitions,
@@ -207,7 +174,7 @@ fn push_footer(lines: &mut Vec<String>, opts: &EngineOptions, stmt: &SelectStmt)
             }
         ));
     }
-    let params = stmt.param_count();
+    let params = bound.param_count();
     if params > 0 {
         lines.push(format!("  parameters: {params} positional (?1..?{params})"));
     }
@@ -217,7 +184,7 @@ fn push_footer(lines: &mut Vec<String>, opts: &EngineOptions, stmt: &SelectStmt)
 /// `dict(K)` for dictionary-encoded columns (K distinct values in the
 /// dictionary), `plain` for per-row string storage. Non-string columns
 /// are elided; the line is omitted when the table has no string columns.
-fn push_encodings(lines: &mut Vec<String>, table: &mosaic_storage::Table) {
+fn push_encodings(lines: &mut Vec<String>, table: &Table) {
     let mut parts = Vec::new();
     for (i, f) in table.schema().fields().iter().enumerate() {
         let col = table.column(i);
@@ -235,50 +202,23 @@ fn push_encodings(lines: &mut Vec<String>, table: &mosaic_storage::Table) {
     }
 }
 
-/// Render a multi-relation (or aliased) FROM: the resolved relations —
-/// population sides with their visibility pipeline — the join mechanics
-/// (kind, keys, build-side rule, weight combination), and the usual
-/// logical/optimized/physical plan layers.
-fn render_scope(
+/// Render a join: the resolved relations — population sides with their
+/// visibility pipeline — the join mechanics (kind, keys, build-side
+/// rule, weight combination), and the usual logical/optimized/physical
+/// plan layers.
+fn render_join(
+    lines: &mut Vec<String>,
     cat: &Catalog,
     opts: &EngineOptions,
-    stmt: &SelectStmt,
-    fc: &mosaic_sql::FromClause,
-) -> Result<Vec<String>> {
-    use crate::engine::ScopeSource;
-    use mosaic_sql::JoinKind;
-    let (infos, vis) =
-        crate::engine::resolve_scope(cat, opts.default_visibility, fc, stmt.visibility)?;
-    let mut lines = Vec::new();
-    if !fc.has_joins() {
-        let info = infos.into_iter().next().expect("one relation");
-        let rel = info.rel;
-        lines.push(format!(
-            "SELECT FROM {} {} AS {}",
-            if rel.weighted { "sample" } else { "table" },
-            rel.name,
-            rel.binding
-        ));
-        let schema = std::sync::Arc::clone(&rel.schema);
-        let name = rel.name.clone();
-        let rewritten = crate::plan::join::bind_single(stmt, rel)?;
-        let planned = plan_select(&rewritten, false, opts.optimizer, Some(schema.as_ref()));
-        push_plan(
-            &mut lines,
-            &planned,
-            opts.optimizer,
-            &name,
-            info.rows,
-            opts.parallelism,
-        );
-        if let Some(t) = cat.aux(&name) {
-            push_encodings(&mut lines, t);
-        } else if let Some(s) = cat.sample(&name) {
-            push_encodings(&mut lines, &s.data);
-        }
-        push_footer(&mut lines, opts, stmt);
-        return Ok(lines);
-    }
+    bound: &Prepared,
+    rels: &[BoundRel],
+) -> Result<()> {
+    let fc = bound
+        .stmt()
+        .from
+        .as_ref()
+        .expect("join statements have FROM");
+    let vis = bound.visibility();
     let kind = fc.joins[0].kind;
     let join_word = match kind {
         JoinKind::Inner => " INNER JOIN ",
@@ -290,25 +230,27 @@ fn render_scope(
         "SELECT {vis_prefix}FROM {}",
         headline.join(join_word)
     ));
-    for (i, info) in infos.iter().enumerate() {
-        let rel = &info.rel;
-        let kind_word = match &info.source {
-            ScopeSource::Aux => "table",
-            ScopeSource::Sample { .. } => "sample",
-            ScopeSource::Population { .. } => "population",
+    // Each side's current row count; population sides also name their
+    // chosen sample.
+    let mut rows = Vec::with_capacity(rels.len());
+    let mut pop_sides = Vec::new();
+    for (i, rel) in rels.iter().enumerate() {
+        let (n, via) = match rel.resolve(cat)? {
+            Resolved::Aux(t) => (t.num_rows(), String::new()),
+            Resolved::Sample(s) => (s.len(), String::new()),
+            Resolved::Population(pop) => {
+                let (sample, _) = choose_sample(cat, pop)?;
+                pop_sides.push((pop, sample));
+                (sample.len(), format!(", via sample {}", sample.name))
+            }
         };
-        let via = match &info.source {
-            ScopeSource::Population { sample, .. } => format!(", via sample {}", sample.name),
-            _ => String::new(),
-        };
+        rows.push(n);
         lines.push(format!(
-            "  {}: {} {} ({} rows{}{})",
+            "  {}: {} {} ({n} rows{via}{})",
             if i == 0 { "left" } else { "right" },
-            kind_word,
+            rel.kind.word(),
             rel.name,
-            info.rows,
-            via,
-            if rel.weighted {
+            if rel.weighted(vis) {
                 ", weights exposed as column `weight`"
             } else {
                 ""
@@ -317,58 +259,42 @@ fn render_scope(
     }
     // Population sides: one line per side describing its visibility
     // pipeline (the same decisions the engine makes at execution).
-    if let Some(v) = vis {
-        for info in &infos {
-            let ScopeSource::Population { pop, sample, .. } = &info.source else {
-                continue;
-            };
-            match v {
-                Visibility::Closed => lines.push(format!(
-                    "  visibility: CLOSED — {} scans raw sample {}, no reweighting",
-                    pop.name, sample.name
-                )),
-                Visibility::SemiOpen => lines.push(format!(
-                    "  visibility: SEMI-OPEN — {}: {}",
+    for (pop, sample) in pop_sides {
+        match vis.expect("population scopes carry a visibility") {
+            Visibility::Closed => lines.push(format!(
+                "  visibility: CLOSED — {} scans raw sample {}, no reweighting",
+                pop.name, sample.name
+            )),
+            Visibility::SemiOpen => lines.push(format!(
+                "  visibility: SEMI-OPEN — {}: {}",
+                pop.name,
+                describe_semi_open(cat, pop, sample)
+            )),
+            Visibility::Open => {
+                lines.push(format!(
+                    "  visibility: OPEN — {} side generated per replicate: {} replicate(s), \
+                     backend {}, seed {}",
                     pop.name,
-                    describe_semi_open(cat, pop, sample)
-                )),
-                Visibility::Open => {
-                    lines.push(format!(
-                        "  visibility: OPEN — {} side generated per replicate: {} replicate(s), \
-                         backend {}, seed {}",
-                        pop.name,
-                        opts.open.num_generated.max(1),
-                        opts.open.backend.id(),
-                        opts.open.seed
-                    ));
-                    if has_aggregate_shape(stmt) {
-                        lines.push(
-                            "  combine: keep groups present in every replicate, average \
-                             aggregates; ORDER BY / LIMIT applied after combining"
-                                .to_string(),
-                        );
-                    }
-                }
+                    opts.open.num_generated.max(1),
+                    opts.open.backend.id(),
+                    opts.open.seed
+                ));
+                push_open_combine(lines, bound);
             }
         }
     }
-    if infos.iter().filter(|i| i.rel.weighted).count() > 1 {
+    if rels.iter().all(|r| r.weighted(vis)) {
         lines.push(
             "  combined weight: product of per-side weights (independence assumption), \
              IPF re-calibrated against declared marginals that survive into the joined schema"
                 .to_string(),
         );
     }
-    let (lrows, rrows) = (infos[0].rows, infos[1].rows);
-    let build = if lrows < rrows {
-        &infos[0].rel
+    let (lrows, rrows) = (rows[0], rows[1]);
+    let (build, probe) = if lrows < rrows {
+        (&rels[0], &rels[1])
     } else {
-        &infos[1].rel
-    };
-    let probe = if lrows < rrows {
-        &infos[1].rel
-    } else {
-        &infos[0].rel
+        (&rels[1], &rels[0])
     };
     let kind_name = match kind {
         JoinKind::Inner => "INNER",
@@ -400,24 +326,18 @@ fn render_scope(
             " on the worker pool"
         }
     ));
-    let weighted_agg = vis.is_some_and(|v| v != Visibility::Closed);
-    let rels: Vec<_> = infos.iter().map(|i| i.rel.clone()).collect();
-    let bound = crate::plan::join::bind_join(stmt, rels, weighted_agg)?;
-    let planned = crate::plan::plan_logical(bound.logical, opts.optimizer, None);
     let sym = match kind {
         JoinKind::Inner => "⋈",
         JoinKind::LeftOuter => "⟕",
     };
     push_plan(
-        &mut lines,
-        &planned,
-        opts.optimizer,
+        lines,
+        bound.planned(),
+        opts,
         &format!("{} {sym} {}", fc.base.name, fc.joins[0].table.name),
         lrows.max(rrows),
-        opts.parallelism,
     );
-    push_footer(&mut lines, opts, stmt);
-    Ok(lines)
+    Ok(())
 }
 
 /// Append the plan lines: logical before/after with the fired rule
@@ -429,13 +349,13 @@ fn render_scope(
 fn push_plan(
     lines: &mut Vec<String>,
     planned: &Planned,
-    optimizer: bool,
+    opts: &EngineOptions,
     source: &str,
     rows: usize,
-    threads: usize,
 ) {
+    let threads = opts.parallelism;
     lines.push(format!("  logical: {}", planned.logical));
-    if !optimizer {
+    if !opts.optimizer {
         lines.push("  optimizer: off".to_string());
     } else if planned.fired.is_empty() {
         lines.push("  optimized: (no rules fired)".to_string());

@@ -56,7 +56,13 @@
 //! catalog sits behind a reader–writer lock, so any number of
 //! [`Session`]s execute SELECTs concurrently while DDL/DML serializes.
 //! Sessions carry per-session overrides (default visibility, seed,
-//! thread cap, OPEN backend) without touching the engine-wide options:
+//! thread cap, OPEN backend) without touching the engine-wide options.
+//!
+//! Every SELECT is bound **once** into a [`Prepared`] — resolved source
+//! relations, baked-in visibility, logical/optimized/physical plan —
+//! and that one binding drives ad-hoc execution, prepared execution,
+//! the plan and result caches, and `EXPLAIN`; a statement the binder
+//! rejects fails with the binder's error everywhere:
 //!
 //! ```
 //! use std::sync::Arc;

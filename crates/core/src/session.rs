@@ -16,15 +16,17 @@
 
 use std::sync::Arc;
 
-use mosaic_sql::{SelectItem, SelectStmt, Statement, Visibility};
+use mosaic_sql::{FromClause, SelectItem, SelectStmt, Statement, TableRef, Visibility};
 use mosaic_storage::{Schema, Table, Value};
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Population, Sample};
 use crate::engine::{
-    choose_sample, EngineOptions, MosaicEngine, OpenBackend, QueryPlans, QueryResult,
+    choose_sample, sample_scan_schema, unknown_relation, EngineOptions, MosaicEngine, OpenBackend,
+    QueryResult,
 };
+use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
-use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan};
+use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
 use crate::{MosaicError, Result};
 
 /// Per-session overrides over the engine-wide [`EngineOptions`]. Every
@@ -188,7 +190,13 @@ impl Session {
         };
         let opts = self.engine.effective_options(&self.overrides);
         let cat = self.engine.catalog();
-        Prepared::bind(&cat, &opts, stmt, sql)
+        // Ad-hoc execution surfaces the binder's `Catalog` /
+        // `Unsupported` variants as raised; a failed prepare is a bind
+        // failure whatever the cause.
+        Prepared::bind(&cat, &opts, stmt, sql).map_err(|e| match e {
+            MosaicError::Catalog(m) | MosaicError::Unsupported(m) => MosaicError::Bind(m),
+            other => other,
+        })
     }
 
     /// Execute a prepared statement with positional-parameter values
@@ -205,7 +213,6 @@ impl Session {
         }
         let opts = self.engine.effective_options(&self.overrides);
         let cat = self.engine.catalog();
-        prepared.check_source(&cat)?;
         self.engine.select_prepared(&cat, &opts, prepared, params)
     }
 
@@ -215,33 +222,160 @@ impl Session {
     }
 }
 
-/// What relation a prepared statement was bound against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PreparedSource {
-    /// `SELECT` without FROM.
-    Scalar,
-    /// An auxiliary table.
-    Aux(String),
-    /// A raw sample scan.
-    Sample(String),
-    /// A population query (visibility resolved at prepare time).
-    Population(String),
-    /// A multi-relation scope (join): every relation with its bound
-    /// kind, in source order.
-    Scope(Vec<(String, ScopeRelKind)>),
-}
-
-/// What kind of relation a scope member bound to (staleness checks
-/// re-verify the kind at execute time).
+/// What kind of catalog relation a bound statement reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScopeRelKind {
+pub(crate) enum RelKind {
+    /// An auxiliary table: scans as-is.
     Aux,
+    /// A sample: scans with the engine-managed `weight` column exposed.
     Sample,
+    /// A population, answered through its chosen sample under the
+    /// statement's visibility.
     Population,
 }
 
-/// A prepared SELECT: the parsed statement, its binding against the
-/// catalog, and the cached physical plan(s).
+impl RelKind {
+    /// The word EXPLAIN and error messages use for this kind.
+    pub(crate) fn word(self) -> &'static str {
+        match self {
+            RelKind::Aux => "table",
+            RelKind::Sample => "sample",
+            RelKind::Population => "population",
+        }
+    }
+}
+
+/// A catalog relation looked up by name: the one place the engine
+/// classifies a FROM relation (the binder records the outcome; execution
+/// and EXPLAIN re-resolve the *recorded* name and kind).
+pub(crate) enum Resolved<'c> {
+    /// An auxiliary table.
+    Aux(&'c Table),
+    /// A sample.
+    Sample(&'c Sample),
+    /// A population (its sample is chosen per use: data may have grown).
+    Population(&'c Population),
+}
+
+impl<'c> Resolved<'c> {
+    /// Classify `name` against the catalog. Relation names are unique
+    /// across kinds, so the probe order is immaterial.
+    fn classify(cat: &'c Catalog, name: &str) -> Result<Resolved<'c>> {
+        if let Some(pop) = cat.population(name) {
+            Ok(Resolved::Population(pop))
+        } else if let Some(t) = cat.aux(name) {
+            Ok(Resolved::Aux(t))
+        } else if let Some(s) = cat.sample(name) {
+            Ok(Resolved::Sample(s))
+        } else {
+            Err(unknown_relation(cat, name))
+        }
+    }
+
+    fn kind(&self) -> RelKind {
+        match self {
+            Resolved::Aux(_) => RelKind::Aux,
+            Resolved::Sample(_) => RelKind::Sample,
+            Resolved::Population(_) => RelKind::Population,
+        }
+    }
+
+    /// Record this relation as a statement source. Samples and
+    /// populations record their catalog spelling, tables the written one.
+    fn bound(&self, tref: &TableRef, scoped: bool) -> BoundRel {
+        BoundRel {
+            name: match self {
+                Resolved::Aux(_) => tref.name.clone(),
+                Resolved::Sample(s) => s.name.clone(),
+                Resolved::Population(pop) => pop.name.clone(),
+            },
+            binding: scoped.then(|| tref.binding().to_string()),
+            kind: self.kind(),
+        }
+    }
+
+    /// Append the relations whose writes change what a statement over
+    /// this source returns — the dependency set cached plans, cached
+    /// results and fitted models are validated against. A population
+    /// answers through samples and metadata declared on itself *or* on
+    /// the population it is defined over, so that one is a dependency
+    /// too; a sample side of a reweighted join is re-calibrated against
+    /// its declared population's metadata (`reweighted`).
+    fn push_deps(&self, name: &str, reweighted: bool, deps: &mut Vec<String>) {
+        match self {
+            Resolved::Population(pop) => deps.extend(population_deps(pop)),
+            Resolved::Sample(s) if reweighted => {
+                deps.extend([name.to_string(), s.population.clone()])
+            }
+            _ => deps.push(name.to_string()),
+        }
+    }
+}
+
+/// The dependency set of one population: itself plus the population it
+/// is defined over (whose samples and metadata it answers through).
+pub(crate) fn population_deps(pop: &Population) -> Vec<String> {
+    std::iter::once(pop.name.clone())
+        .chain(pop.source.iter().map(|(gp, _)| gp.clone()))
+        .collect()
+}
+
+/// One relation of a bound FROM clause, as the binder recorded it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BoundRel {
+    /// Catalog relation name.
+    pub name: String,
+    /// The name column references qualified with (alias or relation
+    /// name) when the statement bound through the scope binder; `None`
+    /// for a plain single-relation FROM.
+    pub binding: Option<String>,
+    /// The kind it bound to.
+    pub kind: RelKind,
+}
+
+impl BoundRel {
+    /// Look the recorded relation up in the live catalog. DDL may have
+    /// dropped it or re-created the name as another kind since the
+    /// statement was bound; running the plan against a different kind
+    /// would silently change semantics, so either is the stale-statement
+    /// error.
+    pub(crate) fn resolve<'c>(&self, cat: &'c Catalog) -> Result<Resolved<'c>> {
+        match Resolved::classify(cat, &self.name) {
+            Ok(r) if r.kind() == self.kind => Ok(r),
+            _ => Err(MosaicError::Bind(format!(
+                "prepared statement is stale: {} {} no longer exists",
+                self.kind.word(),
+                self.name
+            ))),
+        }
+    }
+
+    /// True when this relation's scan exposes a `weight` column under
+    /// the statement's visibility.
+    pub(crate) fn weighted(&self, vis: Option<Visibility>) -> bool {
+        match self.kind {
+            RelKind::Aux => false,
+            RelKind::Sample => true,
+            RelKind::Population => vis != Some(Visibility::Closed),
+        }
+    }
+}
+
+/// What a bound statement reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// `SELECT` without FROM: one internal row.
+    Scalar,
+    /// One relation (possibly aliased).
+    Single(BoundRel),
+    /// A two-relation join, in source order.
+    Join(Vec<BoundRel>),
+}
+
+/// A bound SELECT: the parsed statement, its resolved source, and every
+/// plan layer. This is the single representation of a SELECT — ad-hoc
+/// execution, prepared execution, the plan and result caches and
+/// `EXPLAIN` all consume it.
 ///
 /// Produced by [`Session::prepare`]; executed by
 /// [`Session::execute_prepared`]. Immutable and thread-safe: one
@@ -250,14 +384,14 @@ pub struct Prepared {
     sql: String,
     stmt: SelectStmt,
     param_count: usize,
-    source: PreparedSource,
-    /// The *optimized* logical plan (rules ran once, at prepare time;
-    /// parameter-aware constant folding leaves `?` residuals for
-    /// execution to bind).
-    logical: LogicalPlan,
-    /// Optimizer rules that fired at prepare time.
-    fired: Vec<&'static str>,
-    plan: PhysicalPlan,
+    source: Source,
+    /// Every relation whose write invalidates this statement's cached
+    /// plan and results (see [`Resolved::push_deps`]).
+    deps: Vec<String>,
+    /// Logical, optimized (rules ran once, at bind time; parameter-aware
+    /// constant folding leaves `?` residuals for execution to bind) and
+    /// physical plan.
+    planned: Planned,
     /// For aggregate OPEN queries: the plan of the inner body (ORDER
     /// BY / LIMIT stripped) each generative replicate runs.
     inner_plan: Option<PhysicalPlan>,
@@ -269,9 +403,9 @@ impl std::fmt::Debug for Prepared {
             .field("sql", &self.sql)
             .field("param_count", &self.param_count)
             .field("source", &self.source)
-            .field("logical", &self.logical.to_string())
-            .field("fired", &self.fired)
-            .field("plan", &self.plan.to_string())
+            .field("logical", &self.planned.optimized.to_string())
+            .field("fired", &self.planned.fired)
+            .field("plan", &self.planned.physical.to_string())
             .finish_non_exhaustive()
     }
 }
@@ -295,13 +429,13 @@ impl Prepared {
     /// The cached logical plan — already optimized, so every execution
     /// reuses the rewrite the optimizer did once at prepare time.
     pub fn logical_plan(&self) -> &LogicalPlan {
-        &self.logical
+        &self.planned.optimized
     }
 
     /// Names of the optimizer rules that fired at prepare time (empty
     /// when the optimizer was off or nothing applied).
     pub fn fired_rules(&self) -> &[&'static str] {
-        &self.fired
+        &self.planned.fired
     }
 
     /// The bound (visibility-resolved, possibly scope-rewritten)
@@ -310,30 +444,41 @@ impl Prepared {
         &self.stmt
     }
 
-    /// Package the cached plans for [`MosaicEngine::select`].
-    pub(crate) fn query_plans<'a>(&'a self, params: &'a [Value]) -> QueryPlans<'a> {
-        QueryPlans {
-            plan: Some(&self.plan),
-            inner_plan: self.inner_plan.as_ref(),
-            params,
+    /// What the statement reads.
+    pub(crate) fn source(&self) -> &Source {
+        &self.source
+    }
+
+    /// Every plan layer.
+    pub(crate) fn planned(&self) -> &Planned {
+        &self.planned
+    }
+
+    /// The replicate plan of an aggregate OPEN statement.
+    pub(crate) fn inner_plan(&self) -> Option<&PhysicalPlan> {
+        self.inner_plan.as_ref()
+    }
+
+    /// Names of the source relations, in bind order, for the
+    /// fingerprint (scalar SELECTs read none).
+    pub(crate) fn relations(&self) -> Vec<String> {
+        match &self.source {
+            Source::Scalar => Vec::new(),
+            Source::Single(rel) => vec![rel.name.clone()],
+            Source::Join(rels) => rels.iter().map(|r| r.name.clone()).collect(),
         }
     }
 
-    /// Resolved names of every relation this statement reads, for epoch
-    /// snapshots and the fingerprint (scalar SELECTs read none).
-    pub(crate) fn relations(&self) -> Vec<String> {
-        match &self.source {
-            PreparedSource::Scalar => Vec::new(),
-            PreparedSource::Aux(name)
-            | PreparedSource::Sample(name)
-            | PreparedSource::Population(name) => vec![name.clone()],
-            PreparedSource::Scope(rels) => rels.iter().map(|(name, _)| name.clone()).collect(),
-        }
+    /// Every relation whose write invalidates this statement's cached
+    /// plan and results.
+    pub(crate) fn dependencies(&self) -> &[String] {
+        &self.deps
     }
 
     /// Bind a parsed SELECT against the catalog: resolve the source
     /// relation(s), check every referenced column against its schema,
-    /// resolve the visibility pipeline, and lower the plan(s).
+    /// resolve the visibility pipeline, and lower the plan(s). The only
+    /// place a FROM clause is classified.
     pub(crate) fn bind(
         cat: &Catalog,
         opts: &EngineOptions,
@@ -341,296 +486,258 @@ impl Prepared {
         sql: &str,
     ) -> Result<Prepared> {
         let param_count = stmt.param_count();
-        // Multi-relation scopes (joins, aliases, qualified references)
-        // bind through the scope binder and cache the join plan.
-        if let Some(fc) = stmt.from.clone() {
-            if crate::plan::join::needs_scope(&stmt, &fc) {
-                return Self::bind_scope(cat, opts, stmt, &fc, sql, param_count);
-            }
-        }
-        let (source, stmt, schema): (PreparedSource, SelectStmt, Option<Arc<Schema>>) = match stmt
-            .from
-            .clone()
-            .map(|f| f.base.name)
-        {
-            None => {
-                let cols = stmt.referenced_columns();
-                if let Some(c) = cols.first() {
-                    return Err(MosaicError::Bind(format!(
-                        "column {c} is not allowed in a SELECT without FROM"
-                    )));
-                }
-                // Mirror the engine's scalar path: wildcards drop.
-                let items: Vec<SelectItem> = stmt
-                    .items
-                    .iter()
-                    .filter(|i| !matches!(i, SelectItem::Wildcard))
-                    .cloned()
-                    .collect();
-                (PreparedSource::Scalar, SelectStmt { items, ..stmt }, None)
-            }
-            Some(from) => {
-                if let Some(pop) = cat.population(&from) {
-                    // Resolve the visibility now so the plan's
-                    // weighted-rewrite property is fixed; the session
-                    // default is baked into the prepared statement.
-                    let vis = stmt.visibility.unwrap_or(opts.default_visibility);
-                    let stmt = SelectStmt {
-                        visibility: Some(vis),
-                        ..stmt
-                    };
-                    (
-                        PreparedSource::Population(pop.name.clone()),
-                        stmt,
-                        Some(Arc::clone(&pop.schema)),
-                    )
-                } else if stmt.visibility.is_some() {
-                    return Err(MosaicError::Bind(
-                            "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only"
-                                .into(),
-                        ));
-                } else if let Some(t) = cat.aux(&from) {
-                    (
-                        PreparedSource::Aux(from.clone()),
-                        stmt,
-                        Some(Arc::clone(t.schema())),
-                    )
-                } else if let Some(s) = cat.sample(&from) {
-                    // Samples expose the engine-managed `weight` column;
-                    // bind (and optimize) against the augmented schema.
-                    (
-                        PreparedSource::Sample(s.name.clone()),
-                        stmt,
-                        Some(crate::engine::sample_scan_schema(s)),
-                    )
-                } else {
-                    return Err(match crate::engine::unknown_relation(cat, &from) {
-                        MosaicError::Catalog(m) => MosaicError::Bind(m),
-                        other => other,
-                    });
-                }
-            }
-        };
-        // Name binding: every referenced column must exist in the
-        // source schema (sample schemas were already augmented with the
-        // engine-managed `weight` column above). ORDER BY keys get one
-        // extra degree of freedom, mirroring the scope binder: a name
-        // matching a SELECT item's output name (its alias or written
-        // spelling) is a projection reference the sort resolves against
-        // the output table at execution.
-        if let Some(schema) = &schema {
-            let output_names: Vec<String> = stmt
-                .items
-                .iter()
-                .filter_map(|i| match i {
-                    SelectItem::Expr { alias: Some(a), .. } => Some(a.clone()),
-                    SelectItem::Expr { expr, alias: None } => Some(expr.default_name()),
-                    SelectItem::Wildcard => None,
-                })
-                .collect();
-            let unknown = |c: &str| {
-                MosaicError::Bind(format!(
-                    "unknown column {c} in relation {}",
-                    stmt.from
-                        .as_ref()
-                        .map(|f| f.base.name.as_str())
-                        .unwrap_or("<scalar>")
-                ))
-            };
-            let body = stmt
-                .items
-                .iter()
-                .filter_map(|i| match i {
-                    SelectItem::Expr { expr, .. } => Some(expr),
-                    SelectItem::Wildcard => None,
-                })
-                .chain(stmt.where_clause.iter())
-                .chain(stmt.group_by.iter());
-            for e in body {
-                for c in e.referenced_columns() {
-                    if !schema.contains(&c) {
-                        return Err(unknown(&c));
-                    }
-                }
-            }
-            for (e, _) in &stmt.order_by {
-                for c in e.referenced_columns() {
-                    if !schema.contains(&c)
-                        && !output_names.iter().any(|n| n.eq_ignore_ascii_case(&c))
-                    {
-                        return Err(unknown(&c));
-                    }
-                }
-            }
-        }
-        // Plan: build the logical IR, run the optimizer once (projection
-        // pruning against the bound schema, param-aware constant
-        // folding, Sort+Limit fusion), lower the physical plan. The
-        // weighted-rewrite property is a function of the resolved
-        // visibility.
-        let (weighted, open_agg) = match (&source, stmt.visibility) {
-            (PreparedSource::Population(_), Some(Visibility::Closed)) => (false, false),
-            (PreparedSource::Population(_), Some(Visibility::Open)) => {
-                (true, has_aggregate_shape(&stmt))
-            }
-            (PreparedSource::Population(_), _) => (true, false),
-            _ => (false, false),
-        };
-        // No `with_parallelism` / `with_agg_partitions` here: the thread
-        // cap and merge-partition count are execution-time properties —
-        // every prepared execution passes the session's effective values
-        // through `execute_capped`.
-        let planned = plan_select(&stmt, weighted, opts.optimizer, schema.as_deref());
-        let inner_plan = open_agg.then(|| {
-            let inner = SelectStmt {
-                order_by: Vec::new(),
-                limit: None,
-                ..stmt.clone()
-            };
-            plan_select(&inner, true, opts.optimizer, schema.as_deref()).physical
-        });
-        Ok(Prepared {
+        let finish = |stmt, source, deps, planned, inner_plan| Prepared {
             sql: sql.to_string(),
             stmt,
             param_count,
             source,
-            logical: planned.optimized,
-            fired: planned.fired,
-            plan: planned.physical,
+            deps,
+            planned,
             inner_plan,
-        })
-    }
-
-    /// Bind a multi-relation (or aliased) FROM: resolve every relation,
-    /// run the scope binder (qualified-name resolution, ambiguity
-    /// checks, equi-key extraction), and cache the optimized join plan.
-    fn bind_scope(
-        cat: &Catalog,
-        opts: &EngineOptions,
-        stmt: SelectStmt,
-        fc: &mosaic_sql::FromClause,
-        sql: &str,
-        param_count: usize,
-    ) -> Result<Prepared> {
-        let (infos, vis) =
-            match crate::engine::resolve_scope(cat, opts.default_visibility, fc, stmt.visibility) {
-                Ok(r) => r,
-                Err(MosaicError::Catalog(m)) => return Err(MosaicError::Bind(m)),
-                Err(other) => return Err(other),
-            };
-        // Bake the resolved visibility in (population scopes only), so
-        // later session-default changes cannot shift the semantics the
-        // plan was built under.
-        let stmt = SelectStmt {
-            visibility: vis,
-            ..stmt
         };
-        if !fc.has_joins() {
-            // A lone aliased relation: rewrite to bare column names and
-            // fall into the ordinary single-relation plan.
-            let info = infos.into_iter().next().expect("one relation");
-            let rel = info.rel;
-            let source = if rel.weighted {
-                PreparedSource::Sample(rel.name.clone())
-            } else {
-                PreparedSource::Aux(rel.name.clone())
-            };
-            let schema = Arc::clone(&rel.schema);
-            let rewritten = crate::plan::join::bind_single(&stmt, rel)?;
-            let planned = plan_select(&rewritten, false, opts.optimizer, Some(&schema));
-            return Ok(Prepared {
-                sql: sql.to_string(),
-                stmt: rewritten,
-                param_count,
-                source,
-                logical: planned.optimized,
-                fired: planned.fired,
-                plan: planned.physical,
-                inner_plan: None,
-            });
-        }
-        let source = PreparedSource::Scope(
-            infos
+        let Some(fc) = stmt.from.clone() else {
+            if let Some(c) = stmt.referenced_columns().first() {
+                return Err(MosaicError::Bind(format!(
+                    "column {c} is not allowed in a SELECT without FROM"
+                )));
+            }
+            // Wildcards have nothing to expand over: they drop.
+            let items = stmt
+                .items
                 .iter()
-                .map(|i| {
-                    let kind = match &i.source {
-                        crate::engine::ScopeSource::Aux => ScopeRelKind::Aux,
-                        crate::engine::ScopeSource::Sample { .. } => ScopeRelKind::Sample,
-                        crate::engine::ScopeSource::Population { .. } => ScopeRelKind::Population,
-                    };
-                    (i.rel.name.clone(), kind)
-                })
-                .collect(),
-        );
-        let rels: Vec<_> = infos.into_iter().map(|i| i.rel).collect();
-        // Population-containing scopes under SEMI-OPEN/OPEN answer
-        // aggregates through the §5.3 weighted rewrite; CLOSED scopes
-        // and plain sample joins do not.
-        let weighted_agg = vis.is_some_and(|v| v != Visibility::Closed);
-        // Aggregate OPEN joins run the replicate loop over the ORDER
-        // BY/LIMIT-stripped body; cache that inner plan too.
-        let inner_plan = (vis == Some(Visibility::Open) && has_aggregate_shape(&stmt))
-            .then(|| -> Result<PhysicalPlan> {
-                let inner = SelectStmt {
-                    order_by: Vec::new(),
-                    limit: None,
-                    ..stmt.clone()
+                .filter(|i| !matches!(i, SelectItem::Wildcard))
+                .cloned()
+                .collect();
+            let stmt = SelectStmt { items, ..stmt };
+            let planned = plan_select(&stmt, false, opts.optimizer, None);
+            return Ok(finish(stmt, Source::Scalar, Vec::new(), planned, None));
+        };
+        // No `with_parallelism` / `with_agg_partitions` on any plan here:
+        // the thread cap and merge-partition count are execution-time
+        // properties every execution passes in.
+        if crate::plan::join::needs_scope(&stmt, &fc) {
+            // Joins, aliases and qualified references bind through the
+            // scope binder.
+            let scope = resolve_scope(cat, opts.default_visibility, &fc, stmt.visibility)?;
+            // Bake the resolved visibility in (population scopes only),
+            // so later session-default changes cannot shift the
+            // semantics the plan was built under.
+            let stmt = SelectStmt {
+                visibility: scope.vis,
+                ..stmt
+            };
+            let mut sources = scope.sources;
+            if !fc.has_joins() {
+                // A lone aliased relation: rewrite to bare column names
+                // and plan the ordinary single-relation pipeline.
+                let rel = scope.rels.into_iter().next().expect("one relation");
+                let schema = Arc::clone(&rel.schema);
+                let stmt = crate::plan::join::bind_single(&stmt, rel)?;
+                let planned = plan_select(&stmt, false, opts.optimizer, Some(&schema));
+                let source = Source::Single(sources.remove(0));
+                return Ok(finish(stmt, source, scope.deps, planned, None));
+            }
+            // Population-containing scopes under SEMI-OPEN/OPEN answer
+            // aggregates through the §5.3 weighted rewrite; CLOSED
+            // scopes and plain sample joins do not.
+            let weighted_agg = scope.vis.is_some_and(|v| v != Visibility::Closed);
+            let plan_join = |stmt: &SelectStmt| -> Result<(SelectStmt, Planned)> {
+                let bound = crate::plan::join::bind_join(stmt, scope.rels.clone(), weighted_agg)?;
+                let planned = crate::plan::plan_logical(bound.logical, opts.optimizer, None);
+                Ok((bound.stmt, planned))
+            };
+            let inner_plan = open_inner_stmt(&stmt)
+                .map(|inner| plan_join(&inner).map(|(_, planned)| planned.physical))
+                .transpose()?;
+            let (stmt, planned) = plan_join(&stmt)?;
+            let source = Source::Join(sources);
+            return Ok(finish(stmt, source, scope.deps, planned, inner_plan));
+        }
+        let resolved = Resolved::classify(cat, &fc.base.name)?;
+        let (stmt, schema) = match &resolved {
+            Resolved::Population(pop) => {
+                // Resolve the visibility now so the plan's
+                // weighted-rewrite property is fixed; the session
+                // default is baked into the bound statement.
+                let vis = stmt.visibility.unwrap_or(opts.default_visibility);
+                let stmt = SelectStmt {
+                    visibility: Some(vis),
+                    ..stmt
                 };
-                let bound = crate::plan::join::bind_join(&inner, rels.clone(), weighted_agg)?;
-                Ok(crate::plan::plan_logical(bound.logical, opts.optimizer, None).physical)
-            })
-            .transpose()?;
-        let bound = crate::plan::join::bind_join(&stmt, rels, weighted_agg)?;
-        let planned = crate::plan::plan_logical(bound.logical, opts.optimizer, None);
-        Ok(Prepared {
-            sql: sql.to_string(),
-            stmt: bound.stmt,
-            param_count,
-            source,
-            logical: planned.optimized,
-            fired: planned.fired,
-            plan: planned.physical,
-            inner_plan,
-        })
+                (stmt, Arc::clone(&pop.schema))
+            }
+            _ if stmt.visibility.is_some() => {
+                return Err(MosaicError::Unsupported(
+                    "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only"
+                        .into(),
+                ));
+            }
+            Resolved::Aux(t) => (stmt, Arc::clone(t.schema())),
+            // Samples expose the engine-managed `weight` column; bind
+            // (and optimize) against the augmented schema.
+            Resolved::Sample(s) => (stmt, sample_scan_schema(s)),
+        };
+        check_columns(&stmt, &schema, &fc.base.name)?;
+        // Population statements outside CLOSED carry row weights into
+        // the §5.3 weighted-aggregate rewrite.
+        let weighted = stmt.visibility.is_some_and(|v| v != Visibility::Closed);
+        let planned = plan_select(&stmt, weighted, opts.optimizer, Some(&schema));
+        let inner_plan = open_inner_stmt(&stmt)
+            .map(|inner| plan_select(&inner, true, opts.optimizer, Some(&schema)).physical);
+        let rel = resolved.bound(&fc.base, false);
+        let mut deps = Vec::new();
+        resolved.push_deps(&rel.name, false, &mut deps);
+        Ok(finish(stmt, Source::Single(rel), deps, planned, inner_plan))
     }
+}
 
-    /// Verify the catalog still resolves this statement's source to the
-    /// same relation kind (DDL may have dropped or replaced it since
-    /// prepare; running a stale plan against a different relation kind
-    /// would silently change semantics).
-    fn check_source(&self, cat: &Catalog) -> Result<()> {
-        let ok = match &self.source {
-            PreparedSource::Scalar => true,
-            PreparedSource::Aux(name) => cat.aux(name).is_some(),
-            PreparedSource::Sample(name) => cat.sample(name).is_some(),
-            PreparedSource::Scope(rels) => rels.iter().all(|(name, kind)| match kind {
-                ScopeRelKind::Aux => cat.aux(name).is_some(),
-                ScopeRelKind::Sample => cat.sample(name).is_some(),
-                ScopeRelKind::Population => cat
-                    .population(name)
-                    .is_some_and(|pop| choose_sample(cat, pop).is_ok()),
-            }),
-            PreparedSource::Population(name) => {
-                if cat.population(name).is_none() {
-                    return Err(MosaicError::Bind(format!(
-                        "prepared statement is stale: population {name} no longer exists"
-                    )));
+/// For an aggregate OPEN statement: the ORDER BY / LIMIT-stripped body
+/// each generative replicate answers (ordering applies after the
+/// replicates combine).
+fn open_inner_stmt(stmt: &SelectStmt) -> Option<SelectStmt> {
+    (stmt.visibility == Some(Visibility::Open) && has_aggregate_shape(stmt)).then(|| SelectStmt {
+        order_by: Vec::new(),
+        limit: None,
+        ..stmt.clone()
+    })
+}
+
+/// Name binding of a plain single-relation statement: every referenced
+/// column must exist in the source schema. ORDER BY keys get one extra
+/// degree of freedom, mirroring the scope binder: a name matching a
+/// SELECT item's output name (its alias or written spelling) is a
+/// projection reference the sort resolves against the output table at
+/// execution.
+fn check_columns(stmt: &SelectStmt, schema: &Schema, relation: &str) -> Result<()> {
+    let unknown = |c: &str| MosaicError::Bind(format!("unknown column {c} in relation {relation}"));
+    let exprs = stmt.items.iter().filter_map(|i| match i {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard => None,
+    });
+    let body = exprs
+        .clone()
+        .chain(stmt.where_clause.iter())
+        .chain(stmt.group_by.iter());
+    for e in body {
+        if let Some(c) = e.referenced_columns().iter().find(|c| !schema.contains(c)) {
+            return Err(unknown(c));
+        }
+    }
+    let output_names: Vec<String> = stmt
+        .items
+        .iter()
+        .filter(|i| !matches!(i, SelectItem::Wildcard))
+        .map(crate::plan::output_name)
+        .collect();
+    for (e, _) in &stmt.order_by {
+        for c in e.referenced_columns() {
+            if !schema.contains(&c) && !output_names.iter().any(|n| n.eq_ignore_ascii_case(&c)) {
+                return Err(unknown(&c));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A resolved multi-relation (or aliased) FROM scope.
+struct BoundScope {
+    /// The recorded sources, in source order.
+    sources: Vec<BoundRel>,
+    /// The same relations as the scope binder sees them (binding name,
+    /// bound schema, weightedness).
+    rels: Vec<ScopeRel>,
+    /// The scope's dependency set.
+    deps: Vec<String>,
+    /// The effective visibility: `Some` when a population is in scope
+    /// (the open-world join pipeline), `None` for a plain table/sample
+    /// scope.
+    vis: Option<Visibility>,
+}
+
+/// Resolve a multi-relation FROM clause against the catalog,
+/// **population-aware**: auxiliary tables scan as-is, samples scan with
+/// the engine-managed `weight` column exposed (and are marked
+/// weighted), and populations resolve through their chosen sample under
+/// the statement's visibility — CLOSED sides scan the raw sample
+/// unweighted, SEMI-OPEN and OPEN sides expose correction weights.
+///
+/// Rejects a visibility clause on a population-free scope, a population
+/// outside a JOIN, and an OPEN scope with more than one population side
+/// — each with an error naming the offending relations.
+fn resolve_scope(
+    cat: &Catalog,
+    default_vis: Visibility,
+    from: &FromClause,
+    stmt_vis: Option<Visibility>,
+) -> Result<BoundScope> {
+    let resolved: Vec<Resolved<'_>> = from
+        .relations()
+        .map(|t| Resolved::classify(cat, &t.name))
+        .collect::<Result<_>>()?;
+    let pops: Vec<&str> = resolved
+        .iter()
+        .filter_map(|r| match r {
+            Resolved::Population(pop) => Some(pop.name.as_str()),
+            _ => None,
+        })
+        .collect();
+    if pops.is_empty() {
+        if let Some(vis) = stmt_vis {
+            let rels: Vec<&str> = from.relations().map(|t| t.name.as_str()).collect();
+            return Err(MosaicError::Unsupported(format!(
+                "visibility levels (CLOSED/SEMI-OPEN/OPEN) apply to population queries only: \
+                 SELECT {vis} over ({}) references no population",
+                rels.join(", ")
+            )));
+        }
+    } else if !from.has_joins() {
+        return Err(MosaicError::Unsupported(format!(
+            "population {} can appear in a multi-relation FROM only as a JOIN side; \
+             query the population directly or join its sample",
+            pops[0]
+        )));
+    }
+    let vis = stmt_vis.unwrap_or(default_vis);
+    if vis == Visibility::Open && pops.len() > 1 {
+        return Err(MosaicError::Unsupported(format!(
+            "OPEN join of populations {} and {} is not supported: each OPEN replicate \
+             generates rows for exactly one population side; query one side CLOSED or \
+             SEMI-OPEN, or join a declared sample instead",
+            pops[0], pops[1]
+        )));
+    }
+    let vis = (!pops.is_empty()).then_some(vis);
+    let reweighted = vis.is_some_and(|v| v != Visibility::Closed);
+    let mut scope = BoundScope {
+        sources: Vec::new(),
+        rels: Vec::new(),
+        deps: Vec::new(),
+        vis,
+    };
+    for (tref, r) in from.relations().zip(&resolved) {
+        let source = r.bound(tref, true);
+        let schema = match r {
+            Resolved::Aux(t) => Arc::clone(t.schema()),
+            Resolved::Sample(s) => sample_scan_schema(s),
+            Resolved::Population(pop) => {
+                let (sample, _) = choose_sample(cat, pop)?;
+                if reweighted {
+                    sample_scan_schema(sample)
+                } else {
+                    Arc::clone(sample.data.schema())
                 }
-                // The population must still have a usable sample; the
-                // pipeline re-resolves it (data may have grown).
-                let pop = cat.population(name).expect("checked");
-                choose_sample(cat, pop).is_ok()
             }
         };
-        if ok {
-            Ok(())
-        } else {
-            Err(MosaicError::Bind(format!(
-                "prepared statement is stale: its source relation no longer exists ({:?})",
-                self.source
-            )))
-        }
+        scope.rels.push(ScopeRel {
+            name: source.name.clone(),
+            binding: tref.binding().to_string(),
+            schema,
+            weighted: source.weighted(vis),
+        });
+        r.push_deps(&source.name, reweighted, &mut scope.deps);
+        scope.sources.push(source);
     }
+    Ok(scope)
 }
 
 #[cfg(test)]
@@ -708,14 +815,91 @@ mod tests {
         assert!(matches!(err, MosaicError::Bind(_)), "{err}");
     }
 
+    /// A relation dropped — or dropped and re-created as another kind —
+    /// between prepare and execute is the stale-statement `Bind` error
+    /// for every source kind; the recorded name *and kind* must both
+    /// still resolve.
     #[test]
     fn stale_prepared_statement_detected() {
         let engine = engine_with_table();
         let s = engine.session();
-        let p = s.prepare("SELECT COUNT(*) FROM t").unwrap();
-        s.execute("DROP TABLE t").unwrap();
-        let err = s.execute_prepared(&p, &[]).unwrap_err();
-        assert!(matches!(err, MosaicError::Bind(_)), "{err}");
+        s.execute(
+            "CREATE TABLE u (k TEXT);
+             INSERT INTO u VALUES ('a');
+             CREATE GLOBAL POPULATION People (k TEXT);
+             CREATE SAMPLE S AS (SELECT * FROM People);
+             INSERT INTO S VALUES ('a'), ('b');",
+        )
+        .unwrap();
+        let prepare = |sql: &str| (sql.to_string(), s.prepare(sql).unwrap());
+        let scalar = prepare("SELECT 1 + 1");
+        let over_t = [
+            prepare("SELECT COUNT(*) FROM t"),
+            prepare("SELECT x.k FROM t x"),
+            prepare("SELECT t.k FROM t JOIN u ON t.k = u.k"),
+            prepare("SELECT CLOSED t.k FROM t JOIN People p ON t.k = p.k"),
+        ];
+        let over_sample = [
+            prepare("SELECT COUNT(*) FROM S"),
+            prepare("SELECT u.k FROM u JOIN S ON u.k = S.k"),
+        ];
+        let over_population = [
+            prepare("SELECT CLOSED COUNT(*) FROM People"),
+            prepare("SELECT CLOSED u.k FROM u LEFT JOIN People p ON u.k = p.k"),
+        ];
+        let assert_stale = |stmts: &[(String, Prepared)]| {
+            for (sql, p) in stmts {
+                let err = s.execute_prepared(p, &[]).unwrap_err();
+                assert!(matches!(err, MosaicError::Bind(_)), "{sql}: {err}");
+                assert!(err.to_string().contains("stale"), "{sql}: {err}");
+            }
+        };
+        for (sql, p) in over_t.iter().chain(&over_sample).chain(&over_population) {
+            s.execute_prepared(p, &[])
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        // Table → sample.
+        s.execute("DROP TABLE t; CREATE SAMPLE t AS (SELECT * FROM People);")
+            .unwrap();
+        assert_stale(&over_t);
+        // Sample → table.
+        s.execute("DROP SAMPLE S; CREATE TABLE S (k TEXT);")
+            .unwrap();
+        assert_stale(&over_sample);
+        // Population → table.
+        s.execute("DROP POPULATION People; CREATE TABLE People (k TEXT);")
+            .unwrap();
+        assert_stale(&over_population);
+        // Plain drops are stale too; a scalar statement reads nothing.
+        s.execute("DROP TABLE u").unwrap();
+        assert_stale(&over_sample[1..]);
+        s.execute_prepared(&scalar.1, &[]).unwrap();
+    }
+
+    /// A FROM-less SELECT runs over one internal row; its column must
+    /// not be addressable, and EXPLAIN reports the binder's error for
+    /// every statement the binder rejects.
+    #[test]
+    fn binder_errors_are_final_for_execute_and_explain() {
+        let engine = engine_with_table();
+        let s = engine.session();
+        for sql in ["SELECT dummy", "SELECT dummy + 41 AS x"] {
+            for sql in [sql.to_string(), format!("EXPLAIN {sql}")] {
+                let err = s.execute(&sql).unwrap_err();
+                assert!(matches!(err, MosaicError::Bind(_)), "{sql}: {err}");
+            }
+        }
+        for sql in [
+            "SELECT nope FROM t",
+            "SELECT v FROM missing",
+            "SELECT CLOSED v FROM t",
+            "SELECT x.v FROM t",
+            "SELECT t.v FROM t JOIN missing m ON t.k = m.k",
+        ] {
+            let run = s.execute(sql).unwrap_err().to_string();
+            let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap_err();
+            assert_eq!(run, explain.to_string(), "{sql}");
+        }
     }
 
     #[test]

@@ -117,15 +117,33 @@ fn model_cache_hits_on_repeat_queries() {
         "second OPEN query reuses the model: {:?}",
         second.notes
     );
-    // Mutating the catalog invalidates the cache.
-    db.execute("INSERT INTO YahooSample VALUES ('UK','Yahoo')")
-        .unwrap();
-    let third = db.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
+    // A write to an unrelated relation leaves the model valid — models
+    // follow the population's dependency epochs, like plans and
+    // results — and the answer bit-identical.
+    db.execute(
+        "CREATE TABLE Unrelated (country TEXT, n INT); INSERT INTO Unrelated VALUES ('UK', 1);",
+    )
+    .unwrap();
+    let unrelated = db.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
     assert!(
-        third.notes.iter().any(|n| n.contains("trained")),
-        "catalog mutation retrains: {:?}",
-        third.notes
+        unrelated.notes.iter().any(|n| n.contains("cache hit")),
+        "an unrelated write must not refit the model: {:?}",
+        unrelated.notes
     );
+    assert_eq!(second.table.value(0, 0), unrelated.table.value(0, 0));
+    // A write to the population's sample or metadata refits.
+    for write in [
+        "INSERT INTO YahooSample VALUES ('UK','Yahoo')",
+        "CREATE METADATA Migrants_M3 AS (SELECT country, n FROM Unrelated)",
+    ] {
+        db.execute(write).unwrap();
+        let after = db.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
+        assert!(
+            after.notes.iter().any(|n| n.contains("trained")),
+            "{write} retrains: {:?}",
+            after.notes
+        );
+    }
 }
 
 #[test]

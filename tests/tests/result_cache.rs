@@ -18,7 +18,7 @@
 //!   engine-wide counters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use mosaic_core::{EngineOptions, MosaicEngine, QueryResult, Session, Table, Value};
 use mosaic_serve::{Client, ServeConfig, Server, ServerHandle};
@@ -223,6 +223,133 @@ fn semi_open_caches_and_sample_writes_invalidate() {
     assert_identical(&fresh.table, &after_ddl.table, "post-CREATE SAMPLE");
 }
 
+/// The paper's EuropeMigrants-over-Migrants shape: population `P` is a
+/// view over `GP` and answers through a sample *declared on GP*, so
+/// writes to that sample — and GP-level metadata — are writes to `P`.
+/// The binding's dependency set (`P` plus the population it is defined
+/// over) drives result-cache, plan-cache and prepared invalidation alike:
+/// no surface may serve the pre-write answer.
+#[test]
+fn derived_population_invalidated_by_gp_sample_and_metadata_writes() {
+    let engine = cache_engine();
+    let cached = engine.session();
+    let uncached = engine.session().with_result_cache(false);
+    cached
+        .execute(
+            "CREATE TABLE R (c TEXT, e TEXT, n INT);
+             INSERT INTO R (c, n) VALUES ('UK', 60), ('FR', 40);
+             INSERT INTO R (e, n) VALUES ('y', 30), ('g', 40), ('z', 20), ('q', 10);
+             CREATE GLOBAL POPULATION GP (c TEXT, e TEXT);
+             CREATE POPULATION P AS (SELECT * FROM GP WHERE c = 'UK');
+             CREATE METADATA GP_M1 AS (SELECT c, n FROM R WHERE c IS NOT NULL);
+             CREATE SAMPLE S AS (SELECT * FROM GP);
+             INSERT INTO S VALUES ('UK','y'), ('FR','y'), ('UK','g');",
+        )
+        .unwrap();
+    let handle = start(Arc::clone(&engine));
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let closed = "SELECT CLOSED COUNT(*) FROM P";
+    let semi = "SELECT SEMI-OPEN e, COUNT(*) FROM P GROUP BY e ORDER BY e";
+    let closed_prepared = cached.prepare(closed).unwrap();
+    let semi_prepared = cached.prepare(semi).unwrap();
+    // Every surface answers `sql` from warm caches exactly like a fresh
+    // uncached execution: ad-hoc (twice, so the second run exercises
+    // the caches), prepared, the in-process plan-cache hot path, and
+    // the wire (whose repeated `Query` frames take that hot path too).
+    let mut check_all = |sql: &str, prepared: &mosaic_core::Prepared, ctx: &str| -> Table {
+        let fresh = uncached.execute(sql).unwrap().table;
+        for run in 0..2 {
+            let adhoc = cached.execute(sql).unwrap();
+            assert_identical(&fresh, &adhoc.table, &format!("{ctx}: ad-hoc run {run}"));
+            let prep = cached.execute_prepared(prepared, &[]).unwrap();
+            assert_identical(&fresh, &prep.table, &format!("{ctx}: prepared run {run}"));
+            let hot = cached.execute_cached(sql).expect("plan published").unwrap();
+            assert_identical(&fresh, &hot.table, &format!("{ctx}: hot path run {run}"));
+            let wire = client.query(sql).unwrap();
+            assert_identical(&fresh, &wire.table, &format!("{ctx}: wire run {run}"));
+        }
+        assert!(is_hit(&cached.execute(sql).unwrap()), "{ctx}: caches warm");
+        fresh
+    };
+
+    let before = check_all(closed, &closed_prepared, "closed, before");
+    assert_eq!(before.value(0, 0), Value::Int(2));
+    let semi_before = check_all(semi, &semi_prepared, "semi-open, before");
+
+    // A write to the GP's sample is a write to P.
+    cached
+        .execute("INSERT INTO S VALUES ('UK','z'), ('UK','q')")
+        .unwrap();
+    assert!(
+        !is_hit(&cached.execute(closed).unwrap()),
+        "sample INSERT must invalidate the derived population's entry"
+    );
+    let after = check_all(closed, &closed_prepared, "closed, after INSERT");
+    assert_eq!(after.value(0, 0), Value::Int(4));
+    let semi_after = check_all(semi, &semi_prepared, "semi-open, after INSERT");
+    assert_ne!(semi_before.num_rows(), semi_after.num_rows());
+
+    // So is GP-level metadata: a second marginal re-weights P's answer.
+    cached
+        .execute("CREATE METADATA GP_M2 AS (SELECT e, n FROM R WHERE e IS NOT NULL)")
+        .unwrap();
+    assert!(
+        !is_hit(&cached.execute(semi).unwrap()),
+        "GP-level CREATE METADATA must invalidate the derived population's entry"
+    );
+    check_all(semi, &semi_prepared, "semi-open, after CREATE METADATA");
+    check_all(closed, &closed_prepared, "closed, after CREATE METADATA");
+
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+/// A sample side of a reweighted join has its combined weight
+/// re-calibrated against the metadata of the population it was declared
+/// on, so that population is a dependency of the statement even though
+/// the FROM clause never names it.
+#[test]
+fn reweighted_join_invalidated_by_sample_side_population_metadata() {
+    let engine = cache_engine();
+    let cached = engine.session();
+    let uncached = engine.session().with_result_cache(false);
+    cached
+        .execute(
+            "CREATE TABLE R (c TEXT, n INT);
+             INSERT INTO R VALUES ('UK', 60), ('FR', 40);
+             CREATE TABLE R2 (c TEXT, n INT);
+             INSERT INTO R2 VALUES ('UK', 10), ('FR', 90);
+             CREATE GLOBAL POPULATION GP (c TEXT, e TEXT);
+             CREATE METADATA GP_M1 AS (SELECT c, n FROM R);
+             CREATE SAMPLE S AS (SELECT * FROM GP);
+             INSERT INTO S VALUES ('UK','y'), ('FR','y'), ('UK','g');
+             CREATE POPULATION Q AS (SELECT * FROM GP WHERE e = 'y');
+             CREATE SAMPLE SQ AS (SELECT * FROM Q);
+             INSERT INTO SQ VALUES ('UK','y'), ('FR','y');",
+        )
+        .unwrap();
+    let q = "SELECT SEMI-OPEN g.c AS c, COUNT(*) AS n FROM GP g JOIN SQ s ON g.c = s.c \
+             GROUP BY g.c ORDER BY c";
+    let before = cached.execute(q).unwrap();
+    assert!(is_hit(&cached.execute(q).unwrap()));
+    cached
+        .execute("CREATE METADATA Q_M1 FOR Q AS (SELECT c, n FROM R2)")
+        .unwrap();
+    let after = cached.execute(q).unwrap();
+    assert!(
+        !is_hit(&after),
+        "metadata on the sample side's population must invalidate"
+    );
+    let fresh = uncached.execute(q).unwrap();
+    assert_identical(&fresh.table, &after.table, "post-CREATE METADATA join");
+    assert_ne!(
+        before.table.value(0, 1),
+        after.table.value(0, 1),
+        "the new marginal re-calibrates the combined weights"
+    );
+}
+
 /// INSERT between identical queries: the cached path never serves the
 /// stale pre-write count.
 #[test]
@@ -277,22 +404,28 @@ fn drop_and_recreate_never_serves_old_table() {
 fn concurrent_writer_vs_cached_readers() {
     const BATCH: usize = 10;
     const BATCHES: usize = 40;
+    const READERS: usize = 4;
     let engine = cache_engine();
     engine
         .session()
         .execute("CREATE TABLE t (k TEXT, i INT, f FLOAT)")
         .unwrap();
     let done = Arc::new(AtomicBool::new(false));
+    // The writer's 40 batches take ~20 ms — less than a reader thread
+    // needs to start on a loaded 2-core box — so the writer waits until
+    // every reader has made its first observation.
+    let started = Arc::new(Barrier::new(READERS + 1));
     std::thread::scope(|scope| {
         let mut readers = Vec::new();
-        for _ in 0..4 {
+        for _ in 0..READERS {
             let engine = Arc::clone(&engine);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             readers.push(scope.spawn(move || {
                 let s = engine.session();
                 let mut last = 0i64;
                 let mut observations = 0usize;
-                while !done.load(Ordering::Relaxed) {
+                while observations == 0 || !done.load(Ordering::Relaxed) {
                     let r = s.execute("SELECT COUNT(*) FROM t").unwrap();
                     let n = match r.table.value(0, 0) {
                         Value::Int(n) => n,
@@ -306,11 +439,15 @@ fn concurrent_writer_vs_cached_readers() {
                     assert!(n >= last, "stale read: count went {last} -> {n}");
                     last = n;
                     observations += 1;
+                    if observations == 1 {
+                        started.wait();
+                    }
                 }
                 observations
             }));
         }
         let writer = engine.session();
+        started.wait();
         let row = "('w', 1, 1.0)";
         let batch_sql = format!("INSERT INTO t VALUES {}", [row; BATCH].join(", "));
         for _ in 0..BATCHES {

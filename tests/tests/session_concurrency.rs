@@ -327,3 +327,124 @@ fn prepared_execution_races_ddl_cleanly() {
         assert_eq!(ok + stale, 200);
     });
 }
+
+/// One binding, three consumers: for one statement per source kind the
+/// ad-hoc path, `prepare` + `execute_prepared`, and the result-cache hit
+/// return cell-for-cell identical tables — and an `INSERT … SELECT`
+/// ingests exactly what its source SELECT returns ad hoc.
+#[test]
+fn every_source_kind_agrees_across_adhoc_prepared_and_cache() {
+    use mosaic_core::{EngineOptions, OpenBackend, OpenOptions};
+    let swg = mosaic_swg::SwgConfig::default()
+        .with_hidden_dim(24)
+        .with_hidden_layers(2)
+        .with_latent_dim(Some(4))
+        .with_lambda(0.0)
+        .with_projections(16)
+        .with_batch_size(128)
+        .with_epochs(40)
+        .with_steps_per_epoch(Some(2))
+        .with_learning_rate(5e-3)
+        .with_seed(3);
+    // The cache capacity is explicit so the hit assertions hold under
+    // an ambient MOSAIC_RESULT_CACHE=off.
+    let engine = Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_result_cache(64).with_open(
+            OpenOptions::default()
+                .with_backend(OpenBackend::Swg(swg))
+                .with_num_generated(3)
+                .with_rows_per_sample(Some(300)),
+        ),
+    ));
+    let mut setup = String::from(
+        "CREATE TABLE Report (country TEXT, email TEXT, reported_count INT);
+         INSERT INTO Report (country, reported_count) VALUES ('UK', 600), ('FR', 400);
+         INSERT INTO Report (email, reported_count) VALUES ('Yahoo', 300), ('AOL', 700);
+         CREATE GLOBAL POPULATION Migrants (country TEXT, email TEXT);
+         CREATE METADATA Migrants_M1 AS
+           (SELECT country, reported_count FROM Report WHERE country IS NOT NULL);
+         CREATE METADATA Migrants_M2 AS
+           (SELECT email, reported_count FROM Report WHERE email IS NOT NULL);
+         CREATE SAMPLE YahooSample AS (SELECT * FROM Migrants WHERE email = 'Yahoo');
+         CREATE TABLE Regions (country TEXT, region TEXT);
+         INSERT INTO Regions VALUES ('UK', 'north'), ('FR', 'south'), ('DE', 'east');
+         CREATE TABLE Sink (region TEXT, n FLOAT);
+         INSERT INTO YahooSample VALUES ",
+    );
+    let mut rows = vec!["('UK','Yahoo')"; 30];
+    rows.extend(vec!["('FR','Yahoo')"; 20]);
+    setup.push_str(&rows.join(","));
+    engine.session().execute(&setup).unwrap();
+
+    // A pinned seed makes the OPEN statements reproducible — and so
+    // result-cache eligible.
+    let cached = engine.session().with_seed(7);
+    let uncached = cached.clone().with_result_cache(false);
+    let by_country = |vis: &str| {
+        format!(
+            "SELECT {vis} country, COUNT(*) AS n FROM Migrants GROUP BY country ORDER BY country"
+        )
+    };
+    let region_join = |vis: &str| {
+        format!(
+            "SELECT {vis} c.region AS region, COUNT(*) AS n \
+             FROM Migrants m JOIN Regions c ON m.country = c.country \
+             GROUP BY c.region ORDER BY region"
+        )
+    };
+    let statements = [
+        ("scalar", "SELECT 1 + 2 AS x, 'a' AS s".to_string()),
+        ("aux", "SELECT country, region FROM Regions ORDER BY country".to_string()),
+        (
+            "lone-aliased aux",
+            "SELECT r.region FROM Regions r WHERE r.country = 'UK'".to_string(),
+        ),
+        (
+            "raw sample",
+            "SELECT country, COUNT(*), SUM(weight) FROM YahooSample GROUP BY country ORDER BY country"
+                .to_string(),
+        ),
+        ("population CLOSED", by_country("CLOSED")),
+        ("population SEMI-OPEN", by_country("SEMI-OPEN")),
+        ("population OPEN", by_country("OPEN")),
+        (
+            "inner join",
+            "SELECT s.country, c.region FROM YahooSample s JOIN Regions c \
+             ON s.country = c.country ORDER BY s.country LIMIT 5"
+                .to_string(),
+        ),
+        (
+            "left join",
+            "SELECT c.region AS region, COUNT(s.email) AS n FROM Regions c LEFT JOIN YahooSample s \
+             ON c.country = s.country GROUP BY c.region ORDER BY region"
+                .to_string(),
+        ),
+        ("population join SEMI-OPEN", region_join("SEMI-OPEN")),
+        ("population join OPEN", region_join("OPEN")),
+    ];
+    for (kind, sql) in &statements {
+        let fresh = uncached.execute(sql).unwrap();
+        let miss = cached.execute(sql).unwrap();
+        let hit = cached.execute(sql).unwrap();
+        assert!(
+            hit.notes.iter().any(|n| n.starts_with("result cache hit")),
+            "{kind}: second cached run should hit"
+        );
+        let prepared = uncached.prepare(sql).unwrap();
+        let executed = uncached.execute_prepared(&prepared, &[]).unwrap();
+        assert!(fresh.table.num_rows() > 0, "{kind}: empty answer");
+        assert_identical(&fresh.table, &miss.table, &format!("{kind}: cache miss"));
+        assert_identical(&fresh.table, &hit.table, &format!("{kind}: cache hit"));
+        assert_identical(&fresh.table, &executed.table, &format!("{kind}: prepared"));
+        assert_eq!(fresh.visibility, executed.visibility, "{kind}: visibility");
+    }
+
+    // INSERT … SELECT binds its source through the same entry.
+    let source = region_join("SEMI-OPEN");
+    let expected = uncached.execute(&source).unwrap().table;
+    cached
+        .execute(&format!("INSERT INTO Sink {source}"))
+        .unwrap();
+    let sunk = uncached.query("SELECT region, n FROM Sink").unwrap();
+    assert_identical(&expected, &sunk, "INSERT … SELECT source");
+}
