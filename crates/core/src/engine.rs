@@ -1671,22 +1671,58 @@ fn arrange_row(
     }
 }
 
+/// Conform `rows` to the sample's schema: columns matched by name, each
+/// conformed once as a whole (see [`conform_column`]), text
+/// dictionary-encoded.
 fn coerce_to_sample_schema(cat: &Catalog, sample: &str, rows: Table) -> Result<Table> {
     let s = cat
         .sample(sample)
         .ok_or_else(|| MosaicError::Catalog(format!("unknown sample {sample}")))?;
     let schema = Arc::clone(s.data.schema());
-    let mut b = TableBuilder::with_capacity(Arc::clone(&schema), rows.num_rows());
-    // Reorder incoming columns by name.
-    let mapping: Vec<usize> = schema
+    let columns = schema
         .fields()
         .iter()
-        .map(|f| rows.schema().index_of(&f.name))
-        .collect::<mosaic_storage::Result<_>>()?;
-    for r in 0..rows.num_rows() {
-        b.push_row(mapping.iter().map(|&c| rows.value(r, c)).collect())?;
+        .map(|f| conform_column(rows.column_by_name(&f.name)?, f))
+        .collect::<mosaic_storage::Result<Vec<_>>>()?;
+    Ok(Table::new(schema, columns)?)
+}
+
+/// `col` as a column of `field`'s type, by the rules of
+/// `ColumnBuilder::push`: the same type is shared (O(1)), Int widens to
+/// Float, whole Floats narrow to Int, NULLs fit any type, anything else
+/// is a type mismatch.
+fn conform_column(col: &Column, field: &Field) -> mosaic_storage::Result<Column> {
+    use mosaic_storage::StorageError;
+    if !field.nullable && col.null_count() > 0 {
+        return Err(StorageError::InvalidValue(format!(
+            "NULL in non-nullable column {}",
+            field.name
+        )));
     }
-    Ok(b.finish().dict_encoded())
+    let validity = || col.validity().cloned();
+    match (col.data_type(), field.data_type) {
+        (from, to) if from == to => Ok(col.dict_encoded()),
+        (DataType::Int, DataType::Float) => {
+            let ints = col.i64_data().expect("INT column");
+            let floats = ints.iter().map(|&i| i as f64).collect();
+            Ok(Column::from_f64_opt(floats, validity()))
+        }
+        (DataType::Float, DataType::Int)
+            if (0..col.len()).all(|r| col.f64_at(r).is_none_or(|f| f.fract() == 0.0)) =>
+        {
+            let floats = col.f64_data().expect("FLOAT column");
+            let ints = floats.iter().map(|&f| f as i64).collect();
+            Ok(Column::from_i64_opt(ints, validity()))
+        }
+        (_, to) if col.null_count() == col.len() => {
+            Ok(Column::from_values(to, &vec![Value::Null; col.len()])?.dict_encoded())
+        }
+        (from, to) => Err(StorageError::TypeMismatch {
+            expected: to.to_string(),
+            actual: from.to_string(),
+            context: format!("column {}", field.name),
+        }),
+    }
 }
 
 /// Filter a table by an optional predicate.
@@ -1931,5 +1967,62 @@ impl MosaicDb {
     /// Overwrite a sample's initial weights (paper §3.2).
     pub fn set_sample_weights(&mut self, sample: &str, weights: Vec<f64>) -> Result<()> {
         self.engine().set_sample_weights(sample, weights)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mosaic_storage::StorageError;
+
+    /// `Column::from_values` pushes each value through `ColumnBuilder`,
+    /// which is what ingest did row by row; `conform_column` must accept,
+    /// reject and produce the same.
+    #[test]
+    fn conform_column_agrees_with_pushing_each_value() {
+        use DataType::{Bool, Float, Int, Str};
+        let sources = [
+            (Int, vec![Value::Int(1), Value::Null, Value::Int(-3)]),
+            (
+                Float,
+                vec![Value::Float(1.0), Value::Null, Value::Float(-3.0)],
+            ),
+            (Float, vec![Value::Float(1.5), Value::Null]),
+            (Float, vec![Value::Float(f64::NAN)]),
+            (Str, vec![Value::Str("a".into()), Value::Null]),
+            (Str, vec![Value::Null, Value::Null]),
+            (Bool, vec![Value::Bool(true)]),
+            (Int, vec![]),
+        ];
+        for (from, values) in &sources {
+            let col = Column::from_values(*from, values).unwrap();
+            for to in [Bool, Int, Float, Str] {
+                let what = format!("{from} {values:?} as {to}");
+                match (
+                    conform_column(&col, &Field::new("x", to)),
+                    Column::from_values(to, values),
+                ) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.data_type(), to, "{what}");
+                        assert_eq!(got.is_dict(), to == Str, "{what}");
+                        let cells = |c: &Column| c.iter().collect::<Vec<_>>();
+                        assert_eq!(cells(&got), cells(&want), "{what}");
+                    }
+                    (
+                        Err(StorageError::TypeMismatch {
+                            expected, actual, ..
+                        }),
+                        Err(StorageError::TypeMismatch {
+                            expected: e,
+                            actual: a,
+                            ..
+                        }),
+                    ) => assert_eq!((expected, actual), (e, a), "{what}"),
+                    (got, want) => panic!("{what}: {got:?}, pushing gives {want:?}"),
+                }
+            }
+        }
+        let nulls = Column::from_values(Int, &[Value::Null]).unwrap();
+        assert!(conform_column(&nulls, &Field::required("x", Int)).is_err());
     }
 }

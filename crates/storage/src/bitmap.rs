@@ -50,6 +50,18 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
+    /// Append one bit — for a validity bitmap that grows with the column
+    /// it masks during a scan.
+    pub(crate) fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if bit {
+            self.set(self.len - 1, true);
+        }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len

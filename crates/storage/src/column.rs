@@ -25,18 +25,9 @@ impl Dictionary {
     /// Encode `values` into per-row codes plus the shared dictionary.
     /// Strings are moved, never cloned; duplicates are dropped.
     pub fn encode(values: Vec<String>) -> (Vec<u32>, Arc<Dictionary>) {
-        let mut map: HashMap<String, u32> = HashMap::new();
-        let mut codes = Vec::with_capacity(values.len());
-        for s in values {
-            let next = map.len() as u32;
-            let code = *map.entry(s).or_insert(next);
-            codes.push(code);
-        }
-        let mut dict_values = vec![String::new(); map.len()];
-        for (s, c) in map {
-            dict_values[c as usize] = s;
-        }
-        (codes, Arc::new(Dictionary::from_values(dict_values)))
+        let mut b = DictionaryBuilder::default();
+        let codes = values.into_iter().map(|s| b.code_owned(s)).collect();
+        (codes, Arc::new(b.finish()))
     }
 
     /// Build from already-distinct values (codes = positions).
@@ -97,6 +88,45 @@ impl Dictionary {
     pub fn approx_bytes(&self) -> usize {
         let strings: usize = self.values.iter().map(String::len).sum();
         strings + self.values.len() * (std::mem::size_of::<String>() + 2 * 4)
+    }
+}
+
+/// A [`Dictionary`] under construction: hands out codes in order of first
+/// appearance while the values are still arriving, so a scan (CSV ingest,
+/// the unifying concat) encodes as it goes instead of collecting strings
+/// for a second pass. Each distinct value is allocated exactly once.
+#[derive(Debug, Default)]
+pub(crate) struct DictionaryBuilder {
+    map: HashMap<String, u32>,
+}
+
+impl DictionaryBuilder {
+    /// The code of `s`, assigning the next free one on first sight.
+    pub(crate) fn code(&mut self, s: &str) -> u32 {
+        match self.map.get(s) {
+            Some(&c) => c,
+            None => {
+                let c = self.map.len() as u32;
+                self.map.insert(s.to_string(), c);
+                c
+            }
+        }
+    }
+
+    /// [`DictionaryBuilder::code`] for a string the caller can give up:
+    /// moved into the dictionary on first sight, never cloned.
+    fn code_owned(&mut self, s: String) -> u32 {
+        let next = self.map.len() as u32;
+        *self.map.entry(s).or_insert(next)
+    }
+
+    /// Seal into a [`Dictionary`] (builds the sort permutation).
+    pub(crate) fn finish(self) -> Dictionary {
+        let mut values = vec![String::new(); self.map.len()];
+        for (s, c) in self.map {
+            values[c as usize] = s;
+        }
+        Dictionary::from_values(values)
     }
 }
 
@@ -369,6 +399,22 @@ impl Column {
     /// always in bounds for the dictionary.
     pub fn from_str_opt(values: Vec<String>, validity: Option<Bitmap>) -> Column {
         let (codes, dict) = Dictionary::encode(values);
+        Column::full(
+            ColumnData::Dict { codes, dict },
+            normalize_validity(validity),
+        )
+    }
+
+    /// Dictionary-encoded string column from codes and the dictionary
+    /// they index — what a scan that encoded as it went (CSV ingest)
+    /// hands over. Every code must be in bounds for `dict`.
+    pub(crate) fn from_dict_parts(
+        codes: Vec<u32>,
+        dict: DictionaryBuilder,
+        validity: Option<Bitmap>,
+    ) -> Column {
+        let dict = Arc::new(dict.finish());
+        debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
         Column::full(
             ColumnData::Dict { codes, dict },
             normalize_validity(validity),
@@ -671,40 +717,26 @@ fn concat_str_parts(parts: &[&Column], total: usize) -> ColumnData {
             };
         }
     }
-    fn unify(map: &mut HashMap<String, u32>, s: &str) -> u32 {
-        match map.get(s) {
-            Some(&c) => c,
-            None => {
-                let c = map.len() as u32;
-                map.insert(s.to_string(), c);
-                c
-            }
-        }
-    }
-    let mut map: HashMap<String, u32> = HashMap::new();
+    let mut unified = DictionaryBuilder::default();
     let mut out = Vec::with_capacity(total);
     for p in parts {
         if let Some((codes, dict)) = p.dict_parts() {
             let mut remap = vec![u32::MAX; dict.len()];
             for &c in codes {
                 if remap[c as usize] == u32::MAX {
-                    remap[c as usize] = unify(&mut map, dict.get(c));
+                    remap[c as usize] = unified.code(dict.get(c));
                 }
                 out.push(remap[c as usize]);
             }
         } else {
             for s in p.str_data().expect("type-checked") {
-                out.push(unify(&mut map, s));
+                out.push(unified.code(s));
             }
         }
     }
-    let mut values = vec![String::new(); map.len()];
-    for (s, c) in map {
-        values[c as usize] = s;
-    }
     ColumnData::Dict {
         codes: out,
-        dict: Arc::new(Dictionary::from_values(values)),
+        dict: Arc::new(unified.finish()),
     }
 }
 

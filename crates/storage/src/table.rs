@@ -179,8 +179,8 @@ impl Table {
 
     /// Table with every plain string column dictionary-encoded (see
     /// [`Column::dict_encoded`]); non-string columns pass through as O(1)
-    /// clones. Applied at CSV ingest and usable on any table built
-    /// row-wise.
+    /// clones. For tables built row-wise (`INSERT`, `TableBuilder`); CSV
+    /// ingest encodes during its scan and never holds plain strings.
     pub fn dict_encoded(&self) -> Table {
         Table {
             schema: Arc::clone(&self.schema),
