@@ -11,14 +11,15 @@
 //! Usage: `cargo run --release -p mosaic-bench --bin ablation_metadata [--full]`
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mosaic_bench::flights::{self, FlightsConfig};
-use mosaic_core::MosaicDb;
+use mosaic_core::MosaicEngine;
 use mosaic_stats::{percent_diff, Marginal};
 
-fn setup_db(data: &flights::FlightsData) -> MosaicDb {
-    let mut db = MosaicDb::new();
-    db.execute(
+fn setup_db(data: &flights::FlightsData) -> Arc<MosaicEngine> {
+    let db = Arc::new(MosaicEngine::new());
+    db.session().execute(
         "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
          CREATE POPULATION LongFlights AS (SELECT * FROM Flights WHERE distance > 1000);
          CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
@@ -64,14 +65,14 @@ fn main() {
     };
 
     // Path 1: metadata on the GP only (left dashed line of Fig. 3).
-    let mut db_gp = setup_db(&data);
+    let db_gp = setup_db(&data);
     for (i, m) in data.marginals.iter().enumerate() {
         db_gp
             .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
             .expect("metadata");
     }
     // Path 2: metadata on the query population only (bottom dashed line).
-    let mut db_qp = setup_db(&data);
+    let db_qp = setup_db(&data);
     let pairs = [
         ("carrier", "elapsed_time"),
         ("taxi_out", "elapsed_time"),
@@ -90,10 +91,10 @@ fn main() {
     println!("Ablation A4: metadata path (Fig. 3), query: {q}");
     println!("ground truth AVG(elapsed_time | distance>1000): {truth_avg:.2}");
     for (name, db) in [
-        ("GP metadata (left path)", &mut db_gp),
-        ("query-pop metadata (bottom path)", &mut db_qp),
+        ("GP metadata (left path)", &db_gp),
+        ("query-pop metadata (bottom path)", &db_qp),
     ] {
-        let result = db.execute(q).expect("query");
+        let result = db.session().execute(q).expect("query");
         let est = result.table.value(0, 0).as_f64().expect("avg");
         println!(
             "{name:<34} estimate {est:>9.2}  percent diff {:>6.2}",

@@ -3,8 +3,9 @@
 //! seeds in the configs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use mosaic_core::{run_select, MosaicDb, OpenBackend, Visibility};
+use mosaic_core::{run_select, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, Visibility};
 use mosaic_sql::{parse, SelectItem, SelectStmt, Statement};
 use mosaic_stats::{Ipf, IpfConfig};
 use mosaic_storage::Table;
@@ -420,16 +421,20 @@ pub struct VisibilityRow {
 
 /// §3.3 experiment: drop several carriers from the sample and compare
 /// which GROUP BY groups each visibility level recovers. Exercises the
-/// full SQL path through [`MosaicDb`].
+/// full SQL path through a [`MosaicEngine`] session.
 pub fn visibility(
     flights_config: &FlightsConfig,
     swg: SwgConfig,
     dropped_carriers: &[&str],
 ) -> Vec<VisibilityRow> {
     let data = flights::generate(flights_config);
-    let mut db = MosaicDb::new();
-    db.options_mut().open.backend = OpenBackend::Swg(swg);
-    db.options_mut().open.num_generated = 3;
+    let open = OpenOptions::default()
+        .with_backend(OpenBackend::Swg(swg))
+        .with_num_generated(3);
+    let engine = Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ));
+    let db = engine.session();
     db.execute(
         "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
          CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
@@ -437,11 +442,12 @@ pub fn visibility(
     .expect("ddl");
     // Metadata: the (carrier, elapsed) marginal plus the three others.
     for (i, m) in data.marginals.iter().enumerate() {
-        db.add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
+        engine
+            .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
             .expect("metadata");
     }
     for (attr, binner) in &data.binners {
-        db.register_binner(attr, binner.clone());
+        engine.register_binner(attr, binner.clone());
     }
     // Ingest the biased sample minus the dropped carriers.
     let keep: Vec<usize> = (0..data.sample.num_rows())
@@ -450,7 +456,8 @@ pub fn visibility(
             !dropped_carriers.contains(&c.as_str())
         })
         .collect();
-    db.ingest_sample("FlightSample", data.sample.take(&keep))
+    engine
+        .ingest_sample("FlightSample", data.sample.take(&keep))
         .expect("ingest");
 
     let truth_groups: std::collections::HashSet<String> = answer(

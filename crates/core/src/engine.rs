@@ -1,7 +1,5 @@
 //! [`MosaicEngine`] — the shared Mosaic engine: DDL/DML handling plus
-//! the three-visibility population query pipeline of paper §4 — and
-//! [`MosaicDb`], the single-owner compatibility wrapper over one
-//! engine + one session.
+//! the three-visibility population query pipeline of paper §4.
 //!
 //! Every SELECT reaches the engine as a [`Prepared`] binding
 //! (`session.rs`): [`MosaicEngine::select`] dispatches on the source the
@@ -32,7 +30,7 @@ use crate::catalog::{
 use crate::eval::eval_scalar;
 use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
-use crate::plan::PhysicalPlan;
+use crate::plan::{ExecContext, PhysicalPlan, PlanInput};
 use crate::session::{
     population_deps, BoundRel, Prepared, RelKind, Resolved, Session, SessionOptions, Source,
 };
@@ -485,12 +483,7 @@ impl MosaicEngine {
         stmt: SelectStmt,
         opts: &EngineOptions,
     ) -> Result<QueryResult> {
-        let n = stmt.param_count();
-        if n > 0 {
-            return Err(MosaicError::Param(format!(
-                "statement expects {n} parameter(s); use Session::prepare / execute_prepared"
-            )));
-        }
+        reject_params(&stmt)?;
         let cat = self.catalog.read();
         let p = Arc::new(Prepared::bind(&cat, opts, stmt, sql.unwrap_or_default())?);
         if let Some(sql) = sql {
@@ -647,9 +640,9 @@ impl MosaicEngine {
                 population,
                 query,
             } => {
-                // One write lock for the whole statement: the metadata
-                // query runs over an auxiliary table via the executor
-                // directly (no engine re-entry), so this cannot deadlock.
+                // One write lock for the whole statement: binding and
+                // executing the metadata query take `&Catalog` and never
+                // lock it (no engine re-entry), so this cannot deadlock.
                 let mut cat = self.catalog.write();
                 let pop = match population {
                     Some(p) => p,
@@ -659,28 +652,35 @@ impl MosaicEngine {
                         ))
                     })?,
                 };
-                let from = query
-                    .from
-                    .as_ref()
-                    .and_then(mosaic_sql::FromClause::single)
-                    .ok_or_else(|| {
-                        MosaicError::Execution(
-                            "metadata query needs a single FROM table (no joins or aliases)".into(),
-                        )
-                    })?;
-                let src = cat.aux(from).cloned().ok_or_else(|| {
-                    MosaicError::Catalog(format!(
-                        "metadata queries run over auxiliary tables; unknown table {from}"
-                    ))
-                })?;
-                let result = crate::exec::run_select_partitioned(
-                    &query,
-                    &src,
-                    None,
-                    opts.parallelism,
-                    opts.optimizer,
-                    opts.agg_partitions,
-                )?;
+                reject_params(&query)?;
+                // Key columns name the marginal's attributes; an
+                // unaliased qualified key would name one no population
+                // has.
+                let keys = &query.items[..query.items.len().saturating_sub(1)];
+                let qualified_key = keys.iter().find_map(|i| match i {
+                    SelectItem::Expr {
+                        expr: Expr::Column(c),
+                        alias: None,
+                    } if c.contains('.') => Some(c.clone()),
+                    _ => None,
+                });
+                let bound = Prepared::bind(&cat, opts, query, "")?;
+                // A metadata query over a population would depend on the
+                // metadata it defines; samples and joins are not reports.
+                if !matches!(bound.source(), Source::Single(rel) if rel.kind == RelKind::Aux) {
+                    return Err(MosaicError::Unsupported(
+                        "metadata queries read auxiliary tables: the FROM clause must name \
+                         exactly one auxiliary table (not a sample, a population or a join)"
+                            .into(),
+                    ));
+                }
+                if let Some(c) = qualified_key {
+                    return Err(MosaicError::Unsupported(format!(
+                        "metadata key {c} would name a marginal attribute no population has; \
+                         write {c} AS <attribute>"
+                    )));
+                }
+                let result = self.select(&cat, opts, &bound, &[])?.table;
                 let marginal = marginal_from_table(&result)?;
                 cat.create_metadata(MetadataEntry {
                     name,
@@ -800,7 +800,8 @@ impl MosaicEngine {
         params: &[Value],
     ) -> Result<QueryResult> {
         let plan = &bound.planned().physical;
-        let threads = opts.parallelism;
+        let ctx = ExecContext::new(params, opts.parallelism, opts.agg_partitions);
+        let weights = None; // a table or sample scans as-is
         let mut notes = Vec::new();
         let table = match bound.source() {
             Source::Scalar => {
@@ -808,15 +809,16 @@ impl MosaicEngine {
                     Schema::new(vec![Field::new("dummy", DataType::Int)]),
                     vec![Column::from_i64(vec![0])],
                 )?;
-                run_plan(plan, &one_row, None, params, threads, opts)?
+                let table = &one_row;
+                plan.run(PlanInput::Table { table, weights }, &ctx)?
             }
             Source::Single(rel) => match rel.resolve(cat)? {
                 Resolved::Population(pop) => {
                     return self.query_population(cat, opts, bound, params, pop)
                 }
                 side => {
-                    let table = side_table(cat, opts, &side, None, &mut notes)?;
-                    run_plan(plan, &table, None, params, threads, opts)?
+                    let table = &side_table(cat, opts, &side, None, &mut notes)?;
+                    plan.run(PlanInput::Table { table, weights }, &ctx)?
                 }
             },
             Source::Join(rels) => return self.select_join(cat, opts, bound, params, rels),
@@ -916,15 +918,13 @@ impl MosaicEngine {
             } else {
                 Some(&recalibrate)
             };
-        let run_join = |plan: &PhysicalPlan, left: &Table, right: &Table, threads: usize| {
-            plan.execute_join_capped_with(
+        let run_join = |plan: &PhysicalPlan, left: &Table, right: &Table, ctx: &ExecContext<'_>| {
+            let input = PlanInput::Join {
                 left,
                 right,
-                params,
-                threads,
-                opts.agg_partitions,
                 post_join,
-            )
+            };
+            plan.run(input, ctx)
         };
         let table = match open_idx {
             None => {
@@ -933,7 +933,7 @@ impl MosaicEngine {
                     &bound.planned().physical,
                     left.as_ref().expect("fixed side"),
                     right.as_ref().expect("fixed side"),
-                    opts.parallelism,
+                    &ExecContext::new(params, opts.parallelism, opts.agg_partitions),
                 )?
             }
             Some(pi) => {
@@ -945,16 +945,17 @@ impl MosaicEngine {
                 let fixed = tables[1 - pi].as_ref().expect("other side fixed");
                 // One replicate: expose the generated side's uniform
                 // weight as its `weight` column and run the joined plan.
-                let answer = |plan: &PhysicalPlan, generated: &Table, weight: f64, threads| {
-                    let weights = vec![weight; generated.num_rows()];
-                    let gen = table_with_weight_column(generated, &weights)?;
-                    let (left, right) = if pi == 0 {
-                        (&gen, fixed)
-                    } else {
-                        (fixed, &gen)
+                let answer =
+                    |plan: &PhysicalPlan, generated: &Table, weight: f64, ctx: &ExecContext<'_>| {
+                        let weights = vec![weight; generated.num_rows()];
+                        let gen = table_with_weight_column(generated, &weights)?;
+                        let (left, right) = if pi == 0 {
+                            (&gen, fixed)
+                        } else {
+                            (fixed, &gen)
+                        };
+                        run_join(plan, left, right, ctx)
                     };
-                    run_join(plan, left, right, threads)
-                };
                 open_answer(opts, bound, params, &om, "join", &mut notes, answer)?
             }
         };
@@ -986,26 +987,33 @@ impl MosaicEngine {
             sample.len(),
             visibility
         )];
+        // The three visibilities differ only in the input they hand the
+        // plan: a table, a table with correction weights, a generated
+        // replicate with its uniform weight.
         let plan = &bound.planned().physical;
-        let threads = opts.parallelism;
+        let ctx = ExecContext::new(params, opts.parallelism, opts.agg_partitions);
         let table = match visibility {
             Visibility::Closed => {
                 // LAV-style: samples used as-is, no debiasing.
-                let data = apply_view(&sample.data, view)?;
-                run_plan(plan, &data, None, params, threads, opts)?
+                let table = &apply_view(&sample.data, view)?;
+                let weights = None;
+                plan.run(PlanInput::Table { table, weights }, &ctx)?
             }
             Visibility::SemiOpen => {
                 let (data, weights) = semi_open_weights(cat, opts, pop, sample, view, &mut notes)?;
-                run_plan(plan, &data, Some(&weights), params, threads, opts)?
+                let (table, weights) = (&data, Some(weights.as_slice()));
+                plan.run(PlanInput::Table { table, weights }, &ctx)?
             }
             Visibility::Open => {
                 let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
                 // One replicate: answer the query over the generated
                 // sample, uniformly reweighted to the population size.
-                let answer = |plan: &PhysicalPlan, generated: &Table, weight: f64, threads| {
-                    let weights = vec![weight; generated.num_rows()];
-                    run_plan(plan, generated, Some(&weights), params, threads, opts)
-                };
+                let answer =
+                    |plan: &PhysicalPlan, generated: &Table, weight: f64, ctx: &ExecContext<'_>| {
+                        let weights = vec![weight; generated.num_rows()];
+                        let (table, weights) = (generated, Some(weights.as_slice()));
+                        plan.run(PlanInput::Table { table, weights }, ctx)
+                    };
                 open_answer(opts, bound, params, &om, "query", &mut notes, answer)?
             }
         };
@@ -1120,32 +1128,22 @@ impl MosaicEngine {
     }
 }
 
-/// Run a bound plan over one materialized source table.
-fn run_plan(
-    plan: &PhysicalPlan,
-    table: &Table,
-    weights: Option<&[f64]>,
-    params: &[Value],
-    threads: usize,
-    opts: &EngineOptions,
-) -> Result<Table> {
-    if let Some(w) = weights {
-        if w.len() != table.num_rows() {
-            return Err(MosaicError::Execution(format!(
-                "weight vector length {} != table rows {}",
-                w.len(),
-                table.num_rows()
-            )));
-        }
+/// Ad-hoc statements carry no parameter values: a `?` outside a
+/// prepared statement is an error.
+fn reject_params(stmt: &SelectStmt) -> Result<()> {
+    match stmt.param_count() {
+        0 => Ok(()),
+        n => Err(MosaicError::Param(format!(
+            "statement expects {n} parameter(s); use Session::prepare / execute_prepared"
+        ))),
     }
-    plan.execute_capped(table, weights, params, threads, opts.agg_partitions)
 }
 
 /// OPEN answering (paper §4.2, §5.3 protocol) over a fitted model — the
 /// one replicate driver, shared by single-population OPEN queries and
 /// OPEN joins, which differ only in `answer`: "run `plan` over this
-/// generated sample, whose rows each carry this uniform weight, on this
-/// many threads".
+/// generated sample, whose rows each carry this uniform weight, under
+/// this context".
 ///
 /// A non-aggregate statement is answered from one generated sample (a
 /// representative population). An aggregate statement answers its
@@ -1159,7 +1157,7 @@ fn open_answer(
     om: &OpenModel,
     what: &str,
     notes: &mut Vec<String>,
-    answer: impl Fn(&PhysicalPlan, &Table, f64, usize) -> Result<Table> + Sync,
+    answer: impl Fn(&PhysicalPlan, &Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
 ) -> Result<Table> {
     let generate = |run: usize| om.generate(open_run_seed(opts.open.seed, run));
     // The engine owns one thread budget: when several replicates run
@@ -1168,13 +1166,19 @@ fn open_answer(
     // way at most `parallelism` threads are busy — the replicate pool
     // and the executor pool never multiply.
     let parallelism = opts.parallelism.max(1);
+    let ctx = |threads| ExecContext::new(params, threads, opts.agg_partitions);
     let Some(inner_plan) = bound.inner_plan() else {
         let (generated, weight) = generate(0)?;
         notes.push(format!(
             "non-aggregate OPEN {what} answered from one generated sample of {} rows",
             generated.num_rows()
         ));
-        return answer(&bound.planned().physical, &generated, weight, parallelism);
+        return answer(
+            &bound.planned().physical,
+            &generated,
+            weight,
+            &ctx(parallelism),
+        );
     };
     // The replicates are independent and the fitted model is shared
     // immutably, so run the paper's `num_generated = 10` loop on a
@@ -1186,7 +1190,7 @@ fn open_answer(
     let inner_threads = if workers > 1 { 1 } else { parallelism };
     let per_run: Vec<Table> = crate::plan::parallel::run_ordered(runs, workers, |run| {
         let (generated, weight) = generate(run)?;
-        answer(inner_plan, &generated, weight, inner_threads)
+        answer(inner_plan, &generated, weight, &ctx(inner_threads))
     })
     .into_iter()
     .collect::<Result<_>>()?;
@@ -1853,121 +1857,6 @@ fn combine_open_runs(stmt: &SelectStmt, runs: Vec<Table>) -> Result<Table> {
         b.push_row(coerced)?;
     }
     Ok(b.finish())
-}
-
-/// The single-owner Mosaic database handle: one [`MosaicEngine`] plus
-/// one [`Session`], behind the original `&mut self` API.
-///
-/// This is a thin compatibility wrapper — `execute` simply forwards to
-/// the session. New code that needs concurrency, prepared statements,
-/// or per-session overrides should use [`MosaicEngine::session`]
-/// directly; `MosaicDb::session()` opens additional sessions onto the
-/// same engine.
-///
-/// See the crate docs for an end-to-end example. All statement execution
-/// is deterministic given `EngineOptions::open.seed`.
-pub struct MosaicDb {
-    session: Session,
-}
-
-impl Default for MosaicDb {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MosaicDb {
-    /// New engine with default options (SEMI-OPEN default visibility,
-    /// M-SWG OPEN backend).
-    pub fn new() -> MosaicDb {
-        Self::with_options(EngineOptions::default())
-    }
-
-    /// New engine with explicit options.
-    pub fn with_options(options: EngineOptions) -> MosaicDb {
-        let engine = Arc::new(MosaicEngine::with_options(options));
-        MosaicDb {
-            session: engine.session(),
-        }
-    }
-
-    /// The shared engine under this handle (share it across threads
-    /// with `Arc::clone`, then open sessions on it).
-    pub fn engine(&self) -> &Arc<MosaicEngine> {
-        self.session.engine()
-    }
-
-    /// Open a new independent session on the same engine.
-    pub fn session(&self) -> Session {
-        self.session.engine().session()
-    }
-
-    /// The catalog (read access for inspection). The returned guard
-    /// blocks writers while held.
-    pub fn catalog(&self) -> RwLockReadGuard<'_, Catalog> {
-        self.engine().catalog()
-    }
-
-    /// Mutable engine options (a write guard — derefs to
-    /// [`EngineOptions`]).
-    pub fn options_mut(&mut self) -> RwLockWriteGuard<'_, EngineOptions> {
-        self.engine().options_write()
-    }
-
-    /// Register a binner for a continuous attribute (shared by metadata
-    /// construction and IPF).
-    pub fn register_binner(&mut self, attr: &str, binner: Binner) {
-        self.engine().register_binner(attr, binner);
-    }
-
-    /// Execute a script of semicolon-separated statements; returns the
-    /// result of the last SELECT (or an empty result).
-    pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.session.execute(sql)
-    }
-
-    /// Execute a script and return just the last result table.
-    pub fn query(&mut self, sql: &str) -> Result<Table> {
-        self.execute(sql).map(|r| r.table)
-    }
-
-    /// Prepare a single SELECT: parse once, bind names against the
-    /// catalog, lower and cache the physical plan (see
-    /// [`Session::prepare`]).
-    pub fn prepare(&self, sql: &str) -> Result<crate::session::Prepared> {
-        self.session.prepare(sql)
-    }
-
-    /// Execute a prepared statement with positional-parameter values
-    /// (see [`Session::execute_prepared`]).
-    pub fn execute_prepared(
-        &mut self,
-        prepared: &crate::session::Prepared,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        self.session.execute_prepared(prepared, params)
-    }
-
-    /// Ingest rows into a sample programmatically (the paper's "...Ingest
-    /// Yahoo sample to YahooMigrants" step).
-    pub fn ingest_sample(&mut self, sample: &str, rows: Table) -> Result<()> {
-        self.engine().ingest_sample(sample, rows)
-    }
-
-    /// Register (or replace) an auxiliary table programmatically.
-    pub fn register_table(&mut self, name: &str, table: Table) -> Result<()> {
-        self.engine().register_table(name, table)
-    }
-
-    /// Attach a marginal to a population programmatically.
-    pub fn add_metadata(&mut self, name: &str, population: &str, marginal: Marginal) -> Result<()> {
-        self.engine().add_metadata(name, population, marginal)
-    }
-
-    /// Overwrite a sample's initial weights (paper §3.2).
-    pub fn set_sample_weights(&mut self, sample: &str, weights: Vec<f64>) -> Result<()> {
-        self.engine().set_sample_weights(sample, weights)
-    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,10 @@
 //! SUM(weight))"). With `weights = None`, aggregates behave like ordinary
 //! SQL.
 //!
-//! [`run_select`] lowers the statement into a vectorized physical plan
-//! (see [`crate::plan`]); [`run_select_rowwise`] is the retained
-//! row-at-a-time implementation, kept as the semantics oracle for the
-//! property-based equivalence suite and as the baseline in the
-//! `query_exec` benchmark.
+//! [`run_select`] plans the statement and runs the vectorized physical
+//! plan (see [`crate::plan`]); [`run_select_rowwise`] is the retained
+//! row-at-a-time implementation, kept as the semantics oracle of the
+//! equivalence suites.
 
 use std::collections::HashMap;
 
@@ -19,96 +18,25 @@ use mosaic_sql::{AggFunc, Expr, SelectItem, SelectStmt};
 use mosaic_storage::{Field, Schema, Table, Value};
 
 use crate::eval::{eval_predicate_rowwise, eval_row};
-use crate::plan::{self, output_name, ExecContext, LimitOp, PhysicalOperator, SortOp};
+use crate::plan::{self, output_name, ExecContext, LimitOp, PhysicalOperator, PlanInput, SortOp};
 use crate::{MosaicError, Result};
 
 /// Execute a SELECT over one table through the vectorized, morsel-driven
 /// physical plan. `weights` (parallel to the table's rows) turns
 /// aggregates into weighted aggregates. Uses the default thread cap
-/// ([`plan::parallel::default_parallelism`]) and the default optimizer
-/// setting ([`plan::optimize::default_optimizer`]); neither ever
-/// changes results.
+/// ([`plan::parallel::default_parallelism`]), merge partition count
+/// ([`plan::parallel::default_agg_partitions`]) and optimizer setting
+/// ([`plan::optimize::default_optimizer`]); none ever changes results.
 pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
-    run_select_with(
-        stmt,
-        table,
-        weights,
+    let optimizer = plan::optimize::default_optimizer();
+    let ctx = ExecContext::new(
+        &[],
         plan::parallel::default_parallelism(),
-        plan::optimize::default_optimizer(),
-    )
-}
-
-/// [`run_select`] with an explicit worker-thread cap. `parallelism = 1`
-/// executes the morsel pipeline inline on the calling thread;
-/// any cap produces bit-identical results.
-pub fn run_select_parallel(
-    stmt: &SelectStmt,
-    table: &Table,
-    weights: Option<&[f64]>,
-    parallelism: usize,
-) -> Result<Table> {
-    run_select_with(
-        stmt,
-        table,
-        weights,
-        parallelism,
-        plan::optimize::default_optimizer(),
-    )
-}
-
-/// [`run_select_parallel`] with the optimizer explicitly on or off —
-/// the A/B entry point of the four-way oracle suite. The optimizer is
-/// a pure plan rewrite: results are bit-identical either way (the
-/// `planner_oracle` suite enforces this for every template at every
-/// thread count).
-pub fn run_select_with(
-    stmt: &SelectStmt,
-    table: &Table,
-    weights: Option<&[f64]>,
-    parallelism: usize,
-    optimizer: bool,
-) -> Result<Table> {
-    run_select_partitioned(
-        stmt,
-        table,
-        weights,
-        parallelism,
-        optimizer,
         plan::parallel::default_agg_partitions(),
-    )
-}
-
-/// [`run_select_with`] with an explicit radix-partition count for the
-/// parallel aggregate merge (`agg_partitions = 1` runs the merge as a
-/// single serial pass). Like the thread cap, the partition count never
-/// changes results — the `planner_oracle` suite enforces bit-identity
-/// across partition counts.
-pub fn run_select_partitioned(
-    stmt: &SelectStmt,
-    table: &Table,
-    weights: Option<&[f64]>,
-    parallelism: usize,
-    optimizer: bool,
-    agg_partitions: usize,
-) -> Result<Table> {
-    check_weights(table, weights)?;
-    plan::physical_plan_for(stmt, weights.is_some(), optimizer, Some(table.schema()))
-        .with_parallelism(parallelism)
-        .with_agg_partitions(agg_partitions)
-        .execute(table, weights)
-}
-
-fn check_weights(table: &Table, weights: Option<&[f64]>) -> Result<()> {
-    if let Some(w) = weights {
-        if w.len() != table.num_rows() {
-            return Err(MosaicError::Execution(format!(
-                "weight vector length {} != table rows {}",
-                w.len(),
-                table.num_rows()
-            )));
-        }
-    }
-    Ok(())
+    );
+    plan::plan_select(stmt, weights.is_some(), optimizer, Some(table.schema()))
+        .physical
+        .run(PlanInput::Table { table, weights }, &ctx)
 }
 
 /// Row-at-a-time reference implementation of [`run_select`]. Every value
@@ -119,7 +47,15 @@ pub fn run_select_rowwise(
     table: &Table,
     weights: Option<&[f64]>,
 ) -> Result<Table> {
-    check_weights(table, weights)?;
+    // The reference indexes `weights` by row: keep its own guard, with
+    // the plan's message, so the suites can compare errors too.
+    if let Some(w) = weights.filter(|w| w.len() != table.num_rows()) {
+        return Err(MosaicError::Execution(format!(
+            "weight vector length {} != table rows {}",
+            w.len(),
+            table.num_rows()
+        )));
+    }
     // 1. WHERE
     let (filtered, fweights): (Table, Option<Vec<f64>>) = match &stmt.where_clause {
         Some(pred) => {
@@ -378,13 +314,9 @@ pub(crate) fn apply_order_limit(
     table: Table,
     params: &[mosaic_storage::Value],
 ) -> Result<Table> {
-    let ctx = ExecContext {
-        filtered_input: None,
-        params,
-        // Combined OPEN results are aggregate outputs — group-count
-        // sized, far below one sort block — so a serial sort is right.
-        threads: 1,
-    };
+    // Combined OPEN results are aggregate outputs — group-count sized,
+    // far below one sort block — so a serial sort is right.
+    let ctx = ExecContext::new(params, 1, 1);
     let mut batch = plan::Batch {
         table,
         weights: None,

@@ -25,10 +25,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mosaic_core::MosaicDb;
+//! use std::sync::Arc;
+//! use mosaic_core::MosaicEngine;
 //!
-//! let mut db = MosaicDb::new();
-//! db.execute(
+//! let session = Arc::new(MosaicEngine::new()).session();
+//! session.execute(
 //!     "CREATE TABLE Eurostat (country TEXT, reported_count INT);
 //!      INSERT INTO Eurostat VALUES ('UK', 30000), ('FR', 20000);
 //!      CREATE GLOBAL POPULATION EuropeMigrants (country TEXT);
@@ -39,7 +40,7 @@
 //! )
 //! .unwrap();
 //! // SEMI-OPEN reweights the 3-row sample so the marginal is satisfied.
-//! let result = db
+//! let result = session
 //!     .execute("SELECT SEMI-OPEN country, COUNT(*) FROM EuropeMigrants GROUP BY country ORDER BY country")
 //!     .unwrap();
 //! let t = &result.table;
@@ -51,10 +52,9 @@
 //!
 //! ## Sessions, prepared statements, EXPLAIN
 //!
-//! [`MosaicDb`] is the single-owner convenience handle; the engine
-//! underneath it is [`MosaicEngine`], which is `Arc`-shareable: its
-//! catalog sits behind a reader–writer lock, so any number of
-//! [`Session`]s execute SELECTs concurrently while DDL/DML serializes.
+//! [`MosaicEngine`] is `Arc`-shareable: its catalog sits behind a
+//! reader–writer lock, so any number of [`Session`]s execute SELECTs
+//! concurrently while DDL/DML serializes.
 //! Sessions carry per-session overrides (default visibility, seed,
 //! thread cap, OPEN backend) without touching the engine-wide options.
 //!
@@ -88,18 +88,23 @@
 //! JOIN …` appears), a rule-based optimizer rewrites it (projection
 //! pruning, param-aware constant folding, join predicate pushdown,
 //! Sort+Limit → `TopK` fusion — see [`plan::optimize`]), and the
-//! result lowers to a [`PhysicalPlan`].
+//! result lowers to a [`PhysicalPlan`]. A plan executes through its one
+//! entry point, [`PhysicalPlan::run`]: a [`PlanInput`] (one table with
+//! optional row weights — what CLOSED, SEMI-OPEN and OPEN differ in — or
+//! a left/right pair) plus an [`ExecContext`] (parameter values, thread
+//! budget, merge partitions). Plans themselves hold no knobs.
 //!
 //! ## Joins
 //!
 //! Relations join with INNER and LEFT OUTER equi-joins (`FROM flights f
 //! JOIN carriers c ON f.carrier = c.code`, `a LEFT JOIN b ON …`): the
 //! scope binder resolves aliases and qualified columns (with bind-time
-//! ambiguity errors), the vectorized [`HashJoinOp`] builds on the
-//! smaller input and probes the larger one morsel-parallel, and output
-//! rows keep the canonical (left row, right row) order — bit-identical
-//! at every thread count and to the row-wise [`reference_join`] /
-//! [`reference_join_kinded`] oracles. LEFT OUTER joins NULL-extend the
+//! ambiguity errors), the vectorized [`plan::join::HashJoinOp`] builds
+//! on the smaller input and probes the larger one morsel-parallel, and
+//! output rows keep the canonical (left row, right row) order —
+//! bit-identical at every thread count and to the row-wise
+//! [`oracle::reference_join`] / [`oracle::reference_join_kinded`]
+//! oracles. LEFT OUTER joins NULL-extend the
 //! right side of unmatched left rows. A joined sample carries its
 //! engine-managed `weight` column through; when **both** sides are
 //! weighted the join emits one combined `weight` column — the product
@@ -120,11 +125,12 @@
 //!
 //! Query execution is morsel-driven: scans split into fixed-size morsels
 //! of Arc-shared column slices that a scoped worker pool processes in
-//! parallel, with per-worker partial aggregates merged in a final
-//! single-threaded pass (see [`plan`]). The thread cap comes from
-//! [`EngineOptions::parallelism`] / [`run_select_parallel`], defaulting
-//! to the `MOSAIC_PARALLELISM` environment variable or the core count —
-//! and never changes results, only latency.
+//! parallel, with per-morsel partial aggregates merged by a
+//! radix-partitioned parallel pass (see [`plan`]). The thread cap comes
+//! from [`EngineOptions::parallelism`] (per session:
+//! [`Session::with_parallelism`]), defaulting to the `MOSAIC_PARALLELISM`
+//! environment variable or the core count — and never changes results,
+//! only latency.
 
 #![warn(missing_docs)]
 
@@ -139,28 +145,28 @@ mod models;
 pub mod plan;
 mod session;
 
-pub use cache::{default_result_cache_mb, CacheStats};
+pub use cache::CacheStats;
 pub use catalog::{Catalog, Mechanism, MetadataEntry, Population, Sample};
-pub use engine::{EngineOptions, MosaicDb, MosaicEngine, OpenBackend, OpenOptions, QueryResult};
+pub use engine::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult};
 pub use error::MosaicError;
-pub use eval::{eval_expr_rowwise, eval_predicate_rowwise, eval_scalar};
-pub use exec::{
-    run_select, run_select_parallel, run_select_partitioned, run_select_rowwise, run_select_with,
-};
+pub use eval::eval_scalar;
+pub use exec::run_select;
 pub use models::{BnModel, GenerativeModel, SwgModel};
-pub use plan::fingerprint::{format_fingerprint, plan_fingerprint, StableHasher};
-pub use plan::join::{reference_join, reference_join_kinded, HashJoinOp, JoinSide};
-pub use plan::logical::{JoinOutCol, LogicalPlan, ScanColumn};
-pub use plan::optimize::{default_optimizer, optimize};
+pub use plan::fingerprint::format_fingerprint;
+pub use plan::logical::LogicalPlan;
+pub use plan::optimize::default_optimizer;
 pub use plan::parallel::{
-    active_worker_threads, default_parallelism, reset_worker_thread_peak, worker_thread_peak,
-    MORSEL_ROWS,
+    default_parallelism, reset_worker_thread_peak, worker_thread_peak, MORSEL_ROWS,
 };
-pub use plan::vector::{eval_expr, eval_predicate};
-pub use plan::{
-    lower, lower_logical, plan_logical, plan_select, PhysicalOperator, PhysicalPlan, Planned,
-};
+pub use plan::{plan_select, ExecContext, PhysicalPlan, PlanInput, Planned};
 pub use session::{Prepared, Session, SessionOptions};
+
+/// The row-at-a-time reference implementations the oracle suites compare
+/// the vectorized engine against — test fixtures, not engine API.
+pub mod oracle {
+    pub use crate::exec::run_select_rowwise;
+    pub use crate::plan::join::{reference_join, reference_join_kinded};
+}
 
 // Re-export the pieces users need to drive the engine programmatically.
 pub use mosaic_sql::{

@@ -684,7 +684,12 @@ impl HashJoinOp {
     }
 
     /// Prune + filter one input, returning the side's table.
-    fn prepare_input(&self, side: &JoinSide, table: &Table, params: &[Value]) -> Result<Table> {
+    fn prepare_input(
+        &self,
+        side: &JoinSide,
+        table: &Table,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Table> {
         let table = match &side.scan_columns {
             Some(cols) => prune_scan(table, cols)?,
             None => table.clone(),
@@ -693,31 +698,20 @@ impl HashJoinOp {
             table,
             weights: None,
         };
-        let ctx = ExecContext {
-            filtered_input: None,
-            params,
-            threads: 1,
-        };
         for f in &side.filters {
-            batch = f.execute(&ctx, &batch)?;
+            batch = f.execute(ctx, &batch)?;
         }
         Ok(batch.table)
     }
 
     /// Execute the join: returns the joined table in canonical
-    /// (left row, right row) order. `partitions` caps the radix
+    /// (left row, right row) order. `ctx.partitions` caps the radix
     /// partitioning of a multi-morsel build side (1 = serial build);
     /// like the thread cap it never changes results.
-    pub fn execute(
-        &self,
-        left: &Table,
-        right: &Table,
-        params: &[Value],
-        threads: usize,
-        partitions: usize,
-    ) -> Result<Table> {
-        let l = self.prepare_input(&self.left, left, params)?;
-        let r = self.prepare_input(&self.right, right, params)?;
+    pub fn execute(&self, left: &Table, right: &Table, ctx: &ExecContext<'_>) -> Result<Table> {
+        let (params, threads, partitions) = (ctx.params, ctx.threads, ctx.partitions);
+        let l = self.prepare_input(&self.left, left, ctx)?;
+        let r = self.prepare_input(&self.right, right, ctx)?;
         let lk = eval_keys(&self.left.keys, &l, params)?;
         let rk = eval_keys(&self.right.keys, &r, params)?;
 
@@ -1126,7 +1120,7 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
 // ---- the row-at-a-time reference join ----
 
 /// Row-at-a-time reference INNER equi-join — the semantics oracle for
-/// [`HashJoinOp`], mirroring what [`crate::run_select_rowwise`] is to
+/// [`HashJoinOp`], mirroring what [`crate::oracle::run_select_rowwise`] is to
 /// the vectorized executor. Delegates to [`reference_join_kinded`] with
 /// `JoinKind::Inner` and no weighted sides.
 pub fn reference_join(
@@ -1593,7 +1587,9 @@ mod tests {
                 let reference =
                     reference_join_kinded(&left, "l", &right, "r", &keys, kind, &[]).unwrap();
                 for (threads, partitions) in [(1, 1), (4, 1), (4, 16)] {
-                    let out = op.execute(&left, &right, &[], threads, partitions).unwrap();
+                    let out = op
+                        .execute(&left, &right, &ExecContext::new(&[], threads, partitions))
+                        .unwrap();
                     assert_eq!(out.num_rows(), reference.num_rows(), "{kind} {ln}x{rn}");
                     for r in 0..out.num_rows() {
                         for c in 0..out.num_columns() {
@@ -1651,7 +1647,9 @@ mod tests {
                 false,
             ),
         };
-        let out = op.execute(&left, &right, &[], 2, 16).unwrap();
+        let out = op
+            .execute(&left, &right, &ExecContext::new(&[], 2, 16))
+            .unwrap();
         // l0 matches r0,r1; l1 (NULL key) and l2 are NULL-extended at
         // their left positions; l3 matches r0,r1 again.
         assert_eq!(out.num_rows(), 6);
@@ -1728,7 +1726,9 @@ mod tests {
                 kind,
                 output: output.clone(),
             };
-            let out = op.execute(&left, &right, &[], 2, 16).unwrap();
+            let out = op
+                .execute(&left, &right, &ExecContext::new(&[], 2, 16))
+                .unwrap();
             let w = out.column_by_name("weight").unwrap();
             match kind {
                 JoinKind::Inner => {
@@ -1787,7 +1787,9 @@ mod tests {
                 false,
             ),
         };
-        let out = op.execute(&left, &right, &[], 1, 1).unwrap();
+        let out = op
+            .execute(&left, &right, &ExecContext::new(&[], 1, 1))
+            .unwrap();
         let reference = reference_join(&left, "l", &right, "r", &keys).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.num_rows(), reference.num_rows());
@@ -1808,7 +1810,7 @@ mod tests {
             ..op
         };
         assert_eq!(
-            op2.execute(&left, &right_str, &[], 1, 1)
+            op2.execute(&left, &right_str, &ExecContext::new(&[], 1, 1))
                 .unwrap()
                 .num_rows(),
             0

@@ -7,7 +7,7 @@
 //! property resolved. The rule-based optimizer in
 //! [`crate::plan::optimize`] rewrites this IR (pruning scans, folding
 //! constants, fusing Sort+Limit into [`LogicalPlan::TopK`]) before
-//! [`crate::plan::lower_logical`] turns it into a [`PhysicalPlan`].
+//! [`crate::plan::plan_logical`] lowers it into a [`PhysicalPlan`].
 //!
 //! Keeping the IR separate from both the AST and the physical operators
 //! is what makes future operators (joins, unions, multi-backend routing)

@@ -1,10 +1,9 @@
 //! The plan layer: a [`SelectStmt`] lowers into a [`LogicalPlan`] IR
 //! (see [`logical`]), the rule-based optimizer in [`optimize`] rewrites
 //! it (projection pruning, constant folding, Sort+Limit → TopK fusion),
-//! and [`lower_logical`] turns the result into a pipeline of vectorized
-//! physical operators. [`plan_select`] runs the whole chain and keeps
-//! the before/after logical plans plus the fired rule names for
-//! `EXPLAIN`; [`lower`] is the direct unoptimized translation.
+//! and the result lowers into a pipeline of vectorized physical
+//! operators. [`plan_select`] runs the whole chain and keeps the
+//! before/after logical plans plus the fired rule names for `EXPLAIN`.
 //!
 //! A SELECT lowers to `Scan → Filter? → (Project | HashAggregate) →
 //! Sort? → Limit?` (`Sort → Limit` becomes a single `TopK` when the
@@ -20,12 +19,14 @@
 //! scan splits into fixed-size morsels of Arc-shared column slices,
 //! Filter/Project and the partial-aggregate phase of HashAggregate run
 //! per morsel on a scoped worker pool, and the aggregate merge itself is
-//! radix-partitioned across the same pool before Sort/Limit. The thread
-//! count is a plan property ([`PhysicalPlan::with_parallelism`],
-//! defaulting to the `MOSAIC_PARALLELISM` environment variable or the
-//! machine's core count) and never affects results; the same holds for
-//! the merge partition count ([`PhysicalPlan::with_agg_partitions`],
-//! defaulting to `MOSAIC_AGG_PARTITIONS` or 16).
+//! radix-partitioned across the same pool before Sort/Limit.
+//!
+//! A plan has **one entry point**, [`PhysicalPlan::run`]: the
+//! [`PlanInput`] says what it reads (one table with optional row
+//! weights, or a left/right pair), the [`ExecContext`] carries the
+//! parameter values, the thread budget and the merge partition count.
+//! Plans hold no knobs — threads and partitions never affect results,
+//! so they belong to an execution, not to the plan a cache may share.
 
 pub(crate) mod aggregate;
 pub mod fingerprint;
@@ -74,21 +75,69 @@ pub struct Batch {
     pub weights: Option<Vec<f64>>,
 }
 
-/// Execution-scoped context handed to operators.
+/// Execution-scoped context: everything one execution of a plan is
+/// given besides its input. Handed to [`PhysicalPlan::run`] and on to
+/// every operator.
+#[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The post-filter, pre-projection input. `Sort` uses it to resolve
     /// ORDER BY keys that reference source columns dropped by the
-    /// projection (non-aggregate queries only).
+    /// projection (non-aggregate queries only). The morsel driver sets
+    /// it for the ordering stages; callers of [`PhysicalPlan::run`]
+    /// leave it `None`.
     pub filtered_input: Option<&'a Table>,
     /// Positional-parameter values for this execution (empty for
     /// unprepared statements). Operators bind [`Expr::Param`] nodes
     /// against this vector before evaluating.
     pub params: &'a [Value],
-    /// Worker-thread budget for operators that parallelize internally
-    /// (`Sort` builds per-block sorted runs on the worker pool).
-    /// Morsel-phase contexts pass 1 — those operators already run *on*
-    /// the pool. Never changes results, only who computes them.
+    /// Worker-thread budget (minimum 1) of the morsel phase and of
+    /// operators that parallelize internally (`Sort` builds per-block
+    /// sorted runs on the worker pool). Morsel-phase contexts pass 1 —
+    /// those operators already run *on* the pool. Never changes
+    /// results, only who computes them.
     pub threads: usize,
+    /// Radix-partition count (minimum 1 = serial) of the aggregate
+    /// merge and of a multi-morsel join build. Never changes results.
+    pub partitions: usize,
+}
+
+impl<'a> ExecContext<'a> {
+    /// The context of one plan execution.
+    pub fn new(params: &'a [Value], threads: usize, partitions: usize) -> Self {
+        ExecContext {
+            filtered_input: None,
+            params,
+            threads: threads.max(1),
+            partitions: partitions.max(1),
+        }
+    }
+}
+
+/// What a plan reads: the two shapes [`PhysicalPlan::run`] accepts. A
+/// join plan given one table — or a single-relation plan given a pair —
+/// is an [`MosaicError::Execution`] error, never a silently wrong answer.
+#[derive(Clone, Copy)]
+pub enum PlanInput<'a> {
+    /// One source table. `weights` (parallel to its rows) realize the
+    /// §5.3 weighted-aggregate rewrite: CLOSED passes none, SEMI-OPEN the
+    /// correction weights, OPEN a generated replicate's uniform weight.
+    Table {
+        /// The scanned table.
+        table: &'a Table,
+        /// Optional per-row weights.
+        weights: Option<&'a [f64]>,
+    },
+    /// The two sides of a join plan, base relation first.
+    Join {
+        /// Left (base) input.
+        left: &'a Table,
+        /// Right (joined) input.
+        right: &'a Table,
+        /// Runs over the materialized joined table before the rest of
+        /// the pipeline — the engine IPF-re-calibrates the combined
+        /// weight column of a weighted×weighted join here.
+        post_join: Option<&'a (dyn Fn(Table) -> Result<Table> + Sync)>,
+    },
 }
 
 /// A vectorized physical operator.
@@ -492,7 +541,7 @@ impl Shape {
 ///
 /// Execution is morsel-driven (see [`parallel`]): the scan splits into
 /// fixed-size morsels of Arc-shared column slices, the filter and shape
-/// stages run per morsel — on `parallelism` worker threads when the
+/// stages run per morsel — on the context's worker threads when the
 /// input spans several morsels — and per-morsel outputs merge in morsel
 /// order before the ordering stages. Morsel boundaries depend only on
 /// the row count, so results are **bit-identical at every thread
@@ -506,149 +555,61 @@ pub struct PhysicalPlan {
     /// are advisory (they live on the logical plan for display).
     scan_columns: Option<Vec<String>>,
     /// The hash-join stage for two-relation plans (`None` for
-    /// single-relation plans). A join plan executes through
-    /// [`PhysicalPlan::execute_join`]: the join materializes the
-    /// combined table, then the remaining pipeline runs over it
-    /// morsel-parallel like any scan.
+    /// single-relation plans): the join materializes the combined
+    /// table, then the remaining pipeline runs over it morsel-parallel
+    /// like any scan.
     pub(crate) join: Option<join::HashJoinOp>,
     pre_shape: Vec<Box<dyn PhysicalOperator>>,
     pub(crate) shape: Shape,
     pub(crate) post_shape: Vec<Box<dyn PhysicalOperator>>,
-    parallelism: usize,
-    agg_partitions: usize,
 }
 
 impl PhysicalPlan {
-    /// Execute against a source table with optional row weights.
-    pub fn execute(&self, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
-        self.execute_with_params(table, weights, &[])
-    }
-
-    /// True when this plan joins two relations (execute it with
-    /// [`PhysicalPlan::execute_join`], not [`PhysicalPlan::execute`]).
-    pub fn is_join(&self) -> bool {
-        self.join.is_some()
-    }
-
-    /// The plan's hash-join stage, if any.
-    pub fn join_op(&self) -> Option<&join::HashJoinOp> {
-        self.join.as_ref()
-    }
-
-    /// Execute a two-relation join plan against its left and right
-    /// source tables (base relation first, joined relation second).
-    pub fn execute_join(&self, left: &Table, right: &Table) -> Result<Table> {
-        self.execute_join_with_params(left, right, &[])
-    }
-
-    /// [`PhysicalPlan::execute_join`] with positional-parameter values.
-    pub fn execute_join_with_params(
-        &self,
-        left: &Table,
-        right: &Table,
-        params: &[Value],
-    ) -> Result<Table> {
-        parallel::execute_join_plan(
-            self,
-            left,
-            right,
-            params,
-            self.parallelism,
-            self.agg_partitions,
-        )
-    }
-
-    /// [`PhysicalPlan::execute_join_with_params`] with per-execution
-    /// worker-thread and merge-partition caps overriding the plan's
-    /// own, plus a post-join hook: `post_join` runs over the
-    /// materialized joined table *before* the rest of the pipeline. The
-    /// engine uses it to IPF-re-calibrate the combined weight column of
-    /// a weighted×weighted join against declared marginals.
-    pub(crate) fn execute_join_capped_with(
-        &self,
-        left: &Table,
-        right: &Table,
-        params: &[Value],
-        threads: usize,
-        partitions: usize,
-        post_join: Option<&(dyn Fn(Table) -> Result<Table> + Sync)>,
-    ) -> Result<Table> {
-        parallel::execute_join_plan_with(
-            self,
-            left,
-            right,
-            params,
-            threads.max(1),
-            partitions.max(1),
-            post_join,
-        )
-    }
-
-    /// Execute with positional-parameter values bound into the plan's
-    /// [`Expr::Param`] placeholders (the prepared-statement fast path:
-    /// the plan was built once at prepare time; only parameter binding
-    /// and execution happen here).
-    pub fn execute_with_params(
-        &self,
-        table: &Table,
-        weights: Option<&[f64]>,
-        params: &[Value],
-    ) -> Result<Table> {
-        parallel::execute_plan(
-            self,
-            table,
-            weights,
-            params,
-            self.parallelism,
-            self.agg_partitions,
-        )
-    }
-
-    /// [`Self::execute_with_params`] with per-execution worker-thread
-    /// and merge-partition caps overriding the plan's own. The OPEN
-    /// replicate loop uses this to run a prepared plan single-threaded
-    /// inside its worker pool.
-    pub(crate) fn execute_capped(
-        &self,
-        table: &Table,
-        weights: Option<&[f64]>,
-        params: &[Value],
-        threads: usize,
-        partitions: usize,
-    ) -> Result<Table> {
-        parallel::execute_plan(
-            self,
-            table,
-            weights,
-            params,
-            threads.max(1),
-            partitions.max(1),
-        )
-    }
-
-    /// Cap the number of worker threads the plan may use (minimum 1).
-    /// The thread count never changes results — only wall-clock time.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// The plan's worker-thread cap.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Set the radix-partition count of the parallel aggregate merge
-    /// (minimum 1 = serial merge). Like the thread cap, the partition
-    /// count never changes results — only wall-clock time.
-    pub fn with_agg_partitions(mut self, partitions: usize) -> Self {
-        self.agg_partitions = partitions.max(1);
-        self
-    }
-
-    /// The plan's aggregate-merge partition count.
-    pub fn agg_partitions(&self) -> usize {
-        self.agg_partitions
+    /// Execute the plan over `input` — the one way a plan runs. The
+    /// context's thread budget and partition count never change
+    /// results. A weight vector must be parallel to its table; when a
+    /// join plan's aggregate carries the §5.3 weighted rewrite, the
+    /// joined `weight` column becomes the row-weight vector of the
+    /// downstream pipeline (a NULL weight — a NULL-extended LEFT OUTER
+    /// row — contributes weight 0).
+    pub fn run(&self, input: PlanInput<'_>, ctx: &ExecContext<'_>) -> Result<Table> {
+        match (input, &self.join) {
+            (PlanInput::Table { table, weights }, None) => {
+                parallel::execute_plan(self, table, weights, ctx)
+            }
+            (
+                PlanInput::Join {
+                    left,
+                    right,
+                    post_join,
+                },
+                Some(join),
+            ) => {
+                let mut joined = join.execute(left, right, ctx)?;
+                if let Some(f) = post_join {
+                    joined = f(joined)?;
+                }
+                let weights: Option<Vec<f64>> = if self.agg_weighted() {
+                    let w = joined.column_by_name("weight").map_err(|_| {
+                        MosaicError::Execution(
+                            "weighted join aggregate requires the joined weight column".into(),
+                        )
+                    })?;
+                    Some((0..w.len()).map(|i| w.f64_at(i).unwrap_or(0.0)).collect())
+                } else {
+                    None
+                };
+                parallel::execute_plan(self, &joined, weights.as_deref(), ctx)
+            }
+            (PlanInput::Table { .. }, Some(_)) => Err(MosaicError::Execution(
+                "plan/input mismatch: a join plan needs a left/right input pair, got one table"
+                    .into(),
+            )),
+            (PlanInput::Join { .. }, None) => Err(MosaicError::Execution(
+                "plan/input mismatch: a single-relation plan needs one table, got a left/right pair"
+                    .into(),
+            )),
+        }
     }
 
     /// True when the shape stage is a *weighted* aggregate (§5.3
@@ -722,23 +683,13 @@ pub(crate) fn has_aggregate_shape(stmt: &SelectStmt) -> bool {
         })
 }
 
-/// Lower a SELECT into a physical plan **without optimization** — the
-/// direct structural translation (`Scan → Filter? → shape → Sort? →
-/// Limit?`). `weighted` marks whether the execution will carry row
-/// weights (population queries under SEMI-OPEN / OPEN visibility).
-/// [`plan_select`] is the full bind → logical → optimize → physical
-/// path.
-pub fn lower(stmt: &SelectStmt, weighted: bool) -> PhysicalPlan {
-    lower_logical(&LogicalPlan::from_stmt(stmt, weighted))
-}
-
 /// Lower a logical plan into the physical operator pipeline.
 ///
 /// Plans built by [`LogicalPlan::from_stmt`] always carry exactly one
 /// shape node (`Project` or `Aggregate`). A hand-assembled chain
 /// without one lowers as an implicit `SELECT *` projection — the
 /// identity shape — rather than panicking.
-pub fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
+fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
     let mut scan_columns = None;
     let mut join_stage = None;
     let mut pre_shape: Vec<Box<dyn PhysicalOperator>> = Vec::new();
@@ -806,8 +757,6 @@ pub fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
             })
         }),
         post_shape,
-        parallelism: parallel::default_parallelism(),
-        agg_partitions: parallel::default_agg_partitions(),
     }
 }
 
@@ -856,11 +805,6 @@ pub struct Planned {
 /// Plan one bound SELECT: build the logical plan, optimize it (when
 /// `optimizer` is true; `schema` — the bound source schema, if known —
 /// enables projection pruning), and lower the physical plan.
-///
-/// This retains both logical layers for `EXPLAIN` and prepared
-/// statements; ad-hoc execution, which only needs the physical plan,
-/// uses the crate-internal `physical_plan_for` and skips the
-/// expression-tree clones.
 pub fn plan_select(
     stmt: &SelectStmt,
     weighted: bool,
@@ -886,23 +830,6 @@ pub fn plan_logical(logical: LogicalPlan, optimizer: bool, schema: Option<&Schem
         fired,
         physical,
     }
-}
-
-/// [`plan_select`] for callers that discard the logical layers (the
-/// ad-hoc execution path): same bind → logical → optimize → lower
-/// pipeline, optimizing the IR by value so no expression tree is
-/// cloned per statement.
-pub(crate) fn physical_plan_for(
-    stmt: &SelectStmt,
-    weighted: bool,
-    optimizer: bool,
-    schema: Option<&Schema>,
-) -> PhysicalPlan {
-    let mut logical = LogicalPlan::from_stmt(stmt, weighted);
-    if optimizer {
-        logical = optimize::optimize(logical, schema).0;
-    }
-    lower_logical(&logical)
 }
 
 /// Output column name of a projection item.
@@ -956,6 +883,24 @@ mod tests {
         }
     }
 
+    /// The direct structural translation of a statement — no optimizer.
+    fn lower(stmt: &SelectStmt, weighted: bool) -> PhysicalPlan {
+        plan_select(stmt, weighted, false, None).physical
+    }
+
+    /// Run a single-relation plan at the given thread count.
+    fn run(
+        plan: &PhysicalPlan,
+        table: &Table,
+        weights: Option<&[f64]>,
+        threads: usize,
+    ) -> Result<Table> {
+        plan.run(
+            PlanInput::Table { table, weights },
+            &ExecContext::new(&[], threads, 16),
+        )
+    }
+
     fn table() -> Table {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Str),
@@ -994,11 +939,7 @@ mod tests {
             table: b.finish(),
             weights: None,
         };
-        let ctx = |threads: usize| ExecContext {
-            filtered_input: None,
-            params: &[],
-            threads,
-        };
+        let ctx = |threads: usize| ExecContext::new(&[], threads, 1);
         let serial = sort.execute(&ctx(1), &batch).unwrap();
         reset_worker_thread_peak();
         let parallel = sort.execute(&ctx(8), &batch).unwrap();
@@ -1015,6 +956,82 @@ mod tests {
                 "row {r}"
             );
         }
+    }
+
+    /// `SELECT … FROM l JOIN r ON l.k = r.k`, planned over [`table`]
+    /// twice; `weighted` makes both sides expose a `weight` column the
+    /// aggregate consumes.
+    fn join_plan(src: &str, weighted: bool) -> (PhysicalPlan, Table) {
+        let mut t = table();
+        if weighted {
+            let mut fields = t.schema().fields().to_vec();
+            fields.push(Field::new("weight", DataType::Float));
+            let mut columns = t.columns().to_vec();
+            columns.push(Column::from_f64(vec![2.0; t.num_rows()]));
+            t = Table::new(Schema::new(fields), columns).unwrap();
+        }
+        let rel = |name: &str| join::ScopeRel {
+            name: name.into(),
+            binding: name.into(),
+            schema: std::sync::Arc::clone(t.schema()),
+            weighted,
+        };
+        let bound = join::bind_join(&select(src), vec![rel("l"), rel("r")], weighted).unwrap();
+        (plan_logical(bound.logical, true, None).physical, t)
+    }
+
+    /// A join plan given one table must not run its post-join pipeline
+    /// over that table and return rows: both mismatches are typed
+    /// errors, and the matching shapes run.
+    #[test]
+    fn plan_input_shape_mismatch_is_error() {
+        let ctx = ExecContext::new(&[], 2, 16);
+        let (join, t) = join_plan("SELECT l.k, r.v FROM l JOIN r ON l.k = r.k", false);
+        let single = lower(&select("SELECT k FROM t"), false);
+        let one = PlanInput::Table {
+            table: &t,
+            weights: None,
+        };
+        let pair = PlanInput::Join {
+            left: &t,
+            right: &t,
+            post_join: None,
+        };
+        for (plan, input, needs) in [(&join, one, "left/right"), (&single, pair, "one table")] {
+            let err = plan.run(input, &ctx).unwrap_err();
+            assert!(matches!(err, MosaicError::Execution(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("mismatch") && msg.contains(needs), "{msg}");
+        }
+        // a×a, b×b pair up 2×2 each, c once.
+        assert_eq!(join.run(pair, &ctx).unwrap().num_rows(), 9);
+        assert_eq!(single.run(one, &ctx).unwrap().num_rows(), 5);
+    }
+
+    /// One check guards both input shapes: a caller-supplied vector of
+    /// the wrong length is rejected, and the vector a weighted join plan
+    /// derives from the joined `weight` column passes the same check.
+    #[test]
+    fn weight_length_checked_on_both_input_paths() {
+        let plan = lower(&select("SELECT COUNT(*) FROM t"), true);
+        let err = run(&plan, &table(), Some(&[1.0]), 2).unwrap_err();
+        assert!(matches!(err, MosaicError::Execution(_)), "{err}");
+        assert!(err.to_string().contains("weight vector length 1"), "{err}");
+
+        let (join, t) = join_plan("SELECT COUNT(*) FROM l JOIN r ON l.k = r.k", true);
+        let pair = |post_join| PlanInput::Join {
+            left: &t,
+            right: &t,
+            post_join,
+        };
+        let ctx = ExecContext::new(&[], 2, 16);
+        // 9 joined rows, each weighing 2 × 2.
+        let out = join.run(pair(None), &ctx).unwrap();
+        assert_eq!(out.value(0, 0), Value::Float(36.0));
+        // The hook runs before the weights are read off the joined table.
+        let halve = |joined: Table| Ok(joined.limit(4));
+        let out = join.run(pair(Some(&halve)), &ctx).unwrap();
+        assert_eq!(out.value(0, 0), Value::Float(16.0));
     }
 
     #[test]
@@ -1041,7 +1058,7 @@ mod tests {
             &select("SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC"),
             false,
         );
-        let out = plan.execute(&table(), None).unwrap();
+        let out = run(&plan, &table(), None, 4).unwrap();
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.value(0, 0), Value::Str("b".into()));
         assert_eq!(out.value(0, 1), Value::Int(6));
@@ -1053,7 +1070,7 @@ mod tests {
     fn weighted_plan_property() {
         let plan = lower(&select("SELECT COUNT(*) FROM t"), true);
         let w = [2.0, 2.0, 2.0, 2.0, 2.0];
-        let out = plan.execute(&table(), Some(&w)).unwrap();
+        let out = run(&plan, &table(), Some(&w), 4).unwrap();
         assert_eq!(out.value(0, 0), Value::Float(10.0));
     }
 
@@ -1075,7 +1092,7 @@ mod tests {
             &select("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY v"),
             false,
         );
-        assert!(plan.execute(&t, None).is_err());
+        assert!(run(&plan, &t, None, 4).is_err());
     }
 
     #[test]
@@ -1089,7 +1106,7 @@ mod tests {
         }
         let t = b.finish();
         let stmt = select("SELECT MIN(v), MAX(v) FROM t");
-        let vectorized = lower(&stmt, false).execute(&t, None).unwrap();
+        let vectorized = run(&lower(&stmt, false), &t, None, 4).unwrap();
         let rowwise = crate::exec::run_select_rowwise(&stmt, &t, None).unwrap();
         assert_eq!(vectorized.value(0, 0), rowwise.value(0, 0));
         assert_eq!(vectorized.value(0, 1), rowwise.value(0, 1));
@@ -1130,16 +1147,10 @@ mod tests {
         ] {
             let stmt = select(src);
             for threads in [1, 4] {
-                let unopt = plan_select(&stmt, false, false, Some(t.schema()))
-                    .physical
-                    .with_parallelism(threads)
-                    .execute(&t, None)
-                    .unwrap();
-                let opt = plan_select(&stmt, false, true, Some(t.schema()))
-                    .physical
-                    .with_parallelism(threads)
-                    .execute(&t, None)
-                    .unwrap();
+                let unopt = plan_select(&stmt, false, false, Some(t.schema())).physical;
+                let unopt = run(&unopt, &t, None, threads).unwrap();
+                let opt = plan_select(&stmt, false, true, Some(t.schema())).physical;
+                let opt = run(&opt, &t, None, threads).unwrap();
                 assert_eq!(unopt.num_rows(), opt.num_rows(), "{src}");
                 assert_eq!(unopt.num_columns(), opt.num_columns(), "{src}");
                 for r in 0..unopt.num_rows() {
@@ -1184,7 +1195,7 @@ mod tests {
             &select("SELECT k FROM t WHERE v > 1 ORDER BY v DESC"),
             false,
         );
-        let out = plan.execute(&table(), None).unwrap();
+        let out = run(&plan, &table(), None, 4).unwrap();
         assert_eq!(out.value(0, 0), Value::Str("c".into()));
         assert_eq!(out.num_rows(), 4);
     }

@@ -56,8 +56,7 @@ pub const MORSEL_ROWS: usize = 16 * 1024;
 
 /// The default worker-thread cap for new plans: the `MOSAIC_PARALLELISM`
 /// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism. Computed once per process (`lower`
-/// consults this on every statement).
+/// machine's available parallelism. Computed once per process.
 pub fn default_parallelism() -> usize {
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -228,78 +227,29 @@ enum MorselOut {
     Partial(aggregate::MorselPartial),
 }
 
-/// Execute a two-relation join plan: the hash-join stage materializes
-/// the combined table (build radix-partitioned on the smaller input,
-/// probe morsel-parallel — see [`crate::plan::join::HashJoinOp`]), then
-/// the remaining pipeline (residual filters, shape, ordering) runs over
-/// the joined table through the ordinary morsel driver.
-pub(crate) fn execute_join_plan(
-    plan: &PhysicalPlan,
-    left: &Table,
-    right: &Table,
-    params: &[Value],
-    threads: usize,
-    partitions: usize,
-) -> Result<Table> {
-    execute_join_plan_with(plan, left, right, params, threads, partitions, None)
-}
-
-/// [`execute_join_plan`] with an optional post-join hook (runs over the
-/// materialized joined table before the rest of the pipeline — the
-/// engine's IPF re-calibration of combined weights plugs in here).
-/// When the plan's aggregate carries the §5.3 weighted rewrite, the
-/// joined `weight` column becomes the row-weight vector of the
-/// downstream pipeline; a NULL weight (a NULL-extended LEFT OUTER row)
-/// contributes weight 0.
-pub(crate) fn execute_join_plan_with(
-    plan: &PhysicalPlan,
-    left: &Table,
-    right: &Table,
-    params: &[Value],
-    threads: usize,
-    partitions: usize,
-    post_join: Option<&(dyn Fn(Table) -> Result<Table> + Sync)>,
-) -> Result<Table> {
-    let join = plan
-        .join
-        .as_ref()
-        .ok_or_else(|| MosaicError::Execution("plan has no join stage".into()))?;
-    let mut joined = join.execute(left, right, params, threads, partitions)?;
-    if let Some(f) = post_join {
-        joined = f(joined)?;
-    }
-    let weights: Option<Vec<f64>> = if plan.agg_weighted() {
-        let w = joined.column_by_name("weight").map_err(|_| {
-            MosaicError::Execution(
-                "weighted join aggregate requires the joined weight column".into(),
-            )
-        })?;
-        Some((0..w.len()).map(|i| w.f64_at(i).unwrap_or(0.0)).collect())
-    } else {
-        None
-    };
-    execute_plan(
-        plan,
-        &joined,
-        weights.as_deref(),
-        params,
-        threads,
-        partitions,
-    )
-}
-
-/// Execute `plan` over `table` on at most `threads` workers, binding
-/// `params` into any positional-parameter placeholders. `partitions`
-/// caps the radix-partition count of the aggregate merge phase (1 =
-/// serial merge); like the thread cap it never changes results.
+/// Execute `plan`'s pipeline (everything after a join stage, if any)
+/// over `table` on at most `ctx.threads` workers, binding `ctx.params`
+/// into any positional-parameter placeholders. `ctx.partitions` caps
+/// the radix-partition count of the aggregate merge phase (1 = serial
+/// merge); like the thread cap it never changes results.
 pub(crate) fn execute_plan(
     plan: &PhysicalPlan,
     table: &Table,
     weights: Option<&[f64]>,
-    params: &[Value],
-    threads: usize,
-    partitions: usize,
+    ctx: &ExecContext<'_>,
 ) -> Result<Table> {
+    // The one weight-length check: every input shape reaches the
+    // pipeline here, and the morsel phase slices `weights` by row range.
+    if let Some(w) = weights {
+        if w.len() != table.num_rows() {
+            return Err(MosaicError::Execution(format!(
+                "weight vector length {} != table rows {}",
+                w.len(),
+                table.num_rows()
+            )));
+        }
+    }
+    let (params, threads) = (ctx.params, ctx.threads);
     // Pruned scan: keep only the columns the optimizer proved the plan
     // references. Columns are Arc-shared, so this is a cheap header-only
     // projection — the payoff is downstream, where Filter's row gather
@@ -337,10 +287,10 @@ pub(crate) fn execute_plan(
         };
         let ctx = ExecContext {
             filtered_input: None,
-            params,
             // Morsel-phase operators are already running on the pool —
             // they never spawn nested workers.
             threads: 1,
+            ..*ctx
         };
         for (oi, op) in plan.pre_shape().iter().enumerate() {
             batch = op.execute(&ctx, &batch).map_err(|e| (oi as u32, e))?;
@@ -407,7 +357,7 @@ pub(crate) fn execute_plan(
                 &partials,
                 params,
                 threads,
-                partitions,
+                ctx.partitions,
             )?;
             (
                 Batch {
@@ -450,12 +400,11 @@ pub(crate) fn execute_plan(
         }
     };
 
+    // Post-shape stages run once over the merged result with the whole
+    // budget — Sort builds its runs on the worker pool.
     let ctx = ExecContext {
         filtered_input: filtered_merged.as_ref(),
-        params,
-        // Post-shape stages run once over the merged result with the
-        // whole budget — Sort builds its runs on the worker pool.
-        threads,
+        ..*ctx
     };
     for op in &plan.post_shape {
         batch = op.execute(&ctx, &batch)?;
@@ -555,7 +504,7 @@ fn recast_all_null_columns(t: &Table, target: &[DataType]) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::lower;
+    use crate::plan::{plan_select, PlanInput};
     use mosaic_sql::{parse, SelectStmt, Statement};
     use mosaic_storage::TableBuilder;
 
@@ -564,6 +513,21 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("not a select: {other:?}"),
         }
+    }
+
+    /// Run the unoptimized plan of `stmt` at the given thread count.
+    fn run(
+        stmt: &SelectStmt,
+        table: &Table,
+        weights: Option<&[f64]>,
+        threads: usize,
+    ) -> Result<Table> {
+        plan_select(stmt, weights.is_some(), false, None)
+            .physical
+            .run(
+                PlanInput::Table { table, weights },
+                &ExecContext::new(&[], threads, 16),
+            )
     }
 
     /// A table spanning several morsels, with NULLs and a skewed filter.
@@ -622,15 +586,9 @@ mod tests {
         ] {
             let stmt = select(src);
             for weights in [None, Some(weights.as_slice())] {
-                let baseline = lower(&stmt, weights.is_some())
-                    .with_parallelism(1)
-                    .execute(&table, weights)
-                    .unwrap();
+                let baseline = run(&stmt, &table, weights, 1).unwrap();
                 for threads in [2, 3, 8] {
-                    let out = lower(&stmt, weights.is_some())
-                        .with_parallelism(threads)
-                        .execute(&table, weights)
-                        .unwrap();
+                    let out = run(&stmt, &table, weights, threads).unwrap();
                     identical(&baseline, &out);
                 }
             }
@@ -655,10 +613,7 @@ mod tests {
         }
         let t = b.finish();
         let stmt = select("SELECT f + 1 FROM t");
-        let out = lower(&stmt, false)
-            .with_parallelism(2)
-            .execute(&t, None)
-            .unwrap();
+        let out = run(&stmt, &t, None, 2).unwrap();
         assert_eq!(out.num_rows(), rows);
         assert_eq!(out.schema().field(0).data_type, DataType::Float);
         assert_eq!(out.value(0, 0), Value::Float(1.0));
@@ -671,10 +626,7 @@ mod tests {
         let (table, _) = big_table(2 * MORSEL_ROWS);
         let stmt = select("SELECT k, f FROM t WHERE i > 99999");
         for threads in [1, 4] {
-            let out = lower(&stmt, false)
-                .with_parallelism(threads)
-                .execute(&table, None)
-                .unwrap();
+            let out = run(&stmt, &table, None, threads).unwrap();
             assert_eq!(out.num_rows(), 0);
             assert_eq!(out.num_columns(), 2);
         }
@@ -713,10 +665,7 @@ mod tests {
         let stmt = select("SELECT AVG(s1), SUM(s2) FROM t");
         let serial = crate::exec::run_select_rowwise(&stmt, &t, None).unwrap_err();
         for threads in [1, 2, 8] {
-            let err = lower(&stmt, false)
-                .with_parallelism(threads)
-                .execute(&t, None)
-                .unwrap_err();
+            let err = run(&stmt, &t, None, threads).unwrap_err();
             assert_eq!(err.to_string(), serial.to_string(), "{threads} threads");
         }
     }

@@ -512,9 +512,6 @@ impl Prepared {
             let planned = plan_select(&stmt, false, opts.optimizer, None);
             return Ok(finish(stmt, Source::Scalar, Vec::new(), planned, None));
         };
-        // No `with_parallelism` / `with_agg_partitions` on any plan here:
-        // the thread cap and merge-partition count are execution-time
-        // properties every execution passes in.
         if crate::plan::join::needs_scope(&stmt, &fc) {
             // Joins, aliases and qualified references bind through the
             // scope binder.
@@ -877,14 +874,17 @@ mod tests {
     }
 
     /// A FROM-less SELECT runs over one internal row; its column must
-    /// not be addressable, and EXPLAIN reports the binder's error for
-    /// every statement the binder rejects.
+    /// not be addressable, and EXPLAIN and `CREATE METADATA … AS (…)`
+    /// report the binder's error for every statement the binder rejects.
     #[test]
     fn binder_errors_are_final_for_execute_and_explain() {
         let engine = engine_with_table();
         let s = engine.session();
+        s.execute("CREATE GLOBAL POPULATION People (k TEXT)")
+            .unwrap();
+        let metadata = |sql: &str| format!("CREATE METADATA People_M1 AS ({sql})");
         for sql in ["SELECT dummy", "SELECT dummy + 41 AS x"] {
-            for sql in [sql.to_string(), format!("EXPLAIN {sql}")] {
+            for sql in [sql.to_string(), format!("EXPLAIN {sql}"), metadata(sql)] {
                 let err = s.execute(&sql).unwrap_err();
                 assert!(matches!(err, MosaicError::Bind(_)), "{sql}: {err}");
             }
@@ -899,6 +899,8 @@ mod tests {
             let run = s.execute(sql).unwrap_err().to_string();
             let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap_err();
             assert_eq!(run, explain.to_string(), "{sql}");
+            let as_metadata = s.execute(&metadata(sql)).unwrap_err();
+            assert_eq!(run, as_metadata.to_string(), "{sql}");
         }
     }
 

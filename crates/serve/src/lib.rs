@@ -20,7 +20,7 @@
 //! * [`server`] — the bounded acceptor and thread-per-connection
 //!   [`Server`],
 //! * [`client`] — a blocking [`Client`] used by the integration tests
-//!   and the `loadgen` load generator.
+//!   and the benchmark's wire workloads.
 //!
 //! ## Quickstart
 //!

@@ -249,8 +249,8 @@ impl Table {
         self.take(&indices)
     }
 
-    /// Render as an aligned ASCII table (used by examples and the REPL-style
-    /// output of `MosaicDb`).
+    /// Render as an aligned ASCII table (used by examples and the `mosaic`
+    /// shell).
     pub fn to_pretty_string(&self) -> String {
         let headers: Vec<String> = self
             .schema

@@ -4,8 +4,10 @@
 //!
 //! Run with: `cargo run --release -p mosaic-examples --bin flights`
 
+use std::sync::Arc;
+
 use mosaic_bench::flights::{self, FlightsConfig};
-use mosaic_core::{MosaicDb, OpenBackend};
+use mosaic_core::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn main() {
@@ -20,26 +22,31 @@ fn main() {
         data.sample.num_rows()
     );
 
-    let mut db = MosaicDb::new();
-    db.options_mut().open.backend = OpenBackend::Swg(
-        SwgConfig::paper_flights()
-            .with_projections(64)
-            .with_epochs(60),
-    );
-    db.options_mut().open.num_generated = 5;
+    let swg = SwgConfig::paper_flights()
+        .with_projections(64)
+        .with_epochs(60);
+    let open = OpenOptions::default()
+        .with_backend(OpenBackend::Swg(swg))
+        .with_num_generated(5);
+    let engine = Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ));
+    let db = engine.session();
     db.execute(
         "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
          CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
     )
     .expect("ddl");
     for (i, m) in data.marginals.iter().enumerate() {
-        db.add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
+        engine
+            .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
             .expect("metadata");
     }
     for (attr, binner) in &data.binners {
-        db.register_binner(attr, binner.clone());
+        engine.register_binner(attr, binner.clone());
     }
-    db.ingest_sample("FlightSample", data.sample.clone())
+    engine
+        .ingest_sample("FlightSample", data.sample.clone())
         .expect("ingest");
 
     // Ground truth from the generator's population (normally unknowable).

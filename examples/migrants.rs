@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --release -p mosaic-examples --bin migrants`
 
-use mosaic_core::{MosaicDb, OpenBackend, SwgConfig};
+use std::sync::Arc;
+
+use mosaic_core::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions, SwgConfig};
 use mosaic_storage::TableBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,22 +27,25 @@ const WORLD: &[(&str, &str, i64)] = &[
 ];
 
 fn main() {
-    let mut db = MosaicDb::new();
     // A lighter generator than the engine default keeps the example
     // snappy; the marginals here are tiny.
-    db.options_mut().open.backend = OpenBackend::Swg(
-        SwgConfig::default()
-            .with_hidden_dim(32)
-            .with_hidden_layers(2)
-            .with_latent_dim(Some(4))
-            .with_lambda(0.0)
-            .with_epochs(120)
-            .with_batch_size(256)
-            .with_steps_per_epoch(Some(2))
-            .with_learning_rate(5e-3),
-    );
-    db.options_mut().open.num_generated = 5;
-    db.options_mut().open.rows_per_sample = Some(4000);
+    let swg = SwgConfig::default()
+        .with_hidden_dim(32)
+        .with_hidden_layers(2)
+        .with_latent_dim(Some(4))
+        .with_lambda(0.0)
+        .with_epochs(120)
+        .with_batch_size(256)
+        .with_steps_per_epoch(Some(2))
+        .with_learning_rate(5e-3);
+    let open = OpenOptions::default()
+        .with_backend(OpenBackend::Swg(swg))
+        .with_num_generated(5)
+        .with_rows_per_sample(Some(4000));
+    let engine = Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ));
+    let db = engine.session();
 
     // ---- The exact DDL of the paper's §2 listing ----
     db.execute("CREATE TEMPORARY TABLE Eurostat (country TEXT, email TEXT, reported_count INT);")
@@ -80,7 +85,7 @@ fn main() {
     // "...Ingest Yahoo sample to YahooMigrants": a 10% sample of the
     // Yahoo migrants only — the selection bias of the motivating example.
     let mut rng = StdRng::seed_from_u64(1);
-    let schema = db
+    let schema = engine
         .catalog()
         .sample("YahooMigrants")
         .unwrap()
@@ -98,7 +103,8 @@ fn main() {
             }
         }
     }
-    db.ingest_sample("YahooMigrants", b.finish())
+    engine
+        .ingest_sample("YahooMigrants", b.finish())
         .expect("ingest");
 
     // ---- The two queries of the paper ----

@@ -6,10 +6,13 @@
 //!
 //! Run with: `cargo run --release -p mosaic-examples --bin quickstart`
 
-use mosaic_core::{MosaicDb, Value, Visibility};
+use std::sync::Arc;
+
+use mosaic_core::{MosaicEngine, Value, Visibility};
 
 fn main() {
-    let mut db = MosaicDb::new();
+    let engine = Arc::new(MosaicEngine::new());
+    let db = engine.session();
 
     // 1. An auxiliary table holding a published aggregate report
     //    (auxiliary relations behave like ordinary SQL tables).
@@ -75,7 +78,7 @@ fn main() {
     // 7. The same question, production-style: prepare once (parse +
     //    bind + plan), then execute many times binding only the `?`
     //    parameter values.
-    let session = db.session();
+    let session = engine.session();
     let prepared = session
         .prepare("SELECT SEMI-OPEN city, COUNT(*) FROM People WHERE age >= ? GROUP BY city ORDER BY city")
         .expect("prepare");
@@ -98,7 +101,6 @@ fn main() {
     //    visibility level — a per-session default, no engine mutation —
     //    each preparing and running its own parameterized query, while
     //    two more share the SEMI-OPEN prepared statement from step 7.
-    let engine = db.engine().clone();
     std::thread::scope(|s| {
         let defaults: Vec<_> = [Visibility::Closed, Visibility::SemiOpen]
             .into_iter()

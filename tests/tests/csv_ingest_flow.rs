@@ -3,8 +3,14 @@
 //! repository, loads both, and queries the population — exercising
 //! `mosaic_storage::csv` together with the engine.
 
-use mosaic_core::{MosaicDb, Value};
+use std::sync::Arc;
+
+use mosaic_core::{MosaicEngine, Session, Value};
 use mosaic_storage::csv::{read_csv_str, write_csv_string};
+
+fn new_db() -> Session {
+    Arc::new(MosaicEngine::new()).session()
+}
 
 const AGGREGATE_CSV: &str = "\
 region,reported_count
@@ -23,7 +29,7 @@ south,80
 
 #[test]
 fn csv_to_population_query() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE CensusReport (region TEXT, reported_count INT);
          CREATE GLOBAL POPULATION People (region TEXT, income INT);
@@ -46,7 +52,7 @@ fn csv_to_population_query() {
 
     // Load the sample CSV straight into the sample (schema-coerced).
     let sample = read_csv_str(SAMPLE_CSV).unwrap();
-    db.ingest_sample("WebSurvey", sample).unwrap();
+    db.engine().ingest_sample("WebSurvey", sample).unwrap();
 
     // The biased web survey over-represents the north (4:1); the census
     // says the south is bigger (6000 vs 4000).
@@ -68,7 +74,7 @@ fn csv_to_population_query() {
 
 #[test]
 fn query_results_export_as_csv() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE T (name TEXT, v INT);
          INSERT INTO T VALUES ('a, b', 1), ('c', 2);",
@@ -86,14 +92,14 @@ fn query_results_export_as_csv() {
 fn ingest_reorders_columns_by_name() {
     // The CSV's column order differs from the sample's declared order;
     // ingest_sample matches by name.
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE GLOBAL POPULATION P (a TEXT, b INT);
          CREATE SAMPLE S AS (SELECT * FROM P);",
     )
     .unwrap();
     let t = read_csv_str("b,a\n7,x\n8,y\n").unwrap();
-    db.ingest_sample("S", t).unwrap();
+    db.engine().ingest_sample("S", t).unwrap();
     let r = db.execute("SELECT a, b FROM S ORDER BY b").unwrap();
     assert_eq!(r.table.value(0, 0), Value::Str("x".into()));
     assert_eq!(r.table.value(0, 1), Value::Int(7));
@@ -101,12 +107,12 @@ fn ingest_reorders_columns_by_name() {
 
 #[test]
 fn ingest_rejects_missing_columns() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE GLOBAL POPULATION P (a TEXT, b INT);
          CREATE SAMPLE S AS (SELECT * FROM P);",
     )
     .unwrap();
     let t = read_csv_str("a\nx\n").unwrap();
-    assert!(db.ingest_sample("S", t).is_err());
+    assert!(db.engine().ingest_sample("S", t).is_err());
 }

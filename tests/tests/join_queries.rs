@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 
-use mosaic_core::{reference_join, run_select_rowwise, MosaicEngine, MosaicError, Value};
+use mosaic_core::oracle::{reference_join, run_select_rowwise};
+use mosaic_core::{MosaicEngine, MosaicError, Value};
 use mosaic_sql::{parse, parse_expr, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value as V};
 

@@ -2,8 +2,12 @@
 //! M-SWG and Bayesian-network backends, model caching, and the §3.3
 //! false-negative/false-positive semantics.
 
+use std::sync::Arc;
+
 use mosaic_bn::BnConfig;
-use mosaic_core::{MosaicDb, OpenBackend, Value, Visibility};
+use mosaic_core::{
+    EngineOptions, MosaicEngine, OpenBackend, OpenOptions, Session, Value, Visibility,
+};
 use mosaic_swg::SwgConfig;
 
 fn tiny_swg() -> SwgConfig {
@@ -20,13 +24,22 @@ fn tiny_swg() -> SwgConfig {
         .with_seed(3)
 }
 
+fn new_db(open: OpenOptions) -> Session {
+    Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ))
+    .session()
+}
+
 /// A world with two categorical attributes where the sample only covers
 /// one provider (the §2 shape, shrunk).
-fn setup(backend: OpenBackend) -> MosaicDb {
-    let mut db = MosaicDb::new();
-    db.options_mut().open.backend = backend;
-    db.options_mut().open.num_generated = 4;
-    db.options_mut().open.rows_per_sample = Some(600);
+fn setup(backend: OpenBackend) -> Session {
+    let db = new_db(
+        OpenOptions::default()
+            .with_backend(backend)
+            .with_num_generated(4)
+            .with_rows_per_sample(Some(600)),
+    );
     db.execute(
         "CREATE TABLE Report (country TEXT, email TEXT, reported_count INT);
          INSERT INTO Report (country, reported_count) VALUES ('UK', 600), ('FR', 400);
@@ -51,7 +64,7 @@ fn setup(backend: OpenBackend) -> MosaicDb {
 
 #[test]
 fn open_generates_missing_email_providers() {
-    let mut db = setup(OpenBackend::Swg(tiny_swg()));
+    let db = setup(OpenBackend::Swg(tiny_swg()));
     let open = db
         .execute("SELECT OPEN email, COUNT(*) FROM Migrants GROUP BY email ORDER BY email")
         .unwrap();
@@ -75,7 +88,7 @@ fn open_generates_missing_email_providers() {
 
 #[test]
 fn semi_open_cannot_generate_missing_providers() {
-    let mut db = setup(OpenBackend::Swg(tiny_swg()));
+    let db = setup(OpenBackend::Swg(tiny_swg()));
     let semi = db
         .execute("SELECT SEMI-OPEN email, COUNT(*) FROM Migrants GROUP BY email")
         .unwrap();
@@ -90,7 +103,7 @@ fn semi_open_cannot_generate_missing_providers() {
 
 #[test]
 fn bayes_net_backend_also_answers_open_queries() {
-    let mut db = setup(OpenBackend::BayesNet(BnConfig::default()));
+    let db = setup(OpenBackend::BayesNet(BnConfig::default()));
     let open = db
         .execute("SELECT OPEN country, COUNT(*) FROM Migrants GROUP BY country ORDER BY country")
         .unwrap();
@@ -104,7 +117,7 @@ fn bayes_net_backend_also_answers_open_queries() {
 
 #[test]
 fn model_cache_hits_on_repeat_queries() {
-    let mut db = setup(OpenBackend::Swg(tiny_swg()));
+    let db = setup(OpenBackend::Swg(tiny_swg()));
     let first = db.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
     assert!(
         first.notes.iter().any(|n| n.contains("trained")),
@@ -148,8 +161,8 @@ fn model_cache_hits_on_repeat_queries() {
 
 #[test]
 fn open_answers_are_deterministic_given_seed() {
-    let mut db1 = setup(OpenBackend::Swg(tiny_swg()));
-    let mut db2 = setup(OpenBackend::Swg(tiny_swg()));
+    let db1 = setup(OpenBackend::Swg(tiny_swg()));
+    let db2 = setup(OpenBackend::Swg(tiny_swg()));
     let a = db1.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
     let b = db2.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
     assert_eq!(
@@ -161,7 +174,7 @@ fn open_answers_are_deterministic_given_seed() {
 
 #[test]
 fn non_aggregate_open_query_returns_generated_tuples() {
-    let mut db = setup(OpenBackend::Swg(tiny_swg()));
+    let db = setup(OpenBackend::Swg(tiny_swg()));
     let r = db
         .execute("SELECT OPEN country, email FROM Migrants LIMIT 50")
         .unwrap();
@@ -174,8 +187,7 @@ fn non_aggregate_open_query_returns_generated_tuples() {
 
 #[test]
 fn open_requires_metadata() {
-    let mut db = MosaicDb::new();
-    db.options_mut().open.backend = OpenBackend::Swg(tiny_swg());
+    let db = new_db(OpenOptions::default().with_backend(OpenBackend::Swg(tiny_swg())));
     db.execute(
         "CREATE GLOBAL POPULATION P (a TEXT);
          CREATE SAMPLE S AS (SELECT * FROM P);
@@ -187,7 +199,7 @@ fn open_requires_metadata() {
 
 #[test]
 fn open_count_tracks_marginal_total() {
-    let mut db = setup(OpenBackend::Swg(tiny_swg()));
+    let db = setup(OpenBackend::Swg(tiny_swg()));
     let r = db.execute("SELECT OPEN COUNT(*) FROM Migrants").unwrap();
     let count = r.table.value(0, 0).as_f64().unwrap();
     // Marginal total is 1000; generated samples are uniformly reweighted

@@ -6,14 +6,19 @@
 //! negatives stay visible instead of silently dropping).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use mosaic_core::{MosaicDb, Value};
+use mosaic_core::{MosaicEngine, Session, Value};
+
+fn new_db() -> Session {
+    Arc::new(MosaicEngine::new()).session()
+}
 
 /// The §2 world, shrunk: a population of 1000 migrants (declared country
 /// marginal UK 600 / FR 400), observed only through a biased sample of
 /// 50 rows (40 UK, 10 FR), joined against auxiliary country attributes.
-fn setup() -> MosaicDb {
-    let mut db = MosaicDb::new();
+fn setup() -> Session {
+    let db = new_db();
     db.execute(
         "CREATE TABLE Report (country TEXT, reported_count INT);
          INSERT INTO Report VALUES ('UK', 600), ('FR', 400);
@@ -48,7 +53,7 @@ fn group_counts(t: &mosaic_core::Table) -> HashMap<String, f64> {
 /// CLOSED reports the raw biased sample counts.
 #[test]
 fn semi_open_join_counts_match_declared_marginal() {
-    let mut db = setup();
+    let db = setup();
     let semi = db
         .execute(
             "SELECT SEMI-OPEN c.region AS region, COUNT(*) AS n \
@@ -79,10 +84,10 @@ fn semi_open_join_counts_match_declared_marginal() {
 /// acceptance shape, through a join tree.
 #[test]
 fn semi_open_join_average_debiases_toward_truth() {
-    let mut db = setup();
+    let db = setup();
     // Truth over the declared population: (600·10 + 400·50) / 1000.
     let truth = 26.0;
-    let avg_of = |db: &mut MosaicDb, vis: &str| -> f64 {
+    let avg_of = |db: &Session, vis: &str| -> f64 {
         db.execute(&format!(
             "SELECT {vis} AVG(c.score) AS a \
              FROM Migrants m JOIN Regions c ON m.country = c.country"
@@ -93,8 +98,8 @@ fn semi_open_join_average_debiases_toward_truth() {
         .as_f64()
         .unwrap()
     };
-    let semi = avg_of(&mut db, "SEMI-OPEN");
-    let closed = avg_of(&mut db, "CLOSED");
+    let semi = avg_of(&db, "SEMI-OPEN");
+    let closed = avg_of(&db, "CLOSED");
     let semi_err = (semi - truth).abs();
     let closed_err = (closed - truth).abs();
     assert!(
@@ -115,7 +120,7 @@ fn semi_open_join_average_debiases_toward_truth() {
 /// the raw product (40·40 UK pairs at weight 15) would be off by ~40×.
 #[test]
 fn combined_weights_recalibrated_to_declared_marginals() {
-    let mut db = setup();
+    let db = setup();
     let result = db
         .execute(
             "SELECT SEMI-OPEN m.country AS country, COUNT(*) AS n \
@@ -213,7 +218,7 @@ fn recalibrated_join_is_invariant_across_threads_and_optimizer() {
 /// under independence — and the answer says so in its notes.
 #[test]
 fn combined_weight_without_marginals_is_plain_product() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     // A known uniform mechanism gives SEMI-OPEN weights without any
     // declared metadata — so there is nothing to re-calibrate against.
     db.execute(
@@ -245,7 +250,7 @@ fn combined_weight_without_marginals_is_plain_product() {
 /// dropped — the open-world answer to a closed-world lookup table.
 #[test]
 fn semi_open_left_join_keeps_unmatched_mass() {
-    let mut db = setup();
+    let db = setup();
     // An aux table that only knows about the UK.
     db.execute(
         "CREATE TABLE UkOnly (country TEXT, region TEXT);

@@ -10,8 +10,10 @@
 //! invariant that plan rewriting (projection pruning, constant folding,
 //! Sort+Limit → TopK fusion) never changes results either.
 
-use mosaic_core::{run_select_partitioned, run_select_rowwise, run_select_with};
-use mosaic_sql::{parse, Statement};
+use mosaic_core::oracle::{reference_join, reference_join_kinded, run_select_rowwise};
+use mosaic_core::plan::parallel::default_agg_partitions;
+use mosaic_core::{plan_select, ExecContext, PlanInput};
+use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
 
@@ -79,6 +81,36 @@ fn tables_identical(a: &Table, b: &Table) -> std::result::Result<(), String> {
     Ok(())
 }
 
+/// The vectorized executor at one threads × optimizer × partitions cell.
+fn run_cell(
+    stmt: &SelectStmt,
+    table: &Table,
+    weights: Option<&[f64]>,
+    threads: usize,
+    optimizer: bool,
+    partitions: usize,
+) -> mosaic_core::Result<Table> {
+    plan_select(stmt, weights.is_some(), optimizer, Some(table.schema()))
+        .physical
+        .run(
+            PlanInput::Table { table, weights },
+            &ExecContext::new(&[], threads, partitions),
+        )
+}
+
+/// [`run_cell`] at the ambient merge-partition count (`MOSAIC_AGG_PARTITIONS`
+/// or 16 — CI runs the suite at both 1 and 16).
+fn run_default_partitions(
+    stmt: &SelectStmt,
+    table: &Table,
+    weights: Option<&[f64]>,
+    threads: usize,
+    optimizer: bool,
+) -> mosaic_core::Result<Table> {
+    let partitions = default_agg_partitions();
+    run_cell(stmt, table, weights, threads, optimizer, partitions)
+}
+
 /// Thread counts every query is checked at: serial, a partial pool, and
 /// an oversubscribed pool.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -91,7 +123,7 @@ fn assert_equivalent(src: &str, table: &Table, weights: Option<&[f64]>) {
     let rowwise = run_select_rowwise(&stmt, table, weights);
     for threads in THREAD_COUNTS {
         for optimizer in [false, true] {
-            let vectorized = run_select_with(&stmt, table, weights, threads, optimizer);
+            let vectorized = run_default_partitions(&stmt, table, weights, threads, optimizer);
             match (vectorized, &rowwise) {
                 (Ok(v), Ok(r)) => {
                     if let Err(msg) = tables_identical(&v, r) {
@@ -180,13 +212,13 @@ fn multi_morsel_thread_counts_agree() {
         for weights in [None, Some(weights.as_slice())] {
             // Baseline: serial, unoptimized. Every (thread count,
             // optimizer) combination must reproduce it exactly.
-            let baseline = run_select_with(&stmt, &table, weights, 1, false);
+            let baseline = run_default_partitions(&stmt, &table, weights, 1, false);
             for threads in [1, 2, 8] {
                 for optimizer in [false, true] {
                     if threads == 1 && !optimizer {
                         continue; // that is the baseline itself
                     }
-                    let out = run_select_with(&stmt, &table, weights, threads, optimizer);
+                    let out = run_default_partitions(&stmt, &table, weights, threads, optimizer);
                     match (&baseline, &out) {
                         (Ok(b), Ok(o)) => {
                             if let Err(msg) = tables_identical(b, o) {
@@ -262,14 +294,12 @@ fn high_cardinality_string_group_by_agrees() {
             // folds weighted float sums in row order rather than morsel
             // order, so — as in `multi_morsel_thread_counts_agree` —
             // the serial vectorized run is the bit-identity anchor.)
-            let baseline = run_select_partitioned(&stmt, &table, weights, 1, false, 1).unwrap();
+            let baseline = run_cell(&stmt, &table, weights, 1, false, 1).unwrap();
             for threads in THREAD_COUNTS {
                 for partitions in [1, 16] {
                     for optimizer in [false, true] {
-                        let out = run_select_partitioned(
-                            &stmt, &table, weights, threads, optimizer, partitions,
-                        )
-                        .unwrap();
+                        let out = run_cell(&stmt, &table, weights, threads, optimizer, partitions)
+                            .unwrap();
                         if let Err(msg) = tables_identical(&out, &baseline) {
                             panic!(
                                 "high-cardinality divergence on {src:?} at {threads} thread(s), \
@@ -315,8 +345,8 @@ fn dict_and_plain_representations_agree() {
         let src = template.replace("{thr}", "7");
         let stmt = select(&src);
         for threads in THREAD_COUNTS {
-            let p = run_select_with(&stmt, &plain, None, threads, true);
-            let d = run_select_with(&stmt, &dict, None, threads, true);
+            let p = run_default_partitions(&stmt, &plain, None, threads, true);
+            let d = run_default_partitions(&stmt, &dict, None, threads, true);
             match (p, d) {
                 (Ok(p), Ok(d)) => {
                     if let Err(msg) = tables_identical(&p, &d) {
@@ -333,14 +363,14 @@ fn dict_and_plain_representations_agree() {
 // ---- the join oracle ----
 //
 // INNER and LEFT OUTER equi-joins run through the same four-way
-// oracle: the row-wise reference is `mosaic_core::reference_join_kinded`
+// oracle: the row-wise reference is `mosaic_core::oracle::reference_join_kinded`
 // (canonical nested loop, NULL-extending unmatched left rows for LEFT
 // OUTER, combining per-side weights for weighted×weighted joins)
 // followed by `run_select_rowwise` over the joined table, and the
 // engine's hash-join path must reproduce it bit-for-bit at optimizer
 // {off, on} × threads {1, 2, 8}.
 
-use mosaic_core::{reference_join, reference_join_kinded, JoinKind, MosaicEngine};
+use mosaic_core::{JoinKind, MosaicEngine};
 use std::sync::Arc;
 
 /// Fact table: string key `k` (with NULLs and values the dimension

@@ -5,8 +5,8 @@
 //!   serial run of the same statements — for every planner_oracle query
 //!   template, on a multi-morsel table.
 //! * One `Prepared` statement executed concurrently from ≥ 4 sessions
-//!   must match `MosaicDb::execute` with the parameter inlined as a
-//!   literal, value for value.
+//!   must match ad-hoc `Session::execute` with the parameter inlined as
+//!   a literal, value for value.
 //! * A writer session (catalog write locks) interleaving with reader
 //!   sessions must never expose a torn state: every observed COUNT is a
 //!   whole number of inserted batches and monotonic per reader.
@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mosaic_core::{MosaicDb, MosaicEngine, Table, Value, MORSEL_ROWS};
+use mosaic_core::{MosaicEngine, Table, Value, MORSEL_ROWS};
 
 /// The planner_oracle query templates (29 shapes over table `t`), with
 /// the generated threshold pinned — re-run here through the session API.
@@ -154,10 +154,10 @@ fn concurrent_sessions_match_serial_run() {
 
 /// Acceptance: one prepared parameterized aggregate, executed
 /// concurrently from ≥ 4 sessions over one shared engine, returns
-/// bit-identical results to `MosaicDb::execute` with the literal
+/// bit-identical results to ad-hoc `Session::execute` with the literal
 /// inlined — and every session shares the same `Prepared` object.
 #[test]
-fn prepared_concurrent_matches_mosaicdb_execute() {
+fn prepared_concurrent_matches_adhoc_execute() {
     let table = oracle_table(2 * MORSEL_ROWS + 123);
     let engine = Arc::new(MosaicEngine::new());
     engine.register_table("t", table.clone()).unwrap();
@@ -171,11 +171,12 @@ fn prepared_concurrent_matches_mosaicdb_execute() {
         .unwrap();
     assert_eq!(prepared.param_count(), 1);
 
-    // Baselines through the legacy single-owner API on a second engine
-    // holding the same data.
+    // Baselines through the ad-hoc path on a second engine holding the
+    // same data.
     let thresholds: [i64; 4] = [-10, 0, 7, 25];
-    let mut db = MosaicDb::new();
+    let db = Arc::new(MosaicEngine::new());
     db.register_table("t", table).unwrap();
+    let db = db.session();
     let baselines: Vec<Table> = thresholds
         .iter()
         .map(|thr| {

@@ -10,13 +10,31 @@
 
 use std::cmp::Ordering;
 
-use mosaic_core::{run_select_partitioned, run_select_rowwise, MORSEL_ROWS};
-use mosaic_sql::{parse, Statement};
+use mosaic_core::oracle::run_select_rowwise;
+use mosaic_core::{plan_select, ExecContext, PlanInput, MORSEL_ROWS};
+use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::kernels::merge_sorted_runs;
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
 
-fn select(src: &str) -> mosaic_sql::SelectStmt {
+/// The vectorized executor at one threads × optimizer × partitions cell.
+fn run_cell(
+    stmt: &SelectStmt,
+    table: &Table,
+    threads: usize,
+    optimizer: bool,
+    partitions: usize,
+) -> mosaic_core::Result<Table> {
+    let input = PlanInput::Table {
+        table,
+        weights: None,
+    };
+    plan_select(stmt, false, optimizer, Some(table.schema()))
+        .physical
+        .run(input, &ExecContext::new(&[], threads, partitions))
+}
+
+fn select(src: &str) -> SelectStmt {
     match parse(src).unwrap().pop().unwrap() {
         Statement::Select(s) => s,
         other => panic!("not a select: {other:?}"),
@@ -184,10 +202,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             for partitions in [1usize, 16] {
                 for optimizer in [false, true] {
-                    let got = run_select_partitioned(
-                        &stmt, &table, None, threads, optimizer, partitions,
-                    )
-                    .unwrap();
+                    let got = run_cell(&stmt, &table, threads, optimizer, partitions).unwrap();
                     if let Err(msg) = tables_identical(&got, &reference) {
                         panic!(
                             "divergence on {src:?} at {threads} thread(s), \
@@ -232,12 +247,11 @@ fn multi_morsel_order_by_matches_serial_and_reference() {
     let table = b.finish();
     let stmt = select("SELECT g, x, n FROM t ORDER BY x DESC, g, n DESC");
     let reference = run_select_rowwise(&stmt, &table, None).unwrap();
-    let serial = run_select_partitioned(&stmt, &table, None, 1, true, 1).unwrap();
+    let serial = run_cell(&stmt, &table, 1, true, 1).unwrap();
     tables_identical(&serial, &reference).expect("serial executor vs row-wise reference");
     for threads in [2usize, 8] {
         for partitions in [1usize, 16] {
-            let got =
-                run_select_partitioned(&stmt, &table, None, threads, true, partitions).unwrap();
+            let got = run_cell(&stmt, &table, threads, true, partitions).unwrap();
             tables_identical(&got, &serial).unwrap_or_else(|msg| {
                 panic!(
                     "parallel sort diverged at {threads} threads, {partitions} partitions: {msg}"

@@ -1,10 +1,16 @@
 //! End-to-end SQL tests: the paper's §2 script and the surrounding DDL/DML
 //! surface, through the full parse → plan → execute pipeline.
 
-use mosaic_core::{MosaicDb, MosaicError, Value, Visibility};
+use std::sync::Arc;
 
-fn db_with_paper_schema() -> MosaicDb {
-    let mut db = MosaicDb::new();
+use mosaic_core::{MosaicEngine, MosaicError, Session, Value, Visibility};
+
+fn new_db() -> Session {
+    Arc::new(MosaicEngine::new()).session()
+}
+
+fn db_with_paper_schema() -> Session {
+    let db = new_db();
     db.execute(
         "CREATE TEMPORARY TABLE Eurostat (country TEXT, email TEXT, reported_count INT);
          INSERT INTO Eurostat (country, reported_count) VALUES ('UK', 60000), ('FR', 40000);
@@ -23,7 +29,7 @@ fn db_with_paper_schema() -> MosaicDb {
 
 #[test]
 fn paper_section2_script_round_trips() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     // Ingest a biased Yahoo-only sample: 3 UK rows, 1 FR row.
     db.execute(
         "INSERT INTO YahooMigrants VALUES
@@ -54,7 +60,7 @@ fn paper_section2_script_round_trips() {
 
 #[test]
 fn closed_query_is_raw_sample() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     db.execute("INSERT INTO YahooMigrants VALUES ('UK','Yahoo'), ('FR','Yahoo');")
         .unwrap();
     let closed = db
@@ -68,7 +74,7 @@ fn closed_query_is_raw_sample() {
 
 #[test]
 fn default_visibility_is_semi_open() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     db.execute("INSERT INTO YahooMigrants VALUES ('UK','Yahoo');")
         .unwrap();
     let r = db
@@ -79,7 +85,7 @@ fn default_visibility_is_semi_open() {
 
 #[test]
 fn visibility_on_aux_table_rejected() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     let err = db
         .execute("SELECT SEMI-OPEN country FROM Eurostat")
         .unwrap_err();
@@ -88,7 +94,7 @@ fn visibility_on_aux_table_rejected() {
 
 #[test]
 fn insert_into_population_rejected() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     let err = db
         .execute("INSERT INTO EuropeMigrants VALUES ('UK', 'Yahoo')")
         .unwrap_err();
@@ -97,7 +103,7 @@ fn insert_into_population_rejected() {
 
 #[test]
 fn semi_open_without_metadata_or_mechanism_fails() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE GLOBAL POPULATION P (a TEXT);
          CREATE SAMPLE S AS (SELECT * FROM P);
@@ -110,7 +116,7 @@ fn semi_open_without_metadata_or_mechanism_fails() {
 
 #[test]
 fn known_uniform_mechanism_needs_no_metadata() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE GLOBAL POPULATION P (a TEXT);
          CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
@@ -124,7 +130,7 @@ fn known_uniform_mechanism_needs_no_metadata() {
 
 #[test]
 fn stratified_mechanism_uses_strata_marginal() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE Report (region TEXT, reported_count INT);
          INSERT INTO Report VALUES ('N', 1000), ('S', 9000);
@@ -144,7 +150,7 @@ fn stratified_mechanism_uses_strata_marginal() {
 
 #[test]
 fn derived_population_filters_gp_sample() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE Report (city TEXT, reported_count INT);
          INSERT INTO Report VALUES ('A', 100), ('B', 300);
@@ -166,7 +172,7 @@ fn derived_population_filters_gp_sample() {
 
 #[test]
 fn insert_select_from_aux_into_sample() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE Staging (name TEXT, n INT);
          INSERT INTO Staging VALUES ('a', 1), ('b', 2), ('c', 3);
@@ -182,7 +188,7 @@ fn insert_select_from_aux_into_sample() {
 
 #[test]
 fn sample_scan_exposes_weight_column() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     db.execute("INSERT INTO YahooMigrants VALUES ('UK','Yahoo'), ('FR','Yahoo');")
         .unwrap();
     let r = db.execute("SELECT SUM(weight) FROM YahooMigrants").unwrap();
@@ -192,10 +198,11 @@ fn sample_scan_exposes_weight_column() {
 
 #[test]
 fn user_set_initial_weights_respected_by_ipf() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     db.execute("INSERT INTO YahooMigrants VALUES ('UK','Yahoo'), ('UK','Yahoo'), ('FR','Yahoo');")
         .unwrap();
-    db.set_sample_weights("YahooMigrants", vec![3.0, 1.0, 1.0])
+    db.engine()
+        .set_sample_weights("YahooMigrants", vec![3.0, 1.0, 1.0])
         .unwrap();
     let r = db
         .execute("SELECT SEMI-OPEN country, COUNT(*) FROM EuropeMigrants GROUP BY country ORDER BY country")
@@ -207,17 +214,20 @@ fn user_set_initial_weights_respected_by_ipf() {
 
 #[test]
 fn drop_statements_work() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     db.execute("DROP SAMPLE YahooMigrants").unwrap();
-    assert!(db.catalog().sample("YahooMigrants").is_none());
+    assert!(db.engine().catalog().sample("YahooMigrants").is_none());
     db.execute("DROP METADATA EuropeMigrants_M1").unwrap();
-    assert_eq!(db.catalog().metadata_for("EuropeMigrants").len(), 1);
+    assert_eq!(
+        db.engine().catalog().metadata_for("EuropeMigrants").len(),
+        1
+    );
     assert!(db.execute("DROP TABLE Nothing").is_err());
 }
 
 #[test]
 fn scalar_select_without_from() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     let r = db.execute("SELECT 1 + 2 AS three").unwrap();
     assert_eq!(r.table.value(0, 0), Value::Int(3));
     assert_eq!(r.table.schema().field(0).name, "three");
@@ -225,7 +235,7 @@ fn scalar_select_without_from() {
 
 #[test]
 fn metadata_requires_inferable_population() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE T (a TEXT, n INT);
          INSERT INTO T VALUES ('x', 1);
@@ -240,12 +250,12 @@ fn metadata_requires_inferable_population() {
     // Explicit FOR succeeds.
     db.execute("CREATE METADATA Unrelated_M1 FOR Pop AS (SELECT a, n FROM T)")
         .unwrap();
-    assert_eq!(db.catalog().metadata_for("Pop").len(), 1);
+    assert_eq!(db.engine().catalog().metadata_for("Pop").len(), 1);
 }
 
 #[test]
 fn duplicate_relations_rejected() {
-    let mut db = db_with_paper_schema();
+    let db = db_with_paper_schema();
     assert!(db
         .execute("CREATE GLOBAL POPULATION Another (a TEXT)")
         .is_err());
@@ -256,7 +266,7 @@ fn duplicate_relations_rejected() {
 
 #[test]
 fn metadata_group_by_query_builds_marginal() {
-    let mut db = MosaicDb::new();
+    let db = new_db();
     db.execute(
         "CREATE TABLE Raw (city TEXT);
          INSERT INTO Raw VALUES ('A'), ('A'), ('B');
@@ -264,8 +274,119 @@ fn metadata_group_by_query_builds_marginal() {
          CREATE METADATA P_M1 AS (SELECT city, COUNT(*) FROM Raw GROUP BY city);",
     )
     .unwrap();
-    let catalog = db.catalog();
+    let catalog = db.engine().catalog();
     let meta = catalog.metadata_for("P");
     assert_eq!(meta.len(), 1);
     assert_eq!(meta[0].marginal.get(&[Value::Str("A".into())]), Some(2.0));
+}
+
+/// A metadata query is an ordinary SELECT: it binds through the one
+/// binder, so aliases and qualified references resolve, a `?` is the
+/// ad-hoc parameter error, and its output names are the marginal's
+/// attributes.
+#[test]
+fn metadata_query_binds_like_any_select() {
+    let db = db_with_paper_schema();
+    for (name, query) in [
+        (
+            "M3",
+            "SELECT Eurostat.country AS country, reported_count FROM Eurostat \
+             WHERE country IS NOT NULL",
+        ),
+        (
+            "M4",
+            "SELECT e.country AS country, e.reported_count FROM Eurostat e \
+             WHERE e.country IS NOT NULL",
+        ),
+    ] {
+        db.execute(&format!(
+            "CREATE METADATA {name} FOR EuropeMigrants AS ({query})"
+        ))
+        .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let catalog = db.engine().catalog();
+        let metas = catalog.metadata_for("EuropeMigrants");
+        let m = &metas.iter().find(|m| m.name == name).unwrap().marginal;
+        assert_eq!(m.attrs(), ["country".to_string()], "{query}");
+        assert_eq!(m.get(&[Value::Str("UK".into())]), Some(60000.0), "{query}");
+    }
+    // Rejected statements fail exactly like the bare SELECT.
+    for query in [
+        "SELECT nosuch, reported_count FROM Eurostat",
+        "SELECT country, reported_count FROM Eurostat WHERE reported_count > ?",
+    ] {
+        let bare = db.execute(query).unwrap_err();
+        let meta = db
+            .execute(&format!(
+                "CREATE METADATA M5 FOR EuropeMigrants AS ({query})"
+            ))
+            .unwrap_err();
+        assert_eq!(bare.to_string(), meta.to_string(), "{query}");
+        assert_eq!(
+            std::mem::discriminant(&bare),
+            std::mem::discriminant(&meta),
+            "{query}"
+        );
+        assert_eq!(
+            query.contains('?'),
+            matches!(meta, MosaicError::Param(_)),
+            "{meta}"
+        );
+    }
+    // An unaliased qualified key would name an attribute
+    // (`Eurostat.country`) no population has: rejected, asking for AS.
+    for query in [
+        "SELECT Eurostat.country, reported_count FROM Eurostat",
+        "SELECT e.country, e.reported_count FROM Eurostat e",
+    ] {
+        db.execute(query).unwrap();
+        let err = db
+            .execute(&format!(
+                "CREATE METADATA M5 FOR EuropeMigrants AS ({query})"
+            ))
+            .unwrap_err();
+        assert!(matches!(err, MosaicError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains(" AS "), "{err}");
+    }
+    assert_eq!(
+        db.engine().catalog().metadata_for("EuropeMigrants").len(),
+        4
+    );
+}
+
+/// Metadata queries read auxiliary tables: a sample, a population (its
+/// answer would depend on the metadata being defined) or a join is
+/// rejected, all with the one message.
+#[test]
+fn metadata_query_must_read_an_auxiliary_table() {
+    let db = db_with_paper_schema();
+    db.execute("INSERT INTO YahooMigrants VALUES ('UK','Yahoo'), ('FR','Yahoo');")
+        .unwrap();
+    let mut messages = Vec::new();
+    for query in [
+        "SELECT country, COUNT(*) FROM YahooMigrants GROUP BY country",
+        "SELECT CLOSED country, COUNT(*) FROM EuropeMigrants GROUP BY country",
+        "SELECT a.country, b.reported_count FROM Eurostat a JOIN Eurostat b \
+         ON a.country = b.country",
+        "SELECT 'UK', 1",
+    ] {
+        db.execute(query).unwrap_or_else(|e| panic!("{query}: {e}"));
+        let err = db
+            .execute(&format!(
+                "CREATE METADATA M5 FOR EuropeMigrants AS ({query})"
+            ))
+            .unwrap_err();
+        assert!(matches!(err, MosaicError::Unsupported(_)), "{query}: {err}");
+        assert!(
+            err.to_string()
+                .contains("metadata queries read auxiliary tables"),
+            "{query}: {err}"
+        );
+        messages.push(err.to_string());
+    }
+    messages.dedup();
+    assert_eq!(messages.len(), 1, "{messages:?}");
+    assert_eq!(
+        db.engine().catalog().metadata_for("EuropeMigrants").len(),
+        2
+    );
 }
