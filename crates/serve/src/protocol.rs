@@ -30,7 +30,9 @@
 //! `Schema`, `RowBatch`*, `Done` — or a single terminal [`WireError`]
 //! frame carrying a stable numeric [error code](codes), and for
 //! multi-statement scripts the 0-based index and text of the statement
-//! that failed.
+//! that failed. A result stream can also end in that error frame in
+//! place of `Done`: a row too large for any frame (see
+//! [`codes::FRAME_TOO_LARGE`]).
 //!
 //! Decoding never panics on malformed input: every accessor is
 //! bounds-checked and returns [`DecodeError`], which the server answers
@@ -50,7 +52,9 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// rejected without reading the payload.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Rows per `RowBatch` frame when the server streams a result table.
+/// Most rows per `RowBatch` frame when the server streams a result
+/// table; a batch also closes early when the next row would push its
+/// payload past [`MAX_FRAME`].
 pub const ROWS_PER_BATCH: usize = 4096;
 
 /// Stable numeric wire error codes.
@@ -81,9 +85,11 @@ pub mod codes {
     /// Malformed frame payload or unknown message type; the connection
     /// stays usable (framing is intact).
     pub const PROTOCOL: u16 = 100;
-    /// Frame payload length exceeds [`super::MAX_FRAME`]; the server
-    /// closes the connection after this error (the stream cannot be
-    /// resynchronized).
+    /// Frame payload length exceeds [`super::MAX_FRAME`]. For a request
+    /// frame the server closes the connection after this error (the
+    /// stream cannot be resynchronized); for a result row that alone
+    /// cannot fit a `RowBatch` it ends that result and the connection
+    /// stays usable.
     pub const FRAME_TOO_LARGE: u16 = 101;
     /// `ExecutePrepared` named a statement this connection never
     /// prepared.
@@ -217,7 +223,8 @@ pub enum Response {
         /// Result columns in order.
         fields: Vec<WireField>,
     },
-    /// A batch of result rows (at most [`ROWS_PER_BATCH`]).
+    /// A batch of result rows (at most [`ROWS_PER_BATCH`] of them, and
+    /// at most [`MAX_FRAME`] payload bytes).
     RowBatch {
         /// Row-major values; every row has one value per schema column.
         rows: Vec<Vec<Value>>,
@@ -288,9 +295,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame: type byte, `u32` LE payload length, payload.
+/// Write one frame: type byte, `u32` LE payload length, payload. A
+/// payload over [`MAX_FRAME`] is refused with `InvalidInput` and
+/// nothing is written: the peer would reject the frame and lose the
+/// stream.
 pub fn write_frame(w: &mut impl Write, ty: u8, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
+    if payload.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME} cap",
+                payload.len()
+            ),
+        ));
+    }
     w.write_all(&[ty])?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)
@@ -348,6 +366,23 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
             put_str(buf, s);
         }
     }
+}
+
+/// Payload bytes of a `RowBatch` before its first row: the row count.
+pub(crate) const ROW_BATCH_PREFIX: usize = 4;
+
+/// Payload bytes one row adds to a `RowBatch`: its value count, then
+/// each value as [`put_value`] writes it.
+pub(crate) fn encoded_row_len(row: &[Value]) -> usize {
+    4 + row
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Bool(_) => 2,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+        })
+        .sum::<usize>()
 }
 
 fn type_tag(ty: DataType) -> u8 {
@@ -791,6 +826,28 @@ mod tests {
             Err(FrameError::TooLarge(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn encoded_row_len_matches_the_encoding() {
+        let rows = vec![
+            vec![],
+            vec![Value::Null, Value::Bool(false), Value::Int(-1)],
+            vec![Value::Float(f64::NAN), Value::Str(String::new())],
+            vec![Value::Str("héllo".into())],
+        ];
+        let (_, payload) = Response::RowBatch { rows: rows.clone() }.encode();
+        let predicted: usize = rows.iter().map(|r| encoded_row_len(r)).sum();
+        assert_eq!(payload.len(), ROW_BATCH_PREFIX + predicted);
+    }
+
+    #[test]
+    fn oversized_payloads_are_never_written() {
+        let mut out = Vec::new();
+        let payload = vec![0u8; MAX_FRAME as usize + 1];
+        let err = write_frame(&mut out, T_ROW_BATCH, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing may reach the writer");
     }
 
     #[test]

@@ -9,22 +9,32 @@
 //! [`ServeConfig::max_connections`] a new client gets one
 //! `SERVER_BUSY` error frame and a close instead of an unbounded
 //! thread.
+//!
+//! A connection encodes frames into its write buffer and flushes once
+//! per reply, so a small result (`Schema` + `RowBatch` + `Done`) leaves
+//! in one `write`; a result that outgrows the buffer writes through as
+//! it is encoded and is never held whole.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mosaic_core::{MosaicEngine, Prepared, QueryResult, Session, Visibility};
+use mosaic_core::{MosaicEngine, MosaicError, Prepared, QueryResult, Session, Visibility};
 use mosaic_sql::{parse_spanned, Statement};
 use mosaic_storage::Value;
 
 use crate::admission::PermitPool;
 use crate::protocol::{
-    codes, error_code, read_frame, write_frame, FrameError, Request, Response, WireError,
-    WireField, PROTOCOL_VERSION,
+    codes, encoded_row_len, error_code, read_frame, write_frame, FrameError, Request, Response,
+    WireError, WireField, MAX_FRAME, PROTOCOL_VERSION, ROWS_PER_BATCH, ROW_BATCH_PREFIX,
 };
+
+/// Capacity of a connection's write buffer. A reply collects here and
+/// goes out with one flush when it is complete; bytes beyond it write
+/// through as they are encoded.
+const WRITE_BUFFER: usize = 8 * 1024;
 
 /// Server configuration.
 ///
@@ -40,8 +50,6 @@ pub struct ServeConfig {
     /// (the [`PermitPool`] size). `None` inherits the engine's
     /// configured parallelism.
     pub worker_budget: Option<usize>,
-    /// Rows per streamed `RowBatch` frame.
-    pub rows_per_batch: usize,
 }
 
 impl Default for ServeConfig {
@@ -49,7 +57,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_connections: 1024,
             worker_budget: None,
-            rows_per_batch: crate::protocol::ROWS_PER_BATCH,
         }
     }
 }
@@ -64,12 +71,6 @@ impl ServeConfig {
     /// Set the shared worker-thread budget (minimum 1).
     pub fn with_worker_budget(mut self, n: usize) -> Self {
         self.worker_budget = Some(n.max(1));
-        self
-    }
-
-    /// Set the rows streamed per `RowBatch` frame (minimum 1).
-    pub fn with_rows_per_batch(mut self, n: usize) -> Self {
-        self.rows_per_batch = n.max(1);
         self
     }
 }
@@ -92,7 +93,6 @@ struct Shared {
 pub struct Server {
     listener: TcpListener,
     engine: Arc<MosaicEngine>,
-    config: ServeConfig,
     shared: Arc<Shared>,
 }
 
@@ -174,7 +174,6 @@ impl Server {
         Ok(Server {
             listener,
             engine,
-            config,
             shared,
         })
     }
@@ -198,7 +197,6 @@ impl Server {
         let Server {
             listener,
             engine,
-            config,
             shared,
         } = self;
         for stream in listener.incoming() {
@@ -233,9 +231,10 @@ impl Server {
             shared.total_connections.fetch_add(1, Ordering::Relaxed);
             let engine = Arc::clone(&engine);
             let shared2 = Arc::clone(&shared);
-            let config = config.clone();
             std::thread::spawn(move || {
-                let _ = Connection::new(engine, &shared2, config).run(stream);
+                let _ = stream.try_clone().and_then(|reader| {
+                    Connection::new(engine, Arc::clone(&shared2.pool)).run(reader, stream)
+                });
                 shared2.active_connections.fetch_sub(1, Ordering::Relaxed);
             });
         }
@@ -256,22 +255,24 @@ struct Connection {
     session: Session,
     prepared: HashMap<String, Prepared>,
     pool: Arc<PermitPool>,
-    rows_per_batch: usize,
 }
 
 impl Connection {
-    fn new(engine: Arc<MosaicEngine>, shared: &Shared, config: ServeConfig) -> Connection {
+    fn new(engine: Arc<MosaicEngine>, pool: Arc<PermitPool>) -> Connection {
         Connection {
             session: engine.session(),
             prepared: HashMap::new(),
-            pool: Arc::clone(&shared.pool),
-            rows_per_batch: config.rows_per_batch.max(1),
+            pool,
         }
     }
 
-    fn run(mut self, stream: TcpStream) -> io::Result<()> {
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
+    /// Serve requests until the client closes. Replies are only encoded
+    /// into the write buffer; it is flushed once the `Hello`, each
+    /// request's complete reply, or the final `FRAME_TOO_LARGE` error
+    /// is in it.
+    fn run(mut self, reader: impl Read, writer: impl Write) -> io::Result<()> {
+        let mut reader = BufReader::new(reader);
+        let mut writer = BufWriter::with_capacity(WRITE_BUFFER, writer);
         send(
             &mut writer,
             &Response::Hello {
@@ -279,6 +280,7 @@ impl Connection {
                 banner: "mosaic-serve".into(),
             },
         )?;
+        writer.flush()?;
         loop {
             let (ty, payload) = match read_frame(&mut reader) {
                 Ok(Some(f)) => f,
@@ -292,37 +294,31 @@ impl Connection {
                         &mut writer,
                         &protocol_error(
                             codes::FRAME_TOO_LARGE,
-                            format!(
-                                "frame payload of {n} bytes exceeds the {} cap",
-                                crate::protocol::MAX_FRAME
-                            ),
+                            format!("frame payload of {n} bytes exceeds the {MAX_FRAME} cap"),
                         ),
                     )?;
-                    return Ok(());
+                    return writer.flush();
                 }
                 // Truncated frame / transport error: nothing sane to
                 // answer onto.
                 Err(FrameError::Io(_)) => return Ok(()),
             };
-            let request = match Request::decode(ty, &payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    // The frame was well-delimited, just meaningless:
-                    // answer and keep the connection.
-                    send(&mut writer, &protocol_error(codes::PROTOCOL, e.to_string()))?;
-                    continue;
-                }
-            };
-            match request {
-                Request::Close => return Ok(()),
-                Request::Query { sql } => self.query(&mut writer, &sql)?,
-                Request::Prepare { name, sql } => self.prepare(&mut writer, name, &sql)?,
-                Request::ExecutePrepared { name, params } => {
+            match Request::decode(ty, &payload) {
+                Ok(Request::Close) => return Ok(()),
+                Ok(Request::Query { sql }) => self.query(&mut writer, &sql)?,
+                Ok(Request::Prepare { name, sql }) => self.prepare(&mut writer, name, &sql)?,
+                Ok(Request::ExecutePrepared { name, params }) => {
                     self.execute_prepared(&mut writer, &name, &params)?
                 }
-                Request::SetOption { key, value } => self.set_option(&mut writer, &key, &value)?,
-                Request::CacheStats => self.cache_stats(&mut writer)?,
+                Ok(Request::SetOption { key, value }) => {
+                    self.set_option(&mut writer, &key, &value)?
+                }
+                Ok(Request::CacheStats) => self.cache_stats(&mut writer)?,
+                // The frame was well-delimited, just meaningless: answer
+                // and keep the connection.
+                Err(e) => send(&mut writer, &protocol_error(codes::PROTOCOL, e.to_string()))?,
             }
+            writer.flush()?;
         }
     }
 
@@ -337,98 +333,21 @@ impl Connection {
         self.pool.acquire(wanted)
     }
 
-    /// Execute a `;`-separated script statement by statement (the PR 3
-    /// CLI behavior, now protocol-visible): an error frame names the
-    /// failing statement's 0-based index and text.
-    fn query(&mut self, w: &mut impl Write, sql: &str) -> io::Result<()> {
-        // Zero-parse hot path: if the engine's shared plan cache holds
-        // an epoch-valid plan for this exact script text, execute it
-        // directly — no parsing, binding, or planning on this request.
-        {
-            let permit = self.admit();
-            let session = self.session.clone().with_parallelism(permit.threads());
-            if let Some(result) = session.execute_cached(sql) {
-                drop(permit);
-                return match result {
-                    Ok(r) => self.stream_result(w, &r),
-                    Err(e) => send(
-                        w,
-                        &Response::Error(WireError {
-                            code: error_code(&e),
-                            statement_index: Some(0),
-                            statement_text: sql.trim().to_string(),
-                            message: e.to_string(),
-                        }),
-                    ),
-                };
-            }
-        }
-        let spanned = match parse_spanned(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                return send(
-                    w,
-                    &Response::Error(WireError {
-                        code: codes::PARSE,
-                        statement_index: None,
-                        statement_text: String::new(),
-                        message: e.to_string(),
-                    }),
-                );
-            }
-        };
-        // One admission per script: permits cover all its statements.
+    /// Answer a `Query` request: the script's last result, or an error
+    /// frame naming the failing statement (see [`run_script`]).
+    fn query(&self, w: &mut impl Write, sql: &str) -> io::Result<()> {
+        // One admission per request: the plan-cache probe and, on a
+        // miss, every statement of the script run under these permits.
         let permit = self.admit();
-        let session = self.session.clone().with_parallelism(permit.threads());
-        // A single-SELECT script executes through the engine's caches
-        // (publishing its plan for the hot path above); scripts with
-        // DDL/DML or several statements keep per-statement dispatch for
-        // exact error positions.
-        if spanned.len() == 1 && matches!(spanned[0].0, Statement::Select(_)) {
-            let span = spanned.into_iter().next().expect("one statement").1;
-            let result = session.execute(sql);
-            drop(permit);
-            return match result {
-                Ok(r) => self.stream_result(w, &r),
-                Err(e) => send(
-                    w,
-                    &Response::Error(WireError {
-                        code: error_code(&e),
-                        statement_index: Some(0),
-                        statement_text: sql[span].trim().to_string(),
-                        message: e.to_string(),
-                    }),
-                ),
-            };
-        }
-        let mut last: Option<QueryResult> = None;
-        for (i, (stmt, span)) in spanned.into_iter().enumerate() {
-            match session.execute_parsed(stmt) {
-                Ok(r) => {
-                    if let Some(r) = r {
-                        last = Some(r);
-                    }
-                }
-                Err(e) => {
-                    return send(
-                        w,
-                        &Response::Error(WireError {
-                            code: error_code(&e),
-                            statement_index: Some(i as u32),
-                            statement_text: sql[span].trim().to_string(),
-                            message: e.to_string(),
-                        }),
-                    );
-                }
-            }
-        }
+        let outcome = run_script(
+            &self.session.clone().with_parallelism(permit.threads()),
+            sql,
+        );
         drop(permit);
-        let result = last.unwrap_or_else(|| QueryResult {
-            table: mosaic_storage::Table::empty(mosaic_storage::Schema::new(Vec::new())),
-            visibility: None,
-            notes: Vec::new(),
-        });
-        self.stream_result(w, &result)
+        match outcome {
+            Ok(r) => stream_result(w, &r),
+            Err(e) => send(w, &Response::Error(e)),
+        }
     }
 
     fn prepare(&mut self, w: &mut impl Write, name: String, sql: &str) -> io::Result<()> {
@@ -462,7 +381,7 @@ impl Connection {
         let result = session.execute_prepared(p, params);
         drop(permit);
         match result {
-            Ok(r) => self.stream_result(w, &r),
+            Ok(r) => stream_result(w, &r),
             Err(e) => send(w, &engine_error(&e)),
         }
     }
@@ -567,7 +486,7 @@ impl Connection {
             ],
         )
         .expect("static schema matches columns");
-        self.stream_result(
+        stream_result(
             w,
             &QueryResult {
                 table,
@@ -576,39 +495,114 @@ impl Connection {
             },
         )
     }
+}
 
-    /// Stream one result: `Schema`, then `RowBatch` frames, then `Done`.
-    fn stream_result(&self, w: &mut impl Write, result: &QueryResult) -> io::Result<()> {
-        let t = &result.table;
-        let fields = t
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| WireField {
-                name: f.name.clone(),
-                data_type: f.data_type,
-                nullable: f.nullable,
-            })
-            .collect();
-        send(w, &Response::Schema { fields })?;
-        let mut start = 0;
-        while start < t.num_rows() {
-            let end = (start + self.rows_per_batch).min(t.num_rows());
-            let rows: Vec<Vec<Value>> = (start..end).map(|r| t.row(r)).collect();
-            send(w, &Response::RowBatch { rows })?;
-            start = end;
+/// Run a `;`-separated script: through the zero-parse hot path when the
+/// engine's shared plan cache holds an epoch-valid plan for this exact
+/// text, else parsed and executed statement by statement. An error
+/// names the failing statement's 0-based index and text.
+fn run_script(session: &Session, sql: &str) -> Result<QueryResult, WireError> {
+    if let Some(result) = session.execute_cached(sql) {
+        return result.map_err(|e| statement_error(&e, 0, sql));
+    }
+    let spanned = parse_spanned(sql).map_err(|e| WireError {
+        code: codes::PARSE,
+        statement_index: None,
+        statement_text: String::new(),
+        message: e.to_string(),
+    })?;
+    // A single-SELECT script executes through the engine's caches
+    // (publishing its plan for the hot path above); scripts with
+    // DDL/DML or several statements keep per-statement dispatch for
+    // exact error positions.
+    if spanned.len() == 1 && matches!(spanned[0].0, Statement::Select(_)) {
+        let span = spanned.into_iter().next().expect("one statement").1;
+        return session
+            .execute(sql)
+            .map_err(|e| statement_error(&e, 0, &sql[span]));
+    }
+    let mut last = None;
+    for (i, (stmt, span)) in spanned.into_iter().enumerate() {
+        let result = session
+            .execute_parsed(stmt)
+            .map_err(|e| statement_error(&e, i, &sql[span]))?;
+        if result.is_some() {
+            last = result;
         }
-        send(
-            w,
-            &Response::Done {
-                visibility: result.visibility,
-                notes: result.notes.clone(),
-            },
-        )
+    }
+    Ok(last.unwrap_or_else(|| QueryResult {
+        table: mosaic_storage::Table::empty(mosaic_storage::Schema::new(Vec::new())),
+        visibility: None,
+        notes: Vec::new(),
+    }))
+}
+
+/// Stream one result: `Schema`, then `RowBatch` frames, then `Done`. A
+/// batch closes at `ROWS_PER_BATCH` rows or before the row that would
+/// push its payload past `MAX_FRAME`; a row too large for any frame
+/// ends the result with a `FRAME_TOO_LARGE` error in place of `Done`.
+fn stream_result(w: &mut impl Write, result: &QueryResult) -> io::Result<()> {
+    let t = &result.table;
+    let fields = t
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| WireField {
+            name: f.name.clone(),
+            data_type: f.data_type,
+            nullable: f.nullable,
+        })
+        .collect();
+    send(w, &Response::Schema { fields })?;
+    let batch_capacity = |from: usize| (t.num_rows() - from).min(ROWS_PER_BATCH);
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(batch_capacity(0));
+    let mut payload = ROW_BATCH_PREFIX;
+    for r in 0..t.num_rows() {
+        let row = t.row(r);
+        let len = encoded_row_len(&row);
+        if ROW_BATCH_PREFIX + len > MAX_FRAME as usize {
+            return send(
+                w,
+                &protocol_error(
+                    codes::FRAME_TOO_LARGE,
+                    format!(
+                        "result row {r} needs a frame payload of {} bytes, which exceeds the \
+                         {MAX_FRAME} cap",
+                        ROW_BATCH_PREFIX + len
+                    ),
+                ),
+            );
+        }
+        if rows.len() == ROWS_PER_BATCH || payload + len > MAX_FRAME as usize {
+            let full = std::mem::replace(&mut rows, Vec::with_capacity(batch_capacity(r)));
+            send(w, &Response::RowBatch { rows: full })?;
+            payload = ROW_BATCH_PREFIX;
+        }
+        payload += len;
+        rows.push(row);
+    }
+    if !rows.is_empty() {
+        send(w, &Response::RowBatch { rows })?;
+    }
+    send(
+        w,
+        &Response::Done {
+            visibility: result.visibility,
+            notes: result.notes.clone(),
+        },
+    )
+}
+
+fn statement_error(e: &MosaicError, index: usize, text: &str) -> WireError {
+    WireError {
+        code: error_code(e),
+        statement_index: Some(index as u32),
+        statement_text: text.trim().to_string(),
+        message: e.to_string(),
     }
 }
 
-fn engine_error(e: &mosaic_core::MosaicError) -> Response {
+fn engine_error(e: &MosaicError) -> Response {
     Response::Error(WireError {
         code: error_code(e),
         statement_index: None,
@@ -626,8 +620,126 @@ fn protocol_error(code: u16, message: String) -> Response {
     })
 }
 
+/// Encode one frame into the connection's write buffer; the flush is
+/// the caller's, once per reply.
 fn send(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     let (ty, payload) = resp.encode();
-    write_frame(w, ty, &payload)?;
-    w.flush()
+    write_frame(w, ty, &payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mosaic_storage::{Column, DataType, Field, Schema, Table};
+
+    /// A socket stand-in that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An engine holding `t (x INT)` with `rows` rows.
+    fn engine_with(rows: usize) -> Arc<MosaicEngine> {
+        let engine = Arc::new(MosaicEngine::new());
+        let table = Table::new(
+            Schema::new(vec![Field::new("x", DataType::Int)]),
+            vec![Column::from_i64((0..rows as i64).collect())],
+        )
+        .unwrap();
+        engine.register_table("t", table).unwrap();
+        engine
+    }
+
+    /// Run one connection over `requests` (then EOF); returns what
+    /// reached the socket and its frames, decoded.
+    fn serve(engine: &Arc<MosaicEngine>, requests: &[Request]) -> (CountingWriter, Vec<Response>) {
+        let mut input = Vec::new();
+        for r in requests {
+            let (ty, payload) = r.encode();
+            write_frame(&mut input, ty, &payload).unwrap();
+        }
+        let mut out = CountingWriter::default();
+        Connection::new(Arc::clone(engine), PermitPool::new(1))
+            .run(input.as_slice(), &mut out)
+            .unwrap();
+        let mut frames = Vec::new();
+        let mut rest = out.bytes.as_slice();
+        while let Some((ty, payload)) = read_frame(&mut rest).unwrap() {
+            frames.push(Response::decode(ty, &payload).unwrap());
+        }
+        (out, frames)
+    }
+
+    fn query(sql: &str) -> Request {
+        Request::Query { sql: sql.into() }
+    }
+
+    #[test]
+    fn small_reply_reaches_the_socket_in_one_write() {
+        let (out, frames) = serve(&engine_with(3), &[query("SELECT x FROM t ORDER BY x")]);
+        assert!(
+            matches!(
+                frames.as_slice(),
+                [
+                    Response::Hello { .. },
+                    Response::Schema { .. },
+                    Response::RowBatch { .. },
+                    Response::Done { .. }
+                ]
+            ),
+            "{frames:?}"
+        );
+        // The Hello, then Schema + RowBatch + Done together.
+        assert_eq!(out.writes.len(), 2, "writes: {:?}", out.writes);
+    }
+
+    #[test]
+    fn large_reply_streams_through_the_write_buffer() {
+        let rows = ROWS_PER_BATCH * 3 + 7;
+        let (out, frames) = serve(&engine_with(rows), &[query("SELECT x FROM t")]);
+        let batches: Vec<usize> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Response::RowBatch { rows } => Some(rows.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batches, [ROWS_PER_BATCH, ROWS_PER_BATCH, ROWS_PER_BATCH, 7]);
+        let largest_payload = frames.iter().map(|f| f.encode().1.len()).max().unwrap();
+        let reply_bytes = out.bytes.len() - out.writes[0];
+        let reply_writes = &out.writes[1..];
+        // Bytes write through as the buffer fills: no write carries more
+        // than one buffer or one frame's payload, so the result is never
+        // held whole...
+        assert!(largest_payload < reply_bytes);
+        let largest_write = *reply_writes.iter().max().unwrap();
+        assert!(
+            largest_write <= WRITE_BUFFER.max(largest_payload),
+            "writes: {reply_writes:?}"
+        );
+        // ...and, with no flush per frame, there are at most about
+        // bytes ÷ capacity writes (a payload larger than the buffer goes
+        // out in one write of its own).
+        assert!(
+            reply_writes.len() >= batches.len(),
+            "writes: {reply_writes:?}"
+        );
+        assert!(
+            reply_writes.len() <= reply_bytes.div_ceil(WRITE_BUFFER) + 1,
+            "writes: {reply_writes:?}"
+        );
+    }
 }

@@ -17,7 +17,7 @@ use mosaic_serve::{
     Client, Request, Response, ServeConfig, Server, ServerHandle, WireError, WireField, MAX_FRAME,
 };
 use mosaic_sql::Visibility;
-use mosaic_storage::{DataType, Value};
+use mosaic_storage::{DataType, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -416,5 +416,81 @@ fn large_results_stream_in_batches() {
         assert_eq!(got.table.value(r, 0), Value::Int(r as i64));
     }
     client.close().unwrap();
+    handle.shutdown();
+}
+
+/// A server over one registered table `wide (id INT, s TEXT)` holding
+/// `cells`, one row each.
+fn start_wide_server(cells: Vec<String>) -> ServerHandle {
+    let engine = Arc::new(MosaicEngine::new());
+    let mut b = TableBuilder::new(Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("s", DataType::Str),
+    ]));
+    for (i, s) in cells.into_iter().enumerate() {
+        b.push_row(vec![Value::Int(i as i64), Value::Str(s)])
+            .unwrap();
+    }
+    engine.register_table("wide", b.finish()).unwrap();
+    let server = Server::bind(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let (handle, _join) = server.spawn();
+    handle
+}
+
+/// `ROWS_PER_BATCH` rows of 5 KB text are over 16 MiB together: the
+/// server closes a batch before the row that would push it past
+/// `MAX_FRAME`, and the result arrives whole and bit-identical.
+#[test]
+fn wide_rows_split_into_batches_under_max_frame() {
+    let cell = |i: usize| format!("{i:05}").repeat(1_000);
+    let handle = start_wide_server((0..ROWS_PER_BATCH).map(cell).collect());
+    let sql = "SELECT id, s FROM wide ORDER BY id";
+
+    let mut raw = Raw::connect(&handle);
+    raw.send(&Request::Query { sql: sql.into() });
+    let mut batches = 0;
+    let mut next = 0;
+    loop {
+        match raw.read().expect("response before close") {
+            Response::Schema { .. } => {}
+            Response::RowBatch { rows } => {
+                batches += 1;
+                for row in rows {
+                    assert_eq!(row, [Value::Int(next as i64), Value::Str(cell(next))]);
+                    next += 1;
+                }
+            }
+            Response::Done { .. } => break,
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+    assert_eq!(next, ROWS_PER_BATCH);
+    assert!(batches >= 2, "{batches} batch(es)");
+    raw.send(&Request::Close);
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let got = client.query(sql).unwrap();
+    assert_eq!(got.table.num_rows(), ROWS_PER_BATCH);
+    assert_eq!(got.table.value(4095, 1), Value::Str(cell(4095)));
+    client.close().unwrap();
+    assert_eq!(handle.permits_in_use(), 0);
+    handle.shutdown();
+}
+
+/// A row that alone exceeds `MAX_FRAME` cannot be sent in any frame: the
+/// result ends with a `FRAME_TOO_LARGE` error and the same connection
+/// answers the next query.
+#[test]
+fn row_over_max_frame_is_typed_error_and_connection_survives() {
+    let handle = start_wide_server(vec!["x".repeat(MAX_FRAME as usize)]);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let err = client.query("SELECT s FROM wide").unwrap_err();
+    let wire = err.as_server().expect("server-side error expected");
+    assert_eq!(wire.code, codes::FRAME_TOO_LARGE, "{wire}");
+
+    let got = client.query("SELECT COUNT(*) FROM wide").unwrap();
+    assert_eq!(got.table.value(0, 0), Value::Int(1));
+    client.close().unwrap();
+    assert_eq!(handle.permits_in_use(), 0);
     handle.shutdown();
 }

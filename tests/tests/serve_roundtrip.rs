@@ -8,12 +8,15 @@
 //! statement whose table was dropped yields the same `Bind` error the
 //! engine raises in-process, and the connection stays usable after it.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use mosaic_core::{MosaicEngine, Table, Visibility};
-use mosaic_serve::protocol::codes;
-use mosaic_serve::{Client, ServeConfig, Server, ServerHandle};
+use mosaic_serve::protocol::{codes, read_frame, write_frame};
+use mosaic_serve::{Client, Request, Response, ServeConfig, Server, ServerHandle};
 use mosaic_storage::Value;
 
 /// Aggregate-heavy template subset of the planner-oracle workload, all
@@ -251,6 +254,63 @@ fn batch_error_carries_statement_index_and_text() {
     let got = client.query("SELECT COUNT(*) FROM batch_t").unwrap();
     assert_eq!(got.table.value(0, 0), Value::Int(0));
     client.close().unwrap();
+    handle.shutdown();
+}
+
+/// A client may write several requests before reading anything: each
+/// reply is flushed when it is complete, not when the connection goes
+/// idle, so two back-to-back queries and a `Close` get two whole
+/// replies in order and then a clean close.
+#[test]
+fn pipelined_requests_get_in_order_replies_then_close() {
+    let engine = seed_engine(500);
+    let session = engine.session();
+    let queries = [TEMPLATES[1], TEMPLATES[0]];
+    let expected: Vec<Table> = queries.iter().map(|q| session.query(q).unwrap()).collect();
+    let handle = start(Arc::clone(&engine), ServeConfig::default());
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut requests = Vec::new();
+    for req in queries
+        .iter()
+        .map(|q| Request::Query { sql: q.to_string() })
+        .chain([Request::Close])
+    {
+        let (ty, payload) = req.encode();
+        write_frame(&mut requests, ty, &payload).unwrap();
+    }
+    stream.write_all(&requests).unwrap();
+
+    let mut next = || {
+        let (ty, payload) = read_frame(&mut stream)
+            .expect("reply before timeout")
+            .expect("frame before close");
+        Response::decode(ty, &payload).unwrap()
+    };
+    assert!(matches!(next(), Response::Hello { .. }));
+    for (qi, want) in expected.iter().enumerate() {
+        assert!(matches!(next(), Response::Schema { .. }), "query {qi}");
+        let mut rows = Vec::new();
+        loop {
+            match next() {
+                Response::RowBatch { rows: r } => rows.extend(r),
+                Response::Done { .. } => break,
+                other => panic!("query {qi}: unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(rows.len(), want.num_rows(), "query {qi}");
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row, &want.row(r), "query {qi} row {r}");
+        }
+    }
+    assert!(
+        read_frame(&mut stream).unwrap().is_none(),
+        "server must close after Close"
+    );
+    assert_eq!(handle.permits_in_use(), 0);
     handle.shutdown();
 }
 
