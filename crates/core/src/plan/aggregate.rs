@@ -21,13 +21,14 @@
 //! Executing a table as one single morsel with P = 1 reproduces the
 //! previous whole-table vectorized path bit-for-bit.
 
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use mosaic_sql::{AggFunc, Expr, SelectItem};
 use mosaic_storage::kernels::{self, AggState};
 use mosaic_storage::{Column, DataType, Dictionary, Table, Value};
 
+use crate::plan::hash::{self, FoldMap};
 use crate::plan::vector;
 use crate::{MosaicError, Result};
 
@@ -57,10 +58,6 @@ pub(crate) struct MorselPartial {
     /// GROUP BY key tuple. A single empty tuple for global aggregates.
     /// Empty when `codes` carries the group identities instead.
     keys: Vec<Vec<Value>>,
-    /// Per local group, a deterministic hash of its key tuple (the radix
-    /// partitioning key of the merge phase). Equal tuples always hash
-    /// equal, across morsels and across runs. Empty when `codes` is set.
-    hashes: Vec<u64>,
     /// Fast-path group identity: when the single GROUP BY key evaluates
     /// to a dictionary-encoded column, each local group is its
     /// dictionary code (`dict.len()` encodes the NULL group) and no key
@@ -201,55 +198,11 @@ pub(crate) fn compute_partial(
             item_partials.push(ItemPartial::Key(pos));
         }
     }
-    let hashes = keys.iter().map(|k| key_hash(k)).collect();
     Ok(MorselPartial {
         keys,
-        hashes,
         codes: dict_codes,
         items: item_partials,
     })
-}
-
-/// Deterministic hash of a group-key tuple. Uses `DefaultHasher::new()`
-/// (fixed SipHash keys — stable within a build, unlike `RandomState`)
-/// with floats hashed by bit pattern, matching the bit-pattern equality
-/// that [`encode_column`] and `Value::eq` use for float group keys.
-fn key_hash(key: &[Value]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for v in key {
-        match v {
-            Value::Null => 0u8.hash(&mut h),
-            Value::Bool(b) => {
-                1u8.hash(&mut h);
-                b.hash(&mut h);
-            }
-            Value::Int(i) => {
-                2u8.hash(&mut h);
-                i.hash(&mut h);
-            }
-            Value::Float(f) => {
-                3u8.hash(&mut h);
-                f.to_bits().hash(&mut h);
-            }
-            Value::Str(s) => {
-                4u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Cheap deterministic mix of a dictionary code into a radix-partition
-/// hash (the splitmix64 finalizer). Only partition assignment depends
-/// on it, and the partitioned merge is partition-layout-invariant, so
-/// it need not agree with [`key_hash`] on the materialized-key path.
-fn mix_code(c: u32) -> u64 {
-    let mut x = c as u64;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Minimum global group count for the partitioned merge to engage:
@@ -292,9 +245,9 @@ pub(crate) fn merge_finalize(
                 .all(|p| matches!(&p.codes, Some((pd, _)) if Arc::ptr_eq(pd, d)))
         });
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut ghash: Vec<u64> = Vec::new();
     let mut maps: Vec<Vec<u32>> = Vec::with_capacity(partials.len());
-    if let Some(dict) = fast_dict {
+    // Per global group, the hash its radix partition is taken from.
+    let ghash: Vec<u64> = if let Some(dict) = fast_dict {
         let null_code = dict.len() as u32;
         let mut code_gid: Vec<u32> = vec![u32::MAX; dict.len() + 1];
         let mut gcodes: Vec<u32> = Vec::new();
@@ -321,23 +274,26 @@ pub(crate) fn merge_finalize(
                 }]
             })
             .collect();
-        ghash = gcodes.iter().map(|&c| mix_code(c)).collect();
+        gcodes.iter().map(hash::hash_one).collect()
     } else {
-        let mut index: HashMap<&[Value], u32> = HashMap::new();
+        let mut index: FoldMap<&[Value], u32> = FoldMap::default();
         for partial in partials {
             let mut map = Vec::with_capacity(partial.keys.len());
-            for (l, key) in partial.keys.iter().enumerate() {
+            for key in &partial.keys {
                 let next = order.len() as u32;
                 let gid = *index.entry(key.as_slice()).or_insert_with(|| {
                     order.push(key.clone());
-                    ghash.push(partial.hashes[l]);
                     next
                 });
                 map.push(gid);
             }
             maps.push(map);
         }
-    }
+        order
+            .iter()
+            .map(|key| hash::hash_one(key.as_slice()))
+            .collect()
+    };
     let n_global = order.len();
 
     // 2. Radix partition layout. Groups keep ascending (= first
@@ -349,7 +305,7 @@ pub(crate) fn merge_finalize(
     } else {
         1
     };
-    let part_of: Vec<usize> = ghash.iter().map(|h| (h % p as u64) as usize).collect();
+    let part_of: Vec<usize> = ghash.iter().map(|&h| hash::partition(h, p)).collect();
     let mut pgroups: Vec<Vec<u32>> = vec![Vec::new(); p];
     let mut pdense: Vec<u32> = vec![0; n_global];
     for (g, &pi) in part_of.iter().enumerate() {
@@ -588,90 +544,60 @@ fn merge_base_aggregate(
     }
 }
 
-/// Dictionary-encode each key column, then iteratively combine per-column
-/// codes into dense group ids in first-appearance order. Returns the
-/// per-row group id plus each group's first row index.
+/// Group rows by their key tuple: per-row group ids in first-appearance
+/// order, plus each group's first row. Each further key column folds in
+/// pairwise — the (ids so far, column ids) pair of a row is one word.
 fn compute_group_ids(key_cols: &[Column]) -> (Vec<u32>, Vec<usize>) {
-    let n = key_cols.first().map_or(0, Column::len);
-    let mut ids = encode_column(&key_cols[0]);
+    let n = key_cols[0].len();
+    let (mut ids, mut reps) = encode_column(&key_cols[0]);
     for col in &key_cols[1..] {
-        let next = encode_column(col);
-        // Combine (ids, next) pairs into fresh dense codes.
-        let mut index: HashMap<(u32, u32), u32> = HashMap::new();
-        for i in 0..n {
-            let key = (ids[i], next[i]);
-            let new_len = index.len() as u32;
-            let code = *index.entry(key).or_insert(new_len);
-            ids[i] = code;
-        }
-    }
-    // Densify to first-appearance order (single-column dictionaries and
-    // the pairwise combiner both already assign in appearance order, but
-    // re-densifying also yields the representative rows).
-    let mut remap: HashMap<u32, u32> = HashMap::new();
-    let mut reps = Vec::new();
-    for (row, id) in ids.iter_mut().enumerate() {
-        let new_len = remap.len() as u32;
-        let code = *remap.entry(*id).or_insert_with(|| {
-            reps.push(row);
-            new_len
-        });
-        *id = code;
+        let (next, _) = encode_column(col);
+        (ids, reps) = first_appearance(n, |i| (u64::from(ids[i]) << 32) | u64::from(next[i]));
     }
     (ids, reps)
 }
 
-/// Per-column dictionary codes. Equality must match `Value` equality
-/// within the column's type: exact for ints/bools/strings, bit-pattern
-/// for floats (`Value::PartialEq` compares floats by `to_bits`).
-fn encode_column(col: &Column) -> Vec<u32> {
+/// One key column's group ids and first rows (see [`compute_group_ids`]).
+/// Equality matches `Value` equality within the column's type: exact for
+/// ints/bools/strings, bit-pattern for floats (`Value::PartialEq`
+/// compares floats by `to_bits`, so `-0.0` / `+0.0` and distinct NaN
+/// payloads are distinct groups). NULL is one group.
+fn encode_column(col: &Column) -> (Vec<u32>, Vec<usize>) {
     let n = col.len();
-    let mut codes = vec![0u32; n];
-    const NULL: u32 = 0;
+    let valid = |i: usize| !col.is_null(i);
     if let Some(data) = col.i64_data() {
-        let mut dict: HashMap<i64, u32> = HashMap::new();
-        for (i, &v) in data.iter().enumerate() {
-            codes[i] = if col.is_null(i) {
-                NULL
-            } else {
-                let next = dict.len() as u32 + 1;
-                *dict.entry(v).or_insert(next)
-            };
-        }
+        first_appearance(n, |i| valid(i).then_some(data[i]))
     } else if let Some(data) = col.f64_data() {
-        let mut dict: HashMap<u64, u32> = HashMap::new();
-        for (i, &v) in data.iter().enumerate() {
-            codes[i] = if col.is_null(i) {
-                NULL
-            } else {
-                let next = dict.len() as u32 + 1;
-                *dict.entry(v.to_bits()).or_insert(next)
-            };
-        }
-    } else if let Some((data, _)) = col.dict_parts() {
+        first_appearance(n, |i| valid(i).then_some(data[i].to_bits()))
+    } else if let Some((codes, dict)) = col.dict_parts() {
         // Dictionary-encoded strings: the column's own codes already
         // identify distinct values, so no per-row string hashing at all.
-        // (compute_group_ids re-densifies to first-appearance order, so
-        // the dictionary's code order never leaks into group order.)
-        for (i, &c) in data.iter().enumerate() {
-            codes[i] = if col.is_null(i) { NULL } else { c + 1 };
-        }
+        // `dict.len()` stands for NULL, so each row hashes one word.
+        let null = dict.len() as u32;
+        first_appearance(n, |i| if valid(i) { codes[i] } else { null })
     } else if let Some(data) = col.str_data() {
-        let mut dict: HashMap<&str, u32> = HashMap::new();
-        for (i, v) in data.iter().enumerate() {
-            codes[i] = if col.is_null(i) {
-                NULL
-            } else {
-                let next = dict.len() as u32 + 1;
-                *dict.entry(v.as_str()).or_insert(next)
-            };
-        }
-    } else if let Some(data) = col.bool_data() {
-        for (i, &v) in data.iter().enumerate() {
-            codes[i] = if col.is_null(i) { NULL } else { v as u32 + 1 };
-        }
+        first_appearance(n, |i| valid(i).then_some(data[i].as_str()))
+    } else {
+        let data = col.bool_data().expect("bool is the remaining column kind");
+        first_appearance(n, |i| if valid(i) { u8::from(data[i]) } else { 2 })
     }
-    codes
+}
+
+/// Per-row ids of `key(row)` over rows `0..n`, numbered in order of
+/// first appearance, plus each id's first row.
+fn first_appearance<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (Vec<u32>, Vec<usize>) {
+    let mut index: FoldMap<K, u32> = FoldMap::default();
+    let mut reps = Vec::new();
+    let ids = (0..n)
+        .map(|row| {
+            let next = reps.len() as u32;
+            *index.entry(key(row)).or_insert_with(|| {
+                reps.push(row);
+                next
+            })
+        })
+        .collect();
+    (ids, reps)
 }
 
 /// Collect the distinct `Agg` nodes of an aggregate expression, erroring

@@ -35,12 +35,12 @@
 //!
 //! [`Value::sql_cmp`]: mosaic_storage::Value::sql_cmp
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mosaic_sql::{BinOp, Expr, FromClause, JoinKind, SelectItem, SelectStmt};
 use mosaic_storage::{kernels, Bitmap, Column, DataType, Field, Schema, Table, Value};
 
+use super::hash::{self, FoldMap};
 use super::logical::{JoinOutCol, LogicalPlan};
 use super::parallel::{parallel_sort_indices, prune_scan, run_ordered, MORSEL_ROWS};
 use super::{bind_expr, Batch, ExecContext, FilterOp, PhysicalOperator};
@@ -85,7 +85,7 @@ pub(crate) struct Scope {
 /// column produces no output of its own.
 pub(crate) fn output_columns(sides: &[(&str, &Schema)], combine_weight: bool) -> Vec<JoinOutCol> {
     let is_weight = |name: &str| name.eq_ignore_ascii_case("weight");
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: FoldMap<String, usize> = FoldMap::default();
     for (source, (_, schema)) in sides.iter().enumerate() {
         for f in schema.fields() {
             if combine_weight && source > 0 && is_weight(&f.name) {
@@ -734,7 +734,7 @@ impl HashJoinOp {
             // ascending in probe order, stay ascending within each left
             // row; large pair sets sort as parallel runs + k-way merge.
             let perm = parallel_sort_indices(left_idx.len(), threads, |a, b| {
-                (left_idx[a], a) < (left_idx[b], b)
+                left_idx[a].cmp(&left_idx[b]).then(a.cmp(&b))
             });
             left_idx = perm.iter().map(|&i| left_idx[i]).collect();
             right_idx = perm.iter().map(|&i| right_idx[i]).collect();
@@ -992,46 +992,15 @@ fn join_pairs(
     ))
 }
 
-/// SplitMix64 finalizer: a full-avalanche bijective mix, so dense or
-/// structured token values spread evenly across partitions.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic partition hash for normalized join-key tokens. Build
-/// and probe must agree on every key's partition and the layout must be
-/// a function of the key alone (never `RandomState`), so the partition
-/// count can't change results. The probe loop pays this per row on top
-/// of the table lookup, so it's a fixed multiplicative mix over the
-/// already-normalized tokens rather than a second SipHash pass.
-trait PartitionKey {
-    fn partition_hash(&self) -> u64;
-}
-
-impl PartitionKey for u64 {
-    fn partition_hash(&self) -> u64 {
-        mix64(*self)
-    }
-}
-
-impl PartitionKey for Vec<u64> {
-    fn partition_hash(&self) -> u64 {
-        self.iter()
-            .fold(0x9e37_79b9_7f4a_7c15, |h, &t| mix64(h ^ t))
-    }
-}
-
 /// Radix-partitioned build + morsel-parallel probe over row-key
 /// closures (`None` = unusable key, never matches). A multi-morsel
 /// build side is hashed into `partitions` independent tables on the
 /// worker pool (single-morsel builds stay serial — partitioning costs
 /// more than it saves); each probe key routes to exactly one partition
-/// by the same deterministic hash. Per-key build rows stay in ascending
+/// by the same process-wide hash. Per-key build rows stay in ascending
 /// row order at every partition count, and probe fragments merge in
 /// morsel order, so the pair order is a function of the data alone.
-fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
+fn build_and_probe<K: Eq + std::hash::Hash + Send + Sync>(
     build_rows: usize,
     probe_rows: usize,
     threads: usize,
@@ -1046,8 +1015,8 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
         1
     };
     // Build: per key, the matching build rows in ascending row order.
-    let tables: Vec<HashMap<K, Vec<u32>>> = if n_parts == 1 {
-        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+    let tables: Vec<FoldMap<K, Vec<u32>>> = if n_parts == 1 {
+        let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
         for row in 0..build_rows {
             if let Some(key) = build_key(row) {
                 table.entry(key).or_default().push(row as u32);
@@ -1062,7 +1031,7 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
             let end = (start + MORSEL_ROWS).min(build_rows);
             (start..end)
                 .map(|row| match build_key(row) {
-                    Some(key) => (key.partition_hash() % n_parts as u64) as u16,
+                    Some(key) => hash::partition(hash::hash_one(&key), n_parts) as u16,
                     None => u16::MAX,
                 })
                 .collect()
@@ -1071,7 +1040,7 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
         // Phase 2 (partition-parallel): independent tables, each
         // inserting its own rows in ascending build-row order.
         run_ordered(n_parts, threads, |pi| {
-            let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+            let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
             for (row, &part) in part_of.iter().enumerate() {
                 if part == pi as u16 {
                     let key = build_key(row).expect("partitioned rows have keys");
@@ -1081,7 +1050,7 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
             table
         })
     };
-    if tables.iter().all(HashMap::is_empty) {
+    if tables.iter().all(FoldMap::is_empty) {
         return (Vec::new(), Vec::new());
     }
     let n_morsels = probe_rows.div_ceil(MORSEL_ROWS).max(1);
@@ -1095,7 +1064,7 @@ fn build_and_probe<K: Eq + std::hash::Hash + PartitionKey + Send + Sync>(
                 let table = if n_parts == 1 {
                     &tables[0]
                 } else {
-                    &tables[(key.partition_hash() % n_parts as u64) as usize]
+                    &tables[hash::partition(hash::hash_one(&key), n_parts)]
                 };
                 if let Some(rows) = table.get(&key) {
                     for &b in rows {

@@ -30,6 +30,7 @@
 
 pub(crate) mod aggregate;
 pub mod fingerprint;
+pub(crate) mod hash;
 pub mod join;
 pub mod logical;
 pub mod optimize;
@@ -312,25 +313,12 @@ impl PhysicalOperator for SortOp {
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
         let out = &input.table;
         let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
-        // Strict total order: the ORDER BY key chain, ties broken on the
-        // original row index — exactly the permutation a *stable* sort
-        // by the keys alone produces. Strictness is what lets the sort
-        // split into per-block runs on the worker pool and recombine
-        // through a k-way merge without changing a single output bit at
-        // any thread count (`parallel_sort_indices`).
-        let less = |a: usize, b: usize| {
-            for (ki, (_, desc)) in self.keys.iter().enumerate() {
-                let ord = key_cols[ki].total_cmp_rows(a, b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                match ord {
-                    std::cmp::Ordering::Less => return true,
-                    std::cmp::Ordering::Greater => return false,
-                    std::cmp::Ordering::Equal => {}
-                }
-            }
-            a < b
-        };
-        let idx = parallel::parallel_sort_indices(out.num_rows(), ctx.threads, less);
+        // Strictness is what lets the sort split into per-block runs on
+        // the worker pool and recombine through a k-way merge without
+        // changing a single output bit at any thread count
+        // (`parallel_sort_indices`).
+        let cmp = row_order(&self.keys, &key_cols);
+        let idx = parallel::parallel_sort_indices(out.num_rows(), ctx.threads, cmp);
         Ok(Batch {
             table: out.take(&idx),
             weights: input.weights.as_ref().map(|w| kernels::take_f64(w, &idx)),
@@ -362,6 +350,25 @@ fn eval_sort_keys(
         key_cols.push(col);
     }
     Ok(key_cols)
+}
+
+/// The strict total order of [`SortOp`] and [`TopKOp`]: the ORDER BY
+/// key chain, ties broken on the original row index — exactly the
+/// permutation a *stable* sort by the keys alone produces.
+fn row_order<'a>(
+    keys: &'a [(Expr, bool)],
+    key_cols: &'a [Column],
+) -> impl Fn(usize, usize) -> std::cmp::Ordering + Sync + 'a {
+    move |a, b| {
+        for ((_, desc), col) in keys.iter().zip(key_cols) {
+            let ord = col.total_cmp_rows(a, b);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        a.cmp(&b)
+    }
 }
 
 /// `LIMIT n`.
@@ -421,18 +428,7 @@ impl PhysicalOperator for TopKOp {
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
         let out = &input.table;
         let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
-        // Strict total order: key comparison, then the original row
-        // index — the order a stable sort realizes.
-        let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
-            for (ki, (_, desc)) in self.keys.iter().enumerate() {
-                let ord = key_cols[ki].total_cmp_rows(a, b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        };
+        let cmp = row_order(&self.keys, &key_cols);
         let rows = out.num_rows();
         // Bounded heap per morsel-sized block, then an ordered merge of
         // the ≤ n survivors per block.

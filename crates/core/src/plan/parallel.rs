@@ -181,26 +181,19 @@ pub(crate) fn run_ordered<T: Send>(
 /// ([`run_ordered`]), then one deterministic k-way merge
 /// ([`kernels::merge_sorted_runs`]) on the calling thread.
 ///
-/// `less` must be **strict** — order any two distinct indices one way,
-/// with key ties broken on the index itself. That makes the result
-/// exactly the order of a *stable* sort by the keys alone, and makes it
-/// independent of the run split: bit-identical at every thread count.
-/// Single-run inputs (`n <= MORSEL_ROWS`) and single-threaded callers
-/// take one in-place sort with no pool traffic.
+/// `cmp` is three-way — one call per comparison — and must be
+/// **strict**: it orders any two distinct indices one way, with key ties
+/// broken on the index itself. That makes the result exactly the order
+/// of a *stable* sort by the keys alone, and makes it independent of the
+/// run split: bit-identical at every thread count. Single-run inputs
+/// (`n <= MORSEL_ROWS`) and single-threaded callers take one in-place
+/// sort with no pool traffic.
 pub(crate) fn parallel_sort_indices(
     n: usize,
     threads: usize,
-    less: impl Fn(usize, usize) -> bool + Sync,
+    cmp: impl Fn(usize, usize) -> std::cmp::Ordering + Sync,
 ) -> Vec<usize> {
-    let ord = |a: &usize, b: &usize| {
-        if less(*a, *b) {
-            std::cmp::Ordering::Less
-        } else if less(*b, *a) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Equal
-        }
-    };
+    let ord = |a: &usize, b: &usize| cmp(*a, *b);
     if n <= MORSEL_ROWS || threads <= 1 {
         let mut idx: Vec<usize> = (0..n).collect();
         // The order is strict, so an unstable sort is deterministic.
@@ -215,7 +208,7 @@ pub(crate) fn parallel_sort_indices(
         run.sort_unstable_by(ord);
         run
     });
-    kernels::merge_sorted_runs(&runs, less)
+    kernels::merge_sorted_runs(&runs, |a, b| cmp(a, b).is_lt())
 }
 
 /// What one morsel contributes to the merge phase.

@@ -318,6 +318,68 @@ fn high_cardinality_string_group_by_agrees() {
             }
         }
     }
+
+    // Inputs aimed at the executor hasher's paths (`plan/hash.rs`): int
+    // keys strided by 2^20 plus i64::MIN / i64::MAX; float keys whose
+    // -0.0 / +0.0 and two NaN payloads must stay separate groups by bit
+    // pattern; two-key GROUP BYs through the pairwise combiner; and a
+    // dictionary of ≥ 4 × MORSEL_ROWS strings filtered to a few hundred
+    // rows per morsel, so the codes a morsel sees are sparse in the code
+    // space. Integer arithmetic only, so every cell must equal the
+    // row-wise reference — first-appearance group order included (no
+    // ORDER BY).
+    let rows = 4 * mosaic_core::MORSEL_ROWS + 777;
+    let schema = Schema::new(vec![
+        Field::new("s", DataType::Int),
+        Field::new("z", DataType::Float),
+        Field::new("w", DataType::Str),
+        Field::new("i", DataType::Int),
+    ]);
+    let mut b = TableBuilder::new(schema);
+    for r in 0..rows {
+        let s = match r % 1009 {
+            0 => Value::Null,
+            5 => Value::Int(i64::MIN),
+            7 => Value::Int(i64::MAX),
+            _ => Value::Int(((r % 3001) as i64 - 1500) << 20),
+        };
+        let z = match r % 6 {
+            0 => Value::Float(-0.0),
+            1 => Value::Float(0.0),
+            2 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            3 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0002)),
+            4 => Value::Float(1.5),
+            _ => Value::Null,
+        };
+        let w = Value::Str(format!("w{r}"));
+        b.push_row(vec![s, z, w, Value::Int((r % 83) as i64 - 40)])
+            .unwrap();
+    }
+    let table = b.finish().dict_encoded();
+    for src in [
+        "SELECT s, COUNT(*) AS n, MIN(i) AS lo FROM t GROUP BY s",
+        "SELECT z, COUNT(*) AS n, SUM(i) AS si FROM t GROUP BY z",
+        "SELECT z, s, COUNT(*) AS n FROM t GROUP BY z, s",
+        "SELECT w, COUNT(*) AS n, SUM(i) AS si FROM t WHERE i = 3 GROUP BY w",
+        "SELECT w, z, COUNT(*) AS n FROM t WHERE i = 3 GROUP BY w, z",
+    ] {
+        let stmt = select(src);
+        let reference = run_select_rowwise(&stmt, &table, None).unwrap();
+        for threads in THREAD_COUNTS {
+            for partitions in [1, 16] {
+                for optimizer in [false, true] {
+                    let out =
+                        run_cell(&stmt, &table, None, threads, optimizer, partitions).unwrap();
+                    if let Err(msg) = tables_identical(&out, &reference) {
+                        panic!(
+                            "hash-path divergence on {src:?} at {threads} thread(s), \
+                             {partitions} partition(s), optimizer={optimizer}: {msg}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Dictionary-vs-plain equivalence: the same logical table stored with
@@ -857,32 +919,36 @@ fn order_by_over_join_multi_morsel_matches_reference() {
 fn partitioned_join_build_is_deterministic() {
     let dim_rows = mosaic_core::MORSEL_ROWS + 333;
     let fact_rows = 2 * mosaic_core::MORSEL_ROWS + 777;
+    // `sk` keys are strided by 2^20: they differ only in high bits, so
+    // partition routing and bucket choice must both come from mixed bits.
     let dim_schema = Schema::new(vec![
         Field::new("key", DataType::Str),
         Field::new("p", DataType::Int),
+        Field::new("sk", DataType::Int),
     ]);
     let mut b = TableBuilder::new(dim_schema);
     for j in 0..dim_rows {
-        b.push_row(vec![
-            if j % 101 == 0 {
-                Value::Null // NULL build keys: hashed nowhere, match nothing
-            } else {
-                Value::Str(format!("w{j}"))
-            },
-            Value::Int((j % 53) as i64),
-        ])
-        .unwrap();
+        let (key, sk) = if j % 101 == 0 {
+            // NULL build keys: hashed nowhere, match nothing
+            (Value::Null, Value::Null)
+        } else {
+            (Value::Str(format!("w{j}")), Value::Int((j as i64) << 20))
+        };
+        b.push_row(vec![key, Value::Int((j % 53) as i64), sk])
+            .unwrap();
     }
     let bigdim = b.finish();
     let fact_schema = Schema::new(vec![
         Field::new("key", DataType::Str),
         Field::new("v", DataType::Int),
+        Field::new("sk", DataType::Int),
     ]);
     let mut b = TableBuilder::new(fact_schema);
     for r in 0..fact_rows {
         b.push_row(vec![
             Value::Str(format!("w{}", r % dim_rows)),
             Value::Int((r % 997) as i64 - 400),
+            Value::Int(((r % dim_rows) as i64) << 20),
         ])
         .unwrap();
     }
@@ -896,6 +962,8 @@ fn partitioned_join_build_is_deterministic() {
          WHERE f.v > 540 ORDER BY v DESC, p",
         "SELECT d.p AS p, COUNT(*) AS n, SUM(f.v) AS s \
          FROM bigfact f LEFT JOIN bigdim d ON f.key = d.key GROUP BY d.p ORDER BY p",
+        "SELECT d.p AS p, COUNT(*) AS n, SUM(f.v) AS s \
+         FROM bigfact f JOIN bigdim d ON f.sk = d.sk GROUP BY d.p ORDER BY p",
     ];
     for sql in templates {
         let baseline = engine
