@@ -321,17 +321,6 @@ impl PlanCache {
     }
 }
 
-/// Parse the `MOSAIC_RESULT_CACHE` environment variable: `off` (or `0`)
-/// disables the result cache, a number is the capacity in megabytes.
-/// Unset or unparsable falls back to the 64 MB default.
-pub fn default_result_cache_mb() -> usize {
-    match std::env::var("MOSAIC_RESULT_CACHE") {
-        Ok(v) if v.eq_ignore_ascii_case("off") => 0,
-        Ok(v) => v.trim().parse().unwrap_or(64),
-        Err(_) => 64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,11 +381,5 @@ mod tests {
         let mut s = CacheStats::default();
         cache.stats_into(&mut s);
         assert_eq!((s.entries, s.insertions), (0, 0));
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        // Not set in the test environment by default.
-        assert!(matches!(default_result_cache_mb(), 0 | 64 | 1..));
     }
 }

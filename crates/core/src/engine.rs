@@ -22,7 +22,7 @@ use mosaic_sql::{parse, Expr, InsertSource, SelectItem, SelectStmt, Statement, V
 use mosaic_stats::{Binner, Ipf, IpfConfig, Marginal};
 use mosaic_storage::{Column, DataType, Field, Schema, Table, TableBuilder, Value};
 use mosaic_swg::SwgConfig;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::catalog::{
     empty_table, marginal_from_table, Catalog, Mechanism, MetadataEntry, Population, Sample,
@@ -31,10 +31,8 @@ use crate::eval::eval_scalar;
 use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
 use crate::plan::{ExecContext, PhysicalPlan, PlanInput};
-use crate::session::{
-    population_deps, BoundRel, Prepared, RelKind, Resolved, Session, SessionOptions, Source,
-};
-use crate::{MosaicError, Result};
+use crate::session::{population_deps, BoundRel, Prepared, RelKind, Resolved, Session, Source};
+use crate::{Knobs, MosaicError, Result};
 
 /// Which generative model answers OPEN queries.
 #[derive(Debug, Clone)]
@@ -71,8 +69,6 @@ pub struct OpenOptions {
     /// Rows per generated sample (`None` = same as the training sample,
     /// the paper's protocol).
     pub rows_per_sample: Option<usize>,
-    /// Base seed for generation.
-    pub seed: u64,
 }
 
 impl Default for OpenOptions {
@@ -81,7 +77,6 @@ impl Default for OpenOptions {
             backend: OpenBackend::Swg(SwgConfig::default()),
             num_generated: 10,
             rows_per_sample: None,
-            seed: 0,
         }
     }
 }
@@ -104,23 +99,16 @@ impl OpenOptions {
         self.rows_per_sample = n;
         self
     }
-
-    /// Set the base generation seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
-/// Engine-wide options.
+/// Engine-wide options: what a deployment fixes once for every session.
+/// The per-query settings live in each session's [`Knobs`].
 ///
 /// `#[non_exhaustive]`: construct with [`EngineOptions::default`] and the
 /// `with_*` builders so future fields are not breaking changes.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineOptions {
-    /// Visibility applied to population queries that don't specify one.
-    pub default_visibility: Visibility,
     /// OPEN query options.
     pub open: OpenOptions,
     /// IPF convergence settings for SEMI-OPEN queries.
@@ -128,64 +116,31 @@ pub struct EngineOptions {
     /// Binners for continuous attributes (keyed by attribute name),
     /// shared by metadata construction and IPF cell formation.
     pub binners: HashMap<String, Binner>,
-    /// Worker-thread cap shared by the morsel-driven executor and the
-    /// OPEN replicate loop (which split it between themselves rather
-    /// than multiplying — one pool's worth of threads, never more).
+    /// The engine's worker-thread budget: every new session's
+    /// [`Knobs::threads`] and a server's default worker budget.
     /// Defaults to `MOSAIC_PARALLELISM` or the machine's core count;
     /// never changes results, only wall-clock time.
     pub parallelism: usize,
-    /// Whether SELECT planning runs the rule-based logical optimizer
-    /// (projection pruning, constant folding, Sort+Limit → TopK fusion;
-    /// see [`crate::plan::optimize`]). Defaults to on unless the
-    /// `MOSAIC_OPTIMIZER` environment variable disables it. The
-    /// optimizer is a pure plan rewrite — results are bit-identical
-    /// with it on or off, only latency changes.
-    pub optimizer: bool,
-    /// Radix-partition count of the parallel aggregate merge (1 = serial
-    /// merge). Defaults to `MOSAIC_AGG_PARTITIONS` or 16; like the
-    /// thread cap, never changes results.
-    pub agg_partitions: usize,
     /// Result-cache capacity in megabytes; `0` disables the result
-    /// cache engine-wide. Defaults to `MOSAIC_RESULT_CACHE` (`off` or a
-    /// megabyte count) or 64. Caching never changes results — the
-    /// determinism contract makes a valid cached result bit-identical
-    /// to re-execution — it only removes latency.
+    /// cache engine-wide. Defaults to 64. Caching never changes results
+    /// — the determinism contract makes a valid cached result
+    /// bit-identical to re-execution — it only removes latency.
     pub result_cache_mb: usize,
-    /// Per-query result-cache participation gate (sessions override it
-    /// via [`Session::with_result_cache`]). `false` skips both lookup
-    /// and insert for the query without touching the shared cache.
-    pub result_cache: bool,
-    /// True when the OPEN generation seed was set explicitly (via
-    /// [`Session::with_seed`] or [`EngineOptions::with_open_seed`]).
-    /// OPEN queries without an explicit seed are treated as
-    /// resample-on-every-run and are ineligible for the result cache.
-    pub open_seed_explicit: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            default_visibility: Visibility::SemiOpen,
             open: OpenOptions::default(),
             ipf: IpfConfig::default(),
             binners: HashMap::new(),
             parallelism: crate::plan::parallel::default_parallelism(),
-            optimizer: crate::plan::optimize::default_optimizer(),
-            agg_partitions: crate::plan::parallel::default_agg_partitions(),
-            result_cache_mb: crate::cache::default_result_cache_mb(),
-            result_cache: true,
-            open_seed_explicit: false,
+            result_cache_mb: 64,
         }
     }
 }
 
 impl EngineOptions {
-    /// Set the default visibility of population queries.
-    pub fn with_default_visibility(mut self, v: Visibility) -> Self {
-        self.default_visibility = v;
-        self
-    }
-
     /// Set the OPEN query options.
     pub fn with_open(mut self, open: OpenOptions) -> Self {
         self.open = open;
@@ -204,25 +159,9 @@ impl EngineOptions {
         self
     }
 
-    /// Set the worker-thread cap (minimum 1).
+    /// Set the worker-thread budget (minimum 1).
     pub fn with_parallelism(mut self, n: usize) -> Self {
         self.parallelism = n.max(1);
-        self
-    }
-
-    /// Enable or disable the rule-based logical optimizer. Results are
-    /// bit-identical either way; the off switch exists so the
-    /// unoptimized path stays exercisable (and the oracle suite can A/B
-    /// both paths).
-    pub fn with_optimizer(mut self, on: bool) -> Self {
-        self.optimizer = on;
-        self
-    }
-
-    /// Set the aggregate-merge radix-partition count (minimum 1;
-    /// 1 = serial merge). Results are bit-identical for any count.
-    pub fn with_agg_partitions(mut self, n: usize) -> Self {
-        self.agg_partitions = n.max(1);
         self
     }
 
@@ -230,17 +169,6 @@ impl EngineOptions {
     /// cache engine-wide). Caching never changes results, only latency.
     pub fn with_result_cache(mut self, mb: usize) -> Self {
         self.result_cache_mb = mb;
-        self
-    }
-
-    /// Set the OPEN generation seed *explicitly*. Unlike reaching
-    /// through [`EngineOptions::with_open`], this also marks the seed
-    /// as pinned, which makes seeded OPEN queries eligible for the
-    /// result cache (an unpinned OPEN query is treated as
-    /// resample-on-every-run and never cached).
-    pub fn with_open_seed(mut self, seed: u64) -> Self {
-        self.open.seed = seed;
-        self.open_seed_explicit = true;
         self
     }
 }
@@ -281,7 +209,7 @@ type ModelCache = Mutex<HashMap<String, (Vec<(String, u64)>, Arc<dyn GenerativeM
 /// number of [`Session`]s onto it. Concurrent SELECTs proceed under
 /// catalog read locks; DDL/DML statements (`CREATE …`, `INSERT`,
 /// `DROP`) serialize behind the write lock. All statement execution is
-/// deterministic given the effective options.
+/// deterministic given the engine options and the session's [`Knobs`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -296,7 +224,9 @@ type ModelCache = Mutex<HashMap<String, (Vec<(String, u64)>, Arc<dyn GenerativeM
 /// ```
 pub struct MosaicEngine {
     catalog: RwLock<Catalog>,
-    options: RwLock<EngineOptions>,
+    /// Shared so a statement holds its snapshot without the lock;
+    /// [`MosaicEngine::register_binner`] copies on write.
+    options: RwLock<Arc<EngineOptions>>,
     model_cache: ModelCache,
     /// Epoch-invalidated query results, shared by every session (see
     /// [`crate::cache`]).
@@ -313,8 +243,7 @@ impl Default for MosaicEngine {
 }
 
 impl MosaicEngine {
-    /// New engine with default options (SEMI-OPEN default visibility,
-    /// M-SWG OPEN backend).
+    /// New engine with default options (M-SWG OPEN backend).
     pub fn new() -> MosaicEngine {
         Self::with_options(EngineOptions::default())
     }
@@ -323,7 +252,7 @@ impl MosaicEngine {
     pub fn with_options(options: EngineOptions) -> MosaicEngine {
         MosaicEngine {
             catalog: RwLock::new(Catalog::new()),
-            options: RwLock::new(options),
+            options: RwLock::new(Arc::new(options)),
             model_cache: Mutex::new(HashMap::new()),
             result_cache: crate::cache::ResultCache::default(),
             plan_cache: crate::cache::PlanCache::default(),
@@ -331,9 +260,9 @@ impl MosaicEngine {
     }
 
     /// Open a new session on this shared engine. Sessions are cheap
-    /// (an `Arc` clone plus an override set) and independent: each can
-    /// carry its own default visibility, seed, thread cap, and OPEN
-    /// backend without mutating the engine-wide options.
+    /// (an `Arc` clone plus one [`Knobs`]) and independent: each starts
+    /// from [`Knobs::from_env`] with the engine's thread budget and can
+    /// change any knob without touching the engine-wide options.
     pub fn session(self: &Arc<Self>) -> Session {
         Session::new(Arc::clone(self))
     }
@@ -345,22 +274,15 @@ impl MosaicEngine {
     }
 
     /// Snapshot of the engine-wide options.
-    pub fn options(&self) -> EngineOptions {
-        self.options.read().clone()
-    }
-
-    /// Write access to the engine-wide options. Prefer per-session
-    /// overrides ([`Session::with_parallelism`] etc.) for anything
-    /// query-scoped; this changes defaults for every session.
-    pub fn options_write(&self) -> RwLockWriteGuard<'_, EngineOptions> {
-        self.options.write()
+    pub fn options(&self) -> Arc<EngineOptions> {
+        Arc::clone(&self.options.read())
     }
 
     /// Register a binner for a continuous attribute (shared by metadata
-    /// construction and IPF).
+    /// construction and IPF). Statements already running keep the
+    /// options they started with.
     pub fn register_binner(&self, attr: &str, binner: Binner) {
-        self.options
-            .write()
+        Arc::make_mut(&mut self.options.write())
             .binners
             .insert(attr.to_ascii_lowercase(), binner);
     }
@@ -393,47 +315,17 @@ impl MosaicEngine {
         self.catalog.write().set_sample_weights(sample, weights)
     }
 
-    /// Merge a session's overrides over the engine-wide options.
-    pub(crate) fn effective_options(&self, session: &SessionOptions) -> EngineOptions {
-        let mut o = self.options.read().clone();
-        if let Some(v) = session.default_visibility {
-            o.default_visibility = v;
-        }
-        if let Some(seed) = session.seed {
-            o.open.seed = seed;
-            // A session-pinned seed makes OPEN results reproducible by
-            // request, which is what result-cache eligibility keys on.
-            o.open_seed_explicit = true;
-        }
-        if let Some(p) = session.parallelism {
-            o.parallelism = p.max(1);
-        }
-        if let Some(p) = session.agg_partitions {
-            o.agg_partitions = p.max(1);
-        }
-        if let Some(b) = &session.open_backend {
-            o.open.backend = b.clone();
-        }
-        if let Some(opt) = session.optimizer {
-            o.optimizer = opt;
-        }
-        if let Some(rc) = session.result_cache {
-            o.result_cache = rc;
-        }
-        o
-    }
-
-    /// Execute a script of semicolon-separated statements under the
-    /// given session overrides; returns the result of the last SELECT
-    /// (or an empty result).
-    pub(crate) fn execute_with(&self, sql: &str, session: &SessionOptions) -> Result<QueryResult> {
+    /// Execute a script of semicolon-separated statements under a
+    /// session's knobs; returns the result of the last SELECT (or an
+    /// empty result).
+    pub(crate) fn execute_with(&self, sql: &str, k: &Knobs) -> Result<QueryResult> {
         // Hot path: a valid cached plan for this exact script text
         // skips parse/bind/optimize entirely — repeated ad-hoc `Query`
         // frames over the wire land here.
-        if let Some(r) = self.execute_hot(sql, session) {
+        if let Some(r) = self.execute_hot(sql, k) {
             return r;
         }
-        let opts = self.effective_options(session);
+        let opts = self.options();
         let mut stmts = parse(sql)?;
         // Single-SELECT scripts publish their bound plan under the
         // script text so the next identical script takes the hot path
@@ -442,11 +334,11 @@ impl MosaicEngine {
             let Some(Statement::Select(stmt)) = stmts.pop() else {
                 unreachable!("matched above");
             };
-            return self.execute_select(Some(sql), stmt, &opts);
+            return self.execute_select(Some(sql), stmt, &opts, k);
         }
         let mut last = QueryResult::empty();
         for stmt in stmts {
-            if let Some(r) = self.execute_statement(stmt, &opts)? {
+            if let Some(r) = self.execute_statement(stmt, &opts, k)? {
                 last = r;
             }
         }
@@ -457,19 +349,12 @@ impl MosaicEngine {
     /// an epoch-valid plan is cached under the exact script text (no
     /// parsing happens at all), `None` when the caller must take the
     /// ordinary parse path.
-    pub(crate) fn execute_hot(
-        &self,
-        sql: &str,
-        session: &SessionOptions,
-    ) -> Option<Result<QueryResult>> {
-        let opts = self.effective_options(session);
+    pub(crate) fn execute_hot(&self, sql: &str, k: &Knobs) -> Option<Result<QueryResult>> {
         let cat = self.catalog.read();
         let p = self
             .plan_cache
-            .get(sql, opts.default_visibility, opts.optimizer, |n| {
-                cat.relation_epoch(n)
-            })?;
-        Some(self.select_prepared(&cat, &opts, &p, &[]))
+            .get(sql, k.visibility, k.optimizer, |n| cat.relation_epoch(n))?;
+        Some(self.select_prepared(&cat, &self.options(), k, &p, &[]))
     }
 
     /// Execute one ad-hoc SELECT — the single entry every unprepared
@@ -482,20 +367,21 @@ impl MosaicEngine {
         sql: Option<&str>,
         stmt: SelectStmt,
         opts: &EngineOptions,
+        k: &Knobs,
     ) -> Result<QueryResult> {
         reject_params(&stmt)?;
         let cat = self.catalog.read();
-        let p = Arc::new(Prepared::bind(&cat, opts, stmt, sql.unwrap_or_default())?);
+        let p = Arc::new(Prepared::bind(&cat, k, stmt, sql.unwrap_or_default())?);
         if let Some(sql) = sql {
             self.plan_cache.insert(
                 sql,
-                opts.default_visibility,
-                opts.optimizer,
+                k.visibility,
+                k.optimizer,
                 Arc::clone(&p),
                 epoch_snapshot(&cat, p.dependencies()),
             );
         }
-        self.select_prepared(&cat, opts, &p, &[])
+        self.select_prepared(&cat, opts, k, &p, &[])
     }
 
     /// Execute a bound statement through the result cache: look the
@@ -507,15 +393,15 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
+        k: &Knobs,
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<QueryResult> {
         let vis = prepared.visibility().unwrap_or(Visibility::Closed);
-        let enabled = opts.result_cache && opts.result_cache_mb > 0;
-        if !enabled || result_cache_ineligibility(opts, vis).is_some() {
-            return self.select(cat, opts, prepared, params);
+        if !result_cache_on(opts, k) || result_cache_ineligibility(k, vis).is_some() {
+            return self.select(cat, opts, k, prepared, params);
         }
-        let fp = fingerprint_of(prepared, params, opts, vis);
+        let fp = fingerprint_of(prepared, params, opts, k, vis);
         if let Some(mut hit) = self.result_cache.get(fp, |n| cat.relation_epoch(n)) {
             hit.notes.push(format!(
                 "result cache hit (fingerprint {})",
@@ -523,7 +409,7 @@ impl MosaicEngine {
             ));
             return Ok(hit);
         }
-        let result = self.select(cat, opts, prepared, params)?;
+        let result = self.select(cat, opts, k, prepared, params)?;
         let epochs = epoch_snapshot(cat, prepared.dependencies());
         self.result_cache
             .insert(fp, &result, epochs, opts.result_cache_mb << 20);
@@ -559,6 +445,7 @@ impl MosaicEngine {
         &self,
         stmt: Statement,
         opts: &EngineOptions,
+        k: &Knobs,
     ) -> Result<Option<QueryResult>> {
         match stmt {
             Statement::CreateTable { name, fields, .. } => {
@@ -664,7 +551,7 @@ impl MosaicEngine {
                     } if c.contains('.') => Some(c.clone()),
                     _ => None,
                 });
-                let bound = Prepared::bind(&cat, opts, query, "")?;
+                let bound = Prepared::bind(&cat, k, query, "")?;
                 // A metadata query over a population would depend on the
                 // metadata it defines; samples and joins are not reports.
                 if !matches!(bound.source(), Source::Single(rel) if rel.kind == RelKind::Aux) {
@@ -680,7 +567,7 @@ impl MosaicEngine {
                          write {c} AS <attribute>"
                     )));
                 }
-                let result = self.select(&cat, opts, &bound, &[])?.table;
+                let result = self.select(&cat, opts, k, &bound, &[])?.table;
                 let marginal = marginal_from_table(&result)?;
                 cat.create_metadata(MetadataEntry {
                     name,
@@ -694,14 +581,14 @@ impl MosaicEngine {
                 columns,
                 source,
             } => {
-                self.insert(&table, columns.as_deref(), source, opts)?;
+                self.insert(&table, columns.as_deref(), source, opts, k)?;
                 Ok(None)
             }
-            Statement::Select(stmt) => self.execute_select(None, stmt, opts).map(Some),
+            Statement::Select(stmt) => self.execute_select(None, stmt, opts, k).map(Some),
             Statement::Explain(stmt) => {
                 let cat = self.catalog.read();
-                let bound = Prepared::bind(&cat, opts, stmt, "")?;
-                let lines = crate::explain::render(self, &cat, opts, &bound)?;
+                let bound = Prepared::bind(&cat, k, stmt, "")?;
+                let lines = crate::explain::render(self, &cat, opts, k, &bound)?;
                 let table = Table::new(
                     Schema::new(vec![Field::new("plan", DataType::Str)]),
                     vec![Column::from_str(lines)],
@@ -725,6 +612,7 @@ impl MosaicEngine {
         columns: Option<&[String]>,
         source: InsertSource,
         opts: &EngineOptions,
+        k: &Knobs,
     ) -> Result<()> {
         // For a SELECT source, run the query (under its own read lock)
         // first — taking the write lock around a SELECT that re-enters
@@ -732,7 +620,7 @@ impl MosaicEngine {
         let (values, selected) = match source {
             InsertSource::Values(rows) => (rows, None),
             InsertSource::Select(stmt) => {
-                let result = self.execute_select(None, *stmt, opts)?;
+                let result = self.execute_select(None, *stmt, opts, k)?;
                 (Vec::new(), Some(result.table))
             }
         };
@@ -796,11 +684,12 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
+        k: &Knobs,
         bound: &Prepared,
         params: &[Value],
     ) -> Result<QueryResult> {
         let plan = &bound.planned().physical;
-        let ctx = ExecContext::new(params, opts.parallelism, opts.agg_partitions);
+        let ctx = ExecContext::new(params, k.threads, k.partitions);
         let weights = None; // a table or sample scans as-is
         let mut notes = Vec::new();
         let table = match bound.source() {
@@ -814,14 +703,14 @@ impl MosaicEngine {
             }
             Source::Single(rel) => match rel.resolve(cat)? {
                 Resolved::Population(pop) => {
-                    return self.query_population(cat, opts, bound, params, pop)
+                    return self.query_population(cat, opts, k, bound, params, pop)
                 }
                 side => {
                     let table = &side_table(cat, opts, &side, None, &mut notes)?;
                     plan.run(PlanInput::Table { table, weights }, &ctx)?
                 }
             },
-            Source::Join(rels) => return self.select_join(cat, opts, bound, params, rels),
+            Source::Join(rels) => return self.select_join(cat, opts, k, bound, params, rels),
         };
         Ok(QueryResult {
             table,
@@ -838,6 +727,7 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
+        k: &Knobs,
         bound: &Prepared,
         params: &[Value],
         rels: &[BoundRel],
@@ -933,7 +823,7 @@ impl MosaicEngine {
                     &bound.planned().physical,
                     left.as_ref().expect("fixed side"),
                     right.as_ref().expect("fixed side"),
-                    &ExecContext::new(params, opts.parallelism, opts.agg_partitions),
+                    &ExecContext::new(params, k.threads, k.partitions),
                 )?
             }
             Some(pi) => {
@@ -956,7 +846,7 @@ impl MosaicEngine {
                         };
                         run_join(plan, left, right, ctx)
                     };
-                open_answer(opts, bound, params, &om, "join", &mut notes, answer)?
+                open_answer(k, bound, params, &om, "join", &mut notes, answer)?
             }
         };
         Ok(QueryResult {
@@ -972,6 +862,7 @@ impl MosaicEngine {
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
+        k: &Knobs,
         bound: &Prepared,
         params: &[Value],
         pop: &Population,
@@ -991,7 +882,7 @@ impl MosaicEngine {
         // plan: a table, a table with correction weights, a generated
         // replicate with its uniform weight.
         let plan = &bound.planned().physical;
-        let ctx = ExecContext::new(params, opts.parallelism, opts.agg_partitions);
+        let ctx = ExecContext::new(params, k.threads, k.partitions);
         let table = match visibility {
             Visibility::Closed => {
                 // LAV-style: samples used as-is, no debiasing.
@@ -1014,7 +905,7 @@ impl MosaicEngine {
                         let (table, weights) = (generated, Some(weights.as_slice()));
                         plan.run(PlanInput::Table { table, weights }, ctx)
                     };
-                open_answer(opts, bound, params, &om, "query", &mut notes, answer)?
+                open_answer(k, bound, params, &om, "query", &mut notes, answer)?
             }
         };
         Ok(QueryResult {
@@ -1067,14 +958,13 @@ impl MosaicEngine {
             ));
         }
         let pop_size = marginals.iter().map(|m| m.total()).fold(0.0f64, f64::max);
-        // The cache key covers the backend *configuration*, not just its
-        // kind: sessions overriding the OPEN backend must not be handed
-        // a model fitted under someone else's hyper-parameters.
+        // The cache key covers everything the fit reads — backend
+        // hyper-parameters, IPF settings and binners — so a registered
+        // binner refits instead of serving a model fitted without it.
         let cache_key = format!(
-            "{}|{}|{:016x}",
+            "{}|{}",
             pop.name.to_ascii_lowercase(),
-            opts.open.backend.id(),
-            backend_fingerprint(opts)
+            model_shape(opts, Visibility::Open).expect("OPEN has a model shape")
         );
         let current =
             |snapshot: &[(String, u64)]| snapshot.iter().all(|(r, e)| cat.relation_epoch(r) == *e);
@@ -1124,6 +1014,7 @@ impl MosaicEngine {
             view: view.cloned(),
             pop_size,
             per_sample,
+            runs: opts.open.num_generated.max(1),
         })
     }
 }
@@ -1151,7 +1042,7 @@ fn reject_params(stmt: &SelectStmt) -> Result<()> {
 /// groups present in every answer, averages the aggregates, and orders
 /// and limits the combined answer.
 fn open_answer(
-    opts: &EngineOptions,
+    k: &Knobs,
     bound: &Prepared,
     params: &[Value],
     om: &OpenModel,
@@ -1159,14 +1050,14 @@ fn open_answer(
     notes: &mut Vec<String>,
     answer: impl Fn(&PhysicalPlan, &Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
 ) -> Result<Table> {
-    let generate = |run: usize| om.generate(open_run_seed(opts.open.seed, run));
+    let generate = |run: usize| om.generate(open_run_seed(k.seed.unwrap_or(0), run));
     // The engine owns one thread budget: when several replicates run
     // concurrently, each runs its inner query single-threaded; a lone
     // replicate hands the whole budget to the morsel executor. Either
-    // way at most `parallelism` threads are busy — the replicate pool
-    // and the executor pool never multiply.
-    let parallelism = opts.parallelism.max(1);
-    let ctx = |threads| ExecContext::new(params, threads, opts.agg_partitions);
+    // way at most `k.threads` threads are busy — the replicate pool and
+    // the executor pool never multiply.
+    let parallelism = k.threads.max(1);
+    let ctx = |threads| ExecContext::new(params, threads, k.partitions);
     let Some(inner_plan) = bound.inner_plan() else {
         let (generated, weight) = generate(0)?;
         notes.push(format!(
@@ -1185,7 +1076,7 @@ fn open_answer(
     // bounded worker pool: idle workers pull the next run index off a
     // shared counter. Seeding per run index and collecting by run
     // index keep the combined answer identical to serial execution.
-    let runs = opts.open.num_generated.max(1);
+    let runs = om.runs;
     let workers = runs.min(parallelism);
     let inner_threads = if workers > 1 { 1 } else { parallelism };
     let per_run: Vec<Table> = crate::plan::parallel::run_ordered(runs, workers, |run| {
@@ -1215,6 +1106,8 @@ struct OpenModel {
     pop_size: f64,
     /// Rows drawn per replicate.
     per_sample: usize,
+    /// Replicates an aggregate answer combines.
+    runs: usize,
 }
 
 impl OpenModel {
@@ -1565,61 +1458,70 @@ pub(crate) fn describe_semi_open(cat: &Catalog, pop: &Population, sample: &Sampl
     "no known mechanism or metadata — execution would fail".into()
 }
 
+/// Whether this session's statements read and fill the shared result
+/// cache: the session has not opted out and the engine cache has room.
+pub(crate) fn result_cache_on(opts: &EngineOptions, k: &Knobs) -> bool {
+    k.result_cache && opts.result_cache_mb > 0
+}
+
 /// Why a statement cannot participate in the result cache, or `None`
 /// when it is eligible. The only ineligible shape today: OPEN without an
 /// explicitly pinned seed — its results are only reproducible when the
 /// seed is fixed by the user, so caching would freeze one draw of a
 /// deliberately re-randomized process.
-pub(crate) fn result_cache_ineligibility(
-    opts: &EngineOptions,
-    vis: Visibility,
-) -> Option<&'static str> {
-    (vis == Visibility::Open && !opts.open_seed_explicit).then_some("OPEN without an explicit seed")
+pub(crate) fn result_cache_ineligibility(k: &Knobs, vis: Visibility) -> Option<&'static str> {
+    (vis == Visibility::Open && k.seed.is_none()).then_some("OPEN without an explicit seed")
 }
 
-/// A stable rendering of the model-relevant options for the fingerprint:
-/// everything beyond the plan that shapes SEMI-OPEN/OPEN results. CLOSED
-/// queries consult none of it and hash `None`.
-pub(crate) fn model_config_string(opts: &EngineOptions, vis: Visibility) -> Option<String> {
-    let binners = || {
-        // HashMap iteration order is nondeterministic — sort before
-        // rendering or identical configs would hash apart.
-        let mut entries: Vec<String> = opts
-            .binners
-            .iter()
-            .map(|(k, b)| format!("{k}={b:?}"))
-            .collect();
-        entries.sort();
-        entries.join(",")
-    };
-    match vis {
-        Visibility::Closed => None,
-        Visibility::SemiOpen => Some(format!("ipf={:?}|binners={}", opts.ipf, binners())),
-        Visibility::Open => Some(format!(
-            "ipf={:?}|binners={}|backend={:?}|num_generated={}|rows_per_sample={:?}|seed={}",
-            opts.ipf,
-            binners(),
-            opts.open.backend,
-            opts.open.num_generated,
-            opts.open.rows_per_sample,
-            opts.open.seed,
-        )),
+/// The one rendering of the configuration that shapes a visibility's
+/// answers beyond the plan: IPF settings and binners for SEMI-OPEN, plus
+/// the generative backend for OPEN (everything a model fit reads).
+/// CLOSED consults none of it. Both the fitted-model cache key and the
+/// result-cache fingerprint are built from it.
+fn model_shape(opts: &EngineOptions, vis: Visibility) -> Option<String> {
+    if vis == Visibility::Closed {
+        return None;
     }
+    // HashMap iteration order is nondeterministic — sort before
+    // rendering or identical configs would key apart.
+    let mut binners: Vec<String> = opts
+        .binners
+        .iter()
+        .map(|(k, b)| format!("{k}={b:?}"))
+        .collect();
+    binners.sort();
+    let reweighting = format!("ipf={:?}|binners={}", opts.ipf, binners.join(","));
+    Some(match vis {
+        Visibility::Open => format!("{reweighting}|backend={:?}", opts.open.backend),
+        _ => reweighting,
+    })
 }
 
-/// The canonical result-cache fingerprint of a bound statement.
+/// The canonical result-cache fingerprint of a bound statement: its
+/// plan, relations and parameter values, the visibility's model shape
+/// and, for OPEN, the replicate protocol and seed.
 pub(crate) fn fingerprint_of(
     prepared: &Prepared,
     params: &[Value],
     opts: &EngineOptions,
+    k: &Knobs,
     vis: Visibility,
 ) -> u64 {
+    let config = model_shape(opts, vis).map(|shape| match vis {
+        Visibility::Open => format!(
+            "{shape}|num_generated={}|rows_per_sample={:?}|seed={}",
+            opts.open.num_generated,
+            opts.open.rows_per_sample,
+            k.seed.unwrap_or(0),
+        ),
+        _ => shape,
+    });
     crate::plan::fingerprint::plan_fingerprint(
         &prepared.logical_plan().to_string(),
         &prepared.relations(),
         params,
         vis,
-        model_config_string(opts, vis).as_deref(),
+        config.as_deref(),
     )
 }
 
@@ -1629,15 +1531,6 @@ pub(crate) fn epoch_snapshot(cat: &Catalog, relations: &[String]) -> Vec<(String
         .iter()
         .map(|r| (r.clone(), cat.relation_epoch(r)))
         .collect()
-}
-
-/// Hash the parts of the options that shape a fitted model (backend
-/// hyper-parameters and IPF settings), for the model-cache key.
-fn backend_fingerprint(opts: &EngineOptions) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{:?}|{:?}", opts.open.backend, opts.ipf).hash(&mut h);
-    h.finish()
 }
 
 /// Map a row (possibly with an explicit column list) onto the target

@@ -19,22 +19,17 @@ use mosaic_storage::{Field, Schema, Table, Value};
 
 use crate::eval::{eval_predicate_rowwise, eval_row};
 use crate::plan::{self, output_name, ExecContext, LimitOp, PhysicalOperator, PlanInput, SortOp};
-use crate::{MosaicError, Result};
+use crate::{Knobs, MosaicError, Result};
 
 /// Execute a SELECT over one table through the vectorized, morsel-driven
 /// physical plan. `weights` (parallel to the table's rows) turns
-/// aggregates into weighted aggregates. Uses the default thread cap
-/// ([`plan::parallel::default_parallelism`]), merge partition count
-/// ([`plan::parallel::default_agg_partitions`]) and optimizer setting
-/// ([`plan::optimize::default_optimizer`]); none ever changes results.
+/// aggregates into weighted aggregates. Uses the process-default thread
+/// cap, merge partition count and optimizer setting
+/// ([`Knobs::from_env`]); none ever changes results.
 pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
-    let optimizer = plan::optimize::default_optimizer();
-    let ctx = ExecContext::new(
-        &[],
-        plan::parallel::default_parallelism(),
-        plan::parallel::default_agg_partitions(),
-    );
-    plan::plan_select(stmt, weights.is_some(), optimizer, Some(table.schema()))
+    let k = Knobs::from_env();
+    let ctx = ExecContext::new(&[], k.threads, k.partitions);
+    plan::plan_select(stmt, weights.is_some(), k.optimizer, Some(table.schema()))
         .physical
         .run(PlanInput::Table { table, weights }, &ctx)
 }

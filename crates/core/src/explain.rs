@@ -16,14 +16,14 @@ use mosaic_storage::Table;
 
 use crate::catalog::{Catalog, Population};
 use crate::engine::{
-    choose_sample, describe_semi_open, fingerprint_of, result_cache_ineligibility, EngineOptions,
-    MosaicEngine,
+    choose_sample, describe_semi_open, fingerprint_of, result_cache_ineligibility, result_cache_on,
+    EngineOptions, MosaicEngine,
 };
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::parallel::MORSEL_ROWS;
 use crate::plan::{has_aggregate_shape, Planned};
 use crate::session::{BoundRel, Prepared, RelKind, Resolved, Source};
-use crate::Result;
+use crate::{Knobs, Result};
 
 /// Render the EXPLAIN lines for one bound SELECT: the plan layers, then
 /// the result-cache verdict (fingerprint, eligibility, whether a valid
@@ -32,23 +32,24 @@ pub(crate) fn render(
     engine: &MosaicEngine,
     cat: &Catalog,
     opts: &EngineOptions,
+    k: &Knobs,
     bound: &Prepared,
 ) -> Result<Vec<String>> {
     let mut lines = Vec::new();
     match bound.source() {
         Source::Scalar => {
             lines.push("SELECT (scalar, no FROM)".to_string());
-            push_plan(&mut lines, bound.planned(), opts, "<one row>", 1);
+            push_plan(&mut lines, bound.planned(), k, "<one row>", 1);
         }
         Source::Single(rel) => match rel.resolve(cat)? {
-            Resolved::Population(pop) => render_population(&mut lines, cat, opts, bound, pop)?,
-            Resolved::Aux(t) => render_scan(&mut lines, opts, bound, rel, t),
-            Resolved::Sample(s) => render_scan(&mut lines, opts, bound, rel, &s.data),
+            Resolved::Population(pop) => render_population(&mut lines, cat, opts, k, bound, pop)?,
+            Resolved::Aux(t) => render_scan(&mut lines, k, bound, rel, t),
+            Resolved::Sample(s) => render_scan(&mut lines, k, bound, rel, &s.data),
         },
-        Source::Join(rels) => render_join(&mut lines, cat, opts, bound, rels)?,
+        Source::Join(rels) => render_join(&mut lines, cat, opts, k, bound, rels)?,
     }
-    push_footer(&mut lines, opts, bound);
-    push_cache_lines(&mut lines, engine, cat, opts, bound);
+    push_footer(&mut lines, k, bound);
+    push_cache_lines(&mut lines, engine, cat, opts, k, bound);
     Ok(lines)
 }
 
@@ -58,19 +59,20 @@ fn push_cache_lines(
     engine: &MosaicEngine,
     cat: &Catalog,
     opts: &EngineOptions,
+    k: &Knobs,
     p: &Prepared,
 ) {
     let vis = p.visibility().unwrap_or(Visibility::Closed);
-    let verdict = if !opts.result_cache || opts.result_cache_mb == 0 {
+    let verdict = if !result_cache_on(opts, k) {
         "off".to_string()
-    } else if let Some(why) = result_cache_ineligibility(opts, vis) {
+    } else if let Some(why) = result_cache_ineligibility(k, vis) {
         format!("ineligible ({why})")
     } else if p.param_count() > 0 {
         // The fingerprint covers the bound values, so each distinct
         // parameter vector caches separately.
         "eligible (keyed per parameter values)".to_string()
     } else {
-        let fp = fingerprint_of(p, &[], opts, vis);
+        let fp = fingerprint_of(p, &[], opts, k, vis);
         lines.push(format!("  fingerprint: {}", format_fingerprint(fp)));
         if engine.result_cached(fp, cat) {
             "eligible, cached".to_string()
@@ -98,6 +100,7 @@ fn render_population(
     lines: &mut Vec<String>,
     cat: &Catalog,
     opts: &EngineOptions,
+    k: &Knobs,
     bound: &Prepared,
     pop: &Population,
 ) -> Result<()> {
@@ -128,24 +131,18 @@ fn render_population(
                 "  visibility: OPEN — {} generative replicate(s), backend {}, seed {}",
                 opts.open.num_generated.max(1),
                 opts.open.backend.id(),
-                opts.open.seed
+                k.seed.unwrap_or(0)
             ));
             push_open_combine(lines, bound);
         }
     }
-    push_plan(lines, bound.planned(), opts, &sample.name, sample.len());
+    push_plan(lines, bound.planned(), k, &sample.name, sample.len());
     Ok(())
 }
 
 /// Render a table or raw-sample scan: the relation headline, the plan
 /// layers, and the scanned table's string encodings.
-fn render_scan(
-    lines: &mut Vec<String>,
-    opts: &EngineOptions,
-    bound: &Prepared,
-    rel: &BoundRel,
-    data: &Table,
-) {
+fn render_scan(lines: &mut Vec<String>, k: &Knobs, bound: &Prepared, rel: &BoundRel, data: &Table) {
     lines.push(match (&rel.binding, rel.kind) {
         (Some(binding), kind) => format!("SELECT FROM {} {} AS {binding}", kind.word(), rel.name),
         (None, RelKind::Sample) => format!(
@@ -154,20 +151,17 @@ fn render_scan(
         ),
         (None, kind) => format!("SELECT FROM {} {}", kind.word(), rel.name),
     });
-    push_plan(lines, bound.planned(), opts, &rel.name, data.num_rows());
+    push_plan(lines, bound.planned(), k, &rel.name, data.num_rows());
     push_encodings(lines, data);
 }
 
-fn push_footer(lines: &mut Vec<String>, opts: &EngineOptions, bound: &Prepared) {
-    lines.push(format!(
-        "  parallelism: {} worker thread(s)",
-        opts.parallelism
-    ));
+fn push_footer(lines: &mut Vec<String>, k: &Knobs, bound: &Prepared) {
+    lines.push(format!("  parallelism: {} worker thread(s)", k.threads));
     if has_aggregate_shape(bound.stmt()) {
         lines.push(format!(
             "  aggregate merge: {} radix partition(s){}",
-            opts.agg_partitions,
-            if opts.agg_partitions == 1 {
+            k.partitions,
+            if k.partitions == 1 {
                 " (serial merge)"
             } else {
                 ""
@@ -210,6 +204,7 @@ fn render_join(
     lines: &mut Vec<String>,
     cat: &Catalog,
     opts: &EngineOptions,
+    k: &Knobs,
     bound: &Prepared,
     rels: &[BoundRel],
 ) -> Result<()> {
@@ -277,7 +272,7 @@ fn render_join(
                     pop.name,
                     opts.open.num_generated.max(1),
                     opts.open.backend.id(),
-                    opts.open.seed
+                    k.seed.unwrap_or(0)
                 ));
                 push_open_combine(lines, bound);
             }
@@ -313,8 +308,8 @@ fn render_join(
     // radix-partitioned across the worker pool, smaller builds stay
     // serial (see `plan::join::build_and_probe`).
     let build_rows = lrows.min(rrows);
-    let build_parts = if opts.agg_partitions > 1 && build_rows > MORSEL_ROWS {
-        opts.agg_partitions
+    let build_parts = if k.partitions > 1 && build_rows > MORSEL_ROWS {
+        k.partitions
     } else {
         1
     };
@@ -333,7 +328,7 @@ fn render_join(
     push_plan(
         lines,
         bound.planned(),
-        opts,
+        k,
         &format!("{} {sym} {}", fc.base.name, fc.joins[0].table.name),
         lrows.max(rrows),
     );
@@ -346,16 +341,10 @@ fn render_join(
 /// strategy (serial single run vs parallel runs + k-way merge) when the
 /// plan carries a full Sort. `rows` is the pre-filter scan bound, so
 /// the run count is an upper bound.
-fn push_plan(
-    lines: &mut Vec<String>,
-    planned: &Planned,
-    opts: &EngineOptions,
-    source: &str,
-    rows: usize,
-) {
-    let threads = opts.parallelism;
+fn push_plan(lines: &mut Vec<String>, planned: &Planned, k: &Knobs, source: &str, rows: usize) {
+    let threads = k.threads;
     lines.push(format!("  logical: {}", planned.logical));
-    if !opts.optimizer {
+    if !k.optimizer {
         lines.push("  optimizer: off".to_string());
     } else if planned.fired.is_empty() {
         lines.push("  optimized: (no rules fired)".to_string());

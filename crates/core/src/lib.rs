@@ -55,8 +55,11 @@
 //! [`MosaicEngine`] is `Arc`-shareable: its catalog sits behind a
 //! reader–writer lock, so any number of [`Session`]s execute SELECTs
 //! concurrently while DDL/DML serializes.
-//! Sessions carry per-session overrides (default visibility, seed,
-//! thread cap, OPEN backend) without touching the engine-wide options.
+//! Each session carries its own [`Knobs`] — default visibility, OPEN
+//! seed, thread cap, merge partitions, optimizer, result cache — set by
+//! the typed `Session::with_*` setters or by text through
+//! [`Knobs::set`], the one parser behind the `MOSAIC_*` environment
+//! variables, the wire's `SetOption` and the shell's flags and `.set`.
 //!
 //! Every SELECT is bound **once** into a [`Prepared`] — resolved source
 //! relations, baked-in visibility, logical/optimized/physical plan —
@@ -116,8 +119,8 @@
 //! replicate loop over the whole joined plan.
 //! The optimizer is a pure plan rewrite — results are **bit-identical**
 //! with it on or off (the oracle suite A/Bs both paths) — and is gated
-//! by [`EngineOptions::with_optimizer`], [`Session::with_optimizer`],
-//! or the `MOSAIC_OPTIMIZER=off` environment variable. Prepared
+//! by the `optimizer` knob ([`Session::with_optimizer`], or the
+//! `MOSAIC_OPTIMIZER=off` environment variable). Prepared
 //! statements optimize once, at prepare time; `EXPLAIN` shows the
 //! logical plan before and after rewriting with the fired rule names.
 //!
@@ -126,9 +129,9 @@
 //! Query execution is morsel-driven: scans split into fixed-size morsels
 //! of Arc-shared column slices that a scoped worker pool processes in
 //! parallel, with per-morsel partial aggregates merged by a
-//! radix-partitioned parallel pass (see [`plan`]). The thread cap comes
-//! from [`EngineOptions::parallelism`] (per session:
-//! [`Session::with_parallelism`]), defaulting to the `MOSAIC_PARALLELISM`
+//! radix-partitioned parallel pass (see [`plan`]). The thread cap is the
+//! `threads` knob (per session: [`Session::with_parallelism`]), starting
+//! at [`EngineOptions::parallelism`] — the `MOSAIC_PARALLELISM`
 //! environment variable or the core count — and never changes results,
 //! only latency.
 
@@ -141,6 +144,7 @@ mod error;
 mod eval;
 mod exec;
 mod explain;
+mod knobs;
 mod models;
 pub mod plan;
 mod session;
@@ -151,15 +155,15 @@ pub use engine::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryRes
 pub use error::MosaicError;
 pub use eval::eval_scalar;
 pub use exec::run_select;
+pub use knobs::{Key, Knobs, KEYS};
 pub use models::{BnModel, GenerativeModel, SwgModel};
 pub use plan::fingerprint::format_fingerprint;
 pub use plan::logical::LogicalPlan;
-pub use plan::optimize::default_optimizer;
 pub use plan::parallel::{
     default_parallelism, reset_worker_thread_peak, worker_thread_peak, MORSEL_ROWS,
 };
 pub use plan::{plan_select, ExecContext, PhysicalPlan, PlanInput, Planned};
-pub use session::{Prepared, Session, SessionOptions};
+pub use session::{Prepared, Session};
 
 /// The row-at-a-time reference implementations the oracle suites compare
 /// the vectorized engine against — test fixtures, not engine API.

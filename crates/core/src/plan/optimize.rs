@@ -34,32 +34,14 @@
 //!   fusion is bit-identical.
 //!
 //! All rules are pure functions of the plan (and the bound schema), so
-//! optimization is deterministic; the whole pass is gated by
-//! `EngineOptions::with_optimizer` / the `MOSAIC_OPTIMIZER` environment
-//! variable so the unoptimized path stays exercisable (the oracle suite
-//! A/Bs both paths bit-identically).
-
-use std::sync::OnceLock;
+//! optimization is deterministic; the whole pass is gated by the
+//! `optimizer` knob ([`crate::Knobs`]) so the unoptimized path stays
+//! exercisable (the oracle suite A/Bs both paths bit-identically).
 
 use mosaic_sql::{Expr, JoinKind, SelectItem};
 use mosaic_storage::Schema;
 
 use super::logical::{LogicalPlan, ScanColumn};
-
-/// Whether new plans are optimized by default: `false` when the
-/// `MOSAIC_OPTIMIZER` environment variable is set to `off`/`0`/`false`/
-/// `no`, `true` otherwise. Computed once per process; engine options and
-/// per-session overrides take precedence over this default.
-pub fn default_optimizer() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("MOSAIC_OPTIMIZER") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
-    })
-}
 
 /// Run every rule over the plan; returns the rewritten plan plus the
 /// names of the rules that fired, in application order. `schema` is the

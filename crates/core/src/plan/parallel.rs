@@ -17,8 +17,8 @@
 //!    order*: output fragments concatenate ([`Table::vstack`]), partial
 //!    aggregate states fold into global per-group states
 //!    (`aggregate::merge_finalize`). The aggregate merge itself is
-//!    parallel: the global group space is hash-partitioned into
-//!    [`default_agg_partitions`] radix partitions and each partition
+//!    parallel: the global group space is hash-partitioned into the
+//!    `partitions` knob's radix partitions and each partition
 //!    merges independently on the same worker pool, still folding in
 //!    morsel order within every group. Sort then runs once over the
 //!    merged result — itself parallel: per-block sorted runs built on
@@ -54,43 +54,11 @@ use crate::{MosaicError, Result};
 /// feed eight workers.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// The default worker-thread cap for new plans: the `MOSAIC_PARALLELISM`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism. Computed once per process.
+/// The default worker-thread cap: the `threads` knob of
+/// [`Knobs::from_env`](crate::Knobs::from_env) (`MOSAIC_PARALLELISM`, or
+/// the machine's available parallelism).
 pub fn default_parallelism() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("MOSAIC_PARALLELISM") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// The default radix-partition count for the parallel aggregate merge:
-/// the `MOSAIC_AGG_PARTITIONS` environment variable when set to a
-/// positive integer, otherwise 16. `1` disables partitioning (the merge
-/// runs as a single serial pass — the pre-partitioning behavior, kept
-/// verified by the CI matrix). The count is fixed independently of the
-/// thread count and never changes results.
-pub fn default_agg_partitions() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("MOSAIC_AGG_PARTITIONS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        16
-    })
+    crate::Knobs::from_env().threads
 }
 
 /// Live engine worker threads (scoped threads spawned by

@@ -2,10 +2,11 @@
 //! the engine.
 //!
 //! A [`Session`] is a lightweight handle onto a shared
-//! [`MosaicEngine`]: an `Arc` plus a set of per-session overrides
-//! (default visibility, generation seed, thread cap, OPEN backend).
-//! Sessions never mutate the engine-wide [`EngineOptions`], so any
-//! number of them can run concurrently with different settings.
+//! [`MosaicEngine`]: an `Arc` plus one [`Knobs`] (default visibility,
+//! generation seed, thread cap, merge partitions, optimizer, result
+//! cache), filled once when the session is created. Sessions never
+//! mutate the engine-wide [`EngineOptions`](crate::EngineOptions), so
+//! any number of them can run concurrently with different settings.
 //!
 //! [`Session::prepare`] implements the prepare-once/execute-many
 //! pattern of the paper's workload (§5.3 re-runs one aggregate template
@@ -21,60 +22,34 @@ use mosaic_storage::{Schema, Table, Value};
 
 use crate::catalog::{Catalog, Population, Sample};
 use crate::engine::{
-    choose_sample, sample_scan_schema, unknown_relation, EngineOptions, MosaicEngine, OpenBackend,
-    QueryResult,
+    choose_sample, sample_scan_schema, unknown_relation, MosaicEngine, QueryResult,
 };
 use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
-use crate::{MosaicError, Result};
-
-/// Per-session overrides over the engine-wide [`EngineOptions`]. Every
-/// field is optional: `None` means "inherit the engine default".
-///
-/// `#[non_exhaustive]`: construct via [`SessionOptions::default`] and
-/// the [`Session::with_*`](Session::with_parallelism) builders.
-#[derive(Debug, Clone, Default)]
-#[non_exhaustive]
-pub struct SessionOptions {
-    /// Visibility applied to population queries that don't specify one.
-    pub default_visibility: Option<Visibility>,
-    /// Base seed for OPEN-query generation.
-    pub seed: Option<u64>,
-    /// Worker-thread cap for this session's queries.
-    pub parallelism: Option<usize>,
-    /// Radix-partition count for the parallel aggregate merge (1 =
-    /// serial merge; never changes results, only wall-clock time).
-    pub agg_partitions: Option<usize>,
-    /// Generative backend for this session's OPEN queries.
-    pub open_backend: Option<OpenBackend>,
-    /// Whether this session's SELECT planning runs the rule-based
-    /// logical optimizer (overrides [`EngineOptions::optimizer`]).
-    pub optimizer: Option<bool>,
-    /// Whether this session's queries participate in the shared result
-    /// cache (overrides [`EngineOptions::result_cache`]). `Some(false)`
-    /// opts this session out without shrinking the engine-wide cache.
-    pub result_cache: Option<bool>,
-}
+use crate::{Knobs, MosaicError, Result};
 
 /// A client session on a shared [`MosaicEngine`].
 ///
-/// Cloning a session clones its overrides and shares the engine.
+/// Cloning a session copies its knobs and shares the engine.
 /// Sessions are `Send`: move them into threads freely — the engine's
 /// catalog lock lets all sessions read concurrently while DDL/DML
 /// serializes.
 #[derive(Clone)]
 pub struct Session {
     engine: Arc<MosaicEngine>,
-    overrides: SessionOptions,
+    knobs: Knobs,
 }
 
 impl Session {
+    /// A session starting from the process defaults
+    /// ([`Knobs::from_env`]) with the engine's thread budget.
     pub(crate) fn new(engine: Arc<MosaicEngine>) -> Session {
-        Session {
-            engine,
-            overrides: SessionOptions::default(),
-        }
+        let knobs = Knobs {
+            threads: engine.options().parallelism,
+            ..Knobs::from_env()
+        };
+        Session { engine, knobs }
     }
 
     /// The shared engine this session runs on.
@@ -82,67 +57,67 @@ impl Session {
         &self.engine
     }
 
-    /// This session's overrides.
-    pub fn overrides(&self) -> &SessionOptions {
-        &self.overrides
+    /// This session's settings.
+    pub fn knobs(&self) -> &Knobs {
+        &self.knobs
     }
 
-    /// Override the default visibility of population queries.
+    /// Set one knob from its text (see [`Knobs::set`]): the shell's
+    /// `.set`, its flags and the wire's `SetOption` all land here.
+    pub fn set(&mut self, key: &str, value: &str) -> std::result::Result<(), String> {
+        self.knobs.set(key, value)
+    }
+
+    /// Set the default visibility of population queries.
     pub fn with_default_visibility(mut self, v: Visibility) -> Session {
-        self.overrides.default_visibility = Some(v);
+        self.knobs.visibility = v;
         self
     }
 
-    /// Override the OPEN-query generation seed.
+    /// Pin the OPEN-query generation seed (which also makes seeded OPEN
+    /// answers result-cache eligible).
     pub fn with_seed(mut self, seed: u64) -> Session {
-        self.overrides.seed = Some(seed);
+        self.knobs.seed = Some(seed);
         self
     }
 
-    /// Override the worker-thread cap (minimum 1; never changes
-    /// results, only wall-clock time).
+    /// Set the worker-thread cap (minimum 1; never changes results, only
+    /// wall-clock time).
     pub fn with_parallelism(mut self, n: usize) -> Session {
-        self.overrides.parallelism = Some(n.max(1));
+        self.knobs.threads = n.max(1);
         self
     }
 
-    /// Override the radix-partition count of the parallel aggregate
-    /// merge (minimum 1; `1` runs the merge as a single serial pass).
-    /// Like the thread cap, the partition count never changes results.
+    /// Set the radix-partition count of the parallel aggregate merge
+    /// (minimum 1; `1` runs the merge as a single serial pass). Like the
+    /// thread cap, the partition count never changes results.
     pub fn with_agg_partitions(mut self, n: usize) -> Session {
-        self.overrides.agg_partitions = Some(n.max(1));
-        self
-    }
-
-    /// Override the OPEN generative backend.
-    pub fn with_open_backend(mut self, backend: OpenBackend) -> Session {
-        self.overrides.open_backend = Some(backend);
+        self.knobs.partitions = n.max(1);
         self
     }
 
     /// Enable or disable the rule-based logical optimizer for this
     /// session's statements (results are bit-identical either way —
-    /// only latency changes). Statements prepared *before* the override
+    /// only latency changes). Statements prepared *before* the change
     /// keep the plans they were prepared with.
     pub fn with_optimizer(mut self, on: bool) -> Session {
-        self.overrides.optimizer = Some(on);
+        self.knobs.optimizer = on;
         self
     }
 
-    /// Opt this session in or out of the shared result cache (in by
-    /// default when the engine cache has capacity). Opting out never
-    /// shrinks the engine-wide cache — other sessions keep their hits.
-    /// Cached results are bit-identical to fresh execution, so this is
-    /// a memory/latency knob, not a correctness one.
+    /// Opt this session in or out of the shared result cache. Opting
+    /// out never shrinks the engine-wide cache — other sessions keep
+    /// their hits. Cached results are bit-identical to fresh execution,
+    /// so this is a memory/latency knob, not a correctness one.
     pub fn with_result_cache(mut self, on: bool) -> Session {
-        self.overrides.result_cache = Some(on);
+        self.knobs.result_cache = on;
         self
     }
 
     /// Execute a script of semicolon-separated statements; returns the
     /// result of the last SELECT (or an empty result).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.engine.execute_with(sql, &self.overrides)
+        self.engine.execute_with(sql, &self.knobs)
     }
 
     /// Execute a script and return just the last result table.
@@ -155,15 +130,15 @@ impl Session {
     /// path servers probe before falling back to [`Session::execute`].
     /// `None` means no cached plan (never an error).
     pub fn execute_cached(&self, sql: &str) -> Option<Result<QueryResult>> {
-        self.engine.execute_hot(sql, &self.overrides)
+        self.engine.execute_hot(sql, &self.knobs)
     }
 
     /// Execute one already-parsed statement (shells use this to report
     /// per-statement errors). Returns `None` for statements without a
     /// result (DDL/DML).
     pub fn execute_parsed(&self, stmt: Statement) -> Result<Option<QueryResult>> {
-        let opts = self.engine.effective_options(&self.overrides);
-        self.engine.execute_statement(stmt, &opts)
+        let opts = self.engine.options();
+        self.engine.execute_statement(stmt, &opts, &self.knobs)
     }
 
     /// Prepare a single SELECT statement: parse once, bind names
@@ -188,12 +163,11 @@ impl Session {
                 )))
             }
         };
-        let opts = self.engine.effective_options(&self.overrides);
         let cat = self.engine.catalog();
         // Ad-hoc execution surfaces the binder's `Catalog` /
         // `Unsupported` variants as raised; a failed prepare is a bind
         // failure whatever the cause.
-        Prepared::bind(&cat, &opts, stmt, sql).map_err(|e| match e {
+        Prepared::bind(&cat, &self.knobs, stmt, sql).map_err(|e| match e {
             MosaicError::Catalog(m) | MosaicError::Unsupported(m) => MosaicError::Bind(m),
             other => other,
         })
@@ -211,9 +185,10 @@ impl Session {
                 params.len()
             )));
         }
-        let opts = self.engine.effective_options(&self.overrides);
+        let opts = self.engine.options();
         let cat = self.engine.catalog();
-        self.engine.select_prepared(&cat, &opts, prepared, params)
+        self.engine
+            .select_prepared(&cat, &opts, &self.knobs, prepared, params)
     }
 
     /// [`Session::execute_prepared`], returning just the result table.
@@ -479,12 +454,7 @@ impl Prepared {
     /// relation(s), check every referenced column against its schema,
     /// resolve the visibility pipeline, and lower the plan(s). The only
     /// place a FROM clause is classified.
-    pub(crate) fn bind(
-        cat: &Catalog,
-        opts: &EngineOptions,
-        stmt: SelectStmt,
-        sql: &str,
-    ) -> Result<Prepared> {
+    pub(crate) fn bind(cat: &Catalog, k: &Knobs, stmt: SelectStmt, sql: &str) -> Result<Prepared> {
         let param_count = stmt.param_count();
         let finish = |stmt, source, deps, planned, inner_plan| Prepared {
             sql: sql.to_string(),
@@ -509,13 +479,13 @@ impl Prepared {
                 .cloned()
                 .collect();
             let stmt = SelectStmt { items, ..stmt };
-            let planned = plan_select(&stmt, false, opts.optimizer, None);
+            let planned = plan_select(&stmt, false, k.optimizer, None);
             return Ok(finish(stmt, Source::Scalar, Vec::new(), planned, None));
         };
         if crate::plan::join::needs_scope(&stmt, &fc) {
             // Joins, aliases and qualified references bind through the
             // scope binder.
-            let scope = resolve_scope(cat, opts.default_visibility, &fc, stmt.visibility)?;
+            let scope = resolve_scope(cat, k.visibility, &fc, stmt.visibility)?;
             // Bake the resolved visibility in (population scopes only),
             // so later session-default changes cannot shift the
             // semantics the plan was built under.
@@ -530,7 +500,7 @@ impl Prepared {
                 let rel = scope.rels.into_iter().next().expect("one relation");
                 let schema = Arc::clone(&rel.schema);
                 let stmt = crate::plan::join::bind_single(&stmt, rel)?;
-                let planned = plan_select(&stmt, false, opts.optimizer, Some(&schema));
+                let planned = plan_select(&stmt, false, k.optimizer, Some(&schema));
                 let source = Source::Single(sources.remove(0));
                 return Ok(finish(stmt, source, scope.deps, planned, None));
             }
@@ -540,7 +510,7 @@ impl Prepared {
             let weighted_agg = scope.vis.is_some_and(|v| v != Visibility::Closed);
             let plan_join = |stmt: &SelectStmt| -> Result<(SelectStmt, Planned)> {
                 let bound = crate::plan::join::bind_join(stmt, scope.rels.clone(), weighted_agg)?;
-                let planned = crate::plan::plan_logical(bound.logical, opts.optimizer, None);
+                let planned = crate::plan::plan_logical(bound.logical, k.optimizer, None);
                 Ok((bound.stmt, planned))
             };
             let inner_plan = open_inner_stmt(&stmt)
@@ -556,7 +526,7 @@ impl Prepared {
                 // Resolve the visibility now so the plan's
                 // weighted-rewrite property is fixed; the session
                 // default is baked into the bound statement.
-                let vis = stmt.visibility.unwrap_or(opts.default_visibility);
+                let vis = stmt.visibility.unwrap_or(k.visibility);
                 let stmt = SelectStmt {
                     visibility: Some(vis),
                     ..stmt
@@ -578,9 +548,9 @@ impl Prepared {
         // Population statements outside CLOSED carry row weights into
         // the §5.3 weighted-aggregate rewrite.
         let weighted = stmt.visibility.is_some_and(|v| v != Visibility::Closed);
-        let planned = plan_select(&stmt, weighted, opts.optimizer, Some(&schema));
+        let planned = plan_select(&stmt, weighted, k.optimizer, Some(&schema));
         let inner_plan = open_inner_stmt(&stmt)
-            .map(|inner| plan_select(&inner, true, opts.optimizer, Some(&schema)).physical);
+            .map(|inner| plan_select(&inner, true, k.optimizer, Some(&schema)).physical);
         let rel = resolved.bound(&fc.base, false);
         let mut deps = Vec::new();
         resolved.push_deps(&rel.name, false, &mut deps);

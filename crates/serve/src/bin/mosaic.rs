@@ -14,10 +14,11 @@
 //!
 //! Meta-commands (leading `.` or `\`):
 //! `.help`, `.quit`, `.notes on|off` (execution diagnostics),
-//! `.optimizer on|off` (session override of the logical-plan optimizer;
-//! `\explain` then shows the optimized pipeline with the fired rules),
-//! `.cache on|off|stats|clear` (the epoch-invalidated result cache:
-//! per-session gate, engine-wide counters, engine-wide clear),
+//! `.set <key> <value>` (one of the session's knobs — `visibility`,
+//! `seed`, `threads`, `partitions`, `optimizer`, `result_cache` — parsed
+//! exactly like the `MOSAIC_*` variables and the wire's `SetOption`),
+//! `.cache stats|clear` (the epoch-invalidated result cache's
+//! engine-wide counters, engine-wide clear),
 //! `.load <csv> <table>` (ingest a CSV file as an auxiliary table),
 //! `.serve <addr>` (expose this shell's engine over TCP in the
 //! background — the wire protocol of `mosaic-serve`),
@@ -25,72 +26,56 @@
 //! `\exec <name> [v1, v2, …]` (run a prepared statement with `?` values),
 //! `\explain <select>` (shorthand for the `EXPLAIN` statement).
 //!
-//! Flags: `--batch` (no prompts), `--threads N` (session worker-thread
-//! cap for the morsel-driven executor; overrides `MOSAIC_PARALLELISM`;
-//! never changes results), `--partitions N` (radix partition count for
-//! the parallel aggregate merge and the hash-join build; overrides
-//! `MOSAIC_AGG_PARTITIONS`; `.partitions N` changes it mid-session;
-//! never changes results), `--result-cache <MB>|off` (capacity of the
-//! engine's epoch-invalidated result cache; overrides
-//! `MOSAIC_RESULT_CACHE`; never changes results — cached results are
-//! bit-identical by the determinism contract), `--serve <addr>` (skip
-//! the shell entirely and run the TCP server in the foreground;
-//! `--threads` then sets the shared worker budget every connection
-//! draws from).
+//! Flags: `--batch` (no prompts), `--threads N` and `--partitions N`
+//! (the session's `threads` and `partitions` knobs, as `.set` takes
+//! them; they override `MOSAIC_PARALLELISM` and `MOSAIC_AGG_PARTITIONS`
+//! and never change results), `--result-cache <MB>` (capacity of the
+//! engine's epoch-invalidated result cache, 64 by default; `0` disables
+//! it for every session, wire connections included) or
+//! `--result-cache off` (the session's `result_cache` knob), `--serve
+//! <addr>` (skip the shell entirely and run the TCP server in the
+//! foreground; `--threads` then sets the shared worker budget every
+//! connection draws from).
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use mosaic_core::{
-    eval_scalar, EngineOptions, MosaicEngine, Prepared, QueryResult, Session, Value,
+    eval_scalar, EngineOptions, MosaicEngine, Prepared, QueryResult, Session, Value, KEYS,
 };
 use mosaic_serve::{ServeConfig, Server, ServerHandle};
 use mosaic_sql::parse_spanned;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The value after `flag` ("" when it is the last argument).
+    let flag = |name: &str| {
+        let i = args.iter().position(|a| a == name)?;
+        Some(args.get(i + 1).map_or("", String::as_str))
+    };
     let mut engine_options = EngineOptions::default();
-    if let Some(i) = args.iter().position(|a| a == "--result-cache") {
-        match args.get(i + 1).map(String::as_str) {
-            Some("off") => engine_options = engine_options.with_result_cache(0),
-            Some(v) if v.parse::<usize>().is_ok() => {
-                engine_options =
-                    engine_options.with_result_cache(v.parse().expect("checked above"));
-            }
-            _ => {
-                eprintln!("error: --result-cache requires a capacity in MB, or 'off'");
-                std::process::exit(2);
-            }
+    // Knob flags, applied to the session through `Session::set`; the
+    // last field extends a rejected value's message.
+    let mut knobs = vec![
+        ("--threads", "threads", ""),
+        ("--partitions", "partitions", ""),
+    ];
+    if let Some(v) = flag("--result-cache") {
+        match v.parse::<usize>() {
+            Ok(mb) => engine_options = engine_options.with_result_cache(mb),
+            Err(_) => knobs.push(("--result-cache", "result_cache", ", or a capacity in MB")),
         }
     }
     let engine = Arc::new(MosaicEngine::with_options(engine_options));
     let mut session = engine.session();
+    for (name, key, or) in knobs {
+        if let Some(Err(e)) = flag(name).map(|v| session.set(key, v)) {
+            eprintln!("error: {name}: {e}{or}");
+            std::process::exit(2);
+        }
+    }
     let interactive = !args.iter().any(|a| a == "--batch");
-    let mut threads: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => {
-                threads = Some(n);
-                session = session.with_parallelism(n);
-            }
-            _ => {
-                eprintln!("error: --threads requires a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--partitions") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => {
-                session = session.with_agg_partitions(n);
-            }
-            _ => {
-                eprintln!("error: --partitions requires a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
     if let Some(i) = args.iter().position(|a| a == "--serve") {
         // Server mode: no shell, just the TCP frontend on this engine.
         // The `--threads` cap becomes the shared worker budget that
@@ -102,10 +87,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let mut config = ServeConfig::default();
-        if let Some(n) = threads {
-            config = config.with_worker_budget(n);
-        }
+        let config = ServeConfig::default().with_worker_budget(session.knobs().threads);
         let server = match Server::bind(Arc::clone(&engine), addr.as_str(), config) {
             Ok(s) => s,
             Err(e) => {
@@ -246,9 +228,8 @@ impl Shell {
                     ".help                      this message\n\
                      .quit                      exit\n\
                      .notes on|off              toggle execution diagnostics\n\
-                     .optimizer on|off          toggle the logical plan optimizer (this session)\n\
-                     .partitions N              radix partitions for aggregate merge + join build\n\
-                     .cache on|off|stats|clear  result cache: session gate, stats, engine clear\n\
+                     .set <key> <value>         set a session knob (.set alone lists the keys)\n\
+                     .cache stats|clear         result cache: engine-wide stats, engine clear\n\
                      .tables                    list registered relations with their kinds\n\
                      .schema <name>             show a relation's columns with types\n\
                      .load <csv> <table>        ingest a CSV file as an auxiliary table\n\
@@ -284,32 +265,29 @@ impl Shell {
                 }
                 self.show_schema(rest);
             }
-            "optimizer" => {
-                // Session-level override of the rule-based logical
-                // optimizer. Results are bit-identical either way;
-                // statements prepared earlier keep their cached plans.
-                let on = match rest {
-                    "on" => true,
-                    "off" => false,
-                    _ => {
-                        eprintln!("usage: .optimizer on|off");
-                        return true;
+            "set" => {
+                // One knob of this session. Statements prepared earlier
+                // keep the plans (visibility, optimizer) they were bound
+                // with but run under the new execution settings.
+                match rest.split_once(char::is_whitespace) {
+                    Some((key, value)) => match self.session.set(key, value) {
+                        Ok(()) => println!("{} {}", key.to_ascii_lowercase(), value.trim()),
+                        Err(e) => eprintln!("error: {e}"),
+                    },
+                    None => {
+                        eprintln!("usage: .set <key> <value>");
+                        for key in KEYS {
+                            eprintln!("  {:<14} {}", key.name, key.grammar);
+                        }
                     }
-                };
-                self.session = self.session.clone().with_optimizer(on);
-                println!("optimizer {}", if on { "on" } else { "off" });
+                }
             }
             "cache" => {
-                // The shared result/plan cache: a per-session gate
-                // (on|off), engine-wide statistics, and an engine-wide
-                // clear. Epoch invalidation keeps entries correct
-                // automatically — `clear` only releases memory.
+                // The shared result/plan cache: engine-wide statistics
+                // and an engine-wide clear. Epoch invalidation keeps
+                // entries correct automatically — `clear` only releases
+                // memory.
                 match rest {
-                    "on" | "off" => {
-                        let on = rest == "on";
-                        self.session = self.session.clone().with_result_cache(on);
-                        println!("result cache {}", if on { "on" } else { "off" });
-                    }
                     "clear" => {
                         self.session.engine().clear_caches();
                         println!("caches cleared");
@@ -333,20 +311,9 @@ impl Shell {
                             s.plan_hits, s.plan_misses
                         );
                     }
-                    _ => eprintln!("usage: .cache on|off|stats|clear"),
-                }
-            }
-            "partitions" => {
-                // Radix partition count for the parallel aggregate merge
-                // and the hash-join build. Results are bit-identical at
-                // every setting; statements prepared earlier keep their
-                // cached plans but pick up the new count at execution.
-                match rest.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        self.session = self.session.clone().with_agg_partitions(n);
-                        println!("partitions {n}");
-                    }
-                    _ => eprintln!("usage: .partitions <positive integer>"),
+                    _ => eprintln!(
+                        "usage: .cache stats|clear (per session: .set result_cache on|off)"
+                    ),
                 }
             }
             "load" => {
@@ -359,15 +326,13 @@ impl Shell {
             "serve" => {
                 // Share *this* shell's engine over TCP: remote sessions
                 // and the shell see one catalog. The session's thread
-                // cap (if set) becomes the shared worker budget.
+                // cap becomes the shared worker budget.
                 if rest.is_empty() {
                     eprintln!("usage: .serve <addr>  (e.g. .serve 127.0.0.1:7878)");
                     return true;
                 }
-                let mut config = ServeConfig::default();
-                if let Some(n) = self.session.overrides().parallelism {
-                    config = config.with_worker_budget(n);
-                }
+                let config =
+                    ServeConfig::default().with_worker_budget(self.session.knobs().threads);
                 match Server::bind(Arc::clone(self.session.engine()), rest, config) {
                     Ok(server) => {
                         let (handle, _join) = server.spawn();

@@ -159,8 +159,9 @@ impl Client {
         self.read_result()
     }
 
-    /// Set a per-connection session option (`visibility`, `seed`,
-    /// `threads`, `partitions`, `optimizer`).
+    /// Set one of the connection's session knobs (any key of
+    /// [`mosaic_core::KEYS`]), or clear the engine's caches with
+    /// `result_cache=clear`.
     pub fn set_option(&mut self, key: &str, value: &str) -> Result<(), ClientError> {
         self.send(&Request::SetOption {
             key: key.to_string(),

@@ -5,10 +5,10 @@
 //! engine [`Session`](mosaic_core::Session) per connection,
 //! server-side **named prepared statements**, per-connection options
 //! (`SetOption`: visibility, seed, thread cap, merge partitions,
-//! optimizer), and **admission control** — a worker-permit pool that
-//! extends PR 2's one-thread-budget discipline across the network
-//! boundary, so any number of clients share one bounded set of engine
-//! worker threads.
+//! optimizer, result cache), and **admission control** — a
+//! worker-permit pool that extends the engine's one-thread-budget
+//! discipline across the network boundary, so any number of clients
+//! share one bounded set of engine worker threads.
 //!
 //! The pieces:
 //!

@@ -155,8 +155,9 @@ pub enum Request {
         /// One value per `?`, in lexical order.
         params: Vec<Value>,
     },
-    /// Set a per-connection session option (`visibility`, `seed`,
-    /// `threads`, `partitions`, `optimizer`).
+    /// Set one of the connection's session knobs (any key of
+    /// [`mosaic_core::KEYS`]), or clear the engine's caches with
+    /// `result_cache=clear`.
     SetOption {
         /// Option key (case-insensitive).
         key: String,

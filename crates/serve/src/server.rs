@@ -21,7 +21,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mosaic_core::{MosaicEngine, MosaicError, Prepared, QueryResult, Session, Visibility};
+use mosaic_core::{MosaicEngine, MosaicError, Prepared, QueryResult, Session};
 use mosaic_sql::{parse_spanned, Statement};
 use mosaic_storage::Value;
 
@@ -322,15 +322,10 @@ impl Connection {
         }
     }
 
-    /// Worker permits for one query: want the session's thread cap
-    /// (or the engine default), get what admission control grants.
+    /// Worker permits for one query: want the session's thread cap, get
+    /// what admission control grants.
     fn admit(&self) -> crate::admission::Permit {
-        let wanted = self
-            .session
-            .overrides()
-            .parallelism
-            .unwrap_or_else(|| self.session.engine().options().parallelism);
-        self.pool.acquire(wanted)
+        self.pool.acquire(self.session.knobs().threads)
     }
 
     /// Answer a `Query` request: the script's last result, or an error
@@ -386,74 +381,20 @@ impl Connection {
         }
     }
 
+    /// Answer a `SetOption` request: `result_cache=clear` drops every
+    /// cached result and plan engine-wide; any other pair sets one of
+    /// this connection's knobs through [`Session::set`].
     fn set_option(&mut self, w: &mut impl Write, key: &str, value: &str) -> io::Result<()> {
-        let lower_key = key.to_ascii_lowercase();
-        let lower_val = value.to_ascii_lowercase();
-        let session = self.session.clone();
-        let updated = match lower_key.as_str() {
-            "visibility" => match lower_val.as_str() {
-                "closed" => Some(session.with_default_visibility(Visibility::Closed)),
-                "semi-open" | "semiopen" => {
-                    Some(session.with_default_visibility(Visibility::SemiOpen))
-                }
-                "open" => Some(session.with_default_visibility(Visibility::Open)),
-                _ => None,
-            },
-            "seed" => value
-                .trim()
-                .parse::<u64>()
-                .ok()
-                .map(|s| session.with_seed(s)),
-            "threads" | "parallelism" => value
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(|n| session.with_parallelism(n)),
-            "partitions" => value
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(|n| session.with_agg_partitions(n)),
-            "optimizer" => match lower_val.as_str() {
-                "on" | "true" | "1" => Some(session.with_optimizer(true)),
-                "off" | "false" | "0" => Some(session.with_optimizer(false)),
-                _ => None,
-            },
-            "result_cache" => match lower_val.as_str() {
-                "on" | "true" | "1" => Some(session.with_result_cache(true)),
-                "off" | "false" | "0" => Some(session.with_result_cache(false)),
-                // Engine-wide: drops every cached result and plan.
-                "clear" => {
-                    session.engine().clear_caches();
-                    Some(session)
-                }
-                _ => None,
-            },
-            _ => None,
+        let key = key.to_ascii_lowercase();
+        let outcome = if key == "result_cache" && value.trim().eq_ignore_ascii_case("clear") {
+            self.session.engine().clear_caches();
+            Ok(())
+        } else {
+            self.session.set(&key, value)
         };
-        match updated {
-            Some(s) => {
-                self.session = s;
-                send(
-                    w,
-                    &Response::OptionOk {
-                        key: lower_key.clone(),
-                    },
-                )
-            }
-            None => send(
-                w,
-                &protocol_error(
-                    codes::UNKNOWN_OPTION,
-                    format!(
-                        "unknown option {key}={value} (known: visibility=closed|semi-open|open, \
-                         seed=<u64>, threads=<n>, partitions=<n>, optimizer=on|off, \
-                         result_cache=on|off|clear)"
-                    ),
-                ),
-            ),
+        match outcome {
+            Ok(()) => send(w, &Response::OptionOk { key }),
+            Err(message) => send(w, &protocol_error(codes::UNKNOWN_OPTION, message)),
         }
     }
 

@@ -2,11 +2,13 @@
 //! M-SWG and Bayesian-network backends, model caching, and the §3.3
 //! false-negative/false-positive semantics.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mosaic_bn::BnConfig;
 use mosaic_core::{
-    EngineOptions, MosaicEngine, OpenBackend, OpenOptions, Session, Value, Visibility,
+    Binner, EngineOptions, Marginal, MosaicEngine, OpenBackend, OpenOptions, QueryResult, Session,
+    Value, Visibility,
 };
 use mosaic_swg::SwgConfig;
 
@@ -157,6 +159,73 @@ fn model_cache_hits_on_repeat_queries() {
             after.notes
         );
     }
+}
+
+/// A registered binner changes the IPF cells an OPEN fit is weighted
+/// by, so the fitted model must not outlive it: the next query refits,
+/// and its outcome — rows or error — is a fresh engine's that had the
+/// binner from the start.
+#[test]
+fn model_cache_refits_after_binner_change() {
+    let four = Binner::equal_width(0.0, 100.0, 4);
+    // 25-wide bins from 0 like `four`: the same cells for ages below
+    // 100, under another configuration.
+    let six = Binner::equal_width(0.0, 150.0, 6);
+    // 50-wide bins: no sample row lands in a cell of the marginal.
+    let two = Binner::equal_width(0.0, 100.0, 2);
+    let q = "SELECT OPEN AVG(age) FROM P";
+    // A BayesNet world whose INT marginal was built with `four`, with
+    // `binner` registered before the first query.
+    let world = |binner: &Binner| -> Session {
+        let engine = Arc::new(MosaicEngine::with_options(
+            EngineOptions::default().with_open(
+                OpenOptions::default()
+                    .with_backend(OpenBackend::BayesNet(BnConfig::default()))
+                    .with_num_generated(2)
+                    .with_rows_per_sample(Some(200)),
+            ),
+        ));
+        engine.register_binner("age", binner.clone());
+        let db = engine.session().with_seed(1);
+        let ages: Vec<String> = (0..100).map(|a| format!("({a})")).collect();
+        db.execute(&format!(
+            "CREATE TABLE Ages (age INT);
+             INSERT INTO Ages VALUES {};
+             CREATE GLOBAL POPULATION P (age INT);
+             CREATE SAMPLE S AS (SELECT * FROM P);
+             INSERT INTO S VALUES (5), (20), (30), (30), (45), (60), (70), (90);",
+            ages.join(", ")
+        ))
+        .unwrap();
+        let binners = HashMap::from([("age".to_string(), four.clone())]);
+        let report = db.query("SELECT age FROM Ages").unwrap();
+        let marginal = Marginal::from_table(&report, &["age"], None, &binners).unwrap();
+        engine.add_metadata("P_M1", "P", marginal).unwrap();
+        db
+    };
+    let outcome = |r: mosaic_core::Result<QueryResult>| {
+        r.map(|r| {
+            (0..r.table.num_rows())
+                .map(|i| r.table.row(i))
+                .collect::<Vec<_>>()
+        })
+        .map_err(|e| format!("{e:?}"))
+    };
+    let trained = |r: &QueryResult| r.notes.iter().any(|n| n.contains("trained"));
+
+    let db = world(&four);
+    let first = db.execute(q).unwrap();
+    assert!(trained(&first), "{:?}", first.notes);
+
+    db.engine().register_binner("age", six.clone());
+    let after = db.execute(q).unwrap();
+    assert!(trained(&after), "a new binner refits: {:?}", after.notes);
+    assert_eq!(outcome(Ok(after)), outcome(world(&six).execute(q)));
+
+    db.engine().register_binner("age", two.clone());
+    let fresh = world(&two).execute(q);
+    assert!(fresh.is_err(), "no row matches the marginal's cells");
+    assert_eq!(outcome(db.execute(q)), outcome(fresh));
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //! Sort+Limit → TopK fusion) never changes results either.
 
 use mosaic_core::oracle::{reference_join, reference_join_kinded, run_select_rowwise};
-use mosaic_core::plan::parallel::default_agg_partitions;
-use mosaic_core::{plan_select, ExecContext, PlanInput};
+use mosaic_core::{plan_select, ExecContext, Knobs, PlanInput};
 use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
@@ -98,8 +97,8 @@ fn run_cell(
         )
 }
 
-/// [`run_cell`] at the ambient merge-partition count (`MOSAIC_AGG_PARTITIONS`
-/// or 16 — CI runs the suite at both 1 and 16).
+/// [`run_cell`] at the process-default merge-partition count
+/// (`MOSAIC_AGG_PARTITIONS` or 16 — CI runs the suite at both 1 and 16).
 fn run_default_partitions(
     stmt: &SelectStmt,
     table: &Table,
@@ -107,7 +106,7 @@ fn run_default_partitions(
     threads: usize,
     optimizer: bool,
 ) -> mosaic_core::Result<Table> {
-    let partitions = default_agg_partitions();
+    let partitions = Knobs::from_env().partitions;
     run_cell(stmt, table, weights, threads, optimizer, partitions)
 }
 

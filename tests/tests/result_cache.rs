@@ -35,17 +35,15 @@ const TEMPLATES: &[&str] = &[
     "SELECT k, AVG(f) AS a, MIN(i), MAX(i) FROM t GROUP BY k ORDER BY k",
 ];
 
-/// An engine with the cache pinned to its 64 MB default — explicit, so
-/// this suite's hit assertions hold even when CI sets
-/// `MOSAIC_RESULT_CACHE=off` for the re-execution pass.
-fn cache_engine() -> Arc<MosaicEngine> {
-    Arc::new(MosaicEngine::with_options(
-        EngineOptions::default().with_result_cache(64),
-    ))
+/// A session with the result cache pinned on — explicit, so this
+/// suite's hit assertions hold even when CI sets `MOSAIC_RESULT_CACHE=off`
+/// for the re-execution pass.
+fn cached(engine: &Arc<MosaicEngine>) -> Session {
+    engine.session().with_result_cache(true)
 }
 
 fn seed_engine(rows: usize) -> Arc<MosaicEngine> {
-    let engine = cache_engine();
+    let engine = Arc::new(MosaicEngine::new());
     seed_table(&engine.session(), rows);
     engine
 }
@@ -108,8 +106,7 @@ fn cached_hit_bit_identical_to_uncached_across_matrix() {
                 .with_result_cache(false)
                 .with_optimizer(optimizer)
                 .with_parallelism(threads);
-            let cached = engine
-                .session()
+            let cached = cached(&engine)
                 .with_optimizer(optimizer)
                 .with_parallelism(threads);
             for sql in TEMPLATES {
@@ -133,7 +130,7 @@ fn cached_hit_bit_identical_to_uncached_across_matrix() {
 #[test]
 fn prepared_params_cache_per_value() {
     let engine = seed_engine(3_000);
-    let cached = engine.session();
+    let cached = cached(&engine);
     let uncached = engine.session().with_result_cache(false);
     let prepared = cached
         .prepare("SELECT k, COUNT(*) AS c FROM t WHERE i > ? GROUP BY k ORDER BY k")
@@ -171,7 +168,7 @@ fn prepared_params_cache_per_value() {
 /// bit-identically, and sample writes invalidate them.
 #[test]
 fn semi_open_caches_and_sample_writes_invalidate() {
-    let engine = cache_engine();
+    let engine = Arc::new(MosaicEngine::new());
     engine
         .session()
         .execute(
@@ -188,7 +185,7 @@ fn semi_open_caches_and_sample_writes_invalidate() {
         )
         .unwrap();
     let q = "SELECT SEMI-OPEN country, COUNT(*) FROM Migrants GROUP BY country ORDER BY country";
-    let cached = engine.session();
+    let cached = cached(&engine);
     let uncached = engine.session().with_result_cache(false);
 
     let baseline = uncached.execute(q).unwrap();
@@ -231,8 +228,8 @@ fn semi_open_caches_and_sample_writes_invalidate() {
 /// no surface may serve the pre-write answer.
 #[test]
 fn derived_population_invalidated_by_gp_sample_and_metadata_writes() {
-    let engine = cache_engine();
-    let cached = engine.session();
+    let engine = Arc::new(MosaicEngine::new());
+    let cached = cached(&engine);
     let uncached = engine.session().with_result_cache(false);
     cached
         .execute(
@@ -311,8 +308,8 @@ fn derived_population_invalidated_by_gp_sample_and_metadata_writes() {
 /// the FROM clause never names it.
 #[test]
 fn reweighted_join_invalidated_by_sample_side_population_metadata() {
-    let engine = cache_engine();
-    let cached = engine.session();
+    let engine = Arc::new(MosaicEngine::new());
+    let cached = cached(&engine);
     let uncached = engine.session().with_result_cache(false);
     cached
         .execute(
@@ -355,7 +352,7 @@ fn reweighted_join_invalidated_by_sample_side_population_metadata() {
 #[test]
 fn insert_invalidates_cached_count() {
     let engine = seed_engine(1_000);
-    let s = engine.session();
+    let s = cached(&engine);
     let q = "SELECT COUNT(*) FROM t";
     let before = s.execute(q).unwrap();
     assert!(is_hit(&s.execute(q).unwrap()));
@@ -376,8 +373,8 @@ fn insert_invalidates_cached_count() {
 /// epoch does not — the answer comes from the new table.
 #[test]
 fn drop_and_recreate_never_serves_old_table() {
-    let engine = cache_engine();
-    let s = engine.session();
+    let engine = Arc::new(MosaicEngine::new());
+    let s = cached(&engine);
     s.execute("CREATE TABLE t (k TEXT, i INT, f FLOAT); INSERT INTO t VALUES ('a', 1, 1.0)")
         .unwrap();
     let q = "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k";
@@ -405,7 +402,7 @@ fn concurrent_writer_vs_cached_readers() {
     const BATCH: usize = 10;
     const BATCHES: usize = 40;
     const READERS: usize = 4;
-    let engine = cache_engine();
+    let engine = Arc::new(MosaicEngine::new());
     engine
         .session()
         .execute("CREATE TABLE t (k TEXT, i INT, f FLOAT)")
@@ -422,7 +419,7 @@ fn concurrent_writer_vs_cached_readers() {
             let done = Arc::clone(&done);
             let started = Arc::clone(&started);
             readers.push(scope.spawn(move || {
-                let s = engine.session();
+                let s = cached(&engine);
                 let mut last = 0i64;
                 let mut observations = 0usize;
                 while observations == 0 || !done.load(Ordering::Relaxed) {
@@ -469,7 +466,7 @@ fn lru_respects_byte_bound_and_refuses_oversized() {
     let engine = Arc::new(MosaicEngine::with_options(
         EngineOptions::default().with_result_cache(1),
     ));
-    let s = engine.session();
+    let s = cached(&engine);
     let mut sql = String::from("CREATE TABLE big (a INT, b INT);\n");
     let values: Vec<String> = (0..80_000).map(|r| format!("({r}, {})", r * 2)).collect();
     for chunk in values.chunks(4096) {
@@ -555,7 +552,7 @@ fn opt_outs_never_hit() {
 #[test]
 fn explain_reports_fingerprint_and_verdict() {
     let engine = seed_engine(500);
-    let s = engine.session();
+    let s = cached(&engine);
     let lines = |r: &QueryResult| -> String {
         (0..r.table.num_rows())
             .map(|i| r.table.value(i, 0).to_string())
@@ -599,7 +596,7 @@ fn explain_reports_fingerprint_and_verdict() {
         text.contains("ineligible (OPEN without an explicit seed)"),
         "{text}"
     );
-    let seeded = engine.session().with_seed(7);
+    let seeded = cached(&engine).with_seed(7);
     let text = lines(&seeded.execute(open_q).unwrap());
     assert!(!text.contains("ineligible"), "{text}");
 }

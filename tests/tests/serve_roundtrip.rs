@@ -348,10 +348,12 @@ fn error_codes_are_stable() {
     handle.shutdown();
 }
 
-/// `SetOption` mirrors the in-process session-override API: a
-/// connection that sets `visibility` / `seed` answers exactly like a
-/// `Session` carrying the same overrides, and `optimizer on|off` is
-/// bit-identical (the optimizer is a pure plan rewrite).
+/// `SetOption` mirrors the in-process session-knob API: a connection
+/// that sets `visibility` / `seed` answers exactly like a `Session`
+/// carrying the same knobs, `optimizer on|off` is bit-identical (the
+/// optimizer is a pure plan rewrite), every boolean spelling and key
+/// alias of the knob parser is accepted, and a rejected value leaves the
+/// connection usable.
 #[test]
 fn set_option_matches_session_overrides() {
     let engine = Arc::new(MosaicEngine::new());
@@ -414,6 +416,43 @@ fn set_option_matches_session_overrides() {
     client.set_option("optimizer", "on").unwrap();
     let on = client.query(agg).unwrap();
     assert_identical(&off.table, &on.table, "optimizer on vs off");
+
+    // Every spelling goes through the one knob parser: `false` and `0`
+    // turn a switch off and `parallelism` is the `threads` alias — each
+    // visible in the connection's EXPLAIN, none changing the answer.
+    let explain = |client: &mut Client| -> String {
+        let plan = client.query(&format!("EXPLAIN {agg}")).unwrap().table;
+        (0..plan.num_rows())
+            .map(|r| plan.value(r, 0).to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    client.set_option("optimizer", "false").unwrap();
+    client.set_option("result_cache", "0").unwrap();
+    client.set_option("parallelism", "1").unwrap();
+    let text = explain(&mut client);
+    assert!(text.contains("optimizer: off"), "{text}");
+    assert!(text.contains("result cache: off"), "{text}");
+    assert!(text.contains("parallelism: 1 worker thread(s)"), "{text}");
+    for run in 0..2 {
+        let got = client.query(agg).unwrap();
+        assert!(
+            !got.notes.iter().any(|n| n.starts_with("result cache hit")),
+            "result_cache=0 must never hit"
+        );
+        assert_identical(&got.table, &on.table, &format!("knobs off, run {run}"));
+    }
+
+    // A rejected value is an UNKNOWN_OPTION frame carrying the parser's
+    // message; the knob keeps its value and the connection keeps working.
+    let err = client.set_option("threads", "0").unwrap_err();
+    let wire = err.as_server().expect("server-side error expected");
+    assert_eq!(wire.code, codes::UNKNOWN_OPTION);
+    assert!(wire.message.contains("threads"), "{}", wire.message);
+    let text = explain(&mut client);
+    assert!(text.contains("parallelism: 1 worker thread(s)"), "{text}");
+    let got = client.query(agg).unwrap();
+    assert_identical(&got.table, &on.table, "after a rejected option");
 
     client.close().unwrap();
     handle.shutdown();

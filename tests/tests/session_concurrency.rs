@@ -347,10 +347,8 @@ fn every_source_kind_agrees_across_adhoc_prepared_and_cache() {
         .with_steps_per_epoch(Some(2))
         .with_learning_rate(5e-3)
         .with_seed(3);
-    // The cache capacity is explicit so the hit assertions hold under
-    // an ambient MOSAIC_RESULT_CACHE=off.
     let engine = Arc::new(MosaicEngine::with_options(
-        EngineOptions::default().with_result_cache(64).with_open(
+        EngineOptions::default().with_open(
             OpenOptions::default()
                 .with_backend(OpenBackend::Swg(swg))
                 .with_num_generated(3)
@@ -378,8 +376,9 @@ fn every_source_kind_agrees_across_adhoc_prepared_and_cache() {
     engine.session().execute(&setup).unwrap();
 
     // A pinned seed makes the OPEN statements reproducible — and so
-    // result-cache eligible.
-    let cached = engine.session().with_seed(7);
+    // result-cache eligible. The cache knob is explicit so the hit
+    // assertions hold under an ambient MOSAIC_RESULT_CACHE=off.
+    let cached = engine.session().with_seed(7).with_result_cache(true);
     let uncached = cached.clone().with_result_cache(false);
     let by_country = |vis: &str| {
         format!(
