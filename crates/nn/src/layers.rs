@@ -15,7 +15,13 @@ pub trait Layer {
     /// caching, batch-norm uses running statistics. Because it borrows
     /// `&self`, a fitted network can run inference from many threads at
     /// once (the engine generates OPEN-query replicates in parallel).
-    fn forward_eval(&self, input: &Matrix) -> Matrix;
+    ///
+    /// `x` holds the input on entry and the output on return. Element-wise
+    /// layers rewrite it in place; a layer that changes the width writes
+    /// into `scratch` and swaps the two. A stack of layers thus ping-pongs
+    /// between two caller-owned buffers and allocates nothing once both
+    /// have grown to the widest layer.
+    fn forward_eval(&self, x: &mut Matrix, scratch: &mut Matrix);
 
     /// Backward pass: consumes `dL/d output`, accumulates parameter grads,
     /// returns `dL/d input`. Must be called after a `forward` with
@@ -24,6 +30,14 @@ pub trait Layer {
 
     /// Trainable parameters (empty for parameterless layers).
     fn params_mut(&mut self) -> Vec<&mut Param>;
+}
+
+/// The eval-mode output of a layer that works in place, computed on a
+/// copy of `input`.
+fn eval_copy(layer: &impl Layer, input: &Matrix) -> Matrix {
+    let mut x = input.clone();
+    layer.forward_eval(&mut x, &mut Matrix::zeros(0, 0));
+    x
 }
 
 /// Fully-connected layer `y = x·W + b` with He-normal initialization.
@@ -57,13 +71,14 @@ impl Layer for Dense {
         if train {
             self.cached_input = Some(input.clone());
         }
-        self.forward_eval(input)
+        let mut out = Matrix::zeros(0, 0);
+        input.matmul_into(&self.weight.value, Some(&self.bias.value), &mut out);
+        out
     }
 
-    fn forward_eval(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weight.value);
-        out.add_row_broadcast(&self.bias.value);
-        out
+    fn forward_eval(&self, x: &mut Matrix, scratch: &mut Matrix) {
+        x.matmul_into(&self.weight.value, Some(&self.bias.value), scratch);
+        std::mem::swap(x, scratch);
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -101,11 +116,13 @@ impl Layer for Relu {
             self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
             self.shape = (input.rows(), input.cols());
         }
-        self.forward_eval(input)
+        eval_copy(self, input)
     }
 
-    fn forward_eval(&self, input: &Matrix) -> Matrix {
-        input.map(|x| x.max(0.0))
+    fn forward_eval(&self, x: &mut Matrix, _scratch: &mut Matrix) {
+        for v in x.data_mut() {
+            *v = v.max(0.0);
+        }
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -212,23 +229,29 @@ impl Layer for BatchNorm {
             self.inv_std = Some(inv_std);
             out
         } else {
-            self.forward_eval(input)
+            eval_copy(self, input)
         }
     }
 
-    fn forward_eval(&self, input: &Matrix) -> Matrix {
-        let (n, d) = (input.rows(), input.cols());
-        let mut out = input.clone();
-        for r in 0..n {
-            let row = out.row_mut(r);
-            for j in 0..d {
-                let m = self.running_mean.get(0, j);
-                let v = self.running_var.get(0, j);
-                let xhat = (row[j] - m) / (v + self.eps).sqrt();
-                row[j] = xhat * self.gamma.value.get(0, j) + self.beta.value.get(0, j);
+    fn forward_eval(&self, x: &mut Matrix, _scratch: &mut Matrix) {
+        let std: Vec<f64> = self
+            .running_var
+            .data()
+            .iter()
+            .map(|v| (v + self.eps).sqrt())
+            .collect();
+        let (mean, gamma, beta) = (
+            self.running_mean.data(),
+            self.gamma.value.data(),
+            self.beta.value.data(),
+        );
+        for r in 0..x.rows() {
+            let row = x.row_mut(r);
+            for j in 0..row.len() {
+                let xhat = (row[j] - mean[j]) / std[j];
+                row[j] = xhat * gamma[j] + beta[j];
             }
         }
-        out
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -296,17 +319,16 @@ impl BlockSoftmax {
 
 impl Layer for BlockSoftmax {
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        let out = self.forward_eval(input);
+        let out = eval_copy(self, input);
         if train {
             self.output = Some(out.clone());
         }
         out
     }
 
-    fn forward_eval(&self, input: &Matrix) -> Matrix {
-        let mut out = input.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
+    fn forward_eval(&self, x: &mut Matrix, _scratch: &mut Matrix) {
+        for r in 0..x.rows() {
+            let row = x.row_mut(r);
             for &(start, len) in &self.blocks {
                 let slice = &mut row[start..start + len];
                 let max = slice.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -320,7 +342,6 @@ impl Layer for BlockSoftmax {
                 }
             }
         }
-        out
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {

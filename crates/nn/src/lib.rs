@@ -20,6 +20,8 @@
 //! are a few dense layers wide (50–200 units), so clarity and testability
 //! (gradient checks, property tests) beat generality.
 
+#![forbid(unsafe_code)]
+
 mod layers;
 mod matrix;
 mod mlp;

@@ -66,13 +66,14 @@ impl Mlp {
     }
 
     /// Evaluation-mode forward pass without mutation (shared-reference
-    /// inference; see [`Layer::forward_eval`]).
-    pub fn forward_eval(&self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
+    /// inference; see [`Layer::forward_eval`]): `x` holds the network
+    /// input on entry and its output on return, and `scratch` is the
+    /// second buffer the layers ping-pong with. A caller running many
+    /// batches keeps `scratch` across them so it is allocated once.
+    pub fn forward_eval(&self, x: &mut Matrix, scratch: &mut Matrix) {
         for layer in &self.layers {
-            x = layer.forward_eval(&x);
+            layer.forward_eval(x, scratch);
         }
-        x
     }
 
     /// Backward pass (after a `forward(…, true)`), accumulating parameter
@@ -178,7 +179,7 @@ mod tests {
         g.push(Dense::new(16, 1, &mut rng));
         let mut opt = Adam::new(0.01);
         let x = Matrix::from_vec(8, 1, (0..8).map(|i| i as f64 / 4.0).collect());
-        let target = x.map(|v| 2.0 * v - 1.0);
+        let target = Matrix::from_vec(8, 1, x.data().iter().map(|v| 2.0 * v - 1.0).collect());
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..400 {

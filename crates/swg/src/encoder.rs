@@ -1,8 +1,9 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mosaic_nn::Matrix;
 use mosaic_stats::Marginal;
-use mosaic_storage::{Column, DataType, Field, Schema, Table, TableBuilder, Value};
+use mosaic_storage::{Column, ColumnBuilder, DataType, Schema, Table, Value};
 
 /// Per-attribute encoding specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +77,7 @@ pub struct Encoder {
     specs: Vec<AttrSpec>,
     offsets: Vec<usize>,
     total_dim: usize,
-    schema: std::sync::Arc<Schema>,
+    schema: Arc<Schema>,
 }
 
 impl Encoder {
@@ -143,7 +144,7 @@ impl Encoder {
             specs,
             offsets,
             total_dim: acc,
-            schema: std::sync::Arc::clone(table.schema()),
+            schema: Arc::clone(table.schema()),
         }
     }
 
@@ -218,44 +219,47 @@ impl Encoder {
     /// unscale (rounding integers), categorical blocks argmax-discretize
     /// (paper: "only force the output to be binary for data generation").
     pub fn decode_matrix(&self, m: &Matrix) -> Table {
-        let fields: Vec<Field> = self.schema.fields().to_vec();
-        let schema = Schema::new(fields);
-        let mut b = TableBuilder::with_capacity(schema, m.rows());
-        for r in 0..m.rows() {
-            let row = m.row(r);
-            let mut out = Vec::with_capacity(self.specs.len());
-            for (ai, spec) in self.specs.iter().enumerate() {
-                let start = self.offsets[ai];
-                match spec {
-                    AttrSpec::Numeric {
-                        min, max, integer, ..
-                    } => {
-                        let x = row[start].clamp(0.0, 1.0) * (max - min) + min;
-                        if *integer {
-                            out.push(Value::Int(x.round() as i64));
-                        } else {
-                            out.push(Value::Float(x));
-                        }
-                    }
-                    AttrSpec::Categorical { values, .. } => {
-                        if values.is_empty() {
-                            out.push(Value::Null);
-                            continue;
-                        }
-                        let block = &row[start..start + values.len()];
-                        let arg = block
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(i, _)| i)
-                            .unwrap_or(0);
-                        out.push(values[arg].clone());
+        let n = m.rows();
+        let columns = self
+            .specs
+            .iter()
+            .zip(&self.offsets)
+            .zip(self.schema.fields())
+            .map(|((spec, &start), field)| match spec {
+                AttrSpec::Numeric {
+                    min, max, integer, ..
+                } => {
+                    let x = |r| m.get(r, start).clamp(0.0, 1.0) * (max - min) + min;
+                    if *integer {
+                        Column::from_i64((0..n).map(|r| x(r).round() as i64).collect())
+                    } else {
+                        Column::from_f64((0..n).map(x).collect())
                     }
                 }
-            }
-            b.push_row(out).expect("decoded row matches schema");
-        }
-        b.finish()
+                AttrSpec::Categorical { values, .. } => {
+                    // Plain (not dictionary-encoded) strings, as a
+                    // `TableBuilder` would produce.
+                    let mut b = ColumnBuilder::with_capacity(field.data_type, n);
+                    for r in 0..n {
+                        let v = if values.is_empty() {
+                            Value::Null
+                        } else {
+                            let block = &m.row(r)[start..start + values.len()];
+                            let arg = block
+                                .iter()
+                                .enumerate()
+                                .max_by(|a, b| a.1.total_cmp(b.1))
+                                .map(|(i, _)| i)
+                                .unwrap_or(0);
+                            values[arg].clone()
+                        };
+                        b.push(v).expect("decoded value matches the column type");
+                    }
+                    b.finish()
+                }
+            })
+            .collect();
+        Table::new(Arc::clone(&self.schema), columns).expect("decoded columns match the schema")
     }
 
     /// Lift a marginal into encoded space (cell keys become weighted points
@@ -355,6 +359,69 @@ mod tests {
             let orig = t.value(r, 2).as_f64().unwrap();
             let dec = back.value(r, 2).as_f64().unwrap();
             assert!((orig - dec).abs() < 1e-9, "delay row {r}");
+        }
+    }
+
+    /// Column-by-column decoding gives the table the row-at-a-time
+    /// `TableBuilder` path gives: the same cells, the same plain (not
+    /// dictionary-encoded) strings, the same validity.
+    #[test]
+    fn decode_matches_row_builder() {
+        let schema = Schema::new(vec![
+            Field::new("carrier", DataType::Str),
+            Field::new("late", DataType::Bool),
+            Field::new("gate", DataType::Str),
+            Field::new("distance", DataType::Int),
+            Field::new("delay", DataType::Float),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for (c, l, d, y) in [("AA", true, 100, 1.5), ("WN", false, 500, -2.0)] {
+            b.push_row(vec![c.into(), l.into(), Value::Null, d.into(), y.into()])
+                .unwrap();
+        }
+        let t = b.finish();
+        let enc = Encoder::fit(&t, &HashMap::new());
+        let m = Matrix::from_vec(
+            3,
+            enc.dim(),
+            vec![
+                0.2, 0.9, 0.6, 0.1, 0.25, -0.5, //
+                0.7, 0.7, 0.0, 0.3, 1.5, 0.5, //
+                0.1, 0.2, 0.4, 0.4, 0.5, 0.125,
+            ],
+        );
+        let mut expected = TableBuilder::new(Arc::clone(t.schema()));
+        for r in 0..m.rows() {
+            let row = m.row(r);
+            let argmax = |block: &[f64]| {
+                let (i, _) = block
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .unwrap();
+                i
+            };
+            let carriers = ["AA", "WN"];
+            expected
+                .push_row(vec![
+                    carriers[argmax(&row[0..2])].into(),
+                    [false, true][argmax(&row[2..4])].into(),
+                    Value::Null,
+                    Value::Int((row[4].clamp(0.0, 1.0) * 400.0 + 100.0).round() as i64),
+                    Value::Float(row[5].clamp(0.0, 1.0) * 3.5 - 2.0),
+                ])
+                .unwrap();
+        }
+        let expected = expected.finish();
+        let got = enc.decode_matrix(&m);
+        assert!(Arc::ptr_eq(got.schema(), t.schema()));
+        for c in 0..expected.num_columns() {
+            let (e, g) = (expected.column(c), got.column(c));
+            assert_eq!(g.is_dict(), e.is_dict(), "column {c} encoding");
+            assert_eq!(g.validity(), e.validity(), "column {c} validity");
+            for r in 0..expected.num_rows() {
+                assert_eq!(g.value(r), e.value(r), "cell ({r}, {c})");
+            }
         }
     }
 

@@ -29,6 +29,8 @@
 //! * [`MSwg`] — configuration, training loop (Adam + plateau LR decay),
 //!   and batch generation.
 
+#![forbid(unsafe_code)]
+
 mod encoder;
 pub mod loss;
 mod model;

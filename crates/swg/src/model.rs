@@ -194,6 +194,8 @@ pub enum SwgError {
     MissingAttribute(String),
     /// The training sample has no rows.
     EmptySample,
+    /// A hyperparameter is out of range.
+    InvalidConfig(String),
     /// Underlying storage error.
     Storage(StorageError),
 }
@@ -205,6 +207,7 @@ impl fmt::Display for SwgError {
                 write!(f, "marginal attribute {a} not present in the sample")
             }
             SwgError::EmptySample => write!(f, "cannot fit an M-SWG on an empty sample"),
+            SwgError::InvalidConfig(msg) => write!(f, "invalid M-SWG configuration: {msg}"),
             SwgError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -268,6 +271,12 @@ impl MSwg {
     ) -> Result<MSwg, SwgError> {
         if sample.is_empty() {
             return Err(SwgError::EmptySample);
+        }
+        // Training divides the sample by it and generation steps by it.
+        if config.batch_size == 0 {
+            return Err(SwgError::InvalidConfig(
+                "batch_size must be at least 1".into(),
+            ));
         }
         for m in marginals {
             for a in m.attrs() {
@@ -403,16 +412,14 @@ impl MSwg {
     /// serve many threads concurrently (the engine's parallel OPEN
     /// replicates).
     pub fn generate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Table {
-        let mut assembled = Matrix::zeros(n, self.encoder.dim());
-        let mut done = 0;
-        while done < n {
-            let batch = self.config.batch_size.min(n - done);
-            let z = Matrix::randn(batch, self.latent_dim, 1.0, rng);
-            let out = self.mlp.forward_eval(&z);
-            for r in 0..batch {
-                assembled.row_mut(done + r).copy_from_slice(out.row(r));
-            }
-            done += batch;
+        let dim = self.encoder.dim();
+        let mut assembled = Matrix::zeros(n, dim);
+        let mut scratch = Matrix::zeros(0, 0);
+        for start in (0..n).step_by(self.config.batch_size) {
+            let batch = self.config.batch_size.min(n - start);
+            let mut x = Matrix::randn(batch, self.latent_dim, 1.0, rng);
+            self.mlp.forward_eval(&mut x, &mut scratch);
+            assembled.data_mut()[start * dim..(start + batch) * dim].copy_from_slice(x.data());
         }
         self.encoder.decode_matrix(&assembled)
     }
@@ -455,6 +462,20 @@ mod tests {
             MSwg::fit(&t, &[], small_config()),
             Err(SwgError::EmptySample)
         ));
+    }
+
+    #[test]
+    fn fit_rejects_zero_batch_size() {
+        let t = numeric_sample(&[1.0, 2.0]);
+        for steps in [None, Some(1)] {
+            let cfg = small_config()
+                .with_batch_size(0)
+                .with_steps_per_epoch(steps);
+            assert!(matches!(
+                MSwg::fit(&t, &[], cfg),
+                Err(SwgError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
