@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use mosaic_bn::BnConfig;
 use mosaic_sql::{parse, Expr, InsertSource, SelectItem, SelectStmt, Statement, Visibility};
-use mosaic_stats::{Binner, Ipf, IpfConfig, Marginal};
+use mosaic_stats::{Binner, Ipf, IpfConfig, IpfReport, Marginal};
 use mosaic_storage::{Column, DataType, Field, Schema, Table, TableBuilder, Value};
 use mosaic_swg::SwgConfig;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -30,7 +30,7 @@ use crate::catalog::{
 use crate::eval::eval_scalar;
 use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
-use crate::plan::{ExecContext, PhysicalPlan, PlanInput};
+use crate::plan::{ExecContext, PhysicalPlan, PlanInput, PostJoin};
 use crate::session::{population_deps, BoundRel, Prepared, RelKind, Resolved, Session, Source};
 use crate::{Knobs, MosaicError, Result};
 
@@ -799,15 +799,22 @@ impl MosaicEngine {
                 )
             });
         }
+        // One fit per execution of the joined plan (per replicate under
+        // OPEN); their reports become one note after the run.
+        let recal_fits: Mutex<Vec<(usize, IpfReport)>> = Mutex::new(Vec::new());
         let recalibrate = |joined: Table| {
-            recalibrate_joined_weights(joined, &recal_marginals, &opts.binners, &opts.ipf)
+            let fit =
+                recalibrate_joined_weights(&joined, &recal_marginals, &opts.binners, &opts.ipf)?;
+            Ok(fit.map(|(weight, applied, report)| {
+                recal_fits.lock().push((applied, report));
+                weight
+            }))
         };
-        let post_join: Option<&(dyn Fn(Table) -> Result<Table> + Sync)> =
-            if recal_marginals.is_empty() {
-                None
-            } else {
-                Some(&recalibrate)
-            };
+        let post_join: Option<&PostJoin<'_>> = if recal_marginals.is_empty() {
+            None
+        } else {
+            Some(&recalibrate)
+        };
         let run_join = |plan: &PhysicalPlan, left: &Table, right: &Table, ctx: &ExecContext<'_>| {
             let input = PlanInput::Join {
                 left,
@@ -849,6 +856,25 @@ impl MosaicEngine {
                 open_answer(k, bound, params, &om, "join", &mut notes, answer)?
             }
         };
+        let fits = std::mem::take(&mut *recal_fits.lock());
+        // Replicates fit independently: report the worst fit, which is
+        // the same whichever worker ran which replicate.
+        let worst = fits.iter().max_by(|(_, a), (_, b)| {
+            (!a.converged)
+                .cmp(&!b.converged)
+                .then(a.max_rel_error.total_cmp(&b.max_rel_error))
+                .then(a.iterations.cmp(&b.iterations))
+        });
+        if let Some((applied, report)) = worst {
+            let runs = match fits.len() {
+                1 => String::new(),
+                n => format!(", worst of {n} replicate fits"),
+            };
+            notes.push(ipf_note(
+                &format!("{applied} marginal(s) re-calibrating the combined join weight{runs}"),
+                report,
+            ));
+        }
         Ok(QueryResult {
             table,
             visibility: vis,
@@ -1145,13 +1171,15 @@ fn open_run_seed(base: u64, run: usize) -> u64 {
 /// names into `binding.column` form — to the leftmost `*.attr` column
 /// (for equi-join keys both sides agree, and the left side is never
 /// NULL-extended). Marginals naming attributes the join projected away
-/// are skipped; with none applicable the product stands as-is.
+/// are skipped; with none applicable (or no joined rows) the product
+/// stands as-is and this returns `None`. Otherwise: the re-calibrated
+/// weight column, the number of marginals applied, and the fit's report.
 fn recalibrate_joined_weights(
-    joined: Table,
+    joined: &Table,
     marginals: &[Marginal],
     binners: &HashMap<String, Binner>,
     ipf: &IpfConfig,
-) -> Result<Table> {
+) -> Result<Option<(Column, usize, IpfReport)>> {
     let fields = joined.schema().fields();
     let resolve = |attr: &str| -> Option<usize> {
         fields
@@ -1189,7 +1217,7 @@ fn recalibrate_joined_weights(
         applicable.push(m.clone());
     }
     if applicable.is_empty() || joined.is_empty() {
-        return Ok(joined);
+        return Ok(None);
     }
     let widx = fields
         .iter()
@@ -1217,11 +1245,26 @@ fn recalibrate_joined_weights(
             .map(|(_, i)| joined.column(*i).clone())
             .collect(),
     )?;
-    let (weights, _report) = Ipf::new(&view, &applicable, binners)?.fit(Some(&init), ipf);
+    let (weights, report) = Ipf::new(&view, &applicable, binners)?.fit(Some(&init), ipf);
     let validity = wcol.validity().cloned();
-    let mut columns = joined.columns().to_vec();
-    columns[widx] = Column::from_f64_opt(weights, validity);
-    Table::new(Arc::clone(joined.schema()), columns).map_err(Into::into)
+    let weight = Column::from_f64_opt(weights, validity);
+    Ok(Some((weight, applicable.len(), report)))
+}
+
+/// The note an IPF fit leaves on its answer — the same wording on every
+/// path that fits (own metadata, a GP's metadata, the combined join
+/// weight), a fit that stopped short of the tolerance included.
+fn ipf_note(against: &str, report: &IpfReport) -> String {
+    format!(
+        "IPF vs {against}: {} iterations, max rel err {:.2e}{}",
+        report.iterations,
+        report.max_rel_error,
+        if report.converged {
+            ""
+        } else {
+            " (not converged)"
+        },
+    )
 }
 
 /// The unknown-relation error, listing what the catalog does have so a
@@ -1336,17 +1379,9 @@ fn semi_open_weights(
         let marginals: Vec<Marginal> = own_meta.iter().map(|m| m.marginal.clone()).collect();
         let ipf = Ipf::new(&data, &marginals, &opts.binners)?;
         let (weights, report) = ipf.fit(Some(&init), &opts.ipf);
-        notes.push(format!(
-            "IPF vs {} marginal(s) of {}: {} iterations, max rel err {:.2e}{}",
-            marginals.len(),
-            pop.name,
-            report.iterations,
-            report.max_rel_error,
-            if report.converged {
-                ""
-            } else {
-                " (not converged)"
-            },
+        notes.push(ipf_note(
+            &format!("{} marginal(s) of {}", marginals.len(), pop.name),
+            &report,
         ));
         return Ok((data, weights));
     }
@@ -1356,11 +1391,9 @@ fn semi_open_weights(
             let marginals: Vec<Marginal> = gp_meta.iter().map(|m| m.marginal.clone()).collect();
             let ipf = Ipf::new(&sample.data, &marginals, &opts.binners)?;
             let (weights, report) = ipf.fit(Some(&sample.weights), &opts.ipf);
-            notes.push(format!(
-                "IPF vs {} marginal(s) of GP {gp}: {} iterations, max rel err {:.2e}",
-                marginals.len(),
-                report.iterations,
-                report.max_rel_error
+            notes.push(ipf_note(
+                &format!("{} marginal(s) of GP {gp}", marginals.len()),
+                &report,
             ));
             return apply_view_weighted(&sample.data, &weights, view);
         }

@@ -21,7 +21,7 @@ use crate::engine::{
 };
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::parallel::MORSEL_ROWS;
-use crate::plan::{has_aggregate_shape, Planned};
+use crate::plan::{has_aggregate_shape, join, Planned};
 use crate::session::{BoundRel, Prepared, RelKind, Resolved, Source};
 use crate::{Knobs, Result};
 
@@ -286,7 +286,9 @@ fn render_join(
         );
     }
     let (lrows, rrows) = (rows[0], rows[1]);
-    let (build, probe) = if lrows < rrows {
+    // The executor's own gates, applied to the unfiltered row counts.
+    let build_is_left = join::build_is_left(lrows, rrows);
+    let (build, probe) = if build_is_left {
         (&rels[0], &rels[1])
     } else {
         (&rels[1], &rels[0])
@@ -299,20 +301,17 @@ fn render_join(
         JoinKind::Inner => "",
         JoinKind::LeftOuter => "; unmatched left rows NULL-extend the right side",
     };
+    let order = if build_is_left {
+        "then counting-sorted into"
+    } else {
+        "already in"
+    };
     lines.push(format!(
-        "  join: {kind_name} hash equi-join; build = smaller input ({}, currently), probe = {} \
-         morsel-parallel; output in canonical (left row, right row) order{outer_note}",
+        "  join: {kind_name} hash equi-join; build = smaller input ({}, currently); probe = {}, \
+         streamed per morsel, {order} canonical (left row, right row) order{outer_note}",
         build.name, probe.name
     ));
-    // Mirror the execution-time gate: a multi-morsel build side is
-    // radix-partitioned across the worker pool, smaller builds stay
-    // serial (see `plan::join::build_and_probe`).
-    let build_rows = lrows.min(rrows);
-    let build_parts = if k.partitions > 1 && build_rows > MORSEL_ROWS {
-        k.partitions
-    } else {
-        1
-    };
+    let build_parts = join::build_partitions(lrows.min(rrows), k.partitions);
     lines.push(format!(
         "  join build: {build_parts} radix partition(s){}",
         if build_parts == 1 {
@@ -548,6 +547,50 @@ mod tests {
             text.contains("join build: 1 radix partition(s) (serial build)"),
             "{text}"
         );
+    }
+
+    /// The join and TopK lines say where the work runs, from the same
+    /// gates the executor branches on: the build side (counting sort back
+    /// to canonical order when it is the left one) and the per-morsel
+    /// TopK (bare sort keys over a projection only).
+    #[test]
+    fn explain_reports_where_join_and_topk_work_runs() {
+        let engine = Arc::new(MosaicEngine::new());
+        let s = engine.session().with_optimizer(true);
+        s.execute(
+            "CREATE TABLE big (k INT, v INT); INSERT INTO big VALUES (1, 1), (2, 2), (3, 3);
+             CREATE TABLE small (k INT); INSERT INTO small VALUES (1);",
+        )
+        .unwrap();
+        let explain =
+            |sql: &str| lines_of(&s.execute(&format!("EXPLAIN {sql}")).unwrap()).join("\n");
+        let text = explain("SELECT big.v FROM big JOIN small ON big.k = small.k");
+        assert!(
+            text.contains("probe = big, streamed per morsel, already in canonical"),
+            "{text}"
+        );
+        assert!(
+            text.contains("probe and output gather per morsel"),
+            "{text}"
+        );
+        let text = explain("SELECT big.v FROM small JOIN big ON small.k = big.k");
+        assert!(
+            text.contains("then counting-sorted into canonical"),
+            "{text}"
+        );
+        let text = explain("SELECT k FROM big ORDER BY v DESC LIMIT 2");
+        assert!(
+            text.contains("TopK: [v DESC] limit 2 (a bounded heap per morsel"),
+            "{text}"
+        );
+        // A computed key may resolve differently per morsel: one heap
+        // over the merged projection instead.
+        let text = explain("SELECT k FROM big ORDER BY v + 1 LIMIT 2");
+        assert!(text.contains("TopK: [v + 1] limit 2"), "{text}");
+        assert!(!text.contains("per morsel"), "{text}");
+        // Over an aggregate the TopK runs on the merged groups.
+        let text = explain("SELECT k, COUNT(*) AS c FROM big GROUP BY k ORDER BY k LIMIT 2");
+        assert!(!text.contains("heap per morsel"), "{text}");
     }
 
     #[test]

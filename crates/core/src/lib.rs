@@ -103,8 +103,10 @@
 //! JOIN carriers c ON f.carrier = c.code`, `a LEFT JOIN b ON …`): the
 //! scope binder resolves aliases and qualified columns (with bind-time
 //! ambiguity errors), the vectorized [`plan::join::HashJoinOp`] builds
-//! on the smaller input and probes the larger one morsel-parallel, and
-//! output rows keep the canonical (left row, right row) order —
+//! on the smaller input, probes the larger one morsel by morsel and
+//! streams the joined rows through the morsel pipeline without ever
+//! materializing the joined table; output rows keep the canonical
+//! (left row, right row) order —
 //! bit-identical at every thread count and to the row-wise
 //! [`oracle::reference_join`] / [`oracle::reference_join_kinded`]
 //! oracles. LEFT OUTER joins NULL-extend the

@@ -9,7 +9,7 @@
 //! is a fixed function of the key, which is all the executor needs: a
 //! join's build and probe agree on partitions, and results never depend
 //! on the partition layout (see `aggregate::merge_finalize` and
-//! `join::build_and_probe`). Input folds in one 64-bit word at a time
+//! `join::PartitionedMap`). Input folds in one 64-bit word at a time
 //! with a folded multiply (the high and low halves of the 128-bit
 //! product, xored), and the SplitMix64 finalizer mixes the result, so
 //! structured keys (dense codes, power-of-two strides) spread over the

@@ -21,9 +21,10 @@
 //! * **Canonical output order.** Output rows are ordered by (left row,
 //!   right row) — the order a nested loop with the left side outermost
 //!   produces. The hash executor builds on the *smaller* input and
-//!   probes the larger one morsel-parallel, restoring the canonical
-//!   order afterwards, so results are bit-identical at every thread
-//!   count and to [`reference_join`]. An unmatched left row of a LEFT
+//!   probes the larger one morsel by morsel, in canonical order when it
+//!   probes the left side and restored by a counting sort otherwise, so
+//!   results are bit-identical at every thread count and to
+//!   [`reference_join`]. An unmatched left row of a LEFT
 //!   OUTER join appears at its left position.
 //! * **Weights.** A sample input exposes the engine-managed `weight`
 //!   column and the join carries it through (projection pruning never
@@ -38,12 +39,14 @@
 use std::sync::Arc;
 
 use mosaic_sql::{BinOp, Expr, FromClause, JoinKind, SelectItem, SelectStmt};
-use mosaic_storage::{kernels, Bitmap, Column, DataType, Field, Schema, Table, Value};
+use mosaic_storage::{kernels, Bitmap, Column, DataType, Dictionary, Field, Schema, Table, Value};
+use parking_lot::Mutex;
 
+use super::aggregate::Ranked;
 use super::hash::{self, FoldMap};
 use super::logical::{JoinOutCol, LogicalPlan};
-use super::parallel::{parallel_sort_indices, prune_scan, run_ordered, MORSEL_ROWS};
-use super::{bind_expr, Batch, ExecContext, FilterOp, PhysicalOperator};
+use super::parallel::{first_error, prune_scan, run_ordered, MORSEL_ROWS};
+use super::{bind_expr, ExecContext, FilterOp, PhysicalOperator};
 use crate::{MosaicError, Result};
 
 /// True when a statement's FROM clause needs the multi-relation scope
@@ -258,11 +261,12 @@ impl Scope {
     /// ORDER BY) to join output names. The FROM clause is kept verbatim
     /// so the statement stays re-bindable and display-faithful.
     ///
-    /// ORDER BY keys get one extra degree of freedom: a name that is not
-    /// in scope but matches a SELECT item's output name (its alias or
-    /// written spelling) stays untouched — sort keys resolve against the
-    /// projection output first at execution, exactly like the
-    /// single-relation path.
+    /// ORDER BY keys resolve the way the projection names its output: a
+    /// name matching a SELECT item's output name (its alias or written
+    /// spelling, e.g. `t.k`) stays untouched — sort keys resolve against
+    /// the projection output first at execution, exactly like the
+    /// single-relation path, and an aggregate's output keeps that name.
+    /// Any other name is rewritten like the rest of the statement.
     pub fn rewrite_stmt(&self, stmt: &SelectStmt) -> Result<SelectStmt> {
         let items: Vec<SelectItem> = stmt
             .items
@@ -287,17 +291,12 @@ impl Scope {
             .collect();
         let rewrite_sort_key = |e: &Expr| {
             map_columns(e, &|name| {
-                match self.resolve(name) {
-                    Ok(out) => Ok(out.name.clone()),
-                    Err(err) => {
-                        if item_names.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-                            // A projection alias: leave it for the sort
-                            // to resolve against the output table.
-                            Ok(name.to_string())
-                        } else {
-                            Err(err)
-                        }
-                    }
+                if item_names.iter().any(|n| n.eq_ignore_ascii_case(name)) {
+                    // A projection output name: leave it for the sort to
+                    // resolve against the output table.
+                    Ok(name.to_string())
+                } else {
+                    Ok(self.resolve(name)?.name.clone())
                 }
             })
         };
@@ -614,23 +613,58 @@ pub struct JoinSide {
     pub keys: Vec<Expr>,
 }
 
+/// The right row of a NULL-extended LEFT OUTER pair in a [`Fragment`].
+const NULL_ROW: u32 = u32::MAX;
+
+/// A run of the joined pair sequence: the left and right row of each
+/// (left row, right row) pair, as row indices into the two tables of a
+/// [`JoinedRows`]; [`NULL_ROW`] on the right marks a NULL-extended row.
+#[derive(Default)]
+struct Fragment {
+    left: Vec<u32>,
+    right: Vec<u32>,
+}
+
+/// Build on the strictly smaller input; ties build the right side, so
+/// the probe walks the left side and emits canonical left-major order
+/// directly. `EXPLAIN` reports the same choice.
+pub(crate) fn build_is_left(left_rows: usize, right_rows: usize) -> bool {
+    left_rows < right_rows
+}
+
+/// The radix-partition count of a build side of `rows` rows: the
+/// `partitions` knob when the side spans more than one morsel, else 1 —
+/// a serial build, since partitioning a small side costs more than it
+/// saves. Capped at `u16::MAX`, the NULL-key sentinel of the partition
+/// map. `EXPLAIN` reports the same count.
+pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
+    if partitions > 1 && rows > MORSEL_ROWS {
+        partitions.min(u16::MAX as usize)
+    } else {
+        1
+    }
+}
+
 /// The vectorized hash equi-join stage of a physical plan (INNER or
-/// LEFT OUTER).
+/// LEFT OUTER) — the morsel source of a join plan.
 ///
-/// Execution: both inputs are pruned and filtered, the **smaller** one
-/// is built into hash tables keyed on normalized key tokens (see
+/// Execution ([`HashJoinOp::execute`]): both inputs are pruned, and
+/// their pushed-down filters run per morsel on the worker pool. The
+/// **smaller** side (counted after its filters) is gathered and built
+/// into hash tables keyed on normalized key tokens (see
 /// `mosaic_storage::kernels::join_key_f64`) — a build side spanning more
 /// than one morsel radix-partitions its keys into P independent tables
-/// built in parallel on the shared worker pool (P = the engine's
-/// aggregate-merge partition knob), a smaller build stays one serial
-/// table — then the larger side is probed morsel-parallel with ordered
-/// fragment merge, each probe key routed to its key-hash partition.
-/// Matching row pairs are restored to the canonical (left row, right
-/// row) order (a parallel run-merge sort when the pair set is large) —
-/// so results are bit-identical at every thread count *and every
-/// partition count*, and to [`reference_join`]. A LEFT OUTER join then
-/// inserts one NULL-extended row per unmatched left row via a single
-/// merge walk over the canonically ordered pairs.
+/// built in parallel (P = the engine's partition knob), a smaller build
+/// stays one serial table. The larger side is then probed morsel by
+/// morsel on the pool, each probe key routed to its key-hash partition,
+/// and every probe morsel yields one `Fragment` of (left row, right
+/// row) pairs. Probing the left side, the fragments already follow the
+/// canonical (left row, right row) order and a LEFT OUTER join
+/// NULL-extends unmatched rows in place; probing the right side, one
+/// stable counting sort by left row restores it. Nothing is gathered
+/// here: the morsel driver gathers the output columns per joined morsel
+/// ([`JoinedRows::gather`]). Results are bit-identical at every thread
+/// count *and every partition count*, and to [`reference_join`].
 pub struct HashJoinOp {
     /// Left (base) input.
     pub left: JoinSide,
@@ -640,6 +674,38 @@ pub struct HashJoinOp {
     pub kind: JoinKind,
     /// Output columns (name, source, source column).
     pub output: Vec<JoinOutCol>,
+}
+
+/// One join input after scan pruning and its pushed-down filters.
+struct Input {
+    /// The pruned scan.
+    table: Table,
+    /// Per morsel of `table`, the morsel-local rows every pushed filter
+    /// keeps (`None`: the side has no filters and keeps every row).
+    kept: Option<Vec<Vec<u32>>>,
+}
+
+impl Input {
+    /// Rows surviving the filters.
+    fn rows(&self) -> usize {
+        match &self.kept {
+            Some(kept) => kept.iter().map(Vec::len).sum(),
+            None => self.table.num_rows(),
+        }
+    }
+
+    /// The surviving rows as one table (the build side).
+    fn materialize(&self) -> Table {
+        let Some(kept) = &self.kept else {
+            return self.table.clone();
+        };
+        let rows: Vec<usize> = kept
+            .iter()
+            .enumerate()
+            .flat_map(|(mi, k)| k.iter().map(move |&r| mi * MORSEL_ROWS + r as usize))
+            .collect();
+        self.table.take(&rows)
+    }
 }
 
 impl HashJoinOp {
@@ -658,8 +724,8 @@ impl HashJoinOp {
             JoinKind::LeftOuter => " LEFT OUTER",
         };
         format!(
-            "HashJoin:{kind} keys [{}], output [{}] (build = smaller input, radix-partitioned \
-             when multi-morsel; probe morsel-parallel)",
+            "HashJoin:{kind} keys [{}], output [{}] (build = smaller input; pushed filters, \
+             probe and output gather per morsel)",
             keys.join(", "),
             out.join(", ")
         )
@@ -683,151 +749,398 @@ impl HashJoinOp {
         vec![side("left", &self.left), side("right", &self.right)]
     }
 
-    /// Prune + filter one input, returning the side's table.
-    fn prepare_input(
+    /// Execute the join: the canonical (left row, right row) pair
+    /// sequence, ready to be gathered morsel by morsel. `ctx.partitions`
+    /// caps the radix partitioning of a multi-morsel build side (1 =
+    /// serial build); like the thread cap it never changes results.
+    ///
+    /// Errors surface in the order a whole-table pass raises them: the
+    /// left side's pushed filters, the right side's, then the left keys
+    /// and the right keys — within a stage, the lowest failing morsel.
+    pub fn execute(
         &self,
-        side: &JoinSide,
-        table: &Table,
+        left: &Table,
+        right: &Table,
         ctx: &ExecContext<'_>,
-    ) -> Result<Table> {
-        let table = match &side.scan_columns {
-            Some(cols) => prune_scan(table, cols)?,
-            None => table.clone(),
-        };
-        let mut batch = Batch {
-            table,
-            weights: None,
-        };
-        for f in &side.filters {
-            batch = f.execute(ctx, &batch)?;
-        }
-        Ok(batch.table)
-    }
-
-    /// Execute the join: returns the joined table in canonical
-    /// (left row, right row) order. `ctx.partitions` caps the radix
-    /// partitioning of a multi-morsel build side (1 = serial build);
-    /// like the thread cap it never changes results.
-    pub fn execute(&self, left: &Table, right: &Table, ctx: &ExecContext<'_>) -> Result<Table> {
-        let (params, threads, partitions) = (ctx.params, ctx.threads, ctx.partitions);
-        let l = self.prepare_input(&self.left, left, ctx)?;
-        let r = self.prepare_input(&self.right, right, ctx)?;
-        let lk = eval_keys(&self.left.keys, &l, params)?;
-        let rk = eval_keys(&self.right.keys, &r, params)?;
-
-        // Build on the strictly smaller input; ties build the right side
-        // so the probe emits canonical left-major order directly.
-        let build_is_left = l.num_rows() < r.num_rows();
-        let (build_keys, probe_keys) = if build_is_left {
-            (&lk, &rk)
+    ) -> Result<JoinedRows> {
+        let [l, r] = self.filter_inputs(left, right, ctx)?;
+        let build_is_left = build_is_left(l.rows(), r.rows());
+        let (build, probe, build_side, probe_side) = if build_is_left {
+            (l, r, &self.left, &self.right)
         } else {
-            (&rk, &lk)
+            (r, l, &self.right, &self.left)
         };
-
-        let (mut left_idx, mut right_idx) =
-            join_pairs(build_keys, probe_keys, threads, partitions)?;
-        if build_is_left {
-            // `join_pairs` returns (build, probe) = (left, right) pairs
-            // in probe-major (right-major) order; restore the canonical
-            // left-major order. The order is (left row, pair position) —
-            // a stable sort by left row — so right indices, globally
-            // ascending in probe order, stay ascending within each left
-            // row; large pair sets sort as parallel runs + k-way merge.
-            let perm = parallel_sort_indices(left_idx.len(), threads, |a, b| {
-                left_idx[a].cmp(&left_idx[b]).then(a.cmp(&b))
-            });
-            left_idx = perm.iter().map(|&i| left_idx[i]).collect();
-            right_idx = perm.iter().map(|&i| right_idx[i]).collect();
-        } else {
-            std::mem::swap(&mut left_idx, &mut right_idx);
+        let build_table = build.materialize();
+        if build_table.num_rows().max(probe.table.num_rows()) >= NULL_ROW as usize {
+            return Err(MosaicError::Unsupported(format!(
+                "join inputs are limited to {NULL_ROW} rows"
+            )));
         }
-
-        // LEFT OUTER: one merge walk over the canonically ordered pairs
-        // (left_idx is ascending) inserts each unmatched left row once,
-        // NULL-extended on the right. An empty inner result (empty
-        // build side, type-mismatched keys) NULL-extends every left row.
-        let right_opt: Option<Vec<Option<usize>>> = match self.kind {
-            JoinKind::Inner => None,
-            JoinKind::LeftOuter => {
-                let mut li = Vec::with_capacity(left_idx.len());
-                let mut ro = Vec::with_capacity(left_idx.len());
-                let mut p = 0;
-                for lr in 0..l.num_rows() {
-                    let matched = p < left_idx.len() && left_idx[p] == lr;
-                    while p < left_idx.len() && left_idx[p] == lr {
-                        li.push(lr);
-                        ro.push(Some(right_idx[p]));
-                        p += 1;
-                    }
-                    if !matched {
-                        li.push(lr);
-                        ro.push(None);
-                    }
-                }
-                left_idx = li;
-                Some(ro)
+        let hashed = match eval_keys(&build_side.keys, &build_table, ctx.params) {
+            Ok(keys) => {
+                let parts = build_partitions(build_table.num_rows(), ctx.partitions);
+                Ok(HashBuild::new(&keys, ctx.threads, parts))
             }
+            Err((_, e)) => Err(e),
         };
+        // Left keys evaluate before right keys: a failing left build
+        // side wins over any probe error, a failing right one only when
+        // no left (probe) key fails.
+        let hashed = match hashed {
+            Err(e) if build_is_left => return Err(e),
+            hashed => hashed,
+        };
+        let outer = self.kind == JoinKind::LeftOuter;
+        let probed = hashed.as_ref().ok();
+        let frags = probe_morsels(&probe, probe_side, probed, build_is_left, outer, ctx)?;
+        hashed?;
+        let (left, right, frags) = if build_is_left {
+            let frags = vec![left_major(frags, build_table.num_rows(), outer)];
+            (build_table, probe.table, frags)
+        } else {
+            (probe.table, build_table, frags)
+        };
+        JoinedRows::new(left, right, &self.output, frags)
+    }
 
-        // Gather the output columns from both sides.
-        let mut fields = Vec::with_capacity(self.output.len());
-        let mut columns = Vec::with_capacity(self.output.len());
-        for out in &self.output {
-            let col = if out.combined {
-                combined_weight_column(&l, &r, &left_idx, &right_idx, right_opt.as_deref())?
-            } else if out.source == 0 {
-                l.column_by_name(&out.column)?.take(&left_idx)
-            } else {
-                let src = r.column_by_name(&out.column)?;
-                match &right_opt {
-                    Some(ro) => src.take_opt(ro),
-                    None => src.take(&right_idx),
-                }
-            };
-            fields.push(Field::new(out.name.clone(), col.data_type()));
-            columns.push(col);
-        }
-        Table::new(Schema::new(fields), columns).map_err(Into::into)
+    /// Prune both inputs and run their pushed filters, one task per
+    /// morsel of each filtered side on the worker pool.
+    fn filter_inputs(
+        &self,
+        left: &Table,
+        right: &Table,
+        ctx: &ExecContext<'_>,
+    ) -> Result<[Input; 2]> {
+        let sides = [&self.left, &self.right];
+        let prune = |side: &JoinSide, table: &Table| match &side.scan_columns {
+            Some(cols) => prune_scan(table, cols),
+            None => Ok(table.clone()),
+        };
+        let tables = [prune(&self.left, left)?, prune(&self.right, right)?];
+        let morsels = tables
+            .each_ref()
+            .map(|t| t.num_rows().div_ceil(MORSEL_ROWS).max(1));
+        let tasks: Vec<(usize, usize)> = (0..2)
+            .filter(|&s| !sides[s].filters.is_empty())
+            .flat_map(|s| (0..morsels[s]).map(move |mi| (s, mi)))
+            .collect();
+        // Stage ranks: the left filters, then the right ones.
+        let first_rank = [0, self.left.filters.len() as u32];
+        let kept = run_ordered(tasks.len(), ctx.threads, |ti| {
+            let (s, mi) = tasks[ti];
+            filter_morsel(&tables[s], mi, &sides[s].filters, ctx.params)
+                .map_err(|(rank, e)| (first_rank[s] + rank, e))
+        });
+        let mut kept = first_error(kept)?.into_iter();
+        let mut input = |s: usize, table: Table| Input {
+            kept: (!sides[s].filters.is_empty()).then(|| kept.by_ref().take(morsels[s]).collect()),
+            table,
+        };
+        let [l, r] = tables;
+        Ok([input(0, l), input(1, r)])
     }
 }
 
-/// A table's engine-managed weight column (name-insensitive lookup).
-fn weight_column(t: &Table) -> Result<&Column> {
-    let f = t
-        .schema()
-        .fields()
-        .iter()
-        .find(|f| f.name.eq_ignore_ascii_case("weight"))
-        .ok_or_else(|| {
-            MosaicError::Execution(
-                "combined weight output requires a weight column on both join sides".into(),
-            )
-        })?;
-    t.column_by_name(&f.name).map_err(Into::into)
+/// The morsel-local rows of morsel `mi` that every filter keeps. Filter
+/// `i` fails with stage rank `i`.
+fn filter_morsel(
+    table: &Table,
+    mi: usize,
+    filters: &[FilterOp],
+    params: &[Value],
+) -> Ranked<Vec<u32>> {
+    let start = mi * MORSEL_ROWS;
+    let len = MORSEL_ROWS.min(table.num_rows() - start);
+    let mut morsel = table.slice(start, len);
+    let mut rows: Vec<u32> = (0..len as u32).collect();
+    for (fi, f) in filters.iter().enumerate() {
+        let idx = f.selection(params, &morsel).map_err(|e| (fi as u32, e))?;
+        rows = idx.iter().map(|&i| rows[i]).collect();
+        if fi + 1 < filters.len() {
+            morsel = morsel.take(&idx);
+        }
+    }
+    Ok(rows)
 }
 
-/// Gather the *combined* weight column of a weighted×weighted join: the
-/// elementwise product of the two sides' correction weights
+/// Probe every morsel of `input` against `build` on the worker pool: one
+/// fragment per probe morsel, in morsel order. Pairs are (probe row,
+/// build row) when the probe side is the left one — canonical order, a
+/// LEFT OUTER join NULL-extending unmatched probe rows in place — and
+/// (build row, probe row) in probe-major order otherwise. Probe rows are
+/// rows of `input.table`; build rows index the build table. With no
+/// `build` (its keys failed) the morsels only evaluate their keys, so a
+/// probe key error that precedes the build's still surfaces.
+fn probe_morsels(
+    input: &Input,
+    side: &JoinSide,
+    build: Option<&HashBuild>,
+    build_is_left: bool,
+    outer: bool,
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<Fragment>> {
+    let key_columns: Vec<String> = side
+        .keys
+        .iter()
+        .flat_map(Expr::referenced_columns)
+        .collect();
+    let n = input.table.num_rows();
+    let frags = run_ordered(n.div_ceil(MORSEL_ROWS).max(1), ctx.threads, |mi| {
+        let start = mi * MORSEL_ROWS;
+        let morsel = input.table.slice(start, MORSEL_ROWS.min(n - start));
+        let kept = input.kept.as_ref().map(|k| k[mi].as_slice());
+        // Keys evaluate over the surviving rows only, as a whole-table
+        // pass over the filtered side would.
+        let morsel = match kept {
+            Some(kept) => {
+                let rows: Vec<usize> = kept.iter().map(|&r| r as usize).collect();
+                prune_scan(&morsel, &key_columns)
+                    .map_err(|e| (0, e))?
+                    .take(&rows)
+            }
+            None => morsel,
+        };
+        let keys = eval_keys(&side.keys, &morsel, ctx.params)?;
+        let Some(build) = build else {
+            return Ok(Fragment::default());
+        };
+        let mut frag = Fragment {
+            left: Vec::with_capacity(morsel.num_rows()),
+            right: Vec::with_capacity(morsel.num_rows()),
+        };
+        let tokens = if build.is_empty() {
+            None
+        } else {
+            build.probe_tokens(&keys)
+        };
+        for j in 0..morsel.num_rows() {
+            let row = (start + kept.map_or(j, |k| k[j] as usize)) as u32;
+            let matches = tokens.as_ref().map_or(&[][..], |t| build.matches(t, j));
+            if build_is_left {
+                frag.left.extend_from_slice(matches);
+                frag.right.extend(std::iter::repeat_n(row, matches.len()));
+            } else if matches.is_empty() {
+                if outer {
+                    frag.left.push(row);
+                    frag.right.push(NULL_ROW);
+                }
+            } else {
+                frag.left.extend(std::iter::repeat_n(row, matches.len()));
+                frag.right.extend_from_slice(matches);
+            }
+        }
+        Ok(frag)
+    });
+    first_error(frags)
+}
+
+/// Canonical (left row, right row) order for pairs probed on the right
+/// side: one stable counting sort of the probe-major fragments by left
+/// row. Within a left row the right rows keep their probe order, which
+/// ascends. A LEFT OUTER join gives every unmatched left row one
+/// NULL-extended slot at its position.
+fn left_major(frags: Vec<Fragment>, left_rows: usize, outer: bool) -> Fragment {
+    let mut start = vec![0usize; left_rows + 1];
+    for f in &frags {
+        for &l in &f.left {
+            start[l as usize + 1] += 1;
+        }
+    }
+    if outer {
+        for slots in &mut start[1..] {
+            *slots = (*slots).max(1);
+        }
+    }
+    for l in 0..left_rows {
+        start[l + 1] += start[l];
+    }
+    let total = start[left_rows];
+    let mut out = Fragment {
+        left: Vec::with_capacity(total),
+        right: vec![NULL_ROW; total],
+    };
+    for l in 0..left_rows {
+        out.left.resize(start[l + 1], l as u32);
+    }
+    for f in frags {
+        for (&l, &r) in f.left.iter().zip(&f.right) {
+            let at = &mut start[l as usize];
+            out.right[*at] = r;
+            *at += 1;
+        }
+    }
+    out
+}
+
+/// Where one output column of a join gathers from.
+enum OutSource {
+    Left(usize),
+    Right(usize),
+    /// The product of the two sides' weight columns.
+    Combined {
+        left: usize,
+        right: usize,
+    },
+}
+
+/// The output of [`HashJoinOp::execute`]: the canonical (left row, right
+/// row) pair sequence as fragments over the two tables the pairs index.
+/// No output column exists until [`JoinedRows::gather`] builds one for a
+/// range of joined rows — the morsel driver asks for one morsel at a
+/// time, so a join never holds its whole output.
+pub struct JoinedRows {
+    left: Table,
+    right: Table,
+    sources: Vec<OutSource>,
+    schema: Arc<Schema>,
+    frags: Vec<Fragment>,
+    /// `starts[i]` is the first joined row of `frags[i]`; the last entry
+    /// is the joined row count.
+    starts: Vec<usize>,
+    /// A replacement for one output column (by position): the
+    /// re-calibrated combined weight.
+    weight: Option<(usize, Column)>,
+}
+
+impl JoinedRows {
+    fn new(
+        left: Table,
+        right: Table,
+        output: &[JoinOutCol],
+        frags: Vec<Fragment>,
+    ) -> Result<JoinedRows> {
+        let mut sources = Vec::with_capacity(output.len());
+        let mut fields = Vec::with_capacity(output.len());
+        for o in output {
+            let (source, data_type) = if o.combined {
+                let source = OutSource::Combined {
+                    left: weight_index(&left)?,
+                    right: weight_index(&right)?,
+                };
+                (source, DataType::Float)
+            } else if o.source == 0 {
+                let c = left.schema().index_of(&o.column)?;
+                (OutSource::Left(c), left.column(c).data_type())
+            } else {
+                let c = right.schema().index_of(&o.column)?;
+                (OutSource::Right(c), right.column(c).data_type())
+            };
+            sources.push(source);
+            fields.push(Field::new(o.name.clone(), data_type));
+        }
+        let mut starts = Vec::with_capacity(frags.len() + 1);
+        starts.push(0);
+        for f in &frags {
+            starts.push(starts[starts.len() - 1] + f.left.len());
+        }
+        Ok(JoinedRows {
+            left,
+            right,
+            sources,
+            schema: Schema::new(fields),
+            frags,
+            starts,
+            weight: None,
+        })
+    }
+
+    /// The joined row count.
+    pub fn num_rows(&self) -> usize {
+        self.starts[self.starts.len() - 1]
+    }
+
+    /// The output schema: one field per join output column.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Replace the output column named `weight` (the combined weight of
+    /// a weighted×weighted join) with `column`, one value per joined row.
+    pub fn replace_weight(&mut self, column: Column) -> Result<()> {
+        super::parallel::weight_length(column.len(), self.num_rows())?;
+        let at = self.schema.index_of("weight")?;
+        self.weight = Some((at, column));
+        Ok(())
+    }
+
+    /// Gather the output columns of joined rows `rows` (a range of the
+    /// canonical pair sequence) into a table. Only these rows and only
+    /// the join's output columns are materialized.
+    pub fn gather(&self, rows: std::ops::Range<usize>) -> Result<Table> {
+        let null = NULL_ROW as usize;
+        let mut left = Vec::with_capacity(rows.len());
+        let mut right = Vec::with_capacity(rows.len());
+        // The last fragment starting at or before `rows.start` holds it.
+        let mut f = self.starts.partition_point(|&s| s <= rows.start) - 1;
+        let mut at = rows.start;
+        while at < rows.end {
+            let frag = &self.frags[f];
+            let lo = at - self.starts[f];
+            let hi = (rows.end - self.starts[f]).min(frag.left.len());
+            left.extend(frag.left[lo..hi].iter().map(|&r| r as usize));
+            right.extend(frag.right[lo..hi].iter().map(|&r| r as usize));
+            at += hi - lo;
+            f += 1;
+        }
+        // Consecutive left rows (each probe row matched once) gather as a
+        // zero-copy slice; only LEFT OUTER output has NULL-extended rows.
+        let run = left
+            .first()
+            .filter(|&&first| left.iter().enumerate().all(|(i, &l)| l == first + i));
+        let right_opt: Option<Vec<Option<usize>>> = right
+            .contains(&null)
+            .then(|| right.iter().map(|&r| (r != null).then_some(r)).collect());
+        let columns = self
+            .sources
+            .iter()
+            .enumerate()
+            .map(|(c, source)| match (source, &self.weight) {
+                (_, Some((w, column))) if *w == c => column.slice(rows.start, rows.len()),
+                (OutSource::Left(i), _) => match run {
+                    Some(&first) => self.left.column(*i).slice(first, left.len()),
+                    None => self.left.column(*i).take(&left),
+                },
+                (OutSource::Right(i), _) => match &right_opt {
+                    Some(opt) => self.right.column(*i).take_opt(opt),
+                    None => self.right.column(*i).take(&right),
+                },
+                (
+                    OutSource::Combined {
+                        left: lw,
+                        right: rw,
+                    },
+                    _,
+                ) => combined_weight(self.left.column(*lw), self.right.column(*rw), &left, &right),
+            })
+            .collect();
+        Table::new(Arc::clone(&self.schema), columns).map_err(Into::into)
+    }
+}
+
+/// The position of a table's engine-managed weight column.
+fn weight_index(t: &Table) -> Result<usize> {
+    t.schema().index_of("weight").map_err(|_| {
+        MosaicError::Execution(
+            "combined weight output requires a weight column on both join sides".into(),
+        )
+    })
+}
+
+/// The *combined* weight of a weighted×weighted join at the given pairs:
+/// the elementwise product of the two sides' correction weights
 /// (independence assumption). A NULL weight on either side — or a
 /// NULL-extended right row of a LEFT OUTER join — yields NULL.
-fn combined_weight_column(
-    l: &Table,
-    r: &Table,
-    left_idx: &[usize],
-    right_idx: &[usize],
-    right_opt: Option<&[Option<usize>]>,
-) -> Result<Column> {
-    let lw = weight_column(l)?;
-    let rw = weight_column(r)?;
-    let n = left_idx.len();
+fn combined_weight(lw: &Column, rw: &Column, left: &[usize], right: &[usize]) -> Column {
+    let n = left.len();
     let mut vals = Vec::with_capacity(n);
     let mut validity = Bitmap::ones(n);
-    for i in 0..n {
-        let rv = match right_opt {
-            Some(ro) => ro[i].and_then(|ri| rw.f64_at(ri)),
-            None => rw.f64_at(right_idx[i]),
+    for (i, (&l, &r)) in left.iter().zip(right).enumerate() {
+        let b = if r == NULL_ROW as usize {
+            None
+        } else {
+            rw.f64_at(r)
         };
-        match (lw.f64_at(left_idx[i]), rv) {
+        match (lw.f64_at(l), b) {
             (Some(a), Some(b)) => vals.push(a * b),
             _ => {
                 vals.push(0.0);
@@ -835,15 +1148,18 @@ fn combined_weight_column(
             }
         }
     }
-    Ok(Column::from_f64_opt(vals, Some(validity)))
+    Column::from_f64_opt(vals, Some(validity))
 }
 
-/// Evaluate a side's key expressions into columns.
-fn eval_keys(keys: &[Expr], table: &Table, params: &[Value]) -> Result<Vec<Column>> {
+/// Evaluate a side's key expressions into columns; an error carries the
+/// failing key's index.
+fn eval_keys(keys: &[Expr], table: &Table, params: &[Value]) -> Ranked<Vec<Column>> {
     keys.iter()
-        .map(|e| {
-            let e = bind_expr(e, params)?;
-            super::vector::eval_expr(&e, table)
+        .enumerate()
+        .map(|(ki, e)| {
+            let rank = ki as u32;
+            let e = bind_expr(e, params).map_err(|e| (rank, e))?;
+            super::vector::eval_expr(&e, table).map_err(|e| (rank, e))
         })
         .collect()
 }
@@ -851,10 +1167,19 @@ fn eval_keys(keys: &[Expr], table: &Table, params: &[Value]) -> Result<Vec<Colum
 /// Per-row normalized key tokens of one key column, plus the rows whose
 /// key is usable (non-NULL, non-NaN). Numeric classes (Int/Float/Bool)
 /// share one token space — `sql_cmp` coerces them all through `f64` —
-/// while strings dictionary-encode against the build side.
+/// while strings use the build side's dictionary codes.
 struct TokenCol {
     tokens: Vec<u64>,
     valid: Option<Bitmap>,
+}
+
+impl TokenCol {
+    fn get(&self, row: usize) -> Option<u64> {
+        if self.valid.as_ref().is_some_and(|v| !v.get(row)) {
+            return None;
+        }
+        Some(self.tokens[row])
+    }
 }
 
 fn numeric_tokens(col: &Column) -> Option<TokenCol> {
@@ -873,217 +1198,212 @@ fn numeric_tokens(col: &Column) -> Option<TokenCol> {
     })
 }
 
-/// Tokenize a string build/probe key pair through the columns' own
-/// dictionaries (encoding on the fly when a side is still plain — the
-/// single source of truth for string token normalization). Sides sharing
-/// one dictionary `Arc` use their codes as tokens directly; otherwise
-/// the probe remaps onto the build dictionary once per *distinct* probe
-/// value. Strings the build side never saw can't match — their rows
-/// become invalid.
-fn str_tokens(build: &Column, probe: &Column) -> Option<(TokenCol, TokenCol)> {
-    let build = build.dict_encoded();
-    let probe = probe.dict_encoded();
-    let (bc, bd) = build.dict_parts()?;
-    let (pc, pd) = probe.dict_parts()?;
-    let bt = TokenCol {
-        tokens: bc.iter().map(|&c| c as u64).collect(),
-        valid: build.validity().cloned(),
-    };
-    if Arc::ptr_eq(bd, pd) {
-        let pt = TokenCol {
-            tokens: pc.iter().map(|&c| c as u64).collect(),
-            valid: probe.validity().cloned(),
-        };
-        return Some((bt, pt));
-    }
-    let remap: Vec<Option<u32>> = pd.values().iter().map(|s| bd.code_of(s)).collect();
-    let mut pt = Vec::with_capacity(pc.len());
-    let mut pvalid = Bitmap::ones(pc.len());
-    for (i, &c) in pc.iter().enumerate() {
-        match remap[c as usize] {
-            Some(t) => pt.push(t as u64),
-            None => {
-                pt.push(0);
-                pvalid.set(i, false);
-            }
-        }
-    }
-    Some((
-        bt,
-        TokenCol {
-            tokens: pt,
-            valid: kernels::combine_validity(probe.validity(), Some(&pvalid)),
-        },
-    ))
+/// One build-side key column, tokenized, and the token space the probe
+/// side must map into. A string key tokenizes through the build column's
+/// own dictionary (encoded on the fly when the column is still plain — the
+/// single source of truth for string token normalization).
+struct BuildKey {
+    tokens: TokenCol,
+    /// The dictionary whose codes are the tokens (`None`: numeric key).
+    dict: Option<Arc<Dictionary>>,
+    /// The last probe dictionary seen and its code → build-token map,
+    /// so a probe column's dictionary remaps once per distinct value,
+    /// not once per morsel.
+    remap: Mutex<Option<Remap>>,
 }
 
-/// Hash-join two tokenized key sets: radix-partitioned parallel build
-/// over `build_keys` (serial below one morsel), morsel-parallel probe
-/// over `probe_keys` with ordered fragment merge. Returns
-/// `(build rows, probe rows)` pairs in probe-major order (probe row
-/// ascending; build rows ascending within one probe row).
-fn join_pairs(
-    build_keys: &[Column],
-    probe_keys: &[Column],
-    threads: usize,
-    partitions: usize,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    let build_rows = build_keys.first().map_or(0, Column::len);
-    let probe_rows = probe_keys.first().map_or(0, Column::len);
-    debug_assert_eq!(build_keys.len(), probe_keys.len());
+/// A probe dictionary and, per probe code, the build token of the same
+/// string (`None`: the build side never saw it).
+type Remap = (Arc<Dictionary>, Arc<[Option<u32>]>);
 
-    // Tokenize per key column. A Str/non-Str class mismatch means no
-    // pair can ever be sql_cmp-equal: the join is empty.
-    let mut build_tok = Vec::with_capacity(build_keys.len());
-    let mut probe_tok = Vec::with_capacity(probe_keys.len());
-    for (b, p) in build_keys.iter().zip(probe_keys) {
-        match (
-            b.data_type() == DataType::Str,
-            p.data_type() == DataType::Str,
-        ) {
-            (true, true) => {
-                let (bt, pt) = str_tokens(b, p).expect("typed str columns");
-                build_tok.push(bt);
-                probe_tok.push(pt);
-            }
-            (false, false) => {
-                build_tok.push(numeric_tokens(b).expect("typed numeric column"));
-                probe_tok.push(numeric_tokens(p).expect("typed numeric column"));
-            }
-            _ => return Ok((Vec::new(), Vec::new())),
-        }
-    }
-    // The overwhelmingly common single-key join hashes plain `u64`
-    // tokens — no per-row allocation in the build or probe loops;
-    // multi-key joins fall back to `Vec<u64>` composite keys.
-    if let ([bt], [pt]) = (build_tok.as_slice(), probe_tok.as_slice()) {
-        let key_of = |t: &TokenCol, row: usize| -> Option<u64> {
-            if t.valid.as_ref().is_some_and(|v| !v.get(row)) {
-                return None;
-            }
-            Some(t.tokens[row])
+impl BuildKey {
+    fn new(col: &Column) -> BuildKey {
+        let (tokens, dict) = if col.data_type() == DataType::Str {
+            let col = col.dict_encoded();
+            let (codes, dict) = col.dict_parts().expect("dictionary-encoded");
+            let tokens = TokenCol {
+                tokens: codes.iter().map(|&c| u64::from(c)).collect(),
+                valid: col.validity().cloned(),
+            };
+            (tokens, Some(Arc::clone(dict)))
+        } else {
+            (numeric_tokens(col).expect("typed numeric column"), None)
         };
-        return Ok(build_and_probe(
-            build_rows,
-            probe_rows,
-            threads,
-            partitions,
-            |row| key_of(bt, row),
-            |row| key_of(pt, row),
-        ));
-    }
-    let key_of = |toks: &[TokenCol], row: usize| -> Option<Vec<u64>> {
-        let mut key = Vec::with_capacity(toks.len());
-        for t in toks {
-            if t.valid.as_ref().is_some_and(|v| !v.get(row)) {
-                return None;
-            }
-            key.push(t.tokens[row]);
+        BuildKey {
+            tokens,
+            dict,
+            remap: Mutex::new(None),
         }
-        Some(key)
-    };
-    Ok(build_and_probe(
-        build_rows,
-        probe_rows,
-        threads,
-        partitions,
-        |row| key_of(&build_tok, row),
-        |row| key_of(&probe_tok, row),
-    ))
+    }
+
+    /// A probe key column in this key's token space; `None` when the two
+    /// sides' classes differ (Str against non-Str), so no pair can be
+    /// `sql_cmp`-equal. Strings the build side never saw become invalid
+    /// rows: they cannot match.
+    fn probe(&self, col: &Column) -> Option<TokenCol> {
+        let Some(bd) = &self.dict else {
+            return numeric_tokens(col);
+        };
+        let col = col.dict_encoded();
+        let (codes, pd) = col.dict_parts()?;
+        if Arc::ptr_eq(bd, pd) {
+            return Some(TokenCol {
+                tokens: codes.iter().map(|&c| u64::from(c)).collect(),
+                valid: col.validity().cloned(),
+            });
+        }
+        let remap = self.remap_for(bd, pd);
+        let mut tokens = Vec::with_capacity(codes.len());
+        let mut found = Bitmap::ones(codes.len());
+        for (i, &c) in codes.iter().enumerate() {
+            match remap[c as usize] {
+                Some(t) => tokens.push(u64::from(t)),
+                None => {
+                    tokens.push(0);
+                    found.set(i, false);
+                }
+            }
+        }
+        Some(TokenCol {
+            tokens,
+            valid: kernels::combine_validity(col.validity(), Some(&found)),
+        })
+    }
+
+    fn remap_for(&self, bd: &Dictionary, pd: &Arc<Dictionary>) -> Arc<[Option<u32>]> {
+        if let Some((seen, remap)) = &*self.remap.lock() {
+            if Arc::ptr_eq(seen, pd) {
+                return Arc::clone(remap);
+            }
+        }
+        let remap: Arc<[Option<u32>]> = pd.values().iter().map(|s| bd.code_of(s)).collect();
+        *self.remap.lock() = Some((Arc::clone(pd), Arc::clone(&remap)));
+        remap
+    }
 }
 
-/// Radix-partitioned build + morsel-parallel probe over row-key
-/// closures (`None` = unusable key, never matches). A multi-morsel
-/// build side is hashed into `partitions` independent tables on the
-/// worker pool (single-morsel builds stay serial — partitioning costs
-/// more than it saves); each probe key routes to exactly one partition
-/// by the same process-wide hash. Per-key build rows stay in ascending
-/// row order at every partition count, and probe fragments merge in
-/// morsel order, so the pair order is a function of the data alone.
-fn build_and_probe<K: Eq + std::hash::Hash + Send + Sync>(
-    build_rows: usize,
-    probe_rows: usize,
-    threads: usize,
-    partitions: usize,
-    build_key: impl Fn(usize) -> Option<K> + Sync,
-    probe_key: impl Fn(usize) -> Option<K> + Sync,
-) -> (Vec<usize>, Vec<usize>) {
-    // `u16::MAX` is the NULL-key sentinel in `part_of`, so cap there.
-    let n_parts = if partitions > 1 && build_rows > MORSEL_ROWS {
-        partitions.min(u16::MAX as usize)
-    } else {
-        1
-    };
-    // Build: per key, the matching build rows in ascending row order.
-    let tables: Vec<FoldMap<K, Vec<u32>>> = if n_parts == 1 {
-        let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
-        for row in 0..build_rows {
-            if let Some(key) = build_key(row) {
-                table.entry(key).or_default().push(row as u32);
-            }
+/// The build side: its tokenized keys and the hash tables over them.
+struct HashBuild {
+    keys: Vec<BuildKey>,
+    tables: Tables,
+}
+
+/// The overwhelmingly common single-key join hashes plain `u64` tokens —
+/// no per-row allocation in the build or probe loops; multi-key joins
+/// fall back to `Vec<u64>` composite keys.
+enum Tables {
+    One(PartitionedMap<u64>),
+    Many(PartitionedMap<Vec<u64>>),
+}
+
+impl HashBuild {
+    fn new(keys: &[Column], threads: usize, parts: usize) -> HashBuild {
+        let keys: Vec<BuildKey> = keys.iter().map(BuildKey::new).collect();
+        let rows = keys.first().map_or(0, |k| k.tokens.tokens.len());
+        let tables = match keys.as_slice() {
+            [k] => Tables::One(PartitionedMap::build(rows, threads, parts, |row| {
+                k.tokens.get(row)
+            })),
+            keys => Tables::Many(PartitionedMap::build(rows, threads, parts, |row| {
+                keys.iter().map(|k| k.tokens.get(row)).collect()
+            })),
+        };
+        HashBuild { keys, tables }
+    }
+
+    fn is_empty(&self) -> bool {
+        match &self.tables {
+            Tables::One(m) => m.is_empty(),
+            Tables::Many(m) => m.is_empty(),
         }
-        vec![table]
-    } else {
-        // Phase 1 (morsel-parallel): each build row's partition id.
-        let n_bm = build_rows.div_ceil(MORSEL_ROWS);
-        let part_chunks: Vec<Vec<u16>> = run_ordered(n_bm, threads, |mi| {
+    }
+
+    /// A probe morsel's key columns in the build's token spaces (`None`
+    /// when a key's classes differ: nothing in the morsel can match).
+    fn probe_tokens(&self, cols: &[Column]) -> Option<Vec<TokenCol>> {
+        self.keys
+            .iter()
+            .zip(cols)
+            .map(|(k, c)| k.probe(c))
+            .collect()
+    }
+
+    /// The build rows (ascending) matching probe row `row`.
+    fn matches(&self, tokens: &[TokenCol], row: usize) -> &[u32] {
+        match &self.tables {
+            Tables::One(m) => tokens[0].get(row).map_or(&[], |k| m.get(&k)),
+            Tables::Many(m) => tokens
+                .iter()
+                .map(|t| t.get(row))
+                .collect::<Option<Vec<u64>>>()
+                .map_or(&[], |k| m.get(&k)),
+        }
+    }
+}
+
+/// Per key, the matching build rows in ascending row order, split over
+/// one or more key-hash partitions. Each key lives in exactly one
+/// partition, chosen by the process-wide hash, so the rows a key maps
+/// to — and their order — are the same at every partition count.
+struct PartitionedMap<K> {
+    parts: Vec<FoldMap<K, Vec<u32>>>,
+}
+
+impl<K: Eq + std::hash::Hash + Send + Sync> PartitionedMap<K> {
+    /// Hash `rows` build rows (`None` = unusable key, never matches)
+    /// into `n_parts` tables. One partition is a serial build; more run
+    /// on the worker pool: a morsel-parallel pass assigns each row its
+    /// partition, then each partition inserts its rows in ascending row
+    /// order.
+    fn build(
+        rows: usize,
+        threads: usize,
+        n_parts: usize,
+        key: impl Fn(usize) -> Option<K> + Sync,
+    ) -> Self {
+        if n_parts == 1 {
+            let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
+            for row in 0..rows {
+                if let Some(k) = key(row) {
+                    table.entry(k).or_default().push(row as u32);
+                }
+            }
+            return PartitionedMap { parts: vec![table] };
+        }
+        let part_chunks: Vec<Vec<u16>> = run_ordered(rows.div_ceil(MORSEL_ROWS), threads, |mi| {
             let start = mi * MORSEL_ROWS;
-            let end = (start + MORSEL_ROWS).min(build_rows);
-            (start..end)
-                .map(|row| match build_key(row) {
-                    Some(key) => hash::partition(hash::hash_one(&key), n_parts) as u16,
+            (start..(start + MORSEL_ROWS).min(rows))
+                .map(|row| match key(row) {
+                    Some(k) => hash::partition(hash::hash_one(&k), n_parts) as u16,
                     None => u16::MAX,
                 })
                 .collect()
         });
         let part_of: Vec<u16> = part_chunks.concat();
-        // Phase 2 (partition-parallel): independent tables, each
-        // inserting its own rows in ascending build-row order.
-        run_ordered(n_parts, threads, |pi| {
+        let parts = run_ordered(n_parts, threads, |pi| {
             let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
             for (row, &part) in part_of.iter().enumerate() {
                 if part == pi as u16 {
-                    let key = build_key(row).expect("partitioned rows have keys");
-                    table.entry(key).or_default().push(row as u32);
+                    let k = key(row).expect("partitioned rows have keys");
+                    table.entry(k).or_default().push(row as u32);
                 }
             }
             table
-        })
-    };
-    if tables.iter().all(FoldMap::is_empty) {
-        return (Vec::new(), Vec::new());
+        });
+        PartitionedMap { parts }
     }
-    let n_morsels = probe_rows.div_ceil(MORSEL_ROWS).max(1);
-    let frags: Vec<(Vec<usize>, Vec<usize>)> = run_ordered(n_morsels, threads, |mi| {
-        let start = mi * MORSEL_ROWS;
-        let end = (start + MORSEL_ROWS).min(probe_rows);
-        let mut build_idx = Vec::new();
-        let mut probe_idx = Vec::new();
-        for row in start..end {
-            if let Some(key) = probe_key(row) {
-                let table = if n_parts == 1 {
-                    &tables[0]
-                } else {
-                    &tables[hash::partition(hash::hash_one(&key), n_parts)]
-                };
-                if let Some(rows) = table.get(&key) {
-                    for &b in rows {
-                        build_idx.push(b as usize);
-                        probe_idx.push(row);
-                    }
-                }
-            }
-        }
-        (build_idx, probe_idx)
-    });
-    let total: usize = frags.iter().map(|(b, _)| b.len()).sum();
-    let mut build_idx = Vec::with_capacity(total);
-    let mut probe_idx = Vec::with_capacity(total);
-    for (b, pr) in frags {
-        build_idx.extend(b);
-        probe_idx.extend(pr);
+
+    fn is_empty(&self) -> bool {
+        self.parts.iter().all(FoldMap::is_empty)
     }
-    (build_idx, probe_idx)
+
+    fn get(&self, key: &K) -> &[u32] {
+        let part = match self.parts.as_slice() {
+            [one] => one,
+            parts => &parts[hash::partition(hash::hash_one(key), parts.len())],
+        };
+        part.get(key).map_or(&[], Vec::as_slice)
+    }
 }
 
 // ---- the row-at-a-time reference join ----
@@ -1182,8 +1502,8 @@ pub fn reference_join_kinded(
         let col = if o.combined {
             // Row-at-a-time product through `Value`, independent of the
             // vectorized gather.
-            let lw = weight_column(left)?;
-            let rw = weight_column(right)?;
+            let lw = left.column(weight_index(left)?);
+            let rw = right.column(weight_index(right)?);
             let n = left_idx.len();
             let mut vals = Vec::with_capacity(n);
             let mut validity = Bitmap::ones(n);
@@ -1223,15 +1543,36 @@ mod tests {
         }
     }
 
+    /// Hash `build_rows` keys at the given thread budget, partitioned
+    /// through the executor's gate, then look every probe key up: the
+    /// (build row, probe row) pairs in probe-major order.
+    fn pairs(
+        build_rows: usize,
+        probe_rows: usize,
+        threads: usize,
+        partitions: usize,
+        bkey: impl Fn(usize) -> Option<u64> + Sync,
+        pkey: impl Fn(usize) -> Option<u64>,
+    ) -> Vec<(u32, usize)> {
+        let parts = build_partitions(build_rows, partitions);
+        let map = PartitionedMap::build(build_rows, threads, parts, bkey);
+        let mut out = Vec::new();
+        for row in 0..probe_rows {
+            if let Some(k) = pkey(row) {
+                out.extend(map.get(&k).iter().map(|&b| (b, row)));
+            }
+        }
+        out
+    }
+
     /// The radix-partitioned build is (a) deterministic — the pair
     /// output is bit-identical at every thread count × partition count
-    /// — and (b) really on the pool: the probe side is a single morsel,
-    /// which `run_ordered` runs inline without ever touching the worker
-    /// gauge, so *any* gauge activity here comes from the build's
-    /// partition-map and per-partition phases. Fast tasks can drain
-    /// before every spawned worker starts, so only this ≥ 1 lower bound
-    /// is deterministic (the 10M-row bench asserts concurrency at
-    /// scale).
+    /// — and (b) really on the pool: the probe here is a serial loop
+    /// that never touches the worker gauge, so *any* gauge activity
+    /// comes from the build's partition-map and per-partition phases.
+    /// Fast tasks can drain before every spawned worker starts, so only
+    /// this ≥ 1 lower bound is deterministic (the 10M-row bench asserts
+    /// concurrency at scale).
     #[test]
     fn partitioned_build_spawns_workers_and_matches_serial() {
         use crate::plan::parallel::{reset_worker_thread_peak, worker_thread_peak};
@@ -1245,22 +1586,20 @@ mod tests {
             }
         };
         let pkey = |row: usize| Some((row % 8192) as u64);
-        let (b1, p1) = build_and_probe(build_rows, probe_rows, 1, 1, bkey, pkey);
-        assert!(!b1.is_empty());
+        let serial = pairs(build_rows, probe_rows, 1, 1, bkey, pkey);
+        assert!(!serial.is_empty());
         reset_worker_thread_peak();
-        let (b2, p2) = build_and_probe(build_rows, probe_rows, 8, 16, bkey, pkey);
+        let parallel = pairs(build_rows, probe_rows, 8, 16, bkey, pkey);
         assert!(
             worker_thread_peak() >= 1,
             "partitioned build never spawned a pool worker (serial fallback?)"
         );
-        assert_eq!(b1, b2);
-        assert_eq!(p1, p2);
+        assert_eq!(serial, parallel);
         // Partition count is a pure execution knob: any count, including
         // ones that split hot keys unevenly, yields the same pairs.
         for partitions in [2usize, 7, 64] {
-            let (b, p) = build_and_probe(build_rows, probe_rows, 8, partitions, bkey, pkey);
-            assert_eq!(b1, b, "{partitions} partitions changed build pairs");
-            assert_eq!(p1, p, "{partitions} partitions changed probe pairs");
+            let p = pairs(build_rows, probe_rows, 8, partitions, bkey, pkey);
+            assert_eq!(serial, p, "{partitions} partitions changed the pairs");
         }
     }
 
@@ -1268,12 +1607,21 @@ mod tests {
     /// serial path), whatever the partition knob says.
     #[test]
     fn small_build_side_stays_serial() {
+        assert_eq!(build_partitions(MORSEL_ROWS, 16), 1);
+        assert_eq!(build_partitions(MORSEL_ROWS + 1, 16), 16);
+        assert_eq!(build_partitions(MORSEL_ROWS + 1, 1), 1);
         let bkey = |row: usize| Some(row as u64 % 16);
         let pkey = |row: usize| Some(row as u64 % 32);
-        let (b1, p1) = build_and_probe(MORSEL_ROWS, 64, 1, 1, bkey, pkey);
-        let (b2, p2) = build_and_probe(MORSEL_ROWS, 64, 8, 16, bkey, pkey);
-        assert_eq!(b1, b2);
-        assert_eq!(p1, p2);
+        assert_eq!(
+            pairs(MORSEL_ROWS, 64, 1, 1, bkey, pkey),
+            pairs(MORSEL_ROWS, 64, 8, 16, bkey, pkey)
+        );
+    }
+
+    /// Run a join and gather every joined row.
+    fn run_join(op: &HashJoinOp, left: &Table, right: &Table, ctx: &ExecContext<'_>) -> Table {
+        let joined = op.execute(left, right, ctx).unwrap();
+        joined.gather(0..joined.num_rows()).unwrap()
     }
 
     fn rel(name: &str, binding: &str, fields: Vec<Field>, weighted: bool) -> ScopeRel {
@@ -1556,9 +1904,8 @@ mod tests {
                 let reference =
                     reference_join_kinded(&left, "l", &right, "r", &keys, kind, &[]).unwrap();
                 for (threads, partitions) in [(1, 1), (4, 1), (4, 16)] {
-                    let out = op
-                        .execute(&left, &right, &ExecContext::new(&[], threads, partitions))
-                        .unwrap();
+                    let ctx = ExecContext::new(&[], threads, partitions);
+                    let out = run_join(&op, &left, &right, &ctx);
                     assert_eq!(out.num_rows(), reference.num_rows(), "{kind} {ln}x{rn}");
                     for r in 0..out.num_rows() {
                         for c in 0..out.num_columns() {
@@ -1616,9 +1963,7 @@ mod tests {
                 false,
             ),
         };
-        let out = op
-            .execute(&left, &right, &ExecContext::new(&[], 2, 16))
-            .unwrap();
+        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2, 16));
         // l0 matches r0,r1; l1 (NULL key) and l2 are NULL-extended at
         // their left positions; l3 matches r0,r1 again.
         assert_eq!(out.num_rows(), 6);
@@ -1695,9 +2040,7 @@ mod tests {
                 kind,
                 output: output.clone(),
             };
-            let out = op
-                .execute(&left, &right, &ExecContext::new(&[], 2, 16))
-                .unwrap();
+            let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2, 16));
             let w = out.column_by_name("weight").unwrap();
             match kind {
                 JoinKind::Inner => {
@@ -1719,6 +2062,138 @@ mod tests {
                 for c in 0..out.num_columns() {
                     assert_eq!(out.value(r, c), reference.value(r, c), "{kind} ({r},{c})");
                 }
+            }
+        }
+    }
+
+    fn side(keys: &[&str], filters: &[&str]) -> JoinSide {
+        JoinSide {
+            scan_columns: None,
+            filters: filters
+                .iter()
+                .map(|f| FilterOp {
+                    predicate: parse_expr(f).unwrap(),
+                })
+                .collect(),
+            keys: keys.iter().map(|k| parse_expr(k).unwrap()).collect(),
+        }
+    }
+
+    /// Multi-morsel inputs with pushed filters on both sides and a
+    /// two-column key: the streamed probe (either side), the per-morsel
+    /// filters and the counting sort back to canonical order reproduce
+    /// the reference join of the pre-filtered tables, INNER and LEFT
+    /// OUTER, at every thread and partition count.
+    #[test]
+    fn filtered_multi_key_join_matches_reference() {
+        let big = 2 * MORSEL_ROWS + 500;
+        let mk = |rows: usize, salt: usize| {
+            table(
+                vec![
+                    Field::new("a", DataType::Int),
+                    Field::new("b", DataType::Str),
+                    Field::new("v", DataType::Int),
+                ],
+                (0..rows)
+                    .map(|r| {
+                        vec![
+                            Value::Int(((r * 7 + salt) % 13) as i64),
+                            if (r + salt).is_multiple_of(17) {
+                                Value::Null
+                            } else {
+                                Value::Str(format!("s{}", (r + salt) % 3))
+                            },
+                            Value::Int(r as i64),
+                        ]
+                    })
+                    .collect(),
+            )
+        };
+        let keep = |t: &Table, pred: &str| {
+            let sel = super::super::vector::eval_predicate(&parse_expr(pred).unwrap(), t).unwrap();
+            t.filter(&sel)
+        };
+        let keys = vec![
+            (parse_expr("a").unwrap(), parse_expr("a").unwrap()),
+            (parse_expr("b").unwrap(), parse_expr("b").unwrap()),
+        ];
+        for (ln, rn) in [(big, 300), (300, big)] {
+            let (left, right) = (mk(ln, 0), mk(rn, 5));
+            let (lf, rf) = ("v % 5 <> 1", "v % 7 <> 2");
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+                let op = HashJoinOp {
+                    left: side(&["a", "b"], &[lf]),
+                    right: side(&["a", "b"], &[rf]),
+                    kind,
+                    output: output_columns(
+                        &[
+                            ("l", left.schema().as_ref()),
+                            ("r", right.schema().as_ref()),
+                        ],
+                        false,
+                    ),
+                };
+                let reference = reference_join_kinded(
+                    &keep(&left, lf),
+                    "l",
+                    &keep(&right, rf),
+                    "r",
+                    &keys,
+                    kind,
+                    &[],
+                )
+                .unwrap();
+                for (threads, partitions) in [(1, 1), (3, 1), (3, 16)] {
+                    let ctx = ExecContext::new(&[], threads, partitions);
+                    let out = run_join(&op, &left, &right, &ctx);
+                    assert_eq!(out.num_rows(), reference.num_rows(), "{kind} {ln}x{rn}");
+                    for c in 0..out.num_columns() {
+                        for r in 0..out.num_rows() {
+                            assert_eq!(
+                                out.value(r, c),
+                                reference.value(r, c),
+                                "{kind} {ln}x{rn} cell ({r},{c}) at {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Key errors surface in whole-table order — every left key before
+    /// any right key — whichever side the size rule builds on.
+    #[test]
+    fn key_errors_surface_left_before_right() {
+        let mk = |rows: usize, s: &str| {
+            table(
+                vec![Field::new("k", DataType::Str)],
+                (0..rows).map(|_| vec![Value::Str(s.into())]).collect(),
+            )
+        };
+        let keys = vec![(parse_expr("k + 1").unwrap(), parse_expr("k * 2").unwrap())];
+        for (ln, rn) in [(3, MORSEL_ROWS + 9), (MORSEL_ROWS + 9, 3)] {
+            let (left, right) = (mk(ln, "lk"), mk(rn, "rk"));
+            let op = HashJoinOp {
+                left: side(&["k + 1"], &[]),
+                right: side(&["k * 2"], &[]),
+                kind: JoinKind::Inner,
+                output: output_columns(
+                    &[
+                        ("l", left.schema().as_ref()),
+                        ("r", right.schema().as_ref()),
+                    ],
+                    false,
+                ),
+            };
+            let want = reference_join(&left, "l", &right, "r", &keys).unwrap_err();
+            assert!(want.to_string().contains("lk"), "{want}");
+            for threads in [1, 4] {
+                let err = op
+                    .execute(&left, &right, &ExecContext::new(&[], threads, 16))
+                    .err()
+                    .expect("keys fail");
+                assert_eq!(err.to_string(), want.to_string(), "{ln}x{rn}");
             }
         }
     }
@@ -1756,9 +2231,7 @@ mod tests {
                 false,
             ),
         };
-        let out = op
-            .execute(&left, &right, &ExecContext::new(&[], 1, 1))
-            .unwrap();
+        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 1, 1));
         let reference = reference_join(&left, "l", &right, "r", &keys).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.num_rows(), reference.num_rows());

@@ -46,6 +46,7 @@ use mosaic_storage::{Column, ColumnBuilder, DataType, Field, Schema, Table, Valu
 
 use crate::{MosaicError, Result};
 use logical::LogicalPlan;
+use parallel::MorselSource;
 
 /// Bind an expression's positional parameters against the execution's
 /// parameter vector. Parameter-free expressions (the overwhelmingly
@@ -134,12 +135,18 @@ pub enum PlanInput<'a> {
         left: &'a Table,
         /// Right (joined) input.
         right: &'a Table,
-        /// Runs over the materialized joined table before the rest of
-        /// the pipeline — the engine IPF-re-calibrates the combined
-        /// weight column of a weighted×weighted join here.
-        post_join: Option<&'a (dyn Fn(Table) -> Result<Table> + Sync)>,
+        /// Runs once over every joined row (gathered into one table)
+        /// before the rest of the pipeline and may return a replacement
+        /// for the joined `weight` column — the engine IPF-re-calibrates
+        /// the combined weight of a weighted×weighted join here.
+        post_join: Option<&'a PostJoin<'a>>,
     },
 }
+
+/// The post-join hook of [`PlanInput::Join`]: every joined row in,
+/// optionally a replacement `weight` column (one value per joined row)
+/// out.
+pub type PostJoin<'a> = dyn Fn(Table) -> Result<Option<Column>> + Sync + 'a;
 
 /// A vectorized physical operator.
 pub trait PhysicalOperator: Send + Sync {
@@ -154,6 +161,11 @@ pub trait PhysicalOperator: Send + Sync {
 
     /// Consume an input batch, produce the output batch.
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch>;
+
+    /// This operator as a fused ORDER BY … LIMIT, if it is one.
+    fn as_topk(&self) -> Option<&TopKOp> {
+        None
+    }
 }
 
 /// `WHERE` — evaluate the predicate into a selection bitmap and gather
@@ -173,14 +185,20 @@ impl PhysicalOperator for FilterOp {
     }
 
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        let predicate = bind_expr(&self.predicate, ctx.params)?;
-        let sel = vector::eval_predicate(&predicate, &input.table)?;
-        let idx = sel.to_indices();
+        let idx = self.selection(ctx.params, &input.table)?;
         let weights = input.weights.as_ref().map(|w| kernels::take_f64(w, &idx));
         Ok(Batch {
             table: input.table.take(&idx),
             weights,
         })
+    }
+}
+
+impl FilterOp {
+    /// The rows of `table` the predicate keeps.
+    pub(crate) fn selection(&self, params: &[Value], table: &Table) -> Result<Vec<usize>> {
+        let predicate = bind_expr(&self.predicate, params)?;
+        Ok(vector::eval_predicate(&predicate, table)?.to_indices())
     }
 }
 
@@ -312,7 +330,7 @@ impl PhysicalOperator for SortOp {
 
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
         let out = &input.table;
-        let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
+        let key_cols = eval_sort_keys(&self.keys, ctx, out).map_err(|(_, e)| e)?;
         // Strictness is what lets the sort split into per-block runs on
         // the worker pool and recombine through a k-way merge without
         // changing a single output bit at any thread count
@@ -331,20 +349,24 @@ impl PhysicalOperator for SortOp {
 /// pre-projection input when the output lacks the column and row counts
 /// line up. Shared by [`SortOp`] and [`TopKOp`] — the fused operator
 /// must resolve keys exactly like the sort it replaces, or the
-/// optimizer's bit-identity contract breaks.
+/// optimizer's bit-identity contract breaks. An error carries the
+/// failing key's index.
 fn eval_sort_keys(
     keys: &[(Expr, bool)],
     ctx: &ExecContext<'_>,
     out: &Table,
-) -> Result<Vec<Column>> {
+) -> aggregate::Ranked<Vec<Column>> {
     let mut key_cols: Vec<Column> = Vec::with_capacity(keys.len());
-    for (expr, _) in keys {
-        let expr = bind_expr(expr, ctx.params)?;
+    for (ki, (expr, _)) in keys.iter().enumerate() {
+        let rank = ki as u32;
+        let expr = bind_expr(expr, ctx.params).map_err(|e| (rank, e))?;
         let col = match vector::eval_expr(&expr, out) {
             Ok(c) => c,
             Err(e) => match ctx.filtered_input {
-                Some(t) if t.num_rows() == out.num_rows() => vector::eval_expr(&expr, t)?,
-                _ => return Err(e),
+                Some(t) if t.num_rows() == out.num_rows() => {
+                    vector::eval_expr(&expr, t).map_err(|e| (rank, e))?
+                }
+                _ => return Err((rank, e)),
             },
         };
         key_cols.push(col);
@@ -404,6 +426,12 @@ impl PhysicalOperator for LimitOp {
 /// exactly what a stable sort followed by `LIMIT n` produces, so the
 /// fused operator is bit-identical to the `Sort → Limit` pair it
 /// replaces (the optimizer's `sort_limit_fusion` rule relies on this).
+///
+/// Over a projection whose sort keys are bare columns or constants
+/// (`PhysicalPlan::morsel_topk`) the heaps run inside the morsel
+/// phase (`TopKOp::morsel_candidates`): each morsel keeps its best
+/// `n` rows, in row order, and this operator then selects from those
+/// candidates alone instead of the whole projected table.
 pub struct TopKOp {
     /// `(expr, descending)` sort keys.
     pub keys: Vec<(Expr, bool)>,
@@ -427,7 +455,7 @@ impl PhysicalOperator for TopKOp {
 
     fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
         let out = &input.table;
-        let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
+        let key_cols = eval_sort_keys(&self.keys, ctx, out).map_err(|(_, e)| e)?;
         let cmp = row_order(&self.keys, &key_cols);
         let rows = out.num_rows();
         // Bounded heap per morsel-sized block, then an ordered merge of
@@ -448,6 +476,32 @@ impl PhysicalOperator for TopKOp {
                 .as_ref()
                 .map(|w| kernels::take_f64(w, &candidates)),
         })
+    }
+
+    fn as_topk(&self) -> Option<&TopKOp> {
+        Some(self)
+    }
+}
+
+impl TopKOp {
+    /// One morsel's candidates: the rows of its projected fragment `out`
+    /// that can still be among the first `n` — its own first `n` under
+    /// the same strict (keys, row index) order — in ascending row order,
+    /// so the candidates of all morsels, concatenated, keep the input
+    /// order the final selection breaks ties on. Sort keys resolve as in
+    /// [`TopKOp`]'s own execution (`ctx.filtered_input` = the morsel's
+    /// pre-projection rows); an error carries the failing key's index.
+    pub(crate) fn morsel_candidates(
+        &self,
+        ctx: &ExecContext<'_>,
+        out: &Table,
+    ) -> aggregate::Ranked<Vec<usize>> {
+        let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
+        let cmp = row_order(&self.keys, &key_cols);
+        let mut keep = Vec::with_capacity(self.n.min(out.num_rows()));
+        top_n_in_range(0..out.num_rows(), self.n, &cmp, &mut keep);
+        keep.sort_unstable();
+        Ok(keep)
     }
 }
 
@@ -551,9 +605,9 @@ pub struct PhysicalPlan {
     /// are advisory (they live on the logical plan for display).
     scan_columns: Option<Vec<String>>,
     /// The hash-join stage for two-relation plans (`None` for
-    /// single-relation plans): the join materializes the combined
-    /// table, then the remaining pipeline runs over it morsel-parallel
-    /// like any scan.
+    /// single-relation plans): the join yields its pair sequence, and
+    /// the remaining pipeline runs over it morsel-parallel like any
+    /// scan, each morsel gathering its joined rows.
     pub(crate) join: Option<join::HashJoinOp>,
     pre_shape: Vec<Box<dyn PhysicalOperator>>,
     pub(crate) shape: Shape,
@@ -571,7 +625,7 @@ impl PhysicalPlan {
     pub fn run(&self, input: PlanInput<'_>, ctx: &ExecContext<'_>) -> Result<Table> {
         match (input, &self.join) {
             (PlanInput::Table { table, weights }, None) => {
-                parallel::execute_plan(self, table, weights, ctx)
+                parallel::execute_plan(self, MorselSource::Table { table, weights }, ctx)
             }
             (
                 PlanInput::Join {
@@ -583,19 +637,11 @@ impl PhysicalPlan {
             ) => {
                 let mut joined = join.execute(left, right, ctx)?;
                 if let Some(f) = post_join {
-                    joined = f(joined)?;
+                    if let Some(weight) = f(joined.gather(0..joined.num_rows())?)? {
+                        joined.replace_weight(weight)?;
+                    }
                 }
-                let weights: Option<Vec<f64>> = if self.agg_weighted() {
-                    let w = joined.column_by_name("weight").map_err(|_| {
-                        MosaicError::Execution(
-                            "weighted join aggregate requires the joined weight column".into(),
-                        )
-                    })?;
-                    Some((0..w.len()).map(|i| w.f64_at(i).unwrap_or(0.0)).collect())
-                } else {
-                    None
-                };
-                parallel::execute_plan(self, &joined, weights.as_deref(), ctx)
+                parallel::execute_plan(self, MorselSource::Joined(&joined), ctx)
             }
             (PlanInput::Table { .. }, Some(_)) => Err(MosaicError::Execution(
                 "plan/input mismatch: a join plan needs a left/right input pair, got one table"
@@ -622,6 +668,24 @@ impl PhysicalPlan {
     /// equal the input row count.
     pub(crate) fn is_aggregate(&self) -> bool {
         matches!(self.shape, Shape::Aggregate(_))
+    }
+
+    /// The TopK that selects inside the morsel phase, if any: the first
+    /// ordering stage when it is a TopK over a projection whose sort keys
+    /// are bare columns, constants or parameters. Such a key resolves
+    /// against the same column (of the projection, else of the
+    /// pre-projection rows) in every morsel, so per-morsel heaps select
+    /// exactly what one heap over the merged table would. The morsel
+    /// driver and `EXPLAIN` both branch on this one predicate.
+    pub(crate) fn morsel_topk(&self) -> Option<&TopKOp> {
+        let Shape::Project(_) = self.shape else {
+            return None;
+        };
+        let topk = self.post_shape.first()?.as_topk()?;
+        topk.keys
+            .iter()
+            .all(|(e, _)| matches!(e, Expr::Column(_) | Expr::Literal(_) | Expr::Param(_)))
+            .then_some(topk)
     }
 
     /// The filter stages that run before the shape stage.
@@ -659,7 +723,16 @@ impl PhysicalPlan {
         }
         lines.extend(self.pre_shape.iter().map(|op| op.describe()));
         lines.push(self.shape.describe());
-        lines.extend(self.post_shape.iter().map(|op| op.describe()));
+        for (i, op) in self.post_shape.iter().enumerate() {
+            lines.push(match self.morsel_topk() {
+                Some(topk) if i == 0 => format!(
+                    "{} (a bounded heap per morsel keeps ≤ {} candidate(s))",
+                    op.describe(),
+                    topk.n
+                ),
+                _ => op.describe(),
+            });
+        }
         lines
     }
 }
@@ -1024,10 +1097,18 @@ mod tests {
         // 9 joined rows, each weighing 2 × 2.
         let out = join.run(pair(None), &ctx).unwrap();
         assert_eq!(out.value(0, 0), Value::Float(36.0));
-        // The hook runs before the weights are read off the joined table.
-        let halve = |joined: Table| Ok(joined.limit(4));
+        // The hook sees every joined row and runs before the weights are
+        // read off the joined rows.
+        let halve = |joined: Table| {
+            assert_eq!(joined.num_rows(), 9);
+            Ok(Some(Column::from_f64(vec![2.0; 9])))
+        };
         let out = join.run(pair(Some(&halve)), &ctx).unwrap();
-        assert_eq!(out.value(0, 0), Value::Float(16.0));
+        assert_eq!(out.value(0, 0), Value::Float(18.0));
+        // A replacement weight column goes through the same check.
+        let short = |_: Table| Ok(Some(Column::from_f64(vec![1.0; 4])));
+        let err = join.run(pair(Some(&short)), &ctx).unwrap_err();
+        assert!(err.to_string().contains("weight vector length 4"), "{err}");
     }
 
     #[test]

@@ -2,17 +2,23 @@
 //!
 //! A [`PhysicalPlan`] executes in three phases:
 //!
-//! 1. **Split** — the scanned table is cut into fixed-size morsels of
-//!    [`MORSEL_ROWS`] rows. Morsels are zero-copy windows
-//!    ([`Table::slice`]): every column keeps sharing its Arc'd payload.
+//! 1. **Split** — the input is cut into fixed-size morsels of
+//!    [`MORSEL_ROWS`] rows (`MorselSource`). A scanned table's morsels
+//!    are zero-copy windows ([`Table::slice`]): every column keeps
+//!    sharing its Arc'd payload. A join's morsel gathers the join's
+//!    output columns for its range of the canonical pair sequence
+//!    ([`JoinedRows::gather`]) — the rows a slice of the fully joined
+//!    table would hold, without that table ever existing.
 //! 2. **Morsel phase** — each morsel independently runs the plan's
 //!    filter stages and its shape stage: projection produces an output
 //!    fragment, aggregation produces a mergeable partial state
-//!    (`aggregate::compute_partial`). When the input spans more
-//!    than one morsel and the plan allows more than one thread, a scoped
-//!    worker pool executes this phase; idle workers pull the next
-//!    unclaimed morsel off a shared counter (classic morsel-driven
-//!    scheduling — load balances skewed filters for free).
+//!    (`aggregate::compute_partial`). A projection followed by a TopK
+//!    over bare sort keys (`PhysicalPlan::morsel_topk`) keeps only the
+//!    morsel's best `n` rows. When the input spans more than one morsel
+//!    and the plan allows more than one thread, a scoped worker pool
+//!    executes this phase; idle workers pull the next unclaimed morsel
+//!    off a shared counter (classic morsel-driven scheduling — load
+//!    balances skewed filters for free).
 //! 3. **Merge** — per-morsel results stitch back together *in morsel
 //!    order*: output fragments concatenate ([`Table::vstack`]), partial
 //!    aggregate states fold into global per-group states
@@ -23,14 +29,15 @@
 //!    morsel order within every group. Sort then runs once over the
 //!    merged result — itself parallel: per-block sorted runs built on
 //!    the same pool, combined by one deterministic k-way merge
-//!    (`parallel_sort_indices`) — and Limit truncates.
+//!    (`parallel_sort_indices`) — and Limit truncates; a per-morsel
+//!    TopK selects once more, from the surviving candidates.
 //!
 //! # Determinism
 //!
 //! Results are **bit-identical at every thread count** by construction:
 //! morsel boundaries depend only on the input row count, merging always
 //! walks morsels in index order, and error reporting picks the failing
-//! morsel with the lowest index. Threads only decide *who* computes a
+//! (stage, morsel) pair with the lowest rank. Threads only decide *who* computes a
 //! morsel, never *what* is computed. The aggregate-merge partition count
 //! is equally inert: within any group the fold order is morsel order for
 //! every P, and partition outputs scatter back into global
@@ -44,6 +51,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mosaic_storage::{kernels, ColumnBuilder, DataType, Field, Schema, Table, Value};
 use parking_lot::Mutex;
 
+use super::join::JoinedRows;
 use super::{aggregate, Batch, ExecContext, PhysicalPlan, Shape};
 use crate::{MosaicError, Result};
 
@@ -181,70 +189,157 @@ pub(crate) fn parallel_sort_indices(
 
 /// What one morsel contributes to the merge phase.
 enum MorselOut {
-    /// Projection shape: the projected fragment, plus the post-filter
-    /// input fragment when a Sort may need to resolve dropped columns.
-    Shaped { out: Table, filtered: Option<Table> },
+    /// Projection shape: the projected fragment (with a per-morsel TopK,
+    /// only its candidate rows), the matching post-filter input rows when
+    /// an ordering stage may need to resolve dropped columns, and per
+    /// output column the type it had wherever the full fragment held a
+    /// non-NULL value.
+    Shaped {
+        out: Table,
+        filtered: Option<Table>,
+        typed: Vec<Option<DataType>>,
+    },
     /// Aggregation shape: a mergeable partial state.
     Partial(aggregate::MorselPartial),
 }
 
-/// Execute `plan`'s pipeline (everything after a join stage, if any)
-/// over `table` on at most `ctx.threads` workers, binding `ctx.params`
-/// into any positional-parameter placeholders. `ctx.partitions` caps
-/// the radix-partition count of the aggregate merge phase (1 = serial
-/// merge); like the thread cap it never changes results.
-pub(crate) fn execute_plan(
-    plan: &PhysicalPlan,
-    table: &Table,
-    weights: Option<&[f64]>,
-    ctx: &ExecContext<'_>,
-) -> Result<Table> {
-    // The one weight-length check: every input shape reaches the
-    // pipeline here, and the morsel phase slices `weights` by row range.
-    if let Some(w) = weights {
-        if w.len() != table.num_rows() {
-            return Err(MosaicError::Execution(format!(
-                "weight vector length {} != table rows {}",
-                w.len(),
-                table.num_rows()
-            )));
+/// What a plan's morsels are cut from.
+pub(crate) enum MorselSource<'a> {
+    /// A scanned table with optional row weights: morsel `m` is the
+    /// zero-copy slice of rows `[m·MORSEL_ROWS, (m+1)·MORSEL_ROWS)`.
+    Table {
+        /// The scanned table.
+        table: &'a Table,
+        /// Optional per-row weights.
+        weights: Option<&'a [f64]>,
+    },
+    /// A join's canonical pair sequence: morsel `m` gathers the join's
+    /// output columns for joined rows `[m·MORSEL_ROWS, (m+1)·MORSEL_ROWS)`
+    /// — the rows a slice of the fully joined table would hold.
+    Joined(&'a JoinedRows),
+}
+
+/// The error of a weight vector that is not parallel to its rows — the
+/// one weight-length check every input shape goes through.
+pub(crate) fn weight_length(len: usize, rows: usize) -> Result<()> {
+    if len == rows {
+        return Ok(());
+    }
+    Err(MosaicError::Execution(format!(
+        "weight vector length {len} != table rows {rows}"
+    )))
+}
+
+/// Unwrap per-task results in task order, or surface the error of the
+/// lowest (stage rank, task index) pair — the error a whole-table pass,
+/// and a sequential walk over the tasks, reports.
+pub(crate) fn first_error<T>(results: Vec<aggregate::Ranked<T>>) -> Result<Vec<T>> {
+    let mut outs = Vec::with_capacity(results.len());
+    let mut first: Option<(u32, MosaicError)> = None;
+    for r in results {
+        match r {
+            Ok(o) => outs.push(o),
+            // Earlier tasks are seen first, so a strict `<` keeps the
+            // lowest task within a rank.
+            Err((rank, e)) => {
+                if first.as_ref().is_none_or(|(best, _)| rank < *best) {
+                    first = Some((rank, e));
+                }
+            }
         }
     }
+    match first {
+        Some((_, e)) => Err(e),
+        None => Ok(outs),
+    }
+}
+
+/// Execute `plan`'s pipeline (everything after a join stage, if any)
+/// over `source` on at most `ctx.threads` workers, binding `ctx.params`
+/// into any positional-parameter placeholders. `ctx.partitions` caps
+/// the radix-partition count of the aggregate merge phase (1 = serial
+/// merge); like the thread cap it never changes results. A weighted
+/// join aggregate reads each morsel's row weights off its gathered
+/// `weight` column (NULL — a NULL-extended LEFT OUTER row — weighs 0).
+pub(crate) fn execute_plan(
+    plan: &PhysicalPlan,
+    source: MorselSource<'_>,
+    ctx: &ExecContext<'_>,
+) -> Result<Table> {
     let (params, threads) = (ctx.params, ctx.threads);
     // Pruned scan: keep only the columns the optimizer proved the plan
     // references. Columns are Arc-shared, so this is a cheap header-only
     // projection — the payoff is downstream, where Filter's row gather
     // and the sort-fallback merge stop materializing unread columns.
-    // Weights are row-parallel and unaffected.
+    // Weights are row-parallel and unaffected. (A join prunes its own
+    // inputs and gathers only its output columns.)
     let pruned;
-    let table = match plan.scan_columns() {
-        Some(cols) => {
-            pruned = prune_scan(table, cols)?;
-            &pruned
+    let source = match source {
+        MorselSource::Table { table, weights } => {
+            if let Some(w) = weights {
+                weight_length(w.len(), table.num_rows())?;
+            }
+            let table = match plan.scan_columns() {
+                Some(cols) => {
+                    pruned = prune_scan(table, cols)?;
+                    &pruned
+                }
+                None => table,
+            };
+            MorselSource::Table { table, weights }
         }
-        None => table,
+        joined => joined,
     };
-    let n = table.num_rows();
+    let (n, join_weight, weighted) = match &source {
+        MorselSource::Table { table, weights } => (table.num_rows(), None, weights.is_some()),
+        MorselSource::Joined(joined) => {
+            let weight = plan.agg_weighted().then(|| {
+                joined.schema().index_of("weight").map_err(|_| {
+                    MosaicError::Execution(
+                        "weighted join aggregate requires the joined weight column".into(),
+                    )
+                })
+            });
+            let weight = weight.transpose()?;
+            (joined.num_rows(), weight, weight.is_some())
+        }
+    };
     let n_morsels = n.div_ceil(MORSEL_ROWS).max(1);
-    // The filtered input only matters when a Sort might fall back to it
-    // (non-aggregate plans with ordering stages); with no filter stages
-    // the original table serves directly, with zero merging.
-    let keep_filtered =
-        !plan.is_aggregate() && !plan.post_shape.is_empty() && !plan.pre_shape().is_empty();
+    let topk = plan.morsel_topk();
+    // The post-filter input only matters when an ordering stage might
+    // fall back to it (non-aggregate plans); a plain scan with no filter
+    // stages and no per-morsel TopK serves it as the whole table, with
+    // zero merging.
+    let carry_filtered = !plan.is_aggregate()
+        && !plan.post_shape.is_empty()
+        && (!plan.pre_shape().is_empty()
+            || topk.is_some()
+            || matches!(source, MorselSource::Joined(_)));
 
-    // Every stage has a rank (filter op `i` = `i`; group keys / item
-    // `j` of the shape = `pre_len + 0 / 1 + j`) and stages run in rank
+    // Every stage has a rank (the source gather = 0, filter op `i` =
+    // `1 + i`; group keys / item `j` of the shape = `pre_len + 0 / 1 +
+    // j`; then a per-morsel TopK's sort keys) and stages run in rank
     // order within a morsel, so a (rank, morsel) error key reproduces
     // the whole-table executor's error exactly: stages error in plan
     // order, and within a stage the lowest failing morsel holds the
     // first failing row.
-    let pre_len = plan.pre_shape().len() as u32;
+    let pre_len = 1 + plan.pre_shape().len() as u32;
     let run = |mi: usize| -> aggregate::Ranked<MorselOut> {
         let start = mi * MORSEL_ROWS;
         let len = MORSEL_ROWS.min(n - start);
-        let mut batch = Batch {
-            table: table.slice(start, len),
-            weights: weights.map(|w| w[start..start + len].to_vec()),
+        let mut batch = match &source {
+            MorselSource::Table { table, weights } => Batch {
+                table: table.slice(start, len),
+                weights: weights.map(|w| w[start..start + len].to_vec()),
+            },
+            MorselSource::Joined(joined) => {
+                let table = joined.gather(start..start + len).map_err(|e| (0, e))?;
+                let weights = join_weight.map(|c| {
+                    let w = table.column(c);
+                    (0..len).map(|i| w.f64_at(i).unwrap_or(0.0)).collect()
+                });
+                Batch { table, weights }
+            }
         };
         let ctx = ExecContext {
             filtered_input: None,
@@ -254,7 +349,7 @@ pub(crate) fn execute_plan(
             ..*ctx
         };
         for (oi, op) in plan.pre_shape().iter().enumerate() {
-            batch = op.execute(&ctx, &batch).map_err(|e| (oi as u32, e))?;
+            batch = op.execute(&ctx, &batch).map_err(|e| (1 + oi as u32, e))?;
         }
         match &plan.shape {
             Shape::Aggregate(agg) => {
@@ -269,38 +364,38 @@ pub(crate) fn execute_plan(
                 .map(MorselOut::Partial)
                 .map_err(|(r, e)| (pre_len + r, e))
             }
-            Shape::Project(project) => project
-                .project_ranked(&batch.table, params)
-                .map(|out| MorselOut::Shaped {
-                    out,
-                    filtered: keep_filtered.then_some(batch.table),
+            Shape::Project(project) => {
+                let rank = |r: u32| pre_len.saturating_add(r);
+                let out = project
+                    .project_ranked(&batch.table, params)
+                    .map_err(|(r, e)| (rank(r), e))?;
+                let typed = typed_columns(&out);
+                let Some(topk) = topk else {
+                    let filtered = carry_filtered.then_some(batch.table);
+                    return Ok(MorselOut::Shaped {
+                        out,
+                        filtered,
+                        typed,
+                    });
+                };
+                let keys_rank = 1 + project.items.len() as u32;
+                let ctx = ExecContext {
+                    filtered_input: Some(&batch.table),
+                    ..ctx
+                };
+                let keep = topk
+                    .morsel_candidates(&ctx, &out)
+                    .map_err(|(r, e)| (rank(keys_rank + r), e))?;
+                Ok(MorselOut::Shaped {
+                    out: out.take(&keep),
+                    filtered: Some(batch.table.take(&keep)),
+                    typed,
                 })
-                .map_err(|(r, e)| (pre_len.saturating_add(r), e)),
+            }
         }
     };
 
-    let results = run_ordered(n_morsels, threads, run);
-
-    // Surface the error of the lowest (stage rank, morsel index) pair —
-    // the error a whole-table pass (and a sequential morsel walk)
-    // reports.
-    let mut outs = Vec::with_capacity(n_morsels);
-    let mut first_err: Option<(u32, MosaicError)> = None;
-    for r in results {
-        match r {
-            Ok(o) => outs.push(o),
-            Err((rank, e)) => {
-                // Earlier morsels are seen first, so a strict `<` keeps
-                // the lowest morsel within a rank.
-                if first_err.as_ref().is_none_or(|(br, _)| rank < *br) {
-                    first_err = Some((rank, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
+    let outs = first_error(run_ordered(n_morsels, threads, run))?;
 
     // Merge phase.
     let (mut batch, filtered_merged) = match &plan.shape {
@@ -314,7 +409,7 @@ pub(crate) fn execute_plan(
                 .collect();
             let table = aggregate::merge_finalize(
                 &agg.items,
-                weights.is_some(),
+                weighted,
                 &partials,
                 params,
                 threads,
@@ -331,25 +426,30 @@ pub(crate) fn execute_plan(
         Shape::Project(_) => {
             let mut fragments = Vec::with_capacity(outs.len());
             let mut filtered = Vec::with_capacity(outs.len());
+            let mut typed = Vec::with_capacity(outs.len());
             for o in outs {
                 match o {
-                    MorselOut::Shaped { out, filtered: f } => {
+                    MorselOut::Shaped {
+                        out,
+                        filtered: f,
+                        typed: t,
+                    } => {
                         fragments.push(out);
                         filtered.extend(f);
+                        typed.push(t);
                     }
                     MorselOut::Partial(_) => unreachable!("projection plans emit fragments"),
                 }
             }
-            let merged = vstack_fragments(&fragments)?;
-            let filtered_merged = if !plan.post_shape.is_empty() {
-                if plan.pre_shape().is_empty() {
-                    Some(table.clone())
-                } else {
+            let merged = vstack_fragments(&fragments, &typed)?;
+            let filtered_merged = match &source {
+                _ if plan.post_shape.is_empty() => None,
+                _ if carry_filtered => {
                     let refs: Vec<&Table> = filtered.iter().collect();
                     Some(Table::vstack(&refs)?)
                 }
-            } else {
-                None
+                MorselSource::Table { table, .. } => Some((*table).clone()),
+                MorselSource::Joined(_) => unreachable!("joined morsels carry their rows"),
             };
             (
                 Batch {
@@ -362,7 +462,8 @@ pub(crate) fn execute_plan(
     };
 
     // Post-shape stages run once over the merged result with the whole
-    // budget — Sort builds its runs on the worker pool.
+    // budget — Sort builds its runs on the worker pool; a per-morsel
+    // TopK selects again, over the surviving candidates.
     let ctx = ExecContext {
         filtered_input: filtered_merged.as_ref(),
         ..*ctx
@@ -403,26 +504,33 @@ pub(crate) fn prune_scan(table: &Table, cols: &[String]) -> Result<Table> {
 /// (or whose every row was filtered away) types that column `Int`, while
 /// sibling morsels carry the real type. All-NULL columns are recast to
 /// the real type — nulls stay nulls, so no value changes — which is
-/// exactly the type the whole-table pass would have inferred.
-fn vstack_fragments(fragments: &[Table]) -> Result<Table> {
+/// exactly the type the whole-table pass would have inferred. `typed`
+/// holds, per fragment, each column's type where the morsel's full
+/// projection held a non-NULL value: a per-morsel TopK keeps only its
+/// candidate rows, which may all be NULL in a column that was not.
+fn vstack_fragments(fragments: &[Table], typed: &[Vec<Option<DataType>>]) -> Result<Table> {
     let non_empty: Vec<&Table> = fragments.iter().filter(|t| !t.is_empty()).collect();
-    let Some(first) = non_empty.first() else {
-        // Everything filtered away (or an empty input): any fragment
-        // carries the canonical empty-result schema.
-        return Ok(fragments.first().expect("at least one morsel").clone());
+    // Everything filtered away (or an empty input): any fragment carries
+    // the canonical empty-result schema.
+    let first = match non_empty.first() {
+        Some(first) => *first,
+        None => fragments.first().expect("at least one morsel"),
     };
-    let ncols = first.num_columns();
-    // Per column, the type of some fragment that has at least one
-    // non-NULL value (all fragments with one agree — output types are a
-    // function of the statement and the input schema).
-    let mut target: Vec<DataType> = (0..ncols).map(|c| first.column(c).data_type()).collect();
-    for t in &non_empty {
-        for (c, ty) in target.iter_mut().enumerate() {
-            let col = t.column(c);
-            if col.null_count() < col.len() {
-                *ty = col.data_type();
+    // Per column, the type of some morsel that has at least one non-NULL
+    // value (all morsels with one agree — output types are a function of
+    // the statement and the input schema).
+    let mut target: Vec<DataType> = (0..first.num_columns())
+        .map(|c| first.column(c).data_type())
+        .collect();
+    for t in typed {
+        for (c, ty) in t.iter().enumerate() {
+            if let Some(ty) = ty {
+                target[c] = *ty;
             }
         }
+    }
+    if non_empty.is_empty() {
+        return recast_all_null_columns(first, &target);
     }
     let parts: Vec<Table> = non_empty
         .iter()
@@ -430,6 +538,14 @@ fn vstack_fragments(fragments: &[Table]) -> Result<Table> {
         .collect::<Result<_>>()?;
     let refs: Vec<&Table> = parts.iter().collect();
     Table::vstack(&refs).map_err(Into::into)
+}
+
+/// Per column, its type when it holds at least one non-NULL value.
+fn typed_columns(t: &Table) -> Vec<Option<DataType>> {
+    t.columns()
+        .iter()
+        .map(|c| (c.null_count() < c.len()).then(|| c.data_type()))
+        .collect()
 }
 
 /// Rebuild any all-NULL column whose type disagrees with the target as

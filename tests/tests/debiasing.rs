@@ -222,3 +222,79 @@ fn binned_marginals_round_trip_through_engine_conventions() {
     assert!(matched > 5);
     let _unused: HashMap<(), ()> = HashMap::new();
 }
+
+/// An IPF fit that stops at its iteration cap says so on every path that
+/// fits: SEMI-OPEN over a population with its own metadata, over a
+/// derived population reweighted against its GP's metadata, and the
+/// re-calibration of a weighted×weighted join's combined weight. One
+/// pass over two marginals cannot satisfy both, so each fit stops
+/// unconverged; with the default cap the single-marginal fits converge
+/// and carry no such suffix.
+#[test]
+fn ipf_non_convergence_is_reported_on_every_path() {
+    use std::sync::Arc;
+
+    use mosaic_core::{EngineOptions, MosaicEngine};
+
+    let setup = |ipf: IpfConfig| {
+        let db = Arc::new(MosaicEngine::with_options(
+            EngineOptions::default().with_ipf(ipf),
+        ))
+        .session();
+        db.execute(
+            "CREATE TABLE Report (country TEXT, email TEXT, reported_count INT);
+             INSERT INTO Report (country, reported_count) VALUES ('UK', 600), ('FR', 400);
+             INSERT INTO Report (email, reported_count) VALUES ('Yahoo', 300), ('AOL', 700);
+             CREATE GLOBAL POPULATION Migrants (country TEXT, email TEXT);
+             CREATE METADATA Migrants_M1 AS
+               (SELECT country, reported_count FROM Report WHERE country IS NOT NULL);
+             CREATE METADATA Migrants_M2 AS
+               (SELECT email, reported_count FROM Report WHERE email IS NOT NULL);
+             CREATE SAMPLE MSample AS (SELECT * FROM Migrants);
+             INSERT INTO MSample VALUES ('UK', 'Yahoo'), ('UK', 'Yahoo'), ('UK', 'AOL'),
+               ('FR', 'AOL'), ('FR', 'Yahoo'), ('UK', 'Yahoo');
+             CREATE POPULATION UkMigrants AS (SELECT * FROM Migrants WHERE country = 'UK');",
+        )
+        .unwrap();
+        db
+    };
+    let note = |db: &mosaic_core::Session, sql: &str, about: &str| -> String {
+        let notes = db.execute(sql).unwrap().notes;
+        notes
+            .iter()
+            .find(|n| n.starts_with("IPF vs") && n.contains(about))
+            .unwrap_or_else(|| panic!("no IPF note about {about:?} for {sql}: {notes:?}"))
+            .clone()
+    };
+    let paths = [
+        (
+            "SELECT SEMI-OPEN COUNT(*) FROM Migrants",
+            "2 marginal(s) of Migrants",
+        ),
+        (
+            "SELECT SEMI-OPEN COUNT(*) FROM UkMigrants",
+            "2 marginal(s) of GP Migrants",
+        ),
+        (
+            "SELECT SEMI-OPEN COUNT(*) FROM Migrants m JOIN MSample s \
+             ON m.country = s.country",
+            "re-calibrating the combined join weight",
+        ),
+    ];
+    let capped = setup(IpfConfig::default().with_max_iterations(1));
+    for (sql, about) in paths {
+        let n = note(&capped, sql, about);
+        assert!(
+            n.contains(": 1 iterations,") && n.ends_with(" (not converged)"),
+            "{n}"
+        );
+    }
+    // One marginal: a single raking pass satisfies it exactly.
+    let db = setup(IpfConfig::default());
+    db.execute("DROP METADATA Migrants_M2").unwrap();
+    for (sql, about) in paths {
+        let about = about.replace("2 marginal(s)", "1 marginal(s)");
+        let n = note(&db, sql, &about);
+        assert!(!n.contains("not converged"), "{n}");
+    }
+}

@@ -431,6 +431,73 @@ fn order_by_alias_over_join() {
     }
 }
 
+/// Regression: ORDER BY a qualified grouped column of a single aliased
+/// relation. The unaliased item `t.k` names its output column `t.k`, and
+/// the sort key must resolve to that column, not to the bare `k` the
+/// aggregate output lacks (it failed with `column not found: k`).
+#[test]
+fn order_by_qualified_grouped_column_single_relation() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute(
+            "CREATE TABLE t (k TEXT, v INT); INSERT INTO t VALUES ('b', 1), ('a', 2), ('b', 3);",
+        )
+        .unwrap();
+    for optimizer in [false, true] {
+        let out = engine
+            .session()
+            .with_optimizer(optimizer)
+            .query("SELECT t.k, COUNT(*) FROM t GROUP BY t.k ORDER BY t.k")
+            .unwrap();
+        assert_eq!(out.schema().field(0).name, "t.k");
+        let rows: Vec<(V, V)> = (0..out.num_rows())
+            .map(|r| (out.value(r, 0), out.value(r, 1)))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![("a".into(), V::Int(1)), ("b".into(), V::Int(2))],
+            "optimizer={optimizer}"
+        );
+    }
+}
+
+/// Regression: ORDER BY a qualified grouped column through a join
+/// (`d.grp`, unique in scope, so the join names it `grp` while the item
+/// names its output `d.grp`); it failed with `column not found: grp`.
+#[test]
+fn order_by_qualified_grouped_column_through_join() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute(
+            "CREATE TABLE t (k TEXT, v INT);
+             INSERT INTO t VALUES ('x', 1), ('y', 2), ('z', 3), ('x', 4);
+             CREATE TABLE d (k TEXT, grp TEXT);
+             INSERT INTO d VALUES ('x', 'g2'), ('y', 'g1'), ('z', 'g2');",
+        )
+        .unwrap();
+    for optimizer in [false, true] {
+        let out = engine
+            .session()
+            .with_optimizer(optimizer)
+            .query(
+                "SELECT d.grp, COUNT(*) FROM t JOIN d ON t.k = d.k \
+                 GROUP BY d.grp ORDER BY d.grp",
+            )
+            .unwrap();
+        assert_eq!(out.schema().field(0).name, "d.grp");
+        let rows: Vec<(V, V)> = (0..out.num_rows())
+            .map(|r| (out.value(r, 0), out.value(r, 1)))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![("g1".into(), V::Int(1)), ("g2".into(), V::Int(3))],
+            "optimizer={optimizer}"
+        );
+    }
+}
+
 /// `SELECT *` over a join yields both sides' columns in scope order
 /// with duplicate names qualified.
 #[test]
