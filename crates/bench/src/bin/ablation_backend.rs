@@ -1,76 +1,42 @@
 //! **Ablation A5** — generative backend for OPEN queries: the implicit
 //! M-SWG (paper §5) vs the explicit Chow–Liu Bayesian network fitted on
-//! the IPF-reweighted sample (§4.2 / Themis). Scores the continuous
-//! Table 2 queries against the ground truth.
+//! the IPF-reweighted sample (§4.2 / Themis). Runs Fig. 7 once per
+//! backend and scores the Table 2 queries against the ground truth.
 //!
 //! Usage: `cargo run --release -p mosaic-bench --bin ablation_backend [--full]`
 
-use mosaic_bench::experiments::{
-    answer, answer_error, combine_generated_answers, fig7_prepare, Fig7Config,
-};
-use mosaic_bench::flights::{table2_queries, FlightsConfig};
-use mosaic_bn::{BayesNet, BnConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mosaic_bench::experiments::{fig7, Fig7Config};
+use mosaic_bench::flights::FlightsConfig;
+use mosaic_bn::BnConfig;
+use mosaic_core::OpenBackend;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let config = if full {
-        Fig7Config {
-            flights: FlightsConfig::paper_scale(),
-            ..Fig7Config::default()
-        }
-    } else {
-        Fig7Config {
-            flights: FlightsConfig {
+    let config = Fig7Config {
+        flights: if full {
+            FlightsConfig::paper_scale()
+        } else {
+            FlightsConfig {
                 population: 50_000,
                 ..FlightsConfig::default()
-            },
-            ..Fig7Config::default()
-        }
+            }
+        },
+        ..Fig7Config::default()
     };
-    let art = fig7_prepare(&config);
-    let data = &art.data;
-    let n = data.sample.num_rows();
-    let pop_n = data.population.num_rows() as f64;
-    let w = pop_n / n as f64;
-
-    // Bayesian network on the IPF-reweighted sample.
-    let bn =
-        BayesNet::fit(&data.sample, Some(&art.ipf_weights), &BnConfig::default()).expect("bn fits");
-    let mut rng = StdRng::seed_from_u64(13);
-    let bn_tables: Vec<_> = (0..config.generated_samples)
-        .map(|_| bn.sample(n, &mut rng))
-        .collect();
+    let (mswg, _) = fig7(&config);
+    let (bn, _) = fig7(&Fig7Config {
+        open: config
+            .open
+            .clone()
+            .with_backend(OpenBackend::BayesNet(BnConfig::default())),
+        ..config
+    });
 
     println!("Ablation A5: OPEN backend, percent error on Table 2 queries");
     println!("{:<4} {:>10} {:>10}", "Id", "M-SWG", "BayesNet");
-    for (id, sql) in table2_queries() {
-        let truth = answer(&sql, &data.population, None);
-        let mswg_ans = combine_generated_answers(
-            &art.generated
-                .iter()
-                .map(|g| answer(&sql, g, Some(&vec![w; g.num_rows()])))
-                .collect::<Vec<_>>(),
-        );
-        let bn_ans = combine_generated_answers(
-            &bn_tables
-                .iter()
-                .map(|g| answer(&sql, g, Some(&vec![w; g.num_rows()])))
-                .collect::<Vec<_>>(),
-        );
-        let cell = |v: Option<f64>| v.map_or("empty".to_string(), |x| format!("{x:.2}"));
-        println!(
-            "{:<4} {:>10} {:>10}",
-            id,
-            cell(answer_error(&mswg_ans, &truth)),
-            cell(answer_error(&bn_ans, &truth))
-        );
-    }
-    println!();
-    println!("Tree edges learned by the Bayesian network:");
-    for (c, p) in bn.edges() {
-        println!("  {c} -> {p}");
+    let cell = |v: Option<f64>| v.map_or("empty".to_string(), |x| format!("{x:.2}"));
+    for (m, b) in mswg.iter().zip(&bn) {
+        println!("{:<4} {:>10} {:>10}", m.id, cell(m.mswg), cell(b.mswg));
     }
     println!();
     println!(

@@ -10,28 +10,9 @@
 //!
 //! Usage: `cargo run --release -p mosaic-bench --bin ablation_metadata [--full]`
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use mosaic_bench::flights::{self, FlightsConfig};
-use mosaic_core::MosaicEngine;
+use mosaic_core::EngineOptions;
 use mosaic_stats::{percent_diff, Marginal};
-
-fn setup_db(data: &flights::FlightsData) -> Arc<MosaicEngine> {
-    let db = Arc::new(MosaicEngine::new());
-    db.session().execute(
-        "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
-         CREATE POPULATION LongFlights AS (SELECT * FROM Flights WHERE distance > 1000);
-         CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
-    )
-    .expect("ddl");
-    for (attr, binner) in &data.binners {
-        db.register_binner(attr, binner.clone());
-    }
-    db.ingest_sample("FlightSample", data.sample.clone())
-        .expect("ingest");
-    db
-}
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -44,57 +25,21 @@ fn main() {
         }
     };
     let data = flights::generate(&config);
-
-    // Ground truth over the derived population.
-    let long_rows: Vec<usize> = {
-        let d = data
-            .population
-            .column_by_name("distance")
-            .expect("distance");
-        (0..data.population.num_rows())
-            .filter(|&r| d.f64_at(r).unwrap_or(0.0) > 1000.0)
-            .collect()
-    };
-    let long_pop = data.population.take(&long_rows);
-    let truth_avg = {
-        let e = long_pop.column_by_name("elapsed_time").expect("elapsed");
-        (0..long_pop.num_rows())
-            .filter_map(|r| e.f64_at(r))
-            .sum::<f64>()
-            / long_pop.num_rows() as f64
-    };
-
-    // Path 1: metadata on the GP only (left dashed line of Fig. 3).
-    let db_gp = setup_db(&data);
-    for (i, m) in data.marginals.iter().enumerate() {
-        db_gp
-            .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
-            .expect("metadata");
-    }
-    // Path 2: metadata on the query population only (bottom dashed line).
-    let db_qp = setup_db(&data);
-    let pairs = [
-        ("carrier", "elapsed_time"),
-        ("taxi_out", "elapsed_time"),
-        ("taxi_in", "elapsed_time"),
-        ("distance", "elapsed_time"),
-    ];
-    for (i, (a, b)) in pairs.iter().enumerate() {
-        let m = Marginal::from_table(&long_pop, &[a, b], None, &data.binners).expect("marginal");
-        db_qp
-            .add_metadata(&format!("LongFlights_M{i}"), "LongFlights", m)
-            .expect("metadata");
-    }
-    let _unused: HashMap<(), ()> = HashMap::new();
+    let engine = flights::engine(&data, data.sample.clone(), EngineOptions::default());
+    let db = engine.session();
+    db.execute("CREATE POPULATION LongFlights AS (SELECT * FROM Flights WHERE distance > 1000)")
+        .expect("ddl");
+    let truth = |sql: &str| db.query(sql).expect("truth query");
+    let truth_avg = truth("SELECT AVG(elapsed_time) FROM FlightsTruth WHERE distance > 1000")
+        .value(0, 0)
+        .as_f64()
+        .expect("avg");
 
     let q = "SELECT SEMI-OPEN AVG(elapsed_time) FROM LongFlights";
     println!("Ablation A4: metadata path (Fig. 3), query: {q}");
     println!("ground truth AVG(elapsed_time | distance>1000): {truth_avg:.2}");
-    for (name, db) in [
-        ("GP metadata (left path)", &db_gp),
-        ("query-pop metadata (bottom path)", &db_qp),
-    ] {
-        let result = db.session().execute(q).expect("query");
+    let run = |name: &str| {
+        let result = db.execute(q).expect("query");
         let est = result.table.value(0, 0).as_f64().expect("avg");
         println!(
             "{name:<34} estimate {est:>9.2}  percent diff {:>6.2}",
@@ -103,7 +48,20 @@ fn main() {
         for note in &result.notes {
             println!("    note: {note}");
         }
+    };
+    // Path 1: LongFlights has no metadata of its own, so SEMI-OPEN
+    // reweights to the GP's marginals (left dashed line of Fig. 3).
+    run("GP metadata (left path)");
+    // Path 2: LongFlights' own marginals win over the GP's (bottom
+    // dashed line).
+    let long_pop = truth("SELECT * FROM FlightsTruth WHERE distance > 1000");
+    for (i, (a, b)) in flights::MARGINAL_PAIRS.iter().enumerate() {
+        let m = Marginal::from_table(&long_pop, &[a, b], None, &data.binners).expect("marginal");
+        engine
+            .add_metadata(&format!("LongFlights_M{i}"), "LongFlights", m)
+            .expect("metadata");
     }
+    run("query-pop metadata (bottom path)");
     println!();
     println!(
         "Expected shape: the query-population path is at least as accurate as \

@@ -1,13 +1,13 @@
 //! **Ablation A1** — number of random projections `p` for the sliced
 //! Wasserstein terms (paper: p = 1000; DESIGN.md defaults lower).
-//! Accuracy on the continuous Table 2 queries vs training wall time.
+//! Accuracy on the continuous Table 2 queries vs the wall time of the
+//! first OPEN statement, the one that trains the M-SWG.
 //!
 //! Usage: `cargo run --release -p mosaic-bench --bin ablation_projections [--full]`
 
-use std::time::Instant;
-
-use mosaic_bench::experiments::{fig7_prepare, fig7_rows, Fig7Config};
+use mosaic_bench::experiments::{fig7, Fig7Config};
 use mosaic_bench::flights::FlightsConfig;
+use mosaic_core::{OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn main() {
@@ -35,18 +35,17 @@ fn main() {
         "p", "Q1", "Q2", "Q3", "Q4", "train (s)"
     );
     for p in ps {
+        let swg = SwgConfig::paper_flights()
+            .with_projections(p)
+            .with_epochs(if full { 30 } else { 12 });
         let config = Fig7Config {
             flights: flights.clone(),
-            swg: SwgConfig::paper_flights()
-                .with_projections(p)
-                .with_epochs(if full { 30 } else { 12 }),
-            generated_samples: 5,
+            open: OpenOptions::default()
+                .with_backend(OpenBackend::Swg(swg))
+                .with_num_generated(5),
             ..Fig7Config::default()
         };
-        let t0 = Instant::now();
-        let art = fig7_prepare(&config);
-        let elapsed = t0.elapsed().as_secs_f64();
-        let rows = fig7_rows(&config, &art);
+        let (rows, fit) = fig7(&config);
         let cell = |v: Option<f64>| v.map_or("empty".to_string(), |x| format!("{x:.2}"));
         println!(
             "{:>6} {:>10} {:>10} {:>10} {:>10} {:>12.1}",
@@ -55,7 +54,7 @@ fn main() {
             cell(rows[1].mswg),
             cell(rows[2].mswg),
             cell(rows[3].mswg),
-            elapsed
+            fit.as_secs_f64()
         );
     }
     println!();

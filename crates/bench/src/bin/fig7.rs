@@ -7,6 +7,7 @@
 
 use mosaic_bench::experiments::{fig7, Fig7Config};
 use mosaic_bench::flights::{table2_queries, FlightsConfig};
+use mosaic_core::{OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn fmt(v: Option<f64>) -> String {
@@ -21,23 +22,31 @@ fn main() {
     let config = if full {
         Fig7Config {
             flights: FlightsConfig::paper_scale(),
-            swg: SwgConfig::paper_flights()
-                .with_projections(256)
-                .with_epochs(40),
+            open: OpenOptions::default().with_backend(OpenBackend::Swg(
+                SwgConfig::paper_flights()
+                    .with_projections(256)
+                    .with_epochs(40),
+            )),
             ..Fig7Config::default()
         }
     } else {
         Fig7Config::default()
     };
-    eprintln!(
-        "fig7: population={} projections={} epochs={} (use --full for paper scale)",
-        config.flights.population, config.swg.projections, config.swg.epochs
-    );
+    if let OpenBackend::Swg(swg) = &config.open.backend {
+        eprintln!(
+            "fig7: population={} projections={} epochs={} (use --full for paper scale)",
+            config.flights.population, swg.projections, swg.epochs
+        );
+    }
     eprintln!("Table 2 queries:");
     for (id, sql) in table2_queries() {
         eprintln!("  {id}: {sql}");
     }
-    let rows = fig7(&config);
+    let (rows, fit) = fig7(&config);
+    eprintln!(
+        "first OPEN statement (fits the M-SWG): {:.1} s",
+        fit.as_secs_f64()
+    );
     println!("Figure 7: average percent difference per query");
     println!("{:<4} {:>8} {:>8} {:>8}", "Id", "Unif", "IPF", "M-SWG");
     println!("-- continuous queries (left plot) --");

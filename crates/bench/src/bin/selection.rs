@@ -10,6 +10,7 @@
 
 use mosaic_bench::experiments::{selection, Fig7Config};
 use mosaic_bench::flights::FlightsConfig;
+use mosaic_core::{OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn main() {
@@ -17,9 +18,11 @@ fn main() {
     let config = if full {
         Fig7Config {
             flights: FlightsConfig::paper_scale(),
-            swg: SwgConfig::paper_flights()
-                .with_projections(256)
-                .with_epochs(40),
+            open: OpenOptions::default().with_backend(OpenBackend::Swg(
+                SwgConfig::paper_flights()
+                    .with_projections(256)
+                    .with_epochs(40),
+            )),
             ..Fig7Config::default()
         }
     } else {

@@ -10,8 +10,9 @@
 //!
 //! Usage: `cargo run --release -p mosaic-bench --bin visibility [--full]`
 
-use mosaic_bench::experiments::visibility;
+use mosaic_bench::experiments::{visibility, Fig7Config};
 use mosaic_bench::flights::FlightsConfig;
+use mosaic_core::{OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn main() {
@@ -42,7 +43,14 @@ fn main() {
         "visibility: population={}, dropping carriers {:?} from the sample",
         flights.population, dropped
     );
-    let rows = visibility(&flights, swg, &dropped);
+    let config = Fig7Config {
+        flights,
+        open: OpenOptions::default()
+            .with_backend(OpenBackend::Swg(swg))
+            .with_num_generated(3),
+        ..Fig7Config::default()
+    };
+    let rows = visibility(&config, &dropped);
     println!("Section 3.3 visibility trade-off (GROUP BY carrier groups):");
     println!(
         "{:<10} {:>8} {:>8} {:>9} {:>12}",

@@ -1,69 +1,87 @@
 //! Experiment runners, one per paper artifact. Each returns plain structs
 //! the harness binaries render; everything is deterministic given the
 //! seeds in the configs.
+//!
+//! The flights runners (Fig. 7, §5.3 selection, §3.3 visibility) are
+//! clients of one [`MosaicEngine`](mosaic_core::MosaicEngine) set up by
+//! [`flights::engine`]: every method is one SQL statement on one seeded
+//! session (see [`Method`]), so the paper's numbers come from the
+//! engine's own SEMI-OPEN and OPEN pipelines.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
-use mosaic_core::{run_select, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, Visibility};
-use mosaic_sql::{parse, SelectItem, SelectStmt, Statement};
-use mosaic_stats::{Ipf, IpfConfig};
+use mosaic_core::{EngineOptions, IpfConfig, OpenBackend, OpenOptions, Session, Visibility};
 use mosaic_storage::Table;
 use mosaic_swg::{MSwg, SwgConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::flights::{self, FlightsConfig};
+use crate::flights::{self, FlightsConfig, FlightsData};
 use crate::metrics::{group_percent_diff, percent_diff, Summary};
 use crate::spiral::{self, SpiralConfig};
 
-/// Parse a single SELECT statement.
-fn select_stmt(sql: &str) -> SelectStmt {
-    match parse(sql).expect("query parses").pop().expect("one stmt") {
-        Statement::Select(s) => s,
-        other => panic!("not a select: {other:?}"),
-    }
+/// How §5.3 answers a query over the flights population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// The ground truth: the query over the population table.
+    Truth,
+    /// Uniform reweighting, the default AQP baseline: SEMI-OPEN over
+    /// [`flights::UNIF`], whose sample declares a uniform mechanism.
+    Unif,
+    /// IPF, Mosaic's SEMI-OPEN technique: SEMI-OPEN over [`flights::GP`].
+    Ipf,
+    /// The generative model, Mosaic's OPEN technique: OPEN over
+    /// [`flights::GP`].
+    Open,
 }
 
-/// Run an aggregate query over a table and flatten the answer to
-/// `(group key, value)` pairs (`group = None` for scalar aggregates).
-pub fn answer(sql: &str, table: &Table, weights: Option<&[f64]>) -> Vec<(Option<String>, f64)> {
-    let stmt = select_stmt(sql);
-    let out = run_select(&stmt, table, weights).expect("query runs");
-    flatten_answer(&stmt, &out)
-}
-
-fn flatten_answer(stmt: &SelectStmt, out: &Table) -> Vec<(Option<String>, f64)> {
-    let is_agg: Vec<bool> = stmt
-        .items
-        .iter()
-        .map(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Wildcard => false,
-        })
-        .collect();
-    let key_cols: Vec<usize> = (0..is_agg.len()).filter(|&i| !is_agg[i]).collect();
-    let val_col = (0..is_agg.len())
-        .find(|&i| is_agg[i])
-        .expect("aggregate column");
-    let mut rows = Vec::with_capacity(out.num_rows());
-    for r in 0..out.num_rows() {
-        let key = if key_cols.is_empty() {
-            None
-        } else {
-            Some(
-                key_cols
-                    .iter()
-                    .map(|&c| out.value(r, c).to_string())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            )
+impl Method {
+    /// `sql` — a query over [`flights::GP`] without a visibility
+    /// keyword — as this method asks it.
+    pub fn statement(self, sql: &str) -> String {
+        let (keyword, relation) = match self {
+            Method::Truth => ("", flights::TRUTH),
+            Method::Unif => ("SEMI-OPEN ", flights::UNIF),
+            Method::Ipf => ("SEMI-OPEN ", flights::GP),
+            Method::Open => ("OPEN ", flights::GP),
         };
-        if let Some(v) = out.value(r, val_col).as_f64() {
-            rows.push((key, v));
-        }
+        sql.replacen("SELECT ", &format!("SELECT {keyword}"), 1)
+            .replacen(
+                &format!(" FROM {}", flights::GP),
+                &format!(" FROM {relation}"),
+                1,
+            )
     }
-    rows
+}
+
+/// Ask `sql` (see [`Method::statement`]) the way `method` does, as
+/// `(group key, value)` pairs: `None` key for a scalar aggregate, and no
+/// pair for a NULL aggregate.
+pub fn answer(session: &Session, method: Method, sql: &str) -> Vec<(Option<String>, f64)> {
+    let table = session
+        .query(&method.statement(sql))
+        .unwrap_or_else(|e| panic!("{method:?} {sql}: {e}"));
+    flatten(&table)
+}
+
+/// Flatten an aggregate answer — group keys first, one aggregate last —
+/// to `(group key, value)` pairs (`None` key for a scalar aggregate);
+/// rows whose aggregate is NULL are dropped.
+fn flatten(out: &Table) -> Vec<(Option<String>, f64)> {
+    let keys = out.num_columns() - 1;
+    (0..out.num_rows())
+        .filter_map(|r| {
+            let value = out.value(r, keys).as_f64()?;
+            let key = (keys > 0).then(|| {
+                (0..keys)
+                    .map(|c| out.value(r, c).to_string())
+                    .collect::<Vec<_>>()
+                    .join("|")
+            });
+            Some((key, value))
+        })
+        .collect()
 }
 
 /// Mean percent difference of `estimate` vs `truth` over the truth's
@@ -181,18 +199,18 @@ pub fn fig6(config: &Fig6Config) -> Vec<Fig6Row> {
 
 // ---------------------------------------------------------------- Fig. 7
 
-/// Fig. 7 / Table 2 configuration.
+/// Configuration of the flights experiments: Fig. 7 / Table 2, the
+/// §5.3 selection protocol and the §3.3 visibility table.
 #[derive(Debug, Clone)]
 pub struct Fig7Config {
     /// Flights workload parameters.
     pub flights: FlightsConfig,
-    /// M-SWG training parameters.
-    pub swg: SwgConfig,
-    /// Generated samples to combine (paper: 10).
-    pub generated_samples: usize,
+    /// OPEN options: the generative backend and the generated samples
+    /// combined per query (paper: 10).
+    pub open: OpenOptions,
     /// IPF settings.
     pub ipf: IpfConfig,
-    /// Generation seed.
+    /// The session's OPEN generation seed.
     pub seed: u64,
 }
 
@@ -203,13 +221,29 @@ impl Default for Fig7Config {
             // The paper's flights config, with laptop-scale projection
             // and epoch counts (see DESIGN.md). ~30 s of training on
             // one core; `--full` harness flags raise both.
-            swg: SwgConfig::paper_flights()
-                .with_projections(96)
-                .with_epochs(60),
-            generated_samples: 10,
+            open: OpenOptions::default()
+                .with_backend(OpenBackend::Swg(
+                    SwgConfig::paper_flights()
+                        .with_projections(96)
+                        .with_epochs(60),
+                ))
+                .with_num_generated(10),
             ipf: IpfConfig::default(),
             seed: 2,
         }
+    }
+}
+
+impl Fig7Config {
+    /// A seeded session on a fresh engine holding `data` with `sample`
+    /// ingested (see [`flights::engine`]).
+    pub fn session(&self, data: &FlightsData, sample: Table) -> Session {
+        let options = EngineOptions::default()
+            .with_open(self.open.clone())
+            .with_ipf(self.ipf.clone());
+        flights::engine(data, sample, options)
+            .session()
+            .with_seed(self.seed)
     }
 }
 
@@ -222,93 +256,34 @@ pub struct Fig7Row {
     pub unif: Option<f64>,
     /// IPF (Mosaic's SEMI-OPEN technique).
     pub ipf: Option<f64>,
-    /// M-SWG (Mosaic's OPEN technique).
+    /// The OPEN backend (the M-SWG unless `open` says otherwise).
     pub mswg: Option<f64>,
 }
 
-/// Everything fig7 needs, reusable by the ablation harnesses.
-pub struct Fig7Artifacts {
-    /// The generated workload.
-    pub data: flights::FlightsData,
-    /// IPF-fitted weights for the sample.
-    pub ipf_weights: Vec<f64>,
-    /// Generated tables from the trained M-SWG.
-    pub generated: Vec<Table>,
-}
-
-/// Prepare the flights workload, IPF weights, and M-SWG generations.
-pub fn fig7_prepare(config: &Fig7Config) -> Fig7Artifacts {
+/// Run the Fig. 7 experiment (queries 1–8 of Table 2). Also returns the
+/// wall time of the first OPEN statement, the one that fits the model.
+pub fn fig7(config: &Fig7Config) -> (Vec<Fig7Row>, Duration) {
     let data = flights::generate(&config.flights);
-    let ipf = Ipf::new(&data.sample, &data.marginals, &data.binners).expect("ipf indexes");
-    let (ipf_weights, _report) = ipf.fit(None, &config.ipf);
-    let model =
-        MSwg::fit(&data.sample, &data.marginals, config.swg.clone()).expect("flights M-SWG fits");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let generated = (0..config.generated_samples)
-        .map(|_| model.generate(data.sample.num_rows(), &mut rng))
+    let session = config.session(&data, data.sample.clone());
+    let mut fit = None;
+    let rows = flights::table2_queries()
+        .into_iter()
+        .map(|(id, sql)| {
+            let truth = answer(&session, Method::Truth, &sql);
+            let error = |method| answer_error(&answer(&session, method, &sql), &truth);
+            let (unif, ipf) = (error(Method::Unif), error(Method::Ipf));
+            let t0 = Instant::now();
+            let mswg = error(Method::Open);
+            fit.get_or_insert(t0.elapsed());
+            Fig7Row {
+                id,
+                unif,
+                ipf,
+                mswg,
+            }
+        })
         .collect();
-    Fig7Artifacts {
-        data,
-        ipf_weights,
-        generated,
-    }
-}
-
-/// Combine per-generated-sample answers: groups present in all answers,
-/// averaged (paper §5.3 protocol).
-pub fn combine_generated_answers(
-    answers: &[Vec<(Option<String>, f64)>],
-) -> Vec<(Option<String>, f64)> {
-    let mut acc: HashMap<Option<String>, (usize, f64)> = HashMap::new();
-    for ans in answers {
-        for (k, v) in ans {
-            let e = acc.entry(k.clone()).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += v;
-        }
-    }
-    acc.into_iter()
-        .filter(|(_, (n, _))| *n == answers.len())
-        .map(|(k, (n, s))| (k, s / n as f64))
-        .collect()
-}
-
-/// Run the Fig. 7 experiment (queries 1–8 of Table 2).
-pub fn fig7(config: &Fig7Config) -> Vec<Fig7Row> {
-    let art = fig7_prepare(config);
-    fig7_rows(config, &art)
-}
-
-/// Score the Table 2 queries against prepared artifacts.
-pub fn fig7_rows(config: &Fig7Config, art: &Fig7Artifacts) -> Vec<Fig7Row> {
-    let data = &art.data;
-    let n = data.sample.num_rows() as f64;
-    let pop_n = data.population.num_rows() as f64;
-    let unif_w = vec![pop_n / n; data.sample.num_rows()];
-    let gen_w = vec![pop_n / n; data.sample.num_rows()];
-    let mut rows = Vec::new();
-    for (id, sql) in flights::table2_queries() {
-        let truth = answer(&sql, &data.population, None);
-        let unif = answer(&sql, &data.sample, Some(&unif_w));
-        let ipf = answer(&sql, &data.sample, Some(&art.ipf_weights));
-        let per_gen: Vec<_> = art
-            .generated
-            .iter()
-            .map(|g| {
-                let w = vec![gen_w[0]; g.num_rows()];
-                answer(&sql, g, Some(&w))
-            })
-            .collect();
-        let mswg = combine_generated_answers(&per_gen);
-        let _ = config;
-        rows.push(Fig7Row {
-            id,
-            unif: answer_error(&unif, &truth),
-            ipf: answer_error(&ipf, &truth),
-            mswg: answer_error(&mswg, &truth),
-        });
-    }
-    rows
+    (rows, fit.unwrap_or_default())
 }
 
 // ------------------------------------------------------- §5.3 selection
@@ -334,11 +309,8 @@ pub struct SelectionResult {
 
 /// Run `queries` random continuous queries (paper: 200).
 pub fn selection(config: &Fig7Config, queries: usize) -> SelectionResult {
-    let art = fig7_prepare(config);
-    let data = &art.data;
-    let n = data.sample.num_rows() as f64;
-    let pop_n = data.population.num_rows() as f64;
-    let unif_w = vec![pop_n / n; data.sample.num_rows()];
+    let data = flights::generate(&config.flights);
+    let session = config.session(&data, data.sample.clone());
     let numeric = ["taxi_out", "taxi_in", "elapsed_time", "distance"];
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(77));
     let mut unif_errs = Vec::new();
@@ -358,26 +330,20 @@ pub fn selection(config: &Fig7Config, queries: usize) -> SelectionResult {
             .expect("non-empty");
         let thr = lo + rng.random::<f64>() * (hi - lo);
         let op = if rng.random::<bool>() { ">" } else { "<" };
-        let sql = format!("SELECT AVG({a}) FROM F WHERE {b} {op} {thr:.1}");
-        let truth = answer(&sql, &data.population, None);
+        let sql = format!(
+            "SELECT AVG({a}) FROM {} WHERE {b} {op} {thr:.1}",
+            flights::GP
+        );
+        let truth = answer(&session, Method::Truth, &sql);
         if truth.is_empty() {
             continue;
         }
-        let unif = answer(&sql, &data.sample, Some(&unif_w));
-        let ipf = answer(&sql, &data.sample, Some(&art.ipf_weights));
-        let per_gen: Vec<_> = art
-            .generated
-            .iter()
-            .map(|g| answer(&sql, g, Some(&vec![pop_n / n; g.num_rows()])))
-            .collect();
-        let mswg = combine_generated_answers(&per_gen);
+        let error = |method| answer_error(&answer(&session, method, &sql), &truth);
         // The paper's filter: both the true answer and the M-SWG answer
         // non-empty.
-        let (Some(ue), Some(ie), Some(me)) = (
-            answer_error(&unif, &truth),
-            answer_error(&ipf, &truth),
-            answer_error(&mswg, &truth),
-        ) else {
+        let (Some(ue), Some(ie), Some(me)) =
+            (error(Method::Unif), error(Method::Ipf), error(Method::Open))
+        else {
             continue;
         };
         unif_errs.push(ue);
@@ -385,21 +351,14 @@ pub fn selection(config: &Fig7Config, queries: usize) -> SelectionResult {
         mswg_errs.push(me);
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let wins = |v: &[f64]| v.iter().zip(&unif_errs).filter(|(e, u)| e < u).count();
     SelectionResult {
         scored: unif_errs.len(),
         unif_mean: mean(&unif_errs),
         ipf_mean: mean(&ipf_errs),
         mswg_mean: mean(&mswg_errs),
-        mswg_wins: mswg_errs
-            .iter()
-            .zip(&unif_errs)
-            .filter(|(m, u)| m < u)
-            .count(),
-        ipf_wins: ipf_errs
-            .iter()
-            .zip(&unif_errs)
-            .filter(|(i, u)| i < u)
-            .count(),
+        mswg_wins: wins(&mswg_errs),
+        ipf_wins: wins(&ipf_errs),
     }
 }
 
@@ -420,78 +379,39 @@ pub struct VisibilityRow {
 }
 
 /// §3.3 experiment: drop several carriers from the sample and compare
-/// which GROUP BY groups each visibility level recovers. Exercises the
-/// full SQL path through a [`MosaicEngine`] session.
-pub fn visibility(
-    flights_config: &FlightsConfig,
-    swg: SwgConfig,
-    dropped_carriers: &[&str],
-) -> Vec<VisibilityRow> {
-    let data = flights::generate(flights_config);
-    let open = OpenOptions::default()
-        .with_backend(OpenBackend::Swg(swg))
-        .with_num_generated(3);
-    let engine = Arc::new(MosaicEngine::with_options(
-        EngineOptions::default().with_open(open),
-    ));
-    let db = engine.session();
-    db.execute(
-        "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
-         CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
-    )
-    .expect("ddl");
-    // Metadata: the (carrier, elapsed) marginal plus the three others.
-    for (i, m) in data.marginals.iter().enumerate() {
-        engine
-            .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
-            .expect("metadata");
-    }
-    for (attr, binner) in &data.binners {
-        engine.register_binner(attr, binner.clone());
-    }
-    // Ingest the biased sample minus the dropped carriers.
+/// which GROUP BY groups each visibility level recovers.
+pub fn visibility(config: &Fig7Config, dropped_carriers: &[&str]) -> Vec<VisibilityRow> {
+    let data = flights::generate(&config.flights);
     let keep: Vec<usize> = (0..data.sample.num_rows())
         .filter(|&r| {
             let c = data.sample.value(r, 0).to_string();
             !dropped_carriers.contains(&c.as_str())
         })
         .collect();
-    engine
-        .ingest_sample("FlightSample", data.sample.take(&keep))
-        .expect("ingest");
-
-    let truth_groups: std::collections::HashSet<String> = answer(
-        "SELECT carrier, COUNT(*) FROM F GROUP BY carrier",
-        &data.population,
-        None,
-    )
-    .into_iter()
-    .filter_map(|(k, _)| k)
-    .collect();
-
-    let mut rows = Vec::new();
-    for vis in [Visibility::Closed, Visibility::SemiOpen, Visibility::Open] {
-        let kw = match vis {
-            Visibility::Closed => "CLOSED",
-            Visibility::SemiOpen => "SEMI-OPEN",
-            Visibility::Open => "OPEN",
-        };
-        let out = db
-            .execute(&format!(
-                "SELECT {kw} carrier, COUNT(*) FROM Flights GROUP BY carrier"
-            ))
-            .expect("visibility query");
-        let got: std::collections::HashSet<String> = (0..out.table.num_rows())
-            .map(|r| out.table.value(r, 0).to_string())
-            .collect();
-        rows.push(VisibilityRow {
-            visibility: vis,
-            false_negatives: truth_groups.difference(&got).count(),
-            false_positives: got.difference(&truth_groups).count(),
-            returned: got.len(),
-        });
-    }
-    rows
+    let session = config.session(&data, data.sample.take(&keep));
+    let groups = |sql: &str| -> HashSet<String> {
+        flatten(&session.query(sql).expect("visibility query"))
+            .into_iter()
+            .filter_map(|(k, _)| k)
+            .collect()
+    };
+    let sql = format!(
+        "SELECT carrier, COUNT(*) FROM {} GROUP BY carrier",
+        flights::GP
+    );
+    let truth = groups(&Method::Truth.statement(&sql));
+    [Visibility::Closed, Visibility::SemiOpen, Visibility::Open]
+        .into_iter()
+        .map(|visibility| {
+            let got = groups(&sql.replacen("SELECT ", &format!("SELECT {visibility} "), 1));
+            VisibilityRow {
+                visibility,
+                false_negatives: truth.difference(&got).count(),
+                false_positives: got.difference(&truth).count(),
+                returned: got.len(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -510,22 +430,63 @@ mod tests {
             .with_coverage_subsample(128)
     }
 
+    fn tiny_fig7() -> Fig7Config {
+        Fig7Config {
+            flights: FlightsConfig {
+                population: 4000,
+                marginal_bins: 8,
+                ..FlightsConfig::default()
+            },
+            open: OpenOptions::default()
+                .with_backend(OpenBackend::Swg(tiny_swg()))
+                .with_num_generated(2),
+            ..Fig7Config::default()
+        }
+    }
+
     #[test]
     fn answer_flattens_groups_and_scalars() {
-        let d = flights::generate(&FlightsConfig {
-            population: 2000,
-            ..FlightsConfig::default()
-        });
-        let scalar = answer("SELECT AVG(distance) FROM F", &d.population, None);
+        let config = tiny_fig7();
+        let d = flights::generate(&config.flights);
+        let session = config.session(&d, d.sample.clone());
+        let scalar = answer(&session, Method::Truth, "SELECT AVG(distance) FROM Flights");
         assert_eq!(scalar.len(), 1);
         assert!(scalar[0].0.is_none());
         let groups = answer(
-            "SELECT carrier, COUNT(*) FROM F GROUP BY carrier",
-            &d.population,
-            None,
+            &session,
+            Method::Truth,
+            "SELECT carrier, COUNT(*) FROM Flights GROUP BY carrier",
         );
         assert!(groups.len() > 5);
         assert!(groups.iter().all(|(k, _)| k.is_some()));
+        // An empty selection's NULL aggregate flattens to no answer.
+        let empty = answer(
+            &session,
+            Method::Unif,
+            "SELECT AVG(distance) FROM Flights WHERE distance < 0",
+        );
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn methods_rewrite_visibility_and_relation() {
+        let sql = "SELECT AVG(distance) FROM Flights WHERE elapsed_time > 200";
+        assert_eq!(
+            Method::Truth.statement(sql),
+            "SELECT AVG(distance) FROM FlightsTruth WHERE elapsed_time > 200"
+        );
+        assert_eq!(
+            Method::Unif.statement(sql),
+            "SELECT SEMI-OPEN AVG(distance) FROM FlightsUnif WHERE elapsed_time > 200"
+        );
+        assert_eq!(
+            Method::Ipf.statement(sql),
+            "SELECT SEMI-OPEN AVG(distance) FROM Flights WHERE elapsed_time > 200"
+        );
+        assert_eq!(
+            Method::Open.statement(sql),
+            "SELECT OPEN AVG(distance) FROM Flights WHERE elapsed_time > 200"
+        );
     }
 
     #[test]
@@ -535,15 +496,6 @@ mod tests {
         // a: 10% error, b missing: 100% -> mean 55%.
         assert_eq!(answer_error(&est, &truth), Some(55.0));
         assert_eq!(answer_error(&[], &truth), None);
-    }
-
-    #[test]
-    fn combine_keeps_only_common_groups() {
-        let a = vec![(Some("x".to_string()), 1.0), (Some("y".to_string()), 3.0)];
-        let b = vec![(Some("x".to_string()), 3.0)];
-        let c = combine_generated_answers(&[a, b]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0], (Some("x".to_string()), 2.0));
     }
 
     #[test]
@@ -569,18 +521,9 @@ mod tests {
 
     #[test]
     fn fig7_smoke() {
-        let cfg = Fig7Config {
-            flights: FlightsConfig {
-                population: 4000,
-                marginal_bins: 8,
-                ..FlightsConfig::default()
-            },
-            swg: tiny_swg(),
-            generated_samples: 2,
-            ..Fig7Config::default()
-        };
-        let rows = fig7(&cfg);
+        let (rows, fit) = fig7(&tiny_fig7());
         assert_eq!(rows.len(), 8);
+        assert!(fit > Duration::ZERO);
         // The continuous queries (Q1–Q4) are always scorable for unif and
         // ipf; Q8's rare carriers may be absent from a tiny sample (the
         // paper observes the same failure mode at full scale for M-SWG).
@@ -592,15 +535,7 @@ mod tests {
 
     #[test]
     fn visibility_smoke() {
-        let rows = visibility(
-            &FlightsConfig {
-                population: 4000,
-                marginal_bins: 8,
-                ..FlightsConfig::default()
-            },
-            tiny_swg(),
-            &["US", "F9", "HA"],
-        );
+        let rows = visibility(&tiny_fig7(), &["US", "F9", "HA"]);
         assert_eq!(rows.len(), 3);
         // CLOSED and SEMI-OPEN cannot return the dropped carriers.
         assert!(rows[0].false_negatives >= 3);

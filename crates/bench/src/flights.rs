@@ -21,7 +21,9 @@
 //! DESIGN.md).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use mosaic_core::{EngineOptions, MosaicEngine};
 use mosaic_stats::{standard_normal, Binner, Marginal};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use rand::rngs::StdRng;
@@ -86,6 +88,62 @@ pub struct FlightsData {
     pub marginals: Vec<Marginal>,
     /// Binners for the numeric attributes (shared by marginals and IPF).
     pub binners: HashMap<String, Binner>,
+}
+
+/// The attribute pairs of the paper's four marginals: (C,E) (O,E) (I,E)
+/// (D,E).
+pub const MARGINAL_PAIRS: [(&str, &str); 4] = [
+    ("carrier", "elapsed_time"),
+    ("taxi_out", "elapsed_time"),
+    ("taxi_in", "elapsed_time"),
+    ("distance", "elapsed_time"),
+];
+
+/// The global population [`engine`] declares; its sample carries no
+/// mechanism, so SEMI-OPEN over it reweights with IPF.
+pub const GP: &str = "Flights";
+/// A population derived from [`GP`] whose sample declares a uniform
+/// mechanism: SEMI-OPEN over it is the paper's Unif baseline, the
+/// inverse-probability weight `N / n` of an assumed uniform sample.
+pub const UNIF: &str = "FlightsUnif";
+/// The population as a plain table: the ground truth.
+pub const TRUTH: &str = "FlightsTruth";
+
+/// A fresh engine holding the flights workload: the global population
+/// [`GP`] with sample `FlightSample` (`sample` ingested), the four
+/// marginals and the binners; the derived population [`UNIF`] whose
+/// sample holds the same rows under `USING MECHANISM UNIFORM PERCENT
+/// 100·n/N`; and the population as the table [`TRUTH`].
+pub fn engine(data: &FlightsData, sample: Table, options: EngineOptions) -> Arc<MosaicEngine> {
+    let engine = Arc::new(MosaicEngine::with_options(options));
+    let percent = 100.0 * sample.num_rows() as f64 / data.population.num_rows() as f64;
+    engine
+        .session()
+        .execute(&format!(
+            "CREATE GLOBAL POPULATION {GP} (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
+             CREATE SAMPLE FlightSample AS (SELECT * FROM {GP});
+             CREATE POPULATION {UNIF} AS (SELECT * FROM {GP});
+             CREATE SAMPLE FlightUnifSample AS (SELECT * FROM {UNIF} USING MECHANISM UNIFORM PERCENT {percent});"
+        ))
+        .expect("flights DDL");
+    for (i, m) in data.marginals.iter().enumerate() {
+        engine
+            .add_metadata(&format!("{GP}_M{i}"), GP, m.clone())
+            .expect("metadata");
+    }
+    for (attr, binner) in &data.binners {
+        engine.register_binner(attr, binner.clone());
+    }
+    engine
+        .ingest_sample("FlightUnifSample", sample.clone())
+        .expect("ingest");
+    engine
+        .ingest_sample("FlightSample", sample)
+        .expect("ingest");
+    engine
+        .register_table(TRUTH, data.population.clone())
+        .expect("population table");
+    engine
 }
 
 /// Flights schema: Table 1's attributes.
@@ -242,13 +300,7 @@ pub fn from_population(population: Table, config: &FlightsConfig) -> FlightsData
             Binner::equal_width(lo, hi + 1.0, config.marginal_bins),
         );
     }
-    let pairs = [
-        ("carrier", "elapsed_time"),
-        ("taxi_out", "elapsed_time"),
-        ("taxi_in", "elapsed_time"),
-        ("distance", "elapsed_time"),
-    ];
-    let marginals = pairs
+    let marginals = MARGINAL_PAIRS
         .iter()
         .map(|(a, b)| Marginal::from_table(&population, &[a, b], None, &binners).expect("marginal"))
         .collect();
@@ -260,29 +312,29 @@ pub fn from_population(population: Table, config: &FlightsConfig) -> FlightsData
     }
 }
 
-/// The eight aggregate queries of Table 2 (GROUP BY clauses restored; the
-/// paper omits them for space).
+/// The eight aggregate queries of Table 2 over [`GP`] (GROUP BY clauses
+/// restored; the paper omits them for space).
 pub fn table2_queries() -> Vec<(&'static str, String)> {
     vec![
-        ("Q1", "SELECT AVG(distance) FROM F WHERE elapsed_time > 200".into()),
-        ("Q2", "SELECT AVG(taxi_in) FROM F WHERE elapsed_time < 200".into()),
-        ("Q3", "SELECT AVG(elapsed_time) FROM F WHERE distance > 1000".into()),
-        ("Q4", "SELECT AVG(taxi_out) FROM F WHERE distance < 1000".into()),
+        ("Q1", "SELECT AVG(distance) FROM Flights WHERE elapsed_time > 200".into()),
+        ("Q2", "SELECT AVG(taxi_in) FROM Flights WHERE elapsed_time < 200".into()),
+        ("Q3", "SELECT AVG(elapsed_time) FROM Flights WHERE distance > 1000".into()),
+        ("Q4", "SELECT AVG(taxi_out) FROM Flights WHERE distance < 1000".into()),
         (
             "Q5",
-            "SELECT carrier, AVG(distance) FROM F WHERE elapsed_time > 200 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
+            "SELECT carrier, AVG(distance) FROM Flights WHERE elapsed_time > 200 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
         ),
         (
             "Q6",
-            "SELECT carrier, AVG(taxi_in) FROM F WHERE elapsed_time < 200 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
+            "SELECT carrier, AVG(taxi_in) FROM Flights WHERE elapsed_time < 200 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
         ),
         (
             "Q7",
-            "SELECT carrier, AVG(elapsed_time) FROM F WHERE distance > 1000 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
+            "SELECT carrier, AVG(elapsed_time) FROM Flights WHERE distance > 1000 AND carrier IN ('WN','AA') GROUP BY carrier".into(),
         ),
         (
             "Q8",
-            "SELECT carrier, AVG(taxi_out) FROM F WHERE distance < 1000 AND carrier IN ('US','F9') GROUP BY carrier".into(),
+            "SELECT carrier, AVG(taxi_out) FROM Flights WHERE distance < 1000 AND carrier IN ('US','F9') GROUP BY carrier".into(),
         ),
     ]
 }
@@ -383,7 +435,7 @@ mod tests {
     #[test]
     fn queries_parse() {
         for (id, q) in table2_queries() {
-            assert!(mosaic_sql::parse(&q).is_ok(), "{id} failed to parse");
+            assert!(mosaic_core::parse(&q).is_ok(), "{id} failed to parse");
         }
     }
 }

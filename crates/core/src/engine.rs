@@ -1711,9 +1711,12 @@ fn table_with_weight_column(data: &Table, weights: &[f64]) -> Result<Table> {
     Table::new(Schema::new(fields), columns).map_err(Into::into)
 }
 
-/// Combine the per-generated-sample answers of an aggregate OPEN query:
-/// keep groups appearing in *all* runs, average the aggregate columns
-/// (paper §5.3).
+/// Combine the per-generated-sample answers of an aggregate OPEN query
+/// (paper §5.3): keep the groups appearing in *all* runs, and average
+/// each aggregate column over the runs where it is non-NULL (NULL when
+/// it is NULL in every run). A scalar aggregate's one row appears in
+/// every run, so a replicate whose selection came out empty does not
+/// drop the answer; it only leaves the average to the others.
 fn combine_open_runs(stmt: &SelectStmt, runs: Vec<Table>) -> Result<Table> {
     let first = runs
         .first()
@@ -1789,6 +1792,57 @@ fn combine_open_runs(stmt: &SelectStmt, runs: Vec<Table>) -> Result<Table> {
 mod tests {
     use super::*;
     use mosaic_storage::StorageError;
+
+    fn select(sql: &str) -> SelectStmt {
+        match parse(sql).unwrap().pop().unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("not a select: {other:?}"),
+        }
+    }
+
+    /// One replicate's answer with the given output columns and rows.
+    fn run(fields: &[(&str, DataType)], rows: &[Vec<Value>]) -> Table {
+        let schema = Schema::new(fields.iter().map(|(n, t)| Field::new(*n, *t)).collect());
+        let mut b = TableBuilder::new(schema);
+        for row in rows {
+            b.push_row(row.clone()).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn combine_keeps_only_common_groups() {
+        let stmt = select("SELECT g, AVG(x) FROM t GROUP BY g");
+        let fields = [("g", DataType::Str), ("AVG(x)", DataType::Float)];
+        let a = run(
+            &fields,
+            &[vec!["x".into(), 1.0.into()], vec!["y".into(), 3.0.into()]],
+        );
+        let b = run(&fields, &[vec!["x".into(), 3.0.into()]]);
+        let c = combine_open_runs(&stmt, vec![a, b]).unwrap();
+        assert_eq!(c.num_rows(), 1);
+        assert_eq!(c.value(0, 0), Value::Str("x".into()));
+        assert_eq!(c.value(0, 1), Value::Float(2.0));
+    }
+
+    /// A scalar aggregate that is NULL in some replicates (their
+    /// selection was empty) averages the others; NULL in all stays NULL.
+    #[test]
+    fn combine_averages_the_non_null_replicates_of_a_scalar_aggregate() {
+        let stmt = select("SELECT AVG(x) FROM t WHERE x > 1");
+        let fields = [("AVG(x)", DataType::Float)];
+        let answer = |v: Value| run(&fields, &[vec![v]]);
+        let c = combine_open_runs(
+            &stmt,
+            vec![answer(1.0.into()), answer(Value::Null), answer(3.0.into())],
+        )
+        .unwrap();
+        assert_eq!(c.num_rows(), 1);
+        assert_eq!(c.value(0, 0), Value::Float(2.0));
+        let c = combine_open_runs(&stmt, vec![answer(Value::Null), answer(Value::Null)]).unwrap();
+        assert_eq!(c.num_rows(), 1);
+        assert_eq!(c.value(0, 0), Value::Null);
+    }
 
     /// `Column::from_values` pushes each value through `ColumnBuilder`,
     /// which is what ingest did row by row; `conform_column` must accept,

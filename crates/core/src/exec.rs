@@ -25,7 +25,9 @@ use crate::{Knobs, MosaicError, Result};
 /// physical plan. `weights` (parallel to the table's rows) turns
 /// aggregates into weighted aggregates. Uses the process-default thread
 /// cap, merge partition count and optimizer setting
-/// ([`Knobs::from_env`]); none ever changes results.
+/// ([`Knobs::from_env`]); none ever changes results. Kept for the
+/// `mosaicbench` package, whose accuracy check computes its ground truth
+/// with it; everything else asks a [`crate::Session`].
 pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
     let k = Knobs::from_env();
     let ctx = ExecContext::new(&[], k.threads, k.partitions);

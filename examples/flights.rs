@@ -1,13 +1,13 @@
-//! The paper's flights scenario (§5.3) through the engine API: build the
-//! synthetic IDEBench-style workload, register its marginals and binners,
-//! and compare the three visibility levels on a Table 2 query.
+//! The paper's flights scenario (§5.3) through the engine API: declare
+//! the synthetic IDEBench-style workload in an engine
+//! (`mosaic_bench::flights::engine`: population, sample, marginals,
+//! binners, and the population as a table for the ground truth) and
+//! compare the three visibility levels on a Table 2 query.
 //!
 //! Run with: `cargo run --release -p mosaic-examples --bin flights`
 
-use std::sync::Arc;
-
 use mosaic_bench::flights::{self, FlightsConfig};
-use mosaic_core::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions};
+use mosaic_core::{EngineOptions, OpenBackend, OpenOptions};
 use mosaic_swg::SwgConfig;
 
 fn main() {
@@ -28,41 +28,17 @@ fn main() {
     let open = OpenOptions::default()
         .with_backend(OpenBackend::Swg(swg))
         .with_num_generated(5);
-    let engine = Arc::new(MosaicEngine::with_options(
+    let engine = flights::engine(
+        &data,
+        data.sample.clone(),
         EngineOptions::default().with_open(open),
-    ));
+    );
     let db = engine.session();
-    db.execute(
-        "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, taxi_in INT, elapsed_time INT, distance INT);
-         CREATE SAMPLE FlightSample AS (SELECT * FROM Flights);",
-    )
-    .expect("ddl");
-    for (i, m) in data.marginals.iter().enumerate() {
-        engine
-            .add_metadata(&format!("Flights_M{i}"), "Flights", m.clone())
-            .expect("metadata");
-    }
-    for (attr, binner) in &data.binners {
-        engine.register_binner(attr, binner.clone());
-    }
-    engine
-        .ingest_sample("FlightSample", data.sample.clone())
-        .expect("ingest");
 
-    // Ground truth from the generator's population (normally unknowable).
-    let truth = mosaic_core::run_select(
-        &match mosaic_core::parse("SELECT AVG(elapsed_time) FROM F WHERE distance > 1000")
-            .unwrap()
-            .pop()
-            .unwrap()
-        {
-            mosaic_core::Statement::Select(s) => s,
-            _ => unreachable!(),
-        },
-        &data.population,
-        None,
-    )
-    .unwrap();
+    // Ground truth from the population table (normally unknowable).
+    let truth = db
+        .query("SELECT AVG(elapsed_time) FROM FlightsTruth WHERE distance > 1000")
+        .expect("truth query");
     println!("\nQuery 3 of Table 2: SELECT AVG(elapsed_time) FROM Flights WHERE distance > 1000");
     println!("ground truth: {}", truth.value(0, 0));
 
