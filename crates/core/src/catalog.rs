@@ -122,6 +122,19 @@ fn key(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 
+/// Populations and samples expose their correction weights as the
+/// column `weight`, so neither may declare an attribute of that name
+/// (in any case): it would shadow the weights.
+fn reject_weight_attribute(kind: &str, name: &str, schema: &Schema) -> Result<()> {
+    if schema.contains("weight") {
+        return Err(MosaicError::Catalog(format!(
+            "{kind} {name} cannot declare an attribute named weight: `weight` is the \
+             reserved column the engine exposes correction weights as"
+        )));
+    }
+    Ok(())
+}
+
 impl Catalog {
     /// Empty catalog.
     pub fn new() -> Catalog {
@@ -173,6 +186,7 @@ impl Catalog {
     /// paper: "we assume the user defines only one GP").
     pub fn create_population(&mut self, pop: Population) -> Result<()> {
         self.ensure_name_free(&pop.name, Kind::Population)?;
+        reject_weight_attribute("population", &pop.name, &pop.schema)?;
         if pop.global {
             if let Some(gp) = &self.global_population {
                 return Err(MosaicError::Catalog(format!(
@@ -214,6 +228,7 @@ impl Catalog {
     /// Register a sample over an existing population.
     pub fn create_sample(&mut self, sample: Sample) -> Result<()> {
         self.ensure_name_free(&sample.name, Kind::Sample)?;
+        reject_weight_attribute("sample", &sample.name, sample.data.schema())?;
         if self.population(&sample.population).is_none() {
             return Err(MosaicError::Catalog(format!(
                 "unknown population {} for sample {}",
@@ -500,6 +515,26 @@ mod tests {
         c.create_population(pop("GP", true)).unwrap();
         c.create_population(pop("P", false)).unwrap();
         assert!(c.population("p").is_some());
+    }
+
+    #[test]
+    fn weight_is_reserved_on_populations_and_samples() {
+        let engine = std::sync::Arc::new(crate::MosaicEngine::new());
+        let s = engine.session();
+        let reserved = |sql: &str| {
+            let err = s.execute(sql).unwrap_err();
+            assert!(matches!(err, MosaicError::Catalog(_)), "{sql}: {err}");
+            assert!(
+                err.to_string().contains("`weight` is the reserved column"),
+                "{err}"
+            );
+        };
+        reserved("CREATE GLOBAL POPULATION P (city TEXT, weight FLOAT)");
+        reserved("CREATE GLOBAL POPULATION P (city TEXT, WEIGHT FLOAT)");
+        s.execute("CREATE GLOBAL POPULATION P (city TEXT)").unwrap();
+        reserved("CREATE POPULATION Q (city TEXT, Weight FLOAT) AS (SELECT * FROM P)");
+        reserved("CREATE SAMPLE S (city TEXT, weight FLOAT) AS (SELECT * FROM P)");
+        assert!(engine.catalog().sample("S").is_none());
     }
 
     #[test]

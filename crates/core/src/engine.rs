@@ -31,7 +31,10 @@ use crate::eval::eval_scalar;
 use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
 use crate::plan::{ExecContext, PhysicalPlan, PlanInput, PostJoin};
-use crate::session::{population_deps, BoundRel, Prepared, RelKind, Resolved, Session, Source};
+use crate::session::{population_deps, Prepared, RelKind, Session, Source};
+use crate::source::{
+    combined_weight, mechanism_note, read_side, How, Metadata, PopulationRead, Read,
+};
 use crate::{Knobs, MosaicError, Result};
 
 /// Which generative model answers OPEN queries.
@@ -150,12 +153,6 @@ impl EngineOptions {
     /// Set the IPF convergence settings.
     pub fn with_ipf(mut self, ipf: IpfConfig) -> Self {
         self.ipf = ipf;
-        self
-    }
-
-    /// Register a binner for a continuous attribute.
-    pub fn with_binner(mut self, attr: &str, binner: Binner) -> Self {
-        self.binners.insert(attr.to_ascii_lowercase(), binner);
         self
     }
 
@@ -676,10 +673,11 @@ impl MosaicEngine {
 
     // ---- SELECT dispatch ----
 
-    /// Execute a bound statement: dispatch on the source the binder
-    /// recorded and run its stored plan. Each recorded relation is looked
-    /// up by name *and kind*; one that is gone or changed kind since the
-    /// bind is the stale-statement error.
+    /// Execute a bound statement: decide how each recorded FROM side is
+    /// read ([`read_side`]), materialize every side but a generated one,
+    /// and run the stored plan once — one side as a table with its row
+    /// weights, two as a join — or, when OPEN generates a population
+    /// side, once per replicate through the replicate driver.
     pub(crate) fn select(
         &self,
         cat: &Catalog,
@@ -690,170 +688,106 @@ impl MosaicEngine {
     ) -> Result<QueryResult> {
         let plan = &bound.planned().physical;
         let ctx = ExecContext::new(params, k.threads, k.partitions);
-        let weights = None; // a table or sample scans as-is
-        let mut notes = Vec::new();
-        let table = match bound.source() {
+        let rels = match bound.source() {
             Source::Scalar => {
-                let one_row = Table::new(
+                let table = &Table::new(
                     Schema::new(vec![Field::new("dummy", DataType::Int)]),
                     vec![Column::from_i64(vec![0])],
                 )?;
-                let table = &one_row;
-                plan.run(PlanInput::Table { table, weights }, &ctx)?
+                let weights = None;
+                let table = plan.run(PlanInput::Table { table, weights }, &ctx)?;
+                return Ok(QueryResult {
+                    table,
+                    visibility: None,
+                    notes: Vec::new(),
+                });
             }
-            Source::Single(rel) => match rel.resolve(cat)? {
-                Resolved::Population(pop) => {
-                    return self.query_population(cat, opts, k, bound, params, pop)
-                }
-                side => {
-                    let table = &side_table(cat, opts, &side, None, &mut notes)?;
-                    plan.run(PlanInput::Table { table, weights }, &ctx)?
-                }
-            },
-            Source::Join(rels) => return self.select_join(cat, opts, k, bound, params, rels),
+            Source::Single(rel) => std::slice::from_ref(rel),
+            Source::Join(rels) => rels.as_slice(),
         };
-        Ok(QueryResult {
-            table,
-            visibility: None,
-            notes,
-        })
-    }
-
-    /// A two-relation join: materialize every side — population sides
-    /// through their visibility pipeline — and run the hash-join plan. A
-    /// population side under OPEN is generated per replicate instead,
-    /// and the replicate driver runs the whole joined plan.
-    fn select_join(
-        &self,
-        cat: &Catalog,
-        opts: &EngineOptions,
-        k: &Knobs,
-        bound: &Prepared,
-        params: &[Value],
-        rels: &[BoundRel],
-    ) -> Result<QueryResult> {
-        let vis = bound.visibility();
+        let visibility = bound.visibility();
+        let sides = rels
+            .iter()
+            .map(|rel| read_side(cat, rel, visibility))
+            .collect::<Result<Vec<_>>>()?;
+        let joined = sides.len() > 1;
+        let (marginals, combined) = combined_weight(&sides).unzip();
         let mut notes = Vec::new();
-        let sides: Vec<Resolved<'_>> =
-            rels.iter().map(|r| r.resolve(cat)).collect::<Result<_>>()?;
-        // An OPEN population side is generated per replicate, not
-        // materialized once (the binder guarantees at most one).
-        let open_idx = (vis == Some(Visibility::Open))
-            .then(|| rels.iter().position(|r| r.kind == RelKind::Population))
-            .flatten();
-        let mut tables: Vec<Option<Table>> = Vec::with_capacity(sides.len());
-        for (i, side) in sides.iter().enumerate() {
-            tables.push(if Some(i) == open_idx {
-                None
-            } else {
-                Some(side_table(cat, opts, side, vis, &mut notes)?)
-            });
-        }
-        let from = bound
-            .stmt()
-            .from
-            .as_ref()
-            .expect("join statements have FROM");
-        let join_sym = match from.joins[0].kind {
-            mosaic_sql::JoinKind::Inner => "⋈",
-            mosaic_sql::JoinKind::LeftOuter => "⟕",
-        };
-        notes.push(format!(
-            "hash equi-join of {} {} {}",
-            rels[0].name, join_sym, rels[1].name
-        ));
-        // When both sides of a reweighted (SEMI-OPEN/OPEN) join carry
-        // correction weights, the combined weight is their product —
-        // an independence assumption — raked by IPF against every
-        // declared marginal that projects onto the joined schema.
-        let reweighted = vis.is_some_and(|v| v != Visibility::Closed);
-        let mut recal_marginals: Vec<Marginal> = Vec::new();
-        if reweighted && rels.iter().all(|r| r.weighted(vis)) {
-            let mut srcs: Vec<&str> = Vec::new();
-            for side in &sides {
-                let pop_name = match side {
-                    Resolved::Sample(s) => s.population.as_str(),
-                    Resolved::Population(pop) => pop.name.as_str(),
-                    Resolved::Aux(_) => continue,
-                };
-                let metas = cat.metadata_for(pop_name);
-                if !metas.is_empty() && !srcs.contains(&pop_name) {
-                    srcs.push(pop_name);
-                }
-                for m in metas {
-                    if !recal_marginals.contains(&m.marginal) {
-                        recal_marginals.push(m.marginal.clone());
-                    }
+        let mut inputs: Vec<Option<Input>> = Vec::with_capacity(sides.len());
+        let mut generated = None;
+        for side in sides {
+            match side_input(opts, side.read, joined, &mut notes)? {
+                SideInput::Fixed(input) => inputs.push(Some(input)),
+                SideInput::Generated(side, meta) => {
+                    generated = Some((side, meta));
+                    inputs.push(None);
                 }
             }
-            notes.push(if recal_marginals.is_empty() {
-                "combined weight = product of per-side weights (independence \
-                 assumption; no declared marginals to re-calibrate against)"
-                    .into()
-            } else {
-                format!(
-                    "combined weight = product of per-side weights, IPF re-calibrated \
-                     against {} declared marginal(s) of {}",
-                    recal_marginals.len(),
-                    srcs.join(", ")
-                )
-            });
         }
-        // One fit per execution of the joined plan (per replicate under
-        // OPEN); their reports become one note after the run.
+        if joined {
+            let from = bound
+                .stmt()
+                .from
+                .as_ref()
+                .expect("join statements have FROM");
+            let sym = match from.joins[0].kind {
+                mosaic_sql::JoinKind::Inner => "⋈",
+                mosaic_sql::JoinKind::LeftOuter => "⟕",
+            };
+            let (left, right) = (&rels[0].name, &rels[1].name);
+            notes.push(format!("hash equi-join of {left} {sym} {right}"));
+        }
+        if let Some(combined) = combined {
+            notes.push(format!("combined weight = {combined}"));
+        }
+        // One re-calibration fit per execution of the joined plan (per
+        // replicate under OPEN); their reports become one note after the
+        // run.
         let recal_fits: Mutex<Vec<(usize, IpfReport)>> = Mutex::new(Vec::new());
+        let marginals = marginals.unwrap_or_default();
         let recalibrate = |joined: Table| {
-            let fit =
-                recalibrate_joined_weights(&joined, &recal_marginals, &opts.binners, &opts.ipf)?;
+            let fit = recalibrate_joined_weights(&joined, &marginals, &opts.binners, &opts.ipf)?;
             Ok(fit.map(|(weight, applied, report)| {
                 recal_fits.lock().push((applied, report));
                 weight
             }))
         };
-        let post_join: Option<&PostJoin<'_>> = if recal_marginals.is_empty() {
+        let post_join: Option<&PostJoin<'_>> = if marginals.is_empty() {
             None
         } else {
             Some(&recalibrate)
         };
-        let run_join = |plan: &PhysicalPlan, left: &Table, right: &Table, ctx: &ExecContext<'_>| {
-            let input = PlanInput::Join {
-                left,
-                right,
-                post_join,
-            };
-            plan.run(input, ctx)
-        };
-        let table = match open_idx {
-            None => {
-                let (left, right) = (&tables[0], &tables[1]);
-                run_join(
-                    &bound.planned().physical,
-                    left.as_ref().expect("fixed side"),
-                    right.as_ref().expect("fixed side"),
-                    &ExecContext::new(params, k.threads, k.partitions),
-                )?
+        let run = |plan: &PhysicalPlan, inputs: &[&Input], ctx: &ExecContext<'_>| match *inputs {
+            [(table, weights)] => {
+                let weights = weights.as_deref();
+                plan.run(PlanInput::Table { table, weights }, ctx)
             }
-            Some(pi) => {
-                let Resolved::Population(pop) = &sides[pi] else {
-                    unreachable!("open_idx points at a population side");
-                };
-                let (sample, view) = choose_sample(cat, pop)?;
-                let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
-                let fixed = tables[1 - pi].as_ref().expect("other side fixed");
-                // One replicate: expose the generated side's uniform
-                // weight as its `weight` column and run the joined plan.
+            [(left, _), (right, _)] => plan.run(
+                PlanInput::Join {
+                    left,
+                    right,
+                    post_join,
+                },
+                ctx,
+            ),
+            _ => unreachable!("a FROM clause reads one or two relations"),
+        };
+        let table = match generated {
+            None => run(plan, &inputs.iter().flatten().collect::<Vec<_>>(), &ctx)?,
+            Some((side, meta)) => {
+                let om = self.open_model(cat, opts, side, meta, &mut notes)?;
+                // One replicate: the generated rows, each carrying the
+                // replicate's uniform weight, in place of the side.
                 let answer =
-                    |plan: &PhysicalPlan, generated: &Table, weight: f64, ctx: &ExecContext<'_>| {
-                        let weights = vec![weight; generated.num_rows()];
-                        let gen = table_with_weight_column(generated, &weights)?;
-                        let (left, right) = if pi == 0 {
-                            (&gen, fixed)
-                        } else {
-                            (fixed, &gen)
-                        };
-                        run_join(plan, left, right, ctx)
+                    |plan: &PhysicalPlan, rows: Table, weight: f64, ctx: &ExecContext<'_>| {
+                        let weights = vec![weight; rows.num_rows()];
+                        let gen = input(rows, weights, joined)?;
+                        let inputs: Vec<&Input> =
+                            inputs.iter().map(|i| i.as_ref().unwrap_or(&gen)).collect();
+                        run(plan, &inputs, ctx)
                     };
-                open_answer(k, bound, params, &om, "join", &mut notes, answer)?
+                let what = if joined { "join" } else { "query" };
+                open_answer(k, bound, params, &om, what, &mut notes, answer)?
             }
         };
         let fits = std::mem::take(&mut *recal_fits.lock());
@@ -877,103 +811,33 @@ impl MosaicEngine {
         }
         Ok(QueryResult {
             table,
-            visibility: vis,
+            visibility,
             notes,
         })
     }
 
-    // ---- population queries (paper §4) ----
-
-    fn query_population(
-        &self,
-        cat: &Catalog,
-        opts: &EngineOptions,
-        k: &Knobs,
-        bound: &Prepared,
-        params: &[Value],
-        pop: &Population,
-    ) -> Result<QueryResult> {
-        let visibility = bound
-            .visibility()
-            .expect("the binder bakes a population statement's visibility in");
-        let (sample, view) = choose_sample(cat, pop)?;
-        let mut notes = vec![format!(
-            "population {} via sample {} ({} rows), visibility {}",
-            pop.name,
-            sample.name,
-            sample.len(),
-            visibility
-        )];
-        // The three visibilities differ only in the input they hand the
-        // plan: a table, a table with correction weights, a generated
-        // replicate with its uniform weight.
-        let plan = &bound.planned().physical;
-        let ctx = ExecContext::new(params, k.threads, k.partitions);
-        let table = match visibility {
-            Visibility::Closed => {
-                // LAV-style: samples used as-is, no debiasing.
-                let table = &apply_view(&sample.data, view)?;
-                let weights = None;
-                plan.run(PlanInput::Table { table, weights }, &ctx)?
-            }
-            Visibility::SemiOpen => {
-                let (data, weights) = semi_open_weights(cat, opts, pop, sample, view, &mut notes)?;
-                let (table, weights) = (&data, Some(weights.as_slice()));
-                plan.run(PlanInput::Table { table, weights }, &ctx)?
-            }
-            Visibility::Open => {
-                let om = self.open_model(cat, opts, pop, sample, view, &mut notes)?;
-                // One replicate: answer the query over the generated
-                // sample, uniformly reweighted to the population size.
-                let answer =
-                    |plan: &PhysicalPlan, generated: &Table, weight: f64, ctx: &ExecContext<'_>| {
-                        let weights = vec![weight; generated.num_rows()];
-                        let (table, weights) = (generated, Some(weights.as_slice()));
-                        plan.run(PlanInput::Table { table, weights }, ctx)
-                    };
-                open_answer(k, bound, params, &om, "query", &mut notes, answer)?
-            }
-        };
-        Ok(QueryResult {
-            table,
-            visibility: Some(visibility),
-            notes,
-        })
-    }
-
-    /// Resolve metadata, choose training data, and fit (or fetch from
-    /// the cache) the generative model for one OPEN population — shared
-    /// by single-population OPEN answers and the OPEN side of an
-    /// open-world join. A cached model is valid while the population's
-    /// dependency epochs are unchanged — the rule plans and results are
-    /// validated by — so writes to unrelated relations never refit.
+    /// Choose training data and fit (or fetch from the cache) the
+    /// generative model for one generated population side — a
+    /// single-population OPEN answer or the OPEN side of an open-world
+    /// join. A cached model is valid while the population's dependency
+    /// epochs are unchanged — the rule plans and results are validated
+    /// by — so writes to unrelated relations never refit.
     fn open_model(
         &self,
         cat: &Catalog,
         opts: &EngineOptions,
-        pop: &Population,
-        sample: &Sample,
-        view: Option<&Expr>,
+        side: PopulationRead<'_>,
+        meta: Metadata<'_>,
         notes: &mut Vec<String>,
     ) -> Result<OpenModel> {
-        // Metadata: prefer the query population's, else the GP's.
-        let own = cat.metadata_for(&pop.name);
-        let (metas, meta_is_gp) = match &pop.source {
-            _ if !own.is_empty() => (own, false),
-            Some((gp, _)) => (cat.metadata_for(gp), true),
-            None => (own, false),
-        };
-        if metas.is_empty() {
-            return Err(MosaicError::Execution(format!(
-                "OPEN query over {} requires population metadata",
-                pop.name
-            )));
-        }
-        let marginals: Vec<Marginal> = metas.iter().map(|m| m.marginal.clone()).collect();
+        let PopulationRead {
+            pop, sample, view, ..
+        } = side;
+        let marginals = meta.marginals();
         // Training data: if the metadata describes the query population,
         // train on the view-filtered sample; if it describes the GP, train
         // on the full sample and filter generated tuples afterwards.
-        let (train_data, train_init) = if meta_is_gp {
+        let (train_data, train_init) = if meta.of_gp {
             (sample.data.clone(), sample.weights.clone())
         } else {
             apply_view_weighted(&sample.data, &sample.weights, view)?
@@ -1036,7 +900,7 @@ impl MosaicEngine {
             .unwrap_or_else(|| train_data.num_rows());
         Ok(OpenModel {
             model,
-            meta_is_gp,
+            meta_is_gp: meta.of_gp,
             view: view.cloned(),
             pop_size,
             per_sample,
@@ -1057,10 +921,9 @@ fn reject_params(stmt: &SelectStmt) -> Result<()> {
 }
 
 /// OPEN answering (paper §4.2, §5.3 protocol) over a fitted model — the
-/// one replicate driver, shared by single-population OPEN queries and
-/// OPEN joins, which differ only in `answer`: "run `plan` over this
-/// generated sample, whose rows each carry this uniform weight, under
-/// this context".
+/// one replicate driver. `answer` runs `plan` over one generated sample,
+/// whose rows each carry the given uniform weight, under the given
+/// context.
 ///
 /// A non-aggregate statement is answered from one generated sample (a
 /// representative population). An aggregate statement answers its
@@ -1074,7 +937,7 @@ fn open_answer(
     om: &OpenModel,
     what: &str,
     notes: &mut Vec<String>,
-    answer: impl Fn(&PhysicalPlan, &Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
+    answer: impl Fn(&PhysicalPlan, Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
 ) -> Result<Table> {
     let generate = |run: usize| om.generate(open_run_seed(k.seed.unwrap_or(0), run));
     // The engine owns one thread budget: when several replicates run
@@ -1092,7 +955,7 @@ fn open_answer(
         ));
         return answer(
             &bound.planned().physical,
-            &generated,
+            generated,
             weight,
             &ctx(parallelism),
         );
@@ -1107,7 +970,7 @@ fn open_answer(
     let inner_threads = if workers > 1 { 1 } else { parallelism };
     let per_run: Vec<Table> = crate::plan::parallel::run_ordered(runs, workers, |run| {
         let (generated, weight) = generate(run)?;
-        answer(inner_plan, &generated, weight, &ctx(inner_threads))
+        answer(inner_plan, generated, weight, &ctx(inner_threads))
     })
     .into_iter()
     .collect::<Result<_>>()?;
@@ -1283,212 +1146,134 @@ pub(crate) fn unknown_relation(cat: &Catalog, name: &str) -> MosaicError {
     }
 }
 
-/// Materialize one resolved relation's table (every side but the OPEN
-/// one, which the replicate driver generates per run). Samples expose
-/// the engine-managed weights as the `weight` column; SEMI-OPEN
-/// population sides run the full §4.1 reweighting pipeline and expose
-/// the correction weights the same way.
-fn side_table(
-    cat: &Catalog,
+/// One side's plan input: its rows and, on a weighted population side
+/// of a single-relation statement, their correction weights.
+type Input = (Table, Option<Vec<f64>>);
+
+/// Rows with correction weights as a plan input: a join reads every
+/// side's weights as its `weight` column instead.
+fn input(table: Table, weights: Vec<f64>, joined: bool) -> Result<Input> {
+    if joined {
+        Ok((table_with_weight_column(&table, &weights)?, None))
+    } else {
+        Ok((table, Some(weights)))
+    }
+}
+
+/// A side carried out for the plan, or handed to the replicate driver
+/// with the metadata its model fits against.
+enum SideInput<'c> {
+    Fixed(Input),
+    Generated(PopulationRead<'c>, Metadata<'c>),
+}
+
+/// Carry out one side's read: an auxiliary table as-is, a raw sample
+/// with its weights as the `weight` column, a population's chosen sample
+/// view-filtered and debiased as [`read_side`] decided (paper §4.1). A
+/// debiasing path that cannot run is the statement's error.
+fn side_input<'c>(
     opts: &EngineOptions,
-    side: &Resolved<'_>,
-    vis: Option<Visibility>,
+    read: Read<'c>,
+    joined: bool,
     notes: &mut Vec<String>,
-) -> Result<Table> {
-    match side {
-        Resolved::Aux(t) => Ok((*t).clone()),
-        Resolved::Sample(s) => {
+) -> Result<SideInput<'c>> {
+    let (side, how) = match read {
+        Read::Aux(t) => return Ok(SideInput::Fixed((t.clone(), None))),
+        Read::Sample(s) => {
             notes.push(format!(
                 "raw sample scan of {} (weights exposed as column `weight`)",
                 s.name
             ));
-            table_with_weight_column(&s.data, &s.weights)
+            let table = table_with_weight_column(&s.data, &s.weights)?;
+            return Ok(SideInput::Fixed((table, None)));
         }
-        Resolved::Population(pop) => {
-            let (sample, view) = choose_sample(cat, pop)?;
-            let vis = vis.expect("population sides carry a visibility");
-            notes.push(format!(
-                "population {} via sample {} ({} rows), {vis} side",
-                pop.name,
-                sample.name,
-                sample.len()
-            ));
-            match vis {
-                Visibility::Closed => apply_view(&sample.data, view),
-                Visibility::SemiOpen => {
-                    let (data, weights) = semi_open_weights(cat, opts, pop, sample, view, notes)?;
-                    table_with_weight_column(&data, &weights)
-                }
-                Visibility::Open => unreachable!("OPEN sides generate per replicate"),
-            }
-        }
-    }
-}
-
-/// Pick "a single, optimal sample" (paper §4 assumption 2): prefer
-/// samples declared on the query population, falling back to the GP's
-/// samples (with the population's defining predicate as a view);
-/// largest sample wins.
-pub(crate) fn choose_sample<'c>(
-    cat: &'c Catalog,
-    pop: &'c Population,
-) -> Result<(&'c Sample, Option<&'c Expr>)> {
-    let largest = |population: &str| {
-        cat.samples_for(population)
-            .into_iter()
-            .max_by_key(|s| s.len())
-            .filter(|s| !s.is_empty())
+        Read::Population(side, how) => (side, how?),
     };
-    if let Some(best) = largest(&pop.name) {
-        return Ok((best, None));
+    let PopulationRead {
+        pop,
+        sample,
+        view,
+        vis,
+    } = side;
+    // A joined OPEN side is generated per replicate, unannounced.
+    if !joined || !matches!(how, How::Generate(_)) {
+        let what = match joined {
+            true => format!("{vis} side"),
+            false => format!("visibility {vis}"),
+        };
+        let (name, rows) = (&sample.name, sample.len());
+        notes.push(format!(
+            "population {} via sample {name} ({rows} rows), {what}",
+            pop.name
+        ));
     }
-    if let Some((gp, pred)) = &pop.source {
-        if let Some(best) = largest(gp) {
-            return Ok((best, pred.as_ref()));
+    let (table, weights) = match how {
+        How::AsIs => return Ok(SideInput::Fixed((apply_view(&sample.data, view)?, None))),
+        How::Mechanism(mechanism, strata) => {
+            notes.push(mechanism_note(mechanism, strata));
+            let weights = inverse_probability_weights(mechanism, strata, sample.len());
+            apply_view_weighted(&sample.data, &weights, view)?
         }
-    }
-    Err(MosaicError::Execution(format!(
-        "no non-empty sample available for population {}",
-        pop.name
-    )))
+        How::Ipf(meta) => ipf_weights(opts, sample, view, &meta, notes)?,
+        How::Generate(meta) => return Ok(SideInput::Generated(side, meta)),
+    };
+    Ok(SideInput::Fixed(input(table, weights, joined)?))
 }
 
-/// SEMI-OPEN weighting (paper §4.1): inverse-probability weights when
-/// the mechanism is known, IPF against the metadata otherwise.
-/// Returns the (possibly view-filtered) sample data and its weights.
-fn semi_open_weights(
-    cat: &Catalog,
+/// A known mechanism's weight `1 / Pr_S(t)` for each of the sample's `n`
+/// rows: `N_h/n_h` per stratum when there are strata, else `100/percent`.
+fn inverse_probability_weights(
+    mechanism: &Mechanism,
+    strata: Option<(&Column, &MetadataEntry)>,
+    n: usize,
+) -> Vec<f64> {
+    let Some((column, meta)) = strata else {
+        let (Mechanism::Uniform { percent } | Mechanism::Stratified { percent, .. }) = mechanism;
+        return vec![100.0 / percent; n];
+    };
+    let mut counts: HashMap<Value, f64> = HashMap::new();
+    for v in column.iter() {
+        *counts.entry(v).or_insert(0.0) += 1.0;
+    }
+    (0..n)
+        .map(|row| {
+            let v = column.value(row);
+            let n_h = counts.get(&v).copied().unwrap_or(1.0);
+            let cap_n_h = meta.marginal.get(&[v]).unwrap_or(0.0);
+            if cap_n_h > 0.0 {
+                cap_n_h / n_h
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// IPF weights (paper §4.1). Against the population's own metadata the
+/// view-filtered sample is reweighted directly (the more accurate bottom
+/// path of Fig. 3); against the GP's, the whole sample is reweighted to
+/// the GP and the population read as a view (left path). Returns the
+/// view-filtered sample and its weights.
+fn ipf_weights(
     opts: &EngineOptions,
-    pop: &Population,
     sample: &Sample,
     view: Option<&Expr>,
+    meta: &Metadata<'_>,
     notes: &mut Vec<String>,
 ) -> Result<(Table, Vec<f64>)> {
-    if let Some(mechanism) = &sample.mechanism {
-        // Known mechanism: weight = 1 / Pr_S(t).
-        let weights = mechanism_weights(cat, sample, mechanism, notes)?;
+    let fit = |data: &Table, init: &[f64], notes: &mut Vec<String>| -> Result<Vec<f64>> {
+        let ipf = Ipf::new(data, &meta.marginals(), &opts.binners)?;
+        let (weights, report) = ipf.fit(Some(init), &opts.ipf);
+        notes.push(ipf_note(&meta.describe(), &report));
+        Ok(weights)
+    };
+    if meta.of_gp {
+        let weights = fit(&sample.data, &sample.weights, notes)?;
         return apply_view_weighted(&sample.data, &weights, view);
     }
-    // Unknown mechanism: IPF. Prefer metadata on the query population
-    // (reweight the view directly — the more accurate bottom path of
-    // Fig. 3); otherwise reweight to the GP and treat the population
-    // as a view (left path).
-    let own_meta = cat.metadata_for(&pop.name);
-    if !own_meta.is_empty() {
-        let (data, init) = apply_view_weighted(&sample.data, &sample.weights, view)?;
-        let marginals: Vec<Marginal> = own_meta.iter().map(|m| m.marginal.clone()).collect();
-        let ipf = Ipf::new(&data, &marginals, &opts.binners)?;
-        let (weights, report) = ipf.fit(Some(&init), &opts.ipf);
-        notes.push(ipf_note(
-            &format!("{} marginal(s) of {}", marginals.len(), pop.name),
-            &report,
-        ));
-        return Ok((data, weights));
-    }
-    if let Some((gp, _)) = &pop.source {
-        let gp_meta = cat.metadata_for(gp);
-        if !gp_meta.is_empty() {
-            let marginals: Vec<Marginal> = gp_meta.iter().map(|m| m.marginal.clone()).collect();
-            let ipf = Ipf::new(&sample.data, &marginals, &opts.binners)?;
-            let (weights, report) = ipf.fit(Some(&sample.weights), &opts.ipf);
-            notes.push(ipf_note(
-                &format!("{} marginal(s) of GP {gp}", marginals.len()),
-                &report,
-            ));
-            return apply_view_weighted(&sample.data, &weights, view);
-        }
-    }
-    Err(MosaicError::Execution(format!(
-        "SEMI-OPEN query over {} needs either a known sampling mechanism or population metadata (CREATE METADATA …)",
-        pop.name
-    )))
-}
-
-fn mechanism_weights(
-    cat: &Catalog,
-    sample: &Sample,
-    mechanism: &Mechanism,
-    notes: &mut Vec<String>,
-) -> Result<Vec<f64>> {
-    let n = sample.len();
-    match mechanism {
-        Mechanism::Uniform { percent } => {
-            let w = 100.0 / percent;
-            notes.push(format!(
-                "known UNIFORM mechanism: inverse-probability weight {w:.3}"
-            ));
-            Ok(vec![w; n])
-        }
-        Mechanism::Stratified { attr, percent } => {
-            // Use a 1-D marginal over the stratification attribute to
-            // compute N_h / n_h; fall back to 100/percent.
-            let meta = cat
-                .metadata_for(&sample.population)
-                .into_iter()
-                .find(|m| m.marginal.dim() == 1 && m.marginal.covers(attr));
-            let col = sample.data.column_by_name(attr)?;
-            match meta {
-                Some(m) => {
-                    let mut counts: HashMap<Value, f64> = HashMap::new();
-                    for v in col.iter() {
-                        *counts.entry(v).or_insert(0.0) += 1.0;
-                    }
-                    let mut weights = Vec::with_capacity(n);
-                    for row in 0..n {
-                        let v = col.value(row);
-                        let n_h = counts.get(&v).copied().unwrap_or(1.0);
-                        let cap_n_h = m.marginal.get(&[v]).unwrap_or(0.0);
-                        weights.push(if cap_n_h > 0.0 { cap_n_h / n_h } else { 0.0 });
-                    }
-                    notes.push(format!(
-                        "known STRATIFIED mechanism on {attr}: per-stratum N_h/n_h from metadata {}",
-                        m.name
-                    ));
-                    Ok(weights)
-                }
-                None => {
-                    let w = 100.0 / percent;
-                    notes.push(format!(
-                        "known STRATIFIED mechanism on {attr} but no marginal over it; falling back to uniform weight {w:.3}"
-                    ));
-                    Ok(vec![w; n])
-                }
-            }
-        }
-    }
-}
-
-/// EXPLAIN needs the same mechanism-vs-IPF decision the SEMI-OPEN
-/// pipeline makes; expose a description of it without computing weights.
-pub(crate) fn describe_semi_open(cat: &Catalog, pop: &Population, sample: &Sample) -> String {
-    if let Some(mechanism) = &sample.mechanism {
-        return match mechanism {
-            Mechanism::Uniform { percent } => {
-                format!("inverse-probability weights (known UNIFORM mechanism, {percent}%)")
-            }
-            Mechanism::Stratified { attr, percent } => format!(
-                "inverse-probability weights (known STRATIFIED mechanism on {attr}, {percent}%)"
-            ),
-        };
-    }
-    let own_meta = cat.metadata_for(&pop.name);
-    if !own_meta.is_empty() {
-        return format!(
-            "IPF reweighting against {} marginal(s) of {}",
-            own_meta.len(),
-            pop.name
-        );
-    }
-    if let Some((gp, _)) = &pop.source {
-        let gp_meta = cat.metadata_for(gp);
-        if !gp_meta.is_empty() {
-            return format!(
-                "IPF reweighting against {} marginal(s) of GP {gp}",
-                gp_meta.len()
-            );
-        }
-    }
-    "no known mechanism or metadata — execution would fail".into()
+    let (data, init) = apply_view_weighted(&sample.data, &sample.weights, view)?;
+    let weights = fit(&data, &init, notes)?;
+    Ok((data, weights))
 }
 
 /// Whether this session's statements read and fill the shared result
@@ -1689,21 +1474,14 @@ fn apply_view_weighted(
 /// and optimize against this, so projection pruning can never drop the
 /// weight column a query references.
 pub(crate) fn sample_scan_schema(sample: &Sample) -> Arc<Schema> {
-    let schema = sample.data.schema();
-    if schema.contains("weight") {
-        return Arc::clone(schema);
-    }
-    let mut fields = schema.fields().to_vec();
+    let mut fields = sample.data.schema().fields().to_vec();
     fields.push(Field::new("weight", DataType::Float));
     Schema::new(fields)
 }
 
-/// Append the engine-managed weight vector as a `weight` column (raw
-/// sample scans).
+/// Append a weight vector as the `weight` column (the catalog reserves
+/// that name on populations and samples, so it is always free).
 fn table_with_weight_column(data: &Table, weights: &[f64]) -> Result<Table> {
-    if data.schema().contains("weight") {
-        return Ok(data.clone());
-    }
     let mut fields = data.schema().fields().to_vec();
     fields.push(Field::new("weight", DataType::Float));
     let mut columns = data.columns().to_vec();

@@ -5,24 +5,24 @@
 //! of a one-column result table.
 //!
 //! EXPLAIN renders the same [`Prepared`] binding execution runs: it
-//! prints the stored plan layers and resolves the recorded relations
-//! against the live catalog the way dispatch does (the population's
-//! sample, the mechanism-vs-IPF decision, row counts, encodings) — so
-//! it cannot describe a plan execution would not run — but executes
+//! prints the stored plan layers, and for each FROM side the read
+//! decision execution carries out ([`read_side`]: the population's
+//! sample, its debiasing path, or the error execution would raise) — so
+//! it cannot describe a read execution would not do — but executes
 //! nothing.
 
 use mosaic_sql::{JoinKind, Visibility};
 use mosaic_storage::Table;
 
-use crate::catalog::{Catalog, Population};
+use crate::catalog::{Catalog, Mechanism};
 use crate::engine::{
-    choose_sample, describe_semi_open, fingerprint_of, result_cache_ineligibility, result_cache_on,
-    EngineOptions, MosaicEngine,
+    fingerprint_of, result_cache_ineligibility, result_cache_on, EngineOptions, MosaicEngine,
 };
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::parallel::MORSEL_ROWS;
 use crate::plan::{has_aggregate_shape, join, Planned};
-use crate::session::{BoundRel, Prepared, RelKind, Resolved, Source};
+use crate::session::{BoundRel, Prepared, RelKind, Source};
+use crate::source::{combined_weight, mechanism_note, read_side, How, PopulationRead, Read};
 use crate::{Knobs, Result};
 
 /// Render the EXPLAIN lines for one bound SELECT: the plan layers, then
@@ -41,10 +41,24 @@ pub(crate) fn render(
             lines.push("SELECT (scalar, no FROM)".to_string());
             push_plan(&mut lines, bound.planned(), k, "<one row>", 1);
         }
-        Source::Single(rel) => match rel.resolve(cat)? {
-            Resolved::Population(pop) => render_population(&mut lines, cat, opts, k, bound, pop)?,
-            Resolved::Aux(t) => render_scan(&mut lines, k, bound, rel, t),
-            Resolved::Sample(s) => render_scan(&mut lines, k, bound, rel, &s.data),
+        Source::Single(rel) => match read_side(cat, rel, bound.visibility())?.read {
+            Read::Aux(t) => render_scan(&mut lines, k, bound, rel, t),
+            Read::Sample(s) => render_scan(&mut lines, k, bound, rel, &s.data),
+            Read::Population(p, how) => {
+                let sample = p.sample;
+                lines.push(format!("SELECT {} FROM population {}", p.vis, p.pop.name));
+                lines.push(format!(
+                    "  source: sample {} ({} rows{})",
+                    sample.name,
+                    sample.len(),
+                    match p.view {
+                        Some(pred) => format!(", view filter: {}", pred.default_name()),
+                        None => String::new(),
+                    }
+                ));
+                push_read(&mut lines, &p, &how, false, opts, k, bound);
+                push_plan(&mut lines, bound.planned(), k, &sample.name, sample.len());
+            }
         },
         Source::Join(rels) => render_join(&mut lines, cat, opts, k, bound, rels)?,
     }
@@ -83,61 +97,60 @@ fn push_cache_lines(
     lines.push(format!("  result cache: {verdict}"));
 }
 
-/// The combine-protocol line of an aggregate OPEN statement.
-fn push_open_combine(lines: &mut Vec<String>, bound: &Prepared) {
-    if bound.inner_plan().is_some() {
+/// The line saying how one population side is read — the path
+/// execution takes, or the error it would raise — plus, for a generated
+/// side of an aggregate statement, the replicate-combine line. In a join
+/// the line names its side.
+fn push_read(
+    lines: &mut Vec<String>,
+    p: &PopulationRead<'_>,
+    how: &Result<How<'_>>,
+    joined: bool,
+    opts: &EngineOptions,
+    k: &Knobs,
+    bound: &Prepared,
+) {
+    let pop = &p.pop.name;
+    let side = if joined {
+        format!("{pop}: ")
+    } else {
+        String::new()
+    };
+    let runs = opts.open.num_generated.max(1);
+    let (backend, seed) = (opts.open.backend.id(), k.seed.unwrap_or(0));
+    let model = format!("backend {backend}, seed {seed}");
+    let how_text = match how {
+        Err(e) => format!("{side}execution would fail: {e}"),
+        Ok(How::AsIs) if joined => {
+            format!("{pop} scans raw sample {}, no reweighting", p.sample.name)
+        }
+        Ok(How::AsIs) => "raw sample scan, no reweighting".to_string(),
+        Ok(How::Mechanism(mechanism, strata)) => {
+            let known = match (mechanism, strata) {
+                (Mechanism::Uniform { percent }, _) => {
+                    format!("known UNIFORM mechanism, {percent}%")
+                }
+                (Mechanism::Stratified { attr, percent }, Some(_)) => {
+                    format!("known STRATIFIED mechanism on {attr}, {percent}%")
+                }
+                (_, None) => mechanism_note(mechanism, None),
+            };
+            format!("{side}inverse-probability weights ({known})")
+        }
+        Ok(How::Ipf(meta)) => format!("{side}IPF reweighting against {}", meta.describe()),
+        Ok(How::Generate(_)) if joined => {
+            format!("{pop} side generated per replicate: {runs} replicate(s), {model}")
+        }
+        Ok(How::Generate(_)) => format!("{runs} generative replicate(s), {model}"),
+    };
+    lines.push(format!("  visibility: {} — {how_text}", p.vis));
+    if matches!(how, Ok(How::Generate(_))) && bound.inner_plan().is_some() {
         lines.push(
             "  combine: keep groups present in every replicate, average \
              aggregates; ORDER BY / LIMIT applied after combining"
                 .to_string(),
         );
     }
-}
-
-/// Render a population statement: the chosen sample, the visibility
-/// pipeline, and the plan layers.
-fn render_population(
-    lines: &mut Vec<String>,
-    cat: &Catalog,
-    opts: &EngineOptions,
-    k: &Knobs,
-    bound: &Prepared,
-    pop: &Population,
-) -> Result<()> {
-    let vis = bound
-        .visibility()
-        .expect("the binder bakes a population statement's visibility in");
-    let (sample, view) = choose_sample(cat, pop)?;
-    lines.push(format!("SELECT {vis} FROM population {}", pop.name));
-    lines.push(format!(
-        "  source: sample {} ({} rows{})",
-        sample.name,
-        sample.len(),
-        match view {
-            Some(pred) => format!(", view filter: {}", pred.default_name()),
-            None => String::new(),
-        }
-    ));
-    match vis {
-        Visibility::Closed => {
-            lines.push("  visibility: CLOSED — raw sample scan, no reweighting".to_string())
-        }
-        Visibility::SemiOpen => lines.push(format!(
-            "  visibility: SEMI-OPEN — {}",
-            describe_semi_open(cat, pop, sample)
-        )),
-        Visibility::Open => {
-            lines.push(format!(
-                "  visibility: OPEN — {} generative replicate(s), backend {}, seed {}",
-                opts.open.num_generated.max(1),
-                opts.open.backend.id(),
-                k.seed.unwrap_or(0)
-            ));
-            push_open_combine(lines, bound);
-        }
-    }
-    push_plan(lines, bound.planned(), k, &sample.name, sample.len());
-    Ok(())
 }
 
 /// Render a table or raw-sample scan: the relation headline, the plan
@@ -227,17 +240,16 @@ fn render_join(
     ));
     // Each side's current row count; population sides also name their
     // chosen sample.
+    let sides = rels
+        .iter()
+        .map(|rel| read_side(cat, rel, vis))
+        .collect::<Result<Vec<_>>>()?;
     let mut rows = Vec::with_capacity(rels.len());
-    let mut pop_sides = Vec::new();
-    for (i, rel) in rels.iter().enumerate() {
-        let (n, via) = match rel.resolve(cat)? {
-            Resolved::Aux(t) => (t.num_rows(), String::new()),
-            Resolved::Sample(s) => (s.len(), String::new()),
-            Resolved::Population(pop) => {
-                let (sample, _) = choose_sample(cat, pop)?;
-                pop_sides.push((pop, sample));
-                (sample.len(), format!(", via sample {}", sample.name))
-            }
+    for (i, (rel, side)) in rels.iter().zip(&sides).enumerate() {
+        let (n, via) = match &side.read {
+            Read::Aux(t) => (t.num_rows(), String::new()),
+            Read::Sample(s) => (s.len(), String::new()),
+            Read::Population(p, _) => (p.sample.len(), format!(", via sample {}", p.sample.name)),
         };
         rows.push(n);
         lines.push(format!(
@@ -245,45 +257,20 @@ fn render_join(
             if i == 0 { "left" } else { "right" },
             rel.kind.word(),
             rel.name,
-            if rel.weighted(vis) {
+            if side.weighted {
                 ", weights exposed as column `weight`"
             } else {
                 ""
             },
         ));
     }
-    // Population sides: one line per side describing its visibility
-    // pipeline (the same decisions the engine makes at execution).
-    for (pop, sample) in pop_sides {
-        match vis.expect("population scopes carry a visibility") {
-            Visibility::Closed => lines.push(format!(
-                "  visibility: CLOSED — {} scans raw sample {}, no reweighting",
-                pop.name, sample.name
-            )),
-            Visibility::SemiOpen => lines.push(format!(
-                "  visibility: SEMI-OPEN — {}: {}",
-                pop.name,
-                describe_semi_open(cat, pop, sample)
-            )),
-            Visibility::Open => {
-                lines.push(format!(
-                    "  visibility: OPEN — {} side generated per replicate: {} replicate(s), \
-                     backend {}, seed {}",
-                    pop.name,
-                    opts.open.num_generated.max(1),
-                    opts.open.backend.id(),
-                    k.seed.unwrap_or(0)
-                ));
-                push_open_combine(lines, bound);
-            }
+    for side in &sides {
+        if let Read::Population(p, how) = &side.read {
+            push_read(lines, p, how, true, opts, k, bound);
         }
     }
-    if rels.iter().all(|r| r.weighted(vis)) {
-        lines.push(
-            "  combined weight: product of per-side weights (independence assumption), \
-             IPF re-calibrated against declared marginals that survive into the joined schema"
-                .to_string(),
-        );
+    if let Some((_, combined)) = combined_weight(&sides) {
+        lines.push(format!("  combined weight: {combined}"));
     }
     let (lrows, rrows) = (rows[0], rows[1]);
     // The executor's own gates, applied to the unfiltered row counts.
@@ -623,6 +610,58 @@ mod tests {
         assert!(text.contains("optimizer: off"), "{text}");
         assert!(!text.contains("rules fired"), "{text}");
         assert!(text.contains("Filter(b > 1 + 1)"), "{text}");
+    }
+
+    /// The reads EXPLAIN once described differently from what execution
+    /// does — a STRATIFIED sample without a marginal over its attribute,
+    /// OPEN without metadata, a join of two samples — now print
+    /// execution's own note or error text.
+    #[test]
+    fn explain_states_what_execution_does() {
+        let engine = Arc::new(MosaicEngine::new());
+        let s = engine.session().with_result_cache(false);
+        s.execute(
+            "CREATE GLOBAL POPULATION P (region TEXT, v INT);
+             CREATE SAMPLE SS AS (SELECT * FROM P USING MECHANISM STRATIFIED ON region PERCENT 10);
+             INSERT INTO SS VALUES ('a', 1), ('a', 2), ('b', 3);
+             CREATE POPULATION Q AS (SELECT * FROM P WHERE v > 1);
+             CREATE SAMPLE SQ AS (SELECT * FROM Q);
+             INSERT INTO SQ VALUES ('a', 2), ('b', 3);",
+        )
+        .unwrap();
+        let line = |sql: &str, prefix: &str| {
+            let r = s.execute(&format!("EXPLAIN {sql}")).unwrap();
+            let lines = lines_of(&r);
+            let found = lines.iter().find(|l| l.starts_with(prefix)).cloned();
+            found.unwrap_or_else(|| panic!("no {prefix:?} line: {lines:#?}"))
+        };
+
+        let sql = "SELECT SEMI-OPEN COUNT(*) FROM P";
+        let notes = s.execute(sql).unwrap().notes;
+        let fallback = notes.iter().find(|n| n.contains("falling back")).unwrap();
+        let explained = line(sql, "  visibility:");
+        assert!(
+            explained.contains(fallback.as_str()),
+            "{explained}\n{notes:?}"
+        );
+
+        let sql = "SELECT OPEN COUNT(*) FROM Q";
+        let err = s.execute(sql).unwrap_err();
+        let explained = line(sql, "  visibility:");
+        assert!(
+            explained.ends_with(&format!("execution would fail: {err}")),
+            "{explained}"
+        );
+
+        let sql = "SELECT x.v FROM SS x JOIN SQ y ON x.v = y.v";
+        let notes = s.execute(sql).unwrap().notes;
+        let combined = notes
+            .iter()
+            .find_map(|n| n.strip_prefix("combined weight = "))
+            .unwrap();
+        let explained = line(sql, "  combined weight:");
+        assert_eq!(explained, format!("  combined weight: {combined}"));
+        assert!(!explained.contains("IPF"), "{explained}");
     }
 
     #[test]

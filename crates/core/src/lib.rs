@@ -150,6 +150,7 @@ mod knobs;
 mod models;
 pub mod plan;
 mod session;
+mod source;
 
 pub use cache::CacheStats;
 pub use catalog::{Catalog, Mechanism, MetadataEntry, Population, Sample};

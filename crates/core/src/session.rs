@@ -21,12 +21,11 @@ use mosaic_sql::{FromClause, SelectItem, SelectStmt, Statement, TableRef, Visibi
 use mosaic_storage::{Schema, Table, Value};
 
 use crate::catalog::{Catalog, Population, Sample};
-use crate::engine::{
-    choose_sample, sample_scan_schema, unknown_relation, MosaicEngine, QueryResult,
-};
+use crate::engine::{sample_scan_schema, unknown_relation, MosaicEngine, QueryResult};
 use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
+use crate::source::choose_sample;
 use crate::{Knobs, MosaicError, Result};
 
 /// A client session on a shared [`MosaicEngine`].

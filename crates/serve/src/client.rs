@@ -84,7 +84,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     banner: String,
-    version: u16,
 }
 
 impl Client {
@@ -96,11 +95,9 @@ impl Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
             banner: String::new(),
-            version: 0,
         };
         match client.read_response()? {
-            Response::Hello { version, banner } => {
-                client.version = version;
+            Response::Hello { banner, .. } => {
                 client.banner = banner;
                 Ok(client)
             }
@@ -114,11 +111,6 @@ impl Client {
     /// The server's banner text.
     pub fn banner(&self) -> &str {
         &self.banner
-    }
-
-    /// The server's protocol version.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
     }
 
     /// Execute a `;`-separated SQL script; returns the last SELECT's

@@ -7,17 +7,6 @@ pub fn weighted_count(weights: &[f64]) -> f64 {
     weights.iter().sum()
 }
 
-/// Weighted sum `Σ wᵢ·xᵢ`; `None` entries (NULLs) are skipped along with
-/// their weights.
-pub fn weighted_sum(values: &[Option<f64>], weights: &[f64]) -> f64 {
-    debug_assert_eq!(values.len(), weights.len());
-    values
-        .iter()
-        .zip(weights)
-        .filter_map(|(v, w)| v.map(|x| x * w))
-        .sum()
-}
-
 /// Weighted mean `Σ wx / Σ w` over non-NULL entries; `None` if no mass.
 pub fn weighted_mean(values: &[Option<f64>], weights: &[f64]) -> Option<f64> {
     debug_assert_eq!(values.len(), weights.len());

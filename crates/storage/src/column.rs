@@ -392,19 +392,6 @@ impl Column {
         Column::full(ColumnData::Bool(values), normalize_validity(validity))
     }
 
-    /// String column from raw parts (see [`Column::from_i64_opt`]),
-    /// dictionary-encoded on construction. NULL slots carry whatever
-    /// payload the caller supplied (by convention the empty string), and
-    /// that payload is encoded like any other value — so every code is
-    /// always in bounds for the dictionary.
-    pub fn from_str_opt(values: Vec<String>, validity: Option<Bitmap>) -> Column {
-        let (codes, dict) = Dictionary::encode(values);
-        Column::full(
-            ColumnData::Dict { codes, dict },
-            normalize_validity(validity),
-        )
-    }
-
     /// Dictionary-encoded string column from codes and the dictionary
     /// they index — what a scan that encoded as it went (CSV ingest)
     /// hands over. Every code must be in bounds for `dict`.
@@ -419,12 +406,6 @@ impl Column {
             ColumnData::Dict { codes, dict },
             normalize_validity(validity),
         )
-    }
-
-    /// Plain (non-dictionary) string column from raw parts — the output
-    /// representation of [`ColumnBuilder`] and the row-wise executor.
-    pub fn from_str_plain(values: Vec<String>, validity: Option<Bitmap>) -> Column {
-        Column::full(ColumnData::Str(values), normalize_validity(validity))
     }
 
     /// Total order between two rows of this column (NULLs first, floats

@@ -18,11 +18,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// True for `Int` and `Float`.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
     /// Parse a SQL-ish type name (`INT`, `BIGINT`, `FLOAT`, `DOUBLE`,
     /// `REAL`, `TEXT`, `VARCHAR`, `BOOL`, ...).
     pub fn parse_sql(name: &str) -> Option<DataType> {

@@ -63,14 +63,6 @@ impl Value {
         }
     }
 
-    /// Boolean view of the value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view of the value.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -149,7 +149,7 @@ const ROWS: &[Row] = &[
         explain: &[
             "SELECT SEMI-OPEN FROM population P",
             "  source: sample SS (3 rows)",
-            "  visibility: SEMI-OPEN — inverse-probability weights (known STRATIFIED mechanism on region, 10%)",
+            "  visibility: SEMI-OPEN — inverse-probability weights (known STRATIFIED mechanism on region but no marginal over it; falling back to uniform weight 10.000)",
         ],
         notes: &[
             "population P via sample SS (3 rows), visibility SEMI-OPEN",
@@ -191,7 +191,7 @@ const ROWS: &[Row] = &[
         explain: &[
             "SELECT SEMI-OPEN FROM population Q",
             "  source: sample SQ (2 rows)",
-            "  visibility: SEMI-OPEN — no known mechanism or metadata — execution would fail",
+            "  visibility: SEMI-OPEN — execution would fail: execution error: SEMI-OPEN query over Q needs either a known sampling mechanism or population metadata (CREATE METADATA …)",
         ],
         notes: &[
             "error: execution error: SEMI-OPEN query over Q needs either a known sampling mechanism or population metadata (CREATE METADATA …)",
@@ -220,8 +220,7 @@ const ROWS: &[Row] = &[
         explain: &[
             "SELECT OPEN FROM population Q",
             "  source: sample SQ (2 rows)",
-            "  visibility: OPEN — 10 generative replicate(s), backend bayes-net, seed 7",
-            "  combine: keep groups present in every replicate, average aggregates; ORDER BY / LIMIT applied after combining",
+            "  visibility: OPEN — execution would fail: execution error: OPEN query over Q requires population metadata",
         ],
         notes: &[
             "error: execution error: OPEN query over Q requires population metadata",
@@ -235,7 +234,7 @@ const ROWS: &[Row] = &[
             "SELECT FROM SS AS x INNER JOIN SQ AS y",
             "  left: sample SS (3 rows, weights exposed as column `weight`)",
             "  right: sample SQ (2 rows, weights exposed as column `weight`)",
-            "  combined weight: product of per-side weights (independence assumption), IPF re-calibrated against declared marginals that survive into the joined schema",
+            "  combined weight: product of per-side weights (independence assumption; a join without a SEMI-OPEN or OPEN population is not re-calibrated)",
             "  join: INNER hash equi-join; build = smaller input (SQ, currently); probe = SS, streamed per morsel, already in canonical (left row, right row) order",
             "  join build: 1 radix partition(s) (serial build)",
         ],
@@ -243,6 +242,7 @@ const ROWS: &[Row] = &[
             "raw sample scan of SS (weights exposed as column `weight`)",
             "raw sample scan of SQ (weights exposed as column `weight`)",
             "hash equi-join of SS ⋈ SQ",
+            "combined weight = product of per-side weights (independence assumption; a join without a SEMI-OPEN or OPEN population is not re-calibrated)",
         ],
     },
     Row {
@@ -272,7 +272,7 @@ const ROWS: &[Row] = &[
             "  left: population People (5 rows, via sample SP, weights exposed as column `weight`)",
             "  right: sample SU (2 rows, weights exposed as column `weight`)",
             "  visibility: SEMI-OPEN — People: IPF reweighting against 1 marginal(s) of People",
-            "  combined weight: product of per-side weights (independence assumption), IPF re-calibrated against declared marginals that survive into the joined schema",
+            "  combined weight: product of per-side weights, IPF re-calibrated against 1 declared marginal(s) of People",
             "  join: INNER hash equi-join; build = smaller input (SU, currently); probe = People, streamed per morsel, already in canonical (left row, right row) order",
             "  join build: 1 radix partition(s) (serial build)",
         ],
