@@ -2,9 +2,10 @@
 //! the three-visibility population query pipeline of paper §4.
 //!
 //! Every SELECT reaches the engine as a [`Prepared`] binding
-//! (`session.rs`): [`MosaicEngine::select`] dispatches on the source the
-//! binder recorded and runs the stored plan — the engine never
-//! classifies a FROM clause or plans a statement itself.
+//! (`session.rs`): [`MosaicEngine::select`] carries out the read
+//! decision (`source.rs`) for each source the binder recorded and runs
+//! the stored plan — the engine never classifies a FROM clause or plans
+//! a statement itself.
 //!
 //! The engine is `Arc`-shareable: its catalog sits behind a
 //! `parking_lot::RwLock`, so any number of sessions run SELECTs

@@ -612,10 +612,10 @@ mod tests {
         assert!(text.contains("Filter(b > 1 + 1)"), "{text}");
     }
 
-    /// The reads EXPLAIN once described differently from what execution
-    /// does — a STRATIFIED sample without a marginal over its attribute,
-    /// OPEN without metadata, a join of two samples — now print
-    /// execution's own note or error text.
+    /// EXPLAIN's line for a side carries execution's own note or error
+    /// text: a STRATIFIED sample without a marginal over its attribute
+    /// (the uniform fallback), OPEN without metadata (an error), a join
+    /// of two samples (a product that is never re-calibrated).
     #[test]
     fn explain_states_what_execution_does() {
         let engine = Arc::new(MosaicEngine::new());
