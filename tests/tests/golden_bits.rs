@@ -1,19 +1,27 @@
 //! Golden bits for the M-SWG generator stack, from the dense kernels up
-//! to an OPEN answer.
+//! to an OPEN answer, and for IPF raking, from `Ipf::fit` up to a
+//! SEMI-OPEN answer.
 //!
-//! The digests were recorded with the scalar i-k-j `Matrix` kernels that
-//! preceded the register-blocked tile kernel. A kernel may change how it
-//! walks the matrices but never the order in which it sums the terms of
-//! one output element, so these digests must not move: a reordered sum,
-//! a fused multiply-add or a changed zero-skip anywhere in `mosaic-nn`
-//! moves them. `open_world` and `open_join_determinism` compare a binary
-//! only with itself and cannot catch that.
+//! The generator digests were recorded with the scalar i-k-j `Matrix`
+//! kernels that preceded the register-blocked tile kernel. A kernel may
+//! change how it walks the matrices but never the order in which it sums
+//! the terms of one output element, so these digests must not move: a
+//! reordered sum, a fused multiply-add or a changed zero-skip anywhere in
+//! `mosaic-nn` moves them. `open_world` and `open_join_determinism`
+//! compare a binary only with itself and cannot catch that.
+//!
+//! The IPF digests were recorded with the two-pass raking loop that
+//! summed each cell's total, then scaled every row by `target / total`.
+//! The same rule holds: every cell's total is summed in row order, and
+//! every row is scaled by the same quotient, so weights and reports stay
+//! bit-identical.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mosaic_core::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions, Table, Value};
 use mosaic_nn::{Adam, Matrix, Mlp};
-use mosaic_stats::Marginal;
+use mosaic_stats::{Binner, Ipf, IpfConfig, IpfReport, Marginal};
 use mosaic_storage::{DataType, Field, Schema, TableBuilder};
 use mosaic_swg::{MSwg, SwgConfig};
 use rand::rngs::StdRng;
@@ -211,5 +219,255 @@ fn open_answer_is_golden() {
     assert_eq!(
         format!("{:#018x}", table_digest(&answer.table)),
         "0x5efd8c2fde3ebf94"
+    );
+}
+
+/// The weights (`to_bits`) and every report field of one IPF fit.
+fn ipf_digest(weights: &[f64], report: &IpfReport) -> u64 {
+    digest(weights.iter().map(|w| w.to_bits()).chain([
+        report.iterations as u64,
+        report.max_rel_error.to_bits(),
+        u64::from(report.converged),
+        report.unmatched_rows as u64,
+        report.empty_target_cells as u64,
+    ]))
+}
+
+/// IPF on the flights workload: the 5 000-row biased sample raked against
+/// the four binned 2-D marginals under the engine's default config, which
+/// stops at the 200-iteration cap without converging. The raking kernel
+/// may change how it walks rows and cells, but never the order in which
+/// it sums one cell's total, so this digest must not move.
+#[test]
+fn ipf_flights_fit_is_golden() {
+    let data = mosaic_bench::flights::generate(&mosaic_bench::flights::FlightsConfig::default());
+    let ipf = Ipf::new(&data.sample, &data.marginals, &data.binners).unwrap();
+    let (weights, report) = ipf.fit(None, &IpfConfig::default());
+    assert_eq!(weights.len(), 5_000);
+    assert_eq!(report.iterations, 200);
+    assert!(!report.converged);
+    assert_eq!(
+        format!("{:#018x}", ipf_digest(&weights, &report)),
+        "0xf995dea6ecdb1d5b"
+    );
+}
+
+/// A small table that reaches every branch of `Ipf::new` and `Ipf::fit`:
+/// a dictionary-encoded and a plain string column, a binned Int and a
+/// binned Float, an unbinned Int, NULL keys (matched by a NULL cell in
+/// one marginal, outside the others), rows outside a marginal, a
+/// zero-target cell with rows, a positive-target cell without rows, a
+/// 3-attribute marginal, and initial weights that are not all one.
+fn ipf_edge_world() -> (Table, Vec<Marginal>, HashMap<String, Binner>, Vec<f64>) {
+    let schema = Schema::new(vec![
+        Field::new("city", DataType::Str),
+        Field::new("tag", DataType::Str),
+        Field::new("age", DataType::Int),
+        Field::new("score", DataType::Float),
+        Field::new("n", DataType::Int),
+    ]);
+    let mut b = TableBuilder::new(schema.clone());
+    let cities = ["a", "b", "a", "b", "b", "a", "c", "e"];
+    let tags = ["x", "y"];
+    for i in 0..61i64 {
+        let city = if i % 11 == 5 {
+            Value::Null
+        } else {
+            cities[(i * 5 % 8) as usize].into()
+        };
+        let tag = if i % 13 == 2 {
+            Value::Null
+        } else {
+            tags[(i % 2) as usize].into()
+        };
+        let age = if i % 9 == 4 {
+            Value::Null
+        } else {
+            Value::Int(3 + (i * 17) % 90)
+        };
+        let score = if i % 10 == 7 {
+            Value::Null
+        } else {
+            Value::Float(((i * 29) % 50) as f64 / 10.0 - 0.3)
+        };
+        b.push_row(vec![city, tag, age, score, Value::Int(i % 3)])
+            .unwrap();
+    }
+    let plain = b.finish();
+    let mut columns = plain.columns().to_vec();
+    columns[0] = columns[0].dict_encoded();
+    let table = Table::new(schema, columns).unwrap();
+    assert!(table.column(0).is_dict() && !table.column(1).is_dict());
+
+    let mut binners = HashMap::new();
+    binners.insert("age".to_string(), Binner::equal_width(0.0, 100.0, 4));
+    binners.insert("score".to_string(), Binner::equal_width(0.0, 5.0, 3));
+
+    let mut city = Marginal::new(vec!["city".into()]);
+    for (c, n) in [("a", 120.0), ("b", 310.0), ("c", 0.0), ("d", 55.0)] {
+        city.add(vec![c.into()], n);
+    }
+    city.add(vec![Value::Null], 20.0);
+    let mut age_score = Marginal::new(vec!["age".into(), "score".into()]);
+    for (i, mid_a) in [12.5, 37.5, 62.5, 87.5].into_iter().enumerate() {
+        for (j, mid_s) in [5.0 / 6.0, 2.5, 25.0 / 6.0].into_iter().enumerate() {
+            if (i, j) != (3, 0) {
+                age_score.add(
+                    vec![Value::Float(mid_a), Value::Float(mid_s)],
+                    (13 * i + 7 * j + 4) as f64,
+                );
+            }
+        }
+    }
+    age_score.add(vec![Value::Null, Value::Float(2.5)], 6.0);
+    let mut tag_n_city = Marginal::new(vec!["tag".into(), "n".into(), "city".into()]);
+    for (k, t) in tags.into_iter().enumerate() {
+        for n in 0..3i64 {
+            for (c, city) in ["a", "b", "c", "e"].into_iter().enumerate() {
+                if (k as i64 + n + c as i64) % 7 != 1 {
+                    tag_n_city.add(
+                        vec![t.into(), Value::Int(n), city.into()],
+                        (5 + 3 * k as i64 + 2 * n + c as i64) as f64,
+                    );
+                }
+            }
+        }
+    }
+    let init: Vec<f64> = (0..table.num_rows())
+        .map(|i| {
+            if i % 8 == 3 {
+                0.0
+            } else {
+                0.5 + (i % 5) as f64 * 0.75
+            }
+        })
+        .collect();
+    (table, vec![city, age_score, tag_n_city], binners, init)
+}
+
+#[test]
+fn ipf_edge_cases_fit_is_golden() {
+    let (table, marginals, binners, init) = ipf_edge_world();
+    let ipf = Ipf::new(&table, &marginals, &binners).unwrap();
+    let (weights, report) = ipf.fit(Some(&init), &IpfConfig::default());
+    assert!(report.unmatched_rows > 0 && report.empty_target_cells > 0);
+    assert_eq!(
+        format!("{:#018x}", ipf_digest(&weights, &report)),
+        "0xd4a759960ef2c989"
+    );
+    let mut got = Vec::new();
+    for iterations in [0, 1] {
+        let config = IpfConfig::default().with_max_iterations(iterations);
+        let (weights, report) = ipf.fit(Some(&init), &config);
+        assert_eq!(report.iterations, iterations);
+        got.push(format!("{:#018x}", ipf_digest(&weights, &report)));
+    }
+    let none = Ipf::new(&table, &[], &binners).unwrap();
+    let (weights, report) = none.fit(Some(&init), &IpfConfig::default());
+    got.push(format!("{:#018x}", ipf_digest(&weights, &report)));
+    assert_eq!(
+        got,
+        [
+            "0x06eff9858eb392a5",
+            "0xb361cedabb44f898",
+            "0x10343c7dc9119b79"
+        ]
+    );
+}
+
+/// SEMI-OPEN answers and notes through the engine on each path that
+/// fits: the population's own metadata, the GP's metadata read through a
+/// derived population's view, and the combined weight of a join
+/// re-calibrated against the declared marginals.
+#[test]
+fn semi_open_ipf_answers_are_golden() {
+    let engine = Arc::new(MosaicEngine::new());
+    let db = engine.session().with_seed(5);
+    db.execute(
+        "CREATE GLOBAL POPULATION People (region TEXT, age INT, income FLOAT);
+         CREATE SAMPLE SP AS (SELECT * FROM People);
+         CREATE POPULATION Young AS (SELECT * FROM People WHERE age < 45);
+         CREATE POPULATION Unif AS (SELECT * FROM People WHERE age > 0);
+         CREATE SAMPLE SU AS (SELECT * FROM Unif USING MECHANISM UNIFORM PERCENT 10);
+         INSERT INTO SU VALUES ('north', 30, 1.5), ('south', 60, 2.5), ('west', 41, 0.5);",
+    )
+    .unwrap();
+    let regions = ["north", "south", "west", "east"];
+    let rows: Vec<String> = (0..53i64)
+        .map(|i| {
+            let region = regions[((i * 5 + i / 7) % 4) as usize];
+            let age = 18 + (i * 23) % 70;
+            let income = ((i * 37) % 100) as f64 / 8.0;
+            format!("('{region}', {age}, {income})")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO SP VALUES {}", rows.join(",")))
+        .unwrap();
+    let weights: Vec<f64> = (0..53).map(|i| 1.0 + (i % 4) as f64 * 0.5).collect();
+    engine.set_sample_weights("SP", weights).unwrap();
+    engine.register_binner("age", Binner::equal_width(0.0, 100.0, 5));
+    engine.register_binner("income", Binner::equal_width(0.0, 12.5, 4));
+    let mut region = Marginal::new(vec!["region".into()]);
+    for (r, n) in [
+        ("north", 400.0),
+        ("south", 350.0),
+        ("west", 150.0),
+        ("south-east", 40.0),
+    ] {
+        region.add(vec![r.into()], n);
+    }
+    let mut age_income = Marginal::new(vec!["age".into(), "income".into()]);
+    for a in 0..5 {
+        for m in 0..4 {
+            if (a + m) % 6 != 2 {
+                age_income.add(
+                    vec![
+                        Value::Float(10.0 + 20.0 * a as f64),
+                        Value::Float(12.5 / 8.0 * (2 * m + 1) as f64),
+                    ],
+                    (30 + 11 * a + 7 * m) as f64,
+                );
+            }
+        }
+    }
+    engine
+        .add_metadata("People_Region", "People", region)
+        .unwrap();
+    engine
+        .add_metadata("People_AgeIncome", "People", age_income)
+        .unwrap();
+
+    let mut got = Vec::new();
+    for sql in [
+        "SELECT SEMI-OPEN region, COUNT(*) AS n, SUM(age) AS a, AVG(income) AS i \
+         FROM People GROUP BY region ORDER BY region",
+        "SELECT SEMI-OPEN region, COUNT(*) AS n, AVG(income) AS i \
+         FROM Young GROUP BY region ORDER BY region",
+        "SELECT SEMI-OPEN p.region, COUNT(*) AS n, SUM(p.income) AS i \
+         FROM People p JOIN SU s ON p.region = s.region GROUP BY p.region ORDER BY p.region",
+    ] {
+        let answer = db.execute(sql).unwrap();
+        assert!(
+            answer.notes.iter().any(|n| n.starts_with("IPF vs")),
+            "{:?}",
+            answer.notes
+        );
+        let notes = answer.notes.join("\n");
+        got.push(format!(
+            "{:#018x}",
+            digest(
+                [table_digest(&answer.table)]
+                    .into_iter()
+                    .chain(notes.bytes().map(u64::from))
+            )
+        ));
+    }
+    assert_eq!(
+        got,
+        [
+            "0xa3798b67134a73d1",
+            "0x0ca812ca3d55a178",
+            "0xcb9c54eba9f0d339"
+        ]
     );
 }
