@@ -1,7 +1,9 @@
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use mosaic_storage::{Table, Value};
+use mosaic_storage::{Column, DataType, Table, Value};
 
+use crate::marginal::apply_binner;
 use crate::{Binner, Marginal};
 
 /// Configuration for Iterative Proportional Fitting.
@@ -56,12 +58,15 @@ pub struct IpfReport {
     pub empty_target_cells: usize,
 }
 
+/// `MarginalIndex::row_cell` entry of a row whose key is not a cell of
+/// the marginal.
+const OUTSIDE: u32 = u32::MAX;
+
 struct MarginalIndex {
     /// Target count per cell.
     targets: Vec<f64>,
-    /// For each sample row, the cell index in `targets` (or `usize::MAX`
-    /// when the row's key is not a cell of the marginal).
-    row_cell: Vec<usize>,
+    /// For each sample row, the cell index in `targets`, or [`OUTSIDE`].
+    row_cell: Vec<u32>,
 }
 
 /// Iterative Proportional Fitting (Deming–Stephan raking; paper §4.1).
@@ -106,7 +111,12 @@ impl Ipf {
     /// Index a sample table against a set of marginals. `binners`
     /// discretize continuous attributes (keyed by attribute name) and must
     /// match the binning used to build the marginals.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Each row's cell key is the tuple of its (binned) attribute values.
+    /// Rows are first grouped by one typed token per attribute (a
+    /// dictionary code, a bin, a raw integer), and the `Vec<Value>` key is
+    /// built and looked up once per group, not once per row: rows with
+    /// equal tokens have equal keys, so they fall in the same cell.
     pub fn new(
         sample: &Table,
         marginals: &[Marginal],
@@ -131,39 +141,44 @@ impl Ipf {
                         .or_else(|| binners.get(&a.to_ascii_lowercase()))
                 })
                 .collect();
+            assert!(
+                m.num_cells() < OUTSIDE as usize,
+                "marginal has too many cells"
+            );
             // Stable cell order for the targets vector.
-            let mut cell_index: HashMap<Vec<Value>, usize> = HashMap::new();
+            let mut cell_index: HashMap<&[Value], u32> = HashMap::new();
             let mut targets = Vec::with_capacity(m.num_cells());
             for (key, count) in m.iter() {
-                cell_index.insert(key.clone(), targets.len());
+                cell_index.insert(key, targets.len() as u32);
                 targets.push(count);
             }
-            let mut row_cell = Vec::with_capacity(n);
+            let mut groups = vec![0u32; n];
+            let mut num_groups = 1;
+            for (col, binner) in cols.iter().zip(&col_binners) {
+                let (tokens, num_tokens) = column_tokens(col, *binner);
+                num_groups = refine(&mut groups, num_groups, &tokens, num_tokens);
+            }
+            // Groups are numbered in order of first appearance, so a group
+            // id one past the cells resolved so far is a new tuple.
+            let mut group_cell: Vec<u32> = Vec::new();
             let mut seen = vec![false; targets.len()];
-            for row in 0..n {
-                let key: Vec<Value> = cols
-                    .iter()
-                    .zip(&col_binners)
-                    .map(|(c, b)| match (b, c.value(row)) {
-                        // Binned keys are bin midpoints — the same
-                        // convention `Marginal::from_table` uses.
-                        (Some(binner), v) => match v.as_f64() {
-                            Some(x) => Value::Float(binner.midpoint(binner.bin(x))),
-                            None => v,
-                        },
-                        (None, v) => v,
-                    })
-                    .collect();
-                match cell_index.get(&key) {
-                    Some(&idx) => {
-                        seen[idx] = true;
-                        row_cell.push(idx);
+            let mut row_cell = Vec::with_capacity(n);
+            for (row, &group) in groups.iter().enumerate() {
+                if group as usize == group_cell.len() {
+                    let key: Vec<Value> = cols
+                        .iter()
+                        .zip(&col_binners)
+                        .map(|(c, b)| apply_binner(c.value(row), *b))
+                        .collect();
+                    let cell = cell_index.get(key.as_slice()).copied().unwrap_or(OUTSIDE);
+                    if cell != OUTSIDE {
+                        seen[cell as usize] = true;
                     }
-                    None => {
-                        unmatched[row] = true;
-                        row_cell.push(usize::MAX);
-                    }
+                    group_cell.push(cell);
                 }
+                let cell = group_cell[group as usize];
+                unmatched[row] |= cell == OUTSIDE;
+                row_cell.push(cell);
             }
             empty_target_cells += seen
                 .iter()
@@ -188,6 +203,13 @@ impl Ipf {
     /// Run the raking loop. `initial_weights` defaults to all-ones (the
     /// paper: sample weights are "initialized to be one for every tuple").
     /// Returns the fitted weights and a convergence report.
+    ///
+    /// Each marginal takes one pass over the rows: it scales every row by
+    /// its cell's factor `target / total` (computed once per cell) and
+    /// sums the new weight into the next marginal's cell totals, the last
+    /// marginal into the first one's for the next pass. Every cell total
+    /// is summed in row order, so the weights do not depend on how the
+    /// passes are arranged.
     pub fn fit(
         &self,
         initial_weights: Option<&[f64]>,
@@ -203,20 +225,26 @@ impl Ipf {
         let mut iterations = 0;
         let mut max_rel_error = f64::INFINITY;
         let mut converged = false;
-        let mut totals: Vec<f64> = Vec::new();
+        // `totals[j]`: marginal j's cell totals under the current weights.
+        let mut totals: Vec<Vec<f64>> = self
+            .marginals
+            .iter()
+            .map(|m| vec![0.0; m.targets.len()])
+            .collect();
+        if let Some(first) = self.marginals.first() {
+            for (&w, &cell) in weights.iter().zip(&first.row_cell) {
+                if cell != OUTSIDE {
+                    totals[0][cell as usize] += w;
+                }
+            }
+        }
+        let mut factors: Vec<f64> = Vec::new();
         for it in 0..config.max_iterations {
             iterations = it + 1;
             let mut pass_err = 0.0f64;
-            for m in &self.marginals {
-                totals.clear();
-                totals.resize(m.targets.len(), 0.0);
-                for (row, &cell) in m.row_cell.iter().enumerate() {
-                    if cell != usize::MAX {
-                        totals[cell] += weights[row];
-                    }
-                }
-                for (cell, (&total, &target)) in totals.iter().zip(&m.targets).enumerate() {
-                    let _ = cell;
+            for (j, m) in self.marginals.iter().enumerate() {
+                factors.clear();
+                for (&total, &target) in totals[j].iter().zip(&m.targets) {
                     if target > 0.0 && total > 0.0 {
                         pass_err = pass_err.max((total - target).abs() / target);
                     } else if target > 0.0 {
@@ -226,18 +254,23 @@ impl Ipf {
                     } else if total > 0.0 {
                         pass_err = pass_err.max(1.0);
                     }
+                    factors.push(if total > 0.0 { target / total } else { 1.0 });
                 }
-                for (row, &cell) in m.row_cell.iter().enumerate() {
-                    if cell == usize::MAX {
+                let next = (j + 1) % self.marginals.len();
+                let next_cells = &self.marginals[next].row_cell;
+                let next_totals = &mut totals[next];
+                next_totals.fill(0.0);
+                for ((w, &cell), &next_cell) in weights.iter_mut().zip(&m.row_cell).zip(next_cells)
+                {
+                    *w = if cell == OUTSIDE {
                         // Row outside the marginal's support: the metadata
                         // says no such tuples exist in the population.
-                        weights[row] = 0.0;
-                        continue;
-                    }
-                    let total = totals[cell];
-                    let target = m.targets[cell];
-                    if total > 0.0 {
-                        weights[row] *= target / total;
+                        0.0
+                    } else {
+                        *w * factors[cell as usize]
+                    };
+                    if next_cell != OUTSIDE {
+                        next_totals[next_cell as usize] += *w;
                     }
                 }
             }
@@ -258,6 +291,93 @@ impl Ipf {
             },
         )
     }
+}
+
+/// One token per row of a marginal's key column, dense in `0..count`
+/// (the second return value), such that rows with equal tokens have equal
+/// cell-key values ([`apply_binner`] of the row's value). Token 0 is NULL.
+/// A dictionary code, a bin index or a raw `i64` is read straight from
+/// the typed column; any other column interns the key value itself.
+fn column_tokens(col: &Column, binner: Option<&Binner>) -> (Vec<u32>, u64) {
+    let n = col.len();
+    match (binner, col.data_type()) {
+        (Some(b), DataType::Int | DataType::Float | DataType::Bool)
+            if b.num_bins() < OUTSIDE as usize =>
+        {
+            let tokens = (0..n)
+                .map(|i| col.f64_at(i).map_or(0, |x| b.bin(x) as u32 + 1))
+                .collect();
+            (tokens, b.num_bins() as u64 + 1)
+        }
+        (None, _) if col.is_dict() => {
+            let (codes, dict) = col.dict_parts().expect("dictionary column");
+            let tokens = codes
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| if col.is_null(i) { 0 } else { c + 1 })
+                .collect();
+            (tokens, dict.len() as u64 + 1)
+        }
+        (None, DataType::Int) => {
+            let data = col.i64_data().expect("Int column");
+            intern(n, |i| (!col.is_null(i)).then(|| data[i]))
+        }
+        (None, DataType::Str) => {
+            let data = col.str_data().expect("plain Str column");
+            intern(n, |i| (!col.is_null(i)).then(|| data[i].as_str()))
+        }
+        _ => intern(n, |i| {
+            (!col.is_null(i)).then(|| apply_binner(col.value(i), binner))
+        }),
+    }
+}
+
+/// Tokens `1..` for the distinct keys of `key(0..n)` in order of first
+/// appearance; `None` (NULL) is token 0.
+fn intern<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> (Vec<u32>, u64) {
+    let mut ids: HashMap<K, u32> = HashMap::new();
+    let tokens = (0..n)
+        .map(|i| match key(i) {
+            None => 0,
+            Some(k) => {
+                let next = ids.len() as u32 + 1;
+                *ids.entry(k).or_insert(next)
+            }
+        })
+        .collect();
+    (tokens, ids.len() as u64 + 1)
+}
+
+/// Split every row's group (ids `0..num_groups`) by one more column's
+/// token (`0..num_tokens`). Returns the number of (group, token) pairs
+/// that occur; `groups` holds each row's pair id, numbered in order of
+/// first appearance.
+fn refine(groups: &mut [u32], num_groups: u64, tokens: &[u32], num_tokens: u64) -> u64 {
+    let mut next = 0u32;
+    let mut id = |slot: &mut u32| {
+        if *slot == u32::MAX {
+            *slot = next;
+            next += 1;
+        }
+        *slot
+    };
+    // A dense table costs a slot per possible pair, a hash map a probe
+    // per row: the table wins unless the pairs outnumber the rows.
+    let pairs = num_groups * num_tokens;
+    if pairs <= 4 * groups.len() as u64 {
+        let mut table = vec![u32::MAX; pairs as usize];
+        for (g, &t) in groups.iter_mut().zip(tokens) {
+            *g = id(&mut table[(u64::from(*g) * num_tokens + u64::from(t)) as usize]);
+        }
+    } else {
+        let mut map: HashMap<u64, u32> = HashMap::new();
+        for (g, &t) in groups.iter_mut().zip(tokens) {
+            *g = id(map
+                .entry(u64::from(*g) * num_tokens + u64::from(t))
+                .or_insert(u32::MAX));
+        }
+    }
+    u64::from(next)
 }
 
 #[cfg(test)]
@@ -373,5 +493,296 @@ mod tests {
         let t = two_attr_sample();
         let m = marg("missing", &[("x", 1.0)]);
         assert!(Ipf::new(&t, std::slice::from_ref(&m), &HashMap::new()).is_err());
+    }
+}
+
+/// The two-pass raking loop `Ipf` replaced, kept as the reference the
+/// fused kernel and the token index must match bit for bit: a `Vec<Value>`
+/// cell key per row and marginal, then per marginal one pass summing the
+/// cell totals and one pass scaling every row by `target / total`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[allow(clippy::needless_range_loop)]
+    pub fn fit(
+        sample: &Table,
+        marginals: &[Marginal],
+        binners: &HashMap<String, Binner>,
+        initial_weights: Option<&[f64]>,
+        config: &IpfConfig,
+    ) -> mosaic_storage::Result<(Vec<f64>, IpfReport)> {
+        let n = sample.num_rows();
+        let mut index: Vec<(Vec<f64>, Vec<usize>)> = Vec::new();
+        let mut unmatched = vec![false; n];
+        let mut empty_target_cells = 0usize;
+        for m in marginals {
+            let cols = m
+                .attrs()
+                .iter()
+                .map(|a| sample.column_by_name(a))
+                .collect::<mosaic_storage::Result<Vec<_>>>()?;
+            let col_binners: Vec<Option<&Binner>> = m
+                .attrs()
+                .iter()
+                .map(|a| {
+                    binners
+                        .get(a.as_str())
+                        .or_else(|| binners.get(&a.to_ascii_lowercase()))
+                })
+                .collect();
+            let mut cell_index: HashMap<Vec<Value>, usize> = HashMap::new();
+            let mut targets = Vec::with_capacity(m.num_cells());
+            for (key, count) in m.iter() {
+                cell_index.insert(key.clone(), targets.len());
+                targets.push(count);
+            }
+            let mut row_cell = Vec::with_capacity(n);
+            let mut seen = vec![false; targets.len()];
+            for row in 0..n {
+                let key: Vec<Value> = cols
+                    .iter()
+                    .zip(&col_binners)
+                    .map(|(c, b)| match (b, c.value(row)) {
+                        (Some(binner), v) => match v.as_f64() {
+                            Some(x) => Value::Float(binner.midpoint(binner.bin(x))),
+                            None => v,
+                        },
+                        (None, v) => v,
+                    })
+                    .collect();
+                match cell_index.get(&key) {
+                    Some(&idx) => {
+                        seen[idx] = true;
+                        row_cell.push(idx);
+                    }
+                    None => {
+                        unmatched[row] = true;
+                        row_cell.push(usize::MAX);
+                    }
+                }
+            }
+            empty_target_cells += seen
+                .iter()
+                .zip(&targets)
+                .filter(|(s, t)| !**s && **t > 0.0)
+                .count();
+            index.push((targets, row_cell));
+        }
+
+        let mut weights: Vec<f64> = match initial_weights {
+            Some(w) => w.to_vec(),
+            None => vec![1.0; n],
+        };
+        let mut iterations = 0;
+        let mut max_rel_error = f64::INFINITY;
+        let mut converged = false;
+        let mut totals: Vec<f64> = Vec::new();
+        for it in 0..config.max_iterations {
+            iterations = it + 1;
+            let mut pass_err = 0.0f64;
+            for (targets, row_cell) in &index {
+                totals.clear();
+                totals.resize(targets.len(), 0.0);
+                for (row, &cell) in row_cell.iter().enumerate() {
+                    if cell != usize::MAX {
+                        totals[cell] += weights[row];
+                    }
+                }
+                for (&total, &target) in totals.iter().zip(targets) {
+                    if target > 0.0 && total > 0.0 {
+                        pass_err = pass_err.max((total - target).abs() / target);
+                    } else if target > 0.0 {
+                    } else if total > 0.0 {
+                        pass_err = pass_err.max(1.0);
+                    }
+                }
+                for (row, &cell) in row_cell.iter().enumerate() {
+                    if cell == usize::MAX {
+                        weights[row] = 0.0;
+                        continue;
+                    }
+                    let total = totals[cell];
+                    let target = targets[cell];
+                    if total > 0.0 {
+                        weights[row] *= target / total;
+                    }
+                }
+            }
+            max_rel_error = pass_err;
+            if pass_err < config.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        let unmatched_rows = unmatched.iter().filter(|&&u| u).count();
+        Ok((
+            weights,
+            IpfReport {
+                iterations,
+                max_rel_error,
+                converged,
+                unmatched_rows,
+                empty_target_cells,
+            },
+        ))
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use mosaic_storage::{Field, Schema, TableBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const ATTRS: [&str; 6] = ["ds", "ps", "i", "f", "ib", "fb"];
+
+    /// A random sample over a dictionary and a plain Str column, Int and
+    /// Float columns read raw (`i`, `f`) and possibly binned (`ib`, `fb`),
+    /// every column with NULLs, windowed by a random offset.
+    fn sample(rng: &mut StdRng) -> (Table, HashMap<String, Binner>) {
+        let schema = Schema::new(vec![
+            Field::new("ds", DataType::Str),
+            Field::new("ps", DataType::Str),
+            Field::new("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("ib", DataType::Int),
+            Field::new("fb", DataType::Float),
+        ]);
+        let strs = ["a", "b", "", "dd"];
+        let floats = [0.5, 1.0, 2.25, -0.0, 0.0, 3.0, -1.5];
+        let offset = rng.random_range(0..3usize);
+        let n = rng.random_range(0..40usize);
+        let mut b = TableBuilder::new(schema.clone());
+        for _ in 0..offset + n {
+            let row = [
+                strs[rng.random_range(0..4usize)].into(),
+                strs[rng.random_range(0..3usize)].into(),
+                Value::Int(rng.random_range(-2..4i64)),
+                Value::Float(floats[rng.random_range(0..7usize)]),
+                Value::Int(rng.random_range(-5..25i64)),
+                Value::Float(rng.random_range(-1.0..6.0)),
+            ];
+            let row = row
+                .into_iter()
+                .map(|v| {
+                    if rng.random_bool(0.15) {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            b.push_row(row).unwrap();
+        }
+        let plain = b.finish();
+        let mut columns = plain.columns().to_vec();
+        columns[0] = columns[0].dict_encoded();
+        let table = Table::new(schema, columns).unwrap().slice(offset, n);
+        let mut binners = HashMap::new();
+        if rng.random_bool(0.7) {
+            binners.insert("ib".to_string(), Binner::equal_width(0.0, 20.0, 4));
+        }
+        if rng.random_bool(0.7) {
+            binners.insert("fb".to_string(), Binner::equal_width(0.0, 5.0, 3));
+        }
+        (table, binners)
+    }
+
+    /// 0–3 marginals of arity 1–3. Cells come from sample rows (so rows
+    /// match them) with zero or positive targets, plus keys no row has;
+    /// rows whose key is not drawn fall outside the marginal.
+    fn marginals(
+        rng: &mut StdRng,
+        table: &Table,
+        binners: &HashMap<String, Binner>,
+    ) -> Vec<Marginal> {
+        let count = rng.random_range(0..4usize);
+        (0..count)
+            .map(|_| {
+                let arity = rng.random_range(1..4usize);
+                let mut attrs: Vec<&str> = Vec::new();
+                while attrs.len() < arity {
+                    let a = ATTRS[rng.random_range(0..ATTRS.len())];
+                    if !attrs.contains(&a) {
+                        attrs.push(a);
+                    }
+                }
+                let mut m = Marginal::new(attrs.iter().map(|a| a.to_string()).collect());
+                for row in 0..table.num_rows() {
+                    if rng.random_bool(0.3) {
+                        continue;
+                    }
+                    let key = attrs
+                        .iter()
+                        .map(|a| {
+                            let v = table.column_by_name(a).unwrap().value(row);
+                            apply_binner(v, binners.get(*a))
+                        })
+                        .collect();
+                    let target = if rng.random_bool(0.2) {
+                        0.0
+                    } else {
+                        rng.random_range(0.5..50.0)
+                    };
+                    m.set(key, target);
+                }
+                for _ in 0..rng.random_range(0..3usize) {
+                    let key = attrs
+                        .iter()
+                        .map(|a| match *a {
+                            "ds" | "ps" => Value::from("zz"),
+                            "i" | "ib" => Value::Int(99),
+                            _ => Value::Float(7.75),
+                        })
+                        .collect();
+                    m.set(key, rng.random_range(1.0..9.0));
+                }
+                m
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn raking_matches_the_scalar_reference_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            max_iterations in 0usize..6,
+            loose in 0u8..2,
+            with_init in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (table, binners) = sample(&mut rng);
+            let marginals = marginals(&mut rng, &table, &binners);
+            let init: Vec<f64> = (0..table.num_rows())
+                .map(|_| if rng.random_bool(0.2) { 0.0 } else { rng.random_range(0.1..4.0) })
+                .collect();
+            let init = (with_init == 1).then_some(init.as_slice());
+            let tolerance = if loose == 1 { 0.25 } else { 1e-8 };
+            let config = IpfConfig::default()
+                .with_max_iterations(max_iterations)
+                .with_tolerance(tolerance);
+            let (want, want_report) =
+                reference::fit(&table, &marginals, &binners, init, &config).unwrap();
+            let (got, got_report) = Ipf::new(&table, &marginals, &binners)
+                .unwrap()
+                .fit(init, &config);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert_eq!(got_report.iterations, want_report.iterations);
+            proptest::prop_assert_eq!(
+                got_report.max_rel_error.to_bits(),
+                want_report.max_rel_error.to_bits()
+            );
+            proptest::prop_assert_eq!(got_report.converged, want_report.converged);
+            proptest::prop_assert_eq!(got_report.unmatched_rows, want_report.unmatched_rows);
+            proptest::prop_assert_eq!(
+                got_report.empty_target_cells,
+                want_report.empty_target_cells
+            );
+        }
     }
 }

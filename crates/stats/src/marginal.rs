@@ -155,7 +155,7 @@ impl Marginal {
 /// marginal cells into attribute space (the M-SWG encoder) and consumers
 /// that only need consistent discrete keys (IPF) can share one
 /// representation.
-fn apply_binner(v: Value, binner: Option<&Binner>) -> Value {
+pub(crate) fn apply_binner(v: Value, binner: Option<&Binner>) -> Value {
     match (binner, v) {
         (Some(b), v) => match v.as_f64() {
             Some(x) => Value::Float(b.midpoint(b.bin(x))),
