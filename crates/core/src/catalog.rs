@@ -288,6 +288,17 @@ impl Catalog {
                 s.len()
             )));
         }
+        // IPF and the weighted aggregates take weights as given: a negative,
+        // NaN or infinite one would turn into a wrong answer, not an error.
+        if let Some((i, w)) = weights
+            .iter()
+            .enumerate()
+            .find(|(_, w)| !w.is_finite() || **w < 0.0)
+        {
+            return Err(MosaicError::Execution(format!(
+                "weight {w} at index {i} of sample {name} is not a finite non-negative number"
+            )));
+        }
         s.weights = weights;
         let population = s.population.clone();
         self.bump(name);
@@ -573,6 +584,40 @@ mod tests {
         b.push_row(vec![2.into()]).unwrap();
         c.append_to_sample("S", b.finish()).unwrap();
         assert_eq!(c.sample("s").unwrap().weights, vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn set_sample_weights_rejects_non_finite_and_negative() {
+        let mut c = Catalog::new();
+        c.create_population(pop("GP", true)).unwrap();
+        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        c.create_sample(Sample {
+            name: "S".into(),
+            population: "GP".into(),
+            predicate: None,
+            mechanism: None,
+            data: empty_table(Arc::clone(&schema)),
+            weights: vec![],
+        })
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for a in 1..=3 {
+            b.push_row(vec![a.into()]).unwrap();
+        }
+        c.append_to_sample("S", b.finish()).unwrap();
+        for (bad, named) in [
+            (-1.0, "weight -1 at index 1"),
+            (f64::NAN, "weight NaN at index 1"),
+            (f64::INFINITY, "weight inf at index 1"),
+            (f64::NEG_INFINITY, "weight -inf at index 1"),
+        ] {
+            let err = c.set_sample_weights("S", vec![2.0, bad, -3.0]).unwrap_err();
+            assert!(matches!(err, MosaicError::Execution(_)), "{err}");
+            assert!(err.to_string().contains(named), "{err}");
+            assert_eq!(c.sample("S").unwrap().weights, vec![1.0; 3]);
+        }
+        c.set_sample_weights("S", vec![0.0, -0.0, 2.5]).unwrap();
+        assert_eq!(c.sample("S").unwrap().weights, vec![0.0, -0.0, 2.5]);
     }
 
     #[test]

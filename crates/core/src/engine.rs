@@ -308,7 +308,8 @@ impl MosaicEngine {
         })
     }
 
-    /// Overwrite a sample's initial weights (paper §3.2).
+    /// Overwrite a sample's initial weights (paper §3.2). Every weight
+    /// must be finite and non-negative; zero drops a row's mass.
     pub fn set_sample_weights(&self, sample: &str, weights: Vec<f64>) -> Result<()> {
         self.catalog.write().set_sample_weights(sample, weights)
     }
