@@ -254,6 +254,8 @@ impl Ipf {
                     } else if total > 0.0 {
                         pass_err = pass_err.max(1.0);
                     }
+                    // `w * 1.0` is `w` bit for bit: a cell whose total is
+                    // not positive leaves its rows as they were.
                     factors.push(if total > 0.0 { target / total } else { 1.0 });
                 }
                 let next = (j + 1) % self.marginals.len();
