@@ -364,7 +364,8 @@ fn refine(groups: &mut [u32], num_groups: u64, tokens: &[u32], num_tokens: u64) 
         *slot
     };
     // A dense table costs a slot per possible pair, a hash map a probe
-    // per row: the table wins unless the pairs outnumber the rows.
+    // per row: the table wins until the pairs outnumber the rows by a
+    // few times.
     let pairs = num_groups * num_tokens;
     if pairs <= 4 * groups.len() as u64 {
         let mut table = vec![u32::MAX; pairs as usize];
