@@ -153,10 +153,8 @@ impl Ipf {
                 targets.push(count);
             }
             let mut groups = vec![0u32; n];
-            let mut num_groups = 1;
             for (col, binner) in cols.iter().zip(&col_binners) {
-                let (tokens, num_tokens) = column_tokens(col, *binner);
-                num_groups = refine(&mut groups, num_groups, &tokens, num_tokens);
+                refine(&mut groups, &column_tokens(col, *binner));
             }
             // Groups are numbered in order of first appearance, so a group
             // id one past the cells resolved so far is a new tuple.
@@ -295,38 +293,32 @@ impl Ipf {
     }
 }
 
-/// One token per row of a marginal's key column, dense in `0..count`
-/// (the second return value), such that rows with equal tokens have equal
-/// cell-key values ([`apply_binner`] of the row's value). Token 0 is NULL.
-/// A dictionary code, a bin index or a raw `i64` is read straight from
-/// the typed column; any other column interns the key value itself.
-fn column_tokens(col: &Column, binner: Option<&Binner>) -> (Vec<u32>, u64) {
+/// One token per row of a marginal's key column such that rows with
+/// equal tokens have equal cell-key values ([`apply_binner`] of the row's
+/// value). Token 0 is NULL. A dictionary code, a bin index or a raw `i64`
+/// is read straight from the typed column; any other column interns the
+/// key value itself.
+fn column_tokens(col: &Column, binner: Option<&Binner>) -> Vec<u32> {
     let n = col.len();
     match (binner, col.data_type()) {
         (Some(b), DataType::Int | DataType::Float | DataType::Bool)
             if b.num_bins() < OUTSIDE as usize =>
         {
-            let tokens = (0..n)
+            (0..n)
                 .map(|i| col.f64_at(i).map_or(0, |x| b.bin(x) as u32 + 1))
-                .collect();
-            (tokens, b.num_bins() as u64 + 1)
+                .collect()
         }
         (None, _) if col.is_dict() => {
-            let (codes, dict) = col.dict_parts().expect("dictionary column");
-            let tokens = codes
+            let (codes, _) = col.dict_parts().expect("dictionary column");
+            codes
                 .iter()
                 .enumerate()
                 .map(|(i, &c)| if col.is_null(i) { 0 } else { c + 1 })
-                .collect();
-            (tokens, dict.len() as u64 + 1)
+                .collect()
         }
         (None, DataType::Int) => {
             let data = col.i64_data().expect("Int column");
             intern(n, |i| (!col.is_null(i)).then(|| data[i]))
-        }
-        (None, DataType::Str) => {
-            let data = col.str_data().expect("plain Str column");
-            intern(n, |i| (!col.is_null(i)).then(|| data[i].as_str()))
         }
         _ => intern(n, |i| {
             (!col.is_null(i)).then(|| apply_binner(col.value(i), binner))
@@ -336,9 +328,9 @@ fn column_tokens(col: &Column, binner: Option<&Binner>) -> (Vec<u32>, u64) {
 
 /// Tokens `1..` for the distinct keys of `key(0..n)` in order of first
 /// appearance; `None` (NULL) is token 0.
-fn intern<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> (Vec<u32>, u64) {
+fn intern<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> Vec<u32> {
     let mut ids: HashMap<K, u32> = HashMap::new();
-    let tokens = (0..n)
+    (0..n)
         .map(|i| match key(i) {
             None => 0,
             Some(k) => {
@@ -346,41 +338,18 @@ fn intern<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> Option<K>) -> (Vec<u32>
                 *ids.entry(k).or_insert(next)
             }
         })
-        .collect();
-    (tokens, ids.len() as u64 + 1)
+        .collect()
 }
 
-/// Split every row's group (ids `0..num_groups`) by one more column's
-/// token (`0..num_tokens`). Returns the number of (group, token) pairs
-/// that occur; `groups` holds each row's pair id, numbered in order of
-/// first appearance.
-fn refine(groups: &mut [u32], num_groups: u64, tokens: &[u32], num_tokens: u64) -> u64 {
-    let mut next = 0u32;
-    let mut id = |slot: &mut u32| {
-        if *slot == u32::MAX {
-            *slot = next;
-            next += 1;
-        }
-        *slot
-    };
-    // A dense table costs a slot per possible pair, a hash map a probe
-    // per row: the table wins until the pairs outnumber the rows by a
-    // few times.
-    let pairs = num_groups * num_tokens;
-    if pairs <= 4 * groups.len() as u64 {
-        let mut table = vec![u32::MAX; pairs as usize];
-        for (g, &t) in groups.iter_mut().zip(tokens) {
-            *g = id(&mut table[(u64::from(*g) * num_tokens + u64::from(t)) as usize]);
-        }
-    } else {
-        let mut map: HashMap<u64, u32> = HashMap::new();
-        for (g, &t) in groups.iter_mut().zip(tokens) {
-            *g = id(map
-                .entry(u64::from(*g) * num_tokens + u64::from(t))
-                .or_insert(u32::MAX));
-        }
+/// Split every row's group by one more column's token: `groups` then
+/// holds each row's (group, token) pair id, numbered in order of first
+/// appearance.
+fn refine(groups: &mut [u32], tokens: &[u32]) {
+    let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
+    for (g, &t) in groups.iter_mut().zip(tokens) {
+        let next = ids.len() as u32;
+        *g = *ids.entry((*g, t)).or_insert(next);
     }
-    u64::from(next)
 }
 
 #[cfg(test)]
