@@ -168,6 +168,78 @@ fn mswg_generate_output_is_golden() {
     );
 }
 
+/// A categorical + numeric sample in which every distinct row appears
+/// three times, so nearest-neighbour distances tie exactly.
+fn duplicated_sample() -> Table {
+    let schema = Schema::new(vec![
+        Field::new("carrier", DataType::Str),
+        Field::new("distance", DataType::Int),
+        Field::new("delay", DataType::Float),
+    ]);
+    let mut b = TableBuilder::new(schema);
+    let carriers = ["AA", "DL", "WN", "UA"];
+    for i in 0..57i64 {
+        let k = i % 19;
+        b.push_row(vec![
+            carriers[(k % 4) as usize].into(),
+            (200 + 61 * (k % 7)).into(),
+            (((k * 5) % 9) as f64 * 0.75 - 2.0).into(),
+        ])
+        .unwrap();
+    }
+    b.finish()
+}
+
+/// Fits whose loss the coverage term shapes: λ = 0.04 and the paper's
+/// flights λ = 1e-7, each with a subsample drawn with replacement (16 of
+/// 57 rows, so positions repeat) and with every row (`coverage_subsample`
+/// ≥ the sample size). The nearest-neighbour search may change how it
+/// walks the candidates, but never a distance's summation order or the
+/// first-position tie-break, so these digests must not move.
+#[test]
+fn mswg_coverage_fit_is_golden() {
+    let mut carrier = Marginal::new(vec!["carrier".into()]);
+    carrier.add(vec!["AA".into()], 6.0);
+    carrier.add(vec!["DL".into()], 3.0);
+    carrier.add(vec!["UA".into()], 4.0);
+    carrier.add(vec!["WN".into()], 2.0);
+    let mut carrier_distance = Marginal::new(vec!["carrier".into(), "distance".into()]);
+    carrier_distance.add(vec!["AA".into(), Value::Int(300)], 2.0);
+    carrier_distance.add(vec!["DL".into(), Value::Int(500)], 1.0);
+    carrier_distance.add(vec!["WN".into(), Value::Int(260)], 1.5);
+    let sample = duplicated_sample();
+    let mut got = Vec::new();
+    for lambda in [0.04, 1e-7] {
+        for subsample in [16, 64] {
+            let cfg = SwgConfig::default()
+                .with_hidden_dim(10)
+                .with_hidden_layers(2)
+                .with_latent_dim(None)
+                .with_lambda(lambda)
+                .with_projections(6)
+                .with_batch_size(24)
+                .with_epochs(3)
+                .with_steps_per_epoch(Some(2))
+                .with_coverage_subsample(subsample)
+                .with_seed(31);
+            let model =
+                MSwg::fit(&sample, &[carrier.clone(), carrier_distance.clone()], cfg).unwrap();
+            let loss = digest(model.report().loss_history.iter().map(|x| x.to_bits()));
+            let generated = model.generate(77, &mut StdRng::seed_from_u64(8));
+            got.push(format!("{loss:#018x} {:#018x}", table_digest(&generated)));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            "0x0066ba7a20ac897b 0x8858b65303acef3a",
+            "0xf6e7aaba810be484 0xd8166cee45a77481",
+            "0x5be3180c774ece0a 0x61966a1bbd371dd8",
+            "0xb22bbbb719d792ad 0x6231d365f7ac41d5"
+        ]
+    );
+}
+
 /// An OPEN answer through the engine: fit, parallel replicates, combine.
 #[test]
 fn open_answer_is_golden() {
