@@ -144,12 +144,21 @@ pub fn marginal_loss_grad(
 }
 
 /// The coverage term `λ·E_x min_y ‖x−y‖²`: for every generated row, the
-/// squared distance to its nearest encoded sample row (restricted to
-/// `sample_rows`, a configurable random subsample — the paper does not
-/// prescribe an index and brute force over a subsample preserves the
-/// objective in expectation). Returns the loss and accumulates gradients
-/// `2λ(x−y)/n` into `grad_output`.
-#[allow(clippy::needless_range_loop)]
+/// squared distance to its nearest encoded sample row among the
+/// candidates `sample_rows` (a random subsample, or every row — the paper
+/// does not prescribe an index, and a subsample preserves the objective in
+/// expectation). Returns the loss and accumulates gradients `2λ(x−y)/n`
+/// into `grad_output`.
+///
+/// The search is exact and its result is fixed bit for bit: each
+/// candidate's distance is the full sum `Σ_k (x_k − y_k)²` taken in
+/// coordinate order (no reassociation, no fused multiply-add), the
+/// nearest is picked by a strict `<` so the first position in
+/// `sample_rows` wins a tie, a NaN distance is never picked, and if no
+/// distance is picked the first candidate is used. The candidates are
+/// copied once per call into a candidate-major buffer, so one row's
+/// distances to all of them accumulate one coordinate at a time across a
+/// contiguous slice.
 pub fn coverage_loss_grad(
     output: &Matrix,
     sample_enc: &Matrix,
@@ -162,32 +171,38 @@ pub fn coverage_loss_grad(
     if n == 0 || sample_rows.is_empty() || lambda == 0.0 {
         return 0.0;
     }
+    let m = sample_rows.len();
+    // yt[k·m + j] is coordinate k of candidate j.
+    let mut yt = vec![0.0; d * m];
+    for (j, &s) in sample_rows.iter().enumerate() {
+        for (k, &v) in sample_enc.row(s)[..d].iter().enumerate() {
+            yt[k * m + j] = v;
+        }
+    }
+    let mut acc = vec![0.0; m];
     let nf = n as f64;
     let mut loss = 0.0;
     for r in 0..n {
         let x = output.row(r);
-        let mut best = f64::INFINITY;
-        let mut best_row = sample_rows[0];
-        for &s in sample_rows {
-            let y = sample_enc.row(s);
-            let mut dist = 0.0;
-            for k in 0..d {
-                let diff = x[k] - y[k];
-                dist += diff * diff;
-                if dist >= best {
-                    break;
-                }
+        acc.fill(0.0);
+        for (&xk, yk) in x.iter().zip(yt.chunks_exact(m)) {
+            for (a, &y) in acc.iter_mut().zip(yk) {
+                let diff = xk - y;
+                *a += diff * diff;
             }
+        }
+        let mut best = f64::INFINITY;
+        let mut best_pos = 0;
+        for (j, &dist) in acc.iter().enumerate() {
             if dist < best {
                 best = dist;
-                best_row = s;
+                best_pos = j;
             }
         }
         loss += lambda * best / nf;
-        let y = sample_enc.row(best_row).to_vec();
-        let g = grad_output.row_mut(r);
-        for k in 0..d {
-            g[k] += 2.0 * lambda * (x[k] - y[k]) / nf;
+        let y = sample_enc.row(sample_rows[best_pos]);
+        for ((g, &xk), &yk) in grad_output.row_mut(r).iter_mut().zip(x).zip(y) {
+            *g += 2.0 * lambda * (xk - yk) / nf;
         }
     }
     loss
@@ -196,6 +211,138 @@ pub fn coverage_loss_grad(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The brute-force search `coverage_loss_grad` replaced: in-order
+    /// distances with an early exit once a partial sum reaches the best.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_coverage_loss_grad(
+        output: &Matrix,
+        sample_enc: &Matrix,
+        sample_rows: &[usize],
+        lambda: f64,
+        grad_output: &mut Matrix,
+    ) -> f64 {
+        let n = output.rows();
+        let d = output.cols();
+        if n == 0 || sample_rows.is_empty() || lambda == 0.0 {
+            return 0.0;
+        }
+        let nf = n as f64;
+        let mut loss = 0.0;
+        for r in 0..n {
+            let x = output.row(r);
+            let mut best = f64::INFINITY;
+            let mut best_row = sample_rows[0];
+            for &s in sample_rows {
+                let y = sample_enc.row(s);
+                let mut dist = 0.0;
+                for k in 0..d {
+                    let diff = x[k] - y[k];
+                    dist += diff * diff;
+                    if dist >= best {
+                        break;
+                    }
+                }
+                if dist < best {
+                    best = dist;
+                    best_row = s;
+                }
+            }
+            loss += lambda * best / nf;
+            let y = sample_enc.row(best_row).to_vec();
+            let g = grad_output.row_mut(r);
+            for k in 0..d {
+                g[k] += 2.0 * lambda * (x[k] - y[k]) / nf;
+            }
+        }
+        loss
+    }
+
+    /// A coordinate that is often a quarter step in `[0, 1]`, so distances
+    /// between distinct rows tie exactly, and otherwise a random float.
+    fn coordinate(rng: &mut StdRng) -> f64 {
+        if rng.random_bool(0.6) {
+            f64::from(rng.random_range(0..5u8)) * 0.25
+        } else {
+            rng.random_range(-1.5..2.5)
+        }
+    }
+
+    /// A sample of `d`-wide rows in which some rows repeat earlier ones,
+    /// and `m` candidate positions drawn with replacement.
+    fn coverage_world(rng: &mut StdRng, d: usize, m: usize) -> (Matrix, Vec<usize>) {
+        let rows = rng.random_range(1..80usize);
+        let mut data: Vec<f64> = Vec::with_capacity(rows * d);
+        for r in 0..rows {
+            if r > 0 && rng.random_bool(0.3) {
+                let src = rng.random_range(0..r) * d;
+                data.extend_from_within(src..src + d);
+            } else {
+                data.extend((0..d).map(|_| coordinate(rng)));
+            }
+        }
+        let positions = (0..m).map(|_| rng.random_range(0..rows)).collect();
+        (Matrix::from_vec(rows, d, data), positions)
+    }
+
+    /// `n` generated rows: some equal a candidate, and when `specials`
+    /// is set some cells are NaN or ±∞.
+    fn generated(
+        rng: &mut StdRng,
+        n: usize,
+        sample: &Matrix,
+        positions: &[usize],
+        specials: bool,
+    ) -> Matrix {
+        let d = sample.cols();
+        let mut data = Vec::with_capacity(n * d);
+        for _ in 0..n {
+            if rng.random_bool(0.25) {
+                let s = positions[rng.random_range(0..positions.len())];
+                data.extend_from_slice(sample.row(s));
+            } else {
+                data.extend((0..d).map(|_| coordinate(rng)));
+            }
+        }
+        if specials {
+            for v in data.iter_mut() {
+                if rng.random_bool(0.05) {
+                    *v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.random_range(0..3usize)];
+                }
+            }
+        }
+        Matrix::from_vec(n, d, data)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn coverage_matches_brute_force_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            d in 1usize..25,
+            m in 1usize..301,
+            n in 0usize..40,
+            lambda_pick in 0usize..4,
+            specials in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (sample, positions) = coverage_world(&mut rng, d, m);
+            let output = generated(&mut rng, n, &sample, &positions, specials == 1);
+            let lambda = [0.0, 1e-7, 0.04, 1.3][lambda_pick];
+            let start: Vec<f64> = (0..n * d).map(|_| rng.random_range(-0.5..0.5)).collect();
+            let mut want_grad = Matrix::from_vec(n, d, start.clone());
+            let mut got_grad = Matrix::from_vec(n, d, start);
+            let want =
+                reference_coverage_loss_grad(&output, &sample, &positions, lambda, &mut want_grad);
+            let got = coverage_loss_grad(&output, &sample, &positions, lambda, &mut got_grad);
+            let bits = |g: &Matrix| g.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            proptest::prop_assert_eq!(bits(&got_grad), bits(&want_grad));
+        }
+    }
 
     #[test]
     fn quantile_matching_zero_when_matched() {
