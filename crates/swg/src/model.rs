@@ -326,6 +326,16 @@ impl MSwg {
                     .ok_or_else(|| SwgError::MissingAttribute(m.attrs().join(",")))
             })
             .collect::<Result<_, _>>()?;
+        // A ≥2-D encoded marginal is matched through its projections.
+        if config.projections == 0 {
+            if let Some(em) = encoded.iter().find(|em| em.dim() >= 2) {
+                return Err(SwgError::InvalidConfig(format!(
+                    "projections must be at least 1: marginal {} encodes to {} dimensions",
+                    em.label,
+                    em.dim()
+                )));
+            }
+        }
 
         let sample_enc = encoder.encode_table(sample)?;
         let latent_dim = config.latent_dim.unwrap_or(encoder.dim()).max(1);
@@ -476,6 +486,39 @@ mod tests {
                 Err(SwgError::InvalidConfig(_))
             ));
         }
+    }
+
+    #[test]
+    fn fit_rejects_zero_projections_for_multi_dim_marginals() {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Float),
+            Field::new("y", DataType::Float),
+            Field::new("c", DataType::Str),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..8 {
+            let c = if i % 2 == 0 { "a" } else { "b" };
+            b.push_row(vec![(i as f64).into(), (8.0 - i as f64).into(), c.into()])
+                .unwrap();
+        }
+        let sample = b.finish();
+        let cfg = small_config().with_projections(0).with_epochs(1);
+        let mut xy = Marginal::new(vec!["x".into(), "y".into()]);
+        xy.add(vec![Value::Float(1.0), Value::Float(7.0)], 1.0);
+        let mut c = Marginal::new(vec!["c".into()]);
+        c.add(vec!["a".into()], 1.0);
+        // A 2-attribute marginal, and a 1-attribute categorical one whose
+        // one-hot encoding is 2 wide.
+        for m in [xy, c] {
+            assert!(matches!(
+                MSwg::fit(&sample, std::slice::from_ref(&m), cfg.clone()),
+                Err(SwgError::InvalidConfig(_))
+            ));
+        }
+        // Only 1-D encoded marginals: no projections are needed.
+        let numeric = numeric_sample(&[0.1, 0.4, 0.7, 0.9]);
+        let model = MSwg::fit(&numeric, &[], cfg).unwrap();
+        assert_eq!(model.report().loss_history.len(), 1);
     }
 
     #[test]
