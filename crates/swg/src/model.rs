@@ -46,7 +46,10 @@ pub struct SwgConfig {
     /// Coefficient `k` on the 1-D marginal terms of Eq. 1.
     pub one_dim_scale: f64,
     /// Sample rows examined per step for the nearest-neighbour coverage
-    /// term (random subsample; brute force).
+    /// term: a random subsample drawn with replacement, or every row when
+    /// it is at least the sample size. The search over them is exact:
+    /// full in-order squared distances, a strict `<`, and the first
+    /// position wins a tie.
     pub coverage_subsample: usize,
     /// Epochs without loss improvement before a 10× LR decay.
     pub plateau_patience: usize,
@@ -509,11 +512,13 @@ mod tests {
         c.add(vec!["a".into()], 1.0);
         // A 2-attribute marginal, and a 1-attribute categorical one whose
         // one-hot encoding is 2 wide.
-        for m in [xy, c] {
-            assert!(matches!(
-                MSwg::fit(&sample, std::slice::from_ref(&m), cfg.clone()),
-                Err(SwgError::InvalidConfig(_))
-            ));
+        for (m, label) in [(xy, "x,y"), (c, "c")] {
+            match MSwg::fit(&sample, std::slice::from_ref(&m), cfg.clone()) {
+                Err(SwgError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("marginal {label} ")), "{msg}")
+                }
+                other => panic!("expected InvalidConfig, got {:?}", other.err()),
+            }
         }
         // Only 1-D encoded marginals: no projections are needed.
         let numeric = numeric_sample(&[0.1, 0.4, 0.7, 0.9]);
