@@ -10,10 +10,10 @@
 //! The engine is `Arc`-shareable: its catalog sits behind a
 //! `parking_lot::RwLock`, so any number of sessions run SELECTs
 //! concurrently under read locks while DDL/DML statements take the
-//! write lock. Fitted generative models are cached behind their own
-//! mutex as `Arc<dyn GenerativeModel>`, so concurrent OPEN queries
-//! share a fitted model without holding the cache lock during
-//! generation.
+//! write lock. Fitted generative models and the replicates drawn from
+//! them live in the engine's derived-artefact cache (`cache.rs`), so
+//! concurrent OPEN queries share one fit and one draw per replicate, and
+//! no fit or draw runs under a cache lock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -194,13 +194,6 @@ impl QueryResult {
     }
 }
 
-/// Fitted generative models keyed by `population|backend|config-hash`,
-/// tagged with the dependency-epoch snapshot of the population they were
-/// trained for. Models are stored as `Arc` so the cache lock is released
-/// before generation starts: concurrent OPEN queries share one fitted
-/// model.
-type ModelCache = Mutex<HashMap<String, (Vec<(String, u64)>, Arc<dyn GenerativeModel>)>>;
-
 /// The shared Mosaic engine.
 ///
 /// All methods take `&self`; wrap the engine in an [`Arc`] and open any
@@ -225,7 +218,9 @@ pub struct MosaicEngine {
     /// Shared so a statement holds its snapshot without the lock;
     /// [`MosaicEngine::register_binner`] copies on write.
     options: RwLock<Arc<EngineOptions>>,
-    model_cache: ModelCache,
+    /// Fitted OPEN models and their generated replicates, valid per
+    /// epoch snapshot (see [`crate::cache`]).
+    derived: crate::cache::DerivedCache,
     /// Epoch-invalidated query results, shared by every session (see
     /// [`crate::cache`]).
     result_cache: crate::cache::ResultCache,
@@ -251,7 +246,7 @@ impl MosaicEngine {
         MosaicEngine {
             catalog: RwLock::new(Catalog::new()),
             options: RwLock::new(Arc::new(options)),
-            model_cache: Mutex::new(HashMap::new()),
+            derived: crate::cache::DerivedCache::default(),
             result_cache: crate::cache::ResultCache::default(),
             plan_cache: crate::cache::PlanCache::default(),
         }
@@ -415,7 +410,8 @@ impl MosaicEngine {
         Ok(result)
     }
 
-    /// Point-in-time statistics of the shared result and plan caches.
+    /// Point-in-time statistics of the shared result, plan and
+    /// derived-artefact caches.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         let mut s = crate::cache::CacheStats {
             capacity_bytes: self.options.read().result_cache_mb << 20,
@@ -423,15 +419,18 @@ impl MosaicEngine {
         };
         self.result_cache.stats_into(&mut s);
         self.plan_cache.stats_into(&mut s);
+        self.derived.stats_into(&mut s);
         s
     }
 
-    /// Drop every cached result and plan. Cumulative counters are kept;
+    /// Drop every cached result, plan, fitted model and replicate.
+    /// Cumulative counters are kept;
     /// correctness never requires this call — epochs invalidate stale
     /// entries automatically — it just releases memory.
     pub fn clear_caches(&self) {
         self.result_cache.clear();
         self.plan_cache.clear();
+        self.derived.clear();
     }
 
     /// Whether a valid (epoch-current) result is cached under `fp`
@@ -818,12 +817,13 @@ impl MosaicEngine {
         })
     }
 
-    /// Choose training data and fit (or fetch from the cache) the
-    /// generative model for one generated population side — a
+    /// Choose training data and fit (or fetch from the derived-artefact
+    /// cache) the generative model for one generated population side — a
     /// single-population OPEN answer or the OPEN side of an open-world
-    /// join. A cached model is valid while the population's dependency
-    /// epochs are unchanged — the rule plans and results are validated
-    /// by — so writes to unrelated relations never refit.
+    /// join. A cached model, and every replicate drawn from it, is valid
+    /// while the population's dependency epochs are unchanged — the rule
+    /// plans and results are validated by — so writes to unrelated
+    /// relations never refit or redraw.
     fn open_model(
         &self,
         cat: &Catalog,
@@ -831,7 +831,7 @@ impl MosaicEngine {
         side: PopulationRead<'_>,
         meta: Metadata<'_>,
         notes: &mut Vec<String>,
-    ) -> Result<OpenModel> {
+    ) -> Result<OpenModel<'_>> {
         let PopulationRead {
             pop, sample, view, ..
         } = side;
@@ -853,55 +853,46 @@ impl MosaicEngine {
         // The cache key covers everything the fit reads — backend
         // hyper-parameters, IPF settings and binners — so a registered
         // binner refits instead of serving a model fitted without it.
-        let cache_key = format!(
+        let key = format!(
             "{}|{}",
             pop.name.to_ascii_lowercase(),
             model_shape(opts, Visibility::Open).expect("OPEN has a model shape")
         );
-        let current =
-            |snapshot: &[(String, u64)]| snapshot.iter().all(|(r, e)| cat.relation_epoch(r) == *e);
-        let model: Arc<dyn GenerativeModel> = {
-            let mut cache = self.model_cache.lock();
-            match cache.get(&cache_key) {
-                Some((snapshot, m)) if current(snapshot) => {
-                    notes.push("generative model cache hit".into());
-                    Arc::clone(m)
-                }
-                _ => {
-                    let mut model: Box<dyn GenerativeModel> = match &opts.open.backend {
-                        OpenBackend::Swg(cfg) => Box::new(SwgModel::new(cfg.clone())),
-                        OpenBackend::BayesNet(cfg) => Box::new(BnModel::new(cfg.clone())),
-                    };
-                    // Explicit backends want IPF weights; compute them when
-                    // possible (ignore failure: marginals may not be IPF-able).
-                    let ipf_weights = Ipf::new(&train_data, &marginals, &opts.binners)
-                        .map(|ipf| ipf.fit(Some(&train_init), &opts.ipf).0)
-                        .unwrap_or_else(|_| train_init.clone());
-                    model.fit(&train_data, &ipf_weights, &marginals)?;
-                    notes.push(format!(
-                        "trained {} on {} rows with {} marginal(s)",
-                        model.name(),
-                        train_data.num_rows(),
-                        marginals.len()
-                    ));
-                    let model: Arc<dyn GenerativeModel> = Arc::from(model);
-                    // Evict models whose dependencies moved: epochs only
-                    // grow, so they can never be served again — without
-                    // this, every write strands its era's fitted models
-                    // in the map forever.
-                    cache.retain(|_, (snapshot, _)| current(snapshot));
-                    let epochs = epoch_snapshot(cat, &population_deps(pop));
-                    cache.insert(cache_key, (epochs, Arc::clone(&model)));
-                    model
-                }
-            }
+        let snapshot = epoch_snapshot(cat, &population_deps(pop));
+        let fit = || {
+            let mut model: Box<dyn GenerativeModel> = match &opts.open.backend {
+                OpenBackend::Swg(cfg) => Box::new(SwgModel::new(cfg.clone())),
+                OpenBackend::BayesNet(cfg) => Box::new(BnModel::new(cfg.clone())),
+            };
+            // Explicit backends want IPF weights; compute them when
+            // possible (ignore failure: marginals may not be IPF-able).
+            let ipf_weights = Ipf::new(&train_data, &marginals, &opts.binners)
+                .map(|ipf| ipf.fit(Some(&train_init), &opts.ipf).0)
+                .unwrap_or_else(|_| train_init.clone());
+            model.fit(&train_data, &ipf_weights, &marginals)?;
+            notes.push(format!(
+                "trained {} on {} rows with {} marginal(s)",
+                model.name(),
+                train_data.num_rows(),
+                marginals.len()
+            ));
+            // A model summarises its training sample: charge it that
+            // sample's bytes.
+            Ok((Arc::from(model), train_data.approx_bytes()))
         };
+        let (model, hit) = self.derived.model(key.clone(), &snapshot, fit)?;
+        if hit {
+            notes.push("generative model cache hit".into());
+        }
         let per_sample = opts
             .open
             .rows_per_sample
             .unwrap_or_else(|| train_data.num_rows());
         Ok(OpenModel {
             model,
+            cache: &self.derived,
+            key,
+            snapshot,
             meta_is_gp: meta.of_gp,
             view: view.cloned(),
             pop_size,
@@ -936,7 +927,7 @@ fn open_answer(
     k: &Knobs,
     bound: &Prepared,
     params: &[Value],
-    om: &OpenModel,
+    om: &OpenModel<'_>,
     what: &str,
     notes: &mut Vec<String>,
     answer: impl Fn(&PhysicalPlan, Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
@@ -986,8 +977,13 @@ fn open_answer(
 
 /// A fitted generative model plus the replicate parameters of the OPEN
 /// loop (paper §4.2), produced by [`MosaicEngine::open_model`].
-struct OpenModel {
+struct OpenModel<'e> {
     model: Arc<dyn GenerativeModel>,
+    /// Where the model's replicates are kept, under the model's key and
+    /// epoch snapshot.
+    cache: &'e crate::cache::DerivedCache,
+    key: String,
+    snapshot: Vec<(String, u64)>,
     /// Whether the marginals (and thus the model) describe the GP: the
     /// view predicate then filters *generated* tuples.
     meta_is_gp: bool,
@@ -1001,23 +997,31 @@ struct OpenModel {
     runs: usize,
 }
 
-impl OpenModel {
-    /// Generate one replicate: draw `per_sample` rows, view-filter when
-    /// the model was trained on the GP, and return the per-row uniform
-    /// weight — population size over draw count, 0 for an empty draw.
+impl OpenModel<'_> {
+    /// One replicate, from the derived-artefact cache or freshly drawn:
+    /// `per_sample` rows from `seed`, view-filtered when the model was
+    /// trained on the GP, and the per-row uniform weight — population
+    /// size over draw count, 0 for an empty draw.
     fn generate(&self, seed: u64) -> Result<(Table, f64)> {
-        let generated = self.model.generate(self.per_sample, seed)?;
-        let generated = if self.meta_is_gp {
-            apply_view(&generated, self.view.as_ref())?
-        } else {
-            generated
+        let key = crate::cache::DerivedKey::Replicate {
+            model: self.key.clone(),
+            seed,
+            rows: self.per_sample,
         };
-        let weight = if generated.is_empty() {
-            0.0
-        } else {
-            self.pop_size / self.per_sample as f64
-        };
-        Ok((generated, weight))
+        self.cache.replicate(key, &self.snapshot, || {
+            let generated = self.model.generate(self.per_sample, seed)?;
+            let generated = if self.meta_is_gp {
+                apply_view(&generated, self.view.as_ref())?
+            } else {
+                generated
+            };
+            let weight = if generated.is_empty() {
+                0.0
+            } else {
+                self.pop_size / self.per_sample as f64
+            };
+            Ok((generated, weight))
+        })
     }
 }
 

@@ -17,8 +17,8 @@
 //! `.set <key> <value>` (one of the session's knobs — `visibility`,
 //! `seed`, `threads`, `partitions`, `optimizer`, `result_cache` — parsed
 //! exactly like the `MOSAIC_*` variables and the wire's `SetOption`),
-//! `.cache stats|clear` (the epoch-invalidated result cache's
-//! engine-wide counters, engine-wide clear),
+//! `.cache stats|clear` (the engine-wide counters of the result, plan
+//! and derived-artefact caches; engine-wide clear),
 //! `.load <csv> <table>` (ingest a CSV file as an auxiliary table),
 //! `.serve <addr>` (expose this shell's engine over TCP in the
 //! background — the wire protocol of `mosaic-serve`),
@@ -229,7 +229,7 @@ impl Shell {
                      .quit                      exit\n\
                      .notes on|off              toggle execution diagnostics\n\
                      .set <key> <value>         set a session knob (.set alone lists the keys)\n\
-                     .cache stats|clear         result cache: engine-wide stats, engine clear\n\
+                     .cache stats|clear         engine caches: engine-wide stats, engine clear\n\
                      .tables                    list registered relations with their kinds\n\
                      .schema <name>             show a relation's columns with types\n\
                      .load <csv> <table>        ingest a CSV file as an auxiliary table\n\
@@ -283,8 +283,8 @@ impl Shell {
                 }
             }
             "cache" => {
-                // The shared result/plan cache: engine-wide statistics
-                // and an engine-wide clear. Epoch invalidation keeps
+                // The shared result, plan and derived-artefact caches:
+                // engine-wide statistics and an engine-wide clear. Epoch invalidation keeps
                 // entries correct automatically — `clear` only releases
                 // memory.
                 match rest {
@@ -309,6 +309,21 @@ impl Shell {
                         println!(
                             "plan cache: hits {} / misses {}",
                             s.plan_hits, s.plan_misses
+                        );
+                        println!(
+                            "derived cache (OPEN models and replicates): {} entr{} / {} \
+                             byte(s) of {} capacity",
+                            s.derived_entries,
+                            if s.derived_entries == 1 { "y" } else { "ies" },
+                            s.derived_bytes,
+                            s.derived_capacity_bytes
+                        );
+                        println!(
+                            "  hits {} / misses {} / evictions {} / invalidations {}",
+                            s.derived_hits,
+                            s.derived_misses,
+                            s.derived_evictions,
+                            s.derived_invalidations
                         );
                     }
                     _ => eprintln!(

@@ -399,10 +399,11 @@ impl Connection {
     }
 
     /// Answer a `CacheStats` request with a `(stat TEXT, value INT)`
-    /// result stream of the engine's result/plan cache counters.
+    /// result stream of the engine's result, plan and derived-artefact
+    /// cache counters.
     fn cache_stats(&self, w: &mut impl Write) -> io::Result<()> {
         let s = self.session.engine().cache_stats();
-        let stats: [(&str, u64); 10] = [
+        let stats: [(&str, u64); 17] = [
             ("capacity_bytes", s.capacity_bytes as u64),
             ("entries", s.entries as u64),
             ("bytes", s.bytes as u64),
@@ -413,6 +414,13 @@ impl Connection {
             ("invalidations", s.invalidations),
             ("plan_hits", s.plan_hits),
             ("plan_misses", s.plan_misses),
+            ("derived_capacity_bytes", s.derived_capacity_bytes as u64),
+            ("derived_entries", s.derived_entries as u64),
+            ("derived_bytes", s.derived_bytes as u64),
+            ("derived_hits", s.derived_hits),
+            ("derived_misses", s.derived_misses),
+            ("derived_evictions", s.derived_evictions),
+            ("derived_invalidations", s.derived_invalidations),
         ];
         let table = mosaic_storage::Table::new(
             mosaic_storage::Schema::new(vec![

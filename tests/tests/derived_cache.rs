@@ -3,11 +3,13 @@
 //! answer served through it is bit for bit the answer a fresh engine
 //! gives after the same statements.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 use mosaic_bn::BnConfig;
 use mosaic_core::{
-    Binner, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult, Session, Value,
+    Binner, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult, Session, SwgConfig,
+    Value,
 };
 use proptest::prelude::*;
 
@@ -177,4 +179,179 @@ proptest! {
             }
         }
     }
+}
+
+/// An M-SWG engine whose fit takes one step per epoch for every 32
+/// sample rows: a population with a few rows fits at once, one with
+/// thousands takes seconds.
+fn swg_engine() -> Arc<MosaicEngine> {
+    let swg = SwgConfig::default()
+        .with_hidden_dim(16)
+        .with_hidden_layers(1)
+        .with_latent_dim(Some(2))
+        .with_lambda(0.0)
+        .with_projections(8)
+        .with_batch_size(32)
+        .with_epochs(20)
+        .with_steps_per_epoch(None)
+        .with_seed(1);
+    let open = OpenOptions::default()
+        .with_backend(OpenBackend::Swg(swg))
+        .with_num_generated(RUNS)
+        .with_rows_per_sample(Some(50));
+    Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ))
+}
+
+/// Replicates per OPEN aggregate in [`swg_engine`].
+const RUNS: usize = 3;
+
+/// A global population `G`, and under it population `name` with a
+/// region marginal and a sample of `rows` rows.
+fn population(engine: &Arc<MosaicEngine>, name: &str, rows: usize) {
+    let values: Vec<String> = (0..rows)
+        .map(|i| format!("('{}', {})", ["north", "south"][i % 2], i % 90))
+        .collect();
+    let s = engine.session();
+    if engine.catalog().population("G").is_none() {
+        s.execute(
+            "CREATE TABLE Regions (region TEXT, n INT);
+             INSERT INTO Regions VALUES ('north', 600), ('south', 400);
+             CREATE GLOBAL POPULATION G (region TEXT, age INT);",
+        )
+        .unwrap();
+    }
+    s.execute(&format!(
+        "CREATE POPULATION {name} AS (SELECT * FROM G WHERE age >= 0);
+         CREATE METADATA {name}_M FOR {name} AS (SELECT region, n FROM Regions);
+         CREATE SAMPLE {name}_S AS (SELECT * FROM {name});
+         INSERT INTO {name}_S VALUES {};",
+        values.join(", ")
+    ))
+    .unwrap();
+}
+
+fn open_count(engine: &Arc<MosaicEngine>, name: &str) -> QueryResult {
+    session(engine, 7)
+        .execute(&format!(
+            "SELECT OPEN region, COUNT(*) FROM {name} GROUP BY region"
+        ))
+        .unwrap()
+}
+
+/// A cold fit of one population holds no lock another population's
+/// OPEN statement needs: B's warm query returns while A still fits.
+#[test]
+fn cold_fit_does_not_block_other_populations() {
+    let engine = swg_engine();
+    population(&engine, "B", 8);
+    population(&engine, "A", 6_000);
+    open_count(&engine, "B");
+    let started = engine.cache_stats().derived_misses;
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| open_count(&engine, "A"));
+        // A's first miss is its model: from then on the fit runs.
+        while engine.cache_stats().derived_misses == started {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        let b = open_count(&engine, "B");
+        let waited = t0.elapsed();
+        assert!(
+            b.notes.iter().any(|n| n == "generative model cache hit"),
+            "{:?}",
+            b.notes
+        );
+        assert!(
+            !a.is_finished(),
+            "B's warm query ({waited:?}) waited for A's cold fit"
+        );
+        let a = a.join().unwrap();
+        assert!(a.notes.iter().any(|n| n.starts_with("trained m-swg")));
+    });
+}
+
+/// Four callers of one cold statement share one fit and one draw per
+/// replicate, and all get the same answer.
+#[test]
+fn concurrent_cold_queries_fit_once() {
+    let engine = swg_engine();
+    population(&engine, "A", 1_000);
+    let barrier = Barrier::new(4);
+    let results: Vec<QueryResult> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    open_count(&engine, "A")
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let trained = results
+        .iter()
+        .filter(|r| r.notes.iter().any(|n| n.starts_with("trained ")))
+        .count();
+    assert_eq!(trained, 1, "exactly one caller fits");
+    // One model miss, then one miss per replicate.
+    assert_eq!(engine.cache_stats().derived_misses, 1 + RUNS as u64);
+    let first = outcome(Ok(results[0].clone()));
+    for r in &results[1..] {
+        assert_eq!(outcome(Ok(r.clone())), first);
+    }
+}
+
+/// `clear_caches` drops fitted models and replicates too; the next
+/// statement refits and answers as before. The counters, in process and
+/// over the wire, show the derived entries come and go.
+#[test]
+fn clear_caches_drops_fitted_models_and_replicates() {
+    let engine = engine();
+    let sql = READS[0];
+    let first = session(&engine, 7).execute(sql).unwrap();
+    let warm = session(&engine, 7).execute(sql).unwrap();
+    assert!(warm.notes.iter().any(|n| n == "generative model cache hit"));
+    let s = engine.cache_stats();
+    // One model and three replicates, each built once and hit once.
+    assert_eq!(
+        (s.derived_entries, s.derived_misses, s.derived_hits),
+        (4, 4, 4)
+    );
+    assert!(s.derived_bytes > 0 && s.derived_bytes <= s.derived_capacity_bytes);
+
+    let handle = mosaic_serve::Server::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        mosaic_serve::ServeConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .0;
+    let mut client = mosaic_serve::Client::connect(handle.addr()).unwrap();
+    let wire = |client: &mut mosaic_serve::Client, name: &str| {
+        let t = client.cache_stats().unwrap().table;
+        (0..t.num_rows())
+            .find(|&r| t.value(r, 0) == Value::Str(name.into()))
+            .map(|r| t.value(r, 1))
+            .unwrap_or_else(|| panic!("{name} missing from the CacheStats reply"))
+    };
+    assert_eq!(wire(&mut client, "derived_entries"), Value::Int(4));
+    assert_eq!(wire(&mut client, "derived_hits"), Value::Int(4));
+
+    engine.clear_caches();
+    let s = engine.cache_stats();
+    assert_eq!((s.derived_entries, s.derived_bytes), (0, 0));
+    assert_eq!(wire(&mut client, "derived_entries"), Value::Int(0));
+    client.close().unwrap();
+    handle.shutdown();
+
+    let refit = session(&engine, 7).execute(sql).unwrap();
+    assert!(
+        refit.notes.iter().any(|n| n.starts_with("trained ")),
+        "{:?}",
+        refit.notes
+    );
+    assert_eq!(outcome(Ok(refit)), outcome(Ok(first)));
 }
