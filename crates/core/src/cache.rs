@@ -365,6 +365,15 @@ pub(crate) enum DerivedKey {
     },
 }
 
+impl DerivedKey {
+    /// The model key an artefact derives from.
+    fn model(&self) -> &str {
+        match self {
+            DerivedKey::Model(model) | DerivedKey::Replicate { model, .. } => model,
+        }
+    }
+}
+
 /// A derived artefact. Cloning one copies no rows and refits nothing: a
 /// model is shared behind an `Arc`, a table shares its column payloads.
 #[derive(Clone)]
@@ -384,10 +393,10 @@ impl Derived {
     }
 }
 
-/// An artefact's place in the map. Its builder holds the lock for the
-/// whole build, so every other caller of the key blocks on it; `None`
-/// once the lock is free means the build failed. A slot is never locked
-/// while the map lock is held.
+/// An artefact's place in the map. Its builder locks it before
+/// publishing it and holds the lock for the whole build, so every other
+/// caller of the key blocks on it; `None` once the lock is free means the
+/// build failed. Nobody waits on a slot while holding the map lock.
 type Slot = Arc<Mutex<Option<Derived>>>;
 
 struct DerivedEntry {
@@ -465,11 +474,7 @@ impl DerivedCache {
                         // Its build failed and was dropped: try again.
                         continue;
                     }
-                    Some(_) => {
-                        let stale = inner.map.remove(key).expect("matched above");
-                        inner.bytes -= stale.bytes.unwrap_or(0);
-                        inner.invalidations += 1;
-                    }
+                    Some(_) => inner.drop_stale(key.model(), snapshot),
                     None => {}
                 }
                 inner.misses += 1;
@@ -569,6 +574,25 @@ impl DerivedCache {
 }
 
 impl DerivedInner {
+    /// Drop every artefact of `model` stored under another snapshot than
+    /// `snapshot`, counting each as an invalidation. Epochs only grow,
+    /// so none of them can be served again; a replicate whose row count
+    /// changed with its sample would otherwise never be looked up, and
+    /// would hold its bytes until evicted.
+    fn drop_stale(&mut self, model: &str, snapshot: &[(String, u64)]) {
+        let before = self.map.len();
+        let mut freed = 0;
+        self.map.retain(|k, e| {
+            let stale = k.model() == model && e.snapshot != snapshot;
+            if stale {
+                freed += e.bytes.unwrap_or(0);
+            }
+            !stale
+        });
+        self.bytes -= freed;
+        self.invalidations += (before - self.map.len()) as u64;
+    }
+
     /// Evict least-recently-used built entries until `bytes` fits the
     /// budget. An entry still being built is never a victim.
     fn evict_to(&mut self, capacity_bytes: usize) {
@@ -728,16 +752,34 @@ mod tests {
     #[test]
     fn derived_stale_snapshot_is_an_invalidation() {
         let cache = DerivedCache::default();
+        let old = [("p".to_string(), 1)];
+        let drawn = |rows| DerivedKey::Replicate {
+            model: "m".into(),
+            seed: 1,
+            rows,
+        };
         assert!(!fetch(&cache, "m", 4));
+        cache
+            .replicate(drawn(4), &old, || Ok((result_rows(4).table, 1.0)))
+            .unwrap();
+        assert!(!fetch(&cache, "other", 4));
         let moved = [("p".to_string(), 2)];
         let (_, hit) = cache
             .get_or_build(&key("m"), &moved, || Ok(replicate(4)))
             .unwrap();
         assert!(!hit, "an artefact of another catalog state is never served");
         let s = stats(&cache);
-        assert_eq!((s.derived_invalidations, s.derived_misses), (1, 2));
-        assert_eq!(s.derived_entries, 1, "the stale entry is gone");
-        assert_eq!(s.derived_bytes, replicate(4).bytes());
+        assert_eq!((s.derived_invalidations, s.derived_misses), (2, 4));
+        assert_eq!(
+            s.derived_entries, 2,
+            "the stale model and its replicate are gone, another model's entry stays"
+        );
+        assert_eq!(s.derived_bytes, 2 * replicate(4).bytes());
+        // A replicate drawn with the new sample size starts afresh.
+        cache
+            .replicate(drawn(5), &moved, || Ok((result_rows(5).table, 1.0)))
+            .unwrap();
+        assert_eq!(stats(&cache).derived_invalidations, 2);
     }
 
     #[test]
@@ -747,6 +789,9 @@ mod tests {
         let cache = DerivedCache::new(2 * one);
         let (release, gate) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
+            // Owned here, so a failed assertion drops it and the gated
+            // build fails instead of blocking the scope's join.
+            let release = release;
             let builder = scope.spawn(|| fetch_gated(&cache, gate));
             while stats(&cache).derived_entries == 0 {
                 std::thread::yield_now();

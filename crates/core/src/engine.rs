@@ -1300,8 +1300,8 @@ pub(crate) fn result_cache_ineligibility(k: &Knobs, vis: Visibility) -> Option<&
 /// The one rendering of the configuration that shapes a visibility's
 /// answers beyond the plan: IPF settings and binners for SEMI-OPEN, plus
 /// the generative backend for OPEN (everything a model fit reads).
-/// CLOSED consults none of it. Both the fitted-model cache key and the
-/// result-cache fingerprint are built from it.
+/// CLOSED consults none of it. Both the derived-artefact cache's model
+/// key and the result-cache fingerprint are built from it.
 fn model_shape(opts: &EngineOptions, vis: Visibility) -> Option<String> {
     if vis == Visibility::Closed {
         return None;
