@@ -467,11 +467,21 @@ impl DerivedCache {
                         let slot = Arc::clone(&e.slot);
                         drop(inner);
                         let built = slot.lock().clone();
+                        let mut inner = self.inner.lock();
                         if let Some(artefact) = built {
-                            self.inner.lock().hits += 1;
+                            inner.hits += 1;
                             return Ok((artefact, true));
                         }
-                        // Its build failed and was dropped: try again.
+                        // Its build failed, or panicked before its
+                        // builder could drop the slot: drop it, then
+                        // try again.
+                        if inner
+                            .map
+                            .get(key)
+                            .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot))
+                        {
+                            inner.map.remove(key);
+                        }
                         continue;
                     }
                     Some(_) => inner.drop_stale(key.model(), snapshot),
@@ -747,6 +757,14 @@ mod tests {
         assert_eq!(stats(&cache).derived_entries, 0);
         assert!(!fetch(&cache, "m", 4), "the next caller builds again");
         assert!(fetch(&cache, "m", 4));
+        // A build that panics leaves its slot behind, empty: the next
+        // caller drops it and builds.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(&key("p"), &snapshot, || panic!("draw panicked"))
+        }));
+        assert!(panicked.is_err());
+        assert!(!fetch(&cache, "p", 4));
+        assert!(fetch(&cache, "p", 4));
     }
 
     #[test]
