@@ -345,9 +345,7 @@ impl MosaicEngine {
     /// ordinary parse path.
     pub(crate) fn execute_hot(&self, sql: &str, k: &Knobs) -> Option<Result<QueryResult>> {
         let cat = self.catalog.read();
-        let p = self
-            .plan_cache
-            .get(sql, k.visibility, k.optimizer, |n| cat.relation_epoch(n))?;
+        let p = self.plan_cache.get(sql, k.visibility, k.optimizer, &cat)?;
         Some(self.select_prepared(&cat, &self.options(), k, &p, &[]))
     }
 
@@ -367,13 +365,8 @@ impl MosaicEngine {
         let cat = self.catalog.read();
         let p = Arc::new(Prepared::bind(&cat, k, stmt, sql.unwrap_or_default())?);
         if let Some(sql) = sql {
-            self.plan_cache.insert(
-                sql,
-                k.visibility,
-                k.optimizer,
-                Arc::clone(&p),
-                epoch_snapshot(&cat, p.dependencies()),
-            );
+            self.plan_cache
+                .insert(sql, k.visibility, k.optimizer, Arc::clone(&p), &cat);
         }
         self.select_prepared(&cat, opts, k, &p, &[])
     }
@@ -392,11 +385,11 @@ impl MosaicEngine {
         params: &[Value],
     ) -> Result<QueryResult> {
         let vis = prepared.visibility().unwrap_or(Visibility::Closed);
-        if !result_cache_on(opts, k) || result_cache_ineligibility(k, vis).is_some() {
+        if !result_cache_on(opts, k) {
             return self.select(cat, opts, k, prepared, params);
         }
         let fp = fingerprint_of(prepared, params, opts, k, vis);
-        if let Some(mut hit) = self.result_cache.get(fp, |n| cat.relation_epoch(n)) {
+        if let Some(mut hit) = self.result_cache.get(fp, cat) {
             hit.notes.push(format!(
                 "result cache hit (fingerprint {})",
                 crate::plan::fingerprint::format_fingerprint(fp)
@@ -404,9 +397,9 @@ impl MosaicEngine {
             return Ok(hit);
         }
         let result = self.select(cat, opts, k, prepared, params)?;
-        let epochs = epoch_snapshot(cat, prepared.dependencies());
+        let (relations, capacity) = (prepared.dependencies(), opts.result_cache_mb << 20);
         self.result_cache
-            .insert(fp, &result, epochs, opts.result_cache_mb << 20);
+            .insert(fp, &result, cat, relations, capacity);
         Ok(result)
     }
 
@@ -436,7 +429,7 @@ impl MosaicEngine {
     /// Whether a valid (epoch-current) result is cached under `fp`
     /// (`EXPLAIN`'s non-mutating probe).
     pub(crate) fn result_cached(&self, fp: u64, cat: &Catalog) -> bool {
-        self.result_cache.peek(fp, |n| cat.relation_epoch(n))
+        self.result_cache.peek(fp, cat)
     }
 
     pub(crate) fn execute_statement(
@@ -824,14 +817,14 @@ impl MosaicEngine {
     /// while the population's dependency epochs are unchanged — the rule
     /// plans and results are validated by — so writes to unrelated
     /// relations never refit or redraw.
-    fn open_model(
-        &self,
-        cat: &Catalog,
+    fn open_model<'e>(
+        &'e self,
+        cat: &'e Catalog,
         opts: &EngineOptions,
         side: PopulationRead<'_>,
         meta: Metadata<'_>,
         notes: &mut Vec<String>,
-    ) -> Result<OpenModel<'_>> {
+    ) -> Result<OpenModel<'e>> {
         let PopulationRead {
             pop, sample, view, ..
         } = side;
@@ -858,7 +851,7 @@ impl MosaicEngine {
             pop.name.to_ascii_lowercase(),
             model_shape(opts, Visibility::Open).expect("OPEN has a model shape")
         );
-        let snapshot = epoch_snapshot(cat, &population_deps(pop));
+        let deps = population_deps(pop);
         let fit = || {
             let mut model: Box<dyn GenerativeModel> = match &opts.open.backend {
                 OpenBackend::Swg(cfg) => Box::new(SwgModel::new(cfg.clone())),
@@ -880,7 +873,7 @@ impl MosaicEngine {
             // sample's bytes.
             Ok((Arc::from(model), train_data.approx_bytes()))
         };
-        let (model, hit) = self.derived.model(key.clone(), &snapshot, fit)?;
+        let (model, hit) = self.derived.model(key.clone(), cat, &deps, fit)?;
         if hit {
             notes.push("generative model cache hit".into());
         }
@@ -891,8 +884,9 @@ impl MosaicEngine {
         Ok(OpenModel {
             model,
             cache: &self.derived,
+            cat,
             key,
-            snapshot,
+            deps,
             meta_is_gp: meta.of_gp,
             view: view.cloned(),
             pop_size,
@@ -932,7 +926,7 @@ fn open_answer(
     notes: &mut Vec<String>,
     answer: impl Fn(&PhysicalPlan, Table, f64, &ExecContext<'_>) -> Result<Table> + Sync,
 ) -> Result<Table> {
-    let generate = |run: usize| om.generate(open_run_seed(k.seed.unwrap_or(0), run));
+    let generate = |run: usize| om.generate(open_run_seed(k.seed, run));
     // The engine owns one thread budget: when several replicates run
     // concurrently, each runs its inner query single-threaded; a lone
     // replicate hands the whole budget to the morsel executor. Either
@@ -980,10 +974,11 @@ fn open_answer(
 struct OpenModel<'e> {
     model: Arc<dyn GenerativeModel>,
     /// Where the model's replicates are kept, under the model's key and
-    /// epoch snapshot.
+    /// the population's dependencies as they are in `cat`.
     cache: &'e crate::cache::DerivedCache,
+    cat: &'e Catalog,
     key: String,
-    snapshot: Vec<(String, u64)>,
+    deps: Vec<String>,
     /// Whether the marginals (and thus the model) describe the GP: the
     /// view predicate then filters *generated* tuples.
     meta_is_gp: bool,
@@ -1008,7 +1003,7 @@ impl OpenModel<'_> {
             seed,
             rows: self.per_sample,
         };
-        self.cache.replicate(key, &self.snapshot, || {
+        self.cache.replicate(key, self.cat, &self.deps, || {
             let generated = self.model.generate(self.per_sample, seed)?;
             let generated = if self.meta_is_gp {
                 apply_view(&generated, self.view.as_ref())?
@@ -1288,15 +1283,6 @@ pub(crate) fn result_cache_on(opts: &EngineOptions, k: &Knobs) -> bool {
     k.result_cache && opts.result_cache_mb > 0
 }
 
-/// Why a statement cannot participate in the result cache, or `None`
-/// when it is eligible. The only ineligible shape today: OPEN without an
-/// explicitly pinned seed — its results are only reproducible when the
-/// seed is fixed by the user, so caching would freeze one draw of a
-/// deliberately re-randomized process.
-pub(crate) fn result_cache_ineligibility(k: &Knobs, vis: Visibility) -> Option<&'static str> {
-    (vis == Visibility::Open && k.seed.is_none()).then_some("OPEN without an explicit seed")
-}
-
 /// The one rendering of the configuration that shapes a visibility's
 /// answers beyond the plan: IPF settings and binners for SEMI-OPEN, plus
 /// the generative backend for OPEN (everything a model fit reads).
@@ -1334,9 +1320,7 @@ pub(crate) fn fingerprint_of(
     let config = model_shape(opts, vis).map(|shape| match vis {
         Visibility::Open => format!(
             "{shape}|num_generated={}|rows_per_sample={:?}|seed={}",
-            opts.open.num_generated,
-            opts.open.rows_per_sample,
-            k.seed.unwrap_or(0),
+            opts.open.num_generated, opts.open.rows_per_sample, k.seed,
         ),
         _ => shape,
     });
@@ -1347,14 +1331,6 @@ pub(crate) fn fingerprint_of(
         vis,
         config.as_deref(),
     )
-}
-
-/// Snapshot the current epoch of every relation in `relations`.
-pub(crate) fn epoch_snapshot(cat: &Catalog, relations: &[String]) -> Vec<(String, u64)> {
-    relations
-        .iter()
-        .map(|r| (r.clone(), cat.relation_epoch(r)))
-        .collect()
 }
 
 /// Map a row (possibly with an explicit column list) onto the target

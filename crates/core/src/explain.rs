@@ -15,11 +15,9 @@ use mosaic_sql::{JoinKind, Visibility};
 use mosaic_storage::Table;
 
 use crate::catalog::{Catalog, Mechanism};
-use crate::engine::{
-    fingerprint_of, result_cache_ineligibility, result_cache_on, EngineOptions, MosaicEngine,
-};
+use crate::engine::{fingerprint_of, result_cache_on, EngineOptions, MosaicEngine};
 use crate::plan::fingerprint::format_fingerprint;
-use crate::plan::parallel::MORSEL_ROWS;
+use crate::plan::parallel::{sort_runs, MORSEL_ROWS};
 use crate::plan::{has_aggregate_shape, join, Planned};
 use crate::session::{BoundRel, Prepared, RelKind, Source};
 use crate::source::{combined_weight, mechanism_note, read_side, How, PopulationRead, Read};
@@ -79,8 +77,6 @@ fn push_cache_lines(
     let vis = p.visibility().unwrap_or(Visibility::Closed);
     let verdict = if !result_cache_on(opts, k) {
         "off".to_string()
-    } else if let Some(why) = result_cache_ineligibility(k, vis) {
-        format!("ineligible ({why})")
     } else if p.param_count() > 0 {
         // The fingerprint covers the bound values, so each distinct
         // parameter vector caches separately.
@@ -117,7 +113,7 @@ fn push_read(
         String::new()
     };
     let runs = opts.open.num_generated.max(1);
-    let (backend, seed) = (opts.open.backend.id(), k.seed.unwrap_or(0));
+    let (backend, seed) = (opts.open.backend.id(), k.seed);
     let model = format!("backend {backend}, seed {seed}");
     let how_text = match how {
         Err(e) => format!("{side}execution would fail: {e}"),
@@ -361,9 +357,9 @@ fn push_plan(lines: &mut Vec<String>, planned: &Planned, k: &Knobs, source: &str
                 "    sort: over the aggregate output — parallel runs + k-way merge \
                  when the group count exceeds {MORSEL_ROWS}, else serial"
             ));
-        } else if threads > 1 && morsels > 1 {
+        } else if let runs @ 2.. = sort_runs(rows, threads) {
             lines.push(format!(
-                "    sort: parallel — runs={morsels} (≤{MORSEL_ROWS} rows each, sorted \
+                "    sort: parallel — runs={runs} (≤{MORSEL_ROWS} rows each, sorted \
                  on the worker pool), merge=k-way"
             ));
         } else {

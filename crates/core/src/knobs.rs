@@ -19,10 +19,10 @@ use mosaic_sql::Visibility;
 pub struct Knobs {
     /// Visibility applied to population queries that don't specify one.
     pub visibility: Visibility,
-    /// Base seed of OPEN generation. `Some` pins it: OPEN answers are
-    /// then reproducible by request, and so result-cache eligible; with
-    /// `None` generation uses seed 0 and OPEN answers are never cached.
-    pub seed: Option<u64>,
+    /// Base seed of OPEN generation: the same seed draws the same
+    /// replicates, so an OPEN answer is reproducible (and cached) like
+    /// any other.
+    pub seed: u64,
     /// Worker-thread cap shared by the morsel-driven executor and the
     /// OPEN replicate loop (minimum 1).
     pub threads: usize,
@@ -40,7 +40,7 @@ impl Default for Knobs {
     fn default() -> Knobs {
         Knobs {
             visibility: Visibility::SemiOpen,
-            seed: None,
+            seed: 0,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             partitions: 16,
             optimizer: true,
@@ -171,7 +171,7 @@ impl Knobs {
                     _ => return Err(invalid()),
                 }
             }
-            "seed" => self.seed = Some(text.parse().map_err(|_| invalid())?),
+            "seed" => self.seed = text.parse().map_err(|_| invalid())?,
             "threads" => self.threads = count()?,
             "partitions" => self.partitions = count()?,
             "optimizer" => self.optimizer = flag()?,
@@ -207,7 +207,7 @@ mod tests {
             assert_eq!(set("visibility", v).map(|k| k.visibility), Ok(want), "{v}");
         }
         for (v, want) in [("0", 0), (" 42 ", 42), ("18446744073709551615", u64::MAX)] {
-            assert_eq!(set("Seed", v).map(|k| k.seed), Ok(Some(want)), "{v}");
+            assert_eq!(set("Seed", v).map(|k| k.seed), Ok(want), "{v}");
         }
         for (key, v, n) in [
             ("threads", "1", 1),

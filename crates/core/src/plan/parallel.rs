@@ -152,6 +152,17 @@ pub(crate) fn run_ordered<T: Send>(
         .collect()
 }
 
+/// How many sorted runs [`parallel_sort_indices`] builds for `rows` rows
+/// on `threads` workers: one per [`MORSEL_ROWS`] block, or 1 — a single
+/// in-place sort — for a single-block input or a single-threaded caller.
+pub(crate) fn sort_runs(rows: usize, threads: usize) -> usize {
+    if rows <= MORSEL_ROWS || threads <= 1 {
+        1
+    } else {
+        rows.div_ceil(MORSEL_ROWS)
+    }
+}
+
 /// Sort the index range `0..n` under a strict total order, in parallel:
 /// per-[`MORSEL_ROWS`]-block sorted runs built on the worker pool
 /// ([`run_ordered`]), then one deterministic k-way merge
@@ -170,13 +181,13 @@ pub(crate) fn parallel_sort_indices(
     cmp: impl Fn(usize, usize) -> std::cmp::Ordering + Sync,
 ) -> Vec<usize> {
     let ord = |a: &usize, b: &usize| cmp(*a, *b);
-    if n <= MORSEL_ROWS || threads <= 1 {
+    let n_runs = sort_runs(n, threads);
+    if n_runs == 1 {
         let mut idx: Vec<usize> = (0..n).collect();
         // The order is strict, so an unstable sort is deterministic.
         idx.sort_unstable_by(ord);
         return idx;
     }
-    let n_runs = n.div_ceil(MORSEL_ROWS);
     let runs = run_ordered(n_runs, threads, |ri| {
         let start = ri * MORSEL_ROWS;
         let end = (start + MORSEL_ROWS).min(n);

@@ -73,10 +73,9 @@ impl Session {
         self
     }
 
-    /// Pin the OPEN-query generation seed (which also makes seeded OPEN
-    /// answers result-cache eligible).
+    /// Set the OPEN-query generation seed (default 0).
     pub fn with_seed(mut self, seed: u64) -> Session {
-        self.knobs.seed = Some(seed);
+        self.knobs.seed = seed;
         self
     }
 

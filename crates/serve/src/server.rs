@@ -382,7 +382,8 @@ impl Connection {
     }
 
     /// Answer a `SetOption` request: `result_cache=clear` drops every
-    /// cached result and plan engine-wide; any other pair sets one of
+    /// cached result, plan, fitted model and replicate engine-wide (see
+    /// [`MosaicEngine::clear_caches`]); any other pair sets one of
     /// this connection's knobs through [`Session::set`].
     fn set_option(&mut self, w: &mut impl Write, key: &str, value: &str) -> io::Result<()> {
         let key = key.to_ascii_lowercase();

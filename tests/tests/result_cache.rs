@@ -20,7 +20,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use mosaic_core::{EngineOptions, MosaicEngine, QueryResult, Session, Table, Value};
+use mosaic_bn::BnConfig;
+use mosaic_core::{
+    EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult, Session, Table, Value,
+};
 use mosaic_serve::{Client, ServeConfig, Server, ServerHandle};
 
 /// Aggregate-heavy planner-oracle subset (all deterministic at any
@@ -548,7 +551,8 @@ fn opt_outs_never_hit() {
 }
 
 /// EXPLAIN reports the fingerprint and the cache verdict, and the
-/// verdict tracks reality: not cached → cached → off → OPEN-ineligible.
+/// verdict tracks reality: not cached → cached → off, and OPEN keyed by
+/// its seed.
 #[test]
 fn explain_reports_fingerprint_and_verdict() {
     let engine = seed_engine(500);
@@ -583,22 +587,42 @@ fn explain_reports_fingerprint_and_verdict() {
     let text = lines(&off.execute(&format!("EXPLAIN {q}")).unwrap());
     assert!(text.contains("result cache: off"), "{text}");
 
-    // OPEN without an explicit seed can never cache; a pinned seed can.
+    // OPEN caches like every visibility: a session that sets no seed
+    // draws with seed 0, so its statement is the `seed 0` statement.
+    // (A Bayesian-network backend keeps the fit quick in debug builds.)
+    let open = OpenOptions::default().with_backend(OpenBackend::BayesNet(BnConfig::default()));
+    let engine = Arc::new(MosaicEngine::with_options(
+        EngineOptions::default().with_open(open),
+    ));
+    let s = cached(&engine);
     s.execute(
-        "CREATE GLOBAL POPULATION Pop (k TEXT);
+        "CREATE TABLE PopK (k TEXT, n INT);
+         INSERT INTO PopK VALUES ('a', 60), ('b', 40);
+         CREATE GLOBAL POPULATION Pop (k TEXT);
+         CREATE METADATA PopM FOR Pop AS (SELECT k, n FROM PopK);
          CREATE SAMPLE PS AS (SELECT * FROM Pop);
          INSERT INTO PS VALUES ('a'), ('b')",
     )
     .unwrap();
-    let open_q = "EXPLAIN SELECT OPEN k, COUNT(*) FROM Pop GROUP BY k";
-    let text = lines(&s.execute(open_q).unwrap());
+    let open_q = "SELECT OPEN k, COUNT(*) FROM Pop GROUP BY k";
+    let fingerprint = |session: &Session| {
+        let text = lines(&session.execute(&format!("EXPLAIN {open_q}")).unwrap());
+        assert!(!text.contains("ineligible"), "{text}");
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("fingerprint: "));
+        line.expect("an OPEN statement has a fingerprint")
+            .trim()
+            .to_string()
+    };
+    let unseeded = fingerprint(&s);
+    assert_eq!(unseeded, fingerprint(&cached(&engine).with_seed(0)));
+    assert_ne!(unseeded, fingerprint(&cached(&engine).with_seed(7)));
+    assert!(!is_hit(&s.execute(open_q).unwrap()));
     assert!(
-        text.contains("ineligible (OPEN without an explicit seed)"),
-        "{text}"
+        is_hit(&s.execute(open_q).unwrap()),
+        "a repeated unseeded OPEN statement is a result-cache hit"
     );
-    let seeded = cached(&engine).with_seed(7);
-    let text = lines(&seeded.execute(open_q).unwrap());
-    assert!(!text.contains("ineligible"), "{text}");
 }
 
 // ---------------------------------------------------------------------
