@@ -2,8 +2,8 @@
 //!
 //! * A cache **hit is bit-identical** to uncached re-execution — for the
 //!   planner-oracle template subset, across the optimizer × parallelism
-//!   matrix, and across visibilities (CLOSED, SEMI-OPEN IPF, OPEN with
-//!   an explicit seed).
+//!   matrix, and across visibilities (CLOSED, SEMI-OPEN IPF, and OPEN,
+//!   whose answers the session seed fixes).
 //! * **Writes invalidate**: INSERT / DROP+recreate / sample writes
 //!   between identical queries never serve stale rows — the post-write
 //!   answer always equals a fresh uncached execution.

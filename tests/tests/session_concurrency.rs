@@ -375,8 +375,8 @@ fn every_source_kind_agrees_across_adhoc_prepared_and_cache() {
     setup.push_str(&rows.join(","));
     engine.session().execute(&setup).unwrap();
 
-    // A pinned seed makes the OPEN statements reproducible — and so
-    // result-cache eligible. The cache knob is explicit so the hit
+    // One seed makes the OPEN statements reproducible, so they cache
+    // like any other. The cache knob is explicit so the hit
     // assertions hold under an ambient MOSAIC_RESULT_CACHE=off.
     let cached = engine.session().with_seed(7).with_result_cache(true);
     let uncached = cached.clone().with_result_cache(false);
