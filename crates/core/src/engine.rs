@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mosaic_bn::BnConfig;
-use mosaic_sql::{parse, Expr, InsertSource, SelectItem, SelectStmt, Statement, Visibility};
+use mosaic_sql::{
+    parse_spanned, Expr, InsertSource, SelectItem, SelectStmt, Statement, Visibility,
+};
 use mosaic_stats::{Binner, Ipf, IpfConfig, IpfReport, Marginal};
 use mosaic_storage::{Column, DataType, Field, Schema, Table, TableBuilder, Value};
 use mosaic_swg::SwgConfig;
@@ -36,7 +38,7 @@ use crate::session::{population_deps, Prepared, RelKind, Session, Source};
 use crate::source::{
     combined_weight, mechanism_note, read_side, How, Metadata, PopulationRead, Read,
 };
-use crate::{Knobs, MosaicError, Result};
+use crate::{Knobs, MosaicError, Result, ScriptError};
 
 /// Which generative model answers OPEN queries.
 #[derive(Debug, Clone)]
@@ -309,62 +311,68 @@ impl MosaicEngine {
         self.catalog.write().set_sample_weights(sample, weights)
     }
 
-    /// Execute a script of semicolon-separated statements under a
-    /// session's knobs; returns the result of the last SELECT (or an
-    /// empty result).
-    pub(crate) fn execute_with(&self, sql: &str, k: &Knobs) -> Result<QueryResult> {
-        // Hot path: a valid cached plan for this exact script text
-        // skips parse/bind/optimize entirely — repeated ad-hoc `Query`
-        // frames over the wire land here.
-        if let Some(r) = self.execute_hot(sql, k) {
-            return r;
+    /// Run a script of `;`-separated statements under a session's knobs —
+    /// the one loop every script takes ([`Session::execute_script`], so
+    /// also the wire's `Query` frame and the shell). A script whose exact
+    /// text has an epoch-valid plan in the shared plan cache runs it
+    /// without being parsed; any other script is parsed once and its
+    /// statements run in order, a single-SELECT script publishing its
+    /// binding for the next identical script. Stops at the first failing
+    /// statement — earlier statements keep their effects — and returns
+    /// the last result, or an empty one.
+    pub(crate) fn run_script(
+        &self,
+        sql: &str,
+        k: &Knobs,
+    ) -> std::result::Result<QueryResult, ScriptError> {
+        {
+            let cat = self.catalog.read();
+            if let Some(p) = self.plan_cache.get(sql, k.visibility, k.optimizer, &cat) {
+                return self
+                    .select_prepared(&cat, &self.options(), k, &p, &[])
+                    .map_err(|e| ScriptError::at(0, p.sql(), e));
+            }
         }
+        let stmts = parse_spanned(sql).map_err(|e| ScriptError {
+            statement: None,
+            error: e.into(),
+        })?;
         let opts = self.options();
-        let mut stmts = parse(sql)?;
-        // Single-SELECT scripts publish their bound plan under the
-        // script text so the next identical script takes the hot path
-        // above.
-        if stmts.len() == 1 && matches!(stmts[0], Statement::Select(_)) {
-            let Some(Statement::Select(stmt)) = stmts.pop() else {
-                unreachable!("matched above");
-            };
-            return self.execute_select(Some(sql), stmt, &opts, k);
-        }
+        let publish = matches!(stmts.as_slice(), [(Statement::Select(_), _)]);
         let mut last = QueryResult::empty();
-        for stmt in stmts {
-            if let Some(r) = self.execute_statement(stmt, &opts, k)? {
+        for (i, (stmt, span)) in stmts.into_iter().enumerate() {
+            let text = sql[span].trim();
+            let outcome = match stmt {
+                Statement::Select(stmt) if publish => self
+                    .execute_select(stmt, Some((sql, text)), &opts, k)
+                    .map(Some),
+                stmt => self.execute_statement(stmt, &opts, k),
+            };
+            if let Some(r) = outcome.map_err(|e| ScriptError::at(i, text, e))? {
                 last = r;
             }
         }
         Ok(last)
     }
 
-    /// Execute `sql` through the shared plan cache alone: `Some` when
-    /// an epoch-valid plan is cached under the exact script text (no
-    /// parsing happens at all), `None` when the caller must take the
-    /// ordinary parse path.
-    pub(crate) fn execute_hot(&self, sql: &str, k: &Knobs) -> Option<Result<QueryResult>> {
-        let cat = self.catalog.read();
-        let p = self.plan_cache.get(sql, k.visibility, k.optimizer, &cat)?;
-        Some(self.select_prepared(&cat, &self.options(), k, &p, &[]))
-    }
-
     /// Execute one ad-hoc SELECT — the single entry every unprepared
-    /// SELECT (scripts, parsed statements, `INSERT … SELECT` sources)
-    /// goes through: bind it, publish the binding under the script text
-    /// (when there is one) for cross-session reuse, and run it through
-    /// the result cache. A bind failure is the statement's error.
+    /// SELECT (script statements, `INSERT … SELECT` sources) goes
+    /// through: bind it, publish the binding for cross-session reuse
+    /// when the statement is a whole script (`script` holds the script's
+    /// text, the plan-cache key, and the statement's), and run it
+    /// through the result cache. A bind failure is the statement's error.
     fn execute_select(
         &self,
-        sql: Option<&str>,
         stmt: SelectStmt,
+        script: Option<(&str, &str)>,
         opts: &EngineOptions,
         k: &Knobs,
     ) -> Result<QueryResult> {
         reject_params(&stmt)?;
         let cat = self.catalog.read();
-        let p = Arc::new(Prepared::bind(&cat, k, stmt, sql.unwrap_or_default())?);
-        if let Some(sql) = sql {
+        let text = script.map_or("", |(_, text)| text);
+        let p = Arc::new(Prepared::bind(&cat, k, stmt, text)?);
+        if let Some((sql, _)) = script {
             self.plan_cache
                 .insert(sql, k.visibility, k.optimizer, Arc::clone(&p), &cat);
         }
@@ -432,7 +440,7 @@ impl MosaicEngine {
         self.result_cache.peek(fp, cat)
     }
 
-    pub(crate) fn execute_statement(
+    fn execute_statement(
         &self,
         stmt: Statement,
         opts: &EngineOptions,
@@ -575,7 +583,7 @@ impl MosaicEngine {
                 self.insert(&table, columns.as_deref(), source, opts, k)?;
                 Ok(None)
             }
-            Statement::Select(stmt) => self.execute_select(None, stmt, opts, k).map(Some),
+            Statement::Select(stmt) => self.execute_select(stmt, None, opts, k).map(Some),
             Statement::Explain(stmt) => {
                 let cat = self.catalog.read();
                 let bound = Prepared::bind(&cat, k, stmt, "")?;
@@ -611,7 +619,7 @@ impl MosaicEngine {
         let (values, selected) = match source {
             InsertSource::Values(rows) => (rows, None),
             InsertSource::Select(stmt) => {
-                let result = self.execute_select(None, *stmt, opts, k)?;
+                let result = self.execute_select(*stmt, None, opts, k)?;
                 (Vec::new(), Some(result.table))
             }
         };
@@ -1554,7 +1562,7 @@ mod tests {
     use mosaic_storage::StorageError;
 
     fn select(sql: &str) -> SelectStmt {
-        match parse(sql).unwrap().pop().unwrap() {
+        match mosaic_sql::parse(sql).unwrap().pop().unwrap() {
             Statement::Select(s) => s,
             other => panic!("not a select: {other:?}"),
         }

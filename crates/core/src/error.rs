@@ -57,6 +57,27 @@ impl std::error::Error for MosaicError {
     }
 }
 
+/// A script's failure: which statement failed and why. The statements
+/// before it ran and keep their effects; the ones after it did not run.
+#[derive(Debug)]
+pub struct ScriptError {
+    /// The failing statement's 0-based index in the script and its text,
+    /// trimmed and without the `;`; `None` when the script did not parse.
+    pub statement: Option<(usize, String)>,
+    /// What went wrong.
+    pub error: MosaicError,
+}
+
+impl ScriptError {
+    /// The failure of statement `index`, whose text is `text`.
+    pub(crate) fn at(index: usize, text: &str, error: MosaicError) -> ScriptError {
+        ScriptError {
+            statement: Some((index, text.to_string())),
+            error,
+        }
+    }
+}
+
 impl From<ParseError> for MosaicError {
     fn from(e: ParseError) -> Self {
         MosaicError::Parse(e)

@@ -65,7 +65,9 @@
 //! relations, baked-in visibility, logical/optimized/physical plan —
 //! and that one binding drives ad-hoc execution, prepared execution,
 //! the plan and result caches, and `EXPLAIN`; a statement the binder
-//! rejects fails with the binder's error everywhere:
+//! rejects fails with the binder's error everywhere. Every script runs
+//! through one loop, [`Session::execute_script`], whose [`ScriptError`]
+//! names the failing statement:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -155,7 +157,7 @@ mod source;
 pub use cache::CacheStats;
 pub use catalog::{Catalog, Mechanism, MetadataEntry, Population, Sample};
 pub use engine::{EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult};
-pub use error::MosaicError;
+pub use error::{MosaicError, ScriptError};
 pub use eval::eval_scalar;
 pub use exec::run_select;
 pub use knobs::{Key, Knobs, KEYS};

@@ -26,10 +26,14 @@ use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
 use crate::source::choose_sample;
-use crate::{Knobs, MosaicError, Result};
+use crate::{Knobs, MosaicError, Result, ScriptError};
 
 /// A client session on a shared [`MosaicEngine`].
 ///
+/// Scripts run through [`Session::execute_script`] (or
+/// [`Session::execute`], its error alone), the engine's one script loop,
+/// which the wire's `Query` frame and the shell take too; a statement
+/// run many times can be bound once with [`Session::prepare`].
 /// Cloning a session copies its knobs and shares the engine.
 /// Sessions are `Send`: move them into threads freely — the engine's
 /// catalog lock lets all sessions read concurrently while DDL/DML
@@ -112,31 +116,29 @@ impl Session {
         self
     }
 
-    /// Execute a script of semicolon-separated statements; returns the
-    /// result of the last SELECT (or an empty result).
+    /// Execute a script of `;`-separated statements; returns the result
+    /// of the last statement that has one (a SELECT or an EXPLAIN), or an
+    /// empty result. [`Session::execute_script`] with the error alone.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.engine.execute_with(sql, &self.knobs)
+        self.execute_script(sql).map_err(|e| e.error)
+    }
+
+    /// Execute a script of `;`-separated statements through the engine's
+    /// one script loop — the path of [`Session::execute`], the wire's
+    /// `Query` frame and the shell. A script whose exact text has an
+    /// epoch-valid plan in the shared plan cache runs without being
+    /// parsed; otherwise it is parsed once, and a single-SELECT script
+    /// publishes its plan for the next identical script, from any
+    /// session. Execution stops at the first failing statement, whose
+    /// 0-based index and text the [`ScriptError`] names (whether or not
+    /// its plan was cached); earlier statements keep their effects.
+    pub fn execute_script(&self, sql: &str) -> std::result::Result<QueryResult, ScriptError> {
+        self.engine.run_script(sql, &self.knobs)
     }
 
     /// Execute a script and return just the last result table.
     pub fn query(&self, sql: &str) -> Result<Table> {
         self.execute(sql).map(|r| r.table)
-    }
-
-    /// Execute `sql` only if the engine's shared plan cache holds an
-    /// epoch-valid plan for the exact script text — the zero-parse hot
-    /// path servers probe before falling back to [`Session::execute`].
-    /// `None` means no cached plan (never an error).
-    pub fn execute_cached(&self, sql: &str) -> Option<Result<QueryResult>> {
-        self.engine.execute_hot(sql, &self.knobs)
-    }
-
-    /// Execute one already-parsed statement (shells use this to report
-    /// per-statement errors). Returns `None` for statements without a
-    /// result (DDL/DML).
-    pub fn execute_parsed(&self, stmt: Statement) -> Result<Option<QueryResult>> {
-        let opts = self.engine.options();
-        self.engine.execute_statement(stmt, &opts, &self.knobs)
     }
 
     /// Prepare a single SELECT statement: parse once, bind names

@@ -8,9 +8,15 @@
 //! ...
 //! ```
 //!
-//! Statements may span lines; they execute at each `;`. Multi-statement
-//! input runs statement by statement: an error reports *which* statement
-//! failed (1-based index plus its text) and stops the rest of the chunk.
+//! Statements may span lines; a chunk executes at each line-ending `;`
+//! through the engine's one script loop ([`Session::execute_script`]),
+//! the path of in-process sessions and the wire's `Query` frame too, so
+//! a repeated single-SELECT chunk runs from the shared plan cache
+//! without being parsed again. A failing statement stops the rest of
+//! the chunk; the statements before it keep their effects. The error
+//! line reads `error: …` when the chunk is that one statement and
+//! otherwise also names the failing statement (1-based index plus its
+//! text).
 //!
 //! Meta-commands (leading `.` or `\`):
 //! `.help`, `.quit`, `.notes on|off` (execution diagnostics),
@@ -42,10 +48,10 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use mosaic_core::{
-    eval_scalar, EngineOptions, MosaicEngine, Prepared, QueryResult, Session, Value, KEYS,
+    eval_scalar, EngineOptions, MosaicEngine, Prepared, QueryResult, ScriptError, Session, Value,
+    KEYS,
 };
 use mosaic_serve::{ServeConfig, Server, ServerHandle};
-use mosaic_sql::parse_spanned;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -160,44 +166,14 @@ struct Shell {
 }
 
 impl Shell {
-    /// Execute a `;`-separated chunk statement by statement, so an error
-    /// names the statement that failed instead of swallowing the rest of
-    /// the script. Stops at the first failure (later statements may
-    /// depend on the failed one).
+    /// Run a `;`-separated chunk through the engine's script loop
+    /// ([`Session::execute_script`]), which stops at the first failure
+    /// (later statements may depend on the failed one) and reports
+    /// which statement failed.
     fn run_script(&mut self, sql: &str) {
-        let spanned = match parse_spanned(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return;
-            }
-        };
-        let total = spanned.len();
-        let mut last: Option<QueryResult> = None;
-        for (i, (stmt, span)) in spanned.into_iter().enumerate() {
-            match self.session.execute_parsed(stmt) {
-                Ok(r) => {
-                    if let Some(r) = r {
-                        last = Some(r);
-                    }
-                }
-                Err(e) => {
-                    if total > 1 {
-                        eprintln!(
-                            "error in statement {} of {total} ({}): {e}",
-                            i + 1,
-                            snippet(&sql[span])
-                        );
-                    } else {
-                        eprintln!("error: {e}");
-                    }
-                    return;
-                }
-            }
-        }
-        match last {
-            Some(r) => self.print_result(&r),
-            None => println!("ok"),
+        match self.session.execute_script(sql) {
+            Ok(r) => self.print_result(&r),
+            Err(e) => eprintln!("{}", error_message(sql, &e)),
         }
     }
 
@@ -507,6 +483,20 @@ fn parse_params(args: &str) -> Result<Vec<Value>, String> {
         .collect()
 }
 
+/// The shell's line for a failed chunk: `error: …` when the chunk is
+/// the one statement that failed (or did not parse), otherwise the
+/// failing statement's 1-based index and text as well.
+fn error_message(chunk: &str, e: &ScriptError) -> String {
+    let whole = chunk.trim_end_matches(|c: char| c == ';' || c.is_whitespace());
+    match &e.statement {
+        Some((i, text)) if *i > 0 || whole.trim_start() != text => {
+            let (n, text) = (i + 1, snippet(text));
+            format!("error in statement {n} ({text}): {}", e.error)
+        }
+        _ => format!("error: {}", e.error),
+    }
+}
+
 /// Trim a statement's text to one error-message-sized line.
 fn snippet(sql: &str) -> String {
     let flat = sql.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -515,5 +505,63 @@ fn snippet(sql: &str) -> String {
         format!("{head}…")
     } else {
         flat
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shell() -> Shell {
+        Shell {
+            session: Arc::new(MosaicEngine::new()).session(),
+            prepared: HashMap::new(),
+            show_notes: false,
+            servers: Vec::new(),
+        }
+    }
+
+    fn plan_counts(shell: &Shell) -> (u64, u64) {
+        let s = shell.session.engine().cache_stats();
+        (s.plan_hits, s.plan_misses)
+    }
+
+    /// Shell chunks take the engine's script loop, so a repeated
+    /// single-SELECT chunk is a plan-cache hit.
+    #[test]
+    fn repeated_select_chunks_hit_the_plan_cache() {
+        let mut sh = shell();
+        sh.run_script("CREATE TABLE t (k INT);\nINSERT INTO t VALUES (1), (2);\n");
+        let (hits, misses) = plan_counts(&sh);
+        sh.run_script("SELECT k FROM t;\n");
+        sh.run_script("SELECT k FROM t;\n");
+        assert_eq!(plan_counts(&sh), (hits + 1, misses + 1));
+    }
+
+    /// A failing statement keeps the earlier statements' effects, skips
+    /// the later ones, and is named unless it is the whole chunk.
+    #[test]
+    fn a_failing_statement_stops_the_chunk() {
+        let mut sh = shell();
+        let chunk =
+            "CREATE TABLE a (k INT);\nINSERT INTO missing VALUES (1);\nCREATE TABLE b (k INT);\n";
+        sh.run_script(chunk);
+        let names = sh.session.engine().catalog().relation_names();
+        assert_eq!(names, ["a"]);
+        let e = sh.session.execute_script(chunk).unwrap_err();
+        assert_eq!(
+            error_message(chunk, &e),
+            "error in statement 2 (INSERT INTO missing VALUES (1)): \
+             catalog error: unknown relation missing"
+        );
+        let e = sh
+            .session
+            .execute_script("SELECT nope FROM a ;\n")
+            .unwrap_err();
+        let line = error_message("SELECT nope FROM a ;\n", &e);
+        assert!(line.starts_with("error: bind error: "), "{line}");
+        let e = sh.session.execute_script("SELECT FROM;").unwrap_err();
+        assert!(e.statement.is_none());
+        assert!(error_message("SELECT FROM;", &e).starts_with("error: "));
     }
 }

@@ -191,7 +191,7 @@ pub struct WireError {
     /// Stable numeric code (see [`codes`]).
     pub code: u16,
     /// 0-based index of the failing statement within the submitted
-    /// script, when the request was a multi-statement `Query`.
+    /// script, when the request was a `Query` whose script parsed.
     pub statement_index: Option<u32>,
     /// Text of the failing statement (empty when not applicable).
     pub statement_text: String,

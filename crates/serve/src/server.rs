@@ -21,8 +21,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mosaic_core::{MosaicEngine, MosaicError, Prepared, QueryResult, Session};
-use mosaic_sql::{parse_spanned, Statement};
+use mosaic_core::{MosaicEngine, MosaicError, Prepared, QueryResult, ScriptError, Session};
 use mosaic_storage::Value;
 
 use crate::admission::PermitPool;
@@ -329,19 +328,20 @@ impl Connection {
     }
 
     /// Answer a `Query` request: the script's last result, or an error
-    /// frame naming the failing statement (see [`run_script`]).
+    /// frame naming the failing statement (see [`script_error`]).
     fn query(&self, w: &mut impl Write, sql: &str) -> io::Result<()> {
         // One admission per request: the plan-cache probe and, on a
         // miss, every statement of the script run under these permits.
         let permit = self.admit();
-        let outcome = run_script(
-            &self.session.clone().with_parallelism(permit.threads()),
-            sql,
-        );
+        let outcome = self
+            .session
+            .clone()
+            .with_parallelism(permit.threads())
+            .execute_script(sql);
         drop(permit);
         match outcome {
             Ok(r) => stream_result(w, &r),
-            Err(e) => send(w, &Response::Error(e)),
+            Err(e) => send(w, &script_error(e)),
         }
     }
 
@@ -447,46 +447,6 @@ impl Connection {
     }
 }
 
-/// Run a `;`-separated script: through the zero-parse hot path when the
-/// engine's shared plan cache holds an epoch-valid plan for this exact
-/// text, else parsed and executed statement by statement. An error
-/// names the failing statement's 0-based index and text.
-fn run_script(session: &Session, sql: &str) -> Result<QueryResult, WireError> {
-    if let Some(result) = session.execute_cached(sql) {
-        return result.map_err(|e| statement_error(&e, 0, sql));
-    }
-    let spanned = parse_spanned(sql).map_err(|e| WireError {
-        code: codes::PARSE,
-        statement_index: None,
-        statement_text: String::new(),
-        message: e.to_string(),
-    })?;
-    // A single-SELECT script executes through the engine's caches
-    // (publishing its plan for the hot path above); scripts with
-    // DDL/DML or several statements keep per-statement dispatch for
-    // exact error positions.
-    if spanned.len() == 1 && matches!(spanned[0].0, Statement::Select(_)) {
-        let span = spanned.into_iter().next().expect("one statement").1;
-        return session
-            .execute(sql)
-            .map_err(|e| statement_error(&e, 0, &sql[span]));
-    }
-    let mut last = None;
-    for (i, (stmt, span)) in spanned.into_iter().enumerate() {
-        let result = session
-            .execute_parsed(stmt)
-            .map_err(|e| statement_error(&e, i, &sql[span]))?;
-        if result.is_some() {
-            last = result;
-        }
-    }
-    Ok(last.unwrap_or_else(|| QueryResult {
-        table: mosaic_storage::Table::empty(mosaic_storage::Schema::new(Vec::new())),
-        visibility: None,
-        notes: Vec::new(),
-    }))
-}
-
 /// Stream one result: `Schema`, then `RowBatch` frames, then `Done`. A
 /// batch closes at `ROWS_PER_BATCH` rows or before the row that would
 /// push its payload past `MAX_FRAME`; a row too large for any frame
@@ -543,13 +503,20 @@ fn stream_result(w: &mut impl Write, result: &QueryResult) -> io::Result<()> {
     )
 }
 
-fn statement_error(e: &MosaicError, index: usize, text: &str) -> WireError {
-    WireError {
-        code: error_code(e),
-        statement_index: Some(index as u32),
-        statement_text: text.trim().to_string(),
-        message: e.to_string(),
-    }
+/// The error frame of a failed script: the failing statement's 0-based
+/// index and text, or neither when the script did not parse (code
+/// `PARSE`).
+fn script_error(e: ScriptError) -> Response {
+    let (statement_index, statement_text) = match e.statement {
+        Some((i, text)) => (Some(i as u32), text),
+        None => (None, String::new()),
+    };
+    Response::Error(WireError {
+        code: error_code(&e.error),
+        statement_index,
+        statement_text,
+        message: e.error.to_string(),
+    })
 }
 
 fn engine_error(e: &MosaicError) -> Response {

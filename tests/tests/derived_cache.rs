@@ -1,15 +1,16 @@
 //! The engine's cache of derived OPEN artefacts — fitted models and the
 //! replicates drawn from them — against the one rule it must keep: an
 //! answer served through it is bit for bit the answer a fresh engine
-//! gives after the same statements.
+//! gives after the same statements. The plan and result caches keep the
+//! same rule for ad-hoc scripts (`script_caches_match_a_fresh_engine`).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use mosaic_bn::BnConfig;
 use mosaic_core::{
-    Binner, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult, Session, SwgConfig,
-    Value,
+    Binner, EngineOptions, MosaicEngine, OpenBackend, OpenOptions, QueryResult, ScriptError,
+    Session, SwgConfig, Value,
 };
 use proptest::prelude::*;
 
@@ -112,7 +113,10 @@ fn session(engine: &Arc<MosaicEngine>, seed: u64) -> Session {
 
 /// An outcome compared bit for bit: every value, floats by bit pattern,
 /// or the error's text.
-fn outcome(r: mosaic_core::Result<QueryResult>) -> Result<Vec<Vec<String>>, String> {
+type Outcome = Result<Vec<Vec<String>>, String>;
+
+/// The [`Outcome`] of a statement.
+fn outcome(r: mosaic_core::Result<QueryResult>) -> Outcome {
     let r = r.map_err(|e| e.to_string())?;
     Ok((0..r.table.num_rows())
         .map(|i| {
@@ -126,6 +130,50 @@ fn outcome(r: mosaic_core::Result<QueryResult>) -> Result<Vec<Vec<String>>, Stri
                 .collect()
         })
         .collect())
+}
+
+/// A script's outcome compared bit for bit: the answer as in
+/// [`outcome`], or the failing statement and the error's text.
+fn script_outcome(r: Result<QueryResult, ScriptError>) -> Outcome {
+    match r {
+        Ok(r) => outcome(Ok(r)),
+        Err(e) => Err(format!("{:?}: {}", e.statement, e.error)),
+    }
+}
+
+/// The ad-hoc world the script histories start from.
+const TABLES: &str = "
+    CREATE TABLE t (k INT, v INT);
+    INSERT INTO t VALUES (3, 30), (1, 10), (2, 20), (1, 5);
+    CREATE TABLE u (x INT);";
+
+/// Single-SELECT scripts over `t`, repeated verbatim: aggregates, a
+/// top-k, a filter that fails once `k` is TEXT, and a `SUM` that fails
+/// over TEXT.
+const SCRIPT_READS: &[&str] = &[
+    "SELECT COUNT(*), SUM(v), AVG(v) FROM t",
+    "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY k ORDER BY k",
+    "SELECT k, v FROM t ORDER BY v DESC, k LIMIT 3;",
+    "SELECT k FROM t WHERE k > 1 ORDER BY k;",
+    "SELECT SUM(k) FROM t;",
+];
+
+/// Write `i` of a script history, drawn from `(kind, arg)`: multi-row
+/// inserts into `t`, dropping `t` and re-creating it with `k` typed INT
+/// or TEXT (over which two of [`SCRIPT_READS`] fail), a plain drop, and
+/// writes to the unrelated `u`.
+fn script_write(i: usize, kind: u8, arg: u64) -> String {
+    let (a, b) = (arg % 7, (arg / 7) % 50);
+    match kind {
+        0 => format!("INSERT INTO t VALUES ({a}, {b}), ({}, {i})", a + 1),
+        1 => format!("INSERT INTO t VALUES ('{a}', {b}), ('x{i}', {a})"),
+        2 => format!(
+            "DROP TABLE t; CREATE TABLE t (k {}, v INT); INSERT INTO t VALUES ({a}, {b})",
+            if arg.is_multiple_of(2) { "INT" } else { "TEXT" }
+        ),
+        3 => "DROP TABLE t".to_string(),
+        _ => format!("INSERT INTO u VALUES ({arg}), ({i})"),
+    }
 }
 
 /// Apply a write step; `Ok(())` or the error's text.
@@ -176,6 +224,46 @@ proptest! {
                     let result = write(&live, &w);
                     writes.push((w, result));
                 }
+            }
+        }
+    }
+
+    /// Random histories of ad-hoc scripts — CREATE, multi-row INSERT,
+    /// DROP and re-create under another column type, unrelated writes
+    /// and repeated identical single-SELECT scripts — through
+    /// `Session::execute_script`: after every read, the long-lived
+    /// engine (plan and result caches on) answers, or fails, bit for bit
+    /// like a fresh engine that replayed the writes with the result
+    /// cache off.
+    #[test]
+    fn script_caches_match_a_fresh_engine(
+        history in proptest::collection::vec((0u8..12, 0u64..1_000_000), 4..24),
+    ) {
+        let run = |engine: &Arc<MosaicEngine>, cache: bool, sql: &str| {
+            engine.session().with_parallelism(2).with_result_cache(cache).execute_script(sql)
+        };
+        let live = Arc::new(MosaicEngine::new());
+        run(&live, true, TABLES).unwrap();
+        let mut writes: Vec<(String, Outcome)> = Vec::new();
+        for (i, &(kind, arg)) in history.iter().enumerate() {
+            if kind < 6 {
+                let sql = script_write(i, kind, arg);
+                writes.push((sql.clone(), script_outcome(run(&live, true, &sql))));
+                continue;
+            }
+            let sql = SCRIPT_READS[arg as usize % SCRIPT_READS.len()];
+            // Twice: the repeat runs from the plan cache.
+            let cached = [(); 2].map(|_| script_outcome(run(&live, true, sql)));
+            let fresh = Arc::new(MosaicEngine::new());
+            run(&fresh, false, TABLES).unwrap();
+            for (w, result) in &writes {
+                prop_assert_eq!(&script_outcome(run(&fresh, false, w)), result, "replaying {}", w);
+            }
+            let expected = script_outcome(run(&fresh, false, sql));
+            for (n, cached) in cached.iter().enumerate() {
+                prop_assert_eq!(
+                    cached, &expected, "read {} (run {}) of {:?} after {:?}", i, n, sql, history
+                );
             }
         }
     }

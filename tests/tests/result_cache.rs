@@ -264,7 +264,13 @@ fn derived_population_invalidated_by_gp_sample_and_metadata_writes() {
             assert_identical(&fresh, &adhoc.table, &format!("{ctx}: ad-hoc run {run}"));
             let prep = cached.execute_prepared(prepared, &[]).unwrap();
             assert_identical(&fresh, &prep.table, &format!("{ctx}: prepared run {run}"));
-            let hot = cached.execute_cached(sql).expect("plan published").unwrap();
+            let plans = plan_counts(&engine);
+            let hot = cached.execute(sql).unwrap();
+            assert_eq!(
+                plan_counts(&engine),
+                (plans.0 + 1, plans.1),
+                "{ctx}: hot path run {run} is a plan-cache hit"
+            );
             assert_identical(&fresh, &hot.table, &format!("{ctx}: hot path run {run}"));
             let wire = client.query(sql).unwrap();
             assert_identical(&fresh, &wire.table, &format!("{ctx}: wire run {run}"));
@@ -504,30 +510,50 @@ fn lru_respects_byte_bound_and_refuses_oversized() {
     assert_eq!(r.table.num_rows(), 80_000usize.div_ceil(17));
 }
 
-/// The plan cache powers the zero-parse hot path: `execute_cached` is
-/// `None` until the statement has gone through the full path once, then
-/// serves without parsing, then goes cold again after DDL.
+/// `(plan_hits, plan_misses)` of the engine's plan cache.
+fn plan_counts(engine: &MosaicEngine) -> (u64, u64) {
+    let s = engine.cache_stats();
+    (s.plan_hits, s.plan_misses)
+}
+
+/// The plan cache powers the zero-parse hot path: nothing is cached
+/// until the statement has gone through the full path once, the repeat
+/// is served from the cache without a miss, and DDL makes the cached
+/// plan stale.
 #[test]
 fn plan_cache_hot_path_and_ddl_staleness() {
     let engine = seed_engine(500);
     let s = engine.session();
     let sql = "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k";
-    assert!(
-        s.execute_cached(sql).is_none(),
+    let (hits, misses) = plan_counts(&engine);
+    let full = s.execute(sql).unwrap();
+    assert_eq!(
+        plan_counts(&engine),
+        (hits, misses + 1),
         "nothing cached before the first full execution"
     );
-    let full = s.execute(sql).unwrap();
-    let hot = s
-        .execute_cached(sql)
-        .expect("plan should be cached now")
-        .unwrap();
+    let hot = s.execute(sql).unwrap();
+    assert_eq!(
+        plan_counts(&engine),
+        (hits + 1, misses + 1),
+        "the repeat is a plan hit and no miss"
+    );
     assert_identical(&full.table, &hot.table, "hot path");
-    assert!(engine.cache_stats().plan_hits > 0);
     s.execute("DROP TABLE t").unwrap();
-    assert!(
-        s.execute_cached(sql).is_none(),
+    let (hits, misses) = plan_counts(&engine);
+    assert!(s.execute(sql).is_err(), "t is gone");
+    assert_eq!(
+        plan_counts(&engine),
+        (hits, misses + 1),
         "DDL must make the cached plan stale"
     );
+    // Over a re-created `t` the statement binds afresh (a miss), then
+    // hits again.
+    seed_table(&s, 10);
+    let (hits, misses) = plan_counts(&engine);
+    s.execute(sql).unwrap();
+    s.execute(sql).unwrap();
+    assert_eq!(plan_counts(&engine), (hits + 1, misses + 1));
 }
 
 /// A session that opted out, and an engine built with the cache off,

@@ -257,6 +257,78 @@ fn batch_error_carries_statement_index_and_text() {
     handle.shutdown();
 }
 
+/// `(plan_hits, plan_misses)` of the engine's plan cache.
+fn plan_counts(engine: &MosaicEngine) -> (u64, u64) {
+    let s = engine.cache_stats();
+    (s.plan_hits, s.plan_misses)
+}
+
+/// A `Query` frame runs the engine's one script loop: a cold
+/// single-SELECT script probes the plan cache once (one miss), and the
+/// same text again is one hit that answers identically.
+#[test]
+fn query_frame_probes_the_plan_cache_once() {
+    let engine = seed_engine(100);
+    let handle = start(Arc::clone(&engine), ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let sql = "SELECT k FROM t";
+    let (hits, misses) = plan_counts(&engine);
+    let cold = client.query(sql).unwrap();
+    assert_eq!(plan_counts(&engine), (hits, misses + 1), "cold: one miss");
+    let warm = client.query(sql).unwrap();
+    assert_eq!(
+        plan_counts(&engine),
+        (hits + 1, misses + 1),
+        "warm: one hit"
+    );
+    assert_identical(&cold.table, &warm.table, "warm Query frame");
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+/// A statement that binds but fails when executed returns one error
+/// frame — code, statement 0 and its text without the `;` — whether its
+/// plan was bound afresh or served from the plan cache.
+#[test]
+fn execution_error_is_the_same_cold_and_hot() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute(
+            "CREATE TABLE t (k TEXT); INSERT INTO t VALUES ('a'), ('b');
+             CREATE GLOBAL POPULATION Nobody (k TEXT);
+             CREATE SAMPLE Empty AS (SELECT * FROM Nobody);",
+        )
+        .unwrap();
+    let handle = start(Arc::clone(&engine), ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for sql in [
+        "SELECT SUM(k) FROM t;",
+        "SELECT k FROM t WHERE k > 3;",
+        "SELECT CLOSED COUNT(*) FROM Nobody ;",
+    ] {
+        let mut run = || client.query(sql).unwrap_err().as_server().cloned().unwrap();
+        let (hits, _) = plan_counts(&engine);
+        let cold = run();
+        let hot = run();
+        assert_eq!(
+            plan_counts(&engine).0,
+            hits + 1,
+            "{sql}: the repeat is a plan hit"
+        );
+        assert_eq!(cold, hot, "{sql}");
+        assert_eq!(cold.statement_index, Some(0), "{sql}");
+        assert_eq!(
+            cold.statement_text,
+            sql.trim_end_matches([' ', ';']),
+            "{sql}"
+        );
+        assert_ne!(cold.code, codes::PARSE, "{sql}: {}", cold.message);
+    }
+    client.close().unwrap();
+    handle.shutdown();
+}
+
 /// A client may write several requests before reading anything: each
 /// reply is flushed when it is complete, not when the connection goes
 /// idle, so two back-to-back queries and a `Close` get two whole
