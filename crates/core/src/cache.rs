@@ -76,7 +76,8 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Plan-cache hits (parse/bind/optimize skipped).
     pub plan_hits: u64,
-    /// Plan-cache misses (fresh bind, including epoch-stale rebinds).
+    /// Plan-cache misses: single-SELECT scripts bound afresh, including
+    /// epoch-stale rebinds.
     pub plan_misses: u64,
     /// Derived-artefact cache capacity in bytes.
     pub derived_capacity_bytes: usize,
@@ -157,10 +158,17 @@ impl<K: Hash + Eq + Clone, V: Clone> EpochLru<K, V> {
     /// touch). A stale entry is removed and counts as an invalidation
     /// plus a miss.
     fn get(&mut self, key: &K, cat: &Catalog) -> Option<V> {
-        let Some(e) = self.map.get_mut(key) else {
+        let found = self.lookup(key, cat);
+        if found.is_none() {
             self.counts.misses += 1;
-            return None;
-        };
+        }
+        found
+    }
+
+    /// [`EpochLru::get`] without counting a miss, for a cache whose
+    /// caller decides what a miss is.
+    fn lookup(&mut self, key: &K, cat: &Catalog) -> Option<V> {
+        let e = self.map.get_mut(key)?;
         if is_current(cat, &e.snapshot) {
             self.tick += 1;
             e.last_used = self.tick;
@@ -170,7 +178,6 @@ impl<K: Hash + Eq + Clone, V: Clone> EpochLru<K, V> {
         let stale = self.map.remove(key).expect("found above");
         self.cost -= stale.cost;
         self.counts.invalidations += 1;
-        self.counts.misses += 1;
         None
     }
 
@@ -315,6 +322,11 @@ impl PlanKey {
 /// default visibility, optimizer) → bound-and-optimized plan, valid
 /// while the source relations' epochs are unchanged. This is what lets
 /// hot `Query` frames over the wire skip parse/bind/optimize entirely.
+///
+/// A miss counts a script that could have hit: one that binds as a
+/// single SELECT and is stored. DDL, INSERT, multi-statement scripts,
+/// EXPLAIN and text that does not parse or bind probe the cache but
+/// never count a miss.
 #[derive(Default)]
 pub(crate) struct PlanCache(Mutex<EpochLru<PlanKey, Arc<Prepared>>>);
 
@@ -330,10 +342,10 @@ impl PlanCache {
         cat: &Catalog,
     ) -> Option<Arc<Prepared>> {
         let key = PlanKey::new(sql, visibility, optimizer);
-        self.0.lock().get(&key, cat)
+        self.0.lock().lookup(&key, cat)
     }
 
-    /// Store a plan freshly bound against `cat`.
+    /// Store a plan freshly bound against `cat` — the plan cache's miss.
     pub fn insert(
         &self,
         sql: &str,
@@ -344,9 +356,9 @@ impl PlanCache {
     ) {
         let key = PlanKey::new(sql, visibility, optimizer);
         let snapshot = epoch_snapshot(cat, prepared.dependencies());
-        self.0
-            .lock()
-            .insert(key, prepared, snapshot, 1, PLAN_CACHE_ENTRIES);
+        let mut lru = self.0.lock();
+        lru.counts.misses += 1;
+        lru.insert(key, prepared, snapshot, 1, PLAN_CACHE_ENTRIES);
     }
 
     /// Drop every entry (counters are kept).
@@ -684,12 +696,14 @@ mod tests {
         for i in 0..PLAN_CACHE_ENTRIES {
             cache.insert(&sql(i), Visibility::Closed, true, Arc::clone(&plan), &p1);
         }
-        assert_eq!(plan_stats(&cache), (PLAN_CACHE_ENTRIES, 0, 0, 0));
+        // Every stored plan was a miss.
+        let n = PLAN_CACHE_ENTRIES as u64;
+        assert_eq!(plan_stats(&cache), (PLAN_CACHE_ENTRIES, 0, n, 0));
         // Touching plan 0 makes plan 1 the least recently used.
         assert!(get(0));
         let next = PLAN_CACHE_ENTRIES;
         cache.insert(&sql(next), Visibility::Closed, true, plan, &p1);
-        assert_eq!(plan_stats(&cache), (PLAN_CACHE_ENTRIES, 1, 0, 1));
+        assert_eq!(plan_stats(&cache), (PLAN_CACHE_ENTRIES, 1, n + 1, 1));
         assert!(!get(1), "the LRU plan was evicted");
         assert!(get(0) && get(2) && get(next));
         // The binding knobs are part of the key.
@@ -709,9 +723,11 @@ mod tests {
         assert!(cache.get(sql, Visibility::SemiOpen, true, &p2).is_none());
         assert_eq!(plan_stats(&cache), (0, 1, 1, 0), "the stale plan is gone");
         assert!(cache.get(sql, Visibility::SemiOpen, true, &p1).is_none());
+        // The one miss is the insert; lookups that find nothing count
+        // none (the caller counts the rebind when it stores it).
         let mut s = CacheStats::default();
         cache.stats_into(&mut s);
-        assert_eq!((s.plan_hits, s.plan_misses), (1, 2));
+        assert_eq!((s.plan_hits, s.plan_misses), (1, 1));
     }
 
     fn replicate(rows: usize) -> Derived {

@@ -1333,7 +1333,7 @@ pub(crate) fn fingerprint_of(
         _ => shape,
     });
     crate::plan::fingerprint::plan_fingerprint(
-        &prepared.logical_plan().to_string(),
+        prepared.logical_plan(),
         &prepared.relations(),
         params,
         vis,

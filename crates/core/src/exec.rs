@@ -8,18 +8,13 @@
 //! SQL.
 //!
 //! [`run_select`] plans the statement and runs the vectorized physical
-//! plan (see [`crate::plan`]); [`run_select_rowwise`] is the retained
-//! row-at-a-time implementation, kept as the semantics oracle of the
-//! equivalence suites.
+//! plan (see [`crate::plan`]) without binding it against a catalog.
 
-use std::collections::HashMap;
+use mosaic_sql::SelectStmt;
+use mosaic_storage::Table;
 
-use mosaic_sql::{AggFunc, Expr, SelectItem, SelectStmt};
-use mosaic_storage::{Field, Schema, Table, Value};
-
-use crate::eval::{eval_predicate_rowwise, eval_row};
-use crate::plan::{self, output_name, ExecContext, LimitOp, PhysicalOperator, PlanInput, SortOp};
-use crate::{Knobs, MosaicError, Result};
+use crate::plan::{self, ExecContext, LimitOp, PhysicalOperator, PlanInput, SortOp};
+use crate::{Knobs, Result};
 
 /// Execute a SELECT over one table through the vectorized, morsel-driven
 /// physical plan. `weights` (parallel to the table's rows) turns
@@ -34,273 +29,6 @@ pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> 
     plan::plan_select(stmt, weights.is_some(), k.optimizer, Some(table.schema()))
         .physical
         .run(PlanInput::Table { table, weights }, &ctx)
-}
-
-/// Row-at-a-time reference implementation of [`run_select`]. Every value
-/// it produces must match the vectorized plan byte-for-byte; the
-/// `planner_oracle` property suite enforces this.
-pub fn run_select_rowwise(
-    stmt: &SelectStmt,
-    table: &Table,
-    weights: Option<&[f64]>,
-) -> Result<Table> {
-    // The reference indexes `weights` by row: keep its own guard, with
-    // the plan's message, so the suites can compare errors too.
-    if let Some(w) = weights.filter(|w| w.len() != table.num_rows()) {
-        return Err(MosaicError::Execution(format!(
-            "weight vector length {} != table rows {}",
-            w.len(),
-            table.num_rows()
-        )));
-    }
-    // 1. WHERE
-    let (filtered, fweights): (Table, Option<Vec<f64>>) = match &stmt.where_clause {
-        Some(pred) => {
-            let sel = eval_predicate_rowwise(pred, table)?;
-            let idx = sel.to_indices();
-            let w = weights.map(|w| idx.iter().map(|&i| w[i]).collect());
-            (table.take(&idx), w)
-        }
-        None => (table.clone(), weights.map(|w| w.to_vec())),
-    };
-    let has_agg = plan::has_aggregate_shape(stmt);
-    let mut out = if has_agg {
-        aggregate(stmt, &filtered, fweights.as_deref())?
-    } else {
-        project(stmt, &filtered)?
-    };
-    // 3. ORDER BY
-    if !stmt.order_by.is_empty() {
-        out = order_by(stmt, out, if has_agg { None } else { Some(&filtered) })?;
-    }
-    // 4. LIMIT
-    if let Some(n) = stmt.limit {
-        out = out.limit(n);
-    }
-    Ok(out)
-}
-
-fn project(stmt: &SelectStmt, table: &Table) -> Result<Table> {
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (i, f) in table.schema().fields().iter().enumerate() {
-                    fields.push(f.clone());
-                    columns.push(table.column(i).clone());
-                }
-            }
-            SelectItem::Expr { expr, .. } => {
-                let col = crate::eval::eval_expr_rowwise(expr, table)?;
-                fields.push(Field::new(output_name(item), col.data_type()));
-                columns.push(col);
-            }
-        }
-    }
-    Table::new(Schema::new(fields), columns).map_err(Into::into)
-}
-
-fn aggregate(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
-    // Group rows by the GROUP BY key (insertion-ordered).
-    let n = table.num_rows();
-    let mut group_keys: Vec<Vec<Value>> = Vec::new();
-    let mut group_rows: Vec<Vec<usize>> = Vec::new();
-    if stmt.group_by.is_empty() {
-        group_keys.push(Vec::new());
-        group_rows.push((0..n).collect());
-    } else {
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for row in 0..n {
-            let key: Vec<Value> = stmt
-                .group_by
-                .iter()
-                .map(|e| eval_row(e, Some(table), row))
-                .collect::<Result<_>>()?;
-            let gi = *index.entry(key.clone()).or_insert_with(|| {
-                group_keys.push(key);
-                group_rows.push(Vec::new());
-                group_keys.len() - 1
-            });
-            group_rows[gi].push(row);
-        }
-    }
-    // Compute each output column.
-    let mut fields = Vec::with_capacity(stmt.items.len());
-    let mut value_rows: Vec<Vec<Value>> = vec![Vec::new(); group_keys.len()];
-    for item in &stmt.items {
-        let expr = match item {
-            SelectItem::Wildcard => {
-                return Err(MosaicError::Execution(
-                    "SELECT * cannot be combined with GROUP BY / aggregates".into(),
-                ))
-            }
-            SelectItem::Expr { expr, .. } => expr,
-        };
-        if expr.contains_aggregate() {
-            for (gi, rows) in group_rows.iter().enumerate() {
-                let v = eval_agg_expr(expr, table, rows, weights)?;
-                value_rows[gi].push(v);
-            }
-        } else {
-            // Must be one of the group-by expressions.
-            let pos = stmt
-                .group_by
-                .iter()
-                .position(|g| g == expr)
-                .ok_or_else(|| {
-                    MosaicError::Execution(format!(
-                        "projection {} is neither an aggregate nor a GROUP BY expression",
-                        expr.default_name()
-                    ))
-                })?;
-            for (gi, key) in group_keys.iter().enumerate() {
-                value_rows[gi].push(key[pos].clone());
-            }
-        }
-        fields.push(output_name(item));
-    }
-    // Assemble columns with type inference (shared with the vectorized
-    // aggregate so both executors apply one widening rule).
-    plan::assemble_value_rows(&fields, &value_rows)
-}
-
-/// Evaluate an expression that contains aggregates, for one group.
-fn eval_agg_expr(
-    expr: &Expr,
-    table: &Table,
-    rows: &[usize],
-    weights: Option<&[f64]>,
-) -> Result<Value> {
-    match expr {
-        Expr::Agg { func, arg } => compute_aggregate(*func, arg.as_deref(), table, rows, weights),
-        Expr::Binary { left, op, right } => {
-            // Allow arithmetic over aggregates, e.g. SUM(x) / COUNT(*).
-            let l = eval_agg_expr(left, table, rows, weights)?;
-            let r = eval_agg_expr(right, table, rows, weights)?;
-            crate::eval::eval_row(
-                &Expr::Binary {
-                    left: Box::new(Expr::Literal(l)),
-                    op: *op,
-                    right: Box::new(Expr::Literal(r)),
-                },
-                None,
-                0,
-            )
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_agg_expr(expr, table, rows, weights)?;
-            crate::eval::eval_row(
-                &Expr::Unary {
-                    op: *op,
-                    expr: Box::new(Expr::Literal(v)),
-                },
-                None,
-                0,
-            )
-        }
-        Expr::Literal(v) => Ok(v.clone()),
-        other => Err(MosaicError::Execution(format!(
-            "expression {} mixes aggregates with row-level terms",
-            other.default_name()
-        ))),
-    }
-}
-
-fn compute_aggregate(
-    func: AggFunc,
-    arg: Option<&Expr>,
-    table: &Table,
-    rows: &[usize],
-    weights: Option<&[f64]>,
-) -> Result<Value> {
-    let weight_of = |row: usize| weights.map_or(1.0, |w| w[row]);
-    match func {
-        AggFunc::Count => {
-            let mut total = 0.0;
-            for &row in rows {
-                let counted = match arg {
-                    None => true,
-                    Some(e) => !eval_row(e, Some(table), row)?.is_null(),
-                };
-                if counted {
-                    total += weight_of(row);
-                }
-            }
-            if weights.is_none() {
-                Ok(Value::Int(total as i64))
-            } else {
-                Ok(Value::Float(total))
-            }
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            let e = arg.ok_or_else(|| {
-                MosaicError::Execution(format!("{}(*) requires an argument", func.name()))
-            })?;
-            let mut num = 0.0;
-            let mut den = 0.0;
-            let mut any = false;
-            let mut all_int = true;
-            for &row in rows {
-                let v = eval_row(e, Some(table), row)?;
-                if v.is_null() {
-                    continue;
-                }
-                if !matches!(v, Value::Int(_)) {
-                    all_int = false;
-                }
-                let x = v.as_f64().ok_or_else(|| {
-                    MosaicError::Execution(format!("{} over non-numeric value", func.name()))
-                })?;
-                let w = weight_of(row);
-                num += w * x;
-                den += w;
-                any = true;
-            }
-            if !any {
-                return Ok(Value::Null);
-            }
-            match func {
-                AggFunc::Sum => {
-                    if weights.is_none() && all_int {
-                        Ok(Value::Int(num as i64))
-                    } else {
-                        Ok(Value::Float(num))
-                    }
-                }
-                AggFunc::Avg => Ok(Value::Float(num / den)),
-                _ => unreachable!(),
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let e = arg.ok_or_else(|| {
-                MosaicError::Execution(format!("{}(*) requires an argument", func.name()))
-            })?;
-            let mut best: Option<Value> = None;
-            for &row in rows {
-                let v = eval_row(e, Some(table), row)?;
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = match v.sql_cmp(&b) {
-                            Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
-                            Some(std::cmp::Ordering::Greater) => func == AggFunc::Max,
-                            _ => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-    }
 }
 
 /// Apply a statement's ORDER BY and LIMIT to an already-computed result
@@ -330,43 +58,11 @@ pub(crate) fn apply_order_limit(
     Ok(batch.table)
 }
 
-fn order_by(stmt: &SelectStmt, out: Table, input: Option<&Table>) -> Result<Table> {
-    // Prefer ordering on the output table (aliases/aggregate names);
-    // fall back to the pre-projection input for non-aggregate queries.
-    let mut keys: Vec<Vec<Value>> = Vec::with_capacity(out.num_rows());
-    for row in 0..out.num_rows() {
-        let mut key = Vec::with_capacity(stmt.order_by.len());
-        for (expr, _) in &stmt.order_by {
-            let v = match eval_row(expr, Some(&out), row) {
-                Ok(v) => v,
-                Err(e) => match input {
-                    Some(t) if t.num_rows() == out.num_rows() => eval_row(expr, Some(t), row)?,
-                    _ => return Err(e),
-                },
-            };
-            key.push(v);
-        }
-        keys.push(key);
-    }
-    let mut idx: Vec<usize> = (0..out.num_rows()).collect();
-    idx.sort_by(|&a, &b| {
-        for (ki, (_, desc)) in stmt.order_by.iter().enumerate() {
-            let ord = keys[a][ki].total_cmp(&keys[b][ki]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(out.take(&idx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mosaic_sql::{parse, Statement};
-    use mosaic_storage::{DataType, Field, Schema, TableBuilder};
+    use mosaic_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn table() -> Table {
         let schema = Schema::new(vec![

@@ -65,7 +65,9 @@
 //! relations, baked-in visibility, logical/optimized/physical plan —
 //! and that one binding drives ad-hoc execution, prepared execution,
 //! the plan and result caches, and `EXPLAIN`; a statement the binder
-//! rejects fails with the binder's error everywhere. Every script runs
+//! rejects fails with the binder's error everywhere. The binder resolves
+//! every column and types every expression, so an unknown column or a
+//! type mismatch is a bind error whatever the data. Every script runs
 //! through one loop, [`Session::execute_script`], whose [`ScriptError`]
 //! names the failing statement:
 //!
@@ -109,9 +111,8 @@
 //! streams the joined rows through the morsel pipeline without ever
 //! materializing the joined table; output rows keep the canonical
 //! (left row, right row) order —
-//! bit-identical at every thread count and to the row-wise
-//! [`oracle::reference_join`] / [`oracle::reference_join_kinded`]
-//! oracles. LEFT OUTER joins NULL-extend the
+//! bit-identical at every thread count and to a nested loop. LEFT
+//! OUTER joins NULL-extend the
 //! right side of unmatched left rows. A joined sample carries its
 //! engine-managed `weight` column through; when **both** sides are
 //! weighted the join emits one combined `weight` column — the product
@@ -169,13 +170,6 @@ pub use plan::parallel::{
 };
 pub use plan::{plan_select, ExecContext, PhysicalPlan, PlanInput, Planned};
 pub use session::{Prepared, Session};
-
-/// The row-at-a-time reference implementations the oracle suites compare
-/// the vectorized engine against — test fixtures, not engine API.
-pub mod oracle {
-    pub use crate::exec::run_select_rowwise;
-    pub use crate::plan::join::{reference_join, reference_join_kinded};
-}
 
 // Re-export the pieces users need to drive the engine programmatically.
 pub use mosaic_sql::{

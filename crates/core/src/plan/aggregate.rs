@@ -5,9 +5,8 @@
 //! (no per-row `Vec<Value>` materialization; string keys reuse their
 //! column's own dictionary codes), aggregates accumulate through the
 //! grouped kernels in `mosaic_storage::kernels`, and only the final
-//! per-group outputs round-trip through [`Value`] — mirroring the
-//! row-at-a-time reference in `exec.rs` value-for-value, including its
-//! error messages and its Int/Float output-typing rules.
+//! per-group outputs round-trip through [`Value`]. Each SELECT item is
+//! typed (aggregate arguments included) before any aggregate runs.
 //!
 //! The split exists for the morsel-driven driver in
 //! [`crate::plan::parallel`]: each worker computes a [`MorselPartial`]
@@ -28,6 +27,7 @@ use mosaic_sql::{AggFunc, Expr, SelectItem};
 use mosaic_storage::kernels::{self, AggState};
 use mosaic_storage::{Column, DataType, Dictionary, Table, Value};
 
+use crate::eval::{eval_scalar, expr_type};
 use crate::plan::hash::{self, FoldMap};
 use crate::plan::vector;
 use crate::{MosaicError, Result};
@@ -99,6 +99,7 @@ pub(crate) fn compute_partial(
     params: &[Value],
 ) -> Ranked<MorselPartial> {
     let n = table.num_rows();
+    let column_type = |c: &str| Ok(table.column_by_name(c)?.data_type());
     // Positional parameters bind up front; grouped-projection matching
     // below compares the *bound* forms, so `GROUP BY x + ?` pairs with
     // the projection `x + ?` even though the two placeholders carry
@@ -168,6 +169,7 @@ pub(crate) fn compute_partial(
             SelectItem::Expr { expr, .. } => expr,
         };
         let expr = super::bind_expr(expr, params).map_err(|e| (rank, e))?;
+        expr_type(&expr, &column_type, true).map_err(|e| (rank, e))?;
         if expr.contains_aggregate() {
             let mut base: Vec<(Expr, Vec<Value>)> = Vec::new();
             collect_aggregates(&expr, &mut base).map_err(|e| (rank, e))?;
@@ -526,8 +528,8 @@ fn merge_base_aggregate(
                         *b = v.clone();
                         continue;
                     }
-                    // First-wins on incomparable values, like the scalar
-                    // reference loop — merging per-morsel bests in morsel
+                    // First-wins on incomparable values, like
+                    // `min_max_by_cmp` — merging per-morsel bests in morsel
                     // order preserves the sequential-scan outcome.
                     let keep_new = match v.sql_cmp(b) {
                         Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
@@ -601,7 +603,7 @@ fn first_appearance<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (Vec<u3
 }
 
 /// Collect the distinct `Agg` nodes of an aggregate expression, erroring
-/// on shapes the reference evaluator also rejects.
+/// on an item that mixes aggregates with row-level terms.
 fn collect_aggregates(expr: &Expr, out: &mut Vec<(Expr, Vec<Value>)>) -> Result<()> {
     match expr {
         Expr::Agg { .. } => {
@@ -626,6 +628,7 @@ fn collect_aggregates(expr: &Expr, out: &mut Vec<(Expr, Vec<Value>)>) -> Result<
 /// Evaluate the non-aggregate shell of an item for one group, with every
 /// `Agg` node replaced by its precomputed per-group value.
 fn eval_over_groups(expr: &Expr, gi: usize, base: &[(Expr, Vec<Value>)]) -> Result<Value> {
+    let literal = |e: &Expr| eval_over_groups(e, gi, base).map(|v| Box::new(Expr::Literal(v)));
     match expr {
         Expr::Agg { .. } => Ok(base
             .iter()
@@ -633,30 +636,15 @@ fn eval_over_groups(expr: &Expr, gi: usize, base: &[(Expr, Vec<Value>)]) -> Resu
             .expect("collected above")
             .1[gi]
             .clone()),
-        Expr::Binary { left, op, right } => {
-            let l = eval_over_groups(left, gi, base)?;
-            let r = eval_over_groups(right, gi, base)?;
-            crate::eval::eval_row(
-                &Expr::Binary {
-                    left: Box::new(Expr::Literal(l)),
-                    op: *op,
-                    right: Box::new(Expr::Literal(r)),
-                },
-                None,
-                0,
-            )
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_over_groups(expr, gi, base)?;
-            crate::eval::eval_row(
-                &Expr::Unary {
-                    op: *op,
-                    expr: Box::new(Expr::Literal(v)),
-                },
-                None,
-                0,
-            )
-        }
+        Expr::Binary { left, op, right } => eval_scalar(&Expr::Binary {
+            left: literal(left)?,
+            op: *op,
+            right: literal(right)?,
+        }),
+        Expr::Unary { op, expr } => eval_scalar(&Expr::Unary {
+            op: *op,
+            expr: literal(expr)?,
+        }),
         Expr::Literal(v) => Ok(v.clone()),
         other => Err(MosaicError::Execution(format!(
             "expression {} mixes aggregates with row-level terms",
@@ -734,33 +722,13 @@ fn partial_aggregate(
                         &mut state.counts,
                     );
                 }
-                DataType::Bool => {
-                    let widened: Vec<f64> = col
-                        .bool_data()
-                        .expect("typed")
-                        .iter()
-                        .map(|&b| b as u8 as f64)
-                        .collect();
-                    kernels::group_sum_f64(
-                        &widened,
-                        col.validity(),
-                        group_ids,
-                        weights,
-                        &mut state.sums,
-                        &mut state.wsums,
-                        &mut state.counts,
-                    );
-                }
-                DataType::Str => {
-                    // Any non-null string makes some group error in the
-                    // reference path, which fails the whole statement.
-                    // (An all-NULL argument never evaluates to Str.)
-                    if col.null_count() < col.len() {
-                        return Err(MosaicError::Execution(format!(
-                            "{} over non-numeric value",
-                            func.name()
-                        )));
-                    }
+                // The item was typed before any aggregate ran.
+                DataType::Bool | DataType::Str => {
+                    return Err(MosaicError::Execution(format!(
+                        "{} has no kernel over {}",
+                        func.name(),
+                        col.data_type()
+                    )))
                 }
             }
             Ok(AggPartial::Num { state, int_typed })
@@ -784,9 +752,9 @@ fn compute_min_max(
     let mut counts = vec![0u64; n_groups];
     match col.data_type() {
         DataType::Int => {
-            // The reference compares through sql_cmp's f64 coercion with
+            // MIN/MAX compare through sql_cmp's f64 coercion with
             // first-wins ties, so ints beyond 2^53 (where f64 collapses
-            // neighbours) must use the scalar reference loop to match.
+            // neighbours) take the `min_max_by_cmp` loop.
             // Below 2^53 the i64 and f64 orders agree, so the kernel and
             // the cmp loop pick identical bests — which also keeps this
             // per-morsel choice consistent with the whole-column one.
@@ -820,7 +788,7 @@ fn compute_min_max(
             let data = col.f64_data().expect("typed");
             if data.iter().any(|v| v.is_nan()) {
                 // NaN compares as incomparable in sql_cmp (the earlier
-                // value survives); delegate to the scalar reference loop.
+                // value survives); take the `min_max_by_cmp` loop.
                 return min_max_by_cmp(func, col, group_ids, n_groups);
             }
             let mut mins = vec![f64::INFINITY; n_groups];
@@ -849,8 +817,8 @@ fn compute_min_max(
     }
 }
 
-/// Scalar min/max replicating the reference comparison semantics
-/// (`sql_cmp`, first-wins on incomparable values).
+/// Scalar min/max under `sql_cmp` semantics, first-wins on
+/// incomparable values.
 fn min_max_by_cmp(
     func: AggFunc,
     col: &Column,

@@ -14,9 +14,9 @@
 //! product, xored), and the SplitMix64 finalizer mixes the result, so
 //! structured keys (dense codes, power-of-two strides) spread over the
 //! low bits a table picks its bucket from *and* the high bits
-//! [`partition`] reads. The row-at-a-time oracle (`exec.rs`) keeps std's
-//! `HashMap` on purpose: the reference must not share the code it
-//! checks.
+//! [`partition`] reads. The row-at-a-time oracle of the test suites
+//! (`mosaic_tests::oracle`) keeps std's `HashMap` on purpose: the
+//! reference must not share the code it checks.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;

@@ -23,9 +23,8 @@
 //!   produces. The hash executor builds on the *smaller* input and
 //!   probes the larger one morsel by morsel, in canonical order when it
 //!   probes the left side and restored by a counting sort otherwise, so
-//!   results are bit-identical at every thread count and to
-//!   [`reference_join`]. An unmatched left row of a LEFT
-//!   OUTER join appears at its left position.
+//!   results are bit-identical at every thread count. An unmatched left
+//!   row of a LEFT OUTER join appears at its left position.
 //! * **Weights.** A sample input exposes the engine-managed `weight`
 //!   column and the join carries it through (projection pruning never
 //!   drops it). When *both* inputs are weighted, the join emits one
@@ -47,6 +46,7 @@ use super::hash::{self, FoldMap};
 use super::logical::{JoinOutCol, LogicalPlan};
 use super::parallel::{first_error, prune_scan, run_ordered, MORSEL_ROWS};
 use super::{bind_expr, ExecContext, FilterOp, PhysicalOperator};
+use crate::eval::{check_select, comparable, expr_type};
 use crate::{MosaicError, Result};
 
 /// True when a statement's FROM clause needs the multi-relation scope
@@ -416,6 +416,14 @@ pub(crate) fn bind_join(
     let scope = Scope::new(rels)?;
     let keys = extract_keys(&scope, &from.joins[0].on)?;
     let rewritten = scope.rewrite_stmt(stmt)?;
+    check_select(&rewritten, &|c| {
+        scope
+            .out()
+            .iter()
+            .find(|o| o.name.eq_ignore_ascii_case(c))
+            .map(|o| o.data_type)
+            .ok_or_else(|| MosaicError::Bind(format!("unknown column {c} in the join's output")))
+    })?;
     let leaf = LogicalPlan::Join {
         left: Box::new(LogicalPlan::Scan {
             source: 0,
@@ -471,10 +479,16 @@ fn extract_keys(scope: &Scope, on: &Expr) -> Result<Vec<(Expr, Expr)>> {
                 )))
             }
         };
-        keys.push((
+        let (l, r) = (
             scope.rewrite_for_source(l, 0)?,
             scope.rewrite_for_source(r, 1)?,
-        ));
+        );
+        let side_type = |source: usize, e: &Expr| {
+            let schema = &scope.rels[source].schema;
+            expr_type(e, &|c| Ok(schema.field_by_name(c)?.data_type), false)
+        };
+        comparable(&l, side_type(0, &l)?, &r, side_type(1, &r)?)?;
+        keys.push((l, r));
     }
     Ok(keys)
 }
@@ -664,7 +678,7 @@ pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
 /// stable counting sort by left row restores it. Nothing is gathered
 /// here: the morsel driver gathers the output columns per joined morsel
 /// ([`JoinedRows::gather`]). Results are bit-identical at every thread
-/// count *and every partition count*, and to [`reference_join`].
+/// count *and every partition count*.
 pub struct HashJoinOp {
     /// Left (base) input.
     pub left: JoinSide,
@@ -1406,130 +1420,6 @@ impl<K: Eq + std::hash::Hash + Send + Sync> PartitionedMap<K> {
     }
 }
 
-// ---- the row-at-a-time reference join ----
-
-/// Row-at-a-time reference INNER equi-join — the semantics oracle for
-/// [`HashJoinOp`], mirroring what [`crate::oracle::run_select_rowwise`] is to
-/// the vectorized executor. Delegates to [`reference_join_kinded`] with
-/// `JoinKind::Inner` and no weighted sides.
-pub fn reference_join(
-    left: &Table,
-    left_binding: &str,
-    right: &Table,
-    right_binding: &str,
-    keys: &[(Expr, Expr)],
-) -> Result<Table> {
-    reference_join_kinded(
-        left,
-        left_binding,
-        right,
-        right_binding,
-        keys,
-        JoinKind::Inner,
-        &[],
-    )
-}
-
-/// Row-at-a-time reference equi-join covering every join semantic the
-/// vectorized [`HashJoinOp`] implements: INNER or LEFT OUTER, with
-/// optional per-side correction weights.
-///
-/// A nested loop with the left side outermost: rows join iff every
-/// `(left key, right key)` pair is equal under
-/// [`Value::sql_cmp`](mosaic_storage::Value::sql_cmp) (NULL and NaN
-/// keys never match), output rows appear in (left row, right row)
-/// order, and output columns follow the scope naming rule (bare when
-/// unique, `binding.column` otherwise). Key expressions are written in
-/// each side's own column names.
-///
-/// A LEFT OUTER join keeps every unmatched left row once, at its left
-/// position, NULL-extended on the right. When `weighted` names both
-/// sides (`[0, 1]`), the two per-side `weight` columns collapse into
-/// one combined `weight` output — the row-wise product of the sides'
-/// weights, NULL when either factor is NULL or the right side is
-/// NULL-extended.
-pub fn reference_join_kinded(
-    left: &Table,
-    left_binding: &str,
-    right: &Table,
-    right_binding: &str,
-    keys: &[(Expr, Expr)],
-    kind: JoinKind,
-    weighted: &[usize],
-) -> Result<Table> {
-    let materialize = |exprs: Vec<&Expr>, table: &Table| -> Result<Vec<Vec<Value>>> {
-        exprs
-            .into_iter()
-            .map(|e| {
-                let col = crate::eval::eval_expr_rowwise(e, table)?;
-                Ok((0..col.len()).map(|i| col.value(i)).collect())
-            })
-            .collect()
-    };
-    let lk = materialize(keys.iter().map(|(l, _)| l).collect(), left)?;
-    let rk = materialize(keys.iter().map(|(_, r)| r).collect(), right)?;
-    let mut left_idx = Vec::new();
-    let mut right_idx: Vec<Option<usize>> = Vec::new();
-    for lr in 0..left.num_rows() {
-        let mut matched = false;
-        for rr in 0..right.num_rows() {
-            let all_equal = lk
-                .iter()
-                .zip(&rk)
-                .all(|(lc, rc)| lc[lr].sql_cmp(&rc[rr]) == Some(std::cmp::Ordering::Equal));
-            if all_equal {
-                left_idx.push(lr);
-                right_idx.push(Some(rr));
-                matched = true;
-            }
-        }
-        if !matched && kind == JoinKind::LeftOuter {
-            left_idx.push(lr);
-            right_idx.push(None);
-        }
-    }
-    let combine_weight = weighted.len() > 1;
-    let out = output_columns(
-        &[
-            (left_binding, left.schema().as_ref()),
-            (right_binding, right.schema().as_ref()),
-        ],
-        combine_weight,
-    );
-    let mut fields = Vec::with_capacity(out.len());
-    let mut columns = Vec::with_capacity(out.len());
-    for o in &out {
-        let col = if o.combined {
-            // Row-at-a-time product through `Value`, independent of the
-            // vectorized gather.
-            let lw = left.column(weight_index(left)?);
-            let rw = right.column(weight_index(right)?);
-            let n = left_idx.len();
-            let mut vals = Vec::with_capacity(n);
-            let mut validity = Bitmap::ones(n);
-            for i in 0..n {
-                let a = lw.value(left_idx[i]).as_f64();
-                let b = right_idx[i].and_then(|ri| rw.value(ri).as_f64());
-                match (a, b) {
-                    (Some(a), Some(b)) => vals.push(a * b),
-                    _ => {
-                        vals.push(0.0);
-                        validity.set(i, false);
-                    }
-                }
-            }
-            Column::from_f64_opt(vals, Some(validity))
-        } else if o.source == 0 {
-            left.column_by_name(&o.column)?.take(&left_idx)
-        } else {
-            right.column_by_name(&o.column)?.take_opt(&right_idx)
-        };
-        fields.push(Field::new(o.name.clone(), col.data_type()));
-        columns.push(col);
-    }
-    Table::new(Schema::new(fields), columns).map_err(Into::into)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1799,46 +1689,44 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn reference_join_canonical_order_and_null_keys() {
-        let left = table(
-            vec![
-                Field::new("k", DataType::Str),
-                Field::new("v", DataType::Int),
-            ],
-            vec![
-                vec!["a".into(), 1.into()],
-                vec!["b".into(), 2.into()],
-                vec![Value::Null, 3.into()],
-                vec!["a".into(), 4.into()],
-            ],
-        );
-        let right = table(
-            vec![
-                Field::new("code", DataType::Str),
-                Field::new("n", DataType::Int),
-            ],
-            vec![
-                vec!["a".into(), 10.into()],
-                vec![Value::Null, 20.into()],
-                vec!["a".into(), 30.into()],
-            ],
-        );
-        let keys = vec![(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
-        let out = reference_join(&left, "l", &right, "r", &keys).unwrap();
-        // Rows: (l0,r0), (l0,r2), (l3,r0), (l3,r2) — NULLs never match.
-        assert_eq!(out.num_rows(), 4);
-        assert_eq!(out.num_columns(), 4);
-        let vs: Vec<(Value, Value)> = (0..4).map(|r| (out.value(r, 1), out.value(r, 3))).collect();
-        assert_eq!(
-            vs,
-            vec![
-                (1.into(), 10.into()),
-                (1.into(), 30.into()),
-                (4.into(), 10.into()),
-                (4.into(), 30.into()),
-            ]
-        );
+    /// Every output row of a nested-loop equi-join with the left side
+    /// outermost — the canonical order every join must produce: the
+    /// left row's values, then the right row's (NULLs for a LEFT OUTER
+    /// join's unmatched left row). Rows join iff all their key values
+    /// are `sql_cmp`-equal.
+    fn nested_loop_rows(
+        left: &Table,
+        right: &Table,
+        keys: &[(&str, &str)],
+        kind: JoinKind,
+    ) -> Vec<Vec<Value>> {
+        let row = |t: &Table, r: usize| -> Vec<Value> {
+            (0..t.num_columns()).map(|c| t.value(r, c)).collect()
+        };
+        let equal = |lr: usize, rr: usize| {
+            keys.iter().all(|(lk, rk)| {
+                let l = left.column_by_name(lk).unwrap().value(lr);
+                let r = right.column_by_name(rk).unwrap().value(rr);
+                l.sql_cmp(&r) == Some(std::cmp::Ordering::Equal)
+            })
+        };
+        let mut out = Vec::new();
+        for lr in 0..left.num_rows() {
+            let matches: Vec<usize> = (0..right.num_rows()).filter(|&rr| equal(lr, rr)).collect();
+            for &rr in &matches {
+                out.push([row(left, lr), row(right, rr)].concat());
+            }
+            if matches.is_empty() && kind == JoinKind::LeftOuter {
+                out.push([row(left, lr), vec![Value::Null; right.num_columns()]].concat());
+            }
+        }
+        out
+    }
+
+    fn rows_of(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.num_rows())
+            .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())
+            .collect()
     }
 
     #[test]
@@ -1876,7 +1764,7 @@ mod tests {
                     .collect(),
             )
         };
-        let keys = vec![(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
+        let keys = [(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
         for (ln, rn) in [(30usize, 8usize), (8, 30), (10, 10), (0, 5), (5, 0)] {
             let left = mk_left(ln);
             let right = mk_right(rn);
@@ -1901,21 +1789,15 @@ mod tests {
                         false,
                     ),
                 };
-                let reference =
-                    reference_join_kinded(&left, "l", &right, "r", &keys, kind, &[]).unwrap();
+                let reference = nested_loop_rows(&left, &right, &[("k", "code")], kind);
                 for (threads, partitions) in [(1, 1), (4, 1), (4, 16)] {
                     let ctx = ExecContext::new(&[], threads, partitions);
                     let out = run_join(&op, &left, &right, &ctx);
-                    assert_eq!(out.num_rows(), reference.num_rows(), "{kind} {ln}x{rn}");
-                    for r in 0..out.num_rows() {
-                        for c in 0..out.num_columns() {
-                            assert_eq!(
-                                out.value(r, c),
-                                reference.value(r, c),
-                                "{kind} {ln}x{rn} cell ({r},{c}) at {threads} threads"
-                            );
-                        }
-                    }
+                    assert_eq!(
+                        rows_of(&out),
+                        reference,
+                        "{kind} {ln}x{rn} at {threads} threads"
+                    );
                 }
             }
         }
@@ -1942,7 +1824,7 @@ mod tests {
             ],
             vec![vec![1.into(), 100.into()], vec![1.into(), 200.into()]],
         );
-        let keys = vec![(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
+        let keys = [(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
         let op = HashJoinOp {
             left: JoinSide {
                 scan_columns: None,
@@ -1980,15 +1862,10 @@ mod tests {
                 (40.into(), 200.into()),
             ]
         );
-        let reference =
-            reference_join_kinded(&left, "l", &right, "r", &keys, JoinKind::LeftOuter, &[])
-                .unwrap();
-        assert_eq!(out.num_rows(), reference.num_rows());
-        for r in 0..out.num_rows() {
-            for c in 0..out.num_columns() {
-                assert_eq!(out.value(r, c), reference.value(r, c), "cell ({r},{c})");
-            }
-        }
+        assert_eq!(
+            rows_of(&out),
+            nested_loop_rows(&left, &right, &[("k", "code")], JoinKind::LeftOuter)
+        );
     }
 
     #[test]
@@ -2011,7 +1888,7 @@ mod tests {
             ],
             vec![vec![1.into(), 10.0.into()], vec![2.into(), 0.5.into()]],
         );
-        let keys = vec![(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
+        let keys = [(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
         let output = output_columns(
             &[
                 ("a", left.schema().as_ref()),
@@ -2041,28 +1918,16 @@ mod tests {
                 output: output.clone(),
             };
             let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2, 16));
-            let w = out.column_by_name("weight").unwrap();
-            match kind {
-                JoinKind::Inner => {
-                    assert_eq!(out.num_rows(), 2);
-                    assert_eq!(w.value(0), Value::Float(20.0));
-                    assert_eq!(w.value(1), Value::Float(1.5));
-                }
-                JoinKind::LeftOuter => {
-                    // The unmatched left row k=9 gets a NULL combined
-                    // weight.
-                    assert_eq!(out.num_rows(), 3);
-                    assert_eq!(w.value(2), Value::Null);
-                }
+            // Columns: k, the combined weight, code.
+            let mut want: Vec<Vec<Value>> = vec![
+                vec![1.into(), 20.0.into(), 1.into()],
+                vec![2.into(), 1.5.into(), 2.into()],
+            ];
+            if kind == JoinKind::LeftOuter {
+                // The unmatched left row k=9 gets a NULL combined weight.
+                want.push(vec![9.into(), Value::Null, Value::Null]);
             }
-            let reference =
-                reference_join_kinded(&left, "a", &right, "b", &keys, kind, &[0, 1]).unwrap();
-            assert_eq!(out.num_rows(), reference.num_rows());
-            for r in 0..out.num_rows() {
-                for c in 0..out.num_columns() {
-                    assert_eq!(out.value(r, c), reference.value(r, c), "{kind} ({r},{c})");
-                }
-            }
+            assert_eq!(rows_of(&out), want, "{kind}");
         }
     }
 
@@ -2113,10 +1978,6 @@ mod tests {
             let sel = super::super::vector::eval_predicate(&parse_expr(pred).unwrap(), t).unwrap();
             t.filter(&sel)
         };
-        let keys = vec![
-            (parse_expr("a").unwrap(), parse_expr("a").unwrap()),
-            (parse_expr("b").unwrap(), parse_expr("b").unwrap()),
-        ];
         for (ln, rn) in [(big, 300), (300, big)] {
             let (left, right) = (mk(ln, 0), mk(rn, 5));
             let (lf, rf) = ("v % 5 <> 1", "v % 7 <> 2");
@@ -2133,36 +1994,28 @@ mod tests {
                         false,
                     ),
                 };
-                let reference = reference_join_kinded(
+                let reference = nested_loop_rows(
                     &keep(&left, lf),
-                    "l",
                     &keep(&right, rf),
-                    "r",
-                    &keys,
+                    &[("a", "a"), ("b", "b")],
                     kind,
-                    &[],
-                )
-                .unwrap();
+                );
                 for (threads, partitions) in [(1, 1), (3, 1), (3, 16)] {
                     let ctx = ExecContext::new(&[], threads, partitions);
                     let out = run_join(&op, &left, &right, &ctx);
-                    assert_eq!(out.num_rows(), reference.num_rows(), "{kind} {ln}x{rn}");
-                    for c in 0..out.num_columns() {
-                        for r in 0..out.num_rows() {
-                            assert_eq!(
-                                out.value(r, c),
-                                reference.value(r, c),
-                                "{kind} {ln}x{rn} cell ({r},{c}) at {threads} threads"
-                            );
-                        }
-                    }
+                    assert_eq!(
+                        rows_of(&out),
+                        reference,
+                        "{kind} {ln}x{rn} at {threads} threads"
+                    );
                 }
             }
         }
     }
 
     /// Key errors surface in whole-table order — every left key before
-    /// any right key — whichever side the size rule builds on.
+    /// any right key — whichever side the size rule builds on: both keys
+    /// are ill-typed here, and the left one's error wins.
     #[test]
     fn key_errors_surface_left_before_right() {
         let mk = |rows: usize, s: &str| {
@@ -2171,7 +2024,6 @@ mod tests {
                 (0..rows).map(|_| vec![Value::Str(s.into())]).collect(),
             )
         };
-        let keys = vec![(parse_expr("k + 1").unwrap(), parse_expr("k * 2").unwrap())];
         for (ln, rn) in [(3, MORSEL_ROWS + 9), (MORSEL_ROWS + 9, 3)] {
             let (left, right) = (mk(ln, "lk"), mk(rn, "rk"));
             let op = HashJoinOp {
@@ -2186,14 +2038,16 @@ mod tests {
                     false,
                 ),
             };
-            let want = reference_join(&left, "l", &right, "r", &keys).unwrap_err();
-            assert!(want.to_string().contains("lk"), "{want}");
             for threads in [1, 4] {
                 let err = op
                     .execute(&left, &right, &ExecContext::new(&[], threads, 16))
                     .err()
                     .expect("keys fail");
-                assert_eq!(err.to_string(), want.to_string(), "{ln}x{rn}");
+                assert_eq!(
+                    err.to_string(),
+                    "bind error: non-numeric operand k (TEXT) of k + 1",
+                    "{ln}x{rn}"
+                );
             }
         }
     }
@@ -2210,7 +2064,7 @@ mod tests {
             vec![Field::new("code", DataType::Float)],
             vec![vec![1.0.into()], vec![2.5.into()]],
         );
-        let keys = vec![(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
+        let keys = [(parse_expr("k").unwrap(), parse_expr("code").unwrap())];
         let op = HashJoinOp {
             left: JoinSide {
                 scan_columns: None,
@@ -2232,10 +2086,7 @@ mod tests {
             ),
         };
         let out = run_join(&op, &left, &right, &ExecContext::new(&[], 1, 1));
-        let reference = reference_join(&left, "l", &right, "r", &keys).unwrap();
-        assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.num_rows(), reference.num_rows());
-        assert_eq!(out.value(0, 0), Value::Int(1));
+        assert_eq!(rows_of(&out), vec![vec![Value::Int(1), Value::Float(1.0)]]);
 
         let right_str = table(
             vec![Field::new("code", DataType::Str)],

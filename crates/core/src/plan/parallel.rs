@@ -727,34 +727,29 @@ mod tests {
     fn error_selection_is_stage_ordered() {
         let rows = 2 * MORSEL_ROWS;
         let schema = Schema::new(vec![
-            Field::new("s1", DataType::Str),
-            Field::new("s2", DataType::Str),
+            Field::new("f1", DataType::Float),
+            Field::new("f2", DataType::Float),
         ]);
         let mut b = TableBuilder::new(schema);
         for r in 0..rows {
-            // s1 is all-NULL in morsel 0 (so morsel 0's AVG(s1) sees an
-            // Int-typed column and passes) but non-null in morsel 1;
-            // s2 is non-null in morsel 0 (so morsel 0 fails on SUM(s2)).
-            b.push_row(vec![
-                if r < MORSEL_ROWS {
-                    Value::Null
-                } else {
-                    Value::Str("x".into())
-                },
-                if r < MORSEL_ROWS {
-                    Value::Str("y".into())
-                } else {
-                    Value::Null
-                },
-            ])
-            .unwrap();
+            // f1 meets a NaN only in morsel 1, f2 only in morsel 0: the
+            // comparison of item 2 fails in the earlier morsel.
+            let (f1, f2) = if r < MORSEL_ROWS {
+                (1.0, f64::NAN)
+            } else {
+                (f64::NAN, 1.0)
+            };
+            b.push_row(vec![f1.into(), f2.into()]).unwrap();
         }
         let t = b.finish();
-        let stmt = select("SELECT AVG(s1), SUM(s2) FROM t");
-        let serial = crate::exec::run_select_rowwise(&stmt, &t, None).unwrap_err();
+        let stmt = select("SELECT f1 > 1, f2 > 2 FROM t");
         for threads in [1, 2, 8] {
             let err = run(&stmt, &t, None, threads).unwrap_err();
-            assert_eq!(err.to_string(), serial.to_string(), "{threads} threads");
+            assert_eq!(
+                err.to_string(),
+                "execution error: cannot compare NaN with 1",
+                "{threads} threads"
+            );
         }
     }
 

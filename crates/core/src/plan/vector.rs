@@ -1,14 +1,20 @@
-//! Vectorized expression evaluation over columnar tables.
+//! Vectorized expression evaluation over columnar tables — the engine's
+//! one row evaluator.
 //!
-//! Expressions are lowered onto the typed kernels of
-//! `mosaic_storage::kernels` whenever their shape allows it (numeric
-//! arithmetic and comparisons, string comparisons, boolean logic in
-//! three-valued form, `IN` lists, `BETWEEN`, `IS NULL`). Shapes outside
-//! the fast path fall back to the row-at-a-time reference evaluator in
-//! `crate::eval`, which also serves as the equivalence oracle for the
-//! property-test suite: for every expression, this module's results are
-//! value-identical to the oracle's (including error cases, which are
-//! always delegated to the oracle so messages match exactly).
+//! Each entry point first types its expression against the table's
+//! schema with `expr_type`, the binder's function, so an ill-typed
+//! expression fails with the binder's error on an empty table as on a
+//! full one. Every well-typed shape then lowers onto the typed kernels
+//! of `mosaic_storage::kernels`: numeric arithmetic and comparisons,
+//! string and boolean comparisons, boolean logic in three-valued form,
+//! `IN` lists, `BETWEEN` and `IS NULL`. Every operand of every operator
+//! is evaluated in full, so an error in either operand of `AND` / `OR`
+//! is the expression's error.
+//!
+//! The one error that depends on the data is a comparison that meets a
+//! NaN: the kernel raises that error for the first such row,
+//! naming that row's values. At a NaN, `BETWEEN` answers NULL and an
+//! `IN` item does not match, as [`crate::eval_scalar`] does.
 
 use std::borrow::Cow;
 
@@ -16,7 +22,8 @@ use mosaic_sql::{BinOp, Expr, UnaryOp};
 use mosaic_storage::kernels::{self, CmpOp, FloatArithOp, IntArithOp};
 use mosaic_storage::{Bitmap, Column, ColumnBuilder, DataType, Dictionary, Table, Value};
 
-use crate::Result;
+use crate::eval::{eval_scalar, expr_type, nan_comparison, predicate_type, unbound_param};
+use crate::{MosaicError, Result};
 
 /// A three-valued-logic boolean vector: row `i` is TRUE iff
 /// `truth[i] && valid[i]`, FALSE iff `!truth[i] && valid[i]`, and NULL
@@ -29,6 +36,17 @@ pub(crate) struct BoolVec {
 impl BoolVec {
     fn all_known(truth: Bitmap) -> BoolVec {
         BoolVec { truth, valid: None }
+    }
+
+    fn constant(b: bool, n: usize) -> BoolVec {
+        BoolVec::all_known(if b { Bitmap::ones(n) } else { Bitmap::zeros(n) })
+    }
+
+    fn all_null(n: usize) -> BoolVec {
+        BoolVec {
+            truth: Bitmap::zeros(n),
+            valid: Some(Bitmap::zeros(n)),
+        }
     }
 
     fn known_true(&self) -> Bitmap {
@@ -73,63 +91,57 @@ impl Num<'_> {
 
 // ---- public entry points ----
 
-/// Vectorized predicate evaluation into a selection bitmap; falls back to
-/// the row-at-a-time reference evaluator for unsupported shapes.
+/// Evaluate a predicate into a selection bitmap (NULL ⇒ excluded).
 pub fn eval_predicate(expr: &Expr, table: &Table) -> Result<Bitmap> {
-    match eval_bool(expr, table) {
-        Some(bv) => Ok(bv.selection()),
-        None => crate::eval::eval_predicate_rowwise(expr, table),
-    }
+    predicate_type(expr, &|c| Ok(table.column_by_name(c)?.data_type()))?;
+    Ok(eval_bool(expr, table)?.selection())
 }
 
-/// Vectorized expression-to-column evaluation; falls back to the
-/// row-at-a-time reference evaluator for unsupported shapes.
+/// Evaluate an expression into one value per row of `table`.
+///
+/// A column none of whose values shows (an empty table, or NULL on every
+/// row) is an Int column: the type a row-at-a-time evaluation infers
+/// from the values it sees has nothing to go on there.
 pub fn eval_expr(expr: &Expr, table: &Table) -> Result<Column> {
+    let ty = table_type(expr, table)?;
     let n = table.num_rows();
     if n == 0 {
-        // The reference evaluator never inspects the expression on an
-        // empty table and infers the default Int type; mirror that.
         return Ok(ColumnBuilder::new(DataType::Int).finish());
     }
-    if let Some(col) = try_eval_column(expr, table, n) {
-        return Ok(finalize_column(col));
-    }
-    crate::eval::eval_expr_rowwise(expr, table)
-}
-
-fn try_eval_column(expr: &Expr, table: &Table, n: usize) -> Option<Column> {
-    match expr {
-        Expr::Column(name) => table.column_by_name(name).ok().cloned(),
+    let col = match expr {
+        Expr::Column(name) => table.column_by_name(name)?.clone(),
         Expr::Literal(v) => splat_value(v, n),
-        _ => {
-            if let Some(num) = eval_num(expr, table) {
-                Some(num_to_column(num, n))
-            } else {
-                eval_bool(expr, table).map(bool_to_column)
-            }
-        }
+        _ if ty == Some(DataType::Bool) => bool_to_column(eval_bool(expr, table)?),
+        _ => num_to_column(eval_num(expr, table)?, n),
+    };
+    if col.null_count() == n && col.data_type() != DataType::Int {
+        return Ok(Column::from_i64_opt(vec![0; n], Some(Bitmap::zeros(n))));
     }
+    Ok(col)
 }
 
-/// The reference evaluator infers a column type from the values it sees,
-/// defaulting to Int when every value is NULL; mirror that so output
-/// schemas are identical.
-fn finalize_column(col: Column) -> Column {
-    let n = col.len();
-    if n > 0 && col.null_count() == n && col.data_type() != DataType::Int {
-        return Column::from_i64_opt(vec![0; n], Some(Bitmap::zeros(n)));
-    }
-    col
+/// The type of `expr` over `table`'s columns.
+fn table_type(expr: &Expr, table: &Table) -> Result<Option<DataType>> {
+    expr_type(expr, &|c| Ok(table.column_by_name(c)?.data_type()), false)
 }
 
-fn splat_value(v: &Value, n: usize) -> Option<Column> {
-    Some(match v {
+/// The error for an operand shape [`expr_type`] rejects, should one
+/// reach a kernel without it.
+fn mistyped(expr: &Expr) -> MosaicError {
+    MosaicError::Execution(format!(
+        "no kernel evaluates {} with its operand types",
+        expr.default_name()
+    ))
+}
+
+fn splat_value(v: &Value, n: usize) -> Column {
+    match v {
         Value::Null => Column::from_i64_opt(vec![0; n], Some(Bitmap::zeros(n))),
         Value::Bool(b) => Column::from_bool(vec![*b; n]),
         Value::Int(i) => Column::from_i64(vec![*i; n]),
         Value::Float(f) => Column::from_f64(vec![*f; n]),
         Value::Str(s) => Column::from_str(vec![s.clone(); n]),
-    })
+    }
 }
 
 fn num_to_column(num: Num<'_>, n: usize) -> Column {
@@ -149,36 +161,31 @@ fn bool_to_column(bv: BoolVec) -> Column {
 
 // ---- numeric expression lowering ----
 
-fn eval_num<'a>(expr: &'a Expr, table: &'a Table) -> Option<Num<'a>> {
-    match expr {
-        Expr::Literal(Value::Int(i)) => Some(Num::ScalarInt(*i)),
-        Expr::Literal(Value::Float(f)) => Some(Num::ScalarFloat(*f)),
-        Expr::Literal(Value::Null) => Some(Num::ScalarNull),
-        Expr::Literal(_) => None,
+fn eval_num<'a>(expr: &'a Expr, table: &'a Table) -> Result<Num<'a>> {
+    Ok(match expr {
+        Expr::Literal(Value::Int(i)) => Num::ScalarInt(*i),
+        Expr::Literal(Value::Float(f)) => Num::ScalarFloat(*f),
+        Expr::Literal(Value::Null) => Num::ScalarNull,
+        Expr::Param(i) => return Err(unbound_param(*i)),
         Expr::Column(name) => {
-            let col = table.column_by_name(name).ok()?;
-            match col.data_type() {
-                DataType::Int => Some(Num::Int(
-                    Cow::Borrowed(col.i64_data()?),
-                    col.validity().cloned(),
-                )),
-                DataType::Float => Some(Num::Float(
-                    Cow::Borrowed(col.f64_data()?),
-                    col.validity().cloned(),
-                )),
-                _ => None,
+            let col = table.column_by_name(name)?;
+            let valid = col.validity().cloned();
+            match (col.i64_data(), col.f64_data()) {
+                (Some(d), _) => Num::Int(Cow::Borrowed(d), valid),
+                (_, Some(d)) => Num::Float(Cow::Borrowed(d), valid),
+                _ => return Err(mistyped(expr)),
             }
         }
         Expr::Unary {
             op: UnaryOp::Neg,
             expr,
-        } => Some(match eval_num(expr, table)? {
+        } => match eval_num(expr, table)? {
             Num::ScalarInt(i) => Num::ScalarInt(i.wrapping_neg()),
             Num::ScalarFloat(f) => Num::ScalarFloat(-f),
             Num::ScalarNull => Num::ScalarNull,
             Num::Int(d, v) => Num::Int(Cow::Owned(kernels::neg_i64(&d)), v),
             Num::Float(d, v) => Num::Float(Cow::Owned(kernels::neg_f64(&d)), v),
-        }),
+        },
         Expr::Binary { left, op, right }
             if matches!(
                 op,
@@ -187,21 +194,21 @@ fn eval_num<'a>(expr: &'a Expr, table: &'a Table) -> Option<Num<'a>> {
         {
             let l = eval_num(left, table)?;
             let r = eval_num(right, table)?;
-            num_binary(l, *op, r)
+            num_binary(l, *op, r).ok_or_else(|| mistyped(expr))?
         }
-        _ => None,
-    }
+        _ => return Err(mistyped(expr)),
+    })
 }
 
-/// Scalar∘scalar arithmetic through the reference evaluator (guarantees
-/// identical semantics for Int/Int division, div-by-zero, …).
+/// Scalar∘scalar arithmetic through the scalar evaluator (one definition
+/// of Int/Int division, division by zero, …).
 fn scalar_binary(l: Value, op: BinOp, r: Value) -> Option<Num<'static>> {
     let expr = Expr::Binary {
         left: Box::new(Expr::Literal(l)),
         op,
         right: Box::new(Expr::Literal(r)),
     };
-    match crate::eval::eval_row(&expr, None, 0).ok()? {
+    match eval_scalar(&expr).ok()? {
         Value::Int(i) => Some(Num::ScalarInt(i)),
         Value::Float(f) => Some(Num::ScalarFloat(f)),
         Value::Null => Some(Num::ScalarNull),
@@ -215,6 +222,15 @@ fn scalar_value(num: &Num<'_>) -> Option<Value> {
         Num::ScalarFloat(f) => Some(Value::Float(*f)),
         Num::ScalarNull => Some(Value::Null),
         _ => None,
+    }
+}
+
+/// The value of a non-NULL numeric operand at `row`.
+fn num_value(num: &Num<'_>, row: usize) -> Value {
+    match num {
+        Num::Int(d, _) => Value::Int(d[row]),
+        Num::Float(d, _) => Value::Float(d[row]),
+        scalar => scalar_value(scalar).unwrap_or(Value::Null),
     }
 }
 
@@ -421,22 +437,16 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-pub(crate) fn eval_bool(expr: &Expr, table: &Table) -> Option<BoolVec> {
+pub(crate) fn eval_bool(expr: &Expr, table: &Table) -> Result<BoolVec> {
     let n = table.num_rows();
     match expr {
-        Expr::Literal(Value::Bool(b)) => Some(BoolVec::all_known(if *b {
-            Bitmap::ones(n)
-        } else {
-            Bitmap::zeros(n)
-        })),
-        Expr::Literal(Value::Null) => Some(BoolVec {
-            truth: Bitmap::zeros(n),
-            valid: Some(Bitmap::zeros(n)),
-        }),
+        Expr::Literal(Value::Bool(b)) => Ok(BoolVec::constant(*b, n)),
+        Expr::Literal(Value::Null) => Ok(BoolVec::all_null(n)),
+        Expr::Param(i) => Err(unbound_param(*i)),
         Expr::Column(name) => {
-            let col = table.column_by_name(name).ok()?;
-            let data = col.bool_data()?;
-            Some(BoolVec {
+            let col = table.column_by_name(name)?;
+            let data = col.bool_data().ok_or_else(|| mistyped(expr))?;
+            Ok(BoolVec {
                 truth: Bitmap::from_iter(data.iter().copied()),
                 valid: col.validity().cloned(),
             })
@@ -446,40 +456,42 @@ pub(crate) fn eval_bool(expr: &Expr, table: &Table) -> Option<BoolVec> {
             expr,
         } => {
             let bv = eval_bool(expr, table)?;
-            Some(BoolVec {
+            Ok(BoolVec {
                 truth: bv.known_false(),
                 valid: bv.valid,
             })
         }
-        Expr::Binary { left, op, right } => match op {
-            BinOp::And | BinOp::Or => {
-                let l = eval_bool(left, table)?;
-                let r = eval_bool(right, table)?;
-                if l.valid.is_none() && r.valid.is_none() {
-                    let truth = if *op == BinOp::And {
-                        l.truth.and(&r.truth)
-                    } else {
-                        l.truth.or(&r.truth)
-                    };
-                    return Some(BoolVec::all_known(truth));
-                }
-                let (lt, lf) = (l.known_true(), l.known_false());
-                let (rt, rf) = (r.known_true(), r.known_false());
-                let (kt, kf) = if *op == BinOp::And {
-                    (lt.and(&rt), lf.or(&rf))
+        Expr::Binary {
+            left,
+            op: op @ (BinOp::And | BinOp::Or),
+            right,
+        } => {
+            let l = eval_bool(left, table)?;
+            let r = eval_bool(right, table)?;
+            if l.valid.is_none() && r.valid.is_none() {
+                let truth = if *op == BinOp::And {
+                    l.truth.and(&r.truth)
                 } else {
-                    (lt.or(&rt), lf.and(&rf))
+                    l.truth.or(&r.truth)
                 };
-                let valid = kt.or(&kf);
-                Some(BoolVec {
-                    truth: kt,
-                    valid: Some(valid),
-                })
+                return Ok(BoolVec::all_known(truth));
             }
-            _ => {
-                let cop = cmp_op(*op)?;
-                eval_comparison(left, cop, right, table)
-            }
+            let (lt, lf) = (l.known_true(), l.known_false());
+            let (rt, rf) = (r.known_true(), r.known_false());
+            let (kt, kf) = if *op == BinOp::And {
+                (lt.and(&rt), lf.or(&rf))
+            } else {
+                (lt.or(&rt), lf.and(&rf))
+            };
+            let valid = kt.or(&kf);
+            Ok(BoolVec {
+                truth: kt,
+                valid: Some(valid),
+            })
+        }
+        Expr::Binary { left, op, right } => match cmp_op(*op) {
+            Some(op) => eval_comparison(left, op, right, table, OnNan::Error),
+            None => Err(mistyped(expr)),
         },
         Expr::IsNull { expr, negated } => eval_is_null(expr, *negated, table),
         Expr::InList {
@@ -492,98 +504,108 @@ pub(crate) fn eval_bool(expr: &Expr, table: &Table) -> Option<BoolVec> {
             low,
             high,
             negated,
-        } => {
-            // Direct lowering (NOT decomposable into 3VL AND: the
-            // reference evaluator yields NULL when *any* bound is NULL,
-            // even if the other bound already decides the answer).
-            let v = eval_num(expr, table)?;
-            let lo = eval_num(low, table)?;
-            let hi = eval_num(high, table)?;
-            // Vector operand with scalar bounds takes the fused range
-            // kernel (scalar, NULL, or NaN-bearing operands use the
-            // general path, whose compare_nums NaN guard falls back to
-            // the row-wise oracle).
-            if let (Some(lo), Some(hi)) = (scalar_f64(&lo), scalar_f64(&hi)) {
-                let inside = if lo.is_nan() || hi.is_nan() || contains_nan(&v) {
-                    None
-                } else {
-                    match &v {
-                        Num::Int(d, _) => Some(kernels::between_i64(d, lo, hi)),
-                        Num::Float(d, _) => Some(kernels::between_f64(d, lo, hi)),
-                        _ => None,
-                    }
-                };
-                if let Some(inside) = inside {
-                    return Some(BoolVec {
-                        truth: if *negated { inside.not() } else { inside },
-                        valid: v.validity().cloned(),
-                    });
-                }
-            }
-            let ge = compare_nums(&v, CmpOp::Ge, &lo, n)?;
-            let le = compare_nums(&v, CmpOp::Le, &hi, n)?;
-            let inside = ge.truth.and(&le.truth);
-            let valid = kernels::combine_validity(ge.valid.as_ref(), le.valid.as_ref());
-            Some(BoolVec {
-                truth: if *negated { inside.not() } else { inside },
-                valid,
-            })
-        }
-        _ => None,
+        } => eval_between(expr, low, high, *negated, table),
+        _ => Err(mistyped(expr)),
     }
 }
 
-fn eval_comparison(left: &Expr, op: CmpOp, right: &Expr, table: &Table) -> Option<BoolVec> {
+/// What a comparison answers at a row where an operand is NaN.
+#[derive(Clone, Copy, PartialEq)]
+enum OnNan {
+    /// Raise [`nan_comparison`] for the first such row (`=`, `<`, …).
+    Error,
+    /// NULL (`BETWEEN`'s bounds).
+    Null,
+    /// FALSE (an `IN` item: NaN matches nothing).
+    Unequal,
+}
+
+fn eval_comparison(
+    left: &Expr,
+    op: CmpOp,
+    right: &Expr,
+    table: &Table,
+    on_nan: OnNan,
+) -> Result<BoolVec> {
     let n = table.num_rows();
-    // Numeric comparison (everything coerces through f64, like sql_cmp).
-    if let (Some(l), Some(r)) = (eval_num(left, table), eval_num(right, table)) {
-        return compare_nums(&l, op, &r, n);
+    match (table_type(left, table)?, table_type(right, table)?) {
+        (Some(DataType::Str), Some(DataType::Str)) => compare_strs(left, op, right, table),
+        (Some(DataType::Bool), Some(DataType::Bool)) => Ok(compare_bools(
+            &eval_bool(left, table)?,
+            op,
+            &eval_bool(right, table)?,
+        )),
+        (Some(DataType::Str | DataType::Bool), None)
+        | (None, Some(DataType::Str | DataType::Bool)) => {
+            // NULL on one side: no row compares, but both operands still
+            // run for their errors.
+            eval_expr(left, table)?;
+            eval_expr(right, table)?;
+            Ok(BoolVec::all_null(n))
+        }
+        // Numeric (everything coerces through f64, like sql_cmp).
+        _ => compare_nums(
+            &eval_num(left, table)?,
+            op,
+            &eval_num(right, table)?,
+            n,
+            on_nan,
+        ),
     }
-    // String comparison.
+}
+
+/// BOOL compared with BOOL (FALSE < TRUE).
+fn compare_bools(l: &BoolVec, op: CmpOp, r: &BoolVec) -> BoolVec {
+    let (a, b) = (&l.truth, &r.truth);
+    let truth = match op {
+        CmpOp::Eq => a.and(b).or(&a.not().and(&b.not())),
+        CmpOp::Ne => a.and(&b.not()).or(&a.not().and(b)),
+        CmpOp::Lt => a.not().and(b),
+        CmpOp::Le => a.not().or(b),
+        CmpOp::Gt => a.and(&b.not()),
+        CmpOp::Ge => a.or(&b.not()),
+    };
+    BoolVec {
+        truth,
+        valid: kernels::combine_validity(l.valid.as_ref(), r.valid.as_ref()),
+    }
+}
+
+fn compare_strs(left: &Expr, op: CmpOp, right: &Expr, table: &Table) -> Result<BoolVec> {
+    let n = table.num_rows();
     let l = str_operand(left, table)?;
     let r = str_operand(right, table)?;
-    match (l, r) {
-        (StrOperand::Scalar(a), StrOperand::Scalar(b)) => {
-            let truth = op.holds(a.cmp(b));
-            Some(BoolVec::all_known(if truth {
-                Bitmap::ones(n)
-            } else {
-                Bitmap::zeros(n)
-            }))
-        }
+    Ok(match (l, r) {
+        (StrOperand::Scalar(a), StrOperand::Scalar(b)) => BoolVec::constant(op.holds(a.cmp(b)), n),
         // Dictionary vs literal: answer the predicate once per distinct
         // value (a K-entry LUT), then one indexed load per row.
-        (StrOperand::Dict(codes, dict, v), StrOperand::Scalar(s)) => Some(BoolVec {
+        (StrOperand::Dict(codes, dict, v), StrOperand::Scalar(s)) => BoolVec {
             truth: kernels::lookup_codes(codes, &cmp_lut(dict, op, s)),
             valid: v.cloned(),
-        }),
-        (StrOperand::Scalar(s), StrOperand::Dict(codes, dict, v)) => Some(BoolVec {
+        },
+        (StrOperand::Scalar(s), StrOperand::Dict(codes, dict, v)) => BoolVec {
             truth: kernels::lookup_codes(codes, &cmp_lut(dict, flip(op), s)),
             valid: v.cloned(),
-        }),
-        (StrOperand::Col(d, v), StrOperand::Scalar(s)) => Some(BoolVec {
+        },
+        (StrOperand::Col(d, v), StrOperand::Scalar(s)) => BoolVec {
             truth: kernels::cmp_str_scalar(d, op, s),
             valid: v.cloned(),
-        }),
-        (StrOperand::Scalar(s), StrOperand::Col(d, v)) => Some(BoolVec {
+        },
+        (StrOperand::Scalar(s), StrOperand::Col(d, v)) => BoolVec {
             truth: kernels::cmp_str_scalar(d, flip(op), s),
             valid: v.cloned(),
-        }),
-        (StrOperand::Col(a, va), StrOperand::Col(b, vb)) => Some(BoolVec {
+        },
+        (StrOperand::Col(a, va), StrOperand::Col(b, vb)) => BoolVec {
             truth: kernels::cmp_str(a, b, op),
             valid: kernels::combine_validity(va, vb),
-        }),
+        },
         // Column vs column with a dictionary side: compare borrowed &str
         // views (no String clones, no decode copy).
-        (a, b) => {
-            let (va, vb) = (a.validity(), b.validity());
-            let truth = kernels::cmp_str_pairs(&a.str_refs()?, &b.str_refs()?, op);
-            Some(BoolVec {
-                truth,
-                valid: kernels::combine_validity(va, vb),
-            })
-        }
-    }
+        (a, b) => BoolVec {
+            truth: kernels::cmp_str_pairs(&a.str_refs(n), &b.str_refs(n), op),
+            valid: kernels::combine_validity(a.validity(), b.validity()),
+        },
+    })
 }
 
 /// Per-code truth table for `value <op> rhs` over a dictionary.
@@ -608,34 +630,33 @@ impl<'a> StrOperand<'a> {
         }
     }
 
-    /// Borrowed per-row string views (columns only; scalars return None).
-    fn str_refs(&self) -> Option<Vec<&'a str>> {
+    /// Borrowed per-row string views.
+    fn str_refs(&self, n: usize) -> Vec<&'a str> {
         match self {
-            StrOperand::Scalar(_) => None,
-            StrOperand::Col(d, _) => Some(d.iter().map(|s| s.as_str()).collect()),
-            StrOperand::Dict(codes, dict, _) => Some(codes.iter().map(|&c| dict.get(c)).collect()),
+            StrOperand::Scalar(s) => vec![*s; n],
+            StrOperand::Col(d, _) => d.iter().map(|s| s.as_str()).collect(),
+            StrOperand::Dict(codes, dict, _) => codes.iter().map(|&c| dict.get(c)).collect(),
         }
     }
 }
 
-fn str_operand<'a>(expr: &'a Expr, table: &'a Table) -> Option<StrOperand<'a>> {
+fn str_operand<'a>(expr: &'a Expr, table: &'a Table) -> Result<StrOperand<'a>> {
     match expr {
-        Expr::Literal(Value::Str(s)) => Some(StrOperand::Scalar(s)),
+        Expr::Literal(Value::Str(s)) => Ok(StrOperand::Scalar(s)),
         Expr::Column(name) => {
-            let col = table.column_by_name(name).ok()?;
+            let col = table.column_by_name(name)?;
             if let Some((codes, dict)) = col.dict_parts() {
-                return Some(StrOperand::Dict(codes, dict.as_ref(), col.validity()));
+                return Ok(StrOperand::Dict(codes, dict.as_ref(), col.validity()));
             }
-            Some(StrOperand::Col(col.str_data()?, col.validity()))
+            let data = col.str_data().ok_or_else(|| mistyped(expr))?;
+            Ok(StrOperand::Col(data, col.validity()))
         }
-        _ => None,
+        _ => Err(mistyped(expr)),
     }
 }
 
-/// True if a numeric operand can contain NaN anywhere `sql_cmp` would
-/// see it. The reference evaluator *errors* on NaN comparisons
-/// (`partial_cmp` returns `None` → "cannot compare"), so the kernels
-/// must not silently answer them — bail to the row-wise fallback.
+/// True if a numeric operand holds a NaN anywhere (NULL slots included:
+/// a cheap pre-check before [`nan_rows`] finds the rows that count).
 fn contains_nan(num: &Num<'_>) -> bool {
     match num {
         Num::ScalarFloat(f) => f.is_nan(),
@@ -644,17 +665,38 @@ fn contains_nan(num: &Num<'_>) -> bool {
     }
 }
 
-fn compare_nums(l: &Num<'_>, op: CmpOp, r: &Num<'_>, n: usize) -> Option<BoolVec> {
+/// The rows where a comparison of `l` with `r` meets a NaN: both
+/// operands non-NULL and either one NaN.
+fn nan_rows(l: &Num<'_>, r: &Num<'_>, n: usize, valid: Option<&Bitmap>) -> Bitmap {
+    let mask = |num: &Num<'_>| match num {
+        Num::ScalarFloat(f) if f.is_nan() => Bitmap::ones(n),
+        Num::Float(d, _) => Bitmap::from_iter(d.iter().map(|v| v.is_nan())),
+        _ => Bitmap::zeros(n),
+    };
+    let nan = mask(l).or(&mask(r));
+    match valid {
+        Some(v) => nan.and(v),
+        None => nan,
+    }
+}
+
+fn compare_nums(l: &Num<'_>, op: CmpOp, r: &Num<'_>, n: usize, on_nan: OnNan) -> Result<BoolVec> {
     if matches!(l, Num::ScalarNull) || matches!(r, Num::ScalarNull) {
-        return Some(BoolVec {
-            truth: Bitmap::zeros(n),
-            valid: Some(Bitmap::zeros(n)),
+        return Ok(BoolVec::all_null(n));
+    }
+    let mut valid = kernels::combine_validity(l.validity(), r.validity());
+    if on_nan != OnNan::Unequal && (contains_nan(l) || contains_nan(r)) {
+        let nan = nan_rows(l, r, n, valid.as_ref());
+        if on_nan == OnNan::Error {
+            if let Some(row) = nan.iter_ones().next() {
+                return Err(nan_comparison(&num_value(l, row), &num_value(r, row)));
+            }
+        }
+        valid = Some(match valid {
+            Some(v) => v.and(&nan.not()),
+            None => nan.not(),
         });
     }
-    if contains_nan(l) || contains_nan(r) {
-        return None;
-    }
-    let valid = kernels::combine_validity(l.validity(), r.validity());
     let truth = match (l, r) {
         (Num::Int(a, _), Num::ScalarInt(b)) => kernels::cmp_i64_scalar(a, op, *b as f64),
         (Num::Int(a, _), Num::ScalarFloat(b)) => kernels::cmp_i64_scalar(a, op, *b),
@@ -668,139 +710,196 @@ fn compare_nums(l: &Num<'_>, op: CmpOp, r: &Num<'_>, n: usize) -> Option<BoolVec
         (Num::Float(a, _), Num::Float(b, _)) => kernels::cmp_f64(a, b, op),
         (Num::Int(a, _), Num::Float(b, _)) => kernels::cmp_i64_f64(a, b, op),
         (Num::Float(a, _), Num::Int(b, _)) => kernels::cmp_f64_i64(a, b, op),
+        // Scalar vs scalar: compare once and splat (NaN never holds).
         (a, b) => {
-            // Scalar vs scalar: evaluate once and splat.
-            let expr = Expr::Binary {
-                left: Box::new(Expr::Literal(scalar_value(a)?)),
-                op: scalar_cmp_binop(op),
-                right: Box::new(Expr::Literal(scalar_value(b)?)),
-            };
-            return match crate::eval::eval_row(&expr, None, 0).ok()? {
-                Value::Bool(t) => Some(BoolVec {
-                    truth: if t { Bitmap::ones(n) } else { Bitmap::zeros(n) },
-                    valid,
-                }),
-                Value::Null => Some(BoolVec {
-                    truth: Bitmap::zeros(n),
-                    valid: Some(Bitmap::zeros(n)),
-                }),
-                _ => None,
-            };
+            let holds = num_value(a, 0)
+                .sql_cmp(&num_value(b, 0))
+                .is_some_and(|ord| op.holds(ord));
+            return Ok(BoolVec {
+                truth: BoolVec::constant(holds, n).truth,
+                valid,
+            });
         }
     };
-    Some(BoolVec { truth, valid })
+    Ok(BoolVec { truth, valid })
 }
 
-fn scalar_cmp_binop(op: CmpOp) -> BinOp {
-    match op {
-        CmpOp::Eq => BinOp::Eq,
-        CmpOp::Ne => BinOp::NotEq,
-        CmpOp::Lt => BinOp::Lt,
-        CmpOp::Le => BinOp::LtEq,
-        CmpOp::Gt => BinOp::Gt,
-        CmpOp::Ge => BinOp::GtEq,
-    }
+/// `expr [NOT] BETWEEN low AND high`, lowered directly: it is not the 3VL
+/// AND of two comparisons, because it is NULL when *any* bound is NULL
+/// (or NaN) even if the other bound already decides the answer.
+fn eval_between(
+    expr: &Expr,
+    low: &Expr,
+    high: &Expr,
+    negated: bool,
+    table: &Table,
+) -> Result<BoolVec> {
+    let n = table.num_rows();
+    let ty = table_type(expr, table)?
+        .or(table_type(low, table)?)
+        .or(table_type(high, table)?);
+    let (ge, le) = if let Some(DataType::Str | DataType::Bool) = ty {
+        (
+            eval_comparison(expr, CmpOp::Ge, low, table, OnNan::Null)?,
+            eval_comparison(expr, CmpOp::Le, high, table, OnNan::Null)?,
+        )
+    } else {
+        let v = eval_num(expr, table)?;
+        let lo = eval_num(low, table)?;
+        let hi = eval_num(high, table)?;
+        // A NaN-free vector operand with non-NaN scalar bounds takes the
+        // fused range kernel.
+        if let (Some(lo), Some(hi)) = (scalar_f64(&lo), scalar_f64(&hi)) {
+            let inside = if lo.is_nan() || hi.is_nan() || contains_nan(&v) {
+                None
+            } else {
+                match &v {
+                    Num::Int(d, _) => Some(kernels::between_i64(d, lo, hi)),
+                    Num::Float(d, _) => Some(kernels::between_f64(d, lo, hi)),
+                    _ => None,
+                }
+            };
+            if let Some(inside) = inside {
+                return Ok(BoolVec {
+                    truth: if negated { inside.not() } else { inside },
+                    valid: v.validity().cloned(),
+                });
+            }
+        }
+        (
+            compare_nums(&v, CmpOp::Ge, &lo, n, OnNan::Null)?,
+            compare_nums(&v, CmpOp::Le, &hi, n, OnNan::Null)?,
+        )
+    };
+    let inside = ge.truth.and(&le.truth);
+    Ok(BoolVec {
+        truth: if negated { inside.not() } else { inside },
+        valid: kernels::combine_validity(ge.valid.as_ref(), le.valid.as_ref()),
+    })
 }
 
-fn eval_is_null(operand: &Expr, negated: bool, table: &Table) -> Option<BoolVec> {
+/// The NULL rows of an operand with validity `valid`.
+fn null_rows(valid: Option<&Bitmap>, n: usize) -> Bitmap {
+    valid.map_or_else(|| Bitmap::zeros(n), Bitmap::not)
+}
+
+fn eval_is_null(operand: &Expr, negated: bool, table: &Table) -> Result<BoolVec> {
     let n = table.num_rows();
     // Any column type works directly off the validity bitmap.
-    let null_mask: Bitmap = if let Expr::Column(name) = operand {
-        let col = table.column_by_name(name).ok()?;
-        match col.validity() {
-            Some(v) => v.not(),
-            None => Bitmap::zeros(n),
-        }
-    } else if let Some(num) = eval_num(operand, table) {
-        match num {
-            Num::ScalarNull => Bitmap::ones(n),
-            Num::ScalarInt(_) | Num::ScalarFloat(_) => Bitmap::zeros(n),
-            Num::Int(_, v) | Num::Float(_, v) => match v {
-                Some(v) => v.not(),
-                None => Bitmap::zeros(n),
+    let null_mask = match operand {
+        Expr::Column(name) => null_rows(table.column_by_name(name)?.validity(), n),
+        _ => match table_type(operand, table)? {
+            Some(DataType::Bool) => null_rows(eval_bool(operand, table)?.valid.as_ref(), n),
+            // The only string-valued expression besides a column: a literal.
+            Some(DataType::Str) => Bitmap::zeros(n),
+            _ => match eval_num(operand, table)? {
+                Num::ScalarNull => Bitmap::ones(n),
+                Num::ScalarInt(_) | Num::ScalarFloat(_) => Bitmap::zeros(n),
+                Num::Int(_, v) | Num::Float(_, v) => null_rows(v.as_ref(), n),
             },
-        }
-    } else {
-        return None;
+        },
     };
-    Some(BoolVec::all_known(if negated {
+    Ok(BoolVec::all_known(if negated {
         null_mask.not()
     } else {
         null_mask
     }))
 }
 
-fn eval_in_list(operand: &Expr, list: &[Expr], negated: bool, table: &Table) -> Option<BoolVec> {
-    // Only literal lists are lowered (the universal case in practice).
-    let mut literals = Vec::with_capacity(list.len());
-    for item in list {
-        match item {
-            Expr::Literal(v) => literals.push(v),
-            _ => return None,
+/// `operand [NOT] IN (list)`: NULL when the operand is NULL; TRUE (FALSE
+/// for `NOT IN`) when an item equals it; otherwise NULL if an item is
+/// NULL, else FALSE (TRUE for `NOT IN`).
+fn eval_in_list(operand: &Expr, list: &[Expr], negated: bool, table: &Table) -> Result<BoolVec> {
+    let n = table.num_rows();
+    let literals: Option<Vec<&Value>> = list
+        .iter()
+        .map(|item| match item {
+            Expr::Literal(v) => Some(v),
+            _ => None,
+        })
+        .collect();
+    if let Some(literals) = literals {
+        if let Some((matched, operand_valid)) = match_literals(operand, &literals, table)? {
+            let truth = if negated {
+                matched.not()
+            } else {
+                matched.clone()
+            };
+            let valid = if literals.iter().any(|v| v.is_null()) {
+                Some(match &operand_valid {
+                    Some(v) => v.and(&matched),
+                    None => matched,
+                })
+            } else {
+                operand_valid
+            };
+            return Ok(BoolVec { truth, valid });
         }
     }
-    let saw_null = literals.iter().any(|v| v.is_null());
-    let (matched, operand_valid) = match operand {
-        Expr::Column(name) => {
-            let col = table.column_by_name(name).ok()?;
-            let matched = match col.data_type() {
-                DataType::Str => {
-                    // Non-string literals never match a string operand
-                    // under sql_cmp (and don't count as NULL sightings
-                    // unless they are literal NULLs).
-                    let set: Vec<&str> = literals.iter().filter_map(|v| v.as_str()).collect();
-                    if let Some((codes, dict)) = col.dict_parts() {
-                        // Membership decided once per distinct value.
-                        let lut: Vec<bool> = dict
-                            .values()
-                            .iter()
-                            .map(|v| set.iter().any(|s| s == v))
-                            .collect();
-                        kernels::lookup_codes(codes, &lut)
-                    } else {
-                        kernels::in_str_set(col.str_data()?, &set)
-                    }
-                }
-                DataType::Int => {
-                    let set: Vec<f64> = literals.iter().filter_map(|v| v.as_f64()).collect();
-                    kernels::in_i64_set(col.i64_data()?, &set)
-                }
-                DataType::Float => {
-                    let set: Vec<f64> = literals.iter().filter_map(|v| v.as_f64()).collect();
-                    kernels::in_f64_set(col.f64_data()?, &set)
-                }
-                DataType::Bool => return None,
-            };
-            (matched, col.validity().cloned())
+    // Any other list: one equality per item.
+    let mut matched = Bitmap::zeros(n);
+    let mut unknown = Bitmap::zeros(n);
+    for item in list {
+        let eq = eval_comparison(operand, CmpOp::Eq, item, table, OnNan::Unequal)?;
+        matched = matched.or(&eq.known_true());
+        if let Some(v) = &eq.valid {
+            unknown = unknown.or(&v.not());
         }
-        _ => {
-            let num = eval_num(operand, table)?;
-            let set: Vec<f64> = literals.iter().filter_map(|v| v.as_f64()).collect();
-            let matched = match &num {
-                Num::Int(d, _) => kernels::in_i64_set(d, &set),
-                Num::Float(d, _) => kernels::in_f64_set(d, &set),
-                // Scalar operands are rare; let the oracle handle them.
-                _ => return None,
-            };
-            (matched, num.validity().cloned())
-        }
+    }
+    let operand_known = eval_is_null(operand, true, table)?.truth;
+    let valid = operand_known.and(&matched.or(&unknown.not()));
+    Ok(BoolVec {
+        truth: if negated { matched.not() } else { matched },
+        valid: Some(valid),
+    })
+}
+
+/// Set-membership kernels for a column or numeric operand against a
+/// literal list: the rows equal to some literal, and the operand's
+/// validity. `None` for operands these kernels do not cover.
+fn match_literals(
+    operand: &Expr,
+    literals: &[&Value],
+    table: &Table,
+) -> Result<Option<(Bitmap, Option<Bitmap>)>> {
+    let numbers = || -> Vec<f64> { literals.iter().filter_map(|v| v.as_f64()).collect() };
+    if let Expr::Column(name) = operand {
+        let col = table.column_by_name(name)?;
+        let typed = || mistyped(operand);
+        let matched = match col.data_type() {
+            DataType::Str => {
+                let set: Vec<&str> = literals.iter().filter_map(|v| v.as_str()).collect();
+                if let Some((codes, dict)) = col.dict_parts() {
+                    // Membership decided once per distinct value.
+                    let lut: Vec<bool> = dict
+                        .values()
+                        .iter()
+                        .map(|v| set.iter().any(|s| s == v))
+                        .collect();
+                    kernels::lookup_codes(codes, &lut)
+                } else {
+                    kernels::in_str_set(col.str_data().ok_or_else(typed)?, &set)
+                }
+            }
+            DataType::Int => kernels::in_i64_set(col.i64_data().ok_or_else(typed)?, &numbers()),
+            DataType::Float => kernels::in_f64_set(col.f64_data().ok_or_else(typed)?, &numbers()),
+            DataType::Bool => return Ok(None),
+        };
+        return Ok(Some((matched, col.validity().cloned())));
+    }
+    if !matches!(
+        table_type(operand, table)?,
+        Some(DataType::Int | DataType::Float)
+    ) {
+        return Ok(None);
+    }
+    let num = eval_num(operand, table)?;
+    let matched = match &num {
+        Num::Int(d, _) => kernels::in_i64_set(d, &numbers()),
+        Num::Float(d, _) => kernels::in_f64_set(d, &numbers()),
+        _ => return Ok(None),
     };
-    // Row semantics: operand NULL ⇒ NULL; matched ⇒ !negated;
-    // unmatched with a NULL in the list ⇒ NULL; else ⇒ negated.
-    let truth = if negated {
-        matched.not()
-    } else {
-        matched.clone()
-    };
-    let valid = if saw_null {
-        Some(match &operand_valid {
-            Some(v) => v.and(&matched),
-            None => matched,
-        })
-    } else {
-        operand_valid
-    };
-    Some(BoolVec { truth, valid })
+    Ok(Some((matched, num.validity().cloned())))
 }
 
 #[cfg(test)]
@@ -808,6 +907,7 @@ mod tests {
     use super::*;
     use mosaic_sql::parse_expr;
     use mosaic_storage::{Field, Schema, TableBuilder};
+    use std::sync::Arc;
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -828,90 +928,8 @@ mod tests {
         t.finish()
     }
 
-    /// Every predicate here must agree with the row-at-a-time oracle.
-    #[test]
-    fn predicates_match_oracle() {
-        let t = table();
-        for src in [
-            "x > 1",
-            "x > 1 AND s = 'a'",
-            "x = 1 OR s = 'b'",
-            "NOT x = 2",
-            "f < 100",
-            "f IS NULL",
-            "f IS NOT NULL",
-            "s IN ('a', 'z')",
-            "s NOT IN ('a')",
-            "x IN (1, 3, NULL)",
-            "x NOT IN (1, NULL)",
-            "x BETWEEN 2 AND 3",
-            "x NOT BETWEEN 2 AND 3",
-            "f BETWEEN 0 AND 2",
-            "x + 1 > 2",
-            "x * 2 = 4",
-            "x / 0 > 1",
-            "f > 0 OR x = 3",
-            "f > 0 AND x >= 1",
-            "b",
-            "NOT b",
-            "b = true",
-            "x % 2 = 1",
-            "2 < x",
-            "'a' = s",
-            "1 = 1",
-            "NULL > 1",
-            "-x < -1",
-            "x > 0.5",
-            "f = 1.5",
-            "x + f > 2",
-        ] {
-            let expr = parse_expr(src).unwrap();
-            let vec = eval_predicate(&expr, &t).unwrap();
-            let row = crate::eval::eval_predicate_rowwise(&expr, &t).unwrap();
-            assert_eq!(vec.to_indices(), row.to_indices(), "predicate {src}");
-        }
-    }
-
-    #[test]
-    fn projections_match_oracle() {
-        let t = table();
-        for src in [
-            "x",
-            "s",
-            "f",
-            "b",
-            "x + 1",
-            "x * 2",
-            "2 + x",
-            "2 * x",
-            "2 - x",
-            "7 % x",
-            "x + f",
-            "x / 2",
-            "x / 0",
-            "x % 2",
-            "f - 0.5",
-            "-x",
-            "-f",
-            "2",
-            "2.5",
-            "'lit'",
-            "NULL",
-            "x > 2",
-            "s = 'a'",
-            "f IS NULL",
-            "x IN (1, 2)",
-            "x BETWEEN 1 AND 2",
-        ] {
-            let expr = parse_expr(src).unwrap();
-            let vec = eval_expr(&expr, &t).unwrap();
-            let row = crate::eval::eval_expr_rowwise(&expr, &t).unwrap();
-            assert_eq!(vec.data_type(), row.data_type(), "type of {src}");
-            assert_eq!(vec.len(), row.len(), "len of {src}");
-            for i in 0..vec.len() {
-                assert_eq!(vec.value(i), row.value(i), "{src} row {i}");
-            }
-        }
+    fn selected(src: &str, t: &Table) -> Result<Vec<usize>> {
+        Ok(eval_predicate(&parse_expr(src).unwrap(), t)?.to_indices())
     }
 
     #[test]
@@ -928,51 +946,89 @@ mod tests {
         let mut b = TableBuilder::new(schema);
         b.push_row(vec![Value::Null]).unwrap();
         let t = b.finish();
-        let vec = eval_expr(&parse_expr("f + 1").unwrap(), &t).unwrap();
-        let row = crate::eval::eval_expr_rowwise(&parse_expr("f + 1").unwrap(), &t).unwrap();
-        assert_eq!(vec.data_type(), row.data_type());
-        assert_eq!(vec.value(0), row.value(0));
+        let c = eval_expr(&parse_expr("f + 1").unwrap(), &t).unwrap();
+        assert_eq!(c.data_type(), DataType::Int);
+        assert_eq!(c.value(0), Value::Null);
     }
 
+    /// BOOL compared with BOOL, and the shapes that share its kernels:
+    /// a NULL side, `IN` over a BOOL column, `IS NULL` of a predicate,
+    /// `BETWEEN` over strings.
+    #[test]
+    fn bool_comparisons_and_generic_shapes() {
+        let t = table();
+        assert_eq!(selected("b = true", &t).unwrap(), vec![0, 3]);
+        assert_eq!(selected("b <> false", &t).unwrap(), vec![0, 3]);
+        assert_eq!(selected("b < true", &t).unwrap(), vec![1]);
+        assert_eq!(selected("b >= false", &t).unwrap(), vec![0, 1, 3]);
+        assert_eq!(selected("b = NULL", &t).unwrap(), Vec::<usize>::new());
+        assert_eq!(selected("s = NULL", &t).unwrap(), Vec::<usize>::new());
+        assert_eq!(selected("b IN (false)", &t).unwrap(), vec![1]);
+        assert_eq!(selected("x IN (x, NULL)", &t).unwrap(), vec![0, 1, 2]);
+        assert_eq!(selected("(f > 1) IS NULL", &t).unwrap(), vec![2]);
+        assert_eq!(
+            selected("s BETWEEN 'a' AND 'b'", &t).unwrap(),
+            vec![0, 1, 2]
+        );
+        let c = eval_expr(&parse_expr("b = (x < 2)").unwrap(), &t).unwrap();
+        let values: Vec<Value> = (0..4).map(|i| c.value(i)).collect();
+        assert_eq!(
+            values,
+            vec![true.into(), true.into(), Value::Null, Value::Null]
+        );
+    }
+
+    /// The one data-dependent error: a comparison meeting a NaN names the
+    /// first such row's values; `BETWEEN` is NULL there instead.
     #[test]
     fn nan_comparisons_agree_with_oracle() {
-        // The oracle errors on NaN comparisons (sql_cmp -> None) and
-        // yields NULL for NaN BETWEEN bounds; the kernels must not
-        // silently answer either shape.
         let schema = Schema::new(vec![Field::new("f", DataType::Float)]);
         let mut b = TableBuilder::new(schema);
-        for v in [1.0, f64::NAN, -2.0] {
-            b.push_row(vec![v.into()]).unwrap();
+        for v in [
+            Value::Float(1.0),
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-2.0),
+        ] {
+            b.push_row(vec![v]).unwrap();
         }
         let t = b.finish();
-        for src in ["f > 0", "f BETWEEN 0 AND 2", "f NOT BETWEEN 0 AND 2"] {
-            let expr = parse_expr(src).unwrap();
-            let vec = eval_predicate(&expr, &t);
-            let row = crate::eval::eval_predicate_rowwise(&expr, &t);
-            match (vec, row) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_indices(), b.to_indices(), "{src}"),
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{src}"),
-                other => panic!("divergence on {src}: {other:?}"),
-            }
-        }
+        let err = selected("f > 0", &t).unwrap_err();
+        assert!(matches!(err, MosaicError::Execution(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "execution error: cannot compare NaN with 0"
+        );
+        assert!(selected("f IS NULL OR f > 0", &t).is_err());
+        assert_eq!(selected("f BETWEEN 0 AND 2", &t).unwrap(), vec![0]);
+        assert_eq!(selected("f NOT BETWEEN 0 AND 2", &t).unwrap(), vec![3]);
+        assert_eq!(selected("f IN (1.0, 7.0)", &t).unwrap(), vec![0]);
+        assert_eq!(selected("f NOT IN (1.0)", &t).unwrap(), vec![2, 3]);
     }
 
+    /// An ill-typed expression is the binder's error on every table,
+    /// empty and all-NULL ones included.
     #[test]
-    fn unsupported_shapes_fall_back() {
-        let t = table();
-        // Bool arithmetic has no kernel path; the fallback must agree
-        // with (i.e. be) the oracle.
-        let expr = parse_expr("b + 1").unwrap();
-        let vec = eval_expr(&expr, &t);
-        let row = crate::eval::eval_expr_rowwise(&expr, &t);
-        match (vec, row) {
-            (Ok(a), Ok(b)) => {
-                for i in 0..a.len() {
-                    assert_eq!(a.value(i), b.value(i));
-                }
+    fn ill_typed_shapes_are_bind_errors() {
+        let full = table();
+        let nulls = {
+            let mut b = TableBuilder::new(Arc::clone(full.schema()));
+            b.push_row(vec![Value::Null; 4]).unwrap();
+            b.finish()
+        };
+        let empty = Table::empty(Arc::clone(full.schema()));
+        for t in [&full, &nulls, &empty] {
+            for src in [
+                "s > 3", "s + 1", "b + 1", "x AND b", "NOT x", "-s", "s IN (1)",
+            ] {
+                let err = eval_expr(&parse_expr(src).unwrap(), t).unwrap_err();
+                assert!(matches!(err, MosaicError::Bind(_)), "{src}: {err}");
             }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            other => panic!("divergence: {other:?}"),
+            let err = selected("x", t).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "bind error: predicate x (INT) is not boolean"
+            );
         }
     }
 }

@@ -18,10 +18,11 @@
 use std::sync::Arc;
 
 use mosaic_sql::{FromClause, SelectItem, SelectStmt, Statement, TableRef, Visibility};
-use mosaic_storage::{Schema, Table, Value};
+use mosaic_storage::{DataType, Schema, Table, Value};
 
 use crate::catalog::{Catalog, Population, Sample};
 use crate::engine::{sample_scan_schema, unknown_relation, MosaicEngine, QueryResult};
+use crate::eval::check_select;
 use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
@@ -451,9 +452,9 @@ impl Prepared {
     }
 
     /// Bind a parsed SELECT against the catalog: resolve the source
-    /// relation(s), check every referenced column against its schema,
-    /// resolve the visibility pipeline, and lower the plan(s). The only
-    /// place a FROM clause is classified.
+    /// relation(s), resolve and type every expression against their
+    /// schema, resolve the visibility pipeline, and lower the plan(s).
+    /// The only place a FROM clause is classified.
     pub(crate) fn bind(cat: &Catalog, k: &Knobs, stmt: SelectStmt, sql: &str) -> Result<Prepared> {
         let param_count = stmt.param_count();
         let finish = |stmt, source, deps, planned, inner_plan| Prepared {
@@ -466,11 +467,11 @@ impl Prepared {
             inner_plan,
         };
         let Some(fc) = stmt.from.clone() else {
-            if let Some(c) = stmt.referenced_columns().first() {
-                return Err(MosaicError::Bind(format!(
+            check_select(&stmt, &|c| {
+                Err(MosaicError::Bind(format!(
                     "column {c} is not allowed in a SELECT without FROM"
-                )));
-            }
+                )))
+            })?;
             // Wildcards have nothing to expand over: they drop.
             let items = stmt
                 .items
@@ -500,6 +501,7 @@ impl Prepared {
                 let rel = scope.rels.into_iter().next().expect("one relation");
                 let schema = Arc::clone(&rel.schema);
                 let stmt = crate::plan::join::bind_single(&stmt, rel)?;
+                check_select(&stmt, &schema_types(&schema, &fc.base.name))?;
                 let planned = plan_select(&stmt, false, k.optimizer, Some(&schema));
                 let source = Source::Single(sources.remove(0));
                 return Ok(finish(stmt, source, scope.deps, planned, None));
@@ -544,7 +546,7 @@ impl Prepared {
             // (and optimize) against the augmented schema.
             Resolved::Sample(s) => (stmt, sample_scan_schema(s)),
         };
-        check_columns(&stmt, &schema, &fc.base.name)?;
+        check_select(&stmt, &schema_types(&schema, &fc.base.name))?;
         // Population statements outside CLOSED carry row weights into
         // the §5.3 weighted-aggregate rewrite.
         let weighted = stmt.visibility.is_some_and(|v| v != Visibility::Closed);
@@ -569,41 +571,18 @@ fn open_inner_stmt(stmt: &SelectStmt) -> Option<SelectStmt> {
     })
 }
 
-/// Name binding of a plain single-relation statement: every referenced
-/// column must exist in the source schema. ORDER BY keys get one extra
-/// degree of freedom, mirroring the scope binder: a name matching a
-/// SELECT item's output name (its alias or written spelling) is a
-/// projection reference the sort resolves against the output table at
-/// execution.
-fn check_columns(stmt: &SelectStmt, schema: &Schema, relation: &str) -> Result<()> {
-    let unknown = |c: &str| MosaicError::Bind(format!("unknown column {c} in relation {relation}"));
-    let exprs = stmt.items.iter().filter_map(|i| match i {
-        SelectItem::Expr { expr, .. } => Some(expr),
-        SelectItem::Wildcard => None,
-    });
-    let body = exprs
-        .clone()
-        .chain(stmt.where_clause.iter())
-        .chain(stmt.group_by.iter());
-    for e in body {
-        if let Some(c) = e.referenced_columns().iter().find(|c| !schema.contains(c)) {
-            return Err(unknown(c));
-        }
+/// Column types of one relation's schema, for [`check_select`], which
+/// binds every column reference of a statement through it.
+fn schema_types<'a>(
+    schema: &'a Schema,
+    relation: &'a str,
+) -> impl Fn(&str) -> Result<DataType> + 'a {
+    move |c| {
+        schema
+            .field_by_name(c)
+            .map(|f| f.data_type)
+            .map_err(|_| MosaicError::Bind(format!("unknown column {c} in relation {relation}")))
     }
-    let output_names: Vec<String> = stmt
-        .items
-        .iter()
-        .filter(|i| !matches!(i, SelectItem::Wildcard))
-        .map(crate::plan::output_name)
-        .collect();
-    for (e, _) in &stmt.order_by {
-        for c in e.referenced_columns() {
-            if !schema.contains(&c) && !output_names.iter().any(|n| n.eq_ignore_ascii_case(&c)) {
-                return Err(unknown(&c));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A resolved multi-relation (or aliased) FROM scope.

@@ -6,10 +6,10 @@
 
 use std::sync::Arc;
 
-use mosaic_core::oracle::{reference_join, run_select_rowwise};
 use mosaic_core::{MosaicEngine, MosaicError, Value};
 use mosaic_sql::{parse, parse_expr, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value as V};
+use mosaic_tests::oracle::{reference_join, run_select_rowwise};
 
 fn select(src: &str) -> SelectStmt {
     match parse(src).unwrap().pop().unwrap() {

@@ -2,7 +2,8 @@
 //! executor — serial (`parallelism = 1`) *and* parallel (thread counts
 //! {2, 8}), with the logical optimizer **off and on** — must produce
 //! results identical to the retained row-at-a-time reference
-//! (`run_select_rowwise`): same schema, same values bit-for-bit, and
+//! (`mosaic_tests::oracle::run_select_rowwise`): same schema, same
+//! values bit-for-bit, and
 //! the same errors — across generated tables (with NULLs), expressions,
 //! and weight vectors. This is the safety net under every later
 //! executor optimization; it pins the morsel driver's invariant that
@@ -10,28 +11,30 @@
 //! invariant that plan rewriting (projection pruning, constant folding,
 //! Sort+Limit → TopK fusion) never changes results either.
 
-use mosaic_core::oracle::{reference_join, reference_join_kinded, run_select_rowwise};
 use mosaic_core::{plan_select, ExecContext, Knobs, PlanInput};
 use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
+use mosaic_tests::oracle::{reference_join, reference_join_kinded, run_select_rowwise};
 use proptest::prelude::*;
 
-type Row = (Option<u8>, Option<i64>, Option<f64>);
+type Row = (Option<u8>, Option<i64>, Option<f64>, Option<u8>);
 
 /// Mixed-type table with NULLs in every column: `k` (string from a small
-/// alphabet), `i` (int), `f` (float).
+/// alphabet), `i` (int), `f` (float), `bo` (bool: TRUE for an odd draw).
 fn build_table(rows: &[Row]) -> Table {
     let schema = Schema::new(vec![
         Field::new("k", DataType::Str),
         Field::new("i", DataType::Int),
         Field::new("f", DataType::Float),
+        Field::new("bo", DataType::Bool),
     ]);
     let mut b = TableBuilder::new(schema);
-    for (k, i, f) in rows {
+    for (k, i, f, bo) in rows {
         b.push_row(vec![
             k.map_or(Value::Null, |k| Value::Str(format!("v{}", k % 3))),
             i.map_or(Value::Null, Value::Int),
             f.map_or(Value::Null, Value::Float),
+            bo.map_or(Value::Null, |bo| Value::Bool(bo % 2 == 1)),
         ])
         .unwrap();
     }
@@ -184,6 +187,11 @@ const QUERIES: &[&str] = &[
     // Sorting an aggregate result by a non-projected source column must
     // error identically in both executors (no silent input fallback).
     "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY i",
+    // BOOL compared with BOOL.
+    "SELECT i, bo FROM t WHERE bo = true",
+    "SELECT k FROM t WHERE bo <> false ORDER BY i DESC LIMIT 5",
+    "SELECT bo = true, bo <> false, bo = (i > {thr}) FROM t",
+    "SELECT bo, COUNT(*), SUM(i) FROM t WHERE bo <> (f > 0.0) GROUP BY bo ORDER BY bo",
 ];
 
 /// Multi-morsel bit-identity: on a table spanning several morsels, every
@@ -200,6 +208,7 @@ fn multi_morsel_thread_counts_agree() {
                     (r % 5 != 0).then_some((r % 3) as u8),
                     (r % 11 != 0).then_some((r % 83) as i64 - 40),
                     (r % 13 != 0).then_some((r % 59) as f64 * 0.75 - 22.0),
+                    (r % 7 != 0).then_some((r % 2) as u8),
                 )
             })
             .collect::<Vec<Row>>(),
@@ -395,6 +404,7 @@ fn dict_and_plain_representations_agree() {
                     (r % 5 != 0).then_some((r % 3) as u8),
                     (r % 11 != 0).then_some((r % 83) as i64 - 40),
                     (r % 13 != 0).then_some((r % 59) as f64 * 0.75 - 22.0),
+                    (r % 7 != 0).then_some((r % 2) as u8),
                 )
             })
             .collect::<Vec<Row>>(),
@@ -421,10 +431,206 @@ fn dict_and_plain_representations_agree() {
     }
 }
 
+// ---- the expression evaluator against the row-wise oracle ----
+
+use mosaic_core::plan::vector::{eval_expr, eval_predicate};
+use mosaic_tests::oracle::{eval_expr_rowwise, eval_predicate_rowwise};
+
+/// Four columns with a NULL in every one of them: int `x`, string `s`,
+/// float `f`, bool `b`.
+fn expr_table() -> Table {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Int),
+        Field::new("s", DataType::Str),
+        Field::new("f", DataType::Float),
+        Field::new("b", DataType::Bool),
+    ]);
+    let mut t = TableBuilder::new(schema);
+    for row in [
+        vec![1.into(), "a".into(), 0.5.into(), true.into()],
+        vec![2.into(), "b".into(), 1.5.into(), false.into()],
+        vec![3.into(), "a".into(), Value::Null, Value::Null],
+        vec![Value::Null, "c".into(), 4.5.into(), true.into()],
+    ] {
+        t.push_row(row).unwrap();
+    }
+    t.finish()
+}
+
+/// Every predicate here selects the rows the row-wise oracle selects.
+#[test]
+fn predicates_match_oracle() {
+    let t = expr_table();
+    for src in [
+        "x > 1",
+        "x > 1 AND s = 'a'",
+        "x = 1 OR s = 'b'",
+        "NOT x = 2",
+        "f < 100",
+        "f IS NULL",
+        "f IS NOT NULL",
+        "s IN ('a', 'z')",
+        "s NOT IN ('a')",
+        "x IN (1, 3, NULL)",
+        "x NOT IN (1, NULL)",
+        "x IN (x, 7)",
+        "b IN (true, NULL)",
+        "x BETWEEN 2 AND 3",
+        "x NOT BETWEEN 2 AND 3",
+        "f BETWEEN 0 AND 2",
+        "s BETWEEN 'a' AND 'b'",
+        "x BETWEEN f AND 3",
+        "x + 1 > 2",
+        "x * 2 = 4",
+        "x / 0 > 1",
+        "f > 0 OR x = 3",
+        "f > 0 AND x >= 1",
+        "b",
+        "NOT b",
+        "b = true",
+        "b <> false",
+        "b < (x > 1)",
+        "b = NULL",
+        "s = NULL",
+        "(x > 1) IS NULL",
+        "x % 2 = 1",
+        "2 < x",
+        "'a' = s",
+        "1 = 1",
+        "NULL > 1",
+        "-x < -1",
+        "x > 0.5",
+        "f = 1.5",
+        "x + f > 2",
+    ] {
+        let expr = mosaic_sql::parse_expr(src).unwrap();
+        let vec = eval_predicate(&expr, &t).unwrap();
+        let row = eval_predicate_rowwise(&expr, &t).unwrap();
+        assert_eq!(vec.to_indices(), row.to_indices(), "predicate {src}");
+    }
+}
+
+/// Every projection here has the oracle's column type and values.
+#[test]
+fn projections_match_oracle() {
+    let t = expr_table();
+    for src in [
+        "x",
+        "s",
+        "f",
+        "b",
+        "x + 1",
+        "x * 2",
+        "2 + x",
+        "2 * x",
+        "2 - x",
+        "7 % x",
+        "x + f",
+        "x / 2",
+        "x / 0",
+        "x % 2",
+        "f - 0.5",
+        "-x",
+        "-f",
+        "2",
+        "2.5",
+        "'lit'",
+        "NULL",
+        "x > 2",
+        "s = 'a'",
+        "f IS NULL",
+        "x IN (1, 2)",
+        "x BETWEEN 1 AND 2",
+        "b = true",
+        "b <> (x > 1)",
+        "NULL + x",
+    ] {
+        let expr = mosaic_sql::parse_expr(src).unwrap();
+        let vec = eval_expr(&expr, &t).unwrap();
+        let row = eval_expr_rowwise(&expr, &t).unwrap();
+        assert_eq!(vec.data_type(), row.data_type(), "type of {src}");
+        assert_eq!(vec.len(), row.len(), "len of {src}");
+        for i in 0..vec.len() {
+            assert_eq!(vec.value(i), row.value(i), "{src} row {i}");
+        }
+    }
+}
+
+/// A nullable BOOL `b` and a FLOAT `f` with a NaN in every 97th row.
+fn nan_table(rows: usize) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("i", DataType::Int),
+        Field::new("b", DataType::Bool),
+        Field::new("f", DataType::Float),
+    ]);
+    let mut t = TableBuilder::new(schema);
+    for r in 0..rows {
+        t.push_row(vec![
+            Value::Int((r % 41) as i64),
+            match r % 3 {
+                0 => Value::Null,
+                1 => Value::Bool(true),
+                _ => Value::Bool(false),
+            },
+            match r % 97 {
+                96 => Value::Float(f64::NAN),
+                11 => Value::Null,
+                m => Value::Float(m as f64 * 0.05 - 1.0),
+            },
+        ])
+        .unwrap();
+    }
+    t.finish()
+}
+
+/// Comparisons over a NaN-bearing FLOAT — where `>` errors, naming the
+/// first NaN row, and `BETWEEN` is NULL — agree with the row-wise oracle
+/// at every threads × partitions × optimizer cell, errors included,
+/// over tables without a NaN, with one, and spanning two morsels.
+#[test]
+fn nan_shapes_match_reference() {
+    let templates = [
+        "SELECT COUNT(*) FROM t WHERE f > 0",
+        "SELECT i, f > 0 FROM t",
+        "SELECT i FROM t WHERE f BETWEEN 0 AND 2",
+        "SELECT i FROM t WHERE f NOT BETWEEN 0 AND 2",
+        "SELECT b, COUNT(*) AS n FROM t WHERE f BETWEEN 0 AND 2 GROUP BY b ORDER BY b",
+    ];
+    for rows in [0, 60, 95, mosaic_core::MORSEL_ROWS + 500] {
+        let table = nan_table(rows);
+        for src in templates {
+            let stmt = select(src);
+            let reference = run_select_rowwise(&stmt, &table, None);
+            for threads in THREAD_COUNTS {
+                for partitions in [1, 16] {
+                    for optimizer in [false, true] {
+                        let out = run_cell(&stmt, &table, None, threads, optimizer, partitions);
+                        let cell = format!(
+                            "{src:?} over {rows} rows at {threads} thread(s), \
+                             {partitions} partition(s), optimizer={optimizer}"
+                        );
+                        match (&out, &reference) {
+                            (Ok(v), Ok(r)) => {
+                                if let Err(msg) = tables_identical(v, r) {
+                                    panic!("divergence on {cell}: {msg}");
+                                }
+                            }
+                            (Err(v), Err(r)) => {
+                                assert_eq!(v.to_string(), r.to_string(), "{cell}")
+                            }
+                            _ => panic!("one path failed on {cell}: {out:?} vs {reference:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---- the join oracle ----
 //
 // INNER and LEFT OUTER equi-joins run through the same four-way
-// oracle: the row-wise reference is `mosaic_core::oracle::reference_join_kinded`
+// oracle: the row-wise reference is `mosaic_tests::oracle::reference_join_kinded`
 // (canonical nested loop, NULL-extending unmatched left rows for LEFT
 // OUTER, combining per-side weights for weighted×weighted joins)
 // followed by `run_select_rowwise` over the joined table, and the
@@ -1006,6 +1212,7 @@ proptest! {
                 proptest::option::of(0u8..3),
                 proptest::option::of(-40i64..40),
                 proptest::option::of(-25.0f64..25.0),
+                proptest::option::of(0u8..2),
             ),
             0..50,
         ),
@@ -1027,6 +1234,7 @@ proptest! {
                 proptest::option::of(0u8..3),
                 proptest::option::of(-40i64..40),
                 proptest::option::of(-25.0f64..25.0),
+                proptest::option::of(0u8..2),
             ),
             1..40,
         ),
@@ -1046,10 +1254,10 @@ proptest! {
     fn degenerate_tables_match(nulls in 0u8..4, n in 0usize..3) {
         let rows: Vec<Row> = (0..n)
             .map(|_| match nulls {
-                0 => (None, None, None),
-                1 => (Some(1), None, Some(2.5)),
-                2 => (None, Some(7), None),
-                _ => (Some(0), Some(-3), Some(-0.0)),
+                0 => (None, None, None, None),
+                1 => (Some(1), None, Some(2.5), None),
+                2 => (None, Some(7), None, Some(1)),
+                _ => (Some(0), Some(-3), Some(-0.0), Some(0)),
             })
             .collect();
         let table = build_table(&rows);

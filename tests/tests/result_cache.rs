@@ -544,8 +544,9 @@ fn plan_cache_hot_path_and_ddl_staleness() {
     assert!(s.execute(sql).is_err(), "t is gone");
     assert_eq!(
         plan_counts(&engine),
-        (hits, misses + 1),
-        "DDL must make the cached plan stale"
+        (hits, misses),
+        "DDL must make the cached plan stale: no hit, and a script that \
+         does not bind counts no miss"
     );
     // Over a re-created `t` the statement binds afresh (a miss), then
     // hits again.
@@ -554,6 +555,103 @@ fn plan_cache_hot_path_and_ddl_staleness() {
     s.execute(sql).unwrap();
     s.execute(sql).unwrap();
     assert_eq!(plan_counts(&engine), (hits + 1, misses + 1));
+}
+
+/// Scripts that can never hit the plan cache — DDL, INSERT, several
+/// statements, EXPLAIN, text that does not parse and a SELECT that does
+/// not bind — count no plan miss; a single SELECT that binds counts one.
+#[test]
+fn scripts_that_cannot_hit_count_no_plan_miss() {
+    let engine = Arc::new(MosaicEngine::new());
+    let s = engine.session();
+    let before = plan_counts(&engine);
+    s.execute("CREATE TABLE x (a INT)").unwrap();
+    s.execute("INSERT INTO x VALUES (1), (2)").unwrap();
+    s.execute("SELECT a FROM x; SELECT COUNT(*) FROM x")
+        .unwrap();
+    s.execute("EXPLAIN SELECT a FROM x").unwrap();
+    assert!(s.execute("SELEC a FROM x").is_err());
+    assert!(s.execute("SELECT nope FROM x").is_err());
+    assert_eq!(plan_counts(&engine), before, "none of these could hit");
+    s.execute("SELECT a FROM x").unwrap();
+    assert_eq!(plan_counts(&engine), (before.0, before.1 + 1));
+}
+
+/// Run `first`, then `second`, through one cached session: `second`
+/// must be no cache hit and answer exactly as an uncached execution
+/// does. Each pair below once shared a fingerprint, because the plan
+/// text it was hashed from renders both statements alike.
+fn assert_fingerprints_apart(engine: &Arc<MosaicEngine>, first: &str, second: &str) {
+    let s = cached(engine);
+    s.execute(first).unwrap();
+    let got = s.execute(second).unwrap();
+    let fresh = engine
+        .session()
+        .with_result_cache(false)
+        .execute(second)
+        .unwrap();
+    assert!(!is_hit(&got), "{second} was served {first}'s entry");
+    assert_identical(&got.table, &fresh.table, second);
+}
+
+#[test]
+fn in_list_items_and_negation_are_in_the_fingerprint() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute("CREATE TABLE c (s TEXT); INSERT INTO c VALUES ('a'), ('b'), ('c');")
+        .unwrap();
+    let one = "SELECT s FROM c WHERE s IN ('a')";
+    assert_fingerprints_apart(&engine, one, "SELECT s FROM c WHERE s IN ('a', 'b', 'c')");
+    assert_fingerprints_apart(&engine, one, "SELECT s FROM c WHERE s NOT IN ('a')");
+}
+
+#[test]
+fn between_bounds_and_negation_are_in_the_fingerprint() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute("CREATE TABLE c (f FLOAT); INSERT INTO c VALUES (1.5), (2.0), (7.0);")
+        .unwrap();
+    let low = "SELECT COUNT(*) FROM c WHERE f BETWEEN 1 AND 5";
+    assert_fingerprints_apart(
+        &engine,
+        low,
+        "SELECT COUNT(*) FROM c WHERE f BETWEEN 6 AND 9",
+    );
+    assert_fingerprints_apart(
+        &engine,
+        low,
+        "SELECT COUNT(*) FROM c WHERE f NOT BETWEEN 1 AND 5",
+    );
+}
+
+#[test]
+fn string_literal_and_column_are_apart_in_the_fingerprint() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute("CREATE TABLE c (s TEXT, k TEXT); INSERT INTO c VALUES ('a', 'a'), ('k', 'b');")
+        .unwrap();
+    assert_fingerprints_apart(
+        &engine,
+        "SELECT k, COUNT(*) FROM c WHERE s = 'k' GROUP BY k",
+        "SELECT k, COUNT(*) FROM c WHERE s = k GROUP BY k",
+    );
+}
+
+#[test]
+fn integral_float_and_int_literals_are_apart_in_the_fingerprint() {
+    let engine = Arc::new(MosaicEngine::new());
+    engine
+        .session()
+        .execute("CREATE TABLE c (i INT); INSERT INTO c VALUES (1), (2), (5);")
+        .unwrap();
+    assert_fingerprints_apart(
+        &engine,
+        "SELECT SUM(i * 2) FROM c",
+        "SELECT SUM(i * 2.0) FROM c",
+    );
 }
 
 /// A session that opted out, and an engine built with the cache off,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mosaic_core::{MosaicEngine, Table, Visibility};
+use mosaic_core::{MosaicEngine, MosaicError, Table, Visibility};
 use mosaic_serve::protocol::{codes, read_frame, write_frame};
 use mosaic_serve::{Client, Request, Response, ServeConfig, Server, ServerHandle};
 use mosaic_storage::Value;
@@ -288,23 +288,30 @@ fn query_frame_probes_the_plan_cache_once() {
 
 /// A statement that binds but fails when executed returns one error
 /// frame — code, statement 0 and its text without the `;` — whether its
-/// plan was bound afresh or served from the plan cache.
+/// plan was bound afresh or served from the plan cache. (A comparison
+/// that meets a NaN is the one expression error the data decides.)
 #[test]
 fn execution_error_is_the_same_cold_and_hot() {
     let engine = Arc::new(MosaicEngine::new());
     engine
         .session()
         .execute(
-            "CREATE TABLE t (k TEXT); INSERT INTO t VALUES ('a'), ('b');
-             CREATE GLOBAL POPULATION Nobody (k TEXT);
+            "CREATE GLOBAL POPULATION Nobody (k TEXT);
              CREATE SAMPLE Empty AS (SELECT * FROM Nobody);",
         )
         .unwrap();
+    let mut b = mosaic_storage::TableBuilder::new(mosaic_storage::Schema::new(vec![
+        mosaic_storage::Field::new("f", mosaic_storage::DataType::Float),
+    ]));
+    for f in [1.0, f64::NAN] {
+        b.push_row(vec![Value::Float(f)]).unwrap();
+    }
+    engine.register_table("n", b.finish()).unwrap();
     let handle = start(Arc::clone(&engine), ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     for sql in [
-        "SELECT SUM(k) FROM t;",
-        "SELECT k FROM t WHERE k > 3;",
+        "SELECT COUNT(*) FROM n WHERE f > 0;",
+        "SELECT f < 2 AS below FROM n;",
         "SELECT CLOSED COUNT(*) FROM Nobody ;",
     ] {
         let mut run = || client.query(sql).unwrap_err().as_server().cloned().unwrap();
@@ -327,6 +334,67 @@ fn execution_error_is_the_same_cold_and_hot() {
     }
     client.close().unwrap();
     handle.shutdown();
+}
+
+/// An ill-typed expression is one `Bind` error, with one text, ad hoc,
+/// prepared, through EXPLAIN and over the wire — over an empty table and
+/// over an all-NULL column alike, where no value could show the
+/// mismatch. A `?` is typed against the value it is bound to.
+#[test]
+fn type_errors_are_one_bind_error_everywhere() {
+    let cases = [
+        (
+            "SELECT COUNT(*) FROM e WHERE k > 3",
+            "bind error: cannot compare k (TEXT) with 3 (INT)",
+        ),
+        (
+            "SELECT k + 1 FROM e",
+            "bind error: non-numeric operand k (TEXT) of k + 1",
+        ),
+        (
+            "SELECT b + 1 FROM e",
+            "bind error: non-numeric operand b (BOOL) of b + 1",
+        ),
+    ];
+    for rows in ["", "INSERT INTO e VALUES (NULL, NULL), (NULL, NULL);"] {
+        let engine = Arc::new(MosaicEngine::new());
+        let s = engine.session();
+        s.execute(&format!("CREATE TABLE e (k TEXT, b BOOL); {rows}"))
+            .unwrap();
+        let handle = start(Arc::clone(&engine), ServeConfig::default());
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for (sql, want) in cases {
+            let ctx = format!(
+                "{sql} over {:?}",
+                if rows.is_empty() { "no rows" } else { "NULLs" }
+            );
+            let ad_hoc = s.execute(sql).unwrap_err();
+            assert!(matches!(ad_hoc, MosaicError::Bind(_)), "{ctx}: {ad_hoc}");
+            assert_eq!(ad_hoc.to_string(), want, "{ctx}: ad hoc");
+            assert_eq!(
+                s.prepare(sql).unwrap_err().to_string(),
+                want,
+                "{ctx}: prepare"
+            );
+            let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap_err();
+            assert_eq!(explain.to_string(), want, "{ctx}: EXPLAIN");
+            let wire = client.query(sql).unwrap_err().as_server().cloned().unwrap();
+            assert_eq!(wire.code, codes::BIND, "{ctx}: wire code");
+            assert_eq!(wire.message, want, "{ctx}: wire");
+        }
+        let p = s.prepare("SELECT COUNT(*) FROM e WHERE k > ?").unwrap();
+        let err = s.execute_prepared(&p, &[Value::Int(3)]).unwrap_err();
+        assert!(matches!(err, MosaicError::Bind(_)), "{err}");
+        assert_eq!(err.to_string(), cases[0].1, "bound ?");
+        assert_eq!(
+            s.query_prepared(&p, &[Value::Str("a".into())])
+                .unwrap()
+                .value(0, 0),
+            Value::Int(0)
+        );
+        client.close().unwrap();
+        handle.shutdown();
+    }
 }
 
 /// A client may write several requests before reading anything: each

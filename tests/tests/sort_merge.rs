@@ -10,11 +10,11 @@
 
 use std::cmp::Ordering;
 
-use mosaic_core::oracle::run_select_rowwise;
 use mosaic_core::{plan_select, ExecContext, PlanInput, MORSEL_ROWS};
 use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::kernels::merge_sorted_runs;
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
+use mosaic_tests::oracle::run_select_rowwise;
 use proptest::prelude::*;
 
 /// The vectorized executor at one threads × optimizer × partitions cell.
