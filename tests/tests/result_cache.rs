@@ -654,6 +654,68 @@ fn integral_float_and_int_literals_are_apart_in_the_fingerprint() {
     );
 }
 
+/// Every statement of a small predicate grammar — comparisons against
+/// int and float twins, string literals and columns, IN lists of one to
+/// three items, BETWEEN, their NOT forms and AND / OR of two — runs once
+/// through a cache that already holds every statement before it: a hit
+/// on another statement's entry (a fingerprint collision) would answer
+/// differently from the uncached run. Each statement runs twice, so
+/// every one is also served from its own entry once.
+#[test]
+fn cached_answers_equal_fresh_ones_across_a_predicate_grammar() {
+    let engine = seed_engine(300);
+    let atoms = [
+        "i = 2",
+        "i = 2.0",
+        "i > 1",
+        "i >= 1",
+        "f = 2",
+        "f = 2.0",
+        "f > 1.5",
+        "k = 'g1'",
+        "k = 'g2'",
+        "k = k",
+        "k IN ('g1')",
+        "k IN ('g1', 'g2')",
+        "k IN ('g1', 'g2', 'g3')",
+        "k NOT IN ('g1')",
+        "i IN (1, 2)",
+        "i IN (1, 2.0)",
+        "i NOT IN (1, 2)",
+        "f BETWEEN 1 AND 5",
+        "f BETWEEN 6 AND 9",
+        "f BETWEEN 1.0 AND 5",
+        "f NOT BETWEEN 1 AND 5",
+        "i IS NULL",
+        "i IS NOT NULL",
+    ];
+    let mut predicates: Vec<String> = atoms.iter().map(|a| a.to_string()).collect();
+    for (a, b) in atoms.iter().zip(atoms.iter().rev()) {
+        predicates.push(format!("NOT {a}"));
+        predicates.push(format!("{a} AND {b}"));
+        predicates.push(format!("{a} OR {b}"));
+    }
+    let statements: Vec<String> = predicates
+        .iter()
+        .flat_map(|p| {
+            [
+                format!("SELECT k, COUNT(*), SUM(i * 2) FROM t WHERE {p} GROUP BY k ORDER BY k"),
+                format!("SELECT k, COUNT(*), SUM(i * 2.0) FROM t WHERE {p} GROUP BY k ORDER BY k"),
+            ]
+        })
+        .collect();
+    let fresh = engine.session().with_result_cache(false);
+    let cached = cached(&engine);
+    for round in 0..2 {
+        for sql in &statements {
+            let want = fresh.execute(sql).unwrap();
+            let got = cached.execute(sql).unwrap();
+            assert_eq!(is_hit(&got), round == 1, "{sql}: hit only on the repeat");
+            assert_identical(&got.table, &want.table, sql);
+        }
+    }
+}
+
 /// A session that opted out, and an engine built with the cache off,
 /// never produce hits.
 #[test]
