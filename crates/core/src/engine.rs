@@ -31,7 +31,6 @@ use crate::catalog::{
     empty_table, marginal_from_table, Catalog, Mechanism, MetadataEntry, Population, Sample,
 };
 use crate::eval::eval_scalar;
-use crate::exec::apply_order_limit;
 use crate::models::{BnModel, GenerativeModel, SwgModel};
 use crate::plan::{ExecContext, PhysicalPlan, PlanInput, PostJoin};
 use crate::session::{population_deps, Prepared, RelKind, Session, Source};
@@ -921,10 +920,11 @@ fn reject_params(stmt: &SelectStmt) -> Result<()> {
 /// context.
 ///
 /// A non-aggregate statement is answered from one generated sample (a
-/// representative population). An aggregate statement answers its
-/// ORDER BY / LIMIT-stripped body on `num_generated` samples, keeps the
-/// groups present in every answer, averages the aggregates, and orders
-/// and limits the combined answer.
+/// representative population). An aggregate statement runs its
+/// replicate plan — the plan without its ordering stages — on
+/// `num_generated` samples, keeps the groups present in every answer,
+/// averages the aggregates, and then runs the plan's own ordering
+/// stages over the combined answer.
 fn open_answer(
     k: &Knobs,
     bound: &Prepared,
@@ -942,7 +942,7 @@ fn open_answer(
     // the executor pool never multiply.
     let parallelism = k.threads.max(1);
     let ctx = |threads| ExecContext::new(params, threads, k.partitions);
-    let Some(inner_plan) = bound.inner_plan() else {
+    let Some(replicate_plan) = bound.replicate_plan() else {
         let (generated, weight) = generate(0)?;
         notes.push(format!(
             "non-aggregate OPEN {what} answered from one generated sample of {} rows",
@@ -965,7 +965,7 @@ fn open_answer(
     let inner_threads = if workers > 1 { 1 } else { parallelism };
     let per_run: Vec<Table> = crate::plan::parallel::run_ordered(runs, workers, |run| {
         let (generated, weight) = generate(run)?;
-        answer(inner_plan, generated, weight, &ctx(inner_threads))
+        answer(replicate_plan, generated, weight, &ctx(inner_threads))
     })
     .into_iter()
     .collect::<Result<_>>()?;
@@ -974,7 +974,10 @@ fn open_answer(
         runs, om.per_sample, workers, om.pop_size
     ));
     let combined = combine_open_runs(bound.stmt(), per_run)?;
-    apply_order_limit(bound.stmt(), combined, params)
+    bound
+        .planned()
+        .physical
+        .apply_order(combined, None, &ctx(parallelism))
 }
 
 /// A fitted generative model plus the replicate parameters of the OPEN

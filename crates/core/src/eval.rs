@@ -89,9 +89,8 @@ pub(crate) fn expr_type(
                     for (e, t) in [(left, lt), (right, rt)] {
                         if !numeric(t) {
                             return Err(type_error(format!(
-                                "non-numeric operand {} of {}",
-                                typed(e, t),
-                                expr.default_name()
+                                "non-numeric operand {} of {expr}",
+                                typed(e, t)
                             )));
                         }
                     }
@@ -232,8 +231,8 @@ pub(crate) fn comparable(
 /// `expr (TYPE)`, the operand naming of a type error.
 fn typed(expr: &Expr, t: Option<DataType>) -> String {
     match t {
-        Some(t) => format!("{} ({t})", expr.default_name()),
-        None => expr.default_name(),
+        Some(t) => format!("{expr} ({t})"),
+        None => expr.to_string(),
     }
 }
 
@@ -321,8 +320,7 @@ fn eval_typed(expr: &Expr) -> Result<Value> {
         }
         Expr::IsNull { expr, negated } => Ok(Value::Bool(eval_typed(expr)?.is_null() != *negated)),
         Expr::Column(_) | Expr::Agg { .. } => Err(MosaicError::Execution(format!(
-            "{} cannot be evaluated without a row",
-            expr.default_name()
+            "{expr} cannot be evaluated without a row"
         ))),
     }
 }
@@ -485,7 +483,7 @@ mod tests {
         }
         assert_eq!(
             eval("'x' > 3").unwrap_err().to_string(),
-            "bind error: cannot compare x (TEXT) with 3 (INT)"
+            "bind error: cannot compare 'x' (TEXT) with 3 (INT)"
         );
     }
 

@@ -1,19 +1,19 @@
-//! The query executor: filter → (group / aggregate | project) → order →
-//! limit, over a single table with optional row weights.
+//! [`run_select`]: plan a SELECT and run it over one table with optional
+//! row weights, without binding it against a catalog.
 //!
 //! Weights realize the paper's weighted-aggregate rewrite (§5.3: "To run
 //! the aggregate queries over a weighted sample, we simply modify the
 //! aggregate to be over a weight attribute (e.g. COUNT(*) becomes
 //! SUM(weight))"). With `weights = None`, aggregates behave like ordinary
-//! SQL.
-//!
-//! [`run_select`] plans the statement and runs the vectorized physical
-//! plan (see [`crate::plan`]) without binding it against a catalog.
+//! SQL. The plan runs through [`crate::PhysicalPlan::run`], the one way
+//! any plan runs; ordering an OPEN answer after its replicates combine
+//! is the plan's own ordering stages (see `engine.rs`), not a second
+//! implementation here.
 
 use mosaic_sql::SelectStmt;
 use mosaic_storage::Table;
 
-use crate::plan::{self, ExecContext, LimitOp, PhysicalOperator, PlanInput, SortOp};
+use crate::plan::{self, ExecContext, PlanInput};
 use crate::{Knobs, Result};
 
 /// Execute a SELECT over one table through the vectorized, morsel-driven
@@ -29,33 +29,6 @@ pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> 
     plan::plan_select(stmt, weights.is_some(), k.optimizer, Some(table.schema()))
         .physical
         .run(PlanInput::Table { table, weights }, &ctx)
-}
-
-/// Apply a statement's ORDER BY and LIMIT to an already-computed result
-/// table (used by the OPEN-query combiner, which evaluates the aggregate
-/// body per generated sample and orders only the merged result).
-pub(crate) fn apply_order_limit(
-    stmt: &SelectStmt,
-    table: Table,
-    params: &[mosaic_storage::Value],
-) -> Result<Table> {
-    // Combined OPEN results are aggregate outputs — group-count sized,
-    // far below one sort block — so a serial sort is right.
-    let ctx = ExecContext::new(params, 1, 1);
-    let mut batch = plan::Batch {
-        table,
-        weights: None,
-    };
-    if !stmt.order_by.is_empty() {
-        let sort = SortOp {
-            keys: stmt.order_by.clone(),
-        };
-        batch = sort.execute(&ctx, &batch)?;
-    }
-    if let Some(n) = stmt.limit {
-        batch = LimitOp { n }.execute(&ctx, &batch)?;
-    }
-    Ok(batch.table)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use crate::catalog::{Catalog, Mechanism};
 use crate::engine::{fingerprint_of, result_cache_on, EngineOptions, MosaicEngine};
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::parallel::{sort_runs, MORSEL_ROWS};
-use crate::plan::{has_aggregate_shape, join, Planned};
+use crate::plan::{has_aggregate_shape, join, Order, Planned, Shape};
 use crate::session::{BoundRel, Prepared, RelKind, Source};
 use crate::source::{combined_weight, mechanism_note, read_side, How, PopulationRead, Read};
 use crate::{Knobs, Result};
@@ -50,7 +50,7 @@ pub(crate) fn render(
                     sample.name,
                     sample.len(),
                     match p.view {
-                        Some(pred) => format!(", view filter: {}", pred.default_name()),
+                        Some(pred) => format!(", view filter: {pred}"),
                         None => String::new(),
                     }
                 ));
@@ -140,7 +140,7 @@ fn push_read(
         Ok(How::Generate(_)) => format!("{runs} generative replicate(s), {model}"),
     };
     lines.push(format!("  visibility: {} — {how_text}", p.vis));
-    if matches!(how, Ok(How::Generate(_))) && bound.inner_plan().is_some() {
+    if matches!(how, Ok(How::Generate(_))) && bound.replicate_plan().is_some() {
         lines.push(
             "  combine: keep groups present in every replicate, average \
              aggregates; ORDER BY / LIMIT applied after combining"
@@ -350,8 +350,8 @@ fn push_plan(lines: &mut Vec<String>, planned: &Planned, k: &Knobs, source: &str
     // The sort input size is only known at plan time when no aggregate
     // sits between the scan and the Sort; an aggregated plan sorts its
     // group count, decided at execution by the same gate.
-    let saw_agg = plan.shape.name() == "HashAggregate";
-    if plan.post_shape.iter().any(|op| op.name() == "Sort") {
+    let saw_agg = matches!(plan.shape, Shape::Aggregate { .. });
+    if plan.order.iter().any(|o| matches!(o, Order::Sort { .. })) {
         if saw_agg && threads > 1 {
             lines.push(format!(
                 "    sort: over the aggregate output — parallel runs + k-way merge \

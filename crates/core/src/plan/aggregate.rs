@@ -32,20 +32,6 @@ use crate::plan::hash::{self, FoldMap};
 use crate::plan::vector;
 use crate::{MosaicError, Result};
 
-/// Execute the aggregate shape of a SELECT over an already-filtered
-/// table. `weights` realize the paper's §5.3 weighted-aggregate rewrite;
-/// `params` bind any positional-parameter placeholders.
-pub(crate) fn execute(
-    items: &[SelectItem],
-    group_by: &[Expr],
-    table: &Table,
-    weights: Option<&[f64]>,
-    params: &[Value],
-) -> Result<Table> {
-    let partial = compute_partial(items, group_by, table, weights, params).map_err(|(_, e)| e)?;
-    merge_finalize(items, weights.is_some(), &[partial], params, 1, 1)
-}
-
 /// A result whose error carries the rank of the stage that failed
 /// (0 = group keys, `1 + i` = SELECT item `i`). The morsel driver picks
 /// the error with the lowest (rank, morsel) pair, which reproduces the
@@ -192,8 +178,7 @@ pub(crate) fn compute_partial(
                     (
                         rank,
                         MosaicError::Execution(format!(
-                            "projection {} is neither an aggregate nor a GROUP BY expression",
-                            expr.default_name()
+                            "projection {expr} is neither an aggregate nor a GROUP BY expression"
                         )),
                     )
                 })?;
@@ -619,8 +604,7 @@ fn collect_aggregates(expr: &Expr, out: &mut Vec<(Expr, Vec<Value>)>) -> Result<
         Expr::Unary { expr, .. } => collect_aggregates(expr, out),
         Expr::Literal(_) => Ok(()),
         other => Err(MosaicError::Execution(format!(
-            "expression {} mixes aggregates with row-level terms",
-            other.default_name()
+            "expression {other} mixes aggregates with row-level terms"
         ))),
     }
 }
@@ -647,8 +631,7 @@ fn eval_over_groups(expr: &Expr, gi: usize, base: &[(Expr, Vec<Value>)]) -> Resu
         }),
         Expr::Literal(v) => Ok(v.clone()),
         other => Err(MosaicError::Execution(format!(
-            "expression {} mixes aggregates with row-level terms",
-            other.default_name()
+            "expression {other} mixes aggregates with row-level terms"
         ))),
     }
 }

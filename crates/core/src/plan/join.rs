@@ -45,7 +45,7 @@ use super::aggregate::Ranked;
 use super::hash::{self, FoldMap};
 use super::logical::{JoinOutCol, LogicalPlan};
 use super::parallel::{first_error, prune_scan, run_ordered, MORSEL_ROWS};
-use super::{bind_expr, ExecContext, FilterOp, PhysicalOperator};
+use super::{bind_expr, ExecContext, FilterOp};
 use crate::eval::{check_select, comparable, expr_type};
 use crate::{MosaicError, Result};
 
@@ -461,8 +461,7 @@ fn extract_keys(scope: &Scope, on: &Expr) -> Result<Vec<(Expr, Expr)>> {
         else {
             return Err(MosaicError::Unsupported(format!(
                 "only equi-joins are supported (INNER or LEFT OUTER): ON must be a \
-                 conjunction of `left = right` equalities, found {}",
-                conj.default_name()
+                 conjunction of `left = right` equalities, found {conj}"
             )));
         };
         let ls = sole_source(scope, left)?;
@@ -472,10 +471,8 @@ fn extract_keys(scope: &Scope, on: &Expr) -> Result<Vec<(Expr, Expr)>> {
             (Some(1), Some(0)) => (right, left),
             _ => {
                 return Err(MosaicError::Unsupported(format!(
-                    "each side of the join equality {} = {} must reference exactly one \
-                     relation, one per side",
-                    left.default_name(),
-                    right.default_name()
+                    "each side of the join equality {left} = {right} must reference exactly \
+                     one relation, one per side"
                 )))
             }
         };
@@ -541,44 +538,28 @@ pub(crate) fn and_chain(mut conjuncts: Vec<Expr>) -> Expr {
 /// see (rows that don't join), so any conjunct that *could* error must
 /// stay above the join to keep optimizer-on/off results identical.
 ///
-/// Safe shapes (operands restricted to bare columns and literals, whose
-/// evaluation cannot fail):
-/// * comparisons where both sides are Int columns / numeric literals,
-///   both Str, or both Bool (`sql_cmp` total within those classes —
-///   Float *columns* are excluded because a NaN makes `sql_cmp` error);
+/// The binder has already rejected every ill-typed comparison, so the
+/// one evaluation error left is a comparison meeting a NaN. Safe shapes
+/// (operands restricted to bare columns and literals, whose evaluation
+/// cannot fail):
+/// * comparisons with no FLOAT-column operand (a Float column may hold
+///   a NaN);
 /// * `IS [NOT] NULL`, `[NOT] IN (literals…)` and `[NOT] BETWEEN
-///   literals` — these yield NULL instead of erroring on incomparable
-///   values, for any column type;
+///   literals`, which never error: a NaN matches no IN item and makes
+///   BETWEEN NULL;
 /// * AND / OR / NOT combinations of safe conjuncts.
 pub(crate) fn push_safe(e: &Expr, ty: &impl Fn(&str) -> Option<DataType>) -> bool {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Class {
-        Num,
-        Str,
-        Bool,
-        Null,
-    }
-    fn class(e: &Expr, ty: &impl Fn(&str) -> Option<DataType>) -> Option<Class> {
-        match e {
-            Expr::Literal(Value::Int(_)) | Expr::Literal(Value::Float(_)) => Some(Class::Num),
-            Expr::Literal(Value::Str(_)) => Some(Class::Str),
-            Expr::Literal(Value::Bool(_)) => Some(Class::Bool),
-            Expr::Literal(Value::Null) => Some(Class::Null),
-            Expr::Column(name) => match ty(name)? {
-                DataType::Int => Some(Class::Num),
-                DataType::Str => Some(Class::Str),
-                DataType::Bool => Some(Class::Bool),
-                // A Float column may hold NaN, which errors under
-                // comparison — never push those.
-                DataType::Float => None,
-            },
-            _ => None,
-        }
-    }
     /// Bare column or literal: evaluation itself cannot fail.
     fn simple(e: &Expr) -> bool {
         matches!(e, Expr::Column(_) | Expr::Literal(_))
     }
+    // A comparison operand that never holds a NaN: a literal or a
+    // column of a known, non-FLOAT type.
+    let nan_free = |e: &Expr| match e {
+        Expr::Literal(_) => true,
+        Expr::Column(name) => ty(name).is_some_and(|t| t != DataType::Float),
+        _ => false,
+    };
     match e {
         Expr::Binary {
             left,
@@ -593,11 +574,7 @@ pub(crate) fn push_safe(e: &Expr, ty: &impl Fn(&str) -> Option<DataType>) -> boo
             left,
             op: BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq,
             right,
-        } => match (class(left, ty), class(right, ty)) {
-            (Some(Class::Null), Some(_)) | (Some(_), Some(Class::Null)) => true,
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        },
+        } => nan_free(left) && nan_free(right),
         Expr::IsNull { expr, .. } => simple(expr),
         Expr::InList { expr, list, .. } => {
             simple(expr) && list.iter().all(|e| matches!(e, Expr::Literal(_)))
@@ -618,6 +595,7 @@ pub(crate) fn push_safe(e: &Expr, ty: &impl Fn(&str) -> Option<DataType>) -> boo
 /// One input of a [`HashJoinOp`]: the pruned scan column list, the
 /// pushed-down filters, and this side's key expressions (in source
 /// column names).
+#[derive(Clone)]
 pub struct JoinSide {
     /// Columns the side's scan keeps (`None` = all).
     pub scan_columns: Option<Vec<String>>,
@@ -679,6 +657,7 @@ pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
 /// here: the morsel driver gathers the output columns per joined morsel
 /// ([`JoinedRows::gather`]). Results are bit-identical at every thread
 /// count *and every partition count*.
+#[derive(Clone)]
 pub struct HashJoinOp {
     /// Left (base) input.
     pub left: JoinSide,
@@ -730,7 +709,7 @@ impl HashJoinOp {
             .keys
             .iter()
             .zip(&self.right.keys)
-            .map(|(l, r)| format!("{} = {}", l.default_name(), r.default_name()))
+            .map(|(l, r)| format!("{l} = {r}"))
             .collect();
         let out: Vec<&str> = self.output.iter().map(|o| o.name.as_str()).collect();
         let kind = match self.kind {
@@ -1669,9 +1648,6 @@ mod tests {
             ("i = NULL", true),
             // Float comparisons can error on NaN: not pushable.
             ("f > 0.5", false),
-            // Type-mixed comparisons error: not pushable.
-            ("i = 'x'", false),
-            ("s < 3", false),
             // Compound operands are not analyzed: not pushable.
             ("i + 1 > 3", false),
             ("unknown > 1", false),
@@ -1679,6 +1655,31 @@ mod tests {
             let e = parse_expr(src).unwrap();
             assert_eq!(push_safe(&e, &ty), safe, "{src}");
         }
+        // Type-mixed comparisons, IN lists and BETWEEN bounds never reach
+        // the rule: the binder rejects them in a join's WHERE clause.
+        let rels = || {
+            let fields = ty_fields(&[("i", DataType::Int), ("s", DataType::Str)]);
+            let more = ty_fields(&[("f", DataType::Float), ("b", DataType::Bool)]);
+            vec![rel("l", "l", fields, false), rel("r", "r", more, false)]
+        };
+        for cond in [
+            "i = 'x'",
+            "s < 3",
+            "b = 1",
+            "s IN (1, 2)",
+            "f IN ('a')",
+            "i BETWEEN 'a' AND 'b'",
+        ] {
+            let stmt = select(&format!(
+                "SELECT l.i FROM l JOIN r ON l.i = r.f WHERE {cond}"
+            ));
+            let err = bind_join(&stmt, rels(), false).err().expect(cond);
+            assert!(matches!(err, MosaicError::Bind(_)), "{cond}: {err}");
+        }
+    }
+
+    fn ty_fields(cols: &[(&str, DataType)]) -> Vec<Field> {
+        cols.iter().map(|(n, t)| Field::new(*n, *t)).collect()
     }
 
     fn table(fields: Vec<Field>, rows: Vec<Vec<Value>>) -> Table {

@@ -21,6 +21,8 @@ use std::fmt;
 
 use mosaic_sql::{Expr, JoinKind, SelectItem, SelectStmt};
 
+use super::join_items;
+
 /// A column kept by a pruned scan: the source column's name plus the
 /// column id resolved against the source schema at plan time. Execution
 /// re-resolves by name (relations can be re-bound between prepare and
@@ -311,10 +313,7 @@ impl LogicalPlan {
                 keys,
                 ..
             } => {
-                let keys: Vec<String> = keys
-                    .iter()
-                    .map(|(l, r)| format!("{} = {}", l.default_name(), r.default_name()))
-                    .collect();
+                let keys: Vec<String> = keys.iter().map(|(l, r)| format!("{l} = {r}")).collect();
                 let sym = match kind {
                     JoinKind::Inner => "⋈",
                     JoinKind::LeftOuter => "⟕",
@@ -322,25 +321,21 @@ impl LogicalPlan {
                 format!("Join[{}]({left} {sym} {right})", keys.join(", "))
             }
             LogicalPlan::Filter { predicate, .. } => {
-                format!("Filter({})", predicate.default_name())
+                format!("Filter({predicate})")
             }
-            LogicalPlan::Project { items, .. } => {
-                let names: Vec<String> = items.iter().map(super::output_name).collect();
-                format!("Project[{}]", names.join(", "))
-            }
+            LogicalPlan::Project { items, .. } => format!("Project[{}]", join_items(items)),
             LogicalPlan::Aggregate {
                 items,
                 group_by,
                 weighted,
                 ..
             } => {
-                let keys: Vec<String> = group_by.iter().map(Expr::default_name).collect();
-                let names: Vec<String> = items.iter().map(super::output_name).collect();
+                let keys: Vec<String> = group_by.iter().map(Expr::to_string).collect();
                 format!(
                     "Aggregate{}(keys=[{}], items=[{}])",
                     if *weighted { "[weighted]" } else { "" },
                     keys.join(", "),
-                    names.join(", ")
+                    join_items(items)
                 )
             }
             LogicalPlan::Sort { keys, .. } => format!("Sort[{}]", describe_keys(keys)),
@@ -352,9 +347,10 @@ impl LogicalPlan {
     }
 }
 
-fn describe_keys(keys: &[(Expr, bool)]) -> String {
+/// `ORDER BY` keys as plan text: `expr [DESC], …`.
+pub(crate) fn describe_keys(keys: &[(Expr, bool)]) -> String {
     keys.iter()
-        .map(|(e, desc)| format!("{}{}", e.default_name(), if *desc { " DESC" } else { "" }))
+        .map(|(e, desc)| format!("{e}{}", if *desc { " DESC" } else { "" }))
         .collect::<Vec<_>>()
         .join(", ")
 }

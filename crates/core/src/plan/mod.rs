@@ -1,25 +1,29 @@
 //! The plan layer: a [`SelectStmt`] lowers into a [`LogicalPlan`] IR
 //! (see [`logical`]), the rule-based optimizer in [`optimize`] rewrites
 //! it (projection pruning, constant folding, Sort+Limit → TopK fusion),
-//! and the result lowers into a pipeline of vectorized physical
-//! operators. [`plan_select`] runs the whole chain and keeps the
-//! before/after logical plans plus the fired rule names for `EXPLAIN`.
+//! and the result lowers into a typed physical pipeline. [`plan_select`]
+//! runs the whole chain and keeps the before/after logical plans plus
+//! the fired rule names for `EXPLAIN`.
 //!
-//! A SELECT lowers to `Scan → Filter? → (Project | HashAggregate) →
-//! Sort? → Limit?` (`Sort → Limit` becomes a single `TopK` when the
-//! optimizer fuses them). Operators implement [`PhysicalOperator`] and exchange
-//! [`Batch`]es (a table plus optional parallel row weights — the weights
-//! realize the paper's §5.3 weighted-aggregate rewrite and are a
-//! first-class plan property, not an executor afterthought). Expression
-//! evaluation inside the operators is vectorized over the typed kernels
-//! of `mosaic_storage::kernels`, with the row-at-a-time evaluator in
-//! `crate::eval` retained as the semantics oracle and runtime fallback.
+//! A [`PhysicalPlan`] is `Scan | HashJoin`, then its `filters`
+//! ([`FilterOp`]), one `shape` (projection or hash aggregation), then
+//! its `order` stages (`Sort`, `Limit`, or the fused `TopK` when the
+//! optimizer fuses `Sort → Limit`) — plain enums and structs, not trait
+//! objects, so the morsel driver matches on what each stage is. Row
+//! weights travel with the rows through the filters into the aggregate,
+//! where they realize the paper's §5.3 weighted-aggregate rewrite; no
+//! stage after the shape sees a weight. Expressions evaluate through the
+//! vectorized evaluator in [`vector`] over the typed kernels of
+//! `mosaic_storage::kernels`.
 //!
 //! Execution is **morsel-driven and parallel** (see [`parallel`]): the
-//! scan splits into fixed-size morsels of Arc-shared column slices,
-//! Filter/Project and the partial-aggregate phase of HashAggregate run
-//! per morsel on a scoped worker pool, and the aggregate merge itself is
-//! radix-partitioned across the same pool before Sort/Limit.
+//! scan splits into fixed-size morsels of Arc-shared column slices, the
+//! filters, the projection and the partial-aggregate phase of the hash
+//! aggregation run per morsel on a scoped worker pool, and the aggregate
+//! merge itself is radix-partitioned across the same pool before the
+//! ordering stages, which run once over the merged result
+//! (`PhysicalPlan::apply_order`; the OPEN combiner orders the combined
+//! replicate answers through the same method).
 //!
 //! A plan has **one entry point**, [`PhysicalPlan::run`]: the
 //! [`PlanInput`] says what it reads (one table with optional row
@@ -41,7 +45,6 @@ use std::borrow::Cow;
 use std::fmt;
 
 use mosaic_sql::{Expr, SelectItem, SelectStmt};
-use mosaic_storage::kernels;
 use mosaic_storage::{Column, ColumnBuilder, DataType, Field, Schema, Table, Value};
 
 use crate::{MosaicError, Result};
@@ -68,35 +71,19 @@ pub(crate) fn missing_param(index: usize, supplied: usize) -> MosaicError {
     ))
 }
 
-/// The unit of exchange between physical operators: a table plus an
-/// optional weight per row.
-pub struct Batch {
-    /// Rows.
-    pub table: Table,
-    /// Optional per-row weights (parallel to `table`).
-    pub weights: Option<Vec<f64>>,
-}
-
 /// Execution-scoped context: everything one execution of a plan is
 /// given besides its input. Handed to [`PhysicalPlan::run`] and on to
-/// every operator.
+/// every stage.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
-    /// The post-filter, pre-projection input. `Sort` uses it to resolve
-    /// ORDER BY keys that reference source columns dropped by the
-    /// projection (non-aggregate queries only). The morsel driver sets
-    /// it for the ordering stages; callers of [`PhysicalPlan::run`]
-    /// leave it `None`.
-    pub filtered_input: Option<&'a Table>,
     /// Positional-parameter values for this execution (empty for
-    /// unprepared statements). Operators bind [`Expr::Param`] nodes
-    /// against this vector before evaluating.
+    /// unprepared statements). Stages bind [`Expr::Param`] nodes against
+    /// this vector before evaluating.
     pub params: &'a [Value],
-    /// Worker-thread budget (minimum 1) of the morsel phase and of
-    /// operators that parallelize internally (`Sort` builds per-block
-    /// sorted runs on the worker pool). Morsel-phase contexts pass 1 —
-    /// those operators already run *on* the pool. Never changes
-    /// results, only who computes them.
+    /// Worker-thread budget (minimum 1) of the morsel phase and of the
+    /// ordering stages (`Sort` builds per-block sorted runs on the
+    /// worker pool). Morsel-phase stages take no budget — they already
+    /// run *on* the pool. Never changes results, only who computes them.
     pub threads: usize,
     /// Radix-partition count (minimum 1 = serial) of the aggregate
     /// merge and of a multi-morsel join build. Never changes results.
@@ -107,7 +94,6 @@ impl<'a> ExecContext<'a> {
     /// The context of one plan execution.
     pub fn new(params: &'a [Value], threads: usize, partitions: usize) -> Self {
         ExecContext {
-            filtered_input: None,
             params,
             threads: threads.max(1),
             partitions: partitions.max(1),
@@ -148,50 +134,12 @@ pub enum PlanInput<'a> {
 /// out.
 pub type PostJoin<'a> = dyn Fn(Table) -> Result<Option<Column>> + Sync + 'a;
 
-/// A vectorized physical operator.
-pub trait PhysicalOperator: Send + Sync {
-    /// Operator name for plan rendering.
-    fn name(&self) -> &'static str;
-
-    /// One-line operator description for `EXPLAIN` output (name plus its
-    /// bound expressions).
-    fn describe(&self) -> String {
-        self.name().to_string()
-    }
-
-    /// Consume an input batch, produce the output batch.
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch>;
-
-    /// This operator as a fused ORDER BY … LIMIT, if it is one.
-    fn as_topk(&self) -> Option<&TopKOp> {
-        None
-    }
-}
-
-/// `WHERE` — evaluate the predicate into a selection bitmap and gather
-/// the surviving rows (and their weights).
+/// `WHERE` — the predicate whose selection the morsel driver (and a join
+/// side, below the join) gathers, rows and weights alike.
+#[derive(Clone)]
 pub struct FilterOp {
     /// The predicate.
     pub predicate: Expr,
-}
-
-impl PhysicalOperator for FilterOp {
-    fn name(&self) -> &'static str {
-        "Filter"
-    }
-
-    fn describe(&self) -> String {
-        format!("Filter: {}", self.predicate.default_name())
-    }
-
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        let idx = self.selection(ctx.params, &input.table)?;
-        let weights = input.weights.as_ref().map(|w| kernels::take_f64(w, &idx));
-        Ok(Batch {
-            table: input.table.take(&idx),
-            weights,
-        })
-    }
 }
 
 impl FilterOp {
@@ -200,169 +148,212 @@ impl FilterOp {
         let predicate = bind_expr(&self.predicate, params)?;
         Ok(vector::eval_predicate(&predicate, table)?.to_indices())
     }
+
+    /// The `EXPLAIN` line.
+    pub(crate) fn describe(&self) -> String {
+        format!("Filter: {}", self.predicate)
+    }
 }
 
-/// Projection without aggregates.
-pub struct ProjectOp {
-    /// The SELECT list.
-    pub items: Vec<SelectItem>,
+/// The shape stage of a plan: exactly one of projection or aggregation.
+/// The morsel driver runs a projection per morsel and splits an
+/// aggregation into its per-morsel partial and its merge phase.
+#[derive(Clone)]
+pub(crate) enum Shape {
+    /// Projection without aggregates.
+    Project {
+        /// The SELECT list.
+        items: Vec<SelectItem>,
+    },
+    /// Grouped (or global) aggregation.
+    Aggregate {
+        /// The SELECT list.
+        items: Vec<SelectItem>,
+        /// GROUP BY expressions (empty = one global group).
+        group_by: Vec<Expr>,
+        /// Weighted-rewrite property (paper §5.3): COUNT(*) →
+        /// SUM(weight), SUM(x) → SUM(weight·x), AVG → weighted mean.
+        weighted: bool,
+    },
 }
 
-impl ProjectOp {
-    /// Evaluate the projection, tagging any error with the failing
-    /// item's stage rank (`1 + i` for item `i`; rank 0 is reserved for
-    /// stages that precede the shape). The morsel driver uses the rank
-    /// to reproduce whole-table error ordering across morsels.
-    pub(crate) fn project_ranked(
-        &self,
-        table: &Table,
-        params: &[Value],
-    ) -> aggregate::Ranked<Table> {
-        let mut fields = Vec::new();
-        let mut columns = Vec::new();
-        for (ii, item) in self.items.iter().enumerate() {
-            let rank = 1 + ii as u32;
-            match item {
-                SelectItem::Wildcard => {
-                    for (i, f) in table.schema().fields().iter().enumerate() {
-                        fields.push(f.clone());
-                        columns.push(table.column(i).clone());
-                    }
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let expr = bind_expr(expr, params).map_err(|e| (rank, e))?;
-                    let col = vector::eval_expr(&expr, table).map_err(|e| (rank, e))?;
-                    fields.push(Field::new(output_name(item), col.data_type()));
-                    columns.push(col);
-                }
+impl Shape {
+    fn name(&self) -> &'static str {
+        match self {
+            Shape::Project { .. } => "Project",
+            Shape::Aggregate { .. } => "HashAggregate",
+        }
+    }
+
+    fn describe(&self) -> String {
+        match self {
+            Shape::Project { items } => format!("Project: [{}]", join_items(items)),
+            Shape::Aggregate {
+                items,
+                group_by,
+                weighted,
+            } => {
+                let keys: Vec<String> = group_by.iter().map(Expr::to_string).collect();
+                format!(
+                    "HashAggregate{}: keys=[{}], items=[{}]",
+                    if *weighted { "[weighted]" } else { "" },
+                    keys.join(", "),
+                    join_items(items)
+                )
             }
         }
-        Table::new(Schema::new(fields), columns).map_err(|e| (u32::MAX, e.into()))
     }
 }
 
-impl PhysicalOperator for ProjectOp {
+/// A SELECT list as `EXPLAIN` text.
+pub(crate) fn join_items(items: &[SelectItem]) -> String {
+    let items: Vec<String> = items.iter().map(SelectItem::to_string).collect();
+    items.join(", ")
+}
+
+/// Evaluate a projection over `table`, tagging any error with the
+/// failing item's stage rank (`1 + i` for item `i`; rank 0 is reserved
+/// for stages that precede the shape). The morsel driver uses the rank
+/// to reproduce whole-table error ordering across morsels.
+pub(crate) fn project_ranked(
+    items: &[SelectItem],
+    table: &Table,
+    params: &[Value],
+) -> aggregate::Ranked<Table> {
+    let mut fields = Vec::new();
+    let mut columns = Vec::new();
+    for (ii, item) in items.iter().enumerate() {
+        let rank = 1 + ii as u32;
+        match item {
+            SelectItem::Wildcard => {
+                for (i, f) in table.schema().fields().iter().enumerate() {
+                    fields.push(f.clone());
+                    columns.push(table.column(i).clone());
+                }
+            }
+            SelectItem::Expr { expr, .. } => {
+                let expr = bind_expr(expr, params).map_err(|e| (rank, e))?;
+                let col = vector::eval_expr(&expr, table).map_err(|e| (rank, e))?;
+                fields.push(Field::new(output_name(item), col.data_type()));
+                columns.push(col);
+            }
+        }
+    }
+    Table::new(Schema::new(fields), columns).map_err(|e| (u32::MAX, e.into()))
+}
+
+/// An ordering stage. Ordering stages run once, over the shaped
+/// (projected or aggregated) result, after the morsel merge.
+#[derive(Clone)]
+pub(crate) enum Order {
+    /// `ORDER BY` — sort on evaluated key columns. Multi-block inputs
+    /// sort as parallel per-block runs + one k-way merge under a strict
+    /// (keys, row index) order, which is the stable sort's order exactly
+    /// — bit-identical at every thread count.
+    Sort {
+        /// `(expr, descending)` sort keys.
+        keys: Vec<(Expr, bool)>,
+    },
+    /// `LIMIT n`.
+    Limit {
+        /// Maximum number of output rows.
+        n: usize,
+    },
+    /// Fused `ORDER BY … LIMIT n`: the first `n` rows of the stable sort
+    /// order, selected with bounded per-block heaps plus an ordered
+    /// merge instead of a full sort — O(rows · log n) against Sort's
+    /// O(rows · log rows). Ties break on the original row index, which
+    /// is exactly what a stable sort followed by `LIMIT n` produces, so
+    /// the fused stage is bit-identical to the `Sort → Limit` pair it
+    /// replaces (the optimizer's `sort_limit_fusion` rule relies on
+    /// this).
+    ///
+    /// Over a projection whose sort keys are bare columns or constants
+    /// ([`PhysicalPlan::morsel_topk`]) the heaps run inside the morsel
+    /// phase ([`topk_candidates`]): each morsel keeps its best `n` rows,
+    /// in row order, and this stage then selects from those candidates
+    /// alone instead of the whole projected table.
+    TopK {
+        /// `(expr, descending)` sort keys.
+        keys: Vec<(Expr, bool)>,
+        /// Number of rows to keep.
+        n: usize,
+    },
+}
+
+impl Order {
     fn name(&self) -> &'static str {
-        "Project"
+        match self {
+            Order::Sort { .. } => "Sort",
+            Order::Limit { .. } => "Limit",
+            Order::TopK { .. } => "TopK",
+        }
     }
 
     fn describe(&self) -> String {
-        let names: Vec<String> = self.items.iter().map(output_name).collect();
-        format!("Project: [{}]", names.join(", "))
+        match self {
+            Order::Sort { keys } => format!("Sort: [{}]", logical::describe_keys(keys)),
+            Order::Limit { n } => format!("Limit: {n}"),
+            Order::TopK { keys, n } => {
+                format!("TopK: [{}] limit {n}", logical::describe_keys(keys))
+            }
+        }
     }
 
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        self.project_ranked(&input.table, ctx.params)
-            .map(|table| Batch {
-                table,
-                weights: None,
-            })
-            .map_err(|(_, e)| e)
-    }
-}
-
-/// Grouped (or global) aggregation; `weighted` records whether the plan
-/// rewrites aggregates into their weighted forms.
-pub struct HashAggregateOp {
-    /// The SELECT list.
-    pub items: Vec<SelectItem>,
-    /// GROUP BY expressions (empty = one global group).
-    pub group_by: Vec<Expr>,
-    /// Weighted-rewrite property (paper §5.3): COUNT(*) → SUM(weight),
-    /// SUM(x) → SUM(weight·x), AVG → weighted mean.
-    pub weighted: bool,
-}
-
-impl PhysicalOperator for HashAggregateOp {
-    fn name(&self) -> &'static str {
-        "HashAggregate"
-    }
-
-    fn describe(&self) -> String {
-        let keys: Vec<String> = self.group_by.iter().map(Expr::default_name).collect();
-        let items: Vec<String> = self.items.iter().map(output_name).collect();
-        format!(
-            "HashAggregate{}: keys=[{}], items=[{}]",
-            if self.weighted { "[weighted]" } else { "" },
-            keys.join(", "),
-            items.join(", ")
-        )
-    }
-
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        debug_assert_eq!(self.weighted, input.weights.is_some());
-        let table = aggregate::execute(
-            &self.items,
-            &self.group_by,
-            &input.table,
-            input.weights.as_deref(),
-            ctx.params,
-        )?;
-        Ok(Batch {
-            table,
-            weights: None,
-        })
-    }
-}
-
-/// `ORDER BY` — sort on evaluated key columns. Multi-block inputs sort
-/// as parallel per-block runs + one k-way merge under a strict
-/// (keys, row index) order, which is the stable sort's order exactly —
-/// bit-identical at every thread count.
-pub struct SortOp {
-    /// `(expr, descending)` sort keys.
-    pub keys: Vec<(Expr, bool)>,
-}
-
-impl PhysicalOperator for SortOp {
-    fn name(&self) -> &'static str {
-        "Sort"
-    }
-
-    fn describe(&self) -> String {
-        let keys: Vec<String> = self
-            .keys
-            .iter()
-            .map(|(e, desc)| format!("{}{}", e.default_name(), if *desc { " DESC" } else { "" }))
-            .collect();
-        format!("Sort: [{}]", keys.join(", "))
-    }
-
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        let out = &input.table;
-        let key_cols = eval_sort_keys(&self.keys, ctx, out).map_err(|(_, e)| e)?;
+    /// Run this stage over `table`. `input`, when given, holds the
+    /// post-filter, pre-projection rows parallel to `table`: sort keys
+    /// naming a source column the projection dropped resolve against it.
+    fn apply(&self, table: Table, input: Option<&Table>, ctx: &ExecContext<'_>) -> Result<Table> {
+        let (keys, n) = match self {
+            Order::Limit { n } => return Ok(table.limit(*n)),
+            Order::Sort { keys } => (keys, None),
+            Order::TopK { keys, n } => (keys, Some(*n)),
+        };
+        let key_cols = eval_sort_keys(keys, ctx.params, &table, input).map_err(|(_, e)| e)?;
         // Strictness is what lets the sort split into per-block runs on
         // the worker pool and recombine through a k-way merge without
         // changing a single output bit at any thread count
         // (`parallel_sort_indices`).
-        let cmp = row_order(&self.keys, &key_cols);
-        let idx = parallel::parallel_sort_indices(out.num_rows(), ctx.threads, cmp);
-        Ok(Batch {
-            table: out.take(&idx),
-            weights: input.weights.as_ref().map(|w| kernels::take_f64(w, &idx)),
-        })
+        let cmp = row_order(keys, &key_cols);
+        let rows = table.num_rows();
+        let Some(n) = n else {
+            return Ok(table.take(&parallel::parallel_sort_indices(rows, ctx.threads, cmp)));
+        };
+        // Bounded heap per morsel-sized block, then an ordered merge of
+        // the ≤ n survivors per block.
+        let mut candidates: Vec<usize> = Vec::new();
+        let mut start = 0;
+        while start < rows {
+            let end = (start + parallel::MORSEL_ROWS).min(rows);
+            top_n_in_range(start..end, n, &cmp, &mut candidates);
+            start = end;
+        }
+        candidates.sort_unstable_by(|&a, &b| cmp(a, b));
+        candidates.truncate(n);
+        Ok(table.take(&candidates))
     }
 }
 
 /// Evaluate `ORDER BY` key columns: prefer keys resolved against the
-/// operator output (aliases, aggregate names); fall back to the
-/// pre-projection input when the output lacks the column and row counts
-/// line up. Shared by [`SortOp`] and [`TopKOp`] — the fused operator
-/// must resolve keys exactly like the sort it replaces, or the
-/// optimizer's bit-identity contract breaks. An error carries the
-/// failing key's index.
+/// shaped output (aliases, aggregate names); fall back to the
+/// pre-projection `input` when the output lacks the column and row
+/// counts line up. Shared by Sort and TopK — the fused stage must
+/// resolve keys exactly like the sort it replaces, or the optimizer's
+/// bit-identity contract breaks. An error carries the failing key's
+/// index.
 fn eval_sort_keys(
     keys: &[(Expr, bool)],
-    ctx: &ExecContext<'_>,
+    params: &[Value],
     out: &Table,
+    input: Option<&Table>,
 ) -> aggregate::Ranked<Vec<Column>> {
     let mut key_cols: Vec<Column> = Vec::with_capacity(keys.len());
     for (ki, (expr, _)) in keys.iter().enumerate() {
         let rank = ki as u32;
-        let expr = bind_expr(expr, ctx.params).map_err(|e| (rank, e))?;
+        let expr = bind_expr(expr, params).map_err(|e| (rank, e))?;
         let col = match vector::eval_expr(&expr, out) {
             Ok(c) => c,
-            Err(e) => match ctx.filtered_input {
+            Err(e) => match input {
                 Some(t) if t.num_rows() == out.num_rows() => {
                     vector::eval_expr(&expr, t).map_err(|e| (rank, e))?
                 }
@@ -374,9 +365,9 @@ fn eval_sort_keys(
     Ok(key_cols)
 }
 
-/// The strict total order of [`SortOp`] and [`TopKOp`]: the ORDER BY
-/// key chain, ties broken on the original row index — exactly the
-/// permutation a *stable* sort by the keys alone produces.
+/// The strict total order of Sort and TopK: the ORDER BY key chain, ties
+/// broken on the original row index — exactly the permutation a
+/// *stable* sort by the keys alone produces.
 fn row_order<'a>(
     keys: &'a [(Expr, bool)],
     key_cols: &'a [Column],
@@ -393,116 +384,26 @@ fn row_order<'a>(
     }
 }
 
-/// `LIMIT n`.
-pub struct LimitOp {
-    /// Maximum number of output rows.
-    pub n: usize,
-}
-
-impl PhysicalOperator for LimitOp {
-    fn name(&self) -> &'static str {
-        "Limit"
-    }
-
-    fn describe(&self) -> String {
-        format!("Limit: {}", self.n)
-    }
-
-    fn execute(&self, _ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        Ok(Batch {
-            table: input.table.limit(self.n),
-            weights: input
-                .weights
-                .as_ref()
-                .map(|w| w[..w.len().min(self.n)].to_vec()),
-        })
-    }
-}
-
-/// Fused `ORDER BY … LIMIT n`: the first `n` rows of the stable sort
-/// order, selected with bounded per-morsel heaps plus an ordered merge
-/// instead of a full sort — O(rows · log n) against Sort's
-/// O(rows · log rows). Ties break on the original row index, which is
-/// exactly what a stable sort followed by `LIMIT n` produces, so the
-/// fused operator is bit-identical to the `Sort → Limit` pair it
-/// replaces (the optimizer's `sort_limit_fusion` rule relies on this).
-///
-/// Over a projection whose sort keys are bare columns or constants
-/// (`PhysicalPlan::morsel_topk`) the heaps run inside the morsel
-/// phase (`TopKOp::morsel_candidates`): each morsel keeps its best
-/// `n` rows, in row order, and this operator then selects from those
-/// candidates alone instead of the whole projected table.
-pub struct TopKOp {
-    /// `(expr, descending)` sort keys.
-    pub keys: Vec<(Expr, bool)>,
-    /// Number of rows to keep.
-    pub n: usize,
-}
-
-impl PhysicalOperator for TopKOp {
-    fn name(&self) -> &'static str {
-        "TopK"
-    }
-
-    fn describe(&self) -> String {
-        let keys: Vec<String> = self
-            .keys
-            .iter()
-            .map(|(e, desc)| format!("{}{}", e.default_name(), if *desc { " DESC" } else { "" }))
-            .collect();
-        format!("TopK: [{}] limit {}", keys.join(", "), self.n)
-    }
-
-    fn execute(&self, ctx: &ExecContext<'_>, input: &Batch) -> Result<Batch> {
-        let out = &input.table;
-        let key_cols = eval_sort_keys(&self.keys, ctx, out).map_err(|(_, e)| e)?;
-        let cmp = row_order(&self.keys, &key_cols);
-        let rows = out.num_rows();
-        // Bounded heap per morsel-sized block, then an ordered merge of
-        // the ≤ n survivors per block.
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + parallel::MORSEL_ROWS).min(rows);
-            top_n_in_range(start..end, self.n, &cmp, &mut candidates);
-            start = end;
-        }
-        candidates.sort_unstable_by(|&a, &b| cmp(a, b));
-        candidates.truncate(self.n);
-        Ok(Batch {
-            table: out.take(&candidates),
-            weights: input
-                .weights
-                .as_ref()
-                .map(|w| kernels::take_f64(w, &candidates)),
-        })
-    }
-
-    fn as_topk(&self) -> Option<&TopKOp> {
-        Some(self)
-    }
-}
-
-impl TopKOp {
-    /// One morsel's candidates: the rows of its projected fragment `out`
-    /// that can still be among the first `n` — its own first `n` under
-    /// the same strict (keys, row index) order — in ascending row order,
-    /// so the candidates of all morsels, concatenated, keep the input
-    /// order the final selection breaks ties on. Sort keys resolve as in
-    /// [`TopKOp`]'s own execution (`ctx.filtered_input` = the morsel's
-    /// pre-projection rows); an error carries the failing key's index.
-    pub(crate) fn morsel_candidates(
-        &self,
-        ctx: &ExecContext<'_>,
-        out: &Table,
-    ) -> aggregate::Ranked<Vec<usize>> {
-        let key_cols = eval_sort_keys(&self.keys, ctx, out)?;
-        let cmp = row_order(&self.keys, &key_cols);
-        let mut keep = Vec::with_capacity(self.n.min(out.num_rows()));
-        top_n_in_range(0..out.num_rows(), self.n, &cmp, &mut keep);
-        keep.sort_unstable();
-        Ok(keep)
-    }
+/// One morsel's TopK candidates: the rows of its projected fragment
+/// `out` that can still be among the first `n` — its own first `n` under
+/// the same strict (keys, row index) order — in ascending row order, so
+/// the candidates of all morsels, concatenated, keep the input order the
+/// final selection breaks ties on. Sort keys resolve as in the TopK
+/// stage itself (`input` = the morsel's pre-projection rows); an error
+/// carries the failing key's index.
+pub(crate) fn topk_candidates(
+    keys: &[(Expr, bool)],
+    n: usize,
+    params: &[Value],
+    out: &Table,
+    input: &Table,
+) -> aggregate::Ranked<Vec<usize>> {
+    let key_cols = eval_sort_keys(keys, params, out, Some(input))?;
+    let cmp = row_order(keys, &key_cols);
+    let mut keep = Vec::with_capacity(n.min(out.num_rows()));
+    top_n_in_range(0..out.num_rows(), n, &cmp, &mut keep);
+    keep.sort_unstable();
+    Ok(keep)
 }
 
 /// Append the `n` smallest row indices (under `cmp`) of `range` to
@@ -560,32 +461,6 @@ fn top_n_in_range(
     }
 }
 
-/// The shape stage of a plan: exactly one of projection or aggregation.
-/// Kept as an enum (not a boxed trait object) so the morsel driver can
-/// split aggregation into its partial and final phases.
-pub(crate) enum Shape {
-    /// Projection without aggregates.
-    Project(ProjectOp),
-    /// Grouped or global aggregation.
-    Aggregate(HashAggregateOp),
-}
-
-impl Shape {
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Shape::Project(op) => op.name(),
-            Shape::Aggregate(op) => op.name(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            Shape::Project(op) => op.describe(),
-            Shape::Aggregate(op) => op.describe(),
-        }
-    }
-}
-
 /// A lowered SELECT: filter stages, one shape stage (projection or
 /// aggregation), then ordering stages.
 ///
@@ -597,6 +472,7 @@ impl Shape {
 /// the row count, so results are **bit-identical at every thread
 /// count**, and a single-morsel input reproduces the serial whole-table
 /// path exactly.
+#[derive(Clone)]
 pub struct PhysicalPlan {
     /// Columns the scan keeps (`None` = all): the physical realization
     /// of the optimizer's projection-pruning rule. Resolved by *name*
@@ -609,9 +485,11 @@ pub struct PhysicalPlan {
     /// the remaining pipeline runs over it morsel-parallel like any
     /// scan, each morsel gathering its joined rows.
     pub(crate) join: Option<join::HashJoinOp>,
-    pre_shape: Vec<Box<dyn PhysicalOperator>>,
+    /// The WHERE stages, run per morsel before the shape.
+    pub(crate) filters: Vec<FilterOp>,
     pub(crate) shape: Shape,
-    pub(crate) post_shape: Vec<Box<dyn PhysicalOperator>>,
+    /// The ordering stages, run once over the shaped result.
+    pub(crate) order: Vec<Order>,
 }
 
 impl PhysicalPlan {
@@ -654,11 +532,36 @@ impl PhysicalPlan {
         }
     }
 
+    /// Run the ordering stages over a shaped result, with the whole
+    /// thread budget: the morsel driver's post-merge loop, and the OPEN
+    /// combiner's, which orders the combined replicate answers (with no
+    /// pre-projection `input`, as for every aggregate plan).
+    pub(crate) fn apply_order(
+        &self,
+        mut table: Table,
+        input: Option<&Table>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Table> {
+        for stage in &self.order {
+            table = stage.apply(table, input, ctx)?;
+        }
+        Ok(table)
+    }
+
+    /// This plan without its ordering stages: what each replicate of an
+    /// aggregate OPEN statement runs before the replicates combine.
+    pub(crate) fn unordered(&self) -> PhysicalPlan {
+        PhysicalPlan {
+            order: Vec::new(),
+            ..self.clone()
+        }
+    }
+
     /// True when the shape stage is a *weighted* aggregate (§5.3
     /// rewrite). A join plan with this property consumes the joined
     /// `weight` column as its row-weight vector.
     pub(crate) fn agg_weighted(&self) -> bool {
-        matches!(&self.shape, Shape::Aggregate(op) if op.weighted)
+        matches!(&self.shape, Shape::Aggregate { weighted: true, .. })
     }
 
     /// True when the shape stage aggregates. ORDER BY keys must then
@@ -667,30 +570,26 @@ impl PhysicalPlan {
     /// unaggregated source columns whenever the group count happens to
     /// equal the input row count.
     pub(crate) fn is_aggregate(&self) -> bool {
-        matches!(self.shape, Shape::Aggregate(_))
+        matches!(self.shape, Shape::Aggregate { .. })
     }
 
-    /// The TopK that selects inside the morsel phase, if any: the first
-    /// ordering stage when it is a TopK over a projection whose sort keys
-    /// are bare columns, constants or parameters. Such a key resolves
-    /// against the same column (of the projection, else of the
-    /// pre-projection rows) in every morsel, so per-morsel heaps select
-    /// exactly what one heap over the merged table would. The morsel
-    /// driver and `EXPLAIN` both branch on this one predicate.
-    pub(crate) fn morsel_topk(&self) -> Option<&TopKOp> {
-        let Shape::Project(_) = self.shape else {
+    /// The sort keys and row count of the TopK that selects inside the
+    /// morsel phase, if any: the first ordering stage when it is a TopK
+    /// over a projection whose sort keys are bare columns, constants or
+    /// parameters. Such a key resolves against the same column (of the
+    /// projection, else of the pre-projection rows) in every morsel, so
+    /// per-morsel heaps select exactly what one heap over the merged
+    /// table would. The morsel driver and `EXPLAIN` both branch on this
+    /// one predicate.
+    pub(crate) fn morsel_topk(&self) -> Option<(&[(Expr, bool)], usize)> {
+        let (Shape::Project { .. }, Some(Order::TopK { keys, n })) =
+            (&self.shape, self.order.first())
+        else {
             return None;
         };
-        let topk = self.post_shape.first()?.as_topk()?;
-        topk.keys
-            .iter()
+        keys.iter()
             .all(|(e, _)| matches!(e, Expr::Column(_) | Expr::Literal(_) | Expr::Param(_)))
-            .then_some(topk)
-    }
-
-    /// The filter stages that run before the shape stage.
-    pub(crate) fn pre_shape(&self) -> &[Box<dyn PhysicalOperator>] {
-        &self.pre_shape
+            .then_some((keys, *n))
     }
 
     /// The pruned scan's column names (`None` = scan every column).
@@ -706,9 +605,9 @@ impl PhysicalPlan {
         } else {
             "Scan"
         }];
-        names.extend(self.pre_shape.iter().map(|op| op.name()));
+        names.extend(self.filters.iter().map(|_| "Filter"));
         names.push(self.shape.name());
-        names.extend(self.post_shape.iter().map(|op| op.name()));
+        names.extend(self.order.iter().map(Order::name));
         names
     }
 
@@ -721,16 +620,15 @@ impl PhysicalPlan {
             lines.push(join.describe());
             lines.extend(join.describe_sides().into_iter().map(|l| format!("  {l}")));
         }
-        lines.extend(self.pre_shape.iter().map(|op| op.describe()));
+        lines.extend(self.filters.iter().map(FilterOp::describe));
         lines.push(self.shape.describe());
-        for (i, op) in self.post_shape.iter().enumerate() {
+        for (i, stage) in self.order.iter().enumerate() {
             lines.push(match self.morsel_topk() {
-                Some(topk) if i == 0 => format!(
-                    "{} (a bounded heap per morsel keeps ≤ {} candidate(s))",
-                    op.describe(),
-                    topk.n
+                Some((_, n)) if i == 0 => format!(
+                    "{} (a bounded heap per morsel keeps ≤ {n} candidate(s))",
+                    stage.describe()
                 ),
-                _ => op.describe(),
+                _ => stage.describe(),
             });
         }
         lines
@@ -761,9 +659,9 @@ pub(crate) fn has_aggregate_shape(stmt: &SelectStmt) -> bool {
 fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
     let mut scan_columns = None;
     let mut join_stage = None;
-    let mut pre_shape: Vec<Box<dyn PhysicalOperator>> = Vec::new();
-    let mut shape: Option<Shape> = None;
-    let mut post_shape: Vec<Box<dyn PhysicalOperator>> = Vec::new();
+    let mut filters = Vec::new();
+    let mut shape = None;
+    let mut order = Vec::new();
     for node in plan.nodes() {
         match node {
             LogicalPlan::Scan { columns, .. } => {
@@ -786,13 +684,13 @@ fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
                     output: output.clone(),
                 });
             }
-            LogicalPlan::Filter { predicate, .. } => pre_shape.push(Box::new(FilterOp {
+            LogicalPlan::Filter { predicate, .. } => filters.push(FilterOp {
                 predicate: predicate.clone(),
-            })),
+            }),
             LogicalPlan::Project { items, .. } => {
-                shape = Some(Shape::Project(ProjectOp {
+                shape = Some(Shape::Project {
                     items: items.clone(),
-                }));
+                });
             }
             LogicalPlan::Aggregate {
                 items,
@@ -800,32 +698,28 @@ fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
                 weighted,
                 ..
             } => {
-                shape = Some(Shape::Aggregate(HashAggregateOp {
+                shape = Some(Shape::Aggregate {
                     items: items.clone(),
                     group_by: group_by.clone(),
                     weighted: *weighted,
-                }));
+                });
             }
-            LogicalPlan::Sort { keys, .. } => {
-                post_shape.push(Box::new(SortOp { keys: keys.clone() }))
-            }
-            LogicalPlan::Limit { n, .. } => post_shape.push(Box::new(LimitOp { n: *n })),
-            LogicalPlan::TopK { keys, n, .. } => post_shape.push(Box::new(TopKOp {
+            LogicalPlan::Sort { keys, .. } => order.push(Order::Sort { keys: keys.clone() }),
+            LogicalPlan::Limit { n, .. } => order.push(Order::Limit { n: *n }),
+            LogicalPlan::TopK { keys, n, .. } => order.push(Order::TopK {
                 keys: keys.clone(),
                 n: *n,
-            })),
+            }),
         }
     }
     PhysicalPlan {
         scan_columns,
         join: join_stage,
-        pre_shape,
-        shape: shape.unwrap_or_else(|| {
-            Shape::Project(ProjectOp {
-                items: vec![SelectItem::Wildcard],
-            })
+        filters,
+        shape: shape.unwrap_or_else(|| Shape::Project {
+            items: vec![SelectItem::Wildcard],
         }),
-        post_shape,
+        order,
     }
 }
 
@@ -983,8 +877,8 @@ mod tests {
         b.finish()
     }
 
-    /// `Sort` really runs its runs on the worker pool: executing the
-    /// operator directly (no morsel driver around it) on a 3-morsel
+    /// `Sort` really runs its runs on the worker pool: running the
+    /// ordering stages directly (no morsel driver around them) on a 3-morsel
     /// input with an 8-thread budget must raise the process-wide worker
     /// gauge — and return exactly the serial result. Only a lower bound
     /// is asserted (the gauge is shared with concurrently running
@@ -1000,31 +894,20 @@ mod tests {
                 .unwrap();
         }
         let plan = lower(&select("SELECT v FROM t ORDER BY v DESC"), false);
-        let sort = plan
-            .post_shape
-            .iter()
-            .find(|op| op.name() == "Sort")
-            .expect("plain ORDER BY lowers to Sort");
-        let batch = Batch {
-            table: b.finish(),
-            weights: None,
-        };
+        assert!(matches!(plan.order[..], [Order::Sort { .. }]));
+        let table = b.finish();
         let ctx = |threads: usize| ExecContext::new(&[], threads, 1);
-        let serial = sort.execute(&ctx(1), &batch).unwrap();
+        let serial = plan.apply_order(table.clone(), None, &ctx(1)).unwrap();
         reset_worker_thread_peak();
-        let parallel = sort.execute(&ctx(8), &batch).unwrap();
+        let parallel = plan.apply_order(table, None, &ctx(8)).unwrap();
         assert!(
             worker_thread_peak() >= 2,
             "Sort at 8 threads spawned {} pool worker(s)",
             worker_thread_peak()
         );
-        assert_eq!(serial.table.num_rows(), parallel.table.num_rows());
-        for r in 0..serial.table.num_rows() {
-            assert_eq!(
-                serial.table.value(r, 0),
-                parallel.table.value(r, 0),
-                "row {r}"
-            );
+        assert_eq!(serial.num_rows(), parallel.num_rows());
+        for r in 0..serial.num_rows() {
+            assert_eq!(serial.value(r, 0), parallel.value(r, 0), "row {r}");
         }
     }
 

@@ -52,7 +52,7 @@ use mosaic_storage::{kernels, ColumnBuilder, DataType, Field, Schema, Table, Val
 use parking_lot::Mutex;
 
 use super::join::JoinedRows;
-use super::{aggregate, Batch, ExecContext, PhysicalPlan, Shape};
+use super::{aggregate, project_ranked, topk_candidates, ExecContext, PhysicalPlan, Shape};
 use crate::{MosaicError, Result};
 
 /// Rows per morsel. Fixed (never derived from the thread count) so that
@@ -322,84 +322,72 @@ pub(crate) fn execute_plan(
     // stages and no per-morsel TopK serves it as the whole table, with
     // zero merging.
     let carry_filtered = !plan.is_aggregate()
-        && !plan.post_shape.is_empty()
-        && (!plan.pre_shape().is_empty()
+        && !plan.order.is_empty()
+        && (!plan.filters.is_empty()
             || topk.is_some()
             || matches!(source, MorselSource::Joined(_)));
 
-    // Every stage has a rank (the source gather = 0, filter op `i` =
-    // `1 + i`; group keys / item `j` of the shape = `pre_len + 0 / 1 +
-    // j`; then a per-morsel TopK's sort keys) and stages run in rank
-    // order within a morsel, so a (rank, morsel) error key reproduces
-    // the whole-table executor's error exactly: stages error in plan
-    // order, and within a stage the lowest failing morsel holds the
-    // first failing row.
-    let pre_len = 1 + plan.pre_shape().len() as u32;
+    // Every stage has a rank (the source gather = 0, filter `i` = `1 +
+    // i`; group keys / item `j` of the shape = `pre_len + 0 / 1 + j`;
+    // then a per-morsel TopK's sort keys) and stages run in rank order
+    // within a morsel, so a (rank, morsel) error key reproduces the
+    // whole-table executor's error exactly: stages error in plan order,
+    // and within a stage the lowest failing morsel holds the first
+    // failing row.
+    let pre_len = 1 + plan.filters.len() as u32;
     let run = |mi: usize| -> aggregate::Ranked<MorselOut> {
         let start = mi * MORSEL_ROWS;
         let len = MORSEL_ROWS.min(n - start);
-        let mut batch = match &source {
-            MorselSource::Table { table, weights } => Batch {
-                table: table.slice(start, len),
-                weights: weights.map(|w| w[start..start + len].to_vec()),
-            },
+        let (mut table, mut weights): (Table, Option<Vec<f64>>) = match &source {
+            MorselSource::Table { table, weights } => (
+                table.slice(start, len),
+                weights.map(|w| w[start..start + len].to_vec()),
+            ),
             MorselSource::Joined(joined) => {
                 let table = joined.gather(start..start + len).map_err(|e| (0, e))?;
                 let weights = join_weight.map(|c| {
                     let w = table.column(c);
                     (0..len).map(|i| w.f64_at(i).unwrap_or(0.0)).collect()
                 });
-                Batch { table, weights }
+                (table, weights)
             }
         };
-        let ctx = ExecContext {
-            filtered_input: None,
-            // Morsel-phase operators are already running on the pool —
-            // they never spawn nested workers.
-            threads: 1,
-            ..*ctx
-        };
-        for (oi, op) in plan.pre_shape().iter().enumerate() {
-            batch = op.execute(&ctx, &batch).map_err(|e| (1 + oi as u32, e))?;
+        for (fi, filter) in plan.filters.iter().enumerate() {
+            let idx = filter
+                .selection(params, &table)
+                .map_err(|e| (1 + fi as u32, e))?;
+            weights = weights.map(|w| kernels::take_f64(&w, &idx));
+            table = table.take(&idx);
         }
         match &plan.shape {
-            Shape::Aggregate(agg) => {
-                debug_assert_eq!(agg.weighted, batch.weights.is_some());
-                aggregate::compute_partial(
-                    &agg.items,
-                    &agg.group_by,
-                    &batch.table,
-                    batch.weights.as_deref(),
-                    params,
-                )
-                .map(MorselOut::Partial)
-                .map_err(|(r, e)| (pre_len + r, e))
+            Shape::Aggregate {
+                items,
+                group_by,
+                weighted: agg_weighted,
+            } => {
+                debug_assert_eq!(*agg_weighted, weights.is_some());
+                aggregate::compute_partial(items, group_by, &table, weights.as_deref(), params)
+                    .map(MorselOut::Partial)
+                    .map_err(|(r, e)| (pre_len + r, e))
             }
-            Shape::Project(project) => {
+            Shape::Project { items } => {
                 let rank = |r: u32| pre_len.saturating_add(r);
-                let out = project
-                    .project_ranked(&batch.table, params)
-                    .map_err(|(r, e)| (rank(r), e))?;
+                let out = project_ranked(items, &table, params).map_err(|(r, e)| (rank(r), e))?;
                 let typed = typed_columns(&out);
-                let Some(topk) = topk else {
-                    let filtered = carry_filtered.then_some(batch.table);
+                let Some((keys, limit)) = topk else {
+                    let filtered = carry_filtered.then_some(table);
                     return Ok(MorselOut::Shaped {
                         out,
                         filtered,
                         typed,
                     });
                 };
-                let keys_rank = 1 + project.items.len() as u32;
-                let ctx = ExecContext {
-                    filtered_input: Some(&batch.table),
-                    ..ctx
-                };
-                let keep = topk
-                    .morsel_candidates(&ctx, &out)
+                let keys_rank = 1 + items.len() as u32;
+                let keep = topk_candidates(keys, limit, params, &out, &table)
                     .map_err(|(r, e)| (rank(keys_rank + r), e))?;
                 Ok(MorselOut::Shaped {
                     out: out.take(&keep),
-                    filtered: Some(batch.table.take(&keep)),
+                    filtered: Some(table.take(&keep)),
                     typed,
                 })
             }
@@ -409,8 +397,8 @@ pub(crate) fn execute_plan(
     let outs = first_error(run_ordered(n_morsels, threads, run))?;
 
     // Merge phase.
-    let (mut batch, filtered_merged) = match &plan.shape {
-        Shape::Aggregate(agg) => {
+    let (table, filtered_merged) = match &plan.shape {
+        Shape::Aggregate { items, .. } => {
             let partials: Vec<aggregate::MorselPartial> = outs
                 .into_iter()
                 .map(|o| match o {
@@ -419,22 +407,16 @@ pub(crate) fn execute_plan(
                 })
                 .collect();
             let table = aggregate::merge_finalize(
-                &agg.items,
+                items,
                 weighted,
                 &partials,
                 params,
                 threads,
                 ctx.partitions,
             )?;
-            (
-                Batch {
-                    table,
-                    weights: None,
-                },
-                None,
-            )
+            (table, None)
         }
-        Shape::Project(_) => {
+        Shape::Project { .. } => {
             let mut fragments = Vec::with_capacity(outs.len());
             let mut filtered = Vec::with_capacity(outs.len());
             let mut typed = Vec::with_capacity(outs.len());
@@ -454,7 +436,7 @@ pub(crate) fn execute_plan(
             }
             let merged = vstack_fragments(&fragments, &typed)?;
             let filtered_merged = match &source {
-                _ if plan.post_shape.is_empty() => None,
+                _ if plan.order.is_empty() => None,
                 _ if carry_filtered => {
                     let refs: Vec<&Table> = filtered.iter().collect();
                     Some(Table::vstack(&refs)?)
@@ -462,27 +444,14 @@ pub(crate) fn execute_plan(
                 MorselSource::Table { table, .. } => Some((*table).clone()),
                 MorselSource::Joined(_) => unreachable!("joined morsels carry their rows"),
             };
-            (
-                Batch {
-                    table: merged,
-                    weights: None,
-                },
-                filtered_merged,
-            )
+            (merged, filtered_merged)
         }
     };
 
-    // Post-shape stages run once over the merged result with the whole
-    // budget — Sort builds its runs on the worker pool; a per-morsel
-    // TopK selects again, over the surviving candidates.
-    let ctx = ExecContext {
-        filtered_input: filtered_merged.as_ref(),
-        ..*ctx
-    };
-    for op in &plan.post_shape {
-        batch = op.execute(&ctx, &batch)?;
-    }
-    Ok(batch.table)
+    // The ordering stages run once over the merged result with the
+    // whole budget — Sort builds its runs on the worker pool; a
+    // per-morsel TopK selects again, over the surviving candidates.
+    plan.apply_order(table, filtered_merged.as_ref(), ctx)
 }
 
 /// Resolve a pruned scan's column list against the actual table (by

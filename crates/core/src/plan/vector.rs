@@ -128,10 +128,7 @@ fn table_type(expr: &Expr, table: &Table) -> Result<Option<DataType>> {
 /// The error for an operand shape [`expr_type`] rejects, should one
 /// reach a kernel without it.
 fn mistyped(expr: &Expr) -> MosaicError {
-    MosaicError::Execution(format!(
-        "no kernel evaluates {} with its operand types",
-        expr.default_name()
-    ))
+    MosaicError::Execution(format!("no kernel evaluates {expr} with its operand types"))
 }
 
 fn splat_value(v: &Value, n: usize) -> Column {

@@ -25,7 +25,7 @@ use crate::engine::{sample_scan_schema, unknown_relation, MosaicEngine, QueryRes
 use crate::eval::check_select;
 use crate::plan::join::ScopeRel;
 use crate::plan::logical::LogicalPlan;
-use crate::plan::{has_aggregate_shape, plan_select, PhysicalPlan, Planned};
+use crate::plan::{plan_select, PhysicalPlan, Planned};
 use crate::source::choose_sample;
 use crate::{Knobs, MosaicError, Result, ScriptError};
 
@@ -368,9 +368,10 @@ pub struct Prepared {
     /// constant folding leaves `?` residuals for execution to bind) and
     /// physical plan.
     planned: Planned,
-    /// For aggregate OPEN queries: the plan of the inner body (ORDER
-    /// BY / LIMIT stripped) each generative replicate runs.
-    inner_plan: Option<PhysicalPlan>,
+    /// For aggregate OPEN queries: the plan each generative replicate
+    /// runs — the physical plan without its ordering stages, which apply
+    /// once the replicates combine.
+    replicate_plan: Option<PhysicalPlan>,
 }
 
 impl std::fmt::Debug for Prepared {
@@ -431,8 +432,8 @@ impl Prepared {
     }
 
     /// The replicate plan of an aggregate OPEN statement.
-    pub(crate) fn inner_plan(&self) -> Option<&PhysicalPlan> {
-        self.inner_plan.as_ref()
+    pub(crate) fn replicate_plan(&self) -> Option<&PhysicalPlan> {
+        self.replicate_plan.as_ref()
     }
 
     /// Names of the source relations, in bind order, for the
@@ -457,14 +458,16 @@ impl Prepared {
     /// The only place a FROM clause is classified.
     pub(crate) fn bind(cat: &Catalog, k: &Knobs, stmt: SelectStmt, sql: &str) -> Result<Prepared> {
         let param_count = stmt.param_count();
-        let finish = |stmt, source, deps, planned, inner_plan| Prepared {
+        let finish = |stmt: SelectStmt, source, deps, planned: Planned| Prepared {
             sql: sql.to_string(),
+            replicate_plan: (stmt.visibility == Some(Visibility::Open)
+                && planned.physical.is_aggregate())
+            .then(|| planned.physical.unordered()),
             stmt,
             param_count,
             source,
             deps,
             planned,
-            inner_plan,
         };
         let Some(fc) = stmt.from.clone() else {
             check_select(&stmt, &|c| {
@@ -481,7 +484,7 @@ impl Prepared {
                 .collect();
             let stmt = SelectStmt { items, ..stmt };
             let planned = plan_select(&stmt, false, k.optimizer, None);
-            return Ok(finish(stmt, Source::Scalar, Vec::new(), planned, None));
+            return Ok(finish(stmt, Source::Scalar, Vec::new(), planned));
         };
         if crate::plan::join::needs_scope(&stmt, &fc) {
             // Joins, aliases and qualified references bind through the
@@ -504,23 +507,16 @@ impl Prepared {
                 check_select(&stmt, &schema_types(&schema, &fc.base.name))?;
                 let planned = plan_select(&stmt, false, k.optimizer, Some(&schema));
                 let source = Source::Single(sources.remove(0));
-                return Ok(finish(stmt, source, scope.deps, planned, None));
+                return Ok(finish(stmt, source, scope.deps, planned));
             }
             // Population-containing scopes under SEMI-OPEN/OPEN answer
             // aggregates through the §5.3 weighted rewrite; CLOSED
             // scopes and plain sample joins do not.
             let weighted_agg = scope.vis.is_some_and(|v| v != Visibility::Closed);
-            let plan_join = |stmt: &SelectStmt| -> Result<(SelectStmt, Planned)> {
-                let bound = crate::plan::join::bind_join(stmt, scope.rels.clone(), weighted_agg)?;
-                let planned = crate::plan::plan_logical(bound.logical, k.optimizer, None);
-                Ok((bound.stmt, planned))
-            };
-            let inner_plan = open_inner_stmt(&stmt)
-                .map(|inner| plan_join(&inner).map(|(_, planned)| planned.physical))
-                .transpose()?;
-            let (stmt, planned) = plan_join(&stmt)?;
+            let bound = crate::plan::join::bind_join(&stmt, scope.rels, weighted_agg)?;
+            let planned = crate::plan::plan_logical(bound.logical, k.optimizer, None);
             let source = Source::Join(sources);
-            return Ok(finish(stmt, source, scope.deps, planned, inner_plan));
+            return Ok(finish(bound.stmt, source, scope.deps, planned));
         }
         let resolved = Resolved::classify(cat, &fc.base.name)?;
         let (stmt, schema) = match &resolved {
@@ -551,24 +547,11 @@ impl Prepared {
         // the §5.3 weighted-aggregate rewrite.
         let weighted = stmt.visibility.is_some_and(|v| v != Visibility::Closed);
         let planned = plan_select(&stmt, weighted, k.optimizer, Some(&schema));
-        let inner_plan = open_inner_stmt(&stmt)
-            .map(|inner| plan_select(&inner, true, k.optimizer, Some(&schema)).physical);
         let rel = resolved.bound(&fc.base, false);
         let mut deps = Vec::new();
         resolved.push_deps(&rel.name, false, &mut deps);
-        Ok(finish(stmt, Source::Single(rel), deps, planned, inner_plan))
+        Ok(finish(stmt, Source::Single(rel), deps, planned))
     }
-}
-
-/// For an aggregate OPEN statement: the ORDER BY / LIMIT-stripped body
-/// each generative replicate answers (ordering applies after the
-/// replicates combine).
-fn open_inner_stmt(stmt: &SelectStmt) -> Option<SelectStmt> {
-    (stmt.visibility == Some(Visibility::Open) && has_aggregate_shape(stmt)).then(|| SelectStmt {
-        order_by: Vec::new(),
-        limit: None,
-        ..stmt.clone()
-    })
 }
 
 /// Column types of one relation's schema, for [`check_select`], which

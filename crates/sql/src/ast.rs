@@ -399,6 +399,117 @@ impl Expr {
             },
         })
     }
+
+    /// How tightly the top node binds, in the parser's precedence levels
+    /// (OR < AND < NOT < comparison < `+ -` < `* / %` < unary minus <
+    /// atoms). A negative number literal binds like unary minus.
+    fn precedence(&self) -> u8 {
+        match self {
+            Expr::Binary { op, .. } => match op {
+                BinOp::Or => 1,
+                BinOp::And => 2,
+                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => 4,
+                BinOp::Add | BinOp::Sub => 5,
+                BinOp::Mul | BinOp::Div | BinOp::Mod => 6,
+            },
+            Expr::Unary {
+                op: UnaryOp::Not, ..
+            } => 3,
+            Expr::InList { .. } | Expr::Between { .. } | Expr::IsNull { .. } => 4,
+            Expr::Unary {
+                op: UnaryOp::Neg, ..
+            } => 7,
+            Expr::Literal(Value::Int(i)) if *i < 0 => 7,
+            Expr::Literal(Value::Float(x)) if x.is_sign_negative() => 7,
+            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) | Expr::Agg { .. } => 8,
+        }
+    }
+
+    /// Write `self` as an operand of a slot that needs at least `min`
+    /// binding strength, parenthesized when it binds more loosely.
+    fn fmt_operand(&self, f: &mut fmt::Formatter<'_>, min: u8) -> fmt::Result {
+        if self.precedence() < min {
+            write!(f, "({self})")
+        } else {
+            write!(f, "{self}")
+        }
+    }
+}
+
+/// The expression as SQL text that parses back to the same tree: string
+/// literals are quoted (`'` doubled), float literals keep their decimal
+/// point (`2.0`, not `2`), IN lists and BETWEEN bounds are written out,
+/// and operands are parenthesized where precedence needs it. A `?` is
+/// written with its 1-based position (`?1`). Messages,
+/// plan text and `EXPLAIN` use this; [`Expr::default_name`] stays the
+/// output-column name.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let not = |negated: bool| if negated { "NOT " } else { "" };
+        match self {
+            Expr::Column(c) => f.write_str(c),
+            Expr::Literal(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
+            Expr::Literal(Value::Float(x)) => write!(f, "{x:?}"),
+            Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Param(i) => write!(f, "?{}", i + 1),
+            Expr::Agg { func, arg: None } => write!(f, "{}(*)", func.name()),
+            Expr::Agg { func, arg: Some(a) } => write!(f, "{}({a})", func.name()),
+            Expr::Binary { left, op, right } => {
+                let p = self.precedence();
+                // Comparisons take additive operands on both sides; the
+                // other operators associate to the left.
+                let (lmin, rmin) = if p == 4 { (5, 5) } else { (p, p + 1) };
+                left.fmt_operand(f, lmin)?;
+                write!(f, " {op} ")?;
+                right.fmt_operand(f, rmin)
+            }
+            Expr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => {
+                f.write_str("NOT ")?;
+                expr.fmt_operand(f, 3)
+            }
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => {
+                f.write_str("-")?;
+                expr.fmt_operand(f, 8)
+            }
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                expr.fmt_operand(f, 5)?;
+                write!(f, " {}IN (", not(*negated))?;
+                for (i, item) in list.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str(")")
+            }
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => {
+                expr.fmt_operand(f, 5)?;
+                write!(f, " {}BETWEEN ", not(*negated))?;
+                low.fmt_operand(f, 5)?;
+                f.write_str(" AND ")?;
+                high.fmt_operand(f, 5)
+            }
+            Expr::IsNull { expr, negated } => {
+                expr.fmt_operand(f, 5)?;
+                write!(f, " IS {}NULL", not(*negated))
+            }
+        }
+    }
 }
 
 /// One projection in a SELECT list.
@@ -413,6 +524,20 @@ pub enum SelectItem {
         /// Optional alias.
         alias: Option<String>,
     },
+}
+
+/// `*`, `expr` or `expr AS alias`, with the expression's [`Expr`] text.
+impl fmt::Display for SelectItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelectItem::Wildcard => f.write_str("*"),
+            SelectItem::Expr { expr, alias: None } => write!(f, "{expr}"),
+            SelectItem::Expr {
+                expr,
+                alias: Some(alias),
+            } => write!(f, "{expr} AS {alias}"),
+        }
+    }
 }
 
 /// A relation reference in a FROM clause: the relation name plus an
@@ -749,6 +874,7 @@ pub enum Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_expr;
 
     #[test]
     fn expr_helpers() {
@@ -795,6 +921,50 @@ mod tests {
             .default_name(),
             "COUNT(*)"
         );
+    }
+
+    /// The text parses back to the same tree, and what `default_name`
+    /// loses — quotes, list items, bounds, a float's decimal point,
+    /// grouping — it keeps.
+    #[test]
+    fn display_round_trips_through_the_parser() {
+        for (src, text) in [
+            ("s = 'k'", "s = 'k'"),
+            ("s = k", "s = k"),
+            ("s = 'it''s'", "s = 'it''s'"),
+            ("i IN (1, 2, NULL)", "i IN (1, 2, NULL)"),
+            ("s NOT IN ['a', 'b']", "s NOT IN ('a', 'b')"),
+            ("f NOT BETWEEN 1 AND 2.5", "f NOT BETWEEN 1 AND 2.5"),
+            ("f BETWEEN -1 AND i + 1", "f BETWEEN -1 AND i + 1"),
+            ("SUM(i * 2.0)", "SUM(i * 2.0)"),
+            ("(a + b) * c", "(a + b) * c"),
+            ("a - (b - c)", "a - (b - c)"),
+            ("a - b - c", "a - b - c"),
+            ("a - -3", "a - -3"),
+            ("-(a + 1)", "-(a + 1)"),
+            ("-(-a)", "-(-a)"),
+            ("(a OR b) AND NOT (c OR d)", "(a OR b) AND NOT (c OR d)"),
+            ("NOT a = b", "NOT a = b"),
+            ("(a = b) = c", "(a = b) = c"),
+            ("(a > 1) IS NULL", "(a > 1) IS NULL"),
+            ("COUNT(*) + MAX(t.v)", "COUNT(*) + MAX(t.v)"),
+            ("b = true", "b = true"),
+        ] {
+            let e = parse_expr(src).unwrap();
+            assert_eq!(e.to_string(), text, "{src}");
+            assert_eq!(parse_expr(text).unwrap(), e, "{src} -> {text}");
+        }
+        // `-(-3)`: a folded literal under negation keeps its parentheses.
+        let e = Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::lit(-3)),
+        };
+        assert_eq!(e.to_string(), "-(-3)");
+        // A parameter is named by its 1-based position.
+        let e = parse_expr("x IS NOT NULL OR y > ?").unwrap();
+        assert_eq!(e.to_string(), "x IS NOT NULL OR y > ?1");
+        // Output names are unchanged.
+        assert_eq!(parse_expr("s = 'k'").unwrap().default_name(), "s = k");
     }
 
     #[test]

@@ -240,8 +240,7 @@ pub mod oracle {
                     .position(|g| g == expr)
                     .ok_or_else(|| {
                         MosaicError::Execution(format!(
-                            "projection {} is neither an aggregate nor a GROUP BY expression",
-                            expr.default_name()
+                            "projection {expr} is neither an aggregate nor a GROUP BY expression"
                         ))
                     })?;
                 group_keys.iter().map(|key| key[pos].clone()).collect()
@@ -277,8 +276,7 @@ pub mod oracle {
             }),
             Expr::Literal(v) => Ok(v.clone()),
             other => Err(MosaicError::Execution(format!(
-                "expression {} mixes aggregates with row-level terms",
-                other.default_name()
+                "expression {other} mixes aggregates with row-level terms"
             ))),
         }
     }

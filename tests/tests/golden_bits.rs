@@ -257,11 +257,10 @@ fn open_answer_is_golden() {
         .with_backend(OpenBackend::Swg(swg))
         .with_num_generated(4)
         .with_rows_per_sample(Some(150));
-    let db = Arc::new(MosaicEngine::with_options(
+    let engine = Arc::new(MosaicEngine::with_options(
         EngineOptions::default().with_open(open),
-    ))
-    .session()
-    .with_seed(11);
+    ));
+    let db = engine.session().with_seed(11);
     db.execute(
         "CREATE TABLE Report (country TEXT, email TEXT, reported_count INT);
          INSERT INTO Report (country, reported_count) VALUES ('UK', 600), ('FR', 400);
@@ -291,6 +290,59 @@ fn open_answer_is_golden() {
     assert_eq!(
         format!("{:#018x}", table_digest(&answer.table)),
         "0x5efd8c2fde3ebf94"
+    );
+
+    // ORDER BY … LIMIT applies to the combined answer, not to each
+    // replicate: fused into a TopK with the optimizer on, Sort → Limit
+    // with it off, and the same bits either way.
+    let top = "SELECT OPEN country, email, COUNT(*) AS n FROM Migrants \
+               GROUP BY country, email ORDER BY n DESC, country LIMIT 1";
+    for optimizer in [true, false] {
+        let s = engine.session().with_seed(11).with_optimizer(optimizer);
+        let fused = s
+            .prepare(top)
+            .unwrap()
+            .fired_rules()
+            .contains(&"sort_limit_fusion");
+        assert_eq!(fused, optimizer);
+        let answer = s.execute(top).unwrap();
+        assert_eq!(answer.table.num_rows(), 1);
+        assert_eq!(
+            format!("{:#018x}", table_digest(&answer.table)),
+            "0x99357480e483b8e1",
+            "optimizer {optimizer}"
+        );
+    }
+    // The same statement prepared with a parameter in its WHERE clause.
+    let prepared = db
+        .prepare(
+            "SELECT OPEN country, email, COUNT(*) AS n FROM Migrants WHERE country <> ? \
+             GROUP BY country, email ORDER BY n DESC, country LIMIT 1",
+        )
+        .unwrap();
+    let answer = db
+        .execute_prepared(&prepared, &[Value::Str("FR".into())])
+        .unwrap();
+    assert_eq!(
+        format!("{:#018x}", table_digest(&answer.table)),
+        "0xd7eb8ace7314bd80"
+    );
+    // An OPEN-join aggregate that orders and limits.
+    db.execute(
+        "CREATE TABLE Regions (country TEXT, region TEXT);
+         INSERT INTO Regions VALUES ('UK', 'north'), ('FR', 'south');",
+    )
+    .unwrap();
+    let answer = db
+        .execute(
+            "SELECT OPEN c.region AS region, m.email AS email, COUNT(*) AS n \
+             FROM Migrants m JOIN Regions c ON m.country = c.country \
+             GROUP BY c.region, m.email ORDER BY n DESC, region LIMIT 2",
+        )
+        .unwrap();
+    assert_eq!(
+        format!("{:#018x}", table_digest(&answer.table)),
+        "0x45a9ef4b3535eb54"
     );
 }
 
