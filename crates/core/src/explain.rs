@@ -17,8 +17,9 @@ use mosaic_storage::Table;
 use crate::catalog::{Catalog, Mechanism};
 use crate::engine::{fingerprint_of, result_cache_on, EngineOptions, MosaicEngine};
 use crate::plan::fingerprint::format_fingerprint;
-use crate::plan::parallel::{sort_runs, MORSEL_ROWS};
-use crate::plan::{has_aggregate_shape, join, Order, Planned, Shape};
+use crate::plan::logical::describe_keys;
+use crate::plan::parallel::MORSEL_ROWS;
+use crate::plan::{has_aggregate_shape, join, Order, Planned};
 use crate::session::{BoundRel, Prepared, RelKind, Source};
 use crate::source::{combined_weight, mechanism_note, read_side, How, PopulationRead, Read};
 use crate::{Knobs, Result};
@@ -319,12 +320,10 @@ fn render_join(
 
 /// Append the plan lines: logical before/after with the fired rule
 /// names, then the physical pipeline — scan (with its morsel split and
-/// pruned column list) plus each operator's description, and the sort
-/// strategy (serial single run vs parallel runs + k-way merge) when the
-/// plan carries a full Sort. `rows` is the pre-filter scan bound, so
-/// the run count is an upper bound.
+/// pruned column list) plus each operator's description, and how a full
+/// Sort runs when the plan carries one. `rows` is the pre-filter scan
+/// bound.
 fn push_plan(lines: &mut Vec<String>, planned: &Planned, k: &Knobs, source: &str, rows: usize) {
-    let threads = k.threads;
     lines.push(format!("  logical: {}", planned.logical));
     if !k.optimizer {
         lines.push("  optimizer: off".to_string());
@@ -347,24 +346,25 @@ fn push_plan(lines: &mut Vec<String>, planned: &Planned, k: &Knobs, source: &str
     for d in plan.describe_operators() {
         lines.push(format!("    {d}"));
     }
-    // The sort input size is only known at plan time when no aggregate
-    // sits between the scan and the Sort; an aggregated plan sorts its
-    // group count, decided at execution by the same gate.
-    let saw_agg = matches!(plan.shape, Shape::Aggregate { .. });
-    if plan.order.iter().any(|o| matches!(o, Order::Sort { .. })) {
-        if saw_agg && threads > 1 {
-            lines.push(format!(
-                "    sort: over the aggregate output — parallel runs + k-way merge \
-                 when the group count exceeds {MORSEL_ROWS}, else serial"
-            ));
-        } else if let runs @ 2.. = sort_runs(rows, threads) {
-            lines.push(format!(
-                "    sort: parallel — runs={runs} (≤{MORSEL_ROWS} rows each, sorted \
-                 on the worker pool), merge=k-way"
-            ));
+    for stage in &plan.order {
+        let Order::Sort { keys } = stage else {
+            continue;
+        };
+        let chain: Vec<String> = keys
+            .iter()
+            .map(|k| describe_keys(std::slice::from_ref(k)))
+            .collect();
+        let input = if plan.order_reads_input {
+            "; keys read the pre-projection rows"
         } else {
-            lines.push("    sort: serial (single sorted run)".to_string());
-        }
+            ""
+        };
+        lines.push(format!(
+            "    sort: integer sort of (u64 prefix, row id) pairs on the calling thread, key by \
+             key: {}; full comparator only where a prefix cannot decide (TEXT, NULL beside the \
+             minimum){input}",
+            chain.join(" → ")
+        ));
     }
 }
 
@@ -437,31 +437,51 @@ mod tests {
         use crate::plan::parallel::MORSEL_ROWS;
         use mosaic_storage::{DataType, Field, Schema, TableBuilder, Value};
         let engine = Arc::new(MosaicEngine::new());
-        let mut b = TableBuilder::new(Schema::new(vec![Field::new("v", DataType::Int)]));
+        let mut b = TableBuilder::new(Schema::new(vec![
+            Field::new("v", DataType::Int),
+            Field::new("w", DataType::Int),
+        ]));
         for r in 0..(2 * MORSEL_ROWS + 5) {
-            b.push_row(vec![Value::Int(r as i64)]).unwrap();
+            b.push_row(vec![Value::Int(r as i64), Value::Int(-(r as i64))])
+                .unwrap();
         }
         engine.register_table("big", b.finish()).unwrap();
         let s = engine.session().with_parallelism(8).with_optimizer(true);
         let r = s
             .execute("EXPLAIN SELECT v FROM big ORDER BY v DESC")
             .unwrap();
-        let text = lines_of(&r).join("\n");
-        assert!(text.contains("sort: parallel — runs=3"), "{text}");
-        assert!(text.contains("merge=k-way"), "{text}");
-        // One worker thread: a single in-place sort, no pool traffic.
+        let sort_line = |r: &crate::QueryResult| {
+            lines_of(r)
+                .into_iter()
+                .find(|l| l.trim_start().starts_with("sort:"))
+        };
+        assert_eq!(
+            sort_line(&r).as_deref().map(str::trim),
+            Some(
+                "sort: integer sort of (u64 prefix, row id) pairs on the calling thread, key by \
+                 key: v DESC; full comparator only where a prefix cannot decide (TEXT, NULL \
+                 beside the minimum)"
+            ),
+        );
+        // The thread budget does not change how a Sort runs.
         let serial = s.clone().with_parallelism(1);
-        let r = serial
+        let r1 = serial
             .execute("EXPLAIN SELECT v FROM big ORDER BY v DESC")
             .unwrap();
-        let text = lines_of(&r).join("\n");
-        assert!(text.contains("sort: serial (single sorted run)"), "{text}");
-        // A single-morsel input sorts serially at any thread budget.
-        s.execute("CREATE TABLE small (v INT); INSERT INTO small VALUES (2), (1);")
+        assert_eq!(sort_line(&r1), sort_line(&r));
+        // More keys re-key in order; a key the projection drops reads the
+        // pre-projection rows.
+        let r = s
+            .execute("EXPLAIN SELECT v FROM big WHERE v > 3 ORDER BY w, v")
             .unwrap();
-        let r = s.execute("EXPLAIN SELECT v FROM small ORDER BY v").unwrap();
         let text = lines_of(&r).join("\n");
-        assert!(text.contains("sort: serial (single sorted run)"), "{text}");
+        assert!(
+            text.contains(
+                "key by key: w → v; full comparator only where a prefix cannot decide (TEXT, \
+                 NULL beside the minimum); keys read the pre-projection rows"
+            ),
+            "{text}"
+        );
         // Fused TopK is not a full Sort: no sort-strategy line at all.
         let r = s
             .execute("EXPLAIN SELECT v FROM big ORDER BY v DESC LIMIT 5")
@@ -469,14 +489,16 @@ mod tests {
         let text = lines_of(&r).join("\n");
         assert!(text.contains("TopK"), "{text}");
         assert!(!text.contains("sort:"), "{text}");
-        // A Sort over an aggregate sorts the group count, unknown at
-        // plan time — the line says so instead of quoting scan morsels.
+        // A Sort over an aggregate sorts its output the same way.
         let r = s
             .execute("EXPLAIN SELECT v, COUNT(*) AS c FROM big GROUP BY v ORDER BY c DESC")
             .unwrap();
         let text = lines_of(&r).join("\n");
-        assert!(text.contains("sort: over the aggregate output"), "{text}");
-        assert!(!text.contains("sort: parallel — runs="), "{text}");
+        assert!(text.contains("key by key: c DESC;"), "{text}");
+        assert!(
+            !text.contains("keys read the pre-projection rows"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub struct ExecContext<'a> {
     /// this vector before evaluating.
     pub params: &'a [Value],
     /// Worker-thread budget (minimum 1) of the morsel phase and of the
-    /// ordering stages (`Sort` builds per-block sorted runs on the
-    /// worker pool). Morsel-phase stages take no budget — they already
-    /// run *on* the pool. Never changes results, only who computes them.
+    /// aggregate merge. Morsel-phase stages take no budget — they already
+    /// run *on* the pool — and the ordering stages run on the calling
+    /// thread. Never changes results, only who computes them.
     pub threads: usize,
     /// Radix-partition count (minimum 1 = serial) of the aggregate
     /// merge and of a multi-morsel join build. Never changes results.
@@ -246,10 +246,10 @@ pub(crate) fn project_ranked(
 /// (projected or aggregated) result, after the morsel merge.
 #[derive(Clone)]
 pub(crate) enum Order {
-    /// `ORDER BY` — sort on evaluated key columns. Multi-block inputs
-    /// sort as parallel per-block runs + one k-way merge under a strict
-    /// (keys, row index) order, which is the stable sort's order exactly
-    /// — bit-identical at every thread count.
+    /// `ORDER BY` — sort on evaluated key columns ([`sort_indices`]):
+    /// `(prefix, row)` pairs sort with integer comparisons, key by key,
+    /// into the strict (keys, row index) order, which is the stable
+    /// sort's order exactly — bit-identical at every thread count.
     Sort {
         /// `(expr, descending)` sort keys.
         keys: Vec<(Expr, bool)>,
@@ -300,9 +300,18 @@ impl Order {
         }
     }
 
+    /// The sort keys of a Sort or TopK stage.
+    fn keys(&self) -> &[(Expr, bool)] {
+        match self {
+            Order::Sort { keys } | Order::TopK { keys, .. } => keys,
+            Order::Limit { .. } => &[],
+        }
+    }
+
     /// Run this stage over `table`. `input`, when given, holds the
     /// post-filter, pre-projection rows parallel to `table`: sort keys
-    /// naming a source column the projection dropped resolve against it.
+    /// naming a source column the projection dropped resolve against it
+    /// (see [`PhysicalPlan::order_reads_input`]).
     fn apply(&self, table: Table, input: Option<&Table>, ctx: &ExecContext<'_>) -> Result<Table> {
         let (keys, n) = match self {
             Order::Limit { n } => return Ok(table.limit(*n)),
@@ -310,15 +319,13 @@ impl Order {
             Order::TopK { keys, n } => (keys, Some(*n)),
         };
         let key_cols = eval_sort_keys(keys, ctx.params, &table, input).map_err(|(_, e)| e)?;
-        // Strictness is what lets the sort split into per-block runs on
-        // the worker pool and recombine through a k-way merge without
-        // changing a single output bit at any thread count
-        // (`parallel_sort_indices`).
-        let cmp = row_order(keys, &key_cols);
         let rows = table.num_rows();
         let Some(n) = n else {
-            return Ok(table.take(&parallel::parallel_sort_indices(rows, ctx.threads, cmp)));
+            let order = sort_indices(keys, &key_cols, rows);
+            drop(key_cols);
+            return Ok(table.take(&order));
         };
+        let cmp = row_order(keys, &key_cols);
         // Bounded heap per morsel-sized block, then an ordered merge of
         // the ≤ n survivors per block.
         let mut candidates: Vec<usize> = Vec::new();
@@ -334,35 +341,115 @@ impl Order {
     }
 }
 
-/// Evaluate `ORDER BY` key columns: prefer keys resolved against the
-/// shaped output (aliases, aggregate names); fall back to the
-/// pre-projection `input` when the output lacks the column and row
-/// counts line up. Shared by Sort and TopK — the fused stage must
-/// resolve keys exactly like the sort it replaces, or the optimizer's
-/// bit-identity contract breaks. An error carries the failing key's
-/// index.
+/// True when every column `key` references is one of `names` (the
+/// shaped output's columns), so the key resolves against the output.
+fn resolves_in<'a>(key: &Expr, names: impl Iterator<Item = &'a str> + Clone) -> bool {
+    key.referenced_columns()
+        .iter()
+        .all(|c| names.clone().any(|n| n.eq_ignore_ascii_case(c)))
+}
+
+/// Evaluate `ORDER BY` key columns: a key resolves against the shaped
+/// output (aliases, aggregate names) when every column it names is an
+/// output column, else against the pre-projection `input`, which is
+/// parallel to `out` whenever it is given. Shared by Sort and TopK — the
+/// fused stage must resolve keys exactly like the sort it replaces, or
+/// the optimizer's bit-identity contract breaks. An error carries the
+/// failing key's index.
 fn eval_sort_keys(
     keys: &[(Expr, bool)],
     params: &[Value],
     out: &Table,
     input: Option<&Table>,
 ) -> aggregate::Ranked<Vec<Column>> {
+    let names = out.schema().fields().iter().map(|f| f.name.as_str());
     let mut key_cols: Vec<Column> = Vec::with_capacity(keys.len());
     for (ki, (expr, _)) in keys.iter().enumerate() {
         let rank = ki as u32;
         let expr = bind_expr(expr, params).map_err(|e| (rank, e))?;
-        let col = match vector::eval_expr(&expr, out) {
-            Ok(c) => c,
-            Err(e) => match input {
-                Some(t) if t.num_rows() == out.num_rows() => {
-                    vector::eval_expr(&expr, t).map_err(|e| (rank, e))?
-                }
-                _ => return Err((rank, e)),
-            },
+        let source = match input {
+            Some(input) if !resolves_in(&expr, names.clone()) => {
+                debug_assert_eq!(input.num_rows(), out.num_rows());
+                input
+            }
+            _ => out,
         };
-        key_cols.push(col);
+        key_cols.push(vector::eval_expr(&expr, source).map_err(|e| (rank, e))?);
     }
     Ok(key_cols)
+}
+
+/// The permutation of a full Sort: the strict [`row_order`] of
+/// `key_cols` over `rows` rows, sorted on 16 bytes per row — the first
+/// key's order prefix ([`Column::order_prefix`]) packed above the row id
+/// in one `u128` (see [`sort_pairs`]). `row_order` is strict, so the
+/// permutation is unique: any thread count, and any correct sort, gives
+/// the same bits.
+fn sort_indices(keys: &[(Expr, bool)], key_cols: &[Column], rows: usize) -> Vec<usize> {
+    assert!(
+        rows <= u32::MAX as usize,
+        "sort input has too many rows for u32 row ids"
+    );
+    let mut pairs: Vec<u128> = (0..rows)
+        .map(|row| sort_pair(keys, key_cols, 0, row))
+        .collect();
+    let has_nulls: Vec<bool> = key_cols.iter().map(|c| c.null_count() > 0).collect();
+    let cmp = row_order(keys, key_cols);
+    sort_pairs(&mut pairs, 0, keys, key_cols, &has_nulls, &cmp);
+    pairs.into_iter().map(pair_row).collect()
+}
+
+/// Key `k`'s order prefix of `row` (complemented for DESC) above the
+/// row id.
+fn sort_pair(keys: &[(Expr, bool)], key_cols: &[Column], k: usize, row: usize) -> u128 {
+    let prefix = key_cols[k].order_prefix(row);
+    let prefix = if keys[k].1 { !prefix } else { prefix };
+    u128::from(prefix) << 64 | row as u128
+}
+
+/// The row id of a sort pair.
+fn pair_row(pair: u128) -> usize {
+    pair as u32 as usize
+}
+
+/// Put `pairs` — key `k`'s sort pairs of rows that tie on every earlier
+/// key — into `cmp` order. One integer sort orders the prefixes; equal
+/// prefixes fall to the row id, which is `row_order`'s own tie-break. A
+/// run of equal prefixes over equal key values (an exact prefix, rows
+/// all NULL or all not) re-keys on key `k + 1` and recurses; a run the
+/// prefix cannot decide (plain strings, NULL beside `i64::MIN` or the
+/// all-ones NaN) sorts under the full comparator.
+fn sort_pairs(
+    pairs: &mut [u128],
+    k: usize,
+    keys: &[(Expr, bool)],
+    key_cols: &[Column],
+    has_nulls: &[bool],
+    cmp: &impl Fn(usize, usize) -> std::cmp::Ordering,
+) {
+    pairs.sort_unstable();
+    let col = &key_cols[k];
+    let (exact, has_nulls_k) = (col.order_prefix_is_exact(), has_nulls[k]);
+    if exact && !has_nulls_k && k + 1 == keys.len() {
+        return;
+    }
+    for run in pairs.chunk_by_mut(|a, b| a >> 64 == b >> 64) {
+        if run.len() < 2 {
+            continue;
+        }
+        let mixed = has_nulls_k && {
+            let nulls = run.iter().filter(|&&p| col.is_null(pair_row(p))).count();
+            nulls != 0 && nulls != run.len()
+        };
+        if !exact || mixed {
+            run.sort_unstable_by(|&a, &b| cmp(pair_row(a), pair_row(b)));
+        } else if k + 1 < keys.len() {
+            for pair in run.iter_mut() {
+                *pair = sort_pair(keys, key_cols, k + 1, pair_row(*pair));
+            }
+            sort_pairs(run, k + 1, keys, key_cols, has_nulls, cmp);
+        }
+    }
 }
 
 /// The strict total order of Sort and TopK: the ORDER BY key chain, ties
@@ -389,16 +476,17 @@ fn row_order<'a>(
 /// the same strict (keys, row index) order — in ascending row order, so
 /// the candidates of all morsels, concatenated, keep the input order the
 /// final selection breaks ties on. Sort keys resolve as in the TopK
-/// stage itself (`input` = the morsel's pre-projection rows); an error
-/// carries the failing key's index.
+/// stage itself (`input` = the morsel's pre-projection rows, when the
+/// plan's ordering reads them); an error carries the failing key's
+/// index.
 pub(crate) fn topk_candidates(
     keys: &[(Expr, bool)],
     n: usize,
     params: &[Value],
     out: &Table,
-    input: &Table,
+    input: Option<&Table>,
 ) -> aggregate::Ranked<Vec<usize>> {
-    let key_cols = eval_sort_keys(keys, params, out, Some(input))?;
+    let key_cols = eval_sort_keys(keys, params, out, input)?;
     let cmp = row_order(keys, &key_cols);
     let mut keep = Vec::with_capacity(n.min(out.num_rows()));
     top_n_in_range(0..out.num_rows(), n, &cmp, &mut keep);
@@ -490,6 +578,11 @@ pub struct PhysicalPlan {
     pub(crate) shape: Shape,
     /// The ordering stages, run once over the shaped result.
     pub(crate) order: Vec<Order>,
+    /// Whether an ordering stage resolves a key against the post-filter,
+    /// pre-projection rows, decided at lowering ([`order_reads_input`]):
+    /// only then does the morsel driver keep those rows next to the
+    /// projected ones.
+    pub(crate) order_reads_input: bool,
 }
 
 impl PhysicalPlan {
@@ -532,10 +625,10 @@ impl PhysicalPlan {
         }
     }
 
-    /// Run the ordering stages over a shaped result, with the whole
-    /// thread budget: the morsel driver's post-merge loop, and the OPEN
-    /// combiner's, which orders the combined replicate answers (with no
-    /// pre-projection `input`, as for every aggregate plan).
+    /// Run the ordering stages over a shaped result: the morsel
+    /// driver's post-merge loop, and the OPEN combiner's, which orders
+    /// the combined replicate answers (with no pre-projection `input`,
+    /// as for every aggregate plan).
     pub(crate) fn apply_order(
         &self,
         mut table: Table,
@@ -553,6 +646,7 @@ impl PhysicalPlan {
     pub(crate) fn unordered(&self) -> PhysicalPlan {
         PhysicalPlan {
             order: Vec::new(),
+            order_reads_input: false,
             ..self.clone()
         }
     }
@@ -712,15 +806,38 @@ fn lower_logical(plan: &LogicalPlan) -> PhysicalPlan {
             }),
         }
     }
+    let shape = shape.unwrap_or_else(|| Shape::Project {
+        items: vec![SelectItem::Wildcard],
+    });
     PhysicalPlan {
         scan_columns,
         join: join_stage,
         filters,
-        shape: shape.unwrap_or_else(|| Shape::Project {
-            items: vec![SelectItem::Wildcard],
-        }),
+        order_reads_input: order_reads_input(&shape, &order),
+        shape,
         order,
     }
+}
+
+/// True when some Sort or TopK key of `order` names a column the
+/// projection `shape` does not output, so it resolves against the
+/// pre-projection rows. An aggregate's keys resolve against its output
+/// alone, and a `*` item outputs every input column.
+fn order_reads_input(shape: &Shape, order: &[Order]) -> bool {
+    let Shape::Project { items } = shape else {
+        return false;
+    };
+    if items
+        .iter()
+        .any(|item| matches!(item, SelectItem::Wildcard))
+    {
+        return false;
+    }
+    let names: Vec<String> = items.iter().map(output_name).collect();
+    order
+        .iter()
+        .flat_map(Order::keys)
+        .any(|(key, _)| !resolves_in(key, names.iter().map(String::as_str)))
 }
 
 /// Lower one join input chain (`Scan → Filter*`) into a [`join::JoinSide`].
@@ -877,37 +994,39 @@ mod tests {
         b.finish()
     }
 
-    /// `Sort` really runs its runs on the worker pool: running the
-    /// ordering stages directly (no morsel driver around them) on a 3-morsel
-    /// input with an 8-thread budget must raise the process-wide worker
-    /// gauge — and return exactly the serial result. Only a lower bound
-    /// is asserted (the gauge is shared with concurrently running
-    /// tests).
+    /// `Sort` over a 3-morsel input with heavy ties on its key returns
+    /// the stable order of the key at a 1- and an 8-thread budget alike:
+    /// the prefix sort breaks equal prefixes on the row id.
     #[test]
-    fn sort_op_runs_on_worker_pool() {
-        use crate::plan::parallel::{reset_worker_thread_peak, worker_thread_peak, MORSEL_ROWS};
+    fn sort_op_is_stable_at_every_thread_budget() {
+        use crate::plan::parallel::MORSEL_ROWS;
         let rows = 3 * MORSEL_ROWS + 17;
-        let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
+        let schema = Schema::new(vec![
+            Field::new("v", DataType::Int),
+            Field::new("r", DataType::Int),
+        ]);
         let mut b = TableBuilder::new(schema);
         for r in 0..rows {
-            b.push_row(vec![Value::Int(((r * 7919) % 1000) as i64)])
-                .unwrap();
+            b.push_row(vec![
+                Value::Int(((r * 7919) % 1000) as i64),
+                Value::Int(r as i64),
+            ])
+            .unwrap();
         }
-        let plan = lower(&select("SELECT v FROM t ORDER BY v DESC"), false);
+        let plan = lower(&select("SELECT v, r FROM t ORDER BY v DESC"), false);
         assert!(matches!(plan.order[..], [Order::Sort { .. }]));
         let table = b.finish();
         let ctx = |threads: usize| ExecContext::new(&[], threads, 1);
-        let serial = plan.apply_order(table.clone(), None, &ctx(1)).unwrap();
-        reset_worker_thread_peak();
-        let parallel = plan.apply_order(table, None, &ctx(8)).unwrap();
-        assert!(
-            worker_thread_peak() >= 2,
-            "Sort at 8 threads spawned {} pool worker(s)",
-            worker_thread_peak()
-        );
-        assert_eq!(serial.num_rows(), parallel.num_rows());
-        for r in 0..serial.num_rows() {
-            assert_eq!(serial.value(r, 0), parallel.value(r, 0), "row {r}");
+        let mut expect: Vec<usize> = (0..rows).collect();
+        expect.sort_by_key(|&r| std::cmp::Reverse(table.value(r, 0).as_i64()));
+        for threads in [1, 8] {
+            let got = plan
+                .apply_order(table.clone(), None, &ctx(threads))
+                .unwrap();
+            let got: Vec<usize> = (0..got.num_rows())
+                .map(|r| got.value(r, 1).as_i64().unwrap() as usize)
+                .collect();
+            assert_eq!(got, expect, "{threads} thread(s)");
         }
     }
 
@@ -1148,6 +1267,42 @@ mod tests {
             vec!["Scan", "Filter", "Project", "Sort", "Limit"]
         );
         assert!(planned.fired.is_empty());
+    }
+
+    /// Lowering decides whether the ordering stages read the
+    /// pre-projection rows: only a key naming a column the projection
+    /// drops does, so a Sort over output columns (aliases, expressions
+    /// over them, `*`) runs without the morsel driver carrying them.
+    #[test]
+    fn sort_on_output_columns_lowers_without_carried_input() {
+        for (src, reads_input) in [
+            ("SELECT k, v FROM t WHERE v > 1 ORDER BY v DESC, k", false),
+            ("SELECT k, v AS w FROM t WHERE v > 1 ORDER BY w + 1", false),
+            ("SELECT * FROM t WHERE v > 1 ORDER BY v", false),
+            (
+                "SELECT k, COUNT(*) AS c FROM t GROUP BY k ORDER BY c",
+                false,
+            ),
+            ("SELECT k FROM t WHERE v > 1 ORDER BY v DESC", true),
+            ("SELECT k, v AS w FROM t ORDER BY w, v", true),
+        ] {
+            for optimizer in [false, true] {
+                let plan = plan_select(&select(src), false, optimizer, None).physical;
+                assert_eq!(plan.order_reads_input, reads_input, "{src}");
+            }
+        }
+        let out = run(
+            &lower(
+                &select("SELECT k, v FROM t WHERE v > 1 ORDER BY v DESC, k"),
+                false,
+            ),
+            &table(),
+            None,
+            4,
+        )
+        .unwrap();
+        let got: Vec<Value> = (0..out.num_rows()).map(|r| out.value(r, 1)).collect();
+        assert_eq!(got, [5, 4, 3, 2].map(Value::Int));
     }
 
     #[test]

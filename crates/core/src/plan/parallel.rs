@@ -27,9 +27,8 @@
 //!    `partitions` knob's radix partitions and each partition
 //!    merges independently on the same worker pool, still folding in
 //!    morsel order within every group. Sort then runs once over the
-//!    merged result — itself parallel: per-block sorted runs built on
-//!    the same pool, combined by one deterministic k-way merge
-//!    (`parallel_sort_indices`) — and Limit truncates; a per-morsel
+//!    merged result — integer sorts of (key prefix, row id) pairs on
+//!    the calling thread, key by key — and Limit truncates; a per-morsel
 //!    TopK selects once more, from the surviving candidates.
 //!
 //! # Determinism
@@ -152,52 +151,6 @@ pub(crate) fn run_ordered<T: Send>(
         .collect()
 }
 
-/// How many sorted runs [`parallel_sort_indices`] builds for `rows` rows
-/// on `threads` workers: one per [`MORSEL_ROWS`] block, or 1 — a single
-/// in-place sort — for a single-block input or a single-threaded caller.
-pub(crate) fn sort_runs(rows: usize, threads: usize) -> usize {
-    if rows <= MORSEL_ROWS || threads <= 1 {
-        1
-    } else {
-        rows.div_ceil(MORSEL_ROWS)
-    }
-}
-
-/// Sort the index range `0..n` under a strict total order, in parallel:
-/// per-[`MORSEL_ROWS`]-block sorted runs built on the worker pool
-/// ([`run_ordered`]), then one deterministic k-way merge
-/// ([`kernels::merge_sorted_runs`]) on the calling thread.
-///
-/// `cmp` is three-way — one call per comparison — and must be
-/// **strict**: it orders any two distinct indices one way, with key ties
-/// broken on the index itself. That makes the result exactly the order
-/// of a *stable* sort by the keys alone, and makes it independent of the
-/// run split: bit-identical at every thread count. Single-run inputs
-/// (`n <= MORSEL_ROWS`) and single-threaded callers take one in-place
-/// sort with no pool traffic.
-pub(crate) fn parallel_sort_indices(
-    n: usize,
-    threads: usize,
-    cmp: impl Fn(usize, usize) -> std::cmp::Ordering + Sync,
-) -> Vec<usize> {
-    let ord = |a: &usize, b: &usize| cmp(*a, *b);
-    let n_runs = sort_runs(n, threads);
-    if n_runs == 1 {
-        let mut idx: Vec<usize> = (0..n).collect();
-        // The order is strict, so an unstable sort is deterministic.
-        idx.sort_unstable_by(ord);
-        return idx;
-    }
-    let runs = run_ordered(n_runs, threads, |ri| {
-        let start = ri * MORSEL_ROWS;
-        let end = (start + MORSEL_ROWS).min(n);
-        let mut run: Vec<usize> = (start..end).collect();
-        run.sort_unstable_by(ord);
-        run
-    });
-    kernels::merge_sorted_runs(&runs, |a, b| cmp(a, b).is_lt())
-}
-
 /// What one morsel contributes to the merge phase.
 enum MorselOut {
     /// Projection shape: the projected fragment (with a per-morsel TopK,
@@ -317,12 +270,11 @@ pub(crate) fn execute_plan(
     };
     let n_morsels = n.div_ceil(MORSEL_ROWS).max(1);
     let topk = plan.morsel_topk();
-    // The post-filter input only matters when an ordering stage might
-    // fall back to it (non-aggregate plans); a plain scan with no filter
+    // The post-filter input only matters when lowering found an ordering
+    // key the projection does not output; a plain scan with no filter
     // stages and no per-morsel TopK serves it as the whole table, with
     // zero merging.
-    let carry_filtered = !plan.is_aggregate()
-        && !plan.order.is_empty()
+    let carry_filtered = plan.order_reads_input
         && (!plan.filters.is_empty()
             || topk.is_some()
             || matches!(source, MorselSource::Joined(_)));
@@ -383,11 +335,12 @@ pub(crate) fn execute_plan(
                     });
                 };
                 let keys_rank = 1 + items.len() as u32;
-                let keep = topk_candidates(keys, limit, params, &out, &table)
+                let input = carry_filtered.then_some(&table);
+                let keep = topk_candidates(keys, limit, params, &out, input)
                     .map_err(|(r, e)| (rank(keys_rank + r), e))?;
                 Ok(MorselOut::Shaped {
                     out: out.take(&keep),
-                    filtered: Some(table.take(&keep)),
+                    filtered: input.map(|t| t.take(&keep)),
                     typed,
                 })
             }
@@ -436,7 +389,7 @@ pub(crate) fn execute_plan(
             }
             let merged = vstack_fragments(&fragments, &typed)?;
             let filtered_merged = match &source {
-                _ if plan.order.is_empty() => None,
+                _ if !plan.order_reads_input => None,
                 _ if carry_filtered => {
                     let refs: Vec<&Table> = filtered.iter().collect();
                     Some(Table::vstack(&refs)?)
@@ -448,9 +401,8 @@ pub(crate) fn execute_plan(
         }
     };
 
-    // The ordering stages run once over the merged result with the
-    // whole budget — Sort builds its runs on the worker pool; a
-    // per-morsel TopK selects again, over the surviving candidates.
+    // The ordering stages run once over the merged result; a per-morsel
+    // TopK selects again, over the surviving candidates.
     plan.apply_order(table, filtered_merged.as_ref(), ctx)
 }
 

@@ -431,6 +431,50 @@ impl Column {
         }
     }
 
+    /// An order-preserving `u64` prefix of row `i`: whenever
+    /// `order_prefix(a) < order_prefix(b)`, [`Column::total_cmp_rows`]
+    /// puts row `a` strictly before row `b` (complement both prefixes to
+    /// order descending). A sort can then order `(prefix, row)` pairs
+    /// with integer comparisons alone and look further only among equal
+    /// prefixes.
+    ///
+    /// Int flips the sign bit; Float takes the `total_cmp` bit transform
+    /// (−0.0 before +0.0, NaNs where `total_cmp` puts them); a plain
+    /// string keeps its first 8 bytes, big-endian and zero-padded; a
+    /// dictionary code maps to its sort rank + 1 and Bool to 1 or 2. NULL
+    /// is 0, which it shares only with `i64::MIN` and the NaN whose bits
+    /// are all ones.
+    #[inline]
+    pub fn order_prefix(&self, i: usize) -> u64 {
+        if self.is_null(i) {
+            return 0;
+        }
+        let i = self.offset + i;
+        match self.data.as_ref() {
+            ColumnData::Bool(v) => v[i] as u64 + 1,
+            ColumnData::Int(v) => v[i] as u64 ^ (1 << 63),
+            ColumnData::Float(v) => {
+                let bits = v[i].to_bits() as i64;
+                (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
+            }
+            ColumnData::Str(v) => {
+                let mut head = [0u8; 8];
+                let n = v[i].len().min(8);
+                head[..n].copy_from_slice(&v[i].as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }
+            ColumnData::Dict { codes, dict } => u64::from(dict.rank(codes[i])) + 1,
+        }
+    }
+
+    /// True when equal [order prefixes](Column::order_prefix) of two
+    /// non-NULL rows mean equal values: every representation but a plain
+    /// (not dictionary-encoded) string column, whose prefix keeps 8
+    /// bytes.
+    pub fn order_prefix_is_exact(&self) -> bool {
+        !matches!(self.data.as_ref(), ColumnData::Str(_))
+    }
+
     /// All values as f64, with NULL/non-numeric as `None`.
     pub fn to_f64_vec(&self) -> Vec<Option<f64>> {
         (0..self.len()).map(|i| self.f64_at(i)).collect()

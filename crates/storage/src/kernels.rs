@@ -665,9 +665,7 @@ pub fn group_min_max_i64(
 }
 
 /// Merge `K` sorted runs of row indices into one globally sorted index
-/// vector — the merge half of the parallel sort: runs are built
-/// (sorted) independently on a worker pool, then this kernel performs
-/// the deterministic k-way merge on the calling thread.
+/// vector: a deterministic k-way merge of runs sorted independently.
 ///
 /// `less` must be a **strict total order** over the indices appearing
 /// in the runs (callers break key ties on the index itself), each run

@@ -216,33 +216,6 @@ impl Table {
         Table::new(Arc::clone(&self.schema), columns)
     }
 
-    /// Stable sort by the given columns (`descending[i]` flips column `i`).
-    /// NULLs sort first (ascending).
-    pub fn sort_by(&self, keys: &[&str], descending: &[bool]) -> Result<Table> {
-        let key_cols = keys
-            .iter()
-            .map(|k| self.column_by_name(k))
-            .collect::<Result<Vec<_>>>()?;
-        let mut indices: Vec<usize> = (0..self.num_rows).collect();
-        indices.sort_by(|&a, &b| {
-            for (ci, col) in key_cols.iter().enumerate() {
-                // total_cmp_rows avoids materializing Values (and for
-                // dictionary columns compares precomputed sort ranks).
-                let ord = col.total_cmp_rows(a, b);
-                let ord = if descending.get(ci).copied().unwrap_or(false) {
-                    ord.reverse()
-                } else {
-                    ord
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(self.take(&indices))
-    }
-
     /// First `n` rows.
     pub fn limit(&self, n: usize) -> Table {
         let indices: Vec<usize> = (0..self.num_rows.min(n)).collect();
@@ -414,14 +387,6 @@ mod tests {
         let t = sample_table();
         let mut b = TableBuilder::new(Arc::clone(t.schema()));
         assert!(b.push_row(vec![1.into()]).is_err());
-    }
-
-    #[test]
-    fn sort_by_descending() {
-        let t = sample_table();
-        let s = t.sort_by(&["score"], &[true]).unwrap();
-        assert_eq!(s.value(0, 1), Value::Str("alice".into()));
-        assert_eq!(s.value(2, 1), Value::Str("bob".into()));
     }
 
     #[test]

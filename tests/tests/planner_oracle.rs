@@ -1052,11 +1052,10 @@ fn join_multi_morsel_probe_is_deterministic() {
     }
 }
 
-/// ORDER BY over a multi-morsel join: the parallel sort (run split +
-/// k-way merge) composed with the morsel-parallel probe and the
-/// partitioned build must stay bit-identical to the row-wise reference
-/// at every thread count × partition count, optimizer off and on —
-/// INNER and LEFT OUTER.
+/// ORDER BY over a multi-morsel join: the prefix sort composed with
+/// the morsel-parallel probe and the partitioned build must stay
+/// bit-identical to the row-wise reference at every thread count ×
+/// partition count, optimizer off and on — INNER and LEFT OUTER.
 #[test]
 fn order_by_over_join_multi_morsel_matches_reference() {
     let rows = 2 * mosaic_core::MORSEL_ROWS + 777;
