@@ -35,8 +35,9 @@
 //! operations — never during execution, a model fit or a replicate
 //! draw.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mosaic_sql::Visibility;
@@ -166,8 +167,13 @@ impl<K: Hash + Eq + Clone, V: Clone> EpochLru<K, V> {
     }
 
     /// [`EpochLru::get`] without counting a miss, for a cache whose
-    /// caller decides what a miss is.
-    fn lookup(&mut self, key: &K, cat: &Catalog) -> Option<V> {
+    /// caller decides what a miss is. The key may be a borrowed form of
+    /// `K`, so a probe need not build an owned key.
+    fn lookup<Q>(&mut self, key: &Q, cat: &Catalog) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let e = self.map.get_mut(key)?;
         if is_current(cat, &e.snapshot) {
             self.tick += 1;
@@ -297,10 +303,11 @@ impl ResultCache {
     }
 }
 
-/// Plan-cache key: the verbatim SQL text plus the two option knobs that
+/// Plan-cache key: the trimmed SQL text plus the two option knobs that
 /// participate in binding. (Visibility is baked into the bound
 /// statement at bind time; the optimizer setting changes the plan the
-/// bind produces.)
+/// bind produces.) A probe borrows the caller's text as a
+/// [`PlanKeyRef`]; only an insert copies it.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     sql: String,
@@ -308,13 +315,64 @@ struct PlanKey {
     optimizer: bool,
 }
 
-impl PlanKey {
-    fn new(sql: &str, visibility: Visibility, optimizer: bool) -> PlanKey {
-        PlanKey {
-            sql: sql.trim().to_string(),
+/// The borrowed form of a [`PlanKey`]. Its derived `Hash` feeds a hasher
+/// exactly what `PlanKey`'s does (a `String` hashes as its `str`), as
+/// the map's `Borrow` lookup requires.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKeyRef<'a> {
+    sql: &'a str,
+    visibility: Visibility,
+    optimizer: bool,
+}
+
+impl<'a> PlanKeyRef<'a> {
+    fn new(sql: &'a str, visibility: Visibility, optimizer: bool) -> PlanKeyRef<'a> {
+        PlanKeyRef {
+            sql: sql.trim(),
             visibility,
             optimizer,
         }
+    }
+}
+
+/// Owned and borrowed plan keys, seen as one type the map can look up.
+trait AsPlanKey {
+    fn key(&self) -> PlanKeyRef<'_>;
+}
+
+impl AsPlanKey for PlanKey {
+    fn key(&self) -> PlanKeyRef<'_> {
+        PlanKeyRef {
+            sql: &self.sql,
+            visibility: self.visibility,
+            optimizer: self.optimizer,
+        }
+    }
+}
+
+impl AsPlanKey for PlanKeyRef<'_> {
+    fn key(&self) -> PlanKeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsPlanKey + 'a> for PlanKey {
+    fn borrow(&self) -> &(dyn AsPlanKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn AsPlanKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn AsPlanKey + '_ {}
+
+impl Hash for dyn AsPlanKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
     }
 }
 
@@ -341,8 +399,8 @@ impl PlanCache {
         optimizer: bool,
         cat: &Catalog,
     ) -> Option<Arc<Prepared>> {
-        let key = PlanKey::new(sql, visibility, optimizer);
-        self.0.lock().lookup(&key, cat)
+        let key = PlanKeyRef::new(sql, visibility, optimizer);
+        self.0.lock().lookup(&key as &dyn AsPlanKey, cat)
     }
 
     /// Store a plan freshly bound against `cat` — the plan cache's miss.
@@ -354,7 +412,11 @@ impl PlanCache {
         prepared: Arc<Prepared>,
         cat: &Catalog,
     ) {
-        let key = PlanKey::new(sql, visibility, optimizer);
+        let key = PlanKey {
+            sql: sql.trim().to_string(),
+            visibility,
+            optimizer,
+        };
         let snapshot = epoch_snapshot(cat, prepared.dependencies());
         let mut lru = self.0.lock();
         lru.counts.misses += 1;
@@ -709,6 +771,30 @@ mod tests {
         // The binding knobs are part of the key.
         assert!(cache.get(&sql(0), Visibility::Open, true, &p1).is_none());
         assert!(cache.get(&sql(0), Visibility::Closed, false, &p1).is_none());
+    }
+
+    /// A probe borrows the caller's text: any padding of the stored
+    /// statement finds it, and owned and borrowed keys hash alike.
+    #[test]
+    fn plan_cache_probe_borrows_the_trimmed_text() {
+        use std::hash::BuildHasher;
+        let cache = PlanCache::default();
+        let (plan, p1) = (plan_over_p(), at("p", 1));
+        cache.insert("SELECT x FROM p", Visibility::Closed, true, plan, &p1);
+        assert!(cache
+            .get("\n  SELECT x FROM p\t", Visibility::Closed, true, &p1)
+            .is_some());
+        let owned = PlanKey {
+            sql: "SELECT x FROM p".into(),
+            visibility: Visibility::Closed,
+            optimizer: true,
+        };
+        let borrowed = PlanKeyRef::new(" SELECT x FROM p ", Visibility::Closed, true);
+        let state = std::collections::hash_map::RandomState::new();
+        assert_eq!(
+            state.hash_one(&owned),
+            state.hash_one(&borrowed as &dyn AsPlanKey)
+        );
     }
 
     #[test]

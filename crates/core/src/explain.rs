@@ -272,6 +272,7 @@ fn render_join(
     let (lrows, rrows) = (rows[0], rows[1]);
     // The executor's own gates, applied to the unfiltered row counts.
     let build_is_left = join::build_is_left(lrows, rrows);
+    let build_side = usize::from(!build_is_left);
     let (build, probe) = if build_is_left {
         (&rels[0], &rels[1])
     } else {
@@ -295,15 +296,17 @@ fn render_join(
          streamed per morsel, {order} canonical (left row, right row) order{outer_note}",
         build.name, probe.name
     ));
-    let build_parts = join::build_partitions(lrows.min(rrows), k.partitions);
-    lines.push(format!(
-        "  join build: {build_parts} radix partition(s){}",
-        if build_parts == 1 {
-            " (serial build)"
+    let build_keys = bound.planned().physical.join.as_ref().map(|j| {
+        if build_is_left {
+            &j.left.keys
         } else {
-            " on the worker pool"
+            &j.right.keys
         }
-    ));
+    });
+    let dict_len =
+        build_keys.and_then(|keys| key_dict_len(side_table(&sides[build_side].read), keys));
+    let strategy = join::build_strategy(dict_len, lrows.min(rrows), k.partitions);
+    lines.push(format!("  join build: {strategy}"));
     let sym = match kind {
         JoinKind::Inner => "⋈",
         JoinKind::LeftOuter => "⟕",
@@ -316,6 +319,28 @@ fn render_join(
         lrows.max(rrows),
     );
     Ok(())
+}
+
+/// The table a join side reads (a population's through its sample).
+fn side_table<'c>(read: &Read<'c>) -> &'c Table {
+    match read {
+        Read::Aux(t) => t,
+        Read::Sample(s) => &s.data,
+        Read::Population(p, _) => &p.sample.data,
+    }
+}
+
+/// The dictionary size a single TEXT join key builds on: its column's
+/// dictionary, or the one encoding a plain column would give it.
+fn key_dict_len(table: &Table, keys: &[mosaic_sql::Expr]) -> Option<usize> {
+    let [mosaic_sql::Expr::Column(name)] = keys else {
+        return None;
+    };
+    let col = table.column_by_name(name).ok()?;
+    if col.data_type() != mosaic_storage::DataType::Str {
+        return None;
+    }
+    col.dict_encoded().dict_parts().map(|(_, dict)| dict.len())
 }
 
 /// Append the plan lines: logical before/after with the fired rule

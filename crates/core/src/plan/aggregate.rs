@@ -1,9 +1,11 @@
 //! Vectorized hash aggregation, split into a mergeable partial phase and
 //! a radix-partitioned parallel merge phase.
 //!
-//! Group keys are dictionary-encoded per column into dense `u32` codes
-//! (no per-row `Vec<Value>` materialization; string keys reuse their
-//! column's own dictionary codes), aggregates accumulate through the
+//! Group keys are encoded per column into dense `u32` group ids (no
+//! per-row `Vec<Value>` materialization): a column whose values fall in
+//! a small dense domain — dictionary codes, BOOL, an INT column of
+//! narrow span — numbers its rows through a slot table, any other
+//! hashes (see [`hash::dense_fits`]). Aggregates accumulate through the
 //! grouped kernels in `mosaic_storage::kernels`, and only the final
 //! per-group outputs round-trip through [`Value`]. Each SELECT item is
 //! typed (aggregate arguments included) before any aggregate runs.
@@ -11,7 +13,8 @@
 //! The split exists for the morsel-driven driver in
 //! [`crate::plan::parallel`]: each worker computes a [`MorselPartial`]
 //! over its morsel ([`compute_partial`]), and [`merge_finalize`] unifies
-//! the per-morsel group dictionaries, hash-partitions the global group
+//! the per-morsel group keys (through a slot table when a single
+//! dictionary or INT key allows it), hash-partitions the global group
 //! space into P radix partitions by group-key hash, and merges each
 //! partition independently on the shared worker pool — folding partial
 //! states **in morsel order** within every group, so the result is
@@ -20,6 +23,7 @@
 //! Executing a table as one single morsel with P = 1 reproduces the
 //! previous whole-table vectorized path bit-for-bit.
 
+use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -40,20 +44,56 @@ pub(crate) type Ranked<T> = std::result::Result<T, (u32, MosaicError)>;
 
 /// The per-morsel output of the partial aggregation phase.
 pub(crate) struct MorselPartial {
-    /// Per local group (in first-appearance order), the evaluated
-    /// GROUP BY key tuple. A single empty tuple for global aggregates.
-    /// Empty when `codes` carries the group identities instead.
-    keys: Vec<Vec<Value>>,
-    /// Fast-path group identity: when the single GROUP BY key evaluates
-    /// to a dictionary-encoded column, each local group is its
-    /// dictionary code (`dict.len()` encodes the NULL group) and no key
-    /// tuples are materialized. Every morsel slices the same column, so
-    /// the merge unifies codes through a dense code-indexed table with
-    /// no hashing, and materializes one string per *global* group at
-    /// output time instead of one per local group.
-    codes: Option<(Arc<Dictionary>, Vec<u32>)>,
+    /// Per local group (in first-appearance order), its GROUP BY key.
+    keys: GroupKeys,
     /// Per SELECT item, its partial state.
     items: Vec<ItemPartial>,
+}
+
+/// The GROUP BY keys of a list of groups, typed where a single key
+/// column allows it, so that neither a morsel nor the merge builds a
+/// `Vec<Value>` per group of such a key.
+enum GroupKeys {
+    /// A single dictionary-encoded key: each group's code, `dict.len()`
+    /// for the NULL group. Every morsel slices the same column, so the
+    /// merge unifies codes without hashing and materializes one string
+    /// per *global* group.
+    Codes(Arc<Dictionary>, Vec<u32>),
+    /// A single INT key: each group's value (`None`: the NULL group).
+    Ints(Vec<Option<i64>>),
+    /// Any other key (several columns, FLOAT, BOOL, plain strings): each
+    /// group's key tuple. A single empty tuple for a global aggregate.
+    Tuples(Vec<Vec<Value>>),
+}
+
+impl GroupKeys {
+    fn len(&self) -> usize {
+        match self {
+            GroupKeys::Codes(_, codes) => codes.len(),
+            GroupKeys::Ints(ints) => ints.len(),
+            GroupKeys::Tuples(tuples) => tuples.len(),
+        }
+    }
+
+    /// Component `pos` of group `g`'s key.
+    fn value(&self, g: usize, pos: usize) -> Value {
+        match self {
+            GroupKeys::Codes(dict, codes) => match codes[g] {
+                c if c as usize == dict.len() => Value::Null,
+                c => Value::Str(dict.get(c).to_string()),
+            },
+            GroupKeys::Ints(ints) => ints[g].map_or(Value::Null, Value::Int),
+            GroupKeys::Tuples(tuples) => tuples[g][pos].clone(),
+        }
+    }
+
+    /// Every group's key tuple, borrowed when the keys are tuples.
+    fn tuples(&self) -> Cow<'_, [Vec<Value>]> {
+        match self {
+            GroupKeys::Tuples(tuples) => Cow::Borrowed(tuples),
+            typed => Cow::Owned((0..typed.len()).map(|g| vec![typed.value(g, 0)]).collect()),
+        }
+    }
 }
 
 enum ItemPartial {
@@ -107,37 +147,37 @@ pub(crate) fn compute_partial(
         let (ids, reps) = compute_group_ids(&key_cols);
         (ids, reps, key_cols)
     };
-    // Dictionary fast path: a single dict-encoded key column identifies
-    // every local group by code alone — skip the per-group Value-tuple
-    // materialization and hashing entirely (the dominant merge-side cost
-    // when groups are numerous).
-    let dict_codes = match &key_cols[..] {
-        [col] => col.dict_parts().map(|(codes, dict)| {
-            let kcodes = rep_rows
+    // A single dictionary or INT key keeps each local group's key typed:
+    // no per-group Value tuple is built, and the merge unifies groups
+    // through a slot table where the key's span allows.
+    let keys = match &key_cols[..] {
+        [] => GroupKeys::Tuples(vec![Vec::new()]),
+        [col] if col.is_dict() => {
+            let (codes, dict) = col.dict_parts().expect("dictionary-encoded");
+            let null = dict.len() as u32;
+            let codes = rep_rows
                 .iter()
-                .map(|&r| {
-                    if col.is_null(r) {
-                        dict.len() as u32
-                    } else {
-                        codes[r]
-                    }
-                })
+                .map(|&r| if col.is_null(r) { null } else { codes[r] })
                 .collect();
-            (Arc::clone(dict), kcodes)
-        }),
-        _ => None,
+            GroupKeys::Codes(Arc::clone(dict), codes)
+        }
+        [col] if col.data_type() == DataType::Int => {
+            let data = col.i64_data().expect("typed");
+            GroupKeys::Ints(
+                rep_rows
+                    .iter()
+                    .map(|&r| (!col.is_null(r)).then_some(data[r]))
+                    .collect(),
+            )
+        }
+        cols => GroupKeys::Tuples(
+            rep_rows
+                .iter()
+                .map(|&row| cols.iter().map(|c| c.value(row)).collect())
+                .collect(),
+        ),
     };
-    let (n_groups, keys) = if group_by.is_empty() {
-        (1, vec![Vec::new()])
-    } else if dict_codes.is_some() {
-        (rep_rows.len(), Vec::new())
-    } else {
-        let keys = rep_rows
-            .iter()
-            .map(|&row| key_cols.iter().map(|c| c.value(row)).collect())
-            .collect::<Vec<Vec<Value>>>();
-        (rep_rows.len(), keys)
-    };
+    let n_groups = keys.len();
 
     // 2. Per-item partial state (item `ii` is stage rank `1 + ii`).
     let mut item_partials = Vec::with_capacity(items.len());
@@ -187,7 +227,6 @@ pub(crate) fn compute_partial(
     }
     Ok(MorselPartial {
         keys,
-        codes: dict_codes,
         items: item_partials,
     })
 }
@@ -215,71 +254,17 @@ pub(crate) fn merge_finalize(
     threads: usize,
     partitions: usize,
 ) -> Result<Table> {
-    // 1. Global group dictionary + per-morsel local→global maps (serial:
-    // first-appearance order is inherently sequential). When every
-    // morsel identifies its groups by dictionary code over the same
-    // Arc'd dictionary (single dict-encoded GROUP BY key), unification
-    // is a dense code-indexed table — no hashing, no tuple compares, and
-    // key strings materialize once per global group instead of once per
-    // (morsel, group) pair. Otherwise, a hash map over key tuples.
-    let fast_dict = partials
-        .first()
-        .and_then(|p| p.codes.as_ref())
-        .map(|(d, _)| d)
-        .filter(|d| {
-            partials
-                .iter()
-                .all(|p| matches!(&p.codes, Some((pd, _)) if Arc::ptr_eq(pd, d)))
-        });
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut maps: Vec<Vec<u32>> = Vec::with_capacity(partials.len());
-    // Per global group, the hash its radix partition is taken from.
-    let ghash: Vec<u64> = if let Some(dict) = fast_dict {
-        let null_code = dict.len() as u32;
-        let mut code_gid: Vec<u32> = vec![u32::MAX; dict.len() + 1];
-        let mut gcodes: Vec<u32> = Vec::new();
-        for partial in partials {
-            let (_, codes) = partial.codes.as_ref().expect("checked by fast_dict");
-            let mut map = Vec::with_capacity(codes.len());
-            for &c in codes {
-                let slot = &mut code_gid[c as usize];
-                if *slot == u32::MAX {
-                    *slot = gcodes.len() as u32;
-                    gcodes.push(c);
-                }
-                map.push(*slot);
-            }
-            maps.push(map);
-        }
-        order = gcodes
+    // 1. Global groups + per-morsel local→global maps (serial:
+    // first-appearance order is inherently sequential), and per global
+    // group the hash its radix partition is taken from.
+    let (order, maps) = unify_keys(partials);
+    let ghash: Vec<u64> = match &order {
+        GroupKeys::Codes(_, codes) => codes.iter().map(hash::hash_one).collect(),
+        GroupKeys::Ints(ints) => ints.iter().map(hash::hash_one).collect(),
+        GroupKeys::Tuples(tuples) => tuples
             .iter()
-            .map(|&c| {
-                vec![if c == null_code {
-                    Value::Null
-                } else {
-                    Value::Str(dict.get(c).to_string())
-                }]
-            })
-            .collect();
-        gcodes.iter().map(hash::hash_one).collect()
-    } else {
-        let mut index: FoldMap<&[Value], u32> = FoldMap::default();
-        for partial in partials {
-            let mut map = Vec::with_capacity(partial.keys.len());
-            for key in &partial.keys {
-                let next = order.len() as u32;
-                let gid = *index.entry(key.as_slice()).or_insert_with(|| {
-                    order.push(key.clone());
-                    next
-                });
-                map.push(gid);
-            }
-            maps.push(map);
-        }
-        order
-            .iter()
-            .map(|key| hash::hash_one(key.as_slice()))
-            .collect()
+            .map(|k| hash::hash_one(k.as_slice()))
+            .collect(),
     };
     let n_global = order.len();
 
@@ -374,6 +359,96 @@ pub(crate) fn merge_finalize(
     super::assemble_value_rows(&fields, &value_rows)
 }
 
+/// Unify the morsels' local groups into global groups, numbered in
+/// first-appearance order across morsels, and map each morsel's local
+/// groups to them. When every morsel keys its groups by codes of one
+/// dictionary, or every morsel by INT values, the global groups stay
+/// typed and a slot table over the codes or the global INT span numbers
+/// them where [`hash::dense_fits`] allows (else the typed key hashes).
+/// Morsels that disagree on the key's kind unify as tuples.
+fn unify_keys(partials: &[MorselPartial]) -> (GroupKeys, Vec<Vec<u32>>) {
+    let entries = partials.iter().map(|p| p.keys.len()).sum();
+    let dict = match partials.first().map(|p| &p.keys) {
+        Some(GroupKeys::Codes(d, _)) => Some(d),
+        _ => None,
+    };
+    let codes: Option<Vec<&[u32]>> = partials
+        .iter()
+        .map(|p| match &p.keys {
+            GroupKeys::Codes(d, codes) if dict.is_some_and(|dict| Arc::ptr_eq(d, dict)) => {
+                Some(codes.as_slice())
+            }
+            _ => None,
+        })
+        .collect();
+    if let (Some(dict), Some(lists)) = (dict, codes) {
+        let slots = dict.len() as u128 + 1;
+        let dense = hash::dense_fits(slots, entries).then_some(slots as usize);
+        let (gcodes, maps) = number_keys(&lists, dense, |&c| c as usize);
+        return (GroupKeys::Codes(Arc::clone(dict), gcodes), maps);
+    }
+    let ints: Option<Vec<&[Option<i64>]>> = partials
+        .iter()
+        .map(|p| match &p.keys {
+            GroupKeys::Ints(ints) => Some(ints.as_slice()),
+            _ => None,
+        })
+        .collect();
+    if let Some(lists) = ints {
+        let values = lists.iter().flat_map(|l| l.iter().flatten().copied());
+        let (min, slots) = hash::int_slots(values);
+        let dense = hash::dense_fits(slots, entries).then_some(slots as usize);
+        let null = (slots - 1) as usize;
+        let slot = |k: &Option<i64>| k.map_or(null, |v| hash::int_slot(v, min));
+        let (gints, maps) = number_keys(&lists, dense, slot);
+        return (GroupKeys::Ints(gints), maps);
+    }
+    let tuples: Vec<Cow<'_, [Vec<Value>]>> = partials.iter().map(|p| p.keys.tuples()).collect();
+    let lists: Vec<&[Vec<Value>]> = tuples.iter().map(Cow::as_ref).collect();
+    let (gtuples, maps) = number_keys(&lists, None, |_| unreachable!("tuples hash"));
+    (GroupKeys::Tuples(gtuples), maps)
+}
+
+/// Number the distinct keys of `lists` (one list per morsel) in
+/// first-appearance order: through a table of `dense` slots indexed by
+/// `slot` when given, else through a [`FoldMap`]. Returns the distinct
+/// keys and, per list, each key's number.
+fn number_keys<K: Hash + Eq + Clone>(
+    lists: &[&[K]],
+    dense: Option<usize>,
+    slot: impl Fn(&K) -> usize,
+) -> (Vec<K>, Vec<Vec<u32>>) {
+    let mut keys: Vec<K> = Vec::new();
+    let mut number = |key: &K, id: &mut u32| {
+        if *id == u32::MAX {
+            *id = keys.len() as u32;
+            keys.push(key.clone());
+        }
+        *id
+    };
+    let maps = match dense {
+        Some(slots) => {
+            let mut table = vec![u32::MAX; slots];
+            lists
+                .iter()
+                .map(|l| l.iter().map(|k| number(k, &mut table[slot(k)])).collect())
+                .collect()
+        }
+        None => {
+            let mut index: FoldMap<&K, u32> = FoldMap::default();
+            lists
+                .iter()
+                .map(|l| {
+                    l.iter()
+                        .map(|k| number(k, index.entry(k).or_insert(u32::MAX)))
+                        .collect()
+                })
+                .collect()
+        }
+    };
+    (keys, maps)
+}
+
 /// Merge and finalize one radix partition. `pgroups` lists the
 /// partition's global groups (ascending), `ppairs[mi]` the morsel-local →
 /// partition-dense index pairs of morsel `mi`. Returns one output column
@@ -385,7 +460,7 @@ fn merge_partition(
     weighted: bool,
     partials: &[MorselPartial],
     bound: &[Option<std::borrow::Cow<'_, Expr>>],
-    order: &[Vec<Value>],
+    order: &GroupKeys,
     pgroups: &[u32],
     ppairs: &[Vec<(u32, u32)>],
 ) -> std::result::Result<Vec<Vec<Value>>, (usize, u32, MosaicError)> {
@@ -397,7 +472,7 @@ fn merge_partition(
                 cols.push(
                     pgroups
                         .iter()
-                        .map(|&g| order[g as usize][*pos].clone())
+                        .map(|&g| order.value(g as usize, *pos))
                         .collect(),
                 );
             }
@@ -549,24 +624,48 @@ fn compute_group_ids(key_cols: &[Column]) -> (Vec<u32>, Vec<usize>) {
 /// ints/bools/strings, bit-pattern for floats (`Value::PartialEq`
 /// compares floats by `to_bits`, so `-0.0` / `+0.0` and distinct NaN
 /// payloads are distinct groups). NULL is one group.
+///
+/// Dictionary codes, BOOL and an INT column whose span passes
+/// [`hash::dense_fits`] index a slot table (the last slot is NULL's);
+/// FLOAT, plain strings and wider INT spans hash. Both number groups in
+/// order of first appearance, so the choice never shows in the ids.
 fn encode_column(col: &Column) -> (Vec<u32>, Vec<usize>) {
     let n = col.len();
     let valid = |i: usize| !col.is_null(i);
     if let Some(data) = col.i64_data() {
-        first_appearance(n, |i| valid(i).then_some(data[i]))
+        let (min, slots) = match col.validity() {
+            None => hash::int_slots(data.iter().copied()),
+            Some(v) => hash::int_slots(v.iter_ones().map(|i| data[i])),
+        };
+        if !hash::dense_fits(slots, n) {
+            return first_appearance(n, |i| valid(i).then_some(data[i]));
+        }
+        let null = (slots - 1) as usize;
+        slot_appearance(n, slots as usize, |i| {
+            if valid(i) {
+                hash::int_slot(data[i], min)
+            } else {
+                null
+            }
+        })
     } else if let Some(data) = col.f64_data() {
         first_appearance(n, |i| valid(i).then_some(data[i].to_bits()))
     } else if let Some((codes, dict)) = col.dict_parts() {
         // Dictionary-encoded strings: the column's own codes already
         // identify distinct values, so no per-row string hashing at all.
-        // `dict.len()` stands for NULL, so each row hashes one word.
+        // `dict.len()` stands for NULL.
         let null = dict.len() as u32;
-        first_appearance(n, |i| if valid(i) { codes[i] } else { null })
+        let code = |i: usize| if valid(i) { codes[i] } else { null };
+        if hash::dense_fits(dict.len() as u128 + 1, n) {
+            slot_appearance(n, dict.len() + 1, |i| code(i) as usize)
+        } else {
+            first_appearance(n, code)
+        }
     } else if let Some(data) = col.str_data() {
         first_appearance(n, |i| valid(i).then_some(data[i].as_str()))
     } else {
         let data = col.bool_data().expect("bool is the remaining column kind");
-        first_appearance(n, |i| if valid(i) { u8::from(data[i]) } else { 2 })
+        slot_appearance(n, 3, |i| if valid(i) { usize::from(data[i]) } else { 2 })
     }
 }
 
@@ -582,6 +681,28 @@ fn first_appearance<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (Vec<u3
                 reps.push(row);
                 next
             })
+        })
+        .collect();
+    (ids, reps)
+}
+
+/// [`first_appearance`] over a key given as its slot in a table of
+/// `slots` slots: a load and a compare per row, no hashing.
+fn slot_appearance(
+    n: usize,
+    slots: usize,
+    slot: impl Fn(usize) -> usize,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut table = vec![u32::MAX; slots];
+    let mut reps = Vec::new();
+    let ids = (0..n)
+        .map(|row| {
+            let id = &mut table[slot(row)];
+            if *id == u32::MAX {
+                *id = reps.len() as u32;
+                reps.push(row);
+            }
+            *id
         })
         .collect();
     (ids, reps)
@@ -829,4 +950,107 @@ fn min_max_by_cmp(
         }
     }
     Ok(best)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::parallel::MORSEL_ROWS;
+    use mosaic_storage::Bitmap;
+
+    /// A xorshift stream of pseudo-random words.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The ids and first rows a hash map gives one key column.
+    fn hashed(col: &Column) -> (Vec<u32>, Vec<usize>) {
+        let valid = |i: usize| !col.is_null(i);
+        if let Some(data) = col.i64_data() {
+            first_appearance(col.len(), |i| valid(i).then_some(data[i]))
+        } else if let Some((codes, _)) = col.dict_parts() {
+            first_appearance(col.len(), |i| valid(i).then_some(codes[i]))
+        } else {
+            let data = col.bool_data().expect("bool");
+            first_appearance(col.len(), |i| valid(i).then_some(data[i]))
+        }
+    }
+
+    /// Slot tables number INT spans (narrow, at the gate, beyond it, at
+    /// both ends of `i64`), dictionary codes and BOOL exactly as a hash
+    /// map does, with NULLs whose payloads lie outside the span.
+    #[test]
+    fn dense_and_hashed_group_ids_agree() {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15);
+        for n in [0usize, 1, 7, 1000, MORSEL_ROWS] {
+            for span in [1u64, 3, 1000, 4 * MORSEL_ROWS as u64 - 1, 1 << 40] {
+                for base in [-5i64, i64::MIN, i64::MAX - (span as i64 - 1)] {
+                    let valid: Vec<bool> = (0..n).map(|_| !next().is_multiple_of(5)).collect();
+                    let data: Vec<i64> = valid
+                        .iter()
+                        .map(|&v| match v {
+                            true => base + (next() % span) as i64,
+                            false => next() as i64,
+                        })
+                        .collect();
+                    let col = Column::from_i64_opt(data, Some(Bitmap::from_iter(valid)));
+                    assert_eq!(encode_column(&col), hashed(&col), "{n} rows, span {span}");
+                }
+            }
+            let strings: Vec<Value> = (0..n)
+                .map(|_| match next() % 40 {
+                    0 => Value::Null,
+                    k => Value::Str(format!("s{k}")),
+                })
+                .collect();
+            let col = Column::from_values(DataType::Str, &strings)
+                .unwrap()
+                .dict_encoded();
+            assert_eq!(encode_column(&col), hashed(&col), "{n} strings");
+            let bools: Vec<Value> = (0..n)
+                .map(|_| match next() % 3 {
+                    0 => Value::Null,
+                    b => Value::Bool(b == 1),
+                })
+                .collect();
+            let col = Column::from_values(DataType::Bool, &bools).unwrap();
+            assert_eq!(encode_column(&col), hashed(&col), "{n} bools");
+        }
+    }
+
+    /// The merge numbers typed keys alike through its slot table and its
+    /// hash map.
+    #[test]
+    fn dense_and_hashed_merge_numbering_agree() {
+        let mut next = stream(0x2545_f491_4f6c_dd1d);
+        let lists: Vec<Vec<Option<i64>>> = (0..9)
+            .map(|m| {
+                (0..(m * 37) % 100)
+                    .map(|_| (!next().is_multiple_of(7)).then(|| (next() % 500) as i64 - 250))
+                    .collect()
+            })
+            .collect();
+        let lists: Vec<&[Option<i64>]> = lists.iter().map(Vec::as_slice).collect();
+        let (min, slots) = hash::int_slots(lists.iter().flat_map(|l| l.iter().flatten().copied()));
+        let null = (slots - 1) as usize;
+        let slot = |k: &Option<i64>| k.map_or(null, |v| hash::int_slot(v, min));
+        assert_eq!(
+            number_keys(&lists, Some(slots as usize), slot),
+            number_keys(&lists, None, slot)
+        );
+        let codes: Vec<Vec<u32>> = (0..9)
+            .map(|m| (0..(m * 53) % 70).map(|_| (next() % 24) as u32).collect())
+            .collect();
+        let codes: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+        let slot = |&c: &u32| c as usize;
+        assert_eq!(
+            number_keys(&codes, Some(24), slot),
+            number_keys(&codes, None, slot)
+        );
+    }
 }

@@ -1,7 +1,15 @@
-//! The executor's one hasher: every per-row and per-group map in
-//! `core::plan` (group-key encoding, the key combiner, group-id
-//! densification, the merge-phase group index, the join build tables)
-//! and every radix-partition assignment hashes through it.
+//! The executor's one hasher, and the one rule for when a key need not
+//! hash at all.
+//!
+//! A single key column whose values fall in a small dense domain —
+//! dictionary codes, BOOL, an INT column of narrow span — indexes a
+//! slot array directly: [`dense_fits`] decides, [`int_slots`] measures
+//! an INT span. Group ids, the aggregate merge's group index and a TEXT
+//! join's build table take that path when the rule allows it. Every
+//! other per-row and per-group map in `core::plan` (composite and FLOAT
+//! group keys, plain-string keys, spans too wide for a slot table,
+//! numeric and multi-key join tables) and every radix-partition
+//! assignment hashes through [`FoldHasher`].
 //!
 //! Its state starts from one random seed per process, drawn once from
 //! std's `RandomState`, so nobody can compute it ahead of time and craft
@@ -132,9 +140,62 @@ pub(crate) fn partition(hash: u64, parts: usize) -> usize {
     ((((hash >> 25) as u32 as u64) * parts as u64) >> 32) as usize
 }
 
+/// Slots a direct-indexed table may spend per entry it numbers.
+const SLOTS_PER_ENTRY: u128 = 4;
+
+/// Inputs below this many entries are allowed its slots anyway: a
+/// 1 024-slot table costs about as much to fill as a few rows cost to
+/// hash.
+const MIN_ENTRIES: usize = 256;
+
+/// The dense-key rule: whether a direct-indexed table of `slots` slots
+/// (one per key value, NULL's included) may number `entries` rows or
+/// groups. It may when it is at most four slots per entry: filling the
+/// table then costs less than hashing the entries would. A morsel's
+/// group ids therefore never take a table larger than 4 ×
+/// `MORSEL_ROWS` slots, and a join's build table stays within four
+/// slots per build row however large the shared dictionary is.
+pub(crate) fn dense_fits(slots: u128, entries: usize) -> bool {
+    slots <= SLOTS_PER_ENTRY * entries.max(MIN_ENTRIES) as u128
+}
+
+/// The minimum of the non-NULL values of an INT key and the slot count
+/// of a direct-indexed table over their span: one slot per value from
+/// the minimum to the maximum, then one for NULL (`slots - 1`). With no
+/// value the table is the NULL slot alone. The span is computed in
+/// `i128`: `i64::MAX - i64::MIN` overflows `i64`.
+pub(crate) fn int_slots(values: impl Iterator<Item = i64>) -> (i64, u128) {
+    let (min, max) = values.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    if min > max {
+        return (0, 1);
+    }
+    (min, (i128::from(max) - i128::from(min) + 2) as u128)
+}
+
+/// The slot of INT value `v` in a table over a span starting at `min`
+/// (see [`int_slots`]).
+#[inline]
+pub(crate) fn int_slot(v: i64, min: i64) -> usize {
+    v.wrapping_sub(min) as u64 as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The span of the widest INT key is computed without overflow, and
+    /// the gate scales with the entries it numbers.
+    #[test]
+    fn int_span_and_gate() {
+        assert_eq!(int_slots([5, -3, 2].into_iter()), (-3, 10));
+        assert_eq!(int_slots(std::iter::empty()), (0, 1));
+        let (min, slots) = int_slots([i64::MIN, i64::MAX].into_iter());
+        assert_eq!((min, slots), (i64::MIN, (1u128 << 64) + 1));
+        assert!(!dense_fits(slots, 1 << 40));
+        assert_eq!(int_slot(i64::MAX, i64::MIN), usize::MAX);
+        assert!(dense_fits(1024, 0) && !dense_fits(1025, 10));
+        assert!(dense_fits(4 * 16384, 16384) && !dense_fits(4 * 16384 + 1, 16384));
+    }
 
     /// Within one process the hash is a fixed function of the key: every
     /// map (a join's build and probe side alike) agrees with `hash_one`.

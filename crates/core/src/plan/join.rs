@@ -624,11 +624,11 @@ pub(crate) fn build_is_left(left_rows: usize, right_rows: usize) -> bool {
     left_rows < right_rows
 }
 
-/// The radix-partition count of a build side of `rows` rows: the
+/// The radix-partition count of a hashed build side of `rows` rows: the
 /// `partitions` knob when the side spans more than one morsel, else 1 —
 /// a serial build, since partitioning a small side costs more than it
 /// saves. Capped at `u16::MAX`, the NULL-key sentinel of the partition
-/// map. `EXPLAIN` reports the same count.
+/// map.
 pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
     if partitions > 1 && rows > MORSEL_ROWS {
         partitions.min(u16::MAX as usize)
@@ -637,23 +637,73 @@ pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
     }
 }
 
+/// How a join indexes its build side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BuildStrategy {
+    /// One TEXT key whose build dictionary passes [`hash::dense_fits`]:
+    /// a table of the build rows grouped by dictionary code, one slot
+    /// per code. Nothing hashes, in the build or in the probe.
+    Direct { slots: usize },
+    /// Hash tables over normalized key tokens, in this many radix
+    /// partitions (see [`build_partitions`]).
+    Hashed { partitions: usize },
+}
+
+impl std::fmt::Display for BuildStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            BuildStrategy::Direct { slots } => {
+                write!(f, "direct-indexed on dictionary codes ({slots} slots)")
+            }
+            BuildStrategy::Hashed { partitions: 1 } => {
+                write!(f, "1 radix partition(s) (serial build)")
+            }
+            BuildStrategy::Hashed { partitions } => {
+                write!(f, "{partitions} radix partition(s) on the worker pool")
+            }
+        }
+    }
+}
+
+/// The one gate for a join's build table, which the executor and
+/// `EXPLAIN`'s `join build:` line both call. `dict_len` is the size of
+/// the build key's dictionary when the join has a single TEXT key
+/// (`None` otherwise), `rows` the build side's row count. The gate
+/// weighs the dictionary against the build rows: a dictionary shared
+/// with a large table can be far larger than a filtered build side.
+pub(crate) fn build_strategy(
+    dict_len: Option<usize>,
+    rows: usize,
+    partitions: usize,
+) -> BuildStrategy {
+    match dict_len {
+        Some(slots) if hash::dense_fits(slots as u128 + 1, rows) => BuildStrategy::Direct { slots },
+        _ => BuildStrategy::Hashed {
+            partitions: build_partitions(rows, partitions),
+        },
+    }
+}
+
 /// The vectorized hash equi-join stage of a physical plan (INNER or
 /// LEFT OUTER) — the morsel source of a join plan.
 ///
 /// Execution ([`HashJoinOp::execute`]): both inputs are pruned, and
 /// their pushed-down filters run per morsel on the worker pool. The
-/// **smaller** side (counted after its filters) is gathered and built
-/// into hash tables keyed on normalized key tokens (see
-/// `mosaic_storage::kernels::join_key_f64`) — a build side spanning more
-/// than one morsel radix-partitions its keys into P independent tables
-/// built in parallel (P = the engine's partition knob), a smaller build
-/// stays one serial table. The larger side is then probed morsel by
-/// morsel on the pool, each probe key routed to its key-hash partition,
-/// and every probe morsel yields one `Fragment` of (left row, right
-/// row) pairs. Probing the left side, the fragments already follow the
-/// canonical (left row, right row) order and a LEFT OUTER join
-/// NULL-extends unmatched rows in place; probing the right side, one
-/// stable counting sort by left row restores it. Nothing is gathered
+/// **smaller** side (counted after its filters) is gathered and indexed
+/// as [`build_strategy`] decides. A single TEXT key over a dictionary
+/// small enough for the build side is direct-indexed: the build rows
+/// grouped by dictionary code, each probe row a code load, a slot load
+/// and the pushes. Any other key builds hash tables keyed on normalized
+/// key tokens (see `mosaic_storage::kernels::join_key_f64`) — a build
+/// side spanning more than one morsel radix-partitions its keys into P
+/// independent tables built in parallel (P = the engine's partition
+/// knob), a smaller build stays one serial table. The larger side is
+/// then probed morsel by morsel on the pool, each probe key routed to
+/// its key-hash partition, and every probe morsel yields one `Fragment`
+/// of (left row, right row) pairs. Probing the left side, the fragments
+/// already follow the canonical (left row, right row) order and a LEFT
+/// OUTER join NULL-extends unmatched rows in place; probing the right
+/// side, one stable counting sort by left row restores it. Nothing is gathered
 /// here: the morsel driver gathers the output columns per joined morsel
 /// ([`JoinedRows::gather`]). Results are bit-identical at every thread
 /// count *and every partition count*.
@@ -770,10 +820,7 @@ impl HashJoinOp {
             )));
         }
         let hashed = match eval_keys(&build_side.keys, &build_table, ctx.params) {
-            Ok(keys) => {
-                let parts = build_partitions(build_table.num_rows(), ctx.partitions);
-                Ok(HashBuild::new(&keys, ctx.threads, parts))
-            }
+            Ok(keys) => Ok(HashBuild::new(&keys, ctx.threads, ctx.partitions)),
             Err((_, e)) => Err(e),
         };
         // Left keys evaluate before right keys: a failing left build
@@ -897,34 +944,68 @@ fn probe_morsels(
         let Some(build) = build else {
             return Ok(Fragment::default());
         };
-        let mut frag = Fragment {
-            left: Vec::with_capacity(morsel.num_rows()),
-            right: Vec::with_capacity(morsel.num_rows()),
+        let mut out = Emit {
+            frag: Fragment {
+                left: Vec::with_capacity(morsel.num_rows()),
+                right: Vec::with_capacity(morsel.num_rows()),
+            },
+            rows: morsel.num_rows(),
+            row_of: |j: usize| (start + kept.map_or(j, |k| k[j] as usize)) as u32,
+            build_is_left,
+            outer,
         };
-        let tokens = if build.is_empty() {
-            None
-        } else {
-            build.probe_tokens(&keys)
-        };
-        for j in 0..morsel.num_rows() {
-            let row = (start + kept.map_or(j, |k| k[j] as usize)) as u32;
-            let matches = tokens.as_ref().map_or(&[][..], |t| build.matches(t, j));
-            if build_is_left {
-                frag.left.extend_from_slice(matches);
-                frag.right.extend(std::iter::repeat_n(row, matches.len()));
-            } else if matches.is_empty() {
-                if outer {
+        build.probe(&keys, &mut out);
+        Ok(out.frag)
+    });
+    first_error(frags)
+}
+
+/// One probe morsel's output: its rows' pairs go into `frag`.
+struct Emit<R> {
+    frag: Fragment,
+    /// The morsel's row count.
+    rows: usize,
+    /// Probe row `j` of the morsel as a row of the probe input.
+    row_of: R,
+    build_is_left: bool,
+    outer: bool,
+}
+
+impl<R: Fn(usize) -> u32> Emit<R> {
+    /// Emit every probe row's pairs with the build rows `matches` gives
+    /// it (ascending). Pairs are (probe row, build row) when the probe
+    /// side is the left one — a LEFT OUTER join NULL-extending an
+    /// unmatched probe row in place — and (build row, probe row)
+    /// otherwise. A single match, the common case, pushes two words.
+    fn pairs<'b>(&mut self, matches: impl Fn(usize) -> &'b [u32]) {
+        let frag = &mut self.frag;
+        for j in 0..self.rows {
+            let row = (self.row_of)(j);
+            let m = matches(j);
+            match (m, self.build_is_left) {
+                ([b], true) => {
+                    frag.left.push(*b);
+                    frag.right.push(row);
+                }
+                ([b], false) => {
+                    frag.left.push(row);
+                    frag.right.push(*b);
+                }
+                ([], false) if self.outer => {
                     frag.left.push(row);
                     frag.right.push(NULL_ROW);
                 }
-            } else {
-                frag.left.extend(std::iter::repeat_n(row, matches.len()));
-                frag.right.extend_from_slice(matches);
+                (m, true) => {
+                    frag.left.extend_from_slice(m);
+                    frag.right.extend(std::iter::repeat_n(row, m.len()));
+                }
+                (m, false) => {
+                    frag.left.extend(std::iter::repeat_n(row, m.len()));
+                    frag.right.extend_from_slice(m);
+                }
             }
         }
-        Ok(frag)
-    });
-    first_error(frags)
+    }
 }
 
 /// Canonical (left row, right row) order for pairs probed on the right
@@ -1191,6 +1272,28 @@ fn numeric_tokens(col: &Column) -> Option<TokenCol> {
     })
 }
 
+/// A value derived from a probe dictionary, kept for the last probe
+/// dictionary seen: the probe derives it once per distinct dictionary,
+/// not once per morsel.
+struct PerProbeDict<T: ?Sized>(Mutex<Option<(Arc<Dictionary>, Arc<T>)>>);
+
+impl<T: ?Sized> PerProbeDict<T> {
+    fn new() -> Self {
+        PerProbeDict(Mutex::new(None))
+    }
+
+    fn get(&self, pd: &Arc<Dictionary>, derive: impl FnOnce() -> Arc<T>) -> Arc<T> {
+        if let Some((seen, value)) = &*self.0.lock() {
+            if Arc::ptr_eq(seen, pd) {
+                return Arc::clone(value);
+            }
+        }
+        let value = derive();
+        *self.0.lock() = Some((Arc::clone(pd), Arc::clone(&value)));
+        value
+    }
+}
+
 /// One build-side key column, tokenized, and the token space the probe
 /// side must map into. A string key tokenizes through the build column's
 /// own dictionary (encoded on the fly when the column is still plain — the
@@ -1199,15 +1302,10 @@ struct BuildKey {
     tokens: TokenCol,
     /// The dictionary whose codes are the tokens (`None`: numeric key).
     dict: Option<Arc<Dictionary>>,
-    /// The last probe dictionary seen and its code → build-token map,
-    /// so a probe column's dictionary remaps once per distinct value,
-    /// not once per morsel.
-    remap: Mutex<Option<Remap>>,
+    /// Per probe code, the build code of the same string, or
+    /// `dict.len()` when the build side never saw it.
+    remap: PerProbeDict<[u32]>,
 }
-
-/// A probe dictionary and, per probe code, the build token of the same
-/// string (`None`: the build side never saw it).
-type Remap = (Arc<Dictionary>, Arc<[Option<u32>]>);
 
 impl BuildKey {
     fn new(col: &Column) -> BuildKey {
@@ -1225,7 +1323,7 @@ impl BuildKey {
         BuildKey {
             tokens,
             dict,
-            remap: Mutex::new(None),
+            remap: PerProbeDict::new(),
         }
     }
 
@@ -1246,91 +1344,198 @@ impl BuildKey {
             });
         }
         let remap = self.remap_for(bd, pd);
-        let mut tokens = Vec::with_capacity(codes.len());
-        let mut found = Bitmap::ones(codes.len());
-        for (i, &c) in codes.iter().enumerate() {
-            match remap[c as usize] {
-                Some(t) => tokens.push(u64::from(t)),
-                None => {
-                    tokens.push(0);
-                    found.set(i, false);
-                }
-            }
-        }
+        let miss = bd.len() as u32;
+        let tokens = codes
+            .iter()
+            .map(|&c| u64::from(remap[c as usize]))
+            .collect();
+        let found = Bitmap::from_iter(codes.iter().map(|&c| remap[c as usize] != miss));
         Some(TokenCol {
             tokens,
             valid: kernels::combine_validity(col.validity(), Some(&found)),
         })
     }
 
-    fn remap_for(&self, bd: &Dictionary, pd: &Arc<Dictionary>) -> Arc<[Option<u32>]> {
-        if let Some((seen, remap)) = &*self.remap.lock() {
-            if Arc::ptr_eq(seen, pd) {
-                return Arc::clone(remap);
-            }
-        }
-        let remap: Arc<[Option<u32>]> = pd.values().iter().map(|s| bd.code_of(s)).collect();
-        *self.remap.lock() = Some((Arc::clone(pd), Arc::clone(&remap)));
-        remap
+    /// Per code of probe dictionary `pd`, the build code of the same
+    /// string, or `bd.len()` (no build row has it).
+    fn remap_for(&self, bd: &Dictionary, pd: &Arc<Dictionary>) -> Arc<[u32]> {
+        let miss = bd.len() as u32;
+        self.remap.get(pd, || {
+            pd.values()
+                .iter()
+                .map(|s| bd.code_of(s).unwrap_or(miss))
+                .collect()
+        })
     }
 }
 
-/// The build side: its tokenized keys and the hash tables over them.
+/// The build side: its tokenized keys and the table over them.
 struct HashBuild {
     keys: Vec<BuildKey>,
     tables: Tables,
 }
 
-/// The overwhelmingly common single-key join hashes plain `u64` tokens —
-/// no per-row allocation in the build or probe loops; multi-key joins
-/// fall back to `Vec<u64>` composite keys.
+/// The build table [`build_strategy`] chose. The overwhelmingly common
+/// single-key join hashes plain `u64` tokens — no per-row allocation in
+/// the build or probe loops; multi-key joins fall back to `Vec<u64>`
+/// composite keys.
 enum Tables {
+    Direct(CodeTable),
     One(PartitionedMap<u64>),
     Many(PartitionedMap<Vec<u64>>),
 }
 
 impl HashBuild {
-    fn new(keys: &[Column], threads: usize, parts: usize) -> HashBuild {
+    fn new(keys: &[Column], threads: usize, partitions: usize) -> HashBuild {
         let keys: Vec<BuildKey> = keys.iter().map(BuildKey::new).collect();
         let rows = keys.first().map_or(0, |k| k.tokens.tokens.len());
-        let tables = match keys.as_slice() {
-            [k] => Tables::One(PartitionedMap::build(rows, threads, parts, |row| {
-                k.tokens.get(row)
-            })),
-            keys => Tables::Many(PartitionedMap::build(rows, threads, parts, |row| {
-                keys.iter().map(|k| k.tokens.get(row)).collect()
-            })),
+        let dict_len = match keys.as_slice() {
+            [k] => k.dict.as_ref().map(|d| d.len()),
+            _ => None,
+        };
+        let tables = match (build_strategy(dict_len, rows, partitions), keys.as_slice()) {
+            (BuildStrategy::Direct { slots }, [k]) => {
+                Tables::Direct(CodeTable::new(&k.tokens, slots))
+            }
+            (BuildStrategy::Hashed { partitions }, [k]) => {
+                Tables::One(PartitionedMap::build(rows, threads, partitions, |row| {
+                    k.tokens.get(row)
+                }))
+            }
+            (BuildStrategy::Hashed { partitions }, keys) => {
+                Tables::Many(PartitionedMap::build(rows, threads, partitions, |row| {
+                    keys.iter().map(|k| k.tokens.get(row)).collect()
+                }))
+            }
+            (BuildStrategy::Direct { .. }, _) => unreachable!("direct builds have one key"),
         };
         HashBuild { keys, tables }
     }
 
     fn is_empty(&self) -> bool {
         match &self.tables {
+            Tables::Direct(t) => t.rows.is_empty(),
             Tables::One(m) => m.is_empty(),
             Tables::Many(m) => m.is_empty(),
         }
     }
 
-    /// A probe morsel's key columns in the build's token spaces (`None`
-    /// when a key's classes differ: nothing in the morsel can match).
-    fn probe_tokens(&self, cols: &[Column]) -> Option<Vec<TokenCol>> {
-        self.keys
-            .iter()
-            .zip(cols)
-            .map(|(k, c)| k.probe(c))
-            .collect()
+    /// Emit the pairs of one probe morsel, whose key columns are `cols`.
+    /// A key whose classes differ between the sides (Str against
+    /// non-Str) matches nothing.
+    fn probe<R: Fn(usize) -> u32>(&self, cols: &[Column], out: &mut Emit<R>) {
+        let none = |_: usize| -> &[u32] { &[] };
+        if self.is_empty() {
+            return out.pairs(none);
+        }
+        match &self.tables {
+            Tables::Direct(t) => {
+                let key = &self.keys[0];
+                let bd = key
+                    .dict
+                    .as_ref()
+                    .expect("direct builds key on a dictionary");
+                let col = cols[0].dict_encoded();
+                let Some((codes, pd)) = col.dict_parts() else {
+                    return out.pairs(none);
+                };
+                let runs = t.runs_for(bd, pd, || key.remap_for(bd, pd));
+                match col.validity() {
+                    None => out.pairs(|j| t.run(runs[codes[j] as usize])),
+                    Some(v) => out.pairs(|j| {
+                        if v.get(j) {
+                            t.run(runs[codes[j] as usize])
+                        } else {
+                            &[]
+                        }
+                    }),
+                }
+            }
+            Tables::One(m) => match self.keys[0].probe(&cols[0]) {
+                Some(tokens) => out.pairs(|j| tokens.get(j).map_or(&[], |k| m.get(&k))),
+                None => out.pairs(none),
+            },
+            Tables::Many(m) => {
+                let tokens: Option<Vec<TokenCol>> = self
+                    .keys
+                    .iter()
+                    .zip(cols)
+                    .map(|(k, c)| k.probe(c))
+                    .collect();
+                match tokens {
+                    Some(tokens) => out.pairs(|j| {
+                        tokens
+                            .iter()
+                            .map(|t| t.get(j))
+                            .collect::<Option<Vec<u64>>>()
+                            .map_or(&[], |k| m.get(&k))
+                    }),
+                    None => out.pairs(none),
+                }
+            }
+        }
+    }
+}
+
+/// A direct-indexed build table for one TEXT key: the build rows grouped
+/// by dictionary code, ascending within a code (a counting sort), with
+/// the run of code `c` at `rows[offsets[c]..offsets[c + 1]]`. Code
+/// `slots`, one past the dictionary, has an empty run: every probe value
+/// the build side lacks maps there.
+struct CodeTable {
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+    /// Per code of the last probe dictionary, the run of the build code
+    /// with the same string: the probe's remap composed with `offsets`.
+    runs: PerProbeDict<[(u32, u32)]>,
+}
+
+impl CodeTable {
+    fn new(key: &TokenCol, slots: usize) -> CodeTable {
+        let n = key.tokens.len();
+        let code = |row: usize| key.get(row).map(|t| t as usize);
+        let mut offsets = vec![0u32; slots + 2];
+        for c in (0..n).filter_map(code) {
+            offsets[c + 1] += 1;
+        }
+        for c in 0..=slots {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets.clone();
+        let mut rows = vec![0u32; offsets[slots + 1] as usize];
+        for (row, c) in (0..n).filter_map(|row| code(row).map(|c| (row, c))) {
+            rows[next[c] as usize] = row as u32;
+            next[c] += 1;
+        }
+        CodeTable {
+            offsets,
+            rows,
+            runs: PerProbeDict::new(),
+        }
     }
 
-    /// The build rows (ascending) matching probe row `row`.
-    fn matches(&self, tokens: &[TokenCol], row: usize) -> &[u32] {
-        match &self.tables {
-            Tables::One(m) => tokens[0].get(row).map_or(&[], |k| m.get(&k)),
-            Tables::Many(m) => tokens
-                .iter()
-                .map(|t| t.get(row))
-                .collect::<Option<Vec<u64>>>()
-                .map_or(&[], |k| m.get(&k)),
-        }
+    /// Per code of probe dictionary `pd`, the run of build rows holding
+    /// the same string. `remap` gives the build code per probe code when
+    /// the two dictionaries differ.
+    fn runs_for(
+        &self,
+        bd: &Arc<Dictionary>,
+        pd: &Arc<Dictionary>,
+        remap: impl FnOnce() -> Arc<[u32]>,
+    ) -> Arc<[(u32, u32)]> {
+        let run = |c: u32| (self.offsets[c as usize], self.offsets[c as usize + 1]);
+        self.runs.get(pd, || {
+            if Arc::ptr_eq(bd, pd) {
+                (0..bd.len() as u32).map(run).collect()
+            } else {
+                remap().iter().map(|&c| run(c)).collect()
+            }
+        })
+    }
+
+    #[inline]
+    fn run(&self, (lo, hi): (u32, u32)) -> &[u32] {
+        &self.rows[lo as usize..hi as usize]
     }
 }
 
@@ -1484,6 +1689,92 @@ mod tests {
         assert_eq!(
             pairs(MORSEL_ROWS, 64, 1, 1, bkey, pkey),
             pairs(MORSEL_ROWS, 64, 8, 16, bkey, pkey)
+        );
+    }
+
+    /// A TEXT key column over `values` (`None` = NULL).
+    fn text_key(values: &[Option<&str>]) -> Column {
+        let values: Vec<Value> = values
+            .iter()
+            .map(|v| v.map_or(Value::Null, |s| Value::Str(s.into())))
+            .collect();
+        Column::from_values(DataType::Str, &values)
+            .unwrap()
+            .dict_encoded()
+    }
+
+    /// The direct-indexed table and the hashed ones (one partition and
+    /// sixteen) give every probe row the same build rows: a probe
+    /// dictionary other than the build's, values the build side lacks,
+    /// NULL keys on both sides, duplicate build keys, each pair order
+    /// and LEFT OUTER.
+    #[test]
+    fn direct_and_hashed_builds_match_alike() {
+        let names = ["a", "b", "c", "d", "e"];
+        let build: Vec<Option<&str>> = (0..MORSEL_ROWS + 50)
+            .map(|r| (r % 9 != 0).then(|| names[(r * 7) % 4]))
+            .collect();
+        let build = text_key(&build);
+        let probe: Vec<Option<&str>> = (0..300)
+            .map(|r| (r % 11 != 0).then(|| names[(r * 3) % 5]))
+            .collect();
+        // The probe side once with a dictionary of its own, once with
+        // the build side's.
+        let own = text_key(&probe);
+        let shared = build.take(&(0..300).collect::<Vec<_>>());
+        let key = || BuildKey::new(&build);
+        let slots = key().dict.as_ref().unwrap().len();
+        let rows = build.len();
+        let builds = [
+            Tables::Direct(CodeTable::new(&key().tokens, slots)),
+            Tables::One(PartitionedMap::build(rows, 1, 1, |r| key().tokens.get(r))),
+            Tables::One(PartitionedMap::build(rows, 4, 16, |r| key().tokens.get(r))),
+        ];
+        let mut answers = Vec::new();
+        for tables in builds {
+            let build = HashBuild {
+                keys: vec![key()],
+                tables,
+            };
+            let mut answer = Vec::new();
+            for probe in [&own, &shared] {
+                for (build_is_left, outer) in [(false, false), (false, true), (true, false)] {
+                    let mut out = Emit {
+                        frag: Fragment::default(),
+                        rows: probe.len(),
+                        row_of: |j: usize| j as u32,
+                        build_is_left,
+                        outer,
+                    };
+                    build.probe(std::slice::from_ref(probe), &mut out);
+                    answer.push((out.frag.left, out.frag.right));
+                }
+            }
+            answers.push(answer);
+        }
+        assert!(!answers[0][0].0.is_empty());
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[0], answers[2]);
+    }
+
+    /// The gate weighs the build dictionary against the build rows.
+    #[test]
+    fn build_strategy_gate() {
+        assert_eq!(
+            build_strategy(Some(23), 23, 16),
+            BuildStrategy::Direct { slots: 23 }
+        );
+        assert_eq!(
+            build_strategy(Some(1023), 0, 16),
+            BuildStrategy::Direct { slots: 1023 }
+        );
+        assert_eq!(
+            build_strategy(Some(1024), 10, 16),
+            BuildStrategy::Hashed { partitions: 1 }
+        );
+        assert_eq!(
+            build_strategy(None, MORSEL_ROWS + 1, 16),
+            BuildStrategy::Hashed { partitions: 16 }
         );
     }
 

@@ -255,7 +255,7 @@ const ROWS: &[Row] = &[
             "  right: table Lookup (2 rows)",
             "  visibility: SEMI-OPEN — People: IPF reweighting against 1 marginal(s) of People",
             "  join: INNER hash equi-join; build = smaller input (Lookup, currently); probe = People, streamed per morsel, already in canonical (left row, right row) order",
-            "  join build: 1 radix partition(s) (serial build)",
+            "  join build: direct-indexed on dictionary codes (2 slots)",
         ],
         notes: &[
             "population People via sample SP (5 rows), SEMI-OPEN side",
@@ -274,7 +274,7 @@ const ROWS: &[Row] = &[
             "  visibility: SEMI-OPEN — People: IPF reweighting against 1 marginal(s) of People",
             "  combined weight: product of per-side weights, IPF re-calibrated against 1 declared marginal(s) of People",
             "  join: INNER hash equi-join; build = smaller input (SU, currently); probe = People, streamed per morsel, already in canonical (left row, right row) order",
-            "  join build: 1 radix partition(s) (serial build)",
+            "  join build: direct-indexed on dictionary codes (2 slots)",
         ],
         notes: &[
             "population People via sample SP (5 rows), SEMI-OPEN side",
@@ -296,7 +296,7 @@ const ROWS: &[Row] = &[
             "  visibility: OPEN — People side generated per replicate: 10 replicate(s), backend bayes-net, seed 7",
             "  combine: keep groups present in every replicate, average aggregates; ORDER BY / LIMIT applied after combining",
             "  join: INNER hash equi-join; build = smaller input (Lookup, currently); probe = People, streamed per morsel, already in canonical (left row, right row) order",
-            "  join build: 1 radix partition(s) (serial build)",
+            "  join build: direct-indexed on dictionary codes (2 slots)",
         ],
         notes: &[
             "hash equi-join of People ⋈ Lookup",
