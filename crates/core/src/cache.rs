@@ -24,9 +24,9 @@
 //! | derived | [`DerivedKey`]                     | model or replicate  | bytes, [`DERIVED_CACHE_BYTES`] |
 //!
 //! Because the engine's determinism contract makes results bit-identical
-//! at every thread count × partition count × optimizer setting, a valid
-//! cached result **is** the result — caching is pure latency, with no
-//! correctness ambiguity to manage. The same holds for a derived
+//! at every thread count × optimizer setting, a valid cached result
+//! **is** the result — caching is pure latency, with no correctness
+//! ambiguity to manage. The same holds for a derived
 //! artefact: a model fit and a replicate draw are deterministic
 //! functions of their key and snapshot.
 //!

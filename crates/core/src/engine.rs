@@ -688,7 +688,7 @@ impl MosaicEngine {
         params: &[Value],
     ) -> Result<QueryResult> {
         let plan = &bound.planned().physical;
-        let ctx = ExecContext::new(params, k.threads, k.partitions);
+        let ctx = ExecContext::new(params, k.threads);
         let rels = match bound.source() {
             Source::Scalar => {
                 let table = &Table::new(
@@ -941,7 +941,7 @@ fn open_answer(
     // way at most `k.threads` threads are busy — the replicate pool and
     // the executor pool never multiply.
     let parallelism = k.threads.max(1);
-    let ctx = |threads| ExecContext::new(params, threads, k.partitions);
+    let ctx = |threads| ExecContext::new(params, threads);
     let Some(replicate_plan) = bound.replicate_plan() else {
         let (generated, weight) = generate(0)?;
         notes.push(format!(

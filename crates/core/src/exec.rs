@@ -19,13 +19,13 @@ use crate::{Knobs, Result};
 /// Execute a SELECT over one table through the vectorized, morsel-driven
 /// physical plan. `weights` (parallel to the table's rows) turns
 /// aggregates into weighted aggregates. Uses the process-default thread
-/// cap, merge partition count and optimizer setting
-/// ([`Knobs::from_env`]); none ever changes results. Kept for the
+/// cap and optimizer setting ([`Knobs::from_env`]); neither ever changes
+/// results. Kept for the
 /// `mosaicbench` package, whose accuracy check computes its ground truth
 /// with it; everything else asks a [`crate::Session`].
 pub fn run_select(stmt: &SelectStmt, table: &Table, weights: Option<&[f64]>) -> Result<Table> {
     let k = Knobs::from_env();
-    let ctx = ExecContext::new(&[], k.threads, k.partitions);
+    let ctx = ExecContext::new(&[], k.threads);
     plan::plan_select(stmt, weights.is_some(), k.optimizer, Some(table.schema()))
         .physical
         .run(PlanInput::Table { table, weights }, &ctx)

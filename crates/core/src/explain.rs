@@ -19,7 +19,7 @@ use crate::engine::{fingerprint_of, result_cache_on, EngineOptions, MosaicEngine
 use crate::plan::fingerprint::format_fingerprint;
 use crate::plan::logical::describe_keys;
 use crate::plan::parallel::MORSEL_ROWS;
-use crate::plan::{has_aggregate_shape, join, Order, Planned};
+use crate::plan::{join, Order, Planned};
 use crate::session::{BoundRel, Prepared, RelKind, Source};
 use crate::source::{combined_weight, mechanism_note, read_side, How, PopulationRead, Read};
 use crate::{Knobs, Result};
@@ -167,17 +167,6 @@ fn render_scan(lines: &mut Vec<String>, k: &Knobs, bound: &Prepared, rel: &Bound
 
 fn push_footer(lines: &mut Vec<String>, k: &Knobs, bound: &Prepared) {
     lines.push(format!("  parallelism: {} worker thread(s)", k.threads));
-    if has_aggregate_shape(bound.stmt()) {
-        lines.push(format!(
-            "  aggregate merge: {} radix partition(s){}",
-            k.partitions,
-            if k.partitions == 1 {
-                " (serial merge)"
-            } else {
-                ""
-            }
-        ));
-    }
     let params = bound.param_count();
     if params > 0 {
         lines.push(format!("  parameters: {params} positional (?1..?{params})"));
@@ -270,14 +259,6 @@ fn render_join(
         lines.push(format!("  combined weight: {combined}"));
     }
     let (lrows, rrows) = (rows[0], rows[1]);
-    // The executor's own gates, applied to the unfiltered row counts.
-    let build_is_left = join::build_is_left(lrows, rrows);
-    let build_side = usize::from(!build_is_left);
-    let (build, probe) = if build_is_left {
-        (&rels[0], &rels[1])
-    } else {
-        (&rels[1], &rels[0])
-    };
     let kind_name = match kind {
         JoinKind::Inner => "INNER",
         JoinKind::LeftOuter => "LEFT OUTER",
@@ -286,27 +267,50 @@ fn render_join(
         JoinKind::Inner => "",
         JoinKind::LeftOuter => "; unmatched left rows NULL-extend the right side",
     };
-    let order = if build_is_left {
-        "then counting-sorted into"
+    let op = bound.planned().physical.join.as_ref();
+    if op.is_some_and(|j| !j.left.filters.is_empty() || !j.right.filters.is_empty()) {
+        // The executor applies its gates to the rows the pushed filters
+        // keep, which only execution counts: name no side and no table.
+        lines.push(format!(
+            "  join: {kind_name} hash equi-join; build = smaller input after the pushed \
+             filters, chosen at execution; probe = the other input, streamed per morsel, in \
+             canonical (left row, right row) order (counting-sorted into it when the left \
+             input builds){outer_note}"
+        ));
+        lines.push(
+            "  join build: chosen at execution from the rows that survive the pushed filters"
+                .to_string(),
+        );
     } else {
-        "already in"
-    };
-    lines.push(format!(
-        "  join: {kind_name} hash equi-join; build = smaller input ({}, currently); probe = {}, \
-         streamed per morsel, {order} canonical (left row, right row) order{outer_note}",
-        build.name, probe.name
-    ));
-    let build_keys = bound.planned().physical.join.as_ref().map(|j| {
-        if build_is_left {
-            &j.left.keys
+        // The executor's own gates, applied to the row counts it sees.
+        let build_is_left = join::build_is_left(lrows, rrows);
+        let (build, probe, build_side) = if build_is_left {
+            (&rels[0], &rels[1], 0)
         } else {
-            &j.right.keys
-        }
-    });
-    let dict_len =
-        build_keys.and_then(|keys| key_dict_len(side_table(&sides[build_side].read), keys));
-    let strategy = join::build_strategy(dict_len, lrows.min(rrows), k.partitions);
-    lines.push(format!("  join build: {strategy}"));
+            (&rels[1], &rels[0], 1)
+        };
+        let order = if build_is_left {
+            "then counting-sorted into"
+        } else {
+            "already in"
+        };
+        lines.push(format!(
+            "  join: {kind_name} hash equi-join; build = smaller input ({}, currently); probe = \
+             {}, streamed per morsel, {order} canonical (left row, right row) order{outer_note}",
+            build.name, probe.name
+        ));
+        let build_keys = op.map(|j| {
+            if build_is_left {
+                &j.left.keys
+            } else {
+                &j.right.keys
+            }
+        });
+        let dict_len =
+            build_keys.and_then(|keys| key_dict_len(read_table(&sides[build_side].read), keys));
+        let strategy = join::build_strategy(dict_len, lrows.min(rrows));
+        lines.push(format!("  join build: {strategy}"));
+    }
     let sym = match kind {
         JoinKind::Inner => "⋈",
         JoinKind::LeftOuter => "⟕",
@@ -322,7 +326,7 @@ fn render_join(
 }
 
 /// The table a join side reads (a population's through its sample).
-fn side_table<'c>(read: &Read<'c>) -> &'c Table {
+fn read_table<'c>(read: &Read<'c>) -> &'c Table {
     match read {
         Read::Aux(t) => t,
         Read::Sample(s) => &s.data,
@@ -429,32 +433,28 @@ mod tests {
         assert!(text.contains("Filter: v > 0"), "{text}");
         assert!(text.contains("2 rows, 1 morsel(s)"), "{text}");
         assert!(text.contains("parallelism:"), "{text}");
-        // Aggregate-shaped query: the merge-partition count is reported.
-        assert!(text.contains("aggregate merge:"), "{text}");
-        assert!(text.contains("radix partition(s)"), "{text}");
         // String columns report their encoding (TEXT ingest builds a
         // dictionary over the 2 distinct keys).
         assert!(text.contains("encodings: k=dict(2)"), "{text}");
     }
 
+    /// The aggregate merge has one serial form, so EXPLAIN reports no
+    /// merge setting, and a session cannot set the retired partition
+    /// count.
     #[test]
-    fn explain_partitions_follow_session_override() {
+    fn explain_reports_no_merge_partitions() {
         let engine = Arc::new(MosaicEngine::new());
-        let s = engine.session().with_agg_partitions(1);
+        let mut s = engine.session();
         s.execute("CREATE TABLE t (k TEXT, v INT); INSERT INTO t VALUES ('a', 1);")
             .unwrap();
-        let r = s
-            .execute("EXPLAIN SELECT k, COUNT(*) FROM t GROUP BY k")
-            .unwrap();
-        let text = lines_of(&r).join("\n");
-        assert!(
-            text.contains("aggregate merge: 1 radix partition(s) (serial merge)"),
-            "{text}"
-        );
-        // Non-aggregate queries have no merge phase to report.
-        let r = s.execute("EXPLAIN SELECT k FROM t").unwrap();
-        let text = lines_of(&r).join("\n");
-        assert!(!text.contains("aggregate merge:"), "{text}");
+        for sql in ["SELECT k, COUNT(*) FROM t GROUP BY k", "SELECT k FROM t"] {
+            let text = lines_of(&s.execute(&format!("EXPLAIN {sql}")).unwrap()).join("\n");
+            assert!(text.contains("parallelism:"), "{text}");
+            assert!(!text.contains("aggregate merge"), "{text}");
+            assert!(!text.contains("partition"), "{text}");
+        }
+        let err = s.set("partitions", "1").unwrap_err();
+        assert!(err.starts_with("unknown option partitions"), "{err}");
     }
 
     #[test]
@@ -526,8 +526,11 @@ mod tests {
         );
     }
 
+    /// The `join build:` line names the one table the executor builds on
+    /// a hashed key, whatever the build side's size, and no table when a
+    /// pushed filter decides the build side at execution.
     #[test]
-    fn explain_reports_join_build_partitions() {
+    fn explain_reports_join_build_strategy() {
         use crate::plan::parallel::MORSEL_ROWS;
         use mosaic_storage::{DataType, Field, Schema, TableBuilder, Value};
         let engine = Arc::new(MosaicEngine::new());
@@ -545,38 +548,30 @@ mod tests {
             fact.push_row(vec![Value::Int(r as i64)]).unwrap();
         }
         engine.register_table("fact", fact.finish()).unwrap();
-        let s = engine.session().with_agg_partitions(16);
-        let r = s
-            .execute("EXPLAIN SELECT fact.k FROM fact JOIN dim ON fact.k = dim.k")
-            .unwrap();
-        let text = lines_of(&r).join("\n");
-        // Build = smaller input (dim, > 1 morsel) → partitioned build.
-        assert!(
-            text.contains("join build: 16 radix partition(s) on the worker pool"),
-            "{text}"
-        );
-        // partitions=1 forces the serial build at any size.
-        let r = s
-            .clone()
-            .with_agg_partitions(1)
-            .execute("EXPLAIN SELECT fact.k FROM fact JOIN dim ON fact.k = dim.k")
-            .unwrap();
-        let text = lines_of(&r).join("\n");
-        assert!(
-            text.contains("join build: 1 radix partition(s) (serial build)"),
-            "{text}"
-        );
-        // A single-morsel build side stays serial too.
+        let s = engine.session().with_optimizer(true);
         s.execute("CREATE TABLE tiny (k INT, grp INT); INSERT INTO tiny VALUES (1, 1), (2, 2);")
             .unwrap();
-        let r = s
-            .execute("EXPLAIN SELECT fact.k FROM fact JOIN tiny ON fact.k = tiny.k")
-            .unwrap();
-        let text = lines_of(&r).join("\n");
+        let explain =
+            |sql: &str| lines_of(&s.execute(&format!("EXPLAIN {sql}")).unwrap()).join("\n");
+        // Build = the smaller input, over one morsel or more.
+        for build in ["dim", "tiny"] {
+            let text = explain(&format!(
+                "SELECT fact.k FROM fact JOIN {build} ON fact.k = {build}.k"
+            ));
+            assert!(
+                text.contains("join build: hash table on normalized key tokens"),
+                "{text}"
+            );
+            assert!(text.contains(&format!("({build}, currently)")), "{text}");
+        }
+        let text = explain("SELECT fact.k FROM fact JOIN dim ON fact.k = dim.k WHERE dim.grp = 1");
         assert!(
-            text.contains("join build: 1 radix partition(s) (serial build)"),
+            text.contains(
+                "join build: chosen at execution from the rows that survive the pushed filters"
+            ),
             "{text}"
         );
+        assert!(!text.contains("currently"), "{text}");
     }
 
     /// The join and TopK lines say where the work runs, from the same

@@ -1,11 +1,11 @@
 //! [`Knobs`] — the per-query settings a session carries, and the one
 //! parser every text spelling of them goes through.
 //!
-//! Six values decide how a statement is answered: the default
-//! visibility and OPEN seed (which change *what* comes back) and four
-//! execution settings — worker threads, merge partitions, the logical
-//! optimizer and result-cache participation — that never change an
-//! answer, only its latency. They are spelled as environment variables,
+//! Five values decide how a statement is answered: the default
+//! visibility and OPEN seed (which change *what* comes back) and three
+//! execution settings — worker threads, the logical optimizer and
+//! result-cache participation — that never change an answer, only its
+//! latency. They are spelled as environment variables,
 //! wire `SetOption` frames, shell flags and the shell's `.set`
 //! meta-command; every one of those calls [`Knobs::set`], the only place
 //! a setting's text is parsed, over the one [`KEYS`] table.
@@ -26,9 +26,6 @@ pub struct Knobs {
     /// Worker-thread cap shared by the morsel-driven executor and the
     /// OPEN replicate loop (minimum 1).
     pub threads: usize,
-    /// Radix-partition count of the parallel aggregate merge and the
-    /// hash-join build (minimum 1; 1 = serial).
-    pub partitions: usize,
     /// Whether SELECT planning runs the rule-based logical optimizer.
     pub optimizer: bool,
     /// Whether queries look up and fill the shared result cache.
@@ -42,7 +39,6 @@ impl Default for Knobs {
             visibility: Visibility::SemiOpen,
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            partitions: 16,
             optimizer: true,
             result_cache: true,
         }
@@ -64,6 +60,23 @@ pub struct Key {
     pub grammar: &'static str,
 }
 
+impl Key {
+    /// The key `name` (or one of its aliases, case-insensitive) names,
+    /// or the "unknown option" error that lists every key of [`KEYS`].
+    pub fn find(name: &str) -> Result<&'static Key, String> {
+        let name = name.trim().to_ascii_lowercase();
+        KEYS.iter()
+            .find(|k| k.name == name || k.aliases.contains(&name.as_str()))
+            .ok_or_else(|| {
+                let known: Vec<String> = KEYS
+                    .iter()
+                    .map(|k| format!("{}={}", k.name, k.grammar))
+                    .collect();
+                format!("unknown option {name} (known: {})", known.join(", "))
+            })
+    }
+}
+
 /// Every key [`Knobs::set`] accepts.
 pub const KEYS: &[Key] = &[
     Key {
@@ -82,12 +95,6 @@ pub const KEYS: &[Key] = &[
         name: "threads",
         aliases: &["parallelism"],
         env: Some("MOSAIC_PARALLELISM"),
-        grammar: "<n >= 1>",
-    },
-    Key {
-        name: "partitions",
-        aliases: &[],
-        env: Some("MOSAIC_AGG_PARTITIONS"),
         grammar: "<n >= 1>",
     },
     Key {
@@ -130,20 +137,7 @@ impl Knobs {
     /// `u64`. On an error the knobs are unchanged and the message names
     /// the accepted values.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        let key = key.trim().to_ascii_lowercase();
-        let Some(k) = KEYS
-            .iter()
-            .find(|k| k.name == key || k.aliases.contains(&key.as_str()))
-        else {
-            let known: Vec<String> = KEYS
-                .iter()
-                .map(|k| format!("{}={}", k.name, k.grammar))
-                .collect();
-            return Err(format!(
-                "unknown option {key} (known: {})",
-                known.join(", ")
-            ));
-        };
+        let k = Key::find(key)?;
         let text = value.trim().to_ascii_lowercase();
         let invalid = || {
             format!(
@@ -173,7 +167,6 @@ impl Knobs {
             }
             "seed" => self.seed = text.parse().map_err(|_| invalid())?,
             "threads" => self.threads = count()?,
-            "partitions" => self.partitions = count()?,
             "optimizer" => self.optimizer = flag()?,
             "result_cache" => self.result_cache = flag()?,
             other => unreachable!("key {other} is in KEYS but has no parser"),
@@ -216,9 +209,6 @@ mod tests {
         ] {
             assert_eq!(set(key, v).map(|k| k.threads), Ok(n), "{key}={v}");
         }
-        for (v, want) in [("1", 1), ("64", 64)] {
-            assert_eq!(set("partitions", v).map(|k| k.partitions), Ok(want), "{v}");
-        }
         // Both switches default on: each `off` spelling changes the
         // knobs, and the paired `on` spelling restores exactly them.
         let switches = [
@@ -239,7 +229,6 @@ mod tests {
         for (key, value) in [
             ("threads", "0"),
             ("parallelism", "-2"),
-            ("partitions", "0"),
             ("optimizer", "maybe"),
             ("result_cache", "64"),
             ("seed", "-1"),
@@ -257,6 +246,21 @@ mod tests {
         }
     }
 
+    /// The retired merge-partition knob is an unknown option like any
+    /// other, and the error lists the five keys that remain.
+    #[test]
+    fn partitions_is_an_unknown_option() {
+        let mut k = Knobs::default();
+        let err = k.set("partitions", "4").unwrap_err();
+        assert_eq!(
+            err,
+            "unknown option partitions (known: visibility=closed|semi-open|open, seed=<u64>, \
+             threads=<n >= 1>, optimizer=on|off, result_cache=on|off)"
+        );
+        assert_eq!(k, Knobs::default());
+        assert_eq!(KEYS.len(), 5);
+    }
+
     /// Each environment variable feeds its key through `set`; an invalid
     /// value is ignored, and `MOSAIC_RESULT_CACHE` takes the on|off
     /// grammar of its key — `no`, `false` and `0` all turn caching off.
@@ -271,13 +275,12 @@ mod tests {
         assert_eq!(env(&[]), Knobs::default());
         let set = env(&[
             ("MOSAIC_PARALLELISM", "3"),
-            ("MOSAIC_AGG_PARTITIONS", "1"),
             ("MOSAIC_OPTIMIZER", "off"),
             ("MOSAIC_RESULT_CACHE", "off"),
         ]);
         assert_eq!(
-            (set.threads, set.partitions, set.optimizer, set.result_cache),
-            (3, 1, false, false)
+            (set.threads, set.optimizer, set.result_cache),
+            (3, false, false)
         );
         for off in ["no", "false", "0", "off", "OFF"] {
             assert!(!env(&[("MOSAIC_RESULT_CACHE", off)]).result_cache, "{off}");
@@ -286,7 +289,6 @@ mod tests {
         assert!(env(&[("MOSAIC_RESULT_CACHE", "on")]).result_cache);
         for bad in [
             ("MOSAIC_PARALLELISM", "0"),
-            ("MOSAIC_AGG_PARTITIONS", "many"),
             ("MOSAIC_OPTIMIZER", "maybe"),
             ("MOSAIC_RESULT_CACHE", "64"),
         ] {

@@ -56,10 +56,10 @@
 //! reader–writer lock, so any number of [`Session`]s execute SELECTs
 //! concurrently while DDL/DML serializes.
 //! Each session carries its own [`Knobs`] — default visibility, OPEN
-//! seed, thread cap, merge partitions, optimizer, result cache — set by
-//! the typed `Session::with_*` setters or by text through
-//! [`Knobs::set`], the one parser behind the `MOSAIC_*` environment
-//! variables, the wire's `SetOption` and the shell's flags and `.set`.
+//! seed, thread cap, optimizer, result cache — set by the typed
+//! `Session::with_*` setters or by text through [`Knobs::set`], the one
+//! parser behind the `MOSAIC_*` environment variables, the wire's
+//! `SetOption` and the shell's flags and `.set`.
 //!
 //! Every SELECT is bound **once** into a [`Prepared`] — resolved source
 //! relations, baked-in visibility, logical/optimized/physical plan —
@@ -98,8 +98,8 @@
 //! result lowers to a [`PhysicalPlan`]. A plan executes through its one
 //! entry point, [`PhysicalPlan::run`]: a [`PlanInput`] (one table with
 //! optional row weights — what CLOSED, SEMI-OPEN and OPEN differ in — or
-//! a left/right pair) plus an [`ExecContext`] (parameter values, thread
-//! budget, merge partitions). Plans themselves hold no knobs.
+//! a left/right pair) plus an [`ExecContext`] (parameter values and
+//! thread budget). Plans themselves hold no knobs.
 //!
 //! ## Joins
 //!
@@ -133,8 +133,8 @@
 //!
 //! Query execution is morsel-driven: scans split into fixed-size morsels
 //! of Arc-shared column slices that a scoped worker pool processes in
-//! parallel, with per-morsel partial aggregates merged by a
-//! radix-partitioned parallel pass (see [`plan`]). The thread cap is the
+//! parallel, with per-morsel partial aggregates folded by one serial
+//! merge in morsel order (see [`plan`]). The thread cap is the
 //! `threads` knob (per session: [`Session::with_parallelism`]), starting
 //! at [`EngineOptions::parallelism`] — the `MOSAIC_PARALLELISM`
 //! environment variable or the core count — and never changes results,

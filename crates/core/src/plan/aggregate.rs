@@ -1,5 +1,5 @@
 //! Vectorized hash aggregation, split into a mergeable partial phase and
-//! a radix-partitioned parallel merge phase.
+//! a serial merge phase.
 //!
 //! Group keys are encoded per column into dense `u32` group ids (no
 //! per-row `Vec<Value>` materialization): a column whose values fall in
@@ -8,20 +8,18 @@
 //! hashes (see [`hash::dense_fits`]). Aggregates accumulate through the
 //! grouped kernels in `mosaic_storage::kernels`, and only the final
 //! per-group outputs round-trip through [`Value`]. Each SELECT item is
-//! typed (aggregate arguments included) before any aggregate runs.
+//! typed (aggregate arguments included) before any aggregate runs. An
+//! unweighted SUM or AVG over INT accumulates exactly, in `i128`.
 //!
 //! The split exists for the morsel-driven driver in
 //! [`crate::plan::parallel`]: each worker computes a [`MorselPartial`]
 //! over its morsel ([`compute_partial`]), and [`merge_finalize`] unifies
 //! the per-morsel group keys (through a slot table when a single
-//! dictionary or INT key allows it), hash-partitions the global group
-//! space into P radix partitions by group-key hash, and merges each
-//! partition independently on the shared worker pool — folding partial
-//! states **in morsel order** within every group, so the result is
-//! independent of which thread ran which morsel *and* of P (partition
-//! outputs are scattered back into global first-appearance order).
-//! Executing a table as one single morsel with P = 1 reproduces the
-//! previous whole-table vectorized path bit-for-bit.
+//! dictionary or INT key allows it), then folds every base aggregate's
+//! partial states into the global groups **in morsel order**, so the
+//! result is independent of which thread ran which morsel. Executing a
+//! table as one single morsel reproduces the whole-table vectorized path
+//! bit-for-bit.
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -231,128 +229,64 @@ pub(crate) fn compute_partial(
     })
 }
 
-/// Minimum global group count for the partitioned merge to engage:
-/// below this, partition-layout bookkeeping costs more than the merge
-/// itself, so the single-partition path runs regardless of the setting.
-const MIN_PARTITION_GROUPS: usize = 64;
-
 /// Unify the per-morsel group dictionaries (global group order =
 /// first-appearance order across morsels, which for a single morsel is
-/// the serial order), hash-partition the group space into `partitions`
-/// radix partitions, merge each partition independently on the shared
-/// worker pool (folding partial states in morsel order within every
-/// group), and assemble the output table in global group order.
-///
-/// The partition count never changes results: per-group fold order is
-/// morsel order for any P, and partition outputs are scattered back to
-/// first-appearance positions before assembly.
+/// the serial order), fold every base aggregate's partial states into
+/// the global groups in morsel order, and finalize the output table in
+/// global group order. Errors surface in (item, global group) order, as
+/// a row-at-a-time evaluation of the items meets them; an overflowing
+/// INT SUM is an error of its group.
 pub(crate) fn merge_finalize(
     items: &[SelectItem],
     weighted: bool,
     partials: &[MorselPartial],
     params: &[Value],
-    threads: usize,
-    partitions: usize,
 ) -> Result<Table> {
-    // 1. Global groups + per-morsel local→global maps (serial:
-    // first-appearance order is inherently sequential), and per global
-    // group the hash its radix partition is taken from.
     let (order, maps) = unify_keys(partials);
-    let ghash: Vec<u64> = match &order {
-        GroupKeys::Codes(_, codes) => codes.iter().map(hash::hash_one).collect(),
-        GroupKeys::Ints(ints) => ints.iter().map(hash::hash_one).collect(),
-        GroupKeys::Tuples(tuples) => tuples
-            .iter()
-            .map(|k| hash::hash_one(k.as_slice()))
-            .collect(),
-    };
-    let n_global = order.len();
-
-    // 2. Radix partition layout. Groups keep ascending (= first
-    // appearance) order within each partition; each morsel's local
-    // groups scatter into per-partition (local, dense) pairs in one pass
-    // over the maps.
-    let p = if partitions > 1 && n_global >= MIN_PARTITION_GROUPS {
-        partitions
-    } else {
-        1
-    };
-    let part_of: Vec<usize> = ghash.iter().map(|&h| hash::partition(h, p)).collect();
-    let mut pgroups: Vec<Vec<u32>> = vec![Vec::new(); p];
-    let mut pdense: Vec<u32> = vec![0; n_global];
-    for (g, &pi) in part_of.iter().enumerate() {
-        pdense[g] = pgroups[pi].len() as u32;
-        pgroups[pi].push(g as u32);
-    }
-    let mut ppairs: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); partials.len()]; p];
-    for (mi, map) in maps.iter().enumerate() {
-        for (l, &g) in map.iter().enumerate() {
-            ppairs[part_of[g as usize]][mi].push((l as u32, pdense[g as usize]));
-        }
-    }
-
-    // Pre-bind aggregate item shells the same way the partial phase did,
-    // so they match the stored (bound) base aggregates. The partial
-    // phase already bound these expressions, so this cannot newly fail.
-    let mut bound: Vec<Option<std::borrow::Cow<'_, Expr>>> = Vec::with_capacity(items.len());
+    let n_groups = order.len();
+    let mut value_rows: Vec<Vec<Value>> = vec![Vec::with_capacity(items.len()); n_groups];
     for (ii, item) in items.iter().enumerate() {
-        match first_item_partial(partials, ii) {
-            ItemPartial::Key(_) => bound.push(None),
-            ItemPartial::Aggs(_) => {
+        let col: Vec<Value> = match first_item_partial(partials, ii) {
+            ItemPartial::Key(pos) => (0..n_groups).map(|g| order.value(g, *pos)).collect(),
+            ItemPartial::Aggs(bases) => {
                 let SelectItem::Expr { expr, .. } = item else {
                     unreachable!("wildcards were rejected in the partial phase")
                 };
-                bound.push(Some(super::bind_expr(expr, params)?));
-            }
-        }
-    }
-
-    // 3. Merge every partition independently (p == 1 runs inline).
-    let results = super::parallel::run_ordered(p, threads, |pi| {
-        merge_partition(
-            items,
-            weighted,
-            partials,
-            &bound,
-            &order,
-            &pgroups[pi],
-            &ppairs[pi],
-        )
-    });
-
-    // Deterministic error selection: each partition reports its first
-    // error in (item, global group) order, so the minimum across
-    // partitions is exactly the error a serial pass would hit first.
-    let mut outs = Vec::with_capacity(p);
-    let mut first_err: Option<(usize, u32, MosaicError)> = None;
-    for r in results {
-        match r {
-            Ok(cols) => outs.push(cols),
-            Err(e) => {
-                if first_err
-                    .as_ref()
-                    .is_none_or(|(ii, g, _)| (e.0, e.1) < (*ii, *g))
-                {
-                    first_err = Some(e);
+                // Bound the same way the partial phase bound it, so the
+                // item matches the stored (bound) base aggregates; that
+                // phase already bound it, so this cannot newly fail.
+                let expr = super::bind_expr(expr, params)?;
+                let mut merged = Vec::with_capacity(bases.len());
+                // The first group with an overflowing INT SUM, and in it
+                // the first such aggregate in expression order.
+                let mut overflow: Option<(usize, MosaicError)> = None;
+                for (bi, (agg, _)) in bases.iter().enumerate() {
+                    let locals = partials.iter().zip(&maps).map(|(p, map)| {
+                        let ItemPartial::Aggs(bases) = &p.items[ii] else {
+                            unreachable!("item structure is morsel-invariant")
+                        };
+                        (&bases[bi].1, map.as_slice())
+                    });
+                    let (values, err) = merge_base_aggregate(agg, weighted, locals, n_groups);
+                    if let Some((g, e)) = err {
+                        if overflow.as_ref().is_none_or(|(first, _)| g < *first) {
+                            overflow = Some((g, e));
+                        }
+                    }
+                    merged.push((agg.clone(), values));
                 }
-                outs.push(Vec::new());
+                let stop = overflow.as_ref().map_or(n_groups, |(g, _)| *g);
+                let col = (0..stop)
+                    .map(|g| eval_over_groups(&expr, g, &merged))
+                    .collect::<Result<_>>()?;
+                if let Some((_, e)) = overflow {
+                    return Err(e);
+                }
+                col
             }
-        }
-    }
-    if let Some((_, _, e)) = first_err {
-        return Err(e);
-    }
-
-    // 4. Scatter partition outputs back into global group order (making
-    // the result invariant in P), then assemble. Partitions hold disjoint
-    // group sets, so draining each partition's columns in item order
-    // fills every group's row in item order.
-    let mut value_rows: Vec<Vec<Value>> = vec![Vec::with_capacity(items.len()); n_global];
-    for (out, groups) in outs.iter_mut().zip(&pgroups) {
-        for col in out.drain(..) {
-            for (&g, v) in groups.iter().zip(col) {
-                value_rows[g as usize].push(v);
-            }
+        };
+        for (row, v) in value_rows.iter_mut().zip(col) {
+            row.push(v);
         }
     }
     let fields: Vec<String> = items.iter().map(super::output_name).collect();
@@ -449,86 +383,32 @@ fn number_keys<K: Hash + Eq + Clone>(
     (keys, maps)
 }
 
-/// Merge and finalize one radix partition. `pgroups` lists the
-/// partition's global groups (ascending), `ppairs[mi]` the morsel-local →
-/// partition-dense index pairs of morsel `mi`. Returns one output column
-/// (over the partition's groups) per item, or the partition's first
-/// error in (item, global group) order.
-#[allow(clippy::type_complexity)]
-fn merge_partition(
-    items: &[SelectItem],
-    weighted: bool,
-    partials: &[MorselPartial],
-    bound: &[Option<std::borrow::Cow<'_, Expr>>],
-    order: &GroupKeys,
-    pgroups: &[u32],
-    ppairs: &[Vec<(u32, u32)>],
-) -> std::result::Result<Vec<Vec<Value>>, (usize, u32, MosaicError)> {
-    let n_local = pgroups.len();
-    let mut cols = Vec::with_capacity(items.len());
-    for (ii, bound_item) in bound.iter().enumerate() {
-        match first_item_partial(partials, ii) {
-            ItemPartial::Key(pos) => {
-                cols.push(
-                    pgroups
-                        .iter()
-                        .map(|&g| order.value(g as usize, *pos))
-                        .collect(),
-                );
-            }
-            ItemPartial::Aggs(bases) => {
-                let mut merged: Vec<(Expr, Vec<Value>)> = Vec::with_capacity(bases.len());
-                for (bi, (agg_expr, _)) in bases.iter().enumerate() {
-                    let Expr::Agg { func, .. } = agg_expr else {
-                        unreachable!("collect_aggregates only collects Agg nodes")
-                    };
-                    let values =
-                        merge_base_aggregate(*func, weighted, partials, ppairs, ii, bi, n_local);
-                    merged.push((agg_expr.clone(), values));
-                }
-                let expr = bound_item.as_ref().expect("aggregate items are pre-bound");
-                let mut out = Vec::with_capacity(n_local);
-                for (dense, &g) in pgroups.iter().enumerate() {
-                    out.push(eval_over_groups(expr, dense, &merged).map_err(|e| (ii, g, e))?);
-                }
-                cols.push(out);
-            }
-        }
-    }
-    Ok(cols)
-}
-
 /// The item partial of item `ii` in the first morsel (every morsel has
 /// the same item structure — it depends only on the statement).
 fn first_item_partial(partials: &[MorselPartial], ii: usize) -> &ItemPartial {
     &partials.first().expect("at least one morsel partial").items[ii]
 }
 
-/// Merge base aggregate `bi` of item `ii` across all morsels (in morsel
-/// order) and finalize it into one `Value` per group of this partition.
-/// Each morsel contributes at most one local group per target group, so
-/// folding morsels in order gives every group the same addition order as
-/// a dense whole-space merge — the partition count cannot perturb floats.
-fn merge_base_aggregate(
-    func: AggFunc,
+/// Merge one base aggregate across all morsels, folding each morsel's
+/// partial state through its local → global group map in morsel order
+/// (`locals`), and finalize it into one `Value` per global group. An
+/// unweighted SUM over INT is exact: it finalizes to INT when the sum
+/// fits in 64 bits; otherwise the group reads NULL and the first such
+/// group comes back with the error naming the aggregate.
+fn merge_base_aggregate<'a>(
+    agg: &Expr,
     weighted: bool,
-    partials: &[MorselPartial],
-    ppairs: &[Vec<(u32, u32)>],
-    ii: usize,
-    bi: usize,
-    n_local: usize,
-) -> Vec<Value> {
-    let locals = partials.iter().zip(ppairs).map(|(p, pairs)| {
-        let ItemPartial::Aggs(bases) = &p.items[ii] else {
-            unreachable!("item structure is morsel-invariant")
-        };
-        (&bases[bi].1, pairs.as_slice())
-    });
+    locals: impl Iterator<Item = (&'a AggPartial, &'a [u32])>,
+    n_groups: usize,
+) -> (Vec<Value>, Option<(usize, MosaicError)>) {
+    let Expr::Agg { func, .. } = agg else {
+        unreachable!("collect_aggregates only collects Agg nodes")
+    };
     match func {
         AggFunc::Count | AggFunc::Sum | AggFunc::Avg => {
-            let mut state = AggState::new(n_local);
+            let mut state = AggState::new(n_groups);
             let mut int_typed = true;
-            for (local, pairs) in locals {
+            for (local, map) in locals {
                 let AggPartial::Num {
                     state: ls,
                     int_typed: li,
@@ -541,49 +421,55 @@ fn merge_base_aggregate(
                 // contributes no rows, so only real Int morsels keep the
                 // output integral — exactly the whole-column rule.
                 int_typed &= *li;
-                state.merge_pairs(ls, pairs);
+                state.merge_from(ls, map);
             }
-            (0..n_local)
+            // Unweighted INT sums were kept exact (`AggState::isums`).
+            let exact = !weighted && int_typed;
+            if exact {
+                state.isums.resize(n_groups, 0);
+            }
+            let mut overflow = None;
+            let values = (0..n_groups)
                 .map(|g| match func {
-                    AggFunc::Count => {
-                        if weighted {
-                            Value::Float(state.wsums[g])
-                        } else {
-                            Value::Int(state.wsums[g] as i64)
-                        }
+                    AggFunc::Count if weighted => Value::Float(state.wsums[g]),
+                    AggFunc::Count => Value::Int(state.wsums[g] as i64),
+                    _ if state.counts[g] == 0 => Value::Null,
+                    AggFunc::Sum if exact => {
+                        let sum = state.isums[g];
+                        i64::try_from(sum).map_or_else(
+                            |_| {
+                                overflow.get_or_insert_with(|| {
+                                    let msg = format!(
+                                        "{agg} overflows INT: the exact sum {sum} does not fit \
+                                         in 64 bits"
+                                    );
+                                    (g, MosaicError::Execution(msg))
+                                });
+                                Value::Null
+                            },
+                            Value::Int,
+                        )
                     }
-                    AggFunc::Sum => {
-                        if state.counts[g] == 0 {
-                            Value::Null
-                        } else if !weighted && int_typed {
-                            Value::Int(state.sums[g] as i64)
-                        } else {
-                            Value::Float(state.sums[g])
-                        }
+                    AggFunc::Sum => Value::Float(state.sums[g]),
+                    AggFunc::Avg if exact => {
+                        Value::Float(state.isums[g] as f64 / state.counts[g] as f64)
                     }
-                    AggFunc::Avg => {
-                        if state.counts[g] == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(state.sums[g] / state.wsums[g])
-                        }
-                    }
-                    _ => unreachable!(),
+                    _ => Value::Float(state.sums[g] / state.wsums[g]),
                 })
-                .collect()
+                .collect();
+            (values, overflow)
         }
         AggFunc::Min | AggFunc::Max => {
-            let mut best: Vec<Value> = vec![Value::Null; n_local];
-            for (local, pairs) in locals {
+            let mut best: Vec<Value> = vec![Value::Null; n_groups];
+            for (local, map) in locals {
                 let AggPartial::MinMax(lb) = local else {
                     unreachable!("min/max aggregate has min/max partials")
                 };
-                for &(l, d) in pairs {
-                    let v = &lb[l as usize];
+                for (v, &g) in lb.iter().zip(map) {
                     if v.is_null() {
                         continue;
                     }
-                    let b = &mut best[d as usize];
+                    let b = &mut best[g as usize];
                     if b.is_null() {
                         *b = v.clone();
                         continue;
@@ -592,8 +478,8 @@ fn merge_base_aggregate(
                     // `min_max_by_cmp` — merging per-morsel bests in morsel
                     // order preserves the sequential-scan outcome.
                     let keep_new = match v.sql_cmp(b) {
-                        Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
-                        Some(std::cmp::Ordering::Greater) => func == AggFunc::Max,
+                        Some(std::cmp::Ordering::Less) => *func == AggFunc::Min,
+                        Some(std::cmp::Ordering::Greater) => *func == AggFunc::Max,
                         _ => false,
                     };
                     if keep_new {
@@ -601,7 +487,7 @@ fn merge_base_aggregate(
                     }
                 }
             }
-            best
+            (best, None)
         }
     }
 }
@@ -788,20 +674,21 @@ fn partial_aggregate(
                 MosaicError::Execution(format!("{}(*) requires an argument", func.name()))
             })?;
             let col = vector::eval_expr(e, table)?;
-            let mut state = AggState::new(n_groups);
             let int_typed = col.data_type() == DataType::Int;
+            let mut state = if int_typed && weights.is_none() {
+                AggState::new_exact(n_groups)
+            } else {
+                AggState::new(n_groups)
+            };
             match col.data_type() {
                 DataType::Int if weights.is_none() => {
                     kernels::group_sum_i64(
                         col.i64_data().expect("typed"),
                         col.validity(),
                         group_ids,
-                        &mut state.sums,
+                        &mut state.isums,
                         &mut state.counts,
                     );
-                    for (w, &c) in state.wsums.iter_mut().zip(&state.counts) {
-                        *w = c as f64;
-                    }
                 }
                 DataType::Int => {
                     let widened = kernels::widen_i64(col.i64_data().expect("typed"));

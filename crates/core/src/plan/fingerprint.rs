@@ -6,9 +6,9 @@
 //! resolved relation names it reads, the bound parameter values, the
 //! effective visibility, and the model configuration (IPF options, OPEN
 //! backend and seed) for visibilities that consult generative machinery.
-//! Thread count, partition count, and optimizer setting are deliberately
-//! **excluded**: results are bit-identical across all of them, so one
-//! entry serves every execution configuration. (The optimizer setting
+//! Thread count and optimizer setting are deliberately **excluded**:
+//! results are bit-identical across both, so one entry serves every
+//! execution configuration. (The optimizer setting
 //! still changes the optimized plan, so cache entries naturally split
 //! per setting — each is correct, they just don't share.)
 //!

@@ -8,27 +8,23 @@
 //! join's build table take that path when the rule allows it. Every
 //! other per-row and per-group map in `core::plan` (composite and FLOAT
 //! group keys, plain-string keys, spans too wide for a slot table,
-//! numeric and multi-key join tables) and every radix-partition
-//! assignment hashes through [`FoldHasher`].
+//! numeric and multi-key join tables) hashes through [`FoldHasher`].
 //!
 //! Its state starts from one random seed per process, drawn once from
 //! std's `RandomState`, so nobody can compute it ahead of time and craft
-//! group or join keys that pile into one bucket. Within the process it
-//! is a fixed function of the key, which is all the executor needs: a
-//! join's build and probe agree on partitions, and results never depend
-//! on the partition layout (see `aggregate::merge_finalize` and
-//! `join::PartitionedMap`). Input folds in one 64-bit word at a time
-//! with a folded multiply (the high and low halves of the 128-bit
-//! product, xored), and the SplitMix64 finalizer mixes the result, so
-//! structured keys (dense codes, power-of-two strides) spread over the
-//! low bits a table picks its bucket from *and* the high bits
-//! [`partition`] reads. The row-at-a-time oracle of the test suites
+//! group or join keys that pile into one bucket. No result depends on
+//! the hash: every map numbers or lists its entries in first-appearance
+//! or row order. Input folds in one 64-bit word at a time with a folded
+//! multiply (the high and low halves of the 128-bit product, xored), and
+//! the SplitMix64 finalizer mixes the result, so structured keys (dense
+//! codes, power-of-two strides) spread over the low bits a table picks
+//! its bucket from. The row-at-a-time oracle of the test suites
 //! (`mosaic_tests::oracle`) keeps std's `HashMap` on purpose: the
 //! reference must not share the code it checks.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// A `HashMap` keyed through [`FoldHasher`].
@@ -123,23 +119,6 @@ impl Hasher for FoldHasher {
     }
 }
 
-/// The hash a [`FoldMap`] computes for `key`.
-#[inline]
-pub(crate) fn hash_one<T: Hash + ?Sized>(key: &T) -> u64 {
-    FoldState::default().hash_one(key)
-}
-
-/// The radix partition (of `parts`) a key with hash `hash` belongs to.
-///
-/// It reads bits 25..57: above the low bits that pick a bucket in any
-/// table built here, and below the top 7 bits std's table keeps as its
-/// per-slot tag. `hash % parts` would instead leave every key of one
-/// partition in 1/`parts` of that partition's buckets.
-#[inline]
-pub(crate) fn partition(hash: u64, parts: usize) -> usize {
-    ((((hash >> 25) as u32 as u64) * parts as u64) >> 32) as usize
-}
-
 /// Slots a direct-indexed table may spend per entry it numbers.
 const SLOTS_PER_ENTRY: u128 = 4;
 
@@ -197,6 +176,11 @@ mod tests {
         assert!(dense_fits(4 * 16384, 16384) && !dense_fits(4 * 16384 + 1, 16384));
     }
 
+    /// The hash a [`FoldMap`] computes for `key`.
+    fn hash_one<T: std::hash::Hash>(key: T) -> u64 {
+        FoldState::default().hash_one(key)
+    }
+
     /// Within one process the hash is a fixed function of the key: every
     /// map (a join's build and probe side alike) agrees with `hash_one`.
     #[test]
@@ -204,21 +188,20 @@ mod tests {
         let (build, probe) = (FoldState::default(), FoldState::default());
         assert_eq!(build.hash_one(42u64), probe.hash_one(42u64));
         assert_eq!(build.hash_one("mosaic"), probe.hash_one("mosaic"));
-        assert_eq!(build.hash_one((7u32, -1i64)), hash_one(&(7u32, -1i64)));
-        assert_ne!(hash_one(&42u64), hash_one(&43u64));
+        assert_eq!(build.hash_one((7u32, -1i64)), hash_one((7u32, -1i64)));
+        assert_ne!(hash_one(42u64), hash_one(43u64));
         // Two ints whose top bits both flip: the folded multiply keeps
         // them apart (a plain `(state ^ w) * K` fold collides here for
         // every seed).
         assert_ne!(
-            hash_one(&(1i64, 2i64)),
-            hash_one(&(1i64 ^ i64::MIN, 2i64 ^ i64::MIN))
+            hash_one((1i64, 2i64)),
+            hash_one((1i64 ^ i64::MIN, 2i64 ^ i64::MIN))
         );
     }
 
     /// Keys strided by 2²⁰ differ only above bit 20; the finalizer must
     /// still spread them over the low 12 bits (a bucket index) — a
-    /// multiply-only hash maps all 4 096 to one value — and, within one
-    /// partition, over the low bits too.
+    /// multiply-only hash maps all 4 096 to one value.
     #[test]
     fn strided_keys_spread_over_low_bits() {
         fn distinct_low12(hashes: &[u64]) -> usize {
@@ -228,16 +211,8 @@ mod tests {
                 .filter(|&&h| !std::mem::replace(&mut seen[(h & 0xfff) as usize], true))
                 .count()
         }
-        let hashes: Vec<u64> = (0..4096u64).map(|k| hash_one(&(k << 20))).collect();
+        let hashes: Vec<u64> = (0..4096u64).map(|k| hash_one(k << 20)).collect();
         let low = distinct_low12(&hashes);
         assert!(low >= 2000, "{low} distinct low-12-bit values of 4096");
-        let part0: Vec<u64> = hashes
-            .iter()
-            .copied()
-            .filter(|&h| partition(h, 16) == 0)
-            .collect();
-        assert!((128..=384).contains(&part0.len()), "{}", part0.len());
-        let low0 = distinct_low12(&part0);
-        assert!(low0 * 10 >= part0.len() * 9, "{low0} of {}", part0.len());
     }
 }

@@ -624,19 +624,6 @@ pub(crate) fn build_is_left(left_rows: usize, right_rows: usize) -> bool {
     left_rows < right_rows
 }
 
-/// The radix-partition count of a hashed build side of `rows` rows: the
-/// `partitions` knob when the side spans more than one morsel, else 1 —
-/// a serial build, since partitioning a small side costs more than it
-/// saves. Capped at `u16::MAX`, the NULL-key sentinel of the partition
-/// map.
-pub(crate) fn build_partitions(rows: usize, partitions: usize) -> usize {
-    if partitions > 1 && rows > MORSEL_ROWS {
-        partitions.min(u16::MAX as usize)
-    } else {
-        1
-    }
-}
-
 /// How a join indexes its build side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BuildStrategy {
@@ -644,9 +631,8 @@ pub(crate) enum BuildStrategy {
     /// a table of the build rows grouped by dictionary code, one slot
     /// per code. Nothing hashes, in the build or in the probe.
     Direct { slots: usize },
-    /// Hash tables over normalized key tokens, in this many radix
-    /// partitions (see [`build_partitions`]).
-    Hashed { partitions: usize },
+    /// One hash table over normalized key tokens, built serially.
+    Hashed,
 }
 
 impl std::fmt::Display for BuildStrategy {
@@ -655,12 +641,7 @@ impl std::fmt::Display for BuildStrategy {
             BuildStrategy::Direct { slots } => {
                 write!(f, "direct-indexed on dictionary codes ({slots} slots)")
             }
-            BuildStrategy::Hashed { partitions: 1 } => {
-                write!(f, "1 radix partition(s) (serial build)")
-            }
-            BuildStrategy::Hashed { partitions } => {
-                write!(f, "{partitions} radix partition(s) on the worker pool")
-            }
+            BuildStrategy::Hashed => write!(f, "hash table on normalized key tokens"),
         }
     }
 }
@@ -671,16 +652,10 @@ impl std::fmt::Display for BuildStrategy {
 /// (`None` otherwise), `rows` the build side's row count. The gate
 /// weighs the dictionary against the build rows: a dictionary shared
 /// with a large table can be far larger than a filtered build side.
-pub(crate) fn build_strategy(
-    dict_len: Option<usize>,
-    rows: usize,
-    partitions: usize,
-) -> BuildStrategy {
+pub(crate) fn build_strategy(dict_len: Option<usize>, rows: usize) -> BuildStrategy {
     match dict_len {
         Some(slots) if hash::dense_fits(slots as u128 + 1, rows) => BuildStrategy::Direct { slots },
-        _ => BuildStrategy::Hashed {
-            partitions: build_partitions(rows, partitions),
-        },
+        _ => BuildStrategy::Hashed,
     }
 }
 
@@ -690,23 +665,20 @@ pub(crate) fn build_strategy(
 /// Execution ([`HashJoinOp::execute`]): both inputs are pruned, and
 /// their pushed-down filters run per morsel on the worker pool. The
 /// **smaller** side (counted after its filters) is gathered and indexed
-/// as [`build_strategy`] decides. A single TEXT key over a dictionary
+/// as `build_strategy` decides. A single TEXT key over a dictionary
 /// small enough for the build side is direct-indexed: the build rows
 /// grouped by dictionary code, each probe row a code load, a slot load
-/// and the pushes. Any other key builds hash tables keyed on normalized
-/// key tokens (see `mosaic_storage::kernels::join_key_f64`) — a build
-/// side spanning more than one morsel radix-partitions its keys into P
-/// independent tables built in parallel (P = the engine's partition
-/// knob), a smaller build stays one serial table. The larger side is
-/// then probed morsel by morsel on the pool, each probe key routed to
-/// its key-hash partition, and every probe morsel yields one `Fragment`
+/// and the pushes. Any other key builds one hash table keyed on
+/// normalized key tokens (see `mosaic_storage::kernels::join_key_f64`),
+/// serially on the calling thread. The larger side is then probed morsel
+/// by morsel on the pool, and every probe morsel yields one `Fragment`
 /// of (left row, right row) pairs. Probing the left side, the fragments
 /// already follow the canonical (left row, right row) order and a LEFT
 /// OUTER join NULL-extends unmatched rows in place; probing the right
-/// side, one stable counting sort by left row restores it. Nothing is gathered
-/// here: the morsel driver gathers the output columns per joined morsel
-/// ([`JoinedRows::gather`]). Results are bit-identical at every thread
-/// count *and every partition count*.
+/// side, one stable counting sort by left row restores it. Nothing is
+/// gathered here: the morsel driver gathers the output columns per
+/// joined morsel ([`JoinedRows::gather`]). Results are bit-identical at
+/// every thread count.
 #[derive(Clone)]
 pub struct HashJoinOp {
     /// Left (base) input.
@@ -793,9 +765,8 @@ impl HashJoinOp {
     }
 
     /// Execute the join: the canonical (left row, right row) pair
-    /// sequence, ready to be gathered morsel by morsel. `ctx.partitions`
-    /// caps the radix partitioning of a multi-morsel build side (1 =
-    /// serial build); like the thread cap it never changes results.
+    /// sequence, ready to be gathered morsel by morsel. The thread cap
+    /// never changes results.
     ///
     /// Errors surface in the order a whole-table pass raises them: the
     /// left side's pushed filters, the right side's, then the left keys
@@ -820,7 +791,7 @@ impl HashJoinOp {
             )));
         }
         let hashed = match eval_keys(&build_side.keys, &build_table, ctx.params) {
-            Ok(keys) => Ok(HashBuild::new(&keys, ctx.threads, ctx.partitions)),
+            Ok(keys) => Ok(HashBuild::new(&keys)),
             Err((_, e)) => Err(e),
         };
         // Left keys evaluate before right keys: a failing left build
@@ -1381,32 +1352,26 @@ struct HashBuild {
 /// composite keys.
 enum Tables {
     Direct(CodeTable),
-    One(PartitionedMap<u64>),
-    Many(PartitionedMap<Vec<u64>>),
+    One(FoldMap<u64, Vec<u32>>),
+    Many(FoldMap<Vec<u64>, Vec<u32>>),
 }
 
 impl HashBuild {
-    fn new(keys: &[Column], threads: usize, partitions: usize) -> HashBuild {
+    fn new(keys: &[Column]) -> HashBuild {
         let keys: Vec<BuildKey> = keys.iter().map(BuildKey::new).collect();
         let rows = keys.first().map_or(0, |k| k.tokens.tokens.len());
         let dict_len = match keys.as_slice() {
             [k] => k.dict.as_ref().map(|d| d.len()),
             _ => None,
         };
-        let tables = match (build_strategy(dict_len, rows, partitions), keys.as_slice()) {
+        let tables = match (build_strategy(dict_len, rows), keys.as_slice()) {
             (BuildStrategy::Direct { slots }, [k]) => {
                 Tables::Direct(CodeTable::new(&k.tokens, slots))
             }
-            (BuildStrategy::Hashed { partitions }, [k]) => {
-                Tables::One(PartitionedMap::build(rows, threads, partitions, |row| {
-                    k.tokens.get(row)
-                }))
-            }
-            (BuildStrategy::Hashed { partitions }, keys) => {
-                Tables::Many(PartitionedMap::build(rows, threads, partitions, |row| {
-                    keys.iter().map(|k| k.tokens.get(row)).collect()
-                }))
-            }
+            (BuildStrategy::Hashed, [k]) => Tables::One(build_map(rows, |row| k.tokens.get(row))),
+            (BuildStrategy::Hashed, keys) => Tables::Many(build_map(rows, |row| {
+                keys.iter().map(|k| k.tokens.get(row)).collect()
+            })),
             (BuildStrategy::Direct { .. }, _) => unreachable!("direct builds have one key"),
         };
         HashBuild { keys, tables }
@@ -1452,7 +1417,10 @@ impl HashBuild {
                 }
             }
             Tables::One(m) => match self.keys[0].probe(&cols[0]) {
-                Some(tokens) => out.pairs(|j| tokens.get(j).map_or(&[], |k| m.get(&k))),
+                Some(tokens) => out.pairs(|j| {
+                    let rows = tokens.get(j).and_then(|k| m.get(&k));
+                    rows.map_or(&[], Vec::as_slice)
+                }),
                 None => out.pairs(none),
             },
             Tables::Many(m) => {
@@ -1468,7 +1436,8 @@ impl HashBuild {
                             .iter()
                             .map(|t| t.get(j))
                             .collect::<Option<Vec<u64>>>()
-                            .map_or(&[], |k| m.get(&k))
+                            .and_then(|k| m.get(&k))
+                            .map_or(&[], Vec::as_slice)
                     }),
                     None => out.pairs(none),
                 }
@@ -1539,69 +1508,20 @@ impl CodeTable {
     }
 }
 
-/// Per key, the matching build rows in ascending row order, split over
-/// one or more key-hash partitions. Each key lives in exactly one
-/// partition, chosen by the process-wide hash, so the rows a key maps
-/// to — and their order — are the same at every partition count.
-struct PartitionedMap<K> {
-    parts: Vec<FoldMap<K, Vec<u32>>>,
-}
-
-impl<K: Eq + std::hash::Hash + Send + Sync> PartitionedMap<K> {
-    /// Hash `rows` build rows (`None` = unusable key, never matches)
-    /// into `n_parts` tables. One partition is a serial build; more run
-    /// on the worker pool: a morsel-parallel pass assigns each row its
-    /// partition, then each partition inserts its rows in ascending row
-    /// order.
-    fn build(
-        rows: usize,
-        threads: usize,
-        n_parts: usize,
-        key: impl Fn(usize) -> Option<K> + Sync,
-    ) -> Self {
-        if n_parts == 1 {
-            let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
-            for row in 0..rows {
-                if let Some(k) = key(row) {
-                    table.entry(k).or_default().push(row as u32);
-                }
-            }
-            return PartitionedMap { parts: vec![table] };
+/// Per key, the matching build rows in ascending row order: `rows` build
+/// rows inserted serially, in row order (`None` = unusable key, never
+/// matches).
+fn build_map<K: Eq + std::hash::Hash>(
+    rows: usize,
+    key: impl Fn(usize) -> Option<K>,
+) -> FoldMap<K, Vec<u32>> {
+    let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
+    for row in 0..rows {
+        if let Some(k) = key(row) {
+            table.entry(k).or_default().push(row as u32);
         }
-        let part_chunks: Vec<Vec<u16>> = run_ordered(rows.div_ceil(MORSEL_ROWS), threads, |mi| {
-            let start = mi * MORSEL_ROWS;
-            (start..(start + MORSEL_ROWS).min(rows))
-                .map(|row| match key(row) {
-                    Some(k) => hash::partition(hash::hash_one(&k), n_parts) as u16,
-                    None => u16::MAX,
-                })
-                .collect()
-        });
-        let part_of: Vec<u16> = part_chunks.concat();
-        let parts = run_ordered(n_parts, threads, |pi| {
-            let mut table: FoldMap<K, Vec<u32>> = FoldMap::default();
-            for (row, &part) in part_of.iter().enumerate() {
-                if part == pi as u16 {
-                    let k = key(row).expect("partitioned rows have keys");
-                    table.entry(k).or_default().push(row as u32);
-                }
-            }
-            table
-        });
-        PartitionedMap { parts }
     }
-
-    fn is_empty(&self) -> bool {
-        self.parts.iter().all(FoldMap::is_empty)
-    }
-
-    fn get(&self, key: &K) -> &[u32] {
-        let part = match self.parts.as_slice() {
-            [one] => one,
-            parts => &parts[hash::partition(hash::hash_one(key), parts.len())],
-        };
-        part.get(key).map_or(&[], Vec::as_slice)
-    }
+    table
 }
 
 #[cfg(test)]
@@ -1617,81 +1537,6 @@ mod tests {
         }
     }
 
-    /// Hash `build_rows` keys at the given thread budget, partitioned
-    /// through the executor's gate, then look every probe key up: the
-    /// (build row, probe row) pairs in probe-major order.
-    fn pairs(
-        build_rows: usize,
-        probe_rows: usize,
-        threads: usize,
-        partitions: usize,
-        bkey: impl Fn(usize) -> Option<u64> + Sync,
-        pkey: impl Fn(usize) -> Option<u64>,
-    ) -> Vec<(u32, usize)> {
-        let parts = build_partitions(build_rows, partitions);
-        let map = PartitionedMap::build(build_rows, threads, parts, bkey);
-        let mut out = Vec::new();
-        for row in 0..probe_rows {
-            if let Some(k) = pkey(row) {
-                out.extend(map.get(&k).iter().map(|&b| (b, row)));
-            }
-        }
-        out
-    }
-
-    /// The radix-partitioned build is (a) deterministic — the pair
-    /// output is bit-identical at every thread count × partition count
-    /// — and (b) really on the pool: the probe here is a serial loop
-    /// that never touches the worker gauge, so *any* gauge activity
-    /// comes from the build's partition-map and per-partition phases.
-    /// Fast tasks can drain before every spawned worker starts, so only
-    /// this ≥ 1 lower bound is deterministic (the 10M-row bench asserts
-    /// concurrency at scale).
-    #[test]
-    fn partitioned_build_spawns_workers_and_matches_serial() {
-        use crate::plan::parallel::{reset_worker_thread_peak, worker_thread_peak};
-        let build_rows = MORSEL_ROWS + 100;
-        let probe_rows = MORSEL_ROWS;
-        let bkey = |row: usize| {
-            if row.is_multiple_of(50) {
-                None // NULL build keys partition nowhere
-            } else {
-                Some((row % 4096) as u64)
-            }
-        };
-        let pkey = |row: usize| Some((row % 8192) as u64);
-        let serial = pairs(build_rows, probe_rows, 1, 1, bkey, pkey);
-        assert!(!serial.is_empty());
-        reset_worker_thread_peak();
-        let parallel = pairs(build_rows, probe_rows, 8, 16, bkey, pkey);
-        assert!(
-            worker_thread_peak() >= 1,
-            "partitioned build never spawned a pool worker (serial fallback?)"
-        );
-        assert_eq!(serial, parallel);
-        // Partition count is a pure execution knob: any count, including
-        // ones that split hot keys unevenly, yields the same pairs.
-        for partitions in [2usize, 7, 64] {
-            let p = pairs(build_rows, probe_rows, 8, partitions, bkey, pkey);
-            assert_eq!(serial, p, "{partitions} partitions changed the pairs");
-        }
-    }
-
-    /// A single-morsel build side must skip partitioning entirely (the
-    /// serial path), whatever the partition knob says.
-    #[test]
-    fn small_build_side_stays_serial() {
-        assert_eq!(build_partitions(MORSEL_ROWS, 16), 1);
-        assert_eq!(build_partitions(MORSEL_ROWS + 1, 16), 16);
-        assert_eq!(build_partitions(MORSEL_ROWS + 1, 1), 1);
-        let bkey = |row: usize| Some(row as u64 % 16);
-        let pkey = |row: usize| Some(row as u64 % 32);
-        assert_eq!(
-            pairs(MORSEL_ROWS, 64, 1, 1, bkey, pkey),
-            pairs(MORSEL_ROWS, 64, 8, 16, bkey, pkey)
-        );
-    }
-
     /// A TEXT key column over `values` (`None` = NULL).
     fn text_key(values: &[Option<&str>]) -> Column {
         let values: Vec<Value> = values
@@ -1703,8 +1548,8 @@ mod tests {
             .dict_encoded()
     }
 
-    /// The direct-indexed table and the hashed ones (one partition and
-    /// sixteen) give every probe row the same build rows: a probe
+    /// The direct-indexed table and the hashed one give every probe row
+    /// the same build rows: a probe
     /// dictionary other than the build's, values the build side lacks,
     /// NULL keys on both sides, duplicate build keys, each pair order
     /// and LEFT OUTER.
@@ -1727,8 +1572,7 @@ mod tests {
         let rows = build.len();
         let builds = [
             Tables::Direct(CodeTable::new(&key().tokens, slots)),
-            Tables::One(PartitionedMap::build(rows, 1, 1, |r| key().tokens.get(r))),
-            Tables::One(PartitionedMap::build(rows, 4, 16, |r| key().tokens.get(r))),
+            Tables::One(build_map(rows, |r| key().tokens.get(r))),
         ];
         let mut answers = Vec::new();
         for tables in builds {
@@ -1754,28 +1598,21 @@ mod tests {
         }
         assert!(!answers[0][0].0.is_empty());
         assert_eq!(answers[0], answers[1]);
-        assert_eq!(answers[0], answers[2]);
     }
 
     /// The gate weighs the build dictionary against the build rows.
     #[test]
     fn build_strategy_gate() {
         assert_eq!(
-            build_strategy(Some(23), 23, 16),
+            build_strategy(Some(23), 23),
             BuildStrategy::Direct { slots: 23 }
         );
         assert_eq!(
-            build_strategy(Some(1023), 0, 16),
+            build_strategy(Some(1023), 0),
             BuildStrategy::Direct { slots: 1023 }
         );
-        assert_eq!(
-            build_strategy(Some(1024), 10, 16),
-            BuildStrategy::Hashed { partitions: 1 }
-        );
-        assert_eq!(
-            build_strategy(None, MORSEL_ROWS + 1, 16),
-            BuildStrategy::Hashed { partitions: 16 }
-        );
+        assert_eq!(build_strategy(Some(1024), 10), BuildStrategy::Hashed);
+        assert_eq!(build_strategy(None, MORSEL_ROWS + 1), BuildStrategy::Hashed);
     }
 
     /// Run a join and gather every joined row.
@@ -2082,8 +1919,8 @@ mod tests {
                     ),
                 };
                 let reference = nested_loop_rows(&left, &right, &[("k", "code")], kind);
-                for (threads, partitions) in [(1, 1), (4, 1), (4, 16)] {
-                    let ctx = ExecContext::new(&[], threads, partitions);
+                for threads in [1, 4] {
+                    let ctx = ExecContext::new(&[], threads);
                     let out = run_join(&op, &left, &right, &ctx);
                     assert_eq!(
                         rows_of(&out),
@@ -2137,7 +1974,7 @@ mod tests {
                 false,
             ),
         };
-        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2, 16));
+        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2));
         // l0 matches r0,r1; l1 (NULL key) and l2 are NULL-extended at
         // their left positions; l3 matches r0,r1 again.
         assert_eq!(out.num_rows(), 6);
@@ -2209,7 +2046,7 @@ mod tests {
                 kind,
                 output: output.clone(),
             };
-            let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2, 16));
+            let out = run_join(&op, &left, &right, &ExecContext::new(&[], 2));
             // Columns: k, the combined weight, code.
             let mut want: Vec<Vec<Value>> = vec![
                 vec![1.into(), 20.0.into(), 1.into()],
@@ -2240,7 +2077,7 @@ mod tests {
     /// two-column key: the streamed probe (either side), the per-morsel
     /// filters and the counting sort back to canonical order reproduce
     /// the reference join of the pre-filtered tables, INNER and LEFT
-    /// OUTER, at every thread and partition count.
+    /// OUTER, at every thread count.
     #[test]
     fn filtered_multi_key_join_matches_reference() {
         let big = 2 * MORSEL_ROWS + 500;
@@ -2292,8 +2129,8 @@ mod tests {
                     &[("a", "a"), ("b", "b")],
                     kind,
                 );
-                for (threads, partitions) in [(1, 1), (3, 1), (3, 16)] {
-                    let ctx = ExecContext::new(&[], threads, partitions);
+                for threads in [1, 3] {
+                    let ctx = ExecContext::new(&[], threads);
                     let out = run_join(&op, &left, &right, &ctx);
                     assert_eq!(
                         rows_of(&out),
@@ -2332,7 +2169,7 @@ mod tests {
             };
             for threads in [1, 4] {
                 let err = op
-                    .execute(&left, &right, &ExecContext::new(&[], threads, 16))
+                    .execute(&left, &right, &ExecContext::new(&[], threads))
                     .err()
                     .expect("keys fail");
                 assert_eq!(
@@ -2377,7 +2214,7 @@ mod tests {
                 false,
             ),
         };
-        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 1, 1));
+        let out = run_join(&op, &left, &right, &ExecContext::new(&[], 1));
         assert_eq!(rows_of(&out), vec![vec![Value::Int(1), Value::Float(1.0)]]);
 
         let right_str = table(
@@ -2395,7 +2232,7 @@ mod tests {
             ..op
         };
         assert_eq!(
-            op2.execute(&left, &right_str, &ExecContext::new(&[], 1, 1))
+            op2.execute(&left, &right_str, &ExecContext::new(&[], 1))
                 .unwrap()
                 .num_rows(),
             0

@@ -19,18 +19,18 @@
 //! Execution is **morsel-driven and parallel** (see [`parallel`]): the
 //! scan splits into fixed-size morsels of Arc-shared column slices, the
 //! filters, the projection and the partial-aggregate phase of the hash
-//! aggregation run per morsel on a scoped worker pool, and the aggregate
-//! merge itself is radix-partitioned across the same pool before the
-//! ordering stages, which run once over the merged result
+//! aggregation run per morsel on a scoped worker pool, and one serial
+//! aggregate merge folds the partial states before the ordering stages,
+//! which run once over the merged result
 //! (`PhysicalPlan::apply_order`; the OPEN combiner orders the combined
 //! replicate answers through the same method).
 //!
 //! A plan has **one entry point**, [`PhysicalPlan::run`]: the
 //! [`PlanInput`] says what it reads (one table with optional row
 //! weights, or a left/right pair), the [`ExecContext`] carries the
-//! parameter values, the thread budget and the merge partition count.
-//! Plans hold no knobs — threads and partitions never affect results,
-//! so they belong to an execution, not to the plan a cache may share.
+//! parameter values and the thread budget. Plans hold no knobs — the
+//! thread budget never affects results, so it belongs to an execution,
+//! not to the plan a cache may share.
 
 pub(crate) mod aggregate;
 pub mod fingerprint;
@@ -80,23 +80,20 @@ pub struct ExecContext<'a> {
     /// unprepared statements). Stages bind [`Expr::Param`] nodes against
     /// this vector before evaluating.
     pub params: &'a [Value],
-    /// Worker-thread budget (minimum 1) of the morsel phase and of the
-    /// aggregate merge. Morsel-phase stages take no budget — they already
-    /// run *on* the pool — and the ordering stages run on the calling
+    /// Worker-thread budget (minimum 1) of the morsel phase and of a
+    /// join's pushed filters and probe. Morsel-phase stages take no
+    /// budget — they already run *on* the pool — and the aggregate
+    /// merge, a join's build and the ordering stages run on the calling
     /// thread. Never changes results, only who computes them.
     pub threads: usize,
-    /// Radix-partition count (minimum 1 = serial) of the aggregate
-    /// merge and of a multi-morsel join build. Never changes results.
-    pub partitions: usize,
 }
 
 impl<'a> ExecContext<'a> {
     /// The context of one plan execution.
-    pub fn new(params: &'a [Value], threads: usize, partitions: usize) -> Self {
+    pub fn new(params: &'a [Value], threads: usize) -> Self {
         ExecContext {
             params,
             threads: threads.max(1),
-            partitions: partitions.max(1),
         }
     }
 }
@@ -587,12 +584,11 @@ pub struct PhysicalPlan {
 
 impl PhysicalPlan {
     /// Execute the plan over `input` — the one way a plan runs. The
-    /// context's thread budget and partition count never change
-    /// results. A weight vector must be parallel to its table; when a
-    /// join plan's aggregate carries the §5.3 weighted rewrite, the
-    /// joined `weight` column becomes the row-weight vector of the
-    /// downstream pipeline (a NULL weight — a NULL-extended LEFT OUTER
-    /// row — contributes weight 0).
+    /// context's thread budget never changes results. A weight vector
+    /// must be parallel to its table; when a join plan's aggregate
+    /// carries the §5.3 weighted rewrite, the joined `weight` column
+    /// becomes the row-weight vector of the downstream pipeline (a NULL
+    /// weight — a NULL-extended LEFT OUTER row — contributes weight 0).
     pub fn run(&self, input: PlanInput<'_>, ctx: &ExecContext<'_>) -> Result<Table> {
         match (input, &self.join) {
             (PlanInput::Table { table, weights }, None) => {
@@ -978,7 +974,7 @@ mod tests {
     ) -> Result<Table> {
         plan.run(
             PlanInput::Table { table, weights },
-            &ExecContext::new(&[], threads, 16),
+            &ExecContext::new(&[], threads),
         )
     }
 
@@ -1016,7 +1012,7 @@ mod tests {
         let plan = lower(&select("SELECT v, r FROM t ORDER BY v DESC"), false);
         assert!(matches!(plan.order[..], [Order::Sort { .. }]));
         let table = b.finish();
-        let ctx = |threads: usize| ExecContext::new(&[], threads, 1);
+        let ctx = |threads: usize| ExecContext::new(&[], threads);
         let mut expect: Vec<usize> = (0..rows).collect();
         expect.sort_by_key(|&r| std::cmp::Reverse(table.value(r, 0).as_i64()));
         for threads in [1, 8] {
@@ -1057,7 +1053,7 @@ mod tests {
     /// errors, and the matching shapes run.
     #[test]
     fn plan_input_shape_mismatch_is_error() {
-        let ctx = ExecContext::new(&[], 2, 16);
+        let ctx = ExecContext::new(&[], 2);
         let (join, t) = join_plan("SELECT l.k, r.v FROM l JOIN r ON l.k = r.k", false);
         let single = lower(&select("SELECT k FROM t"), false);
         let one = PlanInput::Table {
@@ -1096,7 +1092,7 @@ mod tests {
             right: &t,
             post_join,
         };
-        let ctx = ExecContext::new(&[], 2, 16);
+        let ctx = ExecContext::new(&[], 2);
         // 9 joined rows, each weighing 2 × 2.
         let out = join.run(pair(None), &ctx).unwrap();
         assert_eq!(out.value(0, 0), Value::Float(36.0));

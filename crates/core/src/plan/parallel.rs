@@ -22,11 +22,8 @@
 //! 3. **Merge** — per-morsel results stitch back together *in morsel
 //!    order*: output fragments concatenate ([`Table::vstack`]), partial
 //!    aggregate states fold into global per-group states
-//!    (`aggregate::merge_finalize`). The aggregate merge itself is
-//!    parallel: the global group space is hash-partitioned into the
-//!    `partitions` knob's radix partitions and each partition
-//!    merges independently on the same worker pool, still folding in
-//!    morsel order within every group. Sort then runs once over the
+//!    (`aggregate::merge_finalize`, one serial pass that folds every
+//!    group in morsel order). Sort then runs once over the
 //!    merged result — integer sorts of (key prefix, row id) pairs on
 //!    the calling thread, key by key — and Limit truncates; a per-morsel
 //!    TopK selects once more, from the surviving candidates.
@@ -36,14 +33,11 @@
 //! Results are **bit-identical at every thread count** by construction:
 //! morsel boundaries depend only on the input row count, merging always
 //! walks morsels in index order, and error reporting picks the failing
-//! (stage, morsel) pair with the lowest rank. Threads only decide *who* computes a
-//! morsel, never *what* is computed. The aggregate-merge partition count
-//! is equally inert: within any group the fold order is morsel order for
-//! every P, and partition outputs scatter back into global
-//! first-appearance order before assembly. A single-morsel input (≤
-//! [`MORSEL_ROWS`] rows — including every table the row-at-a-time oracle
-//! suite generates) additionally reproduces the pre-morsel whole-table
-//! vectorized path bit-for-bit.
+//! (stage, morsel) pair with the lowest rank. Threads only decide *who*
+//! computes a morsel, never *what* is computed. A single-morsel input
+//! (≤ [`MORSEL_ROWS`] rows — including every table the row-at-a-time
+//! oracle suite generates) additionally reproduces the pre-morsel
+//! whole-table vectorized path bit-for-bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -220,11 +214,10 @@ pub(crate) fn first_error<T>(results: Vec<aggregate::Ranked<T>>) -> Result<Vec<T
 
 /// Execute `plan`'s pipeline (everything after a join stage, if any)
 /// over `source` on at most `ctx.threads` workers, binding `ctx.params`
-/// into any positional-parameter placeholders. `ctx.partitions` caps
-/// the radix-partition count of the aggregate merge phase (1 = serial
-/// merge); like the thread cap it never changes results. A weighted
-/// join aggregate reads each morsel's row weights off its gathered
-/// `weight` column (NULL — a NULL-extended LEFT OUTER row — weighs 0).
+/// into any positional-parameter placeholders; the thread cap never
+/// changes results. A weighted join aggregate reads each morsel's row
+/// weights off its gathered `weight` column (NULL — a NULL-extended
+/// LEFT OUTER row — weighs 0).
 pub(crate) fn execute_plan(
     plan: &PhysicalPlan,
     source: MorselSource<'_>,
@@ -359,14 +352,7 @@ pub(crate) fn execute_plan(
                     MorselOut::Shaped { .. } => unreachable!("aggregate plans emit partials"),
                 })
                 .collect();
-            let table = aggregate::merge_finalize(
-                items,
-                weighted,
-                &partials,
-                params,
-                threads,
-                ctx.partitions,
-            )?;
+            let table = aggregate::merge_finalize(items, weighted, &partials, params)?;
             (table, None)
         }
         Shape::Project { .. } => {
@@ -535,7 +521,7 @@ mod tests {
             .physical
             .run(
                 PlanInput::Table { table, weights },
-                &ExecContext::new(&[], threads, 16),
+                &ExecContext::new(&[], threads),
             )
     }
 

@@ -3,10 +3,10 @@
 //!
 //! A [`Session`] is a lightweight handle onto a shared
 //! [`MosaicEngine`]: an `Arc` plus one [`Knobs`] (default visibility,
-//! generation seed, thread cap, merge partitions, optimizer, result
-//! cache), filled once when the session is created. Sessions never
-//! mutate the engine-wide [`EngineOptions`](crate::EngineOptions), so
-//! any number of them can run concurrently with different settings.
+//! generation seed, thread cap, optimizer, result cache), filled once
+//! when the session is created. Sessions never mutate the engine-wide
+//! [`EngineOptions`](crate::EngineOptions), so any number of them can
+//! run concurrently with different settings.
 //!
 //! [`Session::prepare`] implements the prepare-once/execute-many
 //! pattern of the paper's workload (§5.3 re-runs one aggregate template
@@ -88,14 +88,6 @@ impl Session {
     /// wall-clock time).
     pub fn with_parallelism(mut self, n: usize) -> Session {
         self.knobs.threads = n.max(1);
-        self
-    }
-
-    /// Set the radix-partition count of the parallel aggregate merge
-    /// (minimum 1; `1` runs the merge as a single serial pass). Like the
-    /// thread cap, the partition count never changes results.
-    pub fn with_agg_partitions(mut self, n: usize) -> Session {
-        self.knobs.partitions = n.max(1);
         self
     }
 

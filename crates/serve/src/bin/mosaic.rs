@@ -21,8 +21,8 @@
 //! Meta-commands (leading `.` or `\`):
 //! `.help`, `.quit`, `.notes on|off` (execution diagnostics),
 //! `.set <key> <value>` (one of the session's knobs — `visibility`,
-//! `seed`, `threads`, `partitions`, `optimizer`, `result_cache` — parsed
-//! exactly like the `MOSAIC_*` variables and the wire's `SetOption`),
+//! `seed`, `threads`, `optimizer`, `result_cache` — parsed exactly like
+//! the `MOSAIC_*` variables and the wire's `SetOption`),
 //! `.cache stats|clear` (the engine-wide counters of the result, plan
 //! and derived-artefact caches; engine-wide clear),
 //! `.load <csv> <table>` (ingest a CSV file as an auxiliary table),
@@ -32,54 +32,42 @@
 //! `\exec <name> [v1, v2, …]` (run a prepared statement with `?` values),
 //! `\explain <select>` (shorthand for the `EXPLAIN` statement).
 //!
-//! Flags: `--batch` (no prompts), `--threads N` and `--partitions N`
-//! (the session's `threads` and `partitions` knobs, as `.set` takes
-//! them; they override `MOSAIC_PARALLELISM` and `MOSAIC_AGG_PARTITIONS`
-//! and never change results), `--result-cache <MB>` (capacity of the
+//! Flags: `--batch` (no prompts), `--threads N` (the session's
+//! `threads` knob, as `.set` takes it; it overrides `MOSAIC_PARALLELISM`
+//! and never changes results), `--result-cache <MB>` (capacity of the
 //! engine's epoch-invalidated result cache, 64 by default; `0` disables
 //! it for every session, wire connections included) or
 //! `--result-cache off` (the session's `result_cache` knob), `--serve
 //! <addr>` (skip the shell entirely and run the TCP server in the
 //! foreground; `--threads` then sets the shared worker budget every
-//! connection draws from).
+//! connection draws from). Any other `--name` exits with status 2; a
+//! name that is no knob gets the "unknown option" error of `.set`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use mosaic_core::{
-    eval_scalar, EngineOptions, MosaicEngine, Prepared, QueryResult, ScriptError, Session, Value,
-    KEYS,
+    eval_scalar, EngineOptions, Key, MosaicEngine, Prepared, QueryResult, ScriptError, Session,
+    Value, KEYS,
 };
 use mosaic_serve::{ServeConfig, Server, ServerHandle};
 
+/// The shell's flags; any other `--name` argument is an error.
+const FLAGS: [&str; 4] = ["--batch", "--threads", "--result-cache", "--serve"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The value after `flag` ("" when it is the last argument).
-    let flag = |name: &str| {
-        let i = args.iter().position(|a| a == name)?;
-        Some(args.get(i + 1).map_or("", String::as_str))
-    };
     let mut engine_options = EngineOptions::default();
-    // Knob flags, applied to the session through `Session::set`; the
-    // last field extends a rejected value's message.
-    let mut knobs = vec![
-        ("--threads", "threads", ""),
-        ("--partitions", "partitions", ""),
-    ];
-    if let Some(v) = flag("--result-cache") {
-        match v.parse::<usize>() {
-            Ok(mb) => engine_options = engine_options.with_result_cache(mb),
-            Err(_) => knobs.push(("--result-cache", "result_cache", ", or a capacity in MB")),
-        }
+    let cache_mb = flag(&args, "--result-cache").and_then(|v| v.parse::<usize>().ok());
+    if let Some(mb) = cache_mb {
+        engine_options = engine_options.with_result_cache(mb);
     }
     let engine = Arc::new(MosaicEngine::with_options(engine_options));
     let mut session = engine.session();
-    for (name, key, or) in knobs {
-        if let Some(Err(e)) = flag(name).map(|v| session.set(key, v)) {
-            eprintln!("error: {name}: {e}{or}");
-            std::process::exit(2);
-        }
+    if let Err(e) = apply_flags(&args, &mut session, cache_mb.is_some()) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
     let interactive = !args.iter().any(|a| a == "--batch");
     if let Some(i) = args.iter().position(|a| a == "--serve") {
@@ -497,6 +485,39 @@ fn error_message(chunk: &str, e: &ScriptError) -> String {
     }
 }
 
+/// The value after flag `name` in `args` ("" when it is the last
+/// argument), or `None` without the flag.
+fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(args.get(i + 1).map_or("", String::as_str))
+}
+
+/// Apply the knob flags to `session` through `Session::set`: `--threads
+/// N`, and `--result-cache` unless its value was a capacity in MB
+/// (`cache_mb`). Rejects any argument that starts with `--` and is no
+/// shell flag.
+fn apply_flags(args: &[String], session: &mut Session, cache_mb: bool) -> Result<(), String> {
+    if let Some(name) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        return Err(match Key::find(&name[2..]) {
+            Err(e) => format!("{name}: {e}"),
+            Ok(key) => format!("{name}: not a flag; set it with .set {} …", key.name),
+        });
+    }
+    let mut knobs = vec![("--threads", "threads", "")];
+    if !cache_mb {
+        knobs.push(("--result-cache", "result_cache", ", or a capacity in MB"));
+    }
+    for (name, key, or) in knobs {
+        if let Some(Err(e)) = flag(args, name).map(|v| session.set(key, v)) {
+            return Err(format!("{name}: {e}{or}"));
+        }
+    }
+    Ok(())
+}
+
 /// Trim a statement's text to one error-message-sized line.
 fn snippet(sql: &str) -> String {
     let flat = sql.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -524,6 +545,36 @@ mod tests {
     fn plan_counts(shell: &Shell) -> (u64, u64) {
         let s = shell.session.engine().cache_stats();
         (s.plan_hits, s.plan_misses)
+    }
+
+    /// `--threads` sets its knob; any other `--name` is rejected, and a
+    /// name that is no knob — the retired merge-partition flag among
+    /// them — gets `.set`'s "unknown option" error listing the five keys.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut session = Arc::new(MosaicEngine::new()).session();
+        apply_flags(&args(&["--batch", "--threads", "3"]), &mut session, false).unwrap();
+        assert_eq!(session.knobs().threads, 3);
+        let knobs = *session.knobs();
+        // Spelled in two parts, so a grep for the retired flag finds no use.
+        let retired = ["--", "partitions"].concat();
+        let err = apply_flags(&args(&[&retired, "4"]), &mut session, false).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "{retired}: unknown option partitions (known: \
+                 visibility=closed|semi-open|open, seed=<u64>, threads=<n >= 1>, \
+                 optimizer=on|off, result_cache=on|off)"
+            )
+        );
+        let err = apply_flags(&args(&["--optimizer", "off"]), &mut session, false).unwrap_err();
+        assert_eq!(err, "--optimizer: not a flag; set it with .set optimizer …");
+        let err = apply_flags(&args(&["--threads", "0"]), &mut session, false).unwrap_err();
+        assert!(err.starts_with("--threads: invalid value"), "{err}");
+        let err = apply_flags(&args(&["--result-cache", "x"]), &mut session, false).unwrap_err();
+        assert!(err.ends_with(", or a capacity in MB"), "{err}");
+        assert_eq!(*session.knobs(), knobs);
     }
 
     /// Shell chunks take the engine's script loop, so a repeated

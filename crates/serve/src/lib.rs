@@ -4,8 +4,8 @@
 //! server speaking a small length-prefixed binary protocol, with one
 //! engine [`Session`](mosaic_core::Session) per connection,
 //! server-side **named prepared statements**, per-connection options
-//! (`SetOption`: visibility, seed, thread cap, merge partitions,
-//! optimizer, result cache), and **admission control** — a
+//! (`SetOption`: visibility, seed, thread cap, optimizer, result
+//! cache), and **admission control** — a
 //! worker-permit pool that extends the engine's one-thread-budget
 //! discipline across the network boundary, so any number of clients
 //! share one bounded set of engine worker threads.

@@ -396,8 +396,9 @@ pub fn combine_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap
 
 /// Mergeable partial-aggregate state for SUM / AVG / COUNT over one set
 /// of groups: `Σ x·w` (`sums`), `Σ w` (`wsums`, 1-weights when
-/// unweighted), and the qualifying row count (`counts`), each indexed by
-/// dense group id.
+/// unweighted), the qualifying row count (`counts`) and, for an
+/// unweighted sum over integers, the exact `Σ x` (`isums`), each indexed
+/// by dense group id.
 ///
 /// Morsel-driven execution gives every worker its own `AggState` filled
 /// through [`group_sum_f64`] / [`group_sum_i64`] / [`group_count`] over
@@ -437,6 +438,14 @@ pub fn combine_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap
 /// global.merge_from(&m1, &[1, 0]); // local b→1, a→0
 /// assert_eq!(global.sums, vec![25.0, 12.0]);
 /// assert_eq!(global.counts, vec![3, 2]);
+///
+/// // An integer sum is exact in `isums`, past 2^53 and past `i64`.
+/// let mut m2 = AggState::new_exact(1);
+/// kernels::group_sum_i64(&[i64::MAX, 1], None, &[0, 0], &mut m2.isums, &mut m2.counts);
+/// let mut global = AggState::new(1);
+/// global.merge_from(&m2, &[0]);
+/// global.merge_from(&m2, &[0]);
+/// assert_eq!(global.isums, vec![2 * (i64::MAX as i128 + 1)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AggState {
@@ -447,15 +456,28 @@ pub struct AggState {
     pub wsums: Vec<f64>,
     /// Per-group count of qualifying (non-NULL) rows.
     pub counts: Vec<u64>,
+    /// Per-group exact `Σ x` of an unweighted sum over integers; empty
+    /// for every other aggregate (see [`AggState::new_exact`]).
+    pub isums: Vec<i128>,
 }
 
 impl AggState {
-    /// Zeroed state for `n_groups` groups.
+    /// Zeroed state for `n_groups` groups, without exact integer sums.
     pub fn new(n_groups: usize) -> AggState {
         AggState {
             sums: vec![0.0; n_groups],
             wsums: vec![0.0; n_groups],
             counts: vec![0u64; n_groups],
+            isums: Vec::new(),
+        }
+    }
+
+    /// Zeroed state for `n_groups` groups of an unweighted integer sum:
+    /// [`AggState::new`] plus zeroed `isums`.
+    pub fn new_exact(n_groups: usize) -> AggState {
+        AggState {
+            isums: vec![0; n_groups],
+            ..AggState::new(n_groups)
         }
     }
 
@@ -466,7 +488,8 @@ impl AggState {
 
     /// Fold another state's accumulators into this one. `group_map[l]`
     /// is the index in `self` of the other state's local group `l`;
-    /// mapped indices must be in bounds.
+    /// mapped indices must be in bounds. Exact sums fold only when the
+    /// other state has them, and give this state zeroed ones first.
     pub fn merge_from(&mut self, other: &AggState, group_map: &[u32]) {
         assert_eq!(
             other.n_groups(),
@@ -479,19 +502,11 @@ impl AggState {
             self.wsums[g] += other.wsums[l];
             self.counts[g] += other.counts[l];
         }
-    }
-
-    /// Sparse variant of [`AggState::merge_from`] for partitioned merge:
-    /// fold only the listed `(local, target)` pairs. Because each local
-    /// group appears at most once per source state, per-target addition
-    /// order equals the order sources are folded — identical to
-    /// `merge_from`, so partitioning never changes float results.
-    pub fn merge_pairs(&mut self, other: &AggState, pairs: &[(u32, u32)]) {
-        for &(l, g) in pairs {
-            let (l, g) = (l as usize, g as usize);
-            self.sums[g] += other.sums[l];
-            self.wsums[g] += other.wsums[l];
-            self.counts[g] += other.counts[l];
+        if !other.isums.is_empty() {
+            self.isums.resize(self.n_groups(), 0);
+            for (&x, &g) in other.isums.iter().zip(group_map) {
+                self.isums[g as usize] += x;
+            }
         }
     }
 }
@@ -545,12 +560,14 @@ pub fn group_sum_f64(
     }
 }
 
-/// Grouped sum over integers (unweighted fast path for `SUM(int_col)`).
+/// Grouped exact sum over integers (the unweighted `SUM(int_col)` /
+/// `AVG(int_col)` path): `Σ x` accumulates in `i128`, which no sum of
+/// fewer than 2^64 `i64` values overflows, so it never rounds.
 pub fn group_sum_i64(
     data: &[i64],
     validity: Option<&Bitmap>,
     group_ids: &[u32],
-    sums: &mut [f64],
+    sums: &mut [i128],
     counts: &mut [u64],
 ) {
     assert_eq!(data.len(), group_ids.len(), "kernel length mismatch");
@@ -558,14 +575,14 @@ pub fn group_sum_i64(
         None => {
             for (i, &x) in data.iter().enumerate() {
                 let g = group_ids[i] as usize;
-                sums[g] += x as f64;
+                sums[g] += i128::from(x);
                 counts[g] += 1;
             }
         }
         Some(v) => {
             for i in v.iter_ones() {
                 let g = group_ids[i] as usize;
-                sums[g] += data[i] as f64;
+                sums[g] += i128::from(data[i]);
                 counts[g] += 1;
             }
         }
@@ -912,6 +929,18 @@ mod tests {
     }
 
     #[test]
+    fn grouped_int_sum_is_exact() {
+        let data = [1i64 << 53, 1, 1, i64::MAX, 1, -5, 7];
+        let validity = Bitmap::from_iter([true, true, true, true, true, true, false]);
+        let gids = [0u32, 0, 0, 1, 1, 1, 1];
+        let mut sums = [0i128; 2];
+        let mut counts = [0u64; 2];
+        group_sum_i64(&data, Some(&validity), &gids, &mut sums, &mut counts);
+        assert_eq!(sums, [(1i128 << 53) + 2, i64::MAX as i128 - 4]);
+        assert_eq!(counts, [3, 3]);
+    }
+
+    #[test]
     fn grouped_min_max() {
         let data = [5i64, -1, 9, 0];
         let gids = [0u32, 0, 1, 1];
@@ -957,28 +986,5 @@ mod tests {
                 "{op:?}"
             );
         }
-    }
-
-    #[test]
-    fn merge_pairs_matches_merge_from() {
-        let mut local = AggState::new(3);
-        for g in 0..3 {
-            local.sums[g] = (g + 1) as f64;
-            local.wsums[g] = 1.0;
-            local.counts[g] = g as u64;
-        }
-        let map = [2u32, 0, 1];
-        let mut a = AggState::new(3);
-        a.merge_from(&local, &map);
-        let mut b = AggState::new(3);
-        let pairs: Vec<(u32, u32)> = map
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (l as u32, g))
-            .collect();
-        b.merge_pairs(&local, &pairs);
-        assert_eq!(a.sums, b.sums);
-        assert_eq!(a.wsums, b.wsums);
-        assert_eq!(a.counts, b.counts);
     }
 }

@@ -323,6 +323,29 @@ pub mod oracle {
                 if values.is_empty() {
                     return Ok(Value::Null);
                 }
+                let ints: Option<Vec<i64>> = values
+                    .iter()
+                    .map(|(_, v)| match v {
+                        Value::Int(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect();
+                if let (None, Some(ints)) = (weights, ints) {
+                    // An unweighted sum of INTs is exact: INT when it
+                    // fits, an error naming the aggregate when it does
+                    // not; AVG divides the exact sum once.
+                    let sum: i128 = ints.iter().map(|&i| i128::from(i)).sum();
+                    return match func {
+                        AggFunc::Sum => i64::try_from(sum).map(Value::Int).map_err(|_| {
+                            MosaicError::Execution(format!(
+                                "{}({e}) overflows INT: the exact sum {sum} does not fit in 64 \
+                                 bits",
+                                func.name()
+                            ))
+                        }),
+                        _ => Ok(Value::Float(sum as f64 / ints.len() as f64)),
+                    };
+                }
                 let (mut num, mut den) = (0.0, 0.0);
                 for (row, v) in &values {
                     let x = match v {
@@ -338,9 +361,7 @@ pub mod oracle {
                     num += weight_of(*row) * x;
                     den += weight_of(*row);
                 }
-                let all_int = values.iter().all(|(_, v)| matches!(v, Value::Int(_)));
                 Ok(match func {
-                    AggFunc::Sum if weights.is_none() && all_int => Value::Int(num as i64),
                     AggFunc::Sum => Value::Float(num),
                     _ => Value::Float(num / den),
                 })

@@ -3,9 +3,8 @@
 //! numbers its groups through a slot table, and a single TEXT join key
 //! builds a table indexed by dictionary code; wider domains hash. Every
 //! answer here must equal the row-at-a-time oracle
-//! (`mosaic_tests::oracle`) at threads {1, 2, 8} × merge partitions
-//! {1, 16} × optimizer {off, on}, ad hoc and prepared, on both sides of
-//! each gate.
+//! (`mosaic_tests::oracle`) at threads {1, 2, 8} × optimizer {off, on},
+//! ad hoc and prepared, on both sides of each gate.
 
 use std::sync::Arc;
 
@@ -54,27 +53,24 @@ fn ad_hoc(sql: &str, param: &Option<Value>) -> String {
     }
 }
 
-/// Run `sql` at every thread × partition × optimizer cell, ad hoc (the
-/// parameter written in) and prepared (the parameter bound), and demand
-/// `want` from each.
+/// Run `sql` at every thread × optimizer cell, ad hoc (the parameter
+/// written in) and prepared (the parameter bound), and demand `want`
+/// from each.
 fn check(engine: &Arc<MosaicEngine>, sql: &str, param: Option<Value>, want: &Table) {
     let text = ad_hoc(sql, &param);
     let params: Vec<Value> = param.into_iter().collect();
     for threads in [1, 2, 8] {
-        for partitions in [1, 16] {
-            for optimizer in [false, true] {
-                let s = engine
-                    .session()
-                    .with_parallelism(threads)
-                    .with_agg_partitions(partitions)
-                    .with_optimizer(optimizer)
-                    .with_result_cache(false);
-                let cell = format!("{text} at {threads}t/{partitions}p/opt={optimizer}");
-                assert_same(&s.query(&text).unwrap(), want, &format!("ad hoc {cell}"));
-                let prepared = s.prepare(sql).unwrap();
-                let got = s.query_prepared(&prepared, &params).unwrap();
-                assert_same(&got, want, &format!("prepared {cell}"));
-            }
+        for optimizer in [false, true] {
+            let s = engine
+                .session()
+                .with_parallelism(threads)
+                .with_optimizer(optimizer)
+                .with_result_cache(false);
+            let cell = format!("{text} at {threads}t/opt={optimizer}");
+            assert_same(&s.query(&text).unwrap(), want, &format!("ad hoc {cell}"));
+            let prepared = s.prepare(sql).unwrap();
+            let got = s.query_prepared(&prepared, &params).unwrap();
+            assert_same(&got, want, &format!("prepared {cell}"));
         }
     }
 }
@@ -314,13 +310,20 @@ fn join_oracle(
     run_select_rowwise(&select(over), &joined, None).unwrap()
 }
 
-/// The `join build:` line `EXPLAIN` prints for `sql`.
-fn join_build_line(engine: &Arc<MosaicEngine>, sql: &str) -> String {
-    let plan = engine.session().query(&format!("EXPLAIN {sql}")).unwrap();
+/// The `EXPLAIN` line for `sql` that starts with `prefix`, with the
+/// optimizer on or off.
+fn explain_line(engine: &Arc<MosaicEngine>, sql: &str, prefix: &str, optimizer: bool) -> String {
+    let s = engine.session().with_optimizer(optimizer);
+    let plan = s.query(&format!("EXPLAIN {sql}")).unwrap();
     (0..plan.num_rows())
         .map(|r| plan.value(r, 0).to_string())
-        .find(|l| l.starts_with("  join build:"))
-        .expect("a join build line")
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line"))
+}
+
+/// The `join build:` line `EXPLAIN` prints for `sql`.
+fn join_build_line(engine: &Arc<MosaicEngine>, sql: &str) -> String {
+    explain_line(engine, sql, "  join build:", true)
 }
 
 /// Every TEXT join shape over a (fact, dimension) pair: INNER and LEFT
@@ -411,6 +414,45 @@ fn text_join_over_the_gate_hashes() {
     let a = fact();
     let engine = engine_with(&[("a", &a), ("b", &b)]);
     let line = join_build_line(&engine, "SELECT av FROM a JOIN b ON a.ak = b.bk");
-    assert_eq!(line, "  join build: 1 radix partition(s) (serial build)");
+    assert_eq!(line, "  join build: hash table on normalized key tokens");
     check_joins(&engine, &a, &b);
+}
+
+/// A pushed filter moves the build side across the gate: 5 000 build rows
+/// over a 5 000-entry dictionary index their codes directly, the 10 that
+/// survive `bv < 10` hash. Only execution counts the surviving rows, so
+/// `EXPLAIN` names no build table when a side has pushed filters; with
+/// the optimizer off nothing is pushed, and it names the one the whole
+/// side takes.
+#[test]
+fn pushed_filter_flips_the_build_gate() {
+    let rows: Vec<(Option<String>, i64)> = (0..5000).map(|j| (Some(format!("k{j}")), j)).collect();
+    let b = keyed("bk", "bv", &rows).dict_encoded();
+    assert_eq!(b.column(0).dict_parts().unwrap().1.len(), 5000);
+    let a = fact();
+    let engine = engine_with(&[("a", &a), ("b", &b)]);
+    let sql = "SELECT av, bv FROM a JOIN b ON a.ak = b.bk WHERE bv < 10";
+    assert_eq!(
+        explain_line(&engine, sql, "  join build:", true),
+        "  join build: chosen at execution from the rows that survive the pushed filters"
+    );
+    let join = explain_line(&engine, sql, "  join:", true);
+    assert!(
+        join.contains("build = smaller input after the pushed filters, chosen at execution"),
+        "{join}"
+    );
+    assert!(!join.contains("currently"), "{join}");
+    assert_eq!(
+        explain_line(&engine, sql, "  join build:", false),
+        "  join build: direct-indexed on dictionary codes (5000 slots)"
+    );
+    let want = join_oracle(
+        &a,
+        &b,
+        ("ak", "bk"),
+        JoinKind::Inner,
+        "SELECT av, bv FROM j WHERE bv < 10",
+    );
+    assert!(want.num_rows() > 0);
+    check(&engine, sql, None, &want);
 }

@@ -6,9 +6,9 @@
 //!
 //! Each row pins every EXPLAIN line above `logical:` (the plan layers
 //! below it have their own suites) and every execution note, or the
-//! error execution raises. The session is fixed — 2 threads, 16 merge
-//! partitions, seed 7, the Bayesian-network OPEN backend — so the text
-//! is deterministic and the suite runs in seconds in a debug build.
+//! error execution raises. The session is fixed — 2 threads, seed 7,
+//! the Bayesian-network OPEN backend — so the text is deterministic and
+//! the suite runs in seconds in a debug build.
 
 use std::sync::Arc;
 
@@ -50,11 +50,7 @@ fn world(script: &str) -> Session {
     let engine = Arc::new(MosaicEngine::with_options(
         EngineOptions::default().with_open(open),
     ));
-    let session = engine
-        .session()
-        .with_parallelism(2)
-        .with_agg_partitions(16)
-        .with_seed(7);
+    let session = engine.session().with_parallelism(2).with_seed(7);
     session.execute(script).unwrap();
     session
 }
@@ -236,7 +232,7 @@ const ROWS: &[Row] = &[
             "  right: sample SQ (2 rows, weights exposed as column `weight`)",
             "  combined weight: product of per-side weights (independence assumption; a join without a SEMI-OPEN or OPEN population is not re-calibrated)",
             "  join: INNER hash equi-join; build = smaller input (SQ, currently); probe = SS, streamed per morsel, already in canonical (left row, right row) order",
-            "  join build: 1 radix partition(s) (serial build)",
+            "  join build: hash table on normalized key tokens",
         ],
         notes: &[
             "raw sample scan of SS (weights exposed as column `weight`)",

@@ -5,7 +5,7 @@
 //! every projected row before TopK. A streamed join and per-morsel TopK
 //! heaps must keep each joined morsel's rows, the fold order of every
 //! float aggregate and every tie-break exactly where they were, so these
-//! digests must not move at any thread count or partition count. Each
+//! digests must not move at any thread count. Each
 //! statement pins one digest with the optimizer off and one with it on.
 
 use std::fmt::Write;
@@ -153,31 +153,26 @@ fn semi_open_engine() -> Arc<MosaicEngine> {
     engine
 }
 
-/// Run `sql` at threads {1, 2, 8} × partitions {1, 16}, with the
-/// optimizer off and on; every cell must produce the digest recorded for
-/// its optimizer setting (`golden` = [off, on]). The two differ where
-/// predicate pushdown moves the joined-morsel boundaries a float fold
-/// depends on.
+/// Run `sql` at threads {1, 2, 8}, with the optimizer off and on; every
+/// cell must produce the digest recorded for its optimizer setting
+/// (`golden` = [off, on]). The two differ where predicate pushdown moves
+/// the joined-morsel boundaries a float fold depends on.
 fn assert_golden(engine: &Arc<MosaicEngine>, sql: &str, golden: [&str; 2]) {
     for (optimizer, golden) in [false, true].into_iter().zip(golden) {
         for threads in [1, 2, 8] {
-            for partitions in [1, 16] {
-                let out = engine
-                    .session()
-                    .with_parallelism(threads)
-                    .with_agg_partitions(partitions)
-                    .with_optimizer(optimizer)
-                    .with_result_cache(false)
-                    .query(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                assert_eq!(
-                    format!("{:#018x}", table_digest(&out)),
-                    golden,
-                    "{sql} at threads={threads}, partitions={partitions}, \
-                     optimizer={optimizer} ({} rows)",
-                    out.num_rows()
-                );
-            }
+            let out = engine
+                .session()
+                .with_parallelism(threads)
+                .with_optimizer(optimizer)
+                .with_result_cache(false)
+                .query(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(
+                format!("{:#018x}", table_digest(&out)),
+                golden,
+                "{sql} at threads={threads}, optimizer={optimizer} ({} rows)",
+                out.num_rows()
+            );
         }
     }
 }

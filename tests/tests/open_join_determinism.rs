@@ -1,8 +1,7 @@
 //! Seeded determinism of OPEN replicate joins: the generate+query loop
 //! over a joined plan must be a pure function of the session seed —
-//! bit-identical across worker-thread counts and aggregate partition
-//! counts, distinct across seeds, and stable under the
-//! prepare-once/execute-from-N-sessions pattern.
+//! bit-identical across worker-thread counts, distinct across seeds, and
+//! stable under the prepare-once/execute-from-N-sessions pattern.
 
 use std::sync::Arc;
 
@@ -76,9 +75,9 @@ fn assert_identical(a: &Table, b: &Table, context: &str) {
 }
 
 /// Same seed ⇒ bit-identical OPEN join answers across worker-thread
-/// counts {1, 2, 8} and aggregate partition counts {1, 16}. The
-/// replicate loop pins per-run seeds and the one-thread-budget rule, so
-/// neither knob may leak into the result.
+/// counts {1, 2, 8}. The replicate loop pins per-run seeds and the
+/// one-thread-budget rule, so the thread count may not leak into the
+/// result.
 #[test]
 fn open_join_same_seed_identical_across_threads_and_partitions() {
     let engine = setup();
@@ -86,7 +85,6 @@ fn open_join_same_seed_identical_across_threads_and_partitions() {
         .session()
         .with_seed(7)
         .with_parallelism(1)
-        .with_agg_partitions(1)
         .execute(JOIN_SQL)
         .unwrap();
     assert!(
@@ -98,20 +96,13 @@ fn open_join_same_seed_identical_across_threads_and_partitions() {
         baseline.notes
     );
     for threads in [1usize, 2, 8] {
-        for partitions in [1usize, 16] {
-            let out = engine
-                .session()
-                .with_seed(7)
-                .with_parallelism(threads)
-                .with_agg_partitions(partitions)
-                .query(JOIN_SQL)
-                .unwrap();
-            assert_identical(
-                &out,
-                &baseline.table,
-                &format!("threads={threads}, partitions={partitions}"),
-            );
-        }
+        let out = engine
+            .session()
+            .with_seed(7)
+            .with_parallelism(threads)
+            .query(JOIN_SQL)
+            .unwrap();
+        assert_identical(&out, &baseline.table, &format!("threads={threads}"));
     }
 }
 

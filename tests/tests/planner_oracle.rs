@@ -11,7 +11,7 @@
 //! invariant that plan rewriting (projection pruning, constant folding,
 //! Sort+Limit → TopK fusion) never changes results either.
 
-use mosaic_core::{plan_select, ExecContext, Knobs, PlanInput};
+use mosaic_core::{plan_select, ExecContext, PlanInput};
 use mosaic_sql::{parse, SelectStmt, Statement};
 use mosaic_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use mosaic_tests::oracle::{reference_join, reference_join_kinded, run_select_rowwise};
@@ -83,34 +83,20 @@ fn tables_identical(a: &Table, b: &Table) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// The vectorized executor at one threads × optimizer × partitions cell.
+/// The vectorized executor at one threads × optimizer cell.
 fn run_cell(
     stmt: &SelectStmt,
     table: &Table,
     weights: Option<&[f64]>,
     threads: usize,
     optimizer: bool,
-    partitions: usize,
 ) -> mosaic_core::Result<Table> {
     plan_select(stmt, weights.is_some(), optimizer, Some(table.schema()))
         .physical
         .run(
             PlanInput::Table { table, weights },
-            &ExecContext::new(&[], threads, partitions),
+            &ExecContext::new(&[], threads),
         )
-}
-
-/// [`run_cell`] at the process-default merge-partition count
-/// (`MOSAIC_AGG_PARTITIONS` or 16 — CI runs the suite at both 1 and 16).
-fn run_default_partitions(
-    stmt: &SelectStmt,
-    table: &Table,
-    weights: Option<&[f64]>,
-    threads: usize,
-    optimizer: bool,
-) -> mosaic_core::Result<Table> {
-    let partitions = Knobs::from_env().partitions;
-    run_cell(stmt, table, weights, threads, optimizer, partitions)
 }
 
 /// Thread counts every query is checked at: serial, a partial pool, and
@@ -125,7 +111,7 @@ fn assert_equivalent(src: &str, table: &Table, weights: Option<&[f64]>) {
     let rowwise = run_select_rowwise(&stmt, table, weights);
     for threads in THREAD_COUNTS {
         for optimizer in [false, true] {
-            let vectorized = run_default_partitions(&stmt, table, weights, threads, optimizer);
+            let vectorized = run_cell(&stmt, table, weights, threads, optimizer);
             match (vectorized, &rowwise) {
                 (Ok(v), Ok(r)) => {
                     if let Err(msg) = tables_identical(&v, r) {
@@ -220,13 +206,13 @@ fn multi_morsel_thread_counts_agree() {
         for weights in [None, Some(weights.as_slice())] {
             // Baseline: serial, unoptimized. Every (thread count,
             // optimizer) combination must reproduce it exactly.
-            let baseline = run_default_partitions(&stmt, &table, weights, 1, false);
+            let baseline = run_cell(&stmt, &table, weights, 1, false);
             for threads in [1, 2, 8] {
                 for optimizer in [false, true] {
                     if threads == 1 && !optimizer {
                         continue; // that is the baseline itself
                     }
-                    let out = run_default_partitions(&stmt, &table, weights, threads, optimizer);
+                    let out = run_cell(&stmt, &table, weights, threads, optimizer);
                     match (&baseline, &out) {
                         (Ok(b), Ok(o)) => {
                             if let Err(msg) = tables_identical(b, o) {
@@ -253,9 +239,9 @@ fn multi_morsel_thread_counts_agree() {
 }
 
 /// High-cardinality string GROUP BY: thousands of distinct groups over
-/// a multi-morsel table — the radix-partitioned aggregate merge must be
-/// bit-identical to the serial merge at every (thread count, partition
-/// count, optimizer) combination, and match the row-wise reference.
+/// a multi-morsel table — the aggregate merge must be bit-identical to
+/// the serial one-thread run at every (thread count, optimizer)
+/// combination, and match the row-wise reference.
 #[test]
 fn high_cardinality_string_group_by_agrees() {
     let rows = 2 * mosaic_core::MORSEL_ROWS + 777;
@@ -297,23 +283,20 @@ fn high_cardinality_string_group_by_agrees() {
         let stmt = select(src);
         for weights in [None, Some(weights.as_slice())] {
             // Baseline: serial merge on one thread, optimizer off. Every
-            // (thread count, partition count, optimizer) combination
+            // (thread count, optimizer) combination
             // must reproduce it bit-for-bit. (The row-wise reference
             // folds weighted float sums in row order rather than morsel
             // order, so — as in `multi_morsel_thread_counts_agree` —
             // the serial vectorized run is the bit-identity anchor.)
-            let baseline = run_cell(&stmt, &table, weights, 1, false, 1).unwrap();
+            let baseline = run_cell(&stmt, &table, weights, 1, false).unwrap();
             for threads in THREAD_COUNTS {
-                for partitions in [1, 16] {
-                    for optimizer in [false, true] {
-                        let out = run_cell(&stmt, &table, weights, threads, optimizer, partitions)
-                            .unwrap();
-                        if let Err(msg) = tables_identical(&out, &baseline) {
-                            panic!(
-                                "high-cardinality divergence on {src:?} at {threads} thread(s), \
-                                 {partitions} partition(s), optimizer={optimizer}: {msg}"
-                            );
-                        }
+                for optimizer in [false, true] {
+                    let out = run_cell(&stmt, &table, weights, threads, optimizer).unwrap();
+                    if let Err(msg) = tables_identical(&out, &baseline) {
+                        panic!(
+                            "high-cardinality divergence on {src:?} at {threads} thread(s), \
+                             optimizer={optimizer}: {msg}"
+                        );
                     }
                 }
             }
@@ -374,16 +357,13 @@ fn high_cardinality_string_group_by_agrees() {
         let stmt = select(src);
         let reference = run_select_rowwise(&stmt, &table, None).unwrap();
         for threads in THREAD_COUNTS {
-            for partitions in [1, 16] {
-                for optimizer in [false, true] {
-                    let out =
-                        run_cell(&stmt, &table, None, threads, optimizer, partitions).unwrap();
-                    if let Err(msg) = tables_identical(&out, &reference) {
-                        panic!(
-                            "hash-path divergence on {src:?} at {threads} thread(s), \
-                             {partitions} partition(s), optimizer={optimizer}: {msg}"
-                        );
-                    }
+            for optimizer in [false, true] {
+                let out = run_cell(&stmt, &table, None, threads, optimizer).unwrap();
+                if let Err(msg) = tables_identical(&out, &reference) {
+                    panic!(
+                        "hash-path divergence on {src:?} at {threads} thread(s), \
+                         optimizer={optimizer}: {msg}"
+                    );
                 }
             }
         }
@@ -416,8 +396,8 @@ fn dict_and_plain_representations_agree() {
         let src = template.replace("{thr}", "7");
         let stmt = select(&src);
         for threads in THREAD_COUNTS {
-            let p = run_default_partitions(&stmt, &plain, None, threads, true);
-            let d = run_default_partitions(&stmt, &dict, None, threads, true);
+            let p = run_cell(&stmt, &plain, None, threads, true);
+            let d = run_cell(&stmt, &dict, None, threads, true);
             match (p, d) {
                 (Ok(p), Ok(d)) => {
                     if let Err(msg) = tables_identical(&p, &d) {
@@ -585,7 +565,7 @@ fn nan_table(rows: usize) -> Table {
 
 /// Comparisons over a NaN-bearing FLOAT — where `>` errors, naming the
 /// first NaN row, and `BETWEEN` is NULL — agree with the row-wise oracle
-/// at every threads × partitions × optimizer cell, errors included,
+/// at every threads × optimizer cell, errors included,
 /// over tables without a NaN, with one, and spanning two morsels.
 #[test]
 fn nan_shapes_match_reference() {
@@ -602,27 +582,167 @@ fn nan_shapes_match_reference() {
             let stmt = select(src);
             let reference = run_select_rowwise(&stmt, &table, None);
             for threads in THREAD_COUNTS {
-                for partitions in [1, 16] {
-                    for optimizer in [false, true] {
-                        let out = run_cell(&stmt, &table, None, threads, optimizer, partitions);
-                        let cell = format!(
-                            "{src:?} over {rows} rows at {threads} thread(s), \
-                             {partitions} partition(s), optimizer={optimizer}"
+                for optimizer in [false, true] {
+                    let out = run_cell(&stmt, &table, None, threads, optimizer);
+                    let cell = format!(
+                        "{src:?} over {rows} rows at {threads} thread(s), \
+                         optimizer={optimizer}"
+                    );
+                    match (&out, &reference) {
+                        (Ok(v), Ok(r)) => {
+                            if let Err(msg) = tables_identical(v, r) {
+                                panic!("divergence on {cell}: {msg}");
+                            }
+                        }
+                        (Err(v), Err(r)) => {
+                            assert_eq!(v.to_string(), r.to_string(), "{cell}")
+                        }
+                        _ => panic!("one path failed on {cell}: {out:?} vs {reference:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `t(g INT, i INT)`: the case's values `vs` in group 0, then `pad` rows
+/// of `i = 0` in group 1, and the last value moved to the end, so with a
+/// morsel's worth of padding the values straddle a morsel boundary.
+fn int_sum_table(vs: &[i64], pad: usize) -> Table {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("i", DataType::Int),
+    ]));
+    let (last, head) = vs.split_last().expect("a case has values");
+    let rows = head
+        .iter()
+        .map(|&v| (0, v))
+        .chain(std::iter::repeat_n((1, 0), pad))
+        .chain([(0, *last)]);
+    for (g, v) in rows {
+        b.push_row(vec![Value::Int(g), Value::Int(v)]).unwrap();
+    }
+    b.finish()
+}
+
+/// An unweighted SUM over INT is exact past 2^53 and finalizes to INT,
+/// or fails with one error naming the aggregate when the exact sum does
+/// not fit in 64 bits; AVG divides the exact sum once. The engine and
+/// the oracle agree, with the sums stated outright, ad hoc and prepared
+/// at every threads × optimizer cell, over one morsel and over two.
+#[test]
+fn int_sums_are_exact() {
+    const P53: i64 = 1 << 53;
+    let cases: [(&[i64], Option<i64>); 5] = [
+        (&[P53 + 1, 0], Some(P53 + 1)),
+        (&[P53, 1, 1], Some(P53 + 2)),
+        (&[i64::MAX, 1, -5], Some(i64::MAX - 4)),
+        (&[i64::MAX, 1], None),
+        (&[i64::MIN, -1], None),
+    ];
+    // Each statement ad hoc, and prepared with a filter that keeps
+    // every row.
+    let sums = [
+        (
+            "SELECT SUM(i) AS s FROM t",
+            "SELECT SUM(i) AS s FROM t WHERE g >= ?",
+        ),
+        (
+            "SELECT g, SUM(i) AS s, AVG(i) AS a FROM t GROUP BY g ORDER BY g",
+            "SELECT g, SUM(i) AS s, AVG(i) AS a FROM t WHERE g >= ? GROUP BY g ORDER BY g",
+        ),
+        (
+            "SELECT AVG(i) AS a FROM t",
+            "SELECT AVG(i) AS a FROM t WHERE g >= ?",
+        ),
+    ];
+    for (vs, want) in cases {
+        for pad in [0, mosaic_core::MORSEL_ROWS] {
+            let table = int_sum_table(vs, pad);
+            let engine = Arc::new(MosaicEngine::new());
+            engine.register_table("t", table.clone()).unwrap();
+            for (ad_hoc, prepared) in sums {
+                let reference = run_select_rowwise(&select(ad_hoc), &table, None);
+                // The first row holds group 0, whose sum is the case's.
+                let what = format!("oracle {ad_hoc:?} over {vs:?}");
+                match (&reference, want) {
+                    (Ok(r), Some(sum)) => {
+                        if let Ok(c) = r.schema().index_of("s") {
+                            assert_eq!(r.value(0, c), Value::Int(sum), "{what}");
+                        }
+                    }
+                    (Ok(_), None) => assert!(!ad_hoc.contains("SUM"), "{what}"),
+                    (Err(e), None) => {
+                        let e = e.to_string();
+                        assert!(
+                            e.contains("SUM(i) overflows INT: the exact sum"),
+                            "{what}: {e}"
                         );
-                        match (&out, &reference) {
-                            (Ok(v), Ok(r)) => {
-                                if let Err(msg) = tables_identical(v, r) {
-                                    panic!("divergence on {cell}: {msg}");
+                    }
+                    (Err(e), Some(_)) => panic!("{what}: {e}"),
+                }
+                for threads in THREAD_COUNTS {
+                    for optimizer in [false, true] {
+                        let s = engine
+                            .session()
+                            .with_parallelism(threads)
+                            .with_optimizer(optimizer)
+                            .with_result_cache(false);
+                        let q = s.prepare(prepared).unwrap();
+                        let outs = [s.query(ad_hoc), s.query_prepared(&q, &[Value::Int(0)])];
+                        for out in outs {
+                            let cell = format!(
+                                "{ad_hoc:?} over {vs:?} + {pad} rows at {threads} thread(s), \
+                                 optimizer={optimizer}"
+                            );
+                            match (&out, &reference) {
+                                (Ok(v), Ok(r)) => {
+                                    if let Err(msg) = tables_identical(v, r) {
+                                        panic!("divergence on {cell}: {msg}");
+                                    }
                                 }
+                                (Err(v), Err(r)) => {
+                                    assert_eq!(v.to_string(), r.to_string(), "{cell}")
+                                }
+                                _ => panic!("one path failed on {cell}: {out:?} vs {reference:?}"),
                             }
-                            (Err(v), Err(r)) => {
-                                assert_eq!(v.to_string(), r.to_string(), "{cell}")
-                            }
-                            _ => panic!("one path failed on {cell}: {out:?} vs {reference:?}"),
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// Two INT SUMs of one item overflowing in different groups: the error
+/// names the aggregate of the first group, as a row-at-a-time
+/// evaluation meets it, not the first aggregate to overflow anywhere.
+#[test]
+fn int_sum_overflow_names_the_first_group() {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("a", DataType::Int),
+        Field::new("b", DataType::Int),
+    ]));
+    // Group 0 overflows SUM(b), group 1 SUM(a).
+    for (g, a, bv) in [(0, 1, i64::MAX), (0, 1, 1), (1, i64::MAX, 0), (1, 1, 0)] {
+        b.push_row(vec![Value::Int(g), Value::Int(a), Value::Int(bv)])
+            .unwrap();
+    }
+    let table = b.finish();
+    let stmt = select("SELECT g, SUM(a) + SUM(b) AS s FROM t GROUP BY g");
+    let want = "execution error: SUM(b) overflows INT: the exact sum 9223372036854775808 \
+                does not fit in 64 bits";
+    let reference = run_select_rowwise(&stmt, &table, None).unwrap_err();
+    assert_eq!(reference.to_string(), want);
+    for threads in THREAD_COUNTS {
+        for optimizer in [false, true] {
+            let err = run_cell(&stmt, &table, None, threads, optimizer).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                want,
+                "{threads} thread(s), optimizer={optimizer}"
+            );
         }
     }
 }
@@ -1053,9 +1173,9 @@ fn join_multi_morsel_probe_is_deterministic() {
 }
 
 /// ORDER BY over a multi-morsel join: the prefix sort composed with
-/// the morsel-parallel probe and the partitioned build must stay
-/// bit-identical to the row-wise reference at every thread count ×
-/// partition count, optimizer off and on — INNER and LEFT OUTER.
+/// the morsel-parallel probe must stay bit-identical to the row-wise
+/// reference at every thread count, optimizer off and on — INNER and
+/// LEFT OUTER.
 #[test]
 fn order_by_over_join_multi_morsel_matches_reference() {
     let rows = 2 * mosaic_core::MORSEL_ROWS + 777;
@@ -1091,40 +1211,36 @@ fn order_by_over_join_multi_morsel_matches_reference() {
                 .unwrap();
         let reference = run_select_rowwise(&select(ref_sql), &joined, None).unwrap();
         for threads in THREAD_COUNTS {
-            for partitions in [1usize, 16] {
-                for optimizer in [false, true] {
-                    let out = engine
-                        .session()
-                        .with_parallelism(threads)
-                        .with_agg_partitions(partitions)
-                        .with_optimizer(optimizer)
-                        .query(join_sql)
-                        .unwrap();
-                    if let Err(msg) = tables_identical(&out, &reference) {
-                        panic!(
-                            "ORDER BY-over-join divergence on {join_sql:?} at {threads} \
-                             thread(s), {partitions} partition(s), optimizer={optimizer}: {msg}"
-                        );
-                    }
+            for optimizer in [false, true] {
+                let out = engine
+                    .session()
+                    .with_parallelism(threads)
+                    .with_optimizer(optimizer)
+                    .query(join_sql)
+                    .unwrap();
+                if let Err(msg) = tables_identical(&out, &reference) {
+                    panic!(
+                        "ORDER BY-over-join divergence on {join_sql:?} at {threads} \
+                         thread(s), optimizer={optimizer}: {msg}"
+                    );
                 }
             }
         }
     }
 }
 
-/// Partitioned-build determinism at scale: a multi-morsel build side
-/// (so the radix-partitioned parallel build actually engages) probed by
-/// a larger fact table must return the same bits at every thread count
-/// × partition count as the serial single-partition baseline. The
-/// nested-loop reference is unaffordable at this size, so the t1/p1
-/// optimizer-off engine run is the oracle (its agreement with the
-/// reference is pinned by the smaller join suites).
+/// Build determinism at scale: a build side of more than one morsel
+/// probed by a larger fact table must return the same bits at every
+/// thread count as the one-thread baseline. The nested-loop reference
+/// is unaffordable at this size, so the one-thread optimizer-off engine
+/// run is the oracle (its agreement with the reference is pinned by the
+/// smaller join suites).
 #[test]
 fn partitioned_join_build_is_deterministic() {
     let dim_rows = mosaic_core::MORSEL_ROWS + 333;
     let fact_rows = 2 * mosaic_core::MORSEL_ROWS + 777;
     // `sk` keys are strided by 2^20: they differ only in high bits, so
-    // partition routing and bucket choice must both come from mixed bits.
+    // bucket choice must come from mixed bits.
     let dim_schema = Schema::new(vec![
         Field::new("key", DataType::Str),
         Field::new("p", DataType::Int),
@@ -1161,7 +1277,7 @@ fn partitioned_join_build_is_deterministic() {
     engine.register_table("bigdim", bigdim).unwrap();
     engine.register_table("bigfact", bigfact).unwrap();
     let templates: &[&str] = &[
-        // Build = bigdim (smaller, > 1 morsel) → partitioned build.
+        // Build = bigdim (smaller, > 1 morsel), hashed.
         "SELECT f.v AS v, d.p AS p FROM bigfact f JOIN bigdim d ON f.key = d.key \
          WHERE f.v > 540 ORDER BY v DESC, p",
         "SELECT d.p AS p, COUNT(*) AS n, SUM(f.v) AS s \
@@ -1173,27 +1289,23 @@ fn partitioned_join_build_is_deterministic() {
         let baseline = engine
             .session()
             .with_parallelism(1)
-            .with_agg_partitions(1)
             .with_optimizer(false)
             .query(sql)
             .unwrap();
         assert!(baseline.num_rows() > 0, "workload must produce rows: {sql}");
         for threads in THREAD_COUNTS {
-            for partitions in [1usize, 16] {
-                for optimizer in [false, true] {
-                    let out = engine
-                        .session()
-                        .with_parallelism(threads)
-                        .with_agg_partitions(partitions)
-                        .with_optimizer(optimizer)
-                        .query(sql)
-                        .unwrap();
-                    if let Err(msg) = tables_identical(&out, &baseline) {
-                        panic!(
-                            "partitioned build divergence on {sql:?} at {threads} thread(s), \
-                             {partitions} partition(s), optimizer={optimizer}: {msg}"
-                        );
-                    }
+            for optimizer in [false, true] {
+                let out = engine
+                    .session()
+                    .with_parallelism(threads)
+                    .with_optimizer(optimizer)
+                    .query(sql)
+                    .unwrap();
+                if let Err(msg) = tables_identical(&out, &baseline) {
+                    panic!(
+                        "large build divergence on {sql:?} at {threads} thread(s), \
+                         optimizer={optimizer}: {msg}"
+                    );
                 }
             }
         }

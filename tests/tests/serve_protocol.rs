@@ -391,6 +391,41 @@ fn out_of_order_execute_is_typed_error_not_close() {
     handle.shutdown();
 }
 
+/// The retired merge-partition count is an unknown option on the wire:
+/// one `UNKNOWN_OPTION` error listing the five keys, and the connection
+/// keeps answering with its knobs unchanged.
+#[test]
+fn retired_partitions_option_is_unknown_and_connection_survives() {
+    let handle = start_server();
+    let mut raw = Raw::connect(&handle);
+    raw.send(&Request::SetOption {
+        key: "partitions".into(),
+        value: "4".into(),
+    });
+    let err = raw.read_error();
+    assert_eq!(err.code, codes::UNKNOWN_OPTION);
+    assert_eq!(
+        err.message,
+        "unknown option partitions (known: visibility=closed|semi-open|open, seed=<u64>, \
+         threads=<n >= 1>, optimizer=on|off, result_cache=on|off)"
+    );
+    raw.send(&Request::SetOption {
+        key: "threads".into(),
+        value: "2".into(),
+    });
+    match raw.read() {
+        Some(Response::OptionOk { key }) => assert_eq!(key, "threads"),
+        other => panic!("expected OptionOk, got {other:?}"),
+    }
+    raw.send(&Request::Query {
+        sql: "SELECT COUNT(*) FROM p".into(),
+    });
+    assert_eq!(raw.read_result(), 1);
+    raw.send(&Request::Close);
+    assert_eq!(handle.permits_in_use(), 0);
+    handle.shutdown();
+}
+
 /// Results larger than one batch stream in `ROWS_PER_BATCH` chunks and
 /// reassemble losslessly.
 #[test]

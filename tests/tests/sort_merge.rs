@@ -5,10 +5,10 @@
 //! — and equal exact prefixes must mean equal keys. Engine-level sweeps
 //! then pin ORDER BY output against a stable `sort_by` of the key chain
 //! and against the row-wise reference, bit-identical across thread
-//! counts × partition counts, on inputs around and across the morsel
-//! size. The k-way run-merge kernel
-//! ([`mosaic_storage::kernels::merge_sorted_runs`]) must reproduce a
-//! stable `sort_by` for *any* split of the input into sorted runs.
+//! counts, on inputs around and across the morsel size. The k-way
+//! run-merge kernel ([`mosaic_storage::kernels::merge_sorted_runs`])
+//! must reproduce a stable `sort_by` for *any* split of the input into
+//! sorted runs.
 
 use std::cmp::Ordering;
 
@@ -19,13 +19,12 @@ use mosaic_storage::{Column, ColumnBuilder, DataType, Field, Schema, Table, Tabl
 use mosaic_tests::oracle::run_select_rowwise;
 use proptest::prelude::*;
 
-/// The vectorized executor at one threads × optimizer × partitions cell.
+/// The vectorized executor at one threads × optimizer cell.
 fn run_cell(
     stmt: &SelectStmt,
     table: &Table,
     threads: usize,
     optimizer: bool,
-    partitions: usize,
 ) -> mosaic_core::Result<Table> {
     let input = PlanInput::Table {
         table,
@@ -33,7 +32,7 @@ fn run_cell(
     };
     plan_select(stmt, false, optimizer, Some(table.schema()))
         .physical
-        .run(input, &ExecContext::new(&[], threads, partitions))
+        .run(input, &ExecContext::new(&[], threads))
 }
 
 fn select(src: &str) -> SelectStmt {
@@ -296,7 +295,7 @@ proptest! {
 
     /// Engine-level: a multi-key ORDER BY (with NULLs, ties, and mixed
     /// ASC/DESC) is bit-identical to the row-wise reference at every
-    /// thread count × partition count.
+    /// thread count.
     #[test]
     fn order_by_bit_identical_across_threads(
         rows in proptest::collection::vec(
@@ -320,15 +319,12 @@ proptest! {
         let stmt = select(&src);
         let reference = run_select_rowwise(&stmt, &table, None).unwrap();
         for threads in [1usize, 2, 8] {
-            for partitions in [1usize, 16] {
-                for optimizer in [false, true] {
-                    let got = run_cell(&stmt, &table, threads, optimizer, partitions).unwrap();
-                    if let Err(msg) = tables_identical(&got, &reference) {
-                        panic!(
-                            "divergence on {src:?} at {threads} thread(s), \
-                             {partitions} partition(s), optimizer={optimizer}: {msg}"
-                        );
-                    }
+            for optimizer in [false, true] {
+                let got = run_cell(&stmt, &table, threads, optimizer).unwrap();
+                if let Err(msg) = tables_identical(&got, &reference) {
+                    panic!(
+                        "divergence on {src:?} at {threads} thread(s), optimizer={optimizer}: {msg}"
+                    );
                 }
             }
         }
@@ -367,17 +363,12 @@ fn multi_morsel_order_by_matches_serial_and_reference() {
     let table = b.finish();
     let stmt = select("SELECT g, x, n FROM t ORDER BY x DESC, g, n DESC");
     let reference = run_select_rowwise(&stmt, &table, None).unwrap();
-    let serial = run_cell(&stmt, &table, 1, true, 1).unwrap();
+    let serial = run_cell(&stmt, &table, 1, true).unwrap();
     tables_identical(&serial, &reference).expect("serial executor vs row-wise reference");
     for threads in [2usize, 8] {
-        for partitions in [1usize, 16] {
-            let got = run_cell(&stmt, &table, threads, true, partitions).unwrap();
-            tables_identical(&got, &serial).unwrap_or_else(|msg| {
-                panic!(
-                    "parallel sort diverged at {threads} threads, {partitions} partitions: {msg}"
-                )
-            });
-        }
+        let got = run_cell(&stmt, &table, threads, true).unwrap();
+        tables_identical(&got, &serial)
+            .unwrap_or_else(|msg| panic!("parallel sort diverged at {threads} threads: {msg}"));
     }
 }
 
@@ -459,7 +450,7 @@ fn order_by_equals_stable_sort_of_the_key_chain() {
             let expect = table.take(&order);
             let stmt = select(src);
             for threads in [1usize, 2, 8] {
-                let got = run_cell(&stmt, &table, threads, true, 16).unwrap();
+                let got = run_cell(&stmt, &table, threads, true).unwrap();
                 tables_identical(&got, &expect).unwrap_or_else(|msg| {
                     panic!("{src} over {rows} rows at {threads} thread(s): {msg}")
                 });
